@@ -26,11 +26,10 @@ from .machine import (
     MASK64, RSP, SCRUB_VALUES, SGX2, VEC_EXT_INT, VEC_PAGE_FAULT,
     Machine, reports_to_enclave,
 )
-from .properties import SAFETY_PROPERTIES, Verdict, any_violation, evaluate
+from .properties import SAFETY_PROPERTIES, SafetyMonitor, evaluate
 from .runtimes import (
     ASLR_RANGE, CMD_EXCEPTION, CMD_INVALID, CMD_ORET, ECALL0_FRAME,
-    EnclaveImage, INFO_FIELDS, INFO_FREE_WINDOW, INFO_SIZE, Toggles,
-    build_machine, build_runtime,
+    EnclaveImage, INFO_FIELDS, INFO_FREE_WINDOW, INFO_SIZE, build_machine,
 )
 
 MEMCPY_CHAIN_LEN = 8      # pop/ret feeding words plus copy and terminator
@@ -287,10 +286,25 @@ def _prefix_snapshot(image: EnclaveImage, sgx_version: int,
     return m
 
 
-def _search_branch(image: EnclaveImage, snapshot: Machine, cmd_i: int,
+def _checkpoint(image: EnclaveImage, snapshot: Machine,
+                sp_mode: str) -> SafetyMonitor:
+    """The safety monitor state after the prefix every run shares."""
+    monitor = SafetyMonitor(image, sp_mode)
+    monitor.feed(snapshot.trace)
+    return monitor
+
+
+def _monitored(checkpoint: SafetyMonitor, trace: list) -> SafetyMonitor:
+    """Resume the prefix checkpoint over the events a run appended."""
+    monitor = checkpoint.clone()
+    monitor.feed(trace[checkpoint.position:])
+    return monitor
+
+
+def _search_branch(image: EnclaveImage, snapshot: Machine,
+                   checkpoint: SafetyMonitor, cmd_i: int,
                    rsp_i: int, domain: ValueDomain,
                    classes: tuple[int, ...], budget: SearchBudget,
-                   sp_mode: str,
                    stats: SearchStats) -> Optional[Counterexample]:
     cmd = REENTRY_CMDS[cmd_i]
     rsp_bind = domain.words[rsp_i]
@@ -300,12 +314,12 @@ def _search_branch(image: EnclaveImage, snapshot: Machine, cmd_i: int,
                        max_steps=budget.max_steps_per_run)
         stats.runs += 1
         stats.steps += dry.steps
-        verdict = _check(dry.trace, image, sp_mode)
-        if verdict is not None:
+        monitor = _monitored(checkpoint, dry.trace)
+        if monitor.violated:
             return Counterexample((cmd_i, rsp_i, pay_i, -1, -1),
                                   AttackPlan("exhaustive", _candidate_actions(
                                       cmd, rsp_bind, payload, None)),
-                                  dry.trace, verdict, stats)
+                                  dry.trace, monitor.verdicts(), stats)
         n_boundaries = min(dry.boundaries, budget.boundary_cap)
         for k in range(n_boundaries + 1):
             for vec in classes:
@@ -317,41 +331,36 @@ def _search_branch(image: EnclaveImage, snapshot: Machine, cmd_i: int,
                 stats.runs += 1
                 stats.steps += res.steps
                 stats.boundaries += 1
-                verdict = _check(res.trace, image, sp_mode)
-                if verdict is not None:
+                monitor = _monitored(checkpoint, res.trace)
+                if monitor.violated:
                     return Counterexample(
                         (cmd_i, rsp_i, pay_i, k, vec),
                         AttackPlan("exhaustive", actions),
-                        res.trace, verdict, stats)
+                        res.trace, monitor.verdicts(), stats)
     return None
-
-
-def _check(trace, image, sp_mode) -> Optional[list[Verdict]]:
-    verdicts = evaluate(trace, image, SAFETY_PROPERTIES, sp_mode=sp_mode)
-    return verdicts if any_violation(verdicts) else None
 
 
 # worker-process state for parallel search
 _W: dict = {}
 
 
-def _worker_init(variant, toggles_kv, sgx_version, grant, classes, budget,
+def _worker_init(image, sgx_version, grant, domain, classes, budget,
                  sp_mode):
-    image = build_runtime(variant, toggles=Toggles(**dict(toggles_kv)))
+    snapshot = _prefix_snapshot(image, sgx_version, grant)
     _W["image"] = image
-    _W["snapshot"] = _prefix_snapshot(image, sgx_version, grant)
-    _W["domain"] = default_domain(image)
+    _W["snapshot"] = snapshot
+    _W["checkpoint"] = _checkpoint(image, snapshot, sp_mode)
+    _W["domain"] = domain
     _W["classes"] = classes
     _W["budget"] = budget
-    _W["sp_mode"] = sp_mode
 
 
 def _worker_branch(args):
     cmd_i, rsp_i = args
     stats = SearchStats()
-    ce = _search_branch(_W["image"], _W["snapshot"], cmd_i, rsp_i,
-                        _W["domain"], _W["classes"], _W["budget"],
-                        _W["sp_mode"], stats)
+    ce = _search_branch(_W["image"], _W["snapshot"], _W["checkpoint"],
+                        cmd_i, rsp_i, _W["domain"], _W["classes"],
+                        _W["budget"], stats)
     if ce is None:
         return (None, stats)
     return ((ce.branch, ce.plan.actions, ce.trace), stats)
@@ -381,10 +390,11 @@ def exhaustive_attacker(image: EnclaveImage, sgx_version: int = SGX2,
     total = SearchStats()
     if workers <= 1:
         snapshot = _prefix_snapshot(image, sgx_version, grant)
+        checkpoint = _checkpoint(image, snapshot, sp_mode)
         for cmd_i, rsp_i in branches:
             stats = SearchStats()
-            ce = _search_branch(image, snapshot, cmd_i, rsp_i, domain,
-                                classes, budget, sp_mode, stats)
+            ce = _search_branch(image, snapshot, checkpoint, cmd_i, rsp_i,
+                                domain, classes, budget, stats)
             total.merge(stats)
             if ce is not None:
                 ce.stats = total
@@ -394,10 +404,9 @@ def exhaustive_attacker(image: EnclaveImage, sgx_version: int = SGX2,
         return NoneFound(total)
 
     ctx = mp.get_context("fork")
-    toggles_kv = tuple(sorted(vars(image.toggles).items()))
     with ctx.Pool(workers, initializer=_worker_init,
-                  initargs=(image.variant, toggles_kv, sgx_version, grant,
-                            classes, budget, sp_mode)) as pool:
+                  initargs=(image, sgx_version, grant, domain, classes,
+                            budget, sp_mode)) as pool:
         # ordered consumption keeps the result independent of worker count
         for (hit, stats), branch in zip(
                 pool.imap(_worker_branch, branches), branches):

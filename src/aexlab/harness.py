@@ -17,7 +17,7 @@ from typing import Callable, Optional
 from .interp import step
 from .machine import (
     E_ADV_SEED, EntryDenied, MASK64, MODE_ENCLAVE, REG_IDS,
-    ResumeDenied, Machine, UnknownPage,
+    ResumeDenied, Machine,
 )
 from .runtimes import EnclaveImage
 
@@ -151,10 +151,8 @@ def run_plan(machine: Machine, image: EnclaveImage, actions: list,
             if live is not None and window_count == live.boundary:
                 vec = live.vector
                 live = None
-                delivered = machine.aex(vec)
+                machine.aex(vec)    # False: deferred into the atomic window
                 notify()
-                if not delivered:
-                    continue  # deferred into the atomic window
                 continue
             # expire a cycle-bounded atomic window
             if (machine.hw.atomic and machine.hw.kind == "irq_quota"
@@ -233,11 +231,8 @@ def run_plan(machine: Machine, image: EnclaveImage, actions: list,
         elif isinstance(action, InjectAex):
             armed = action
         elif isinstance(action, FlipPerms):
-            try:
-                machine.os_set_page_perms(action.page_base, action.perms)
-                notify()
-            except UnknownPage:
-                raise
+            machine.os_set_page_perms(action.page_base, action.perms)
+            notify()
         elif isinstance(action, SeedPublic):
             for i, w in enumerate(action.words):
                 machine.mem.write(action.addr + 8 * i, w & MASK64, False)

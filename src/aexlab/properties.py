@@ -1,8 +1,10 @@
 """Safety and functionality detectors evaluated over traces.
 
-Each detector is a pure function of (trace, image): re-running it on a
-stored trace reproduces the verdict.  A Violated verdict carries the index
-of the witnessing event so the trace prefix up to it replays the issue.
+The four safety properties are checked by one fused online monitor,
+`SafetyMonitor`; `evaluate` and the `check_*` functions feed a fresh one a
+whole stored trace, so every verdict is a pure function of (trace, image).
+A Violated verdict carries the global index of the witnessing event so the
+trace prefix up to it replays the issue.
 """
 
 from __future__ import annotations
@@ -53,104 +55,171 @@ class Verdict:
         return d
 
 
-def _in_ranges(ranges, value) -> bool:
-    return any(lo <= value <= hi for lo, hi in ranges)
+class SafetyMonitor:
+    """The four safety properties as one online monitor (a runtime-
+    verification monitor in the sense of Havelund & Rosu, "Synthesizing
+    Monitors for Safety Properties", TACAS 2002).
+
+    `feed` makes one pass over the events, dispatching on the event kind
+    first, and keeps the first witness of each property.  Witness indices
+    are global trace indices: a monitor fed a prefix and then the rest of a
+    trace reaches the same verdicts as one fed the whole trace.  The only
+    carried state is the anchor save-stack and the witnesses found so far,
+    so `clone` is cheap and a monitor can be checkpointed together with the
+    machine snapshot it has seen.
+
+    sp_confinement: stack accesses outside the declared sanitization
+    windows must go through a stack pointer inside a trusted stack range.
+    In "strict" mode any stack-pointer assignment outside the windows is
+    also flagged (that is the pivot itself, even when the new value lands
+    in range).
+
+    anchor_integrity: the word popped by the ocall-return `ret` must equal
+    the return address recorded when the matching ocall saved its context.
+
+    cfi: return and indirect-jump targets must stay inside the legitimate
+    target set.  The declared context-restore site transfers to whatever
+    address the interrupted context held, so it is checked only against
+    the code region.
+
+    confidentiality: any leak event, or any synchronous exit that leaves a
+    secret-tainted register visible to the OS, is a violation.
+    """
+
+    __slots__ = ("image", "sp_mode", "position", "saves", "witnesses")
+
+    def __init__(self, image: EnclaveImage, sp_mode: str = "range"):
+        self.image = image
+        self.sp_mode = sp_mode
+        self.position = 0                 # global index of the next event
+        self.saves: list[int] = []        # anchor save-stack
+        self.witnesses: dict[str, tuple[int, str]] = {}
+
+    def clone(self) -> "SafetyMonitor":
+        m = SafetyMonitor.__new__(SafetyMonitor)
+        m.image = self.image
+        m.sp_mode = self.sp_mode
+        m.position = self.position
+        m.saves = list(self.saves)
+        m.witnesses = dict(self.witnesses)
+        return m
+
+    @property
+    def violated(self) -> bool:
+        return bool(self.witnesses)
+
+    def feed(self, events: list[tuple]) -> None:
+        """Consume the trace events that follow the ones already seen."""
+        img = self.image
+        windows = img.sp_window_pcs
+        trusted = img.trusted_stack_ranges
+        strict = self.sp_mode == "strict"
+        code_lo = img.program.base
+        code_hi = img.program.end
+        saves = self.saves
+        found = self.witnesses
+        for i, ev in enumerate(events, self.position):
+            kind = ev[0]
+            if kind == E_RETIRE:
+                continue
+            if kind == E_CTRL:
+                pc, target, ctrl = ev[1], ev[2], ev[3]
+                if ctrl == CTRL_RET:
+                    if pc in img.restore_ret_pcs:
+                        if not code_lo <= target < code_hi:
+                            found.setdefault(
+                                "cfi", (i, f"context restore to {target:#x}"))
+                    elif target not in img.legit_ret_targets:
+                        found.setdefault(
+                            "cfi", (i, f"ret at {pc:#x} to {target:#x}"))
+                    if pc == img.oret_ret_pc:
+                        if not saves:
+                            found.setdefault("anchor_integrity", (
+                                i, "ocall return with no recorded save"))
+                        else:
+                            expected = saves.pop()
+                            if target != expected:
+                                found.setdefault("anchor_integrity", (
+                                    i, f"anchor popped {target:#x}, "
+                                       f"recorded {expected:#x}"))
+                elif ctrl == CTRL_CALL:
+                    if pc in img.ocall_call_sites:
+                        saves.append(pc + 1)
+                else:
+                    if (ctrl == CTRL_JMPI
+                            and not code_lo <= target < code_hi):
+                        found.setdefault(
+                            "cfi", (i, f"indirect jump to {target:#x}"))
+                    continue
+                sp = ev[4]
+            elif kind == E_MEMR:
+                if not ev[3]:
+                    continue
+                pc, sp = ev[1], ev[2]
+            elif kind == E_STORE:
+                if not ev[4]:
+                    continue
+                pc, sp = ev[1], ev[2]
+            elif kind == E_SP_ASSIGN:
+                if strict and ev[1] not in windows:
+                    found.setdefault("sp_confinement", (
+                        i, f"sp assigned {ev[2]:#x} at {ev[1]:#x}"))
+                continue
+            elif kind == E_LEAK:
+                found.setdefault("confidentiality",
+                                 (i, f"{ev[4]} bytes to {ev[3]:#x}"))
+                continue
+            elif kind == E_EXIT:
+                if ev[3]:
+                    found.setdefault("confidentiality", (
+                        i, f"tainted registers {ev[3]:#x} at exit"))
+                continue
+            else:
+                continue
+            # a stack access: call, ret, or a flagged load or store
+            if pc in windows:
+                continue
+            for lo, hi in trusted:
+                if lo <= sp <= hi:
+                    break
+            else:
+                found.setdefault("sp_confinement",
+                                 (i, f"stack access via {sp:#x} at {pc:#x}"))
+        self.position += len(events)
+
+    def verdict(self, prop: str) -> Verdict:
+        hit = self.witnesses.get(prop)
+        if hit is None:
+            return Verdict(prop, NO_VIOLATION)
+        return Verdict(prop, VIOLATED, hit[0], hit[1])
+
+    def verdicts(self, properties: tuple[str, ...] = SAFETY_PROPERTIES
+                 ) -> list[Verdict]:
+        return [self.verdict(p) for p in properties]
 
 
-def _in_windows(windows, pc) -> bool:
-    return any(lo <= pc < hi for lo, hi in windows)
+def _scan(trace: list[tuple], image: EnclaveImage,
+          sp_mode: str = "range") -> SafetyMonitor:
+    monitor = SafetyMonitor(image, sp_mode)
+    monitor.feed(trace)
+    return monitor
 
 
 def check_sp_confinement(trace: list[tuple], image: EnclaveImage,
                          mode: str = "range") -> Verdict:
-    """Stack accesses outside the declared sanitization windows must go
-    through a stack pointer inside a trusted stack range.  In "strict" mode
-    any stack-pointer assignment outside the windows is also flagged (that
-    is the pivot itself, even when the new value lands in range)."""
-    windows = image.sp_windows
-    trusted = image.trusted_stack_ranges
-    for i, ev in enumerate(trace):
-        kind, pc = ev[0], ev[1]
-        if kind == E_SP_ASSIGN:
-            if mode == "strict" and not _in_windows(windows, pc):
-                return Verdict("sp_confinement", VIOLATED, i,
-                               f"sp assigned {ev[2]:#x} at {pc:#x}")
-            continue
-        if _in_windows(windows, pc):
-            continue
-        if kind == E_MEMR and ev[3]:
-            sp = ev[2]
-        elif kind == E_STORE and len(ev) > 4 and ev[4]:
-            sp = ev[2]
-        elif kind == E_CTRL and ev[3] in (CTRL_CALL, CTRL_RET):
-            sp = ev[4]
-        else:
-            continue
-        if not _in_ranges(trusted, sp):
-            return Verdict("sp_confinement", VIOLATED, i,
-                           f"stack access via {sp:#x} at {pc:#x}")
-    return Verdict("sp_confinement", NO_VIOLATION)
+    return _scan(trace, image, mode).verdict("sp_confinement")
 
 
 def check_anchor_integrity(trace: list[tuple], image: EnclaveImage) -> Verdict:
-    """The word popped by the ocall-return `ret` must equal the return
-    address recorded when the matching ocall saved its context."""
-    saves: list[int] = []
-    for i, ev in enumerate(trace):
-        if ev[0] != E_CTRL:
-            continue
-        pc, target, kind = ev[1], ev[2], ev[3]
-        if kind == CTRL_CALL and pc in image.ocall_call_sites:
-            saves.append(pc + 1)
-        elif kind == CTRL_RET and pc == image.oret_ret_pc:
-            if not saves:
-                return Verdict("anchor_integrity", VIOLATED, i,
-                               "ocall return with no recorded save")
-            expected = saves.pop()
-            if target != expected:
-                return Verdict(
-                    "anchor_integrity", VIOLATED, i,
-                    f"anchor popped {target:#x}, recorded {expected:#x}")
-    return Verdict("anchor_integrity", NO_VIOLATION)
+    return _scan(trace, image).verdict("anchor_integrity")
 
 
 def check_cfi(trace: list[tuple], image: EnclaveImage) -> Verdict:
-    """Return and indirect-jump targets must stay inside the legitimate
-    target set.  The declared context-restore site transfers to whatever
-    address the interrupted context held, so it is checked only against the
-    code region."""
-    code_lo = image.program.base
-    code_hi = image.program.end
-    for i, ev in enumerate(trace):
-        if ev[0] != E_CTRL:
-            continue
-        pc, target, kind = ev[1], ev[2], ev[3]
-        if kind == CTRL_RET:
-            if pc in image.restore_ret_pcs:
-                if not code_lo <= target < code_hi:
-                    return Verdict("cfi", VIOLATED, i,
-                                   f"context restore to {target:#x}")
-            elif target not in image.legit_ret_targets:
-                return Verdict("cfi", VIOLATED, i,
-                               f"ret at {pc:#x} to {target:#x}")
-        elif kind == CTRL_JMPI:
-            if not code_lo <= target < code_hi:
-                return Verdict("cfi", VIOLATED, i,
-                               f"indirect jump to {target:#x}")
-    return Verdict("cfi", NO_VIOLATION)
+    return _scan(trace, image).verdict("cfi")
 
 
 def check_confidentiality(trace: list[tuple], image: EnclaveImage) -> Verdict:
-    """Any leak event, or any synchronous exit that leaves a secret-tainted
-    register visible to the OS, is a confidentiality violation."""
-    for i, ev in enumerate(trace):
-        if ev[0] == E_LEAK:
-            return Verdict("confidentiality", VIOLATED, i,
-                           f"{ev[4]} bytes to {ev[3]:#x}")
-        if ev[0] == E_EXIT and ev[3]:
-            return Verdict("confidentiality", VIOLATED, i,
-                           f"tainted registers {ev[3]:#x} at exit")
-    return Verdict("confidentiality", NO_VIOLATION)
+    return _scan(trace, image).verdict("confidentiality")
 
 
 def check_functionality(trace: list[tuple], image: EnclaveImage,
@@ -217,25 +286,22 @@ def check_functionality(trace: list[tuple], image: EnclaveImage,
                    stats={"handler_runs": handler_runs})
 
 
-_CHECKS = {
-    "sp_confinement": check_sp_confinement,
-    "anchor_integrity": check_anchor_integrity,
-    "cfi": check_cfi,
-    "confidentiality": check_confidentiality,
-}
-
-
 def evaluate(trace: list[tuple], image: EnclaveImage,
              properties: tuple[str, ...],
              sp_mode: str = "range", cooperative: bool = True) -> list[Verdict]:
+    """Verdicts for `properties`, in order, over a stored trace: one fused
+    safety-monitor pass, plus the functionality check when asked for."""
+    monitor = None
     out = []
     for prop in properties:
-        if prop == "sp_confinement":
-            out.append(check_sp_confinement(trace, image, sp_mode))
-        elif prop == "functionality":
+        if prop == "functionality":
             out.append(check_functionality(trace, image, cooperative))
-        else:
-            out.append(_CHECKS[prop](trace, image))
+            continue
+        if prop not in SAFETY_PROPERTIES:
+            raise KeyError(prop)
+        if monitor is None:
+            monitor = _scan(trace, image, sp_mode)
+        out.append(monitor.verdict(prop))
     return out
 
 
@@ -267,7 +333,7 @@ def milestones(trace: list[tuple], image: EnclaveImage) -> tuple[str, ...]:
                 and ev[2] == anchor_addr and "anchor_written" not in reached):
             reached.append("anchor_written")
         elif (kind == E_SP_ASSIGN and "pivoted" not in reached
-                and not _in_windows(image.sp_windows, ev[1])):
+                and ev[1] not in image.sp_window_pcs):
             reached.append("pivoted")
         elif kind == E_LEAK and "leaked" not in reached:
             reached.append("leaked")

@@ -19,7 +19,10 @@ from .harness import (
 )
 from .machine import EVENT_IDS, EVENT_NAMES, VECTOR_IDS, VECTOR_NAMES
 from .properties import ALL_PROPERTIES, SAFETY_PROPERTIES
-from .runtimes import VARIANTS
+from .runtimes import (
+    ASLR_RANGE, MAX_CRITICAL_PAD, VARIANTS, Layout, LayoutOverlap,
+    _check_layout,
+)
 
 TOOL_VERSION = "aexlab 0.1.0"
 TRACE_MAGIC = "# aexlab-trace v1"
@@ -38,12 +41,75 @@ _DEFAULT_TOGGLES = {"sgx1_valid_check_removed": False, "aslr_stack_offset": 0,
                     "alignment_required": 16, "critical_pad": 0,
                     "flag_strategy": None}
 _DEFAULT_HW_EXT = {"allowed": 100, "window": 10000}
+FLAG_STRATEGIES = (None, "postpone", "ignore")
+ADDRESS_LIMIT = 1 << 48       # canonical lower-half x86-64 addresses
 
 _SCENARIO_KEYS = {
     "variant", "sgx_version", "adversary", "seed", "properties", "budgets",
     "toggles", "hw_ext", "layout", "inject_classes", "sp_confinement_mode",
     "vector", "route", "max_rounds", "trials", "boundary",
 }
+
+
+def _int(value, what: str, lo: Optional[int] = None,
+         hi: Optional[int] = None) -> int:
+    """`value` as an integer in [lo, hi]; bool is not an integer here."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ScenarioError(f"{what} must be an integer, got {value!r}")
+    if (lo is not None and value < lo) or (hi is not None and value > hi):
+        bounds = f"[{'' if lo is None else lo}, {'' if hi is None else hi}]"
+        raise ScenarioError(f"{what} must be in {bounds}, got {value}")
+    return value
+
+
+def _section(doc: dict, key: str) -> dict:
+    value = doc.get(key) or {}
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{key} must be an object")
+    return value
+
+
+def _names(doc: dict, key: str, default: tuple, allowed, what: str) -> tuple:
+    names = doc.get(key) or default
+    if not isinstance(names, (list, tuple)):
+        raise ScenarioError(f"{key} must be a list")
+    for name in names:
+        if not isinstance(name, str) or name not in allowed:
+            raise ScenarioError(f"unknown {what}: {name!r}")
+    return tuple(names)
+
+
+def _check_toggle(key: str, value) -> None:
+    if key == "sgx1_valid_check_removed":
+        if not isinstance(value, bool):
+            raise ScenarioError(f"toggle {key} must be true or false")
+    elif key == "aslr_stack_offset":
+        _int(value, f"toggle {key}", 0, ASLR_RANGE)
+    elif key == "alignment_required":
+        # the check compiles to `and sp, $align-1`: 0 or a non-power of two
+        # would reject or accept stack pointers the design never meant to
+        _int(value, f"toggle {key}", 8, 4096)
+        if value & (value - 1):
+            raise ScenarioError(f"toggle {key} must be a power of two, "
+                                f"got {value}")
+    elif key == "critical_pad":
+        _int(value, f"toggle {key}", 0, MAX_CRITICAL_PAD)
+    elif value not in FLAG_STRATEGIES:          # flag_strategy
+        raise ScenarioError(f"toggle {key} must be one of "
+                            f"{list(FLAG_STRATEGIES)}, got {value!r}")
+
+
+def _check_layout_doc(layout: dict) -> None:
+    lay = Layout(**layout)
+    if not 8 <= lay.secret_len <= 0x1000 or lay.secret_len % 8:
+        raise ScenarioError("layout secret_len must be a multiple of 8 "
+                            f"in [8, 4096], got {lay.secret_len}")
+    if lay.stack_limit >= lay.stack_base:
+        raise ScenarioError("layout stack_limit must lie below stack_base")
+    try:
+        _check_layout(lay)
+    except LayoutOverlap as e:
+        raise ScenarioError(f"layout regions overlap: {e}") from None
 
 
 def normalize_scenario(doc: dict) -> dict:
@@ -58,62 +124,58 @@ def normalize_scenario(doc: dict) -> dict:
     if variant not in VARIANTS:
         raise ScenarioError(f"unknown variant: {variant!r}")
     sgx = doc.get("sgx_version", 2)
-    if sgx not in (1, 2):
+    if isinstance(sgx, bool) or sgx not in (1, 2):
         raise ScenarioError(f"sgx_version must be 1 or 2, got {sgx!r}")
     adversary = doc.get("adversary", "exhaustive")
     if adversary not in ADVERSARY_MODES:
         raise ScenarioError(f"unknown adversary mode: {adversary!r}")
-    props = tuple(doc.get("properties") or
-                  (SAFETY_PROPERTIES + ("functionality",)
-                   if adversary.startswith("benign") else SAFETY_PROPERTIES))
-    for p in props:
-        if p not in ALL_PROPERTIES:
-            raise ScenarioError(f"unknown property: {p!r}")
+    props = _names(doc, "properties",
+                   SAFETY_PROPERTIES + ("functionality",)
+                   if adversary.startswith("benign") else SAFETY_PROPERTIES,
+                   ALL_PROPERTIES, "property")
     budgets = dict(_DEFAULT_BUDGETS)
-    for k, v in (doc.get("budgets") or {}).items():
+    for k, v in _section(doc, "budgets").items():
         if k not in budgets:
             raise ScenarioError(f"unknown budget key: {k!r}")
-        if not isinstance(v, int) or v <= 0:
-            raise ScenarioError(f"budget {k} must be a positive integer")
-        budgets[k] = v
+        budgets[k] = _int(v, f"budget {k}", 1)
     toggles = dict(_DEFAULT_TOGGLES)
-    for k, v in (doc.get("toggles") or {}).items():
+    for k, v in _section(doc, "toggles").items():
         if k not in toggles:
             raise ScenarioError(f"unknown toggle: {k!r}")
+        _check_toggle(k, v)
         toggles[k] = v
     hw_ext = dict(_DEFAULT_HW_EXT)
-    for k, v in (doc.get("hw_ext") or {}).items():
+    for k, v in _section(doc, "hw_ext").items():
         if k not in hw_ext:
             raise ScenarioError(f"unknown hw_ext key: {k!r}")
-        hw_ext[k] = v
-    from .runtimes import Layout
+        hw_ext[k] = _int(v, f"hw_ext {k}", 0)
     layout = {}
-    layout_fields = set(Layout.__dataclass_fields__)
-    for k, v in (doc.get("layout") or {}).items():
-        if k not in layout_fields:
+    for k, v in _section(doc, "layout").items():
+        if k not in Layout.__dataclass_fields__:
             raise ScenarioError(f"unknown layout key: {k!r}")
-        if not isinstance(v, int):
-            raise ScenarioError(f"layout {k} must be an integer")
-        layout[k] = v
-    classes = tuple(doc.get("inject_classes") or
-                    ("page_fault", "external_interrupt"))
-    for c in classes:
-        if c not in VECTOR_IDS:
-            raise ScenarioError(f"unknown exception class: {c!r}")
+        layout[k] = _int(v, f"layout {k}", 0, ADDRESS_LIMIT)
+    _check_layout_doc(layout)
+    classes = _names(doc, "inject_classes",
+                     ("page_fault", "external_interrupt"), VECTOR_IDS,
+                     "exception class")
     sp_mode = doc.get("sp_confinement_mode", "range")
     if sp_mode not in ("range", "strict"):
         raise ScenarioError(f"sp_confinement_mode must be range|strict")
     vector = doc.get("vector")
-    if vector is not None and vector not in VECTOR_IDS:
+    if vector is not None and (not isinstance(vector, str)
+                               or vector not in VECTOR_IDS):
         raise ScenarioError(f"unknown vector: {vector!r}")
     route = doc.get("route")
     if route not in (None, "private", "public"):
         raise ScenarioError("route must be private|public")
+    boundary = doc.get("boundary")
+    if boundary is not None:
+        _int(boundary, "boundary", 0)
     return {
         "variant": variant,
         "sgx_version": sgx,
         "adversary": adversary,
-        "seed": int(doc.get("seed", 0)),
+        "seed": _int(doc.get("seed", 0), "seed"),
         "properties": list(props),
         "budgets": budgets,
         "toggles": toggles,
@@ -123,9 +185,9 @@ def normalize_scenario(doc: dict) -> dict:
         "sp_confinement_mode": sp_mode,
         "vector": vector,
         "route": route,
-        "max_rounds": int(doc.get("max_rounds", 32)),
-        "trials": int(doc.get("trials", 100000)),
-        "boundary": doc.get("boundary"),
+        "max_rounds": _int(doc.get("max_rounds", 32), "max_rounds", 1),
+        "trials": _int(doc.get("trials", 100000), "trials", 1),
+        "boundary": boundary,
     }
 
 

@@ -82,6 +82,7 @@ TD_PENDING = 48
 TD_DED_BASE = 56
 
 ASLR_RANGE = 2048             # stack base advanced by 1..2048 bytes
+MAX_CRITICAL_PAD = 2048       # keeps every padded variant in its 4 KiB code page
 ENTRY_ATOMIC_CYCLES = 32      # declared length of the hardware-armed entry window
 
 ALIGN16_MASK = MASK64 & ~0xF
@@ -175,6 +176,12 @@ class EnclaveImage:
     sp_windows: tuple[tuple[int, int], ...] = ()
     crit_ranges: tuple[tuple[int, int], ...] = ()
     entry_atomic_cycles: int = ENTRY_ATOMIC_CYCLES
+    # every pc inside a declared sp window, so a window test is one lookup
+    sp_window_pcs: frozenset[int] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.sp_window_pcs = frozenset(
+            pc for lo, hi in self.sp_windows for pc in range(lo, hi))
 
     @property
     def entry(self) -> int:
@@ -188,9 +195,6 @@ class EnclaveImage:
     @property
     def ocall_ctx_addr(self) -> int:
         return self.anchor_addr - CTX_ANCHOR_OFF
-
-    def code_page_base(self) -> int:
-        return self.layout.code_base
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from aexlab.adversary import (
 )
 from aexlab.harness import prefix_plan, run_plan
 from aexlab.machine import SGX1, SGX2, VEC_EXT_INT, VEC_PAGE_FAULT
-from aexlab.runtimes import Toggles, build_machine, build_runtime
+from aexlab.runtimes import Layout, Toggles, build_machine, build_runtime
 
 VULNERABLE = [
     ("sdk_style", SGX2, Toggles(), (VEC_PAGE_FAULT, VEC_EXT_INT)),
@@ -157,6 +157,50 @@ def test_worker_fanout_matches_sequential():
     par2 = exhaustive_attacker(img2, SGX2, workers=2)
     assert isinstance(seq2, Counterexample) and isinstance(par2, Counterexample)
     assert seq2.branch == par2.branch
+    assert ([v.to_dict() for v in seq2.verdicts]
+            == [v.to_dict() for v in par2.verdicts])
+
+
+def test_workers_search_the_callers_image():
+    # a moved stack changes the crafted words: workers must search this
+    # image and value domain, not a rebuild with the default layout
+    img = build_runtime("sdk_style", layout=Layout(stack_base=0x27000))
+    seq = exhaustive_attacker(img, SGX2, workers=1)
+    par = exhaustive_attacker(img, SGX2, workers=2)
+    assert isinstance(seq, Counterexample) and isinstance(par, Counterexample)
+    assert seq.branch == par.branch
+    assert seq.trace == par.trace
+    assert ([v.to_dict() for v in seq.verdicts]
+            == [v.to_dict() for v in par.verdicts])
+
+
+@pytest.mark.parametrize("variant,sp_mode,expect", [
+    ("dedicated_stack", "range", NoneFound),
+    ("sdk_style", "strict", Counterexample),
+])
+def test_checkpointed_monitor_agrees_with_full_evaluation(
+        monkeypatch, variant, sp_mode, expect):
+    # every run resumes the monitor saved after the shared prefix; its
+    # verdicts must equal a from-scratch evaluation of the whole trace
+    resume = adversary._monitored
+    compared = []
+
+    def checked(checkpoint, trace):
+        monitor = resume(checkpoint, trace)
+        assert checkpoint.position < len(trace)
+        want = properties.evaluate(trace, checkpoint.image,
+                                   properties.SAFETY_PROPERTIES,
+                                   sp_mode=sp_mode)
+        assert ([v.to_dict() for v in monitor.verdicts()]
+                == [v.to_dict() for v in want])
+        compared.append(monitor.violated)
+        return monitor
+
+    monkeypatch.setattr(adversary, "_monitored", checked)
+    out = exhaustive_attacker(build_runtime(variant), SGX2, sp_mode=sp_mode)
+    assert isinstance(out, expect)
+    assert len(compared) == out.stats.runs
+    assert compared.count(True) == (expect is Counterexample)
 
 
 # ---------------------------------------------------------------------------

@@ -181,6 +181,26 @@ def test_detectors_reproduce_on_stored_trace():
     assert a == b
 
 
+@pytest.mark.parametrize("mode", ["range", "strict"])
+def test_monitor_resumes_from_any_split_point(mode):
+    # a checkpoint taken after any prefix, cloned and fed the rest, reaches
+    # the verdicts (global witness indices included) of one whole pass
+    img, trace = attack_trace("open_enclave_style", route="public")
+    whole = [v.to_dict() for v in properties.evaluate(
+        trace, img, properties.SAFETY_PROPERTIES, sp_mode=mode)]
+    assert sum(v["outcome"] == "violated" for v in whole) == 4
+    for k in range(len(trace) + 1):
+        checkpoint = properties.SafetyMonitor(img, mode)
+        checkpoint.feed(trace[:k])
+        before = [v.to_dict() for v in checkpoint.verdicts()]
+        resumed = checkpoint.clone()
+        resumed.feed(trace[k:])
+        assert [v.to_dict() for v in resumed.verdicts()] == whole, k
+        # the checkpoint itself is untouched by its clone's progress
+        assert [v.to_dict() for v in checkpoint.verdicts()] == before
+        assert checkpoint.position == k
+
+
 def test_milestone_monotonicity():
     cases = [attack_trace(), attack_trace("open_enclave_style"),
              attack_trace("enarx_style")]

@@ -1,0 +1,88 @@
+"""Malformed scenarios fail closed: `normalize_scenario` raises
+ScenarioError, and `aexlab run` exits 1 with a message instead of a
+traceback or a silently changed check."""
+
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from aexlab import cli, explorer, reporting
+from aexlab.runtimes import VARIANTS, Layout, build_machine
+
+
+@pytest.mark.parametrize("section,key,value,words", [
+    # `and r12, $-1` would reject every sp and certify sdk_style SAFE
+    ("toggles", "alignment_required", 0, "alignment_required"),
+    ("toggles", "alignment_required", 24, "power of two"),
+    ("toggles", "aslr_stack_offset", 5000, "aslr_stack_offset"),
+    ("toggles", "critical_pad", "x", "critical_pad"),
+    ("toggles", "critical_pad", -1, "critical_pad"),
+    ("toggles", "flag_strategy", "sometimes", "flag_strategy"),
+    ("toggles", "sgx1_valid_check_removed", 1, "true or false"),
+    ("hw_ext", "allowed", "a", "hw_ext allowed"),
+    ("hw_ext", "window", True, "hw_ext window"),
+    ("layout", "pubbuf_base", 4096, "overlap"),
+    ("budgets", "max_runs", True, "budget max_runs"),
+    (None, "boundary", "zz", "boundary"),
+])
+def test_malformed_field_exits_one_with_message(tmp_path, capsys, section,
+                                                key, value, words):
+    doc = {"variant": "sdk_style", "adversary": "exhaustive"}
+    if section is None:
+        doc[key] = value
+    else:
+        doc[section] = {key: value}
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    rc = cli.main(["run", "--scenario", str(path),
+                   "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: scenario:") and words in err
+    assert not (tmp_path / "o").exists()
+
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.floats(allow_nan=False)
+    | st.integers() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=4)
+# values near the edges of every accepted range, and page-sized addresses
+_numbers = (st.integers(-2, 5000)
+            | st.sampled_from([8, 16, 32, 64, 4096, 8192, 1 << 48, 1 << 64])
+            | st.integers(0, 0x60).map(lambda n: n * 0x1000))
+_SECTION_KEYS = {
+    "toggles": list(reporting._DEFAULT_TOGGLES),
+    "hw_ext": list(reporting._DEFAULT_HW_EXT),
+    "layout": list(Layout.__dataclass_fields__),
+}
+
+
+def _section(keys):
+    value = (_numbers | st.booleans() | st.none()
+             | st.sampled_from(["postpone", "ignore", "a"]) | _json)
+    return st.dictionaries(st.sampled_from(keys) | st.text(max_size=4),
+                           value, max_size=4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(variant=st.sampled_from(VARIANTS),
+       toggles=_section(_SECTION_KEYS["toggles"]) | _json,
+       hw_ext=_section(_SECTION_KEYS["hw_ext"]) | _json,
+       layout=_section(_SECTION_KEYS["layout"]) | _json)
+def test_any_json_sections_normalize_or_raise(variant, toggles, hw_ext,
+                                              layout):
+    doc = {"variant": variant, "adversary": "exhaustive",
+           "toggles": toggles, "hw_ext": hw_ext, "layout": layout}
+    try:
+        scenario = reporting.normalize_scenario(doc)
+    except reporting.ScenarioError:
+        return
+    # what normalizes round-trips and builds: nothing fails further in
+    text = reporting.dumps_scenario(scenario)
+    assert reporting.loads_scenario(text) == scenario
+    image = explorer._image_for(scenario)
+    build_machine(image, scenario["sgx_version"])
