@@ -193,9 +193,8 @@ class SafetyMonitor:
             return Verdict(prop, NO_VIOLATION)
         return Verdict(prop, VIOLATED, hit[0], hit[1])
 
-    def verdicts(self, properties: tuple[str, ...] = SAFETY_PROPERTIES
-                 ) -> list[Verdict]:
-        return [self.verdict(p) for p in properties]
+    def verdicts(self) -> list[Verdict]:
+        return [self.verdict(p) for p in SAFETY_PROPERTIES]
 
 
 def _scan(trace: list[tuple], image: EnclaveImage,
