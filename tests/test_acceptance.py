@@ -120,11 +120,25 @@ MITIGATIONS = ("dedicated_stack", "nssa_disabled", "graphene_emulated",
                "hw_reentry_mask", "hw_irq_quota")
 
 
+# The work each sgx2 certification does (runs, steps, boundaries): a faster
+# oracle must still enumerate the same space.
+MITIGATION_WORK = {
+    "dedicated_stack": (6912, 310176, 6480),
+    "nssa_disabled": (6336, 63360, 5904),
+    "graphene_emulated": (6336, 268104, 5904),
+    "hw_reentry_mask": (6480, 84096, 6048),
+    "hw_irq_quota": (6480, 274032, 6048),
+}
+
+
 def test_criterion_5_mitigation_certification():
     for variant in MITIGATIONS:
         img = build_runtime(variant)
         out = adversary.exhaustive_attacker(img, SGX2)
         assert isinstance(out, adversary.NoneFound), variant
+        st = out.stats
+        assert (st.runs, st.steps, st.boundaries) == \
+            MITIGATION_WORK[variant], variant
 
     ded = build_runtime("dedicated_stack")
     m = build_machine(ded, SGX2)
