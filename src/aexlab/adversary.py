@@ -248,31 +248,43 @@ class BudgetExceeded:
     reason: str = ""
 
 
+# Actions in an injected candidate plan: PrepareRegs, InjectAex, Eenter and
+# the shared delivery tail.  A dry run omits the injection and the tail.
+CANDIDATE_DEPTH = 6
+
+
 @dataclass(frozen=True)
 class SearchBudget:
     max_runs: int = 200000
     max_steps_per_run: int = DEFAULT_MAX_STEPS
     boundary_cap: int = 160
-    depth: int = 6          # actions per candidate plan
+    depth: int = CANDIDATE_DEPTH    # actions per candidate plan
 
 
-def _candidate_actions(cmd: int, rsp_bind: int, payload_bind: int,
-                       inject: Optional[tuple[int, int]]) -> list:
+# deliver the injected exception, resume, then serve the pending ocall
+_INJECTED_TAIL = (
+    Eenter.of(CMD_EXCEPTION, regs=dict(BENIGN_REGS)),
+    Eresume(),
+    Eenter.of(CMD_ORET, regs={"rsp": 0, "rsi": BENIGN_OCALL_RESULT}),
+)
+
+
+def _binding_entry(cmd: int, rsp_bind: int,
+                   payload_bind: int) -> tuple[PrepareRegs, Eenter]:
+    """The staged registers and the re-entry of one binding; every plan of
+    the binding shares these frozen actions."""
     regs = {"rsp": rsp_bind, "rsi": 0}
     for r in PAYLOAD_REGS:
         regs[r] = payload_bind
-    actions: list = [PrepareRegs.of(**regs)]
-    if inject is not None:
-        vec, k = inject
-        actions.append(InjectAex(vec, k))
-    actions.append(Eenter.of(cmd))
-    if inject is not None:
-        actions += [
-            Eenter.of(CMD_EXCEPTION, regs=dict(BENIGN_REGS)),
-            Eresume(),
-            Eenter.of(CMD_ORET, regs={"rsp": 0, "rsi": BENIGN_OCALL_RESULT}),
-        ]
-    return actions
+    return PrepareRegs.of(**regs), Eenter.of(cmd)
+
+
+def _candidate_actions(entry: tuple[PrepareRegs, Eenter],
+                       inject: Optional[tuple[int, int]]) -> list:
+    prepare, enter = entry
+    if inject is None:
+        return [prepare, enter]
+    return [prepare, InjectAex(*inject), enter, *_INJECTED_TAIL]
 
 
 def _prefix_snapshot(image: EnclaveImage, sgx_version: int,
@@ -309,23 +321,23 @@ def _search_branch(image: EnclaveImage, snapshot: Machine,
     cmd = REENTRY_CMDS[cmd_i]
     rsp_bind = domain.words[rsp_i]
     for pay_i, payload in enumerate(domain.words):
-        dry = run_plan(snapshot.clone(), image,
-                       _candidate_actions(cmd, rsp_bind, payload, None),
+        entry = _binding_entry(cmd, rsp_bind, payload)
+        actions = _candidate_actions(entry, None)
+        dry = run_plan(snapshot.clone(), image, actions,
                        max_steps=budget.max_steps_per_run)
         stats.runs += 1
         stats.steps += dry.steps
         monitor = _monitored(checkpoint, dry.trace)
         if monitor.violated:
             return Counterexample((cmd_i, rsp_i, pay_i, -1, -1),
-                                  AttackPlan("exhaustive", _candidate_actions(
-                                      cmd, rsp_bind, payload, None)),
+                                  AttackPlan("exhaustive", actions),
                                   dry.trace, monitor.verdicts(), stats)
         n_boundaries = min(dry.boundaries, budget.boundary_cap)
         for k in range(n_boundaries + 1):
             for vec in classes:
                 if vec == VEC_PAGE_FAULT and k != 0:
                     continue  # permission faults realize at the entry fetch
-                actions = _candidate_actions(cmd, rsp_bind, payload, (vec, k))
+                actions = _candidate_actions(entry, (vec, k))
                 res = run_plan(snapshot.clone(), image, actions,
                                max_steps=budget.max_steps_per_run)
                 stats.runs += 1
@@ -379,6 +391,11 @@ def exhaustive_attacker(image: EnclaveImage, sgx_version: int = SGX2,
     statistics only when the full bounded space was enumerated."""
     domain = domain or default_domain(image)
     budget = budget or SearchBudget()
+    if budget.depth != CANDIDATE_DEPTH:
+        # a SAFE verdict must not claim a depth the template does not reach
+        raise ValueError(f"the candidate template has {CANDIDATE_DEPTH} "
+                         f"actions; budget depth {budget.depth} is not "
+                         "enumerated")
     if grant is None and image.variant == "hw_irq_quota":
         grant = (100, 10000)
     branches = [(c, r) for c in range(len(REENTRY_CMDS))

@@ -4,13 +4,16 @@
 event (plus Leak events when secret data lands in public memory).  A fault
 leaves rip at the faulting instruction and arms ``machine.pending_fault``;
 the only legal next hardware transition is then an asynchronous exit of
-that class.
+that class.  Each program is decoded once, on its first step, into
+per-address handlers (see ``decode``).
 
 ``complete_critical`` is the register-level twin used to finish an
 interrupted critical span against a saved frame instead of live registers.
 """
 
 from __future__ import annotations
+
+import operator
 
 from .isa import (
     OP_MOV_RR, OP_MOV_RI, OP_LOAD, OP_STORE, OP_PUSH, OP_POP,
@@ -68,214 +71,391 @@ def step(m: Machine, program: Program) -> str:
     pc = m.regs[RIP]
     if not m.mem.executable(pc):
         return _fault(m, pc, VEC_PAGE_FAULT, pc)
-    ins = program.code.get(pc)
+    table = program.decoded
+    if table is None:
+        table = decode(program)
+    ins = table.get(pc)
     if ins is None:
         return _fault(m, pc, VEC_PAGE_FAULT, pc)
-    op, a, b, c = ins
+    handler, a, b, c = ins
+    return handler(m, pc, a, b, c)
+
+
+# ---------------------------------------------------------------------------
+# Pre-decoded dispatch
+# ---------------------------------------------------------------------------
+# Each address of a program decodes once to (handler, a, b, c); `step`
+# calls the handler with the machine, the pc and the decoded operands.
+# Decoding resolves what does not depend on machine state: the handler of
+# the opcode, the relation of a compare-and-jump, the value set_flag and
+# clear_flag write, and the program emulate_critical completes against.
+# A handler that retires sets rip, counts the cycle and returns "ok".
+
+_ALL_REGS = (1 << NREGS) - 1
+
+
+def _set_taint(m: Machine, r: int, t) -> None:
+    if t:
+        m.taint |= 1 << r
+    else:
+        m.taint &= ~(1 << r)
+
+
+def _mov_rr(m, pc, a, b, c):
+    regs = m.regs
+    regs[a] = regs[b]
+    _set_taint(m, a, m.taint >> b & 1)
+    m.trace.append((E_SP_ASSIGN if a == RSP else E_RETIRE, pc, regs[RSP],
+                    0, 0))
+    regs[RIP] = pc + 1
+    m.cycle += 1
+    return "ok"
+
+
+def _mov_ri(m, pc, a, b, c):
+    regs = m.regs
+    regs[a] = b
+    m.taint &= ~(1 << a)
+    m.trace.append((E_SP_ASSIGN if a == RSP else E_RETIRE, pc, regs[RSP],
+                    0, 0))
+    regs[RIP] = pc + 1
+    m.cycle += 1
+    return "ok"
+
+
+def _add_i(m, pc, a, b, c):
+    regs = m.regs
+    regs[a] = (regs[a] + b) & MASK64
+    m.trace.append((E_RETIRE, pc, regs[RSP], 0, 0))
+    regs[RIP] = pc + 1
+    m.cycle += 1
+    return "ok"
+
+
+def _sub_i(m, pc, a, b, c):
+    regs = m.regs
+    regs[a] = (regs[a] - b) & MASK64
+    m.trace.append((E_RETIRE, pc, regs[RSP], 0, 0))
+    regs[RIP] = pc + 1
+    m.cycle += 1
+    return "ok"
+
+
+def _and_i(m, pc, a, b, c):
+    regs = m.regs
+    regs[a] = regs[a] & b
+    m.trace.append((E_RETIRE, pc, regs[RSP], 0, 0))
+    regs[RIP] = pc + 1
+    m.cycle += 1
+    return "ok"
+
+
+def _load(m, pc, a, b, c):
     regs = m.regs
     mem = m.mem
+    addr = (regs[b] + c) & MASK64
+    if not mem.readable(addr):
+        return _fault(m, pc, VEC_PAGE_FAULT, addr)
+    regs[a] = mem.cells.get(addr, 0)
+    _set_taint(m, a, addr in mem.secret)
+    if a == RSP:
+        m.trace.append((E_SP_ASSIGN, pc, regs[RSP], 0, 0))
+    else:
+        m.trace.append((E_MEMR, pc, addr, 1 if b == RSP else 0, 0))
+    regs[RIP] = pc + 1
+    m.cycle += 1
+    return "ok"
 
-    def taint_of(r: int) -> bool:
-        return bool(m.taint & (1 << r))
 
-    def set_taint(r: int, t: bool) -> None:
-        if t:
-            m.taint |= (1 << r)
-        else:
-            m.taint &= ~(1 << r)
+def _store(m, pc, a, b, c):
+    regs = m.regs
+    mem = m.mem
+    addr = (regs[a] + b) & MASK64
+    if not mem.writable(addr):
+        return _fault(m, pc, VEC_PAGE_FAULT, addr)
+    sec = m.taint >> c & 1
+    mem.write(addr, regs[c], sec)
+    m.trace.append((E_STORE, pc, addr, regs[RSP], 1 if a == RSP else 0))
+    if sec and mem.is_public(addr):
+        m.trace.append((E_LEAK, pc, 0, addr, 8))
+    regs[RIP] = pc + 1
+    m.cycle += 1
+    return "ok"
 
-    def retire(next_pc: int | None = None) -> str:
-        regs[RIP] = (pc + 1) if next_pc is None else next_pc
-        m.cycle += 1
-        return "ok"
 
-    # -- moves / arithmetic -------------------------------------------------
-    if op == OP_MOV_RR:
-        regs[a] = regs[b]
-        set_taint(a, taint_of(b))
-        if a == RSP:
-            m.emit(E_SP_ASSIGN, pc, regs[RSP])
-        else:
-            m.emit(E_RETIRE, pc, regs[RSP])
-        return retire()
-    if op == OP_MOV_RI:
-        regs[a] = b
-        set_taint(a, False)
-        if a == RSP:
-            m.emit(E_SP_ASSIGN, pc, regs[RSP])
-        else:
-            m.emit(E_RETIRE, pc, regs[RSP])
-        return retire()
-    if op in (OP_ADD_I, OP_SUB_I, OP_AND_I):
-        if op == OP_ADD_I:
-            regs[a] = (regs[a] + b) & MASK64
-        elif op == OP_SUB_I:
-            regs[a] = (regs[a] - b) & MASK64
-        else:
-            regs[a] = regs[a] & b
-        m.emit(E_RETIRE, pc, regs[RSP])
-        return retire()
+def _push(m, pc, a, b, c):
+    regs = m.regs
+    mem = m.mem
+    addr = (regs[RSP] - 8) & MASK64
+    if not mem.writable(addr):
+        return _fault(m, pc, VEC_PAGE_FAULT, addr)
+    sec = m.taint >> a & 1
+    mem.write(addr, regs[a], sec)
+    regs[RSP] = addr
+    m.trace.append((E_STORE, pc, addr, addr, 1))
+    if sec and mem.is_public(addr):
+        m.trace.append((E_LEAK, pc, 0, addr, 8))
+    regs[RIP] = pc + 1
+    m.cycle += 1
+    return "ok"
 
-    # -- memory ---------------------------------------------------------------
-    if op == OP_LOAD:
-        addr = (regs[b] + c) & MASK64
-        if not mem.readable(addr):
-            return _fault(m, pc, VEC_PAGE_FAULT, addr)
-        val, sec = mem.read(addr)
-        regs[a] = val
-        set_taint(a, sec)
-        if a == RSP:
-            m.emit(E_SP_ASSIGN, pc, regs[RSP])
-        else:
-            m.emit(E_MEMR, pc, addr, 1 if b == RSP else 0)
-        return retire()
-    if op == OP_STORE:
-        addr = (regs[a] + b) & MASK64
-        if not mem.writable(addr):
-            return _fault(m, pc, VEC_PAGE_FAULT, addr)
-        sec = taint_of(c)
-        mem.write(addr, regs[c], sec)
-        m.emit(E_STORE, pc, addr, regs[RSP], 1 if a == RSP else 0)
-        if sec and mem.is_public(addr):
-            m.emit(E_LEAK, pc, 0, addr, 8)
-        return retire()
-    if op == OP_PUSH:
-        addr = (regs[RSP] - 8) & MASK64
-        if not mem.writable(addr):
-            return _fault(m, pc, VEC_PAGE_FAULT, addr)
-        sec = taint_of(a)
-        mem.write(addr, regs[a], sec)
-        regs[RSP] = addr
-        m.emit(E_STORE, pc, addr, addr, 1)
-        if sec and mem.is_public(addr):
-            m.emit(E_LEAK, pc, 0, addr, 8)
-        return retire()
-    if op == OP_POP:
-        addr = regs[RSP]
-        if not mem.readable(addr):
-            return _fault(m, pc, VEC_PAGE_FAULT, addr)
-        val, sec = mem.read(addr)
-        regs[a] = val
-        set_taint(a, sec)
-        regs[RSP] = (addr + 8) & MASK64
-        if a == RSP:
-            m.emit(E_SP_ASSIGN, pc, regs[RSP])
-        else:
-            m.emit(E_MEMR, pc, addr, 1)
-        return retire()
 
-    # -- control ---------------------------------------------------------------
+def _pop(m, pc, a, b, c):
+    regs = m.regs
+    mem = m.mem
+    addr = regs[RSP]
+    if not mem.readable(addr):
+        return _fault(m, pc, VEC_PAGE_FAULT, addr)
+    regs[a] = mem.cells.get(addr, 0)
+    _set_taint(m, a, addr in mem.secret)
+    regs[RSP] = (addr + 8) & MASK64
+    if a == RSP:
+        m.trace.append((E_SP_ASSIGN, pc, regs[RSP], 0, 0))
+    else:
+        m.trace.append((E_MEMR, pc, addr, 1, 0))
+    regs[RIP] = pc + 1
+    m.cycle += 1
+    return "ok"
+
+
+def _cmpj_i(m, pc, a, b, c):
+    regs = m.regs
+    holds, target = c
+    m.trace.append((E_RETIRE, pc, regs[RSP], 0, 0))
+    regs[RIP] = target if holds(regs[a], b) else pc + 1
+    m.cycle += 1
+    return "ok"
+
+
+def _cmpj_r(m, pc, a, b, c):
+    regs = m.regs
+    holds, target = c
+    m.trace.append((E_RETIRE, pc, regs[RSP], 0, 0))
+    regs[RIP] = target if holds(regs[a], regs[b]) else pc + 1
+    m.cycle += 1
+    return "ok"
+
+
+def _jmp(m, pc, a, b, c):
+    regs = m.regs
+    m.trace.append((E_RETIRE, pc, regs[RSP], 0, 0))
+    regs[RIP] = a
+    m.cycle += 1
+    return "ok"
+
+
+def _jmp_reg(m, pc, a, b, c):
+    regs = m.regs
+    target = regs[a]
+    m.trace.append((E_CTRL, pc, target, CTRL_JMPI, regs[RSP]))
+    regs[RIP] = target
+    m.cycle += 1
+    return "ok"
+
+
+def _call(m, pc, a, b, c):
+    regs = m.regs
+    mem = m.mem
+    addr = (regs[RSP] - 8) & MASK64
+    if not mem.writable(addr):
+        return _fault(m, pc, VEC_PAGE_FAULT, addr)
+    mem.write(addr, pc + 1, False)
+    regs[RSP] = addr
+    m.trace.append((E_CTRL, pc, a, CTRL_CALL, addr))
+    regs[RIP] = a
+    m.cycle += 1
+    return "ok"
+
+
+def _ret(m, pc, a, b, c):
+    regs = m.regs
+    mem = m.mem
+    addr = regs[RSP]
+    if not mem.readable(addr):
+        return _fault(m, pc, VEC_PAGE_FAULT, addr)
+    target = mem.cells.get(addr, 0)
+    regs[RSP] = (addr + 8) & MASK64
+    m.trace.append((E_CTRL, pc, target, CTRL_RET, regs[RSP]))
+    regs[RIP] = target
+    m.cycle += 1
+    return "ok"
+
+
+def _memcpy_op(m, pc, a, b, c):
+    regs = m.regs
+    return _memcpy(m, pc, regs[a], regs[b], regs[c])
+
+
+def _scrub(m, pc, a, b, c):
+    regs = m.regs
+    for r in range(NREGS):
+        if a & (1 << r):
+            regs[r] = SCRUB_VALUES[r]
+    m.taint &= ~(a & _ALL_REGS)
+    m.trace.append((E_RETIRE, pc, regs[RSP], 0, 0))
+    regs[RIP] = pc + 1
+    m.cycle += 1
+    return "ok"
+
+
+def _abort(m, pc) -> str:
+    m.halted = True
+    m.trace.append((E_HALT, pc, ST_ABORT, 0, 0))
+    return "halt"
+
+
+def _read_ssa(m, pc, a, b, c):
+    if m.tcs.cssa < 1:
+        return _abort(m, pc)
+    regs = m.regs
+    val, sec = _frame_field(m.ssa[m.tcs.cssa - 1], b)
+    regs[a] = val
+    _set_taint(m, a, sec)
+    if a == RSP:
+        m.trace.append((E_SP_ASSIGN, pc, regs[RSP], 0, 0))
+    else:
+        m.trace.append((E_RETIRE, pc, regs[RSP], 0, 0))
+    regs[RIP] = pc + 1
+    m.cycle += 1
+    return "ok"
+
+
+def _write_ssa(m, pc, a, b, c):
+    if m.tcs.cssa < 1:
+        return _abort(m, pc)
+    regs = m.regs
+    _set_frame_field(m.ssa[m.tcs.cssa - 1], a, regs[b], m.taint >> b & 1)
+    m.trace.append((E_RETIRE, pc, regs[RSP], 0, 0))
+    regs[RIP] = pc + 1
+    m.cycle += 1
+    return "ok"
+
+
+def _eexit_r(m, pc, a, b, c):
+    m.cycle += 1
+    m.eexit(m.regs[a])
+    return "exit"
+
+
+def _eexit_i(m, pc, a, b, c):
+    m.cycle += 1
+    m.eexit(a)
+    return "exit"
+
+
+def _begin_atomic(m, pc, a, b, c):
+    regs = m.regs
+    regs[RAX] = 1 if m.begin_atomic(a) else 0
+    m.taint &= ~(1 << RAX)
+    m.trace.append((E_RETIRE, pc, regs[RSP], 0, 0))
+    regs[RIP] = pc + 1
+    m.cycle += 1
+    return "ok"
+
+
+def _end_atomic(m, pc, a, b, c):
+    regs = m.regs
+    deferred = m.end_atomic()
+    m.trace.append((E_RETIRE, pc, regs[RSP], 0, 0))
+    regs[RIP] = pc + 1
+    m.cycle += 1
+    if deferred is not None:
+        m.pending_fault = deferred
+        return "fault"
+    return "ok"
+
+
+def _set_flag(m, pc, a, b, c):
+    """set_flag / clear_flag: `b` is the value written (1 or 0)."""
+    mem = m.mem
+    if not mem.writable(a):
+        return _fault(m, pc, VEC_PAGE_FAULT, a)
+    mem.write(a, b, False)
+    m.trace.append((E_STORE, pc, a, m.regs[RSP], 0))
+    m.regs[RIP] = pc + 1
+    m.cycle += 1
+    return "ok"
+
+
+def _halt(m, pc, a, b, c):
+    m.halted = True
+    m.trace.append((E_HALT, pc, a, 0, 0))
+    return "halt"
+
+
+def _trap(m, pc, a, b, c):
+    return _fault(m, pc, a, pc)
+
+
+def _declassify(m, pc, a, b, c):
+    regs = m.regs
+    m.taint &= ~(1 << a)
+    m.trace.append((E_RETIRE, pc, regs[RSP], 0, 0))
+    regs[RIP] = pc + 1
+    m.cycle += 1
+    return "ok"
+
+
+def _emulate_critical(m, pc, a, b, c):
+    """`a` is the program, resolved at decode time."""
+    if m.tcs.cssa < 1:
+        return _abort(m, pc)
+    frame = m.ssa[m.tcs.cssa - 1]
+    # classify first: contexts interrupted outside the registered spans
+    # are already safe and pass through unchanged
+    if in_crit_ranges(a, frame.regs[RIP]):
+        m.ssa[m.tcs.cssa - 1] = complete_critical(m, a, frame)
+    regs = m.regs
+    m.trace.append((E_RETIRE, pc, regs[RSP], 0, 0))
+    regs[RIP] = pc + 1
+    m.cycle += 1
+    return "ok"
+
+
+def _undefined(m, pc, a, b, c):
+    """`a` is the undecodable instruction."""
+    raise InterpError(f"cannot interpret {render(a)} at {pc:#x}")
+
+
+# unsigned 64-bit relations by code; values are already in [0, 2**64)
+_RELATIONS = (operator.eq, operator.ne, operator.lt, operator.le, operator.gt)
+
+_HANDLERS = {
+    OP_MOV_RR: _mov_rr, OP_MOV_RI: _mov_ri, OP_ADD_I: _add_i, OP_SUB_I: _sub_i, OP_AND_I: _and_i,
+    OP_LOAD: _load, OP_STORE: _store, OP_PUSH: _push, OP_POP: _pop,
+    OP_JMP: _jmp, OP_JMP_REG: _jmp_reg, OP_CALL: _call, OP_RET: _ret,
+    OP_MEMCPY: _memcpy_op, OP_SCRUB: _scrub,
+    OP_READ_SSA: _read_ssa, OP_WRITE_SSA: _write_ssa,
+    OP_EEXIT_R: _eexit_r, OP_EEXIT_I: _eexit_i,
+    OP_BEGIN_ATOMIC: _begin_atomic, OP_END_ATOMIC: _end_atomic,
+    OP_HALT: _halt, OP_TRAP: _trap, OP_DECLASSIFY: _declassify,
+}
+
+
+def _decode_one(program: Program, ins: tuple) -> tuple:
+    op, a, b, c = ins
     if op == OP_CMPJ_I or op == OP_CMPJ_R:
-        rhs = b if op == OP_CMPJ_I else regs[b]
         rel, target = c
-        m.emit(E_RETIRE, pc, regs[RSP])
-        return retire(target if _rel_holds(rel, regs[a], rhs) else None)
-    if op == OP_JMP:
-        m.emit(E_RETIRE, pc, regs[RSP])
-        return retire(a)
-    if op == OP_JMP_REG:
-        m.emit(E_CTRL, pc, regs[a], CTRL_JMPI, regs[RSP])
-        return retire(regs[a])
-    if op == OP_CALL:
-        addr = (regs[RSP] - 8) & MASK64
-        if not mem.writable(addr):
-            return _fault(m, pc, VEC_PAGE_FAULT, addr)
-        mem.write(addr, pc + 1, False)
-        regs[RSP] = addr
-        m.emit(E_CTRL, pc, a, CTRL_CALL, addr)
-        return retire(a)
-    if op == OP_RET:
-        addr = regs[RSP]
-        if not mem.readable(addr):
-            return _fault(m, pc, VEC_PAGE_FAULT, addr)
-        target, _sec = mem.read(addr)
-        regs[RSP] = (addr + 8) & MASK64
-        m.emit(E_CTRL, pc, target, CTRL_RET, regs[RSP])
-        return retire(target)
-
-    # -- block copy -------------------------------------------------------------
-    if op == OP_MEMCPY:
-        return _memcpy(m, program, pc, regs[a], regs[b], regs[c])
-
-    # -- runtime/hardware helpers -------------------------------------------------
-    if op == OP_SCRUB:
-        for r in range(NREGS):
-            if a & (1 << r):
-                regs[r] = SCRUB_VALUES[r]
-                set_taint(r, False)
-        m.emit(E_RETIRE, pc, regs[RSP])
-        return retire()
-    if op == OP_READ_SSA:
-        if m.tcs.cssa < 1:
-            m.halted = True
-            m.emit(E_HALT, pc, ST_ABORT)
-            return "halt"
-        frame = m.ssa[m.tcs.cssa - 1]
-        val, sec = _frame_field(frame, b)
-        regs[a] = val
-        set_taint(a, sec)
-        if a == RSP:
-            m.emit(E_SP_ASSIGN, pc, regs[RSP])
-        else:
-            m.emit(E_RETIRE, pc, regs[RSP])
-        return retire()
-    if op == OP_WRITE_SSA:
-        if m.tcs.cssa < 1:
-            m.halted = True
-            m.emit(E_HALT, pc, ST_ABORT)
-            return "halt"
-        frame = m.ssa[m.tcs.cssa - 1]
-        _set_frame_field(frame, a, regs[b], taint_of(b))
-        m.emit(E_RETIRE, pc, regs[RSP])
-        return retire()
-    if op == OP_EEXIT_R or op == OP_EEXIT_I:
-        target = regs[a] if op == OP_EEXIT_R else a
-        m.cycle += 1
-        m.eexit(target)
-        return "exit"
-    if op == OP_BEGIN_ATOMIC:
-        ok = m.begin_atomic(a)
-        regs[RAX] = 1 if ok else 0
-        set_taint(RAX, False)
-        m.emit(E_RETIRE, pc, regs[RSP])
-        return retire()
-    if op == OP_END_ATOMIC:
-        deferred = m.end_atomic()
-        m.emit(E_RETIRE, pc, regs[RSP])
-        out = retire()
-        if deferred is not None:
-            m.pending_fault = deferred
-            return "fault"
-        return out
+        holds = _RELATIONS[rel] if 0 <= rel < 5 else operator.ge
+        return (_cmpj_i if op == OP_CMPJ_I else _cmpj_r, a, b,
+                (holds, target))
     if op == OP_SET_FLAG or op == OP_CLEAR_FLAG:
-        if not mem.writable(a):
-            return _fault(m, pc, VEC_PAGE_FAULT, a)
-        mem.write(a, 1 if op == OP_SET_FLAG else 0, False)
-        m.emit(E_STORE, pc, a, regs[RSP])
-        return retire()
-    if op == OP_HALT:
-        m.halted = True
-        m.emit(E_HALT, pc, a)
-        return "halt"
-    if op == OP_TRAP:
-        return _fault(m, pc, a, pc)
-    if op == OP_DECLASSIFY:
-        set_taint(a, False)
-        m.emit(E_RETIRE, pc, regs[RSP])
-        return retire()
+        return (_set_flag, a, 1 if op == OP_SET_FLAG else 0, c)
     if op == OP_EMULATE_CRITICAL:
-        if m.tcs.cssa < 1:
-            m.halted = True
-            m.emit(E_HALT, pc, ST_ABORT)
-            return "halt"
-        frame = m.ssa[m.tcs.cssa - 1]
-        # classify first: contexts interrupted outside the registered spans
-        # are already safe and pass through unchanged
-        if in_crit_ranges(program, frame.regs[RIP]):
-            m.ssa[m.tcs.cssa - 1] = complete_critical(m, program, frame)
-        m.emit(E_RETIRE, pc, regs[RSP])
-        return retire()
-    raise InterpError(f"cannot interpret {render(ins)} at {pc:#x}")
+        return (_emulate_critical, program, b, c)
+    handler = _HANDLERS.get(op)
+    if handler is None:
+        return (_undefined, ins, 0, 0)
+    return (handler, a, b, c)
+
+
+def decode(program: Program) -> dict:
+    """The program's pc -> (handler, a, b, c) table, built on first use and
+    cached on the (immutable) program."""
+    if program.decoded is None:
+        program.decoded = {pc: _decode_one(program, ins)
+                           for pc, ins in program.code.items()}
+    return program.decoded
 
 
 def _frame_field(frame: SSAFrame, field: int) -> tuple[int, bool]:
@@ -296,8 +476,7 @@ def _set_frame_field(frame: SSAFrame, field: int, value: int, sec: bool) -> None
         frame.taint &= ~(1 << field)
 
 
-def _memcpy(m: Machine, program: Program, pc: int, dst: int, src: int,
-            nbytes: int) -> str:
+def _memcpy(m: Machine, pc: int, dst: int, src: int, nbytes: int) -> str:
     """Word-granular copy, ascending, not atomic: a permission fault midway
     leaves the already-copied prefix in place."""
     if dst % 8 or src % 8 or nbytes % 8:

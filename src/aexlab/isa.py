@@ -103,6 +103,9 @@ class Program:
     windows: dict[str, tuple[int, int]] = field(default_factory=dict)
     crit_ranges: dict[str, tuple[int, int]] = field(default_factory=dict)
     source: tuple[str, ...] = ()
+    # the interpreter's pre-decoded dispatch table, filled on first step
+    decoded: Optional[dict] = field(default=None, init=False, repr=False,
+                                    compare=False)
 
     @property
     def end(self) -> int:

@@ -123,38 +123,65 @@ PERM_W = 2
 PERM_X = 4
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class Page:
     base: int
     size: int
-    kind: int            # PRIVATE or PUBLIC, immutable after creation
-    perms: int           # PERM_* bits, mutable only via os_set_page_perms
+    kind: int            # PRIVATE or PUBLIC
+    perms: int           # PERM_* bits; a flip replaces the page
 
     def contains(self, addr: int) -> bool:
         return self.base <= addr < self.base + self.size
 
 
+PAGE_SHIFT = 12
+MAX_INDEX_SLOTS = 4096
+
+
+def _page_index(pages: list[Page]) -> tuple[int, dict[int, tuple[Page, ...]]]:
+    """Map each page number to the pages overlapping it, in list order.
+    Regions need not be page-aligned or page-sized; when they span too many
+    page numbers the slots widen (a larger shift) to keep the index small."""
+    shift = PAGE_SHIFT
+    live = [p for p in pages if p.size > 0]
+    while sum(((p.base + p.size - 1) >> shift) - (p.base >> shift) + 1
+              for p in live) > MAX_INDEX_SLOTS:
+        shift += 4
+    index: dict[int, tuple[Page, ...]] = {}
+    for p in live:
+        for n in range(p.base >> shift, ((p.base + p.size - 1) >> shift) + 1):
+            index[n] = index.get(n, ()) + (p,)
+    return shift, index
+
+
 class Memory:
     """Word-addressed memory: 8-byte little-endian cells at 8-aligned
     addresses, each carrying a secret/public taint bit.  Reads of unwritten
-    cells inside a mapped page return zero, public."""
+    cells inside a mapped page return zero, public.
 
-    __slots__ = ("pages", "cells", "secret")
+    Pages are immutable and the page list and its index are shared between
+    clones; ``set_perms`` gives this memory its own copy (copy-on-write)."""
+
+    __slots__ = ("pages", "cells", "secret", "shift", "index")
 
     def __init__(self, pages: list[Page]):
-        self.pages = pages
+        self.pages = list(pages)
         self.cells: dict[int, int] = {}
         self.secret: set[int] = set()
+        self.shift, self.index = _page_index(self.pages)
 
     def clone(self) -> "Memory":
-        m = Memory([Page(p.base, p.size, p.kind, p.perms) for p in self.pages])
+        m = Memory.__new__(Memory)
+        m.pages = self.pages
+        m.shift = self.shift
+        m.index = self.index
         m.cells = dict(self.cells)
         m.secret = set(self.secret)
         return m
 
     def page_at(self, addr: int) -> Optional[Page]:
-        for p in self.pages:
-            if p.contains(addr):
+        for p in self.index.get(addr >> self.shift, ()):
+            if p.base <= addr < p.base + p.size:
                 return p
         return None
 
@@ -164,22 +191,43 @@ class Memory:
                 return p
         return None
 
-    # Access predicates evaluated from enclave mode.
+    def set_perms(self, base: int, perms: int) -> bool:
+        """Replace the first page based at `base` by one with `perms`, in
+        this memory only.  False when no page starts there."""
+        for i, p in enumerate(self.pages):
+            if p.base == base:
+                pages = list(self.pages)
+                pages[i] = Page(p.base, p.size, p.kind, perms)
+                self.pages = pages
+                self.shift, self.index = _page_index(pages)
+                return True
+        return False
+
+    # Access predicates evaluated from enclave mode.  Each inlines the
+    # page_at lookup: they run on every instruction.
     def readable(self, addr: int) -> bool:
-        p = self.page_at(addr)
-        return p is not None and bool(p.perms & PERM_R)
+        for p in self.index.get(addr >> self.shift, ()):
+            if p.base <= addr < p.base + p.size:
+                return bool(p.perms & PERM_R)
+        return False
 
     def writable(self, addr: int) -> bool:
-        p = self.page_at(addr)
-        return p is not None and bool(p.perms & PERM_W)
+        for p in self.index.get(addr >> self.shift, ()):
+            if p.base <= addr < p.base + p.size:
+                return bool(p.perms & PERM_W)
+        return False
 
     def executable(self, addr: int) -> bool:
-        p = self.page_at(addr)
-        return p is not None and bool(p.perms & PERM_X) and p.kind == PRIVATE
+        for p in self.index.get(addr >> self.shift, ()):
+            if p.base <= addr < p.base + p.size:
+                return bool(p.perms & PERM_X) and p.kind == PRIVATE
+        return False
 
     def is_public(self, addr: int) -> bool:
-        p = self.page_at(addr)
-        return p is not None and p.kind == PUBLIC
+        for p in self.index.get(addr >> self.shift, ()):
+            if p.base <= addr < p.base + p.size:
+                return p.kind == PUBLIC
+        return False
 
     def read(self, addr: int) -> tuple[int, bool]:
         return self.cells.get(addr, 0), addr in self.secret
@@ -500,10 +548,8 @@ class Machine:
     def os_set_page_perms(self, page_base: int, perms: int) -> None:
         if self.mode != MODE_OS:
             raise MachineError("page tables are OS-controlled")
-        page = self.mem.page_by_base(page_base)
-        if page is None:
+        if not self.mem.set_perms(page_base, perms):
             raise UnknownPage(hex(page_base))
-        page.perms = perms
         self.emit(E_HW_FLIP, page_base, perms)
 
     def grant_irq_quota(self, allowed: int, window: int) -> None:

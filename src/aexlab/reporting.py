@@ -14,6 +14,7 @@ import hashlib
 import json
 from typing import Optional
 
+from .adversary import CANDIDATE_DEPTH
 from .harness import (
     Eenter, Eresume, FlipPerms, InjectAex, PrepareRegs, SeedPublic, Stop,
 )
@@ -36,7 +37,7 @@ class ScenarioError(Exception):
 
 
 _DEFAULT_BUDGETS = {"max_runs": 200000, "max_steps": 20000,
-                    "boundary_cap": 160, "depth": 6}
+                    "boundary_cap": 160, "depth": CANDIDATE_DEPTH}
 _DEFAULT_TOGGLES = {"sgx1_valid_check_removed": False, "aslr_stack_offset": 0,
                     "alignment_required": 16, "critical_pad": 0,
                     "flag_strategy": None}
@@ -138,6 +139,11 @@ def normalize_scenario(doc: dict) -> dict:
         if k not in budgets:
             raise ScenarioError(f"unknown budget key: {k!r}")
         budgets[k] = _int(v, f"budget {k}", 1)
+    if budgets["depth"] != CANDIDATE_DEPTH:
+        # nothing deeper than the candidate template is enumerated
+        raise ScenarioError(f"budget depth must be {CANDIDATE_DEPTH}, the "
+                            f"length of the candidate plan template, got "
+                            f"{budgets['depth']}")
     toggles = dict(_DEFAULT_TOGGLES)
     for k, v in _section(doc, "toggles").items():
         if k not in toggles:

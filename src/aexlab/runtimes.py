@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import isa
-from .interp import UnknownCriticalRange, complete_critical
 from .machine import (
     HW_IRQ_QUOTA, HW_REENTRY_MASK, MASK64, PERM_R, PERM_W, PERM_X,
     PRIVATE, PUBLIC, RFLAGS_AC, RFLAGS_DF, SGX2, HwExt, Machine, Memory,
@@ -798,17 +797,6 @@ def handler_sp_check(sp: int, td: ThreadDataView, alignment: int = 16) -> str:
     if sp % alignment:
         return SP_MISALIGNED
     return SP_OK
-
-
-def graphene_emulate(machine: Machine, image: EnclaveImage,
-                     frame: SSAFrame) -> SSAFrame:
-    """Finish the interrupted critical span against the saved frame: the
-    frame that native execution would have produced had the thread run from
-    the interrupted address to the end of the span before the exit.
-
-    Raises UnknownCriticalRange when the interrupted address is not in the
-    registered table (an incomplete table is a modeling bug)."""
-    return complete_critical(machine, image.program, frame)
 
 
 POSTPONED = "postponed"

@@ -139,6 +139,20 @@ def test_budget_exhaustion_is_not_reported_safe():
     assert isinstance(out, BudgetExceeded)
 
 
+@pytest.mark.parametrize("depth", [5, 7])
+def test_unenumerated_depth_is_refused(depth):
+    # a SAFE verdict must not claim a depth other than the template's
+    img = build_runtime("graphene_emulated")
+    with pytest.raises(ValueError, match="budget depth"):
+        exhaustive_attacker(img, SGX2, budget=SearchBudget(depth=depth))
+
+
+def test_candidate_plans_have_the_budgeted_depth():
+    entry = adversary._binding_entry(adversary.REENTRY_CMDS[0], 0, 0)
+    assert len(adversary._candidate_actions(entry, (VEC_EXT_INT, 3))) == \
+        SearchBudget().depth == adversary.CANDIDATE_DEPTH
+
+
 def test_quota_oversized_section_reopens_the_attack():
     img = build_runtime("hw_irq_quota", toggles=Toggles(critical_pad=130))
     out = exhaustive_attacker(img, SGX2)

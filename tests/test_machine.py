@@ -5,12 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aexlab import adversary
+from aexlab.harness import Eenter, FlipPerms, run_plan
 from aexlab.interp import step
 from aexlab.machine import (
-    E_HW_AEX, E_RETIRE, EntryDenied, HW_REENTRY_MASK, HwExt, MASK64,
-    MODE_ENCLAVE, MODE_OS, NREGS, PERM_R, PERM_X, RDI, RIP,
-    RSP, ResumeDenied, SCRUB_VALUES, SGX1, SGX2, SYNC_VECTORS,
-    UnknownPage, VEC_DIV, VEC_EXT_INT, VEC_PAGE_FAULT, reports_to_enclave,
+    E_FAULT, E_HW_AEX, E_HW_EENTER, E_HW_FLIP, E_RETIRE, EntryDenied,
+    HW_REENTRY_MASK, HwExt, MASK64, MODE_ENCLAVE, MODE_OS, NREGS, PERM_R,
+    PERM_W, PERM_X, PRIVATE, PUBLIC, RDI, RIP, RSP, ResumeDenied,
+    SCRUB_VALUES, SGX1, SGX2, SYNC_VECTORS, UnknownPage, VEC_DIV,
+    VEC_EXT_INT, VEC_PAGE_FAULT, reports_to_enclave,
+)
+from aexlab.runtimes import (
+    ASLR_RANGE, CMD_ORET, Layout, Toggles, build_machine, build_runtime,
 )
 
 from conftest import CODE, DATA, make_raw_machine
@@ -325,3 +331,93 @@ def test_clone_is_independent():
     c.regs[0] = 1
     assert c.digest() != m.digest()
     assert m.mem.read(DATA) == (0, False)
+
+    # page tables are shared between clones and copied on a flip
+    m.eexit(0x4000)
+    parent, sibling = m.digest(), m.clone()
+    flipped = m.clone()
+    flipped.os_set_page_perms(CODE, PERM_R)
+    assert flipped.mem.page_by_base(CODE).perms == PERM_R
+    assert not flipped.mem.executable(CODE)
+    for other in (m, sibling):
+        assert other.mem.page_by_base(CODE).perms == PERM_R | PERM_X
+        assert other.mem.executable(CODE)
+    assert m.digest() == sibling.digest() == parent
+    assert flipped.digest() != parent
+
+
+def test_flip_perms_runs_end_to_end_on_a_snapshot_clone():
+    # a FlipPerms action through run_plan: the re-entry fetch faults on the
+    # flipped code page, in the flipped clone only
+    img = build_runtime("sdk_style")
+    snapshot = adversary._prefix_snapshot(img, SGX2, None)
+    before = snapshot.digest()
+    code = img.layout.code_base
+    resume = [Eenter.of(CMD_ORET, regs={"rsp": 0, "rsi": 42})]
+    flipped = run_plan(snapshot.clone(), img,
+                       [FlipPerms(code, PERM_R)] + resume)
+    plain = run_plan(snapshot.clone(), img, resume)
+    new = flipped.trace[len(snapshot.trace):]
+    assert new[:3] == [(E_HW_FLIP, code, PERM_R, 0, 0),
+                       (E_HW_EENTER, img.entry, CMD_ORET, 42, 0),
+                       (E_FAULT, img.entry, VEC_PAGE_FAULT, img.entry, 0)]
+    assert new[3][0] == E_HW_AEX and flipped.steps == 1
+    assert not any(ev[0] == E_FAULT for ev in plain.trace)
+    assert plain.machine.mem.page_by_base(code).perms == PERM_R | PERM_X
+    assert snapshot.mem.page_by_base(code).perms == PERM_R | PERM_X
+    assert snapshot.digest() == before
+
+
+def _linear_page_at(mem, addr):
+    for p in mem.pages:
+        if p.contains(addr):
+            return p
+    return None
+
+
+@st.composite
+def _layouts(draw):
+    """Layouts with word-aligned (not page-aligned) region bases in the
+    default order, gaps of 0 to 0x1800 bytes, a stack of up to 2**36 bytes,
+    and a thread-data page that may overlap the save area (the layout check
+    reserves only 0x100 bytes for it)."""
+    gap = lambda: draw(st.integers(0, 0x300)) * 8
+    at = 0x1000 + gap()
+    code_base, at = at, at + 0x1000 + gap()
+    stack_limit = at
+    size = draw(st.sampled_from([0x1000, 0x8000, 0x10008, 1 << 36])
+                | st.integers(0x100, 0x3000).map(lambda w: w * 8))
+    stack_base = stack_limit + size
+    at = stack_base + gap()
+    td_base, at = at, at + 0x100 + gap()
+    bases = {}
+    for name in ("ssa_base", "secret_base", "scratch_base", "dedicated_page",
+                 "host_base", "pubbuf_base"):
+        bases[name], at = at, at + 0x1000 + gap()
+    lay = Layout(code_base=code_base, stack_limit=stack_limit,
+                 stack_base=stack_base, td_base=td_base,
+                 dedicated_stack_base=bases["dedicated_page"] + 0xF00,
+                 **bases)
+    offset = draw(st.integers(0, ASLR_RANGE))
+    return lay, offset
+
+
+@settings(max_examples=150, deadline=None)
+@given(_layouts())
+def test_indexed_page_lookup_agrees_with_a_linear_scan(drawn):
+    lay, offset = drawn
+    img = build_runtime("sdk_style", layout=lay,
+                        toggles=Toggles(aslr_stack_offset=offset))
+    mem = build_machine(img, SGX2).mem
+    edges = {img.stack_base}
+    for p in mem.pages:
+        edges |= {p.base, p.base + p.size}
+    for edge in edges:
+        for addr in (edge - 8, edge, edge + 8):
+            p = _linear_page_at(mem, addr)
+            assert mem.page_at(addr) is p
+            assert mem.readable(addr) == bool(p and p.perms & PERM_R)
+            assert mem.writable(addr) == bool(p and p.perms & PERM_W)
+            assert mem.executable(addr) == bool(
+                p and p.perms & PERM_X and p.kind == PRIVATE)
+            assert mem.is_public(addr) == bool(p and p.kind == PUBLIC)

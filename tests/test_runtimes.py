@@ -12,12 +12,12 @@ from aexlab.harness import (
     benign_critical_exception_plan, benign_nested_plan, benign_plan,
     prefix_plan, run_plan,
 )
-from aexlab.interp import UnknownCriticalRange
+from aexlab.interp import UnknownCriticalRange, complete_critical
 from aexlab.machine import E_EXIT, RSP, SGX2, VEC_EXT_INT
 from aexlab.runtimes import (
     CMD_EXCEPTION, CMD_ORET, ST_UNHANDLED,
     ThreadDataView, Toggles, build_machine, build_runtime, fixtures_dir,
-    generate_source, graphene_emulate, handler_sp_check, postpone_or_ignore,
+    generate_source, handler_sp_check, postpone_or_ignore,
     validate_oret,
 )
 
@@ -168,7 +168,7 @@ def test_emulation_identity_at_span_boundary():
     from aexlab.machine import SSAFrame
     frame = SSAFrame()
     frame.regs[16] = hi                     # first address after the span
-    out = graphene_emulate(m, img, frame)
+    out = complete_critical(m, img.program, frame)
     assert out.canonical() == frame.canonical()
 
 
@@ -179,7 +179,7 @@ def test_emulation_out_of_table_raises():
     frame = SSAFrame()
     frame.regs[16] = img.program.labels["ecall0_body"] + 2
     with pytest.raises(UnknownCriticalRange):
-        graphene_emulate(m, img, frame)
+        complete_critical(m, img.program, frame)
 
 
 def test_emulation_completes_context_restore():
@@ -203,7 +203,7 @@ def test_emulation_completes_context_restore():
     snap, frame = graphene_frame_at(img, lambda pc: pc == mov_rsp_pc,
                                     oret_plan)
     ctx = frame.regs[11]                    # r11 holds the validated last_sp
-    out = graphene_emulate(snap, img, frame)
+    out = complete_critical(snap, img.program, frame)
     assert out.regs[16] == labels["after_ocall"]
     assert out.regs[RSP] == ctx + 72        # context and anchor popped
 

@@ -25,6 +25,9 @@ from aexlab.runtimes import VARIANTS, Layout, build_machine
     ("hw_ext", "window", True, "hw_ext window"),
     ("layout", "pubbuf_base", 4096, "overlap"),
     ("budgets", "max_runs", True, "budget max_runs"),
+    # only the 6-action candidate template is enumerated
+    ("budgets", "depth", 7, "budget depth must be 6"),
+    ("budgets", "depth", 5, "budget depth must be 6"),
     (None, "boundary", "zz", "boundary"),
 ])
 def test_malformed_field_exits_one_with_message(tmp_path, capsys, section,
