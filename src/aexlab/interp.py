@@ -281,9 +281,45 @@ def _ret(m, pc, a, b, c):
     return "ok"
 
 
-def _memcpy_op(m, pc, a, b, c):
-    regs = m.regs
-    return _memcpy(m, pc, regs[a], regs[b], regs[c])
+def _memcpy(m, pc, a, b, c):
+    """Copy regs[c] bytes from regs[b] to regs[a]: word-granular, ascending,
+    not atomic: a permission fault midway leaves the already-copied prefix
+    in place."""
+    dst, src, nbytes = m.regs[a], m.regs[b], m.regs[c]
+    if dst % 8 or src % 8 or nbytes % 8:
+        return _fault(m, pc, VEC_AC, dst | src | nbytes)
+    mem = m.mem
+    run_len = 0
+    run_src = run_dst = 0
+
+    def flush_run():
+        nonlocal run_len
+        if run_len:
+            m.emit(E_LEAK, pc, run_src, run_dst, run_len * 8)
+            run_len = 0
+
+    for i in range(nbytes // 8):
+        s = (src + 8 * i) & MASK64
+        d = (dst + 8 * i) & MASK64
+        if not mem.readable(s):
+            flush_run()
+            return _fault(m, pc, VEC_PAGE_FAULT, s)
+        if not mem.writable(d):
+            flush_run()
+            return _fault(m, pc, VEC_PAGE_FAULT, d)
+        val, sec = mem.read(s)
+        mem.write(d, val, sec)
+        if sec and mem.is_public(d):
+            if run_len == 0:
+                run_src, run_dst = s, d
+            run_len += 1
+        else:
+            flush_run()
+    flush_run()
+    m.emit(E_MEMCPY, pc, dst, src, nbytes)
+    m.regs[RIP] = pc + 1
+    m.cycle += 1
+    return "ok"
 
 
 def _scrub(m, pc, a, b, c):
@@ -421,10 +457,11 @@ def _undefined(m, pc, a, b, c):
 _RELATIONS = (operator.eq, operator.ne, operator.lt, operator.le, operator.gt)
 
 _HANDLERS = {
-    OP_MOV_RR: _mov_rr, OP_MOV_RI: _mov_ri, OP_ADD_I: _add_i, OP_SUB_I: _sub_i, OP_AND_I: _and_i,
+    OP_MOV_RR: _mov_rr, OP_MOV_RI: _mov_ri,
+    OP_ADD_I: _add_i, OP_SUB_I: _sub_i, OP_AND_I: _and_i,
     OP_LOAD: _load, OP_STORE: _store, OP_PUSH: _push, OP_POP: _pop,
     OP_JMP: _jmp, OP_JMP_REG: _jmp_reg, OP_CALL: _call, OP_RET: _ret,
-    OP_MEMCPY: _memcpy_op, OP_SCRUB: _scrub,
+    OP_MEMCPY: _memcpy, OP_SCRUB: _scrub,
     OP_READ_SSA: _read_ssa, OP_WRITE_SSA: _write_ssa,
     OP_EEXIT_R: _eexit_r, OP_EEXIT_I: _eexit_i,
     OP_BEGIN_ATOMIC: _begin_atomic, OP_END_ATOMIC: _end_atomic,
@@ -474,45 +511,6 @@ def _set_frame_field(frame: SSAFrame, field: int, value: int, sec: bool) -> None
         frame.taint |= (1 << field)
     else:
         frame.taint &= ~(1 << field)
-
-
-def _memcpy(m: Machine, pc: int, dst: int, src: int, nbytes: int) -> str:
-    """Word-granular copy, ascending, not atomic: a permission fault midway
-    leaves the already-copied prefix in place."""
-    if dst % 8 or src % 8 or nbytes % 8:
-        return _fault(m, pc, VEC_AC, dst | src | nbytes)
-    mem = m.mem
-    run_len = 0
-    run_src = run_dst = 0
-
-    def flush_run():
-        nonlocal run_len
-        if run_len:
-            m.emit(E_LEAK, pc, run_src, run_dst, run_len * 8)
-            run_len = 0
-
-    for i in range(nbytes // 8):
-        s = (src + 8 * i) & MASK64
-        d = (dst + 8 * i) & MASK64
-        if not mem.readable(s):
-            flush_run()
-            return _fault(m, pc, VEC_PAGE_FAULT, s)
-        if not mem.writable(d):
-            flush_run()
-            return _fault(m, pc, VEC_PAGE_FAULT, d)
-        val, sec = mem.read(s)
-        mem.write(d, val, sec)
-        if sec and mem.is_public(d):
-            if run_len == 0:
-                run_src, run_dst = s, d
-            run_len += 1
-        else:
-            flush_run()
-    flush_run()
-    m.emit(E_MEMCPY, pc, dst, src, nbytes)
-    m.regs[RIP] = pc + 1
-    m.cycle += 1
-    return "ok"
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from . import isa
 from .machine import (
     HW_IRQ_QUOTA, HW_REENTRY_MASK, MASK64, PERM_R, PERM_W, PERM_X,
     PRIVATE, PUBLIC, RFLAGS_AC, RFLAGS_DF, SGX2, HwExt, Machine, Memory,
-    Page, SSAFrame, TCS, VEC_EXT_INT, VEC_PAGE_FAULT,
+    Page, TCS, VEC_EXT_INT, VEC_PAGE_FAULT,
 )
 
 VARIANTS = (
