@@ -156,8 +156,8 @@ def _load(m, pc, a, b, c):
     addr = (regs[b] + c) & MASK64
     if not mem.readable(addr):
         return _fault(m, pc, VEC_PAGE_FAULT, addr)
-    regs[a] = mem.cells.get(addr, 0)
-    _set_taint(m, a, addr in mem.secret)
+    regs[a], sec = mem.read(addr)
+    _set_taint(m, a, sec)
     if a == RSP:
         m.trace.append((E_SP_ASSIGN, pc, regs[RSP], 0, 0))
     else:
@@ -206,8 +206,8 @@ def _pop(m, pc, a, b, c):
     addr = regs[RSP]
     if not mem.readable(addr):
         return _fault(m, pc, VEC_PAGE_FAULT, addr)
-    regs[a] = mem.cells.get(addr, 0)
-    _set_taint(m, a, addr in mem.secret)
+    regs[a], sec = mem.read(addr)
+    _set_taint(m, a, sec)
     regs[RSP] = (addr + 8) & MASK64
     if a == RSP:
         m.trace.append((E_SP_ASSIGN, pc, regs[RSP], 0, 0))
@@ -273,7 +273,7 @@ def _ret(m, pc, a, b, c):
     addr = regs[RSP]
     if not mem.readable(addr):
         return _fault(m, pc, VEC_PAGE_FAULT, addr)
-    target = mem.cells.get(addr, 0)
+    target, _sec = mem.read(addr)
     regs[RSP] = (addr + 8) & MASK64
     m.trace.append((E_CTRL, pc, target, CTRL_RET, regs[RSP]))
     regs[RIP] = target
