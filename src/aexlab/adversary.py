@@ -13,6 +13,7 @@ classes, re-entry commands, and register bindings from a finite domain.
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing as mp
 from dataclasses import dataclass
 from typing import Optional
@@ -23,10 +24,11 @@ from .harness import (
     run_plan,
 )
 from .machine import (
-    MASK64, RSP, SCRUB_VALUES, SGX2, VEC_EXT_INT, VEC_PAGE_FAULT,
-    Machine, reports_to_enclave,
+    DEFAULT_IRQ_GRANT, MASK64, RSP, SCRUB_VALUES, SGX2, VEC_EXT_INT,
+    VEC_PAGE_FAULT, Machine, reports_to_enclave,
 )
-from .properties import SAFETY_PROPERTIES, SafetyMonitor, evaluate
+# perfbench/tracer.py wraps the module name `evaluate`
+from .properties import SafetyMonitor, evaluate  # noqa: F401
 from .runtimes import (
     ASLR_RANGE, CMD_EXCEPTION, CMD_INVALID, CMD_ORET, ECALL0_FRAME,
     EnclaveImage, INFO_FIELDS, INFO_FREE_WINDOW, INFO_SIZE, build_machine,
@@ -289,7 +291,11 @@ def _candidate_actions(entry: tuple[PrepareRegs, Eenter],
 
 def _prefix_snapshot(image: EnclaveImage, sgx_version: int,
                      grant: Optional[tuple[int, int]]) -> Machine:
+    """The machine after the prefix every plan shares, under `grant` (for
+    the irq-quota variant, the default grant when None)."""
     m = build_machine(image, sgx_version)
+    if grant is None and image.variant == "hw_irq_quota":
+        grant = DEFAULT_IRQ_GRANT
     if grant is not None:
         m.grant_irq_quota(*grant)
     res = run_plan(m, image, prefix_plan())
@@ -352,7 +358,7 @@ def _search_branch(image: EnclaveImage, snapshot: Machine,
     return None
 
 
-# worker-process state for parallel search
+# the search's shared state: set per pool worker, or in-process for one
 _W: dict = {}
 
 
@@ -367,15 +373,13 @@ def _worker_init(image, sgx_version, grant, domain, classes, budget,
     _W["budget"] = budget
 
 
-def _worker_branch(args):
+def _worker_branch(args) -> tuple[SearchStats, Optional[Counterexample]]:
     cmd_i, rsp_i = args
     stats = SearchStats()
     ce = _search_branch(_W["image"], _W["snapshot"], _W["checkpoint"],
                         cmd_i, rsp_i, _W["domain"], _W["classes"],
                         _W["budget"], stats)
-    if ce is None:
-        return (None, stats)
-    return ((ce.branch, ce.plan.actions, ce.trace), stats)
+    return stats, ce
 
 
 def exhaustive_attacker(image: EnclaveImage, sgx_version: int = SGX2,
@@ -396,49 +400,34 @@ def exhaustive_attacker(image: EnclaveImage, sgx_version: int = SGX2,
         raise ValueError(f"the candidate template has {CANDIDATE_DEPTH} "
                          f"actions; budget depth {budget.depth} is not "
                          "enumerated")
-    if grant is None and image.variant == "hw_irq_quota":
-        grant = (100, 10000)
     branches = [(c, r) for c in range(len(REENTRY_CMDS))
                 for r in range(len(domain.words))]
+    initargs = (image, sgx_version, grant, domain, classes, budget, sp_mode)
 
     # The run budget is enforced between branches (each branch is small and
-    # always completes), so stats and outcomes are identical regardless of
-    # worker count: workers only compute branches, consumption is ordered.
+    # always completes) and branches are consumed in order, so stats and
+    # outcomes are identical regardless of worker count: workers only
+    # compute branches.
     total = SearchStats()
-    if workers <= 1:
-        snapshot = _prefix_snapshot(image, sgx_version, grant)
-        checkpoint = _checkpoint(image, snapshot, sp_mode)
-        for cmd_i, rsp_i in branches:
-            stats = SearchStats()
-            ce = _search_branch(image, snapshot, checkpoint, cmd_i, rsp_i,
-                                domain, classes, budget, stats)
-            total.merge(stats)
-            if ce is not None:
-                ce.stats = total
-                return ce
-            if total.runs >= budget.max_runs:
-                return BudgetExceeded(total, "run budget exhausted")
-        return NoneFound(total)
-
-    ctx = mp.get_context("fork")
-    with ctx.Pool(workers, initializer=_worker_init,
-                  initargs=(image, sgx_version, grant, domain, classes,
-                            budget, sp_mode)) as pool:
-        # ordered consumption keeps the result independent of worker count
-        for (hit, stats), branch in zip(
-                pool.imap(_worker_branch, branches), branches):
-            total.merge(stats)
-            if hit is not None:
-                branch_key, actions, trace = hit
-                verdicts = evaluate(trace, image, SAFETY_PROPERTIES,
-                                    sp_mode=sp_mode)
-                pool.terminate()
-                return Counterexample(branch_key,
-                                      AttackPlan("exhaustive", actions),
-                                      trace, verdicts, total)
-            if total.runs >= budget.max_runs:
-                pool.terminate()
-                return BudgetExceeded(total, "run budget exhausted")
+    try:
+        if workers <= 1:
+            _worker_init(*initargs)
+            pool = contextlib.nullcontext()
+            results = map(_worker_branch, branches)
+        else:
+            pool = mp.get_context("fork").Pool(workers, _worker_init,
+                                               initargs)
+            results = pool.imap(_worker_branch, branches)
+        with pool:
+            for stats, ce in results:
+                total.merge(stats)
+                if ce is not None:
+                    ce.stats = total
+                    return ce
+                if total.runs >= budget.max_runs:
+                    return BudgetExceeded(total, "run budget exhausted")
+    finally:
+        _W.clear()
     return NoneFound(total)
 
 
@@ -480,8 +469,9 @@ class MultiRoundResult:
 
 
 def multi_round_aslr(image: EnclaveImage, sgx_version: int = SGX2,
-                     max_rounds: int = 32,
-                     simulate: bool = True) -> MultiRoundResult:
+                     max_rounds: int = 32, simulate: bool = True,
+                     grant: Optional[tuple[int, int]] = None
+                     ) -> MultiRoundResult:
     """Iterate the corruption steps with invalid ecall commands so the
     enclave exits before using the planted values, sweeping one 64-byte
     window per round across the randomization range; the final round
@@ -489,7 +479,8 @@ def multi_round_aslr(image: EnclaveImage, sgx_version: int = SGX2,
 
     The attacker only knows the nominal layout; the image carries the true
     randomized base.  Success means the union of corrupted windows covered
-    the true anchor."""
+    the true anchor.  The simulation runs under `grant`, as
+    `exhaustive_attacker` does."""
     lay = image.layout
     nominal_anchor = lay.stack_base - ECALL0_FRAME - 8
     shift = lay.stack_base - image.stack_base       # ground truth, quantized
@@ -524,7 +515,7 @@ def multi_round_aslr(image: EnclaveImage, sgx_version: int = SGX2,
     if not simulate:
         return MultiRoundResult(True, needed, False, plan)
 
-    machine = _prefix_snapshot(image, sgx_version, None)
+    machine = _prefix_snapshot(image, sgx_version, grant)
     anchor = image.anchor_addr
     recorded = machine.mem.read(anchor)[0]
     res = run_plan(machine, image, plan.actions)

@@ -82,59 +82,60 @@ def _classes_for(scenario: dict) -> tuple[int, ...]:
     return tuple(VECTOR_IDS[c] for c in scenario["inject_classes"])
 
 
-def _recorded_run(scenario: dict, image: EnclaveImage, actions: list,
-                  max_steps: int):
-    """Run the full action list on a fresh machine, recording the trace
-    lines with per-event digests."""
+def _execute(scenario: dict, image: EnclaveImage, actions: list,
+             record: bool = False):
+    """The one build -> grant -> run path: a fresh machine for the
+    scenario's platform and grant runs the actions under its step budget.
+    With `record`, the trace lines with per-event digests come back too."""
     m = build_machine(image, scenario["sgx_version"])
     grant = _grant_for(scenario, image)
-    rec = reporting.TraceRecorder(m)
     if grant is not None:
         m.grant_irq_quota(*grant)
+    rec = reporting.TraceRecorder(m) if record else None
+    res = run_plan(m, image, actions,
+                   max_steps=scenario["budgets"]["max_steps"],
+                   on_action=rec.on_action if rec else None,
+                   after_events=rec.after_events if rec else None)
+    if rec is not None:
         rec.flush()
-    res = run_plan(m, image, actions, max_steps=max_steps,
-                   on_action=rec.on_action, after_events=rec.after_events)
-    rec.flush()
-    return res, rec.lines
+    return res, rec.lines if rec else None
+
+
+def _verdicts(scenario: dict, image: EnclaveImage, trace: list,
+              props: Optional[tuple[str, ...]] = None) -> list[Verdict]:
+    """The scenario's verdicts over a trace.  Only the benign modes run
+    under a cooperative host."""
+    return evaluate(trace, image, props or tuple(scenario["properties"]),
+                    sp_mode=scenario["sp_confinement_mode"],
+                    cooperative=scenario["adversary"].startswith("benign"))
 
 
 def run(scenario: dict, workers: int = 1) -> Outcome:
-    """Execute one scenario to a deterministic report."""
+    """Execute one scenario to a deterministic report.  Each mode computes
+    its stats and the actions of its outcome; those actions then run once,
+    recorded, and the verdicts, milestones and exit code all describe that
+    recorded run."""
     image = _image_for(scenario)
     mode = scenario["adversary"]
     sgx = scenario["sgx_version"]
-    props = tuple(scenario["properties"])
-    sp_mode = scenario["sp_confinement_mode"]
     budgets = scenario["budgets"]
-    classes = _classes_for(scenario)
+    actions = None
 
     if mode == "monte_carlo":
         rate = adversary.estimate_single_shot_rate(scenario["trials"],
                                                    scenario["seed"])
         stats = {"trials": scenario["trials"], "rate": rate,
                  "exact_rate": adversary.exact_single_shot_rate()}
-        return Outcome(scenario, "ok", [], (), stats, None, EXIT_OK)
-
-    if mode == "multi_round_aslr":
+    elif mode == "multi_round_aslr":
         res = adversary.multi_round_aslr(image, sgx,
-                                         max_rounds=scenario["max_rounds"])
+                                         max_rounds=scenario["max_rounds"],
+                                         grant=_grant_for(scenario, image))
         stats = {"rounds_needed": res.rounds_needed,
                  "success": res.success, "exhausted": res.exhausted,
                  "stack_shift": image.layout.stack_base - image.stack_base}
-        verdicts = []
-        lines = None
-        ms: tuple = ()
-        if res.trace is not None and res.plan is not None:
-            verdicts = evaluate(res.trace, image, props, sp_mode=sp_mode,
-                                cooperative=False)
-            ms = milestones(res.trace, image)
-            _, lines = _recorded_run(scenario, image,
-                                     prefix_plan() + res.plan.actions,
-                                     budgets["max_steps"])
-        code = EXIT_VIOLATION if any_violation(verdicts) else EXIT_OK
-        return Outcome(scenario, "ok", verdicts, ms, stats, lines, code)
-
-    if mode.startswith("benign"):
+        if res.plan is not None:
+            actions = prefix_plan() + res.plan.actions
+    elif mode.startswith("benign"):
         if mode == "benign":
             actions = benign_plan(image)
         elif mode == "benign_nested":
@@ -143,62 +144,49 @@ def run(scenario: dict, workers: int = 1) -> Outcome:
         else:
             actions = benign_critical_exception_plan(
                 image, scenario["boundary"] or 5)
-        res, lines = _recorded_run(scenario, image, actions,
-                                   budgets["max_steps"])
-        verdicts = evaluate(res.trace, image, props, sp_mode=sp_mode,
-                            cooperative=True)
-        ms = milestones(res.trace, image)
-        stats = {"steps": res.steps, "status": res.status}
-        code = EXIT_VIOLATION if any_violation(verdicts) else EXIT_OK
-        return Outcome(scenario, "ok", verdicts, ms, stats, lines, code)
-
-    if mode == "scripted":
+        stats = {}
+    elif mode == "scripted":
         try:
             plan = adversary.scripted_attack(
                 image, sgx, vector=(VECTOR_IDS[scenario["vector"]]
                                     if scenario["vector"] else None),
-                classes=classes, route=scenario["route"])
+                classes=_classes_for(scenario), route=scenario["route"])
         except adversary.PlanInfeasible as e:
             stats = {"plan": "infeasible", "reason": e.reason}
-            return Outcome(scenario, "ok", [], (), stats, None, EXIT_OK)
-        actions = prefix_plan() + plan.actions
-        res, lines = _recorded_run(scenario, image, actions,
-                                   budgets["max_steps"])
-        verdicts = evaluate(res.trace, image, props, sp_mode=sp_mode,
-                            cooperative=False)
-        ms = milestones(res.trace, image)
-        stats = {"steps": res.steps, "status": res.status,
-                 "expected_milestones": list(plan.expected_milestones)}
-        code = EXIT_VIOLATION if any_violation(verdicts) else EXIT_OK
-        return Outcome(scenario, "ok", verdicts, ms, stats, lines, code)
+        else:
+            actions = prefix_plan() + plan.actions
+            stats = {"expected_milestones": list(plan.expected_milestones)}
+    else:   # exhaustive
+        budget = adversary.SearchBudget(
+            max_runs=budgets["max_runs"],
+            max_steps_per_run=budgets["max_steps"],
+            boundary_cap=budgets["boundary_cap"],
+            depth=budgets["depth"])
+        out = adversary.exhaustive_attacker(
+            image, sgx, classes=_classes_for(scenario), budget=budget,
+            grant=_grant_for(scenario, image), workers=workers,
+            sp_mode=scenario["sp_confinement_mode"])
+        stats = out.stats.to_dict()
+        if isinstance(out, adversary.BudgetExceeded):
+            return Outcome(scenario, "budget_exceeded", [], (), stats,
+                           None, EXIT_BUDGET)
+        if isinstance(out, adversary.NoneFound):
+            verdicts = [Verdict(p, "no_violation_found", stats=stats)
+                        for p in scenario["properties"]]
+            return Outcome(scenario, "ok", verdicts, (), stats, None,
+                           EXIT_OK)
+        actions = prefix_plan() + out.plan.actions
+        stats["branch"] = list(out.branch)
 
-    # exhaustive
-    budget = adversary.SearchBudget(
-        max_runs=budgets["max_runs"],
-        max_steps_per_run=budgets["max_steps"],
-        boundary_cap=budgets["boundary_cap"],
-        depth=budgets["depth"])
-    out = adversary.exhaustive_attacker(
-        image, sgx, classes=classes, budget=budget,
-        grant=_grant_for(scenario, image), workers=workers, sp_mode=sp_mode)
-    if isinstance(out, adversary.BudgetExceeded):
-        return Outcome(scenario, "budget_exceeded", [], (),
-                       out.stats.to_dict(), None, EXIT_BUDGET)
-    if isinstance(out, adversary.NoneFound):
-        verdicts = [Verdict(p, "no_violation_found", stats=out.stats.to_dict())
-                    for p in props]
-        return Outcome(scenario, "ok", verdicts, (), out.stats.to_dict(),
-                       None, EXIT_OK)
-    # counterexample: re-run its plan with digest recording for the trace
-    actions = prefix_plan() + out.plan.actions
-    res, lines = _recorded_run(scenario, image, actions, budgets["max_steps"])
-    verdicts = evaluate(res.trace, image, props, sp_mode=sp_mode,
-                        cooperative=False)
-    ms = milestones(res.trace, image)
-    stats = out.stats.to_dict()
-    stats["branch"] = list(out.branch)
-    return Outcome(scenario, "ok", verdicts, ms, stats, lines,
-                   EXIT_VIOLATION)
+    if actions is None:
+        return Outcome(scenario, "ok", [], (), stats, None, EXIT_OK)
+    res, lines = _execute(scenario, image, actions, record=True)
+    if mode == "scripted" or mode.startswith("benign"):
+        stats.update(steps=res.steps, status=res.status)
+    verdicts = _verdicts(scenario, image, res.trace)
+    code = EXIT_VIOLATION if any_violation(verdicts) else EXIT_OK
+    return Outcome(scenario, "ok", verdicts, milestones(res.trace, image),
+                   stats, lines, code)
 
 
 # ---------------------------------------------------------------------------
@@ -207,15 +195,9 @@ def run(scenario: dict, workers: int = 1) -> Outcome:
 
 def _fires(image: EnclaveImage, scenario: dict, actions: list,
            prop: str) -> bool:
-    m = build_machine(image, scenario["sgx_version"])
-    grant = _grant_for(scenario, image)
-    if grant is not None:
-        m.grant_irq_quota(*grant)
-    res = run_plan(m, image, actions,
-                   max_steps=scenario["budgets"]["max_steps"])
-    verdicts = evaluate(res.trace, image, (prop,),
-                        sp_mode=scenario["sp_confinement_mode"])
-    return any_violation(verdicts) is not None
+    res, _ = _execute(scenario, image, actions)
+    return any_violation(_verdicts(scenario, image, res.trace,
+                                   (prop,))) is not None
 
 
 def minimize(scenario: dict, actions: list) -> list:
@@ -261,14 +243,8 @@ def minimize(scenario: dict, actions: list) -> list:
 
 def evaluate_with_scenario(scenario: dict, image: EnclaveImage,
                            actions: list) -> list[Verdict]:
-    m = build_machine(image, scenario["sgx_version"])
-    grant = _grant_for(scenario, image)
-    if grant is not None:
-        m.grant_irq_quota(*grant)
-    res = run_plan(m, image, actions,
-                   max_steps=scenario["budgets"]["max_steps"])
-    return evaluate(res.trace, image, tuple(scenario["properties"]),
-                    sp_mode=scenario["sp_confinement_mode"])
+    res, _ = _execute(scenario, image, actions)
+    return _verdicts(scenario, image, res.trace)
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +270,7 @@ def replay(scenario: dict, body_lines: list[str],
     actions = [reporting.action_from_line(ln) for ln in body_lines
                if ln.startswith("A ")]
     image = _image_for(scenario)
-    res, lines = _recorded_run(scenario, image, actions,
-                               scenario["budgets"]["max_steps"])
+    res, lines = _execute(scenario, image, actions, record=True)
     for i, (want, got) in enumerate(zip(body_lines, lines)):
         if want != got:
             return ReplayResult(False, i, f"expected {want!r}, got {got!r}",
@@ -304,10 +279,7 @@ def replay(scenario: dict, body_lines: list[str],
         return ReplayResult(False, min(len(lines), len(body_lines)),
                             "replay produced a different number of lines",
                             exit_code=EXIT_DIGEST_MISMATCH)
-    cooperative = scenario["adversary"].startswith("benign")
-    verdicts = evaluate(res.trace, image, tuple(scenario["properties"]),
-                        sp_mode=scenario["sp_confinement_mode"],
-                        cooperative=cooperative)
+    verdicts = _verdicts(scenario, image, res.trace)
     code = EXIT_VIOLATION if any_violation(verdicts) else EXIT_OK
     return ReplayResult(True, verdicts=verdicts, exit_code=code)
 

@@ -290,6 +290,9 @@ class TCS:
 HW_NONE = "none"
 HW_IRQ_QUOTA = "irq_quota"
 HW_REENTRY_MASK = "reentry_mask"
+# the (allowed cycles, window) contract the OS grants the irq-quota extension
+# unless a scenario's hw_ext says otherwise
+DEFAULT_IRQ_GRANT = (100, 10000)
 
 
 @dataclass

@@ -18,7 +18,9 @@ from .adversary import CANDIDATE_DEPTH
 from .harness import (
     Eenter, Eresume, FlipPerms, InjectAex, PrepareRegs, SeedPublic, Stop,
 )
-from .machine import EVENT_IDS, EVENT_NAMES, VECTOR_IDS, VECTOR_NAMES
+from .machine import (
+    DEFAULT_IRQ_GRANT, EVENT_IDS, EVENT_NAMES, VECTOR_IDS, VECTOR_NAMES,
+)
 from .properties import ALL_PROPERTIES, SAFETY_PROPERTIES
 from .runtimes import (
     ASLR_RANGE, MAX_CRITICAL_PAD, VARIANTS, Layout, LayoutOverlap,
@@ -41,7 +43,8 @@ _DEFAULT_BUDGETS = {"max_runs": 200000, "max_steps": 20000,
 _DEFAULT_TOGGLES = {"sgx1_valid_check_removed": False, "aslr_stack_offset": 0,
                     "alignment_required": 16, "critical_pad": 0,
                     "flag_strategy": None}
-_DEFAULT_HW_EXT = {"allowed": 100, "window": 10000}
+_DEFAULT_HW_EXT = {"allowed": DEFAULT_IRQ_GRANT[0],
+                   "window": DEFAULT_IRQ_GRANT[1]}
 FLAG_STRATEGIES = (None, "postpone", "ignore")
 ADDRESS_LIMIT = 1 << 48       # canonical lower-half x86-64 addresses
 

@@ -676,20 +676,30 @@ def build_runtime(variant: str, layout: Optional[Layout] = None,
     )
 
 
+def layout_regions(layout: Layout) -> tuple[tuple[int, int, int, int], ...]:
+    """The regions a layout maps, as (base, size, kind, perms): the pages
+    `build_machine` creates and the spans `_check_layout` keeps disjoint.
+    The stack spans the nominal base; the ASLR shift moves only where the
+    runtime starts using it."""
+    rw = PERM_R | PERM_W
+    return (
+        (layout.code_base, 0x1000, PRIVATE, PERM_R | PERM_X),
+        (layout.stack_limit, layout.stack_base - layout.stack_limit,
+         PRIVATE, rw),
+        (layout.td_base, 0x1000, PRIVATE, rw),
+        (layout.ssa_base, 0x1000, PRIVATE, rw),
+        (layout.secret_base, 0x1000, PRIVATE, PERM_R),
+        (layout.scratch_base, 0x1000, PRIVATE, rw),
+        (layout.dedicated_page, 0x1000, PRIVATE, rw),
+        (layout.host_base, 0x1000, PUBLIC, rw),
+        (layout.pubbuf_base, 0x1000, PUBLIC, rw),
+    )
+
+
 def _check_layout(layout: Layout) -> None:
-    regions = [
-        (layout.code_base, layout.code_base + 0x1000),
-        (layout.stack_limit, layout.stack_base),
-        (layout.td_base, layout.td_base + 0x100),
-        (layout.ssa_base, layout.ssa_base + 0x1000),
-        (layout.secret_base, layout.secret_base + 0x1000),
-        (layout.scratch_base, layout.scratch_base + 0x1000),
-        (layout.dedicated_page, layout.dedicated_page + 0x1000),
-        (layout.host_base, layout.host_base + 0x1000),
-        (layout.pubbuf_base, layout.pubbuf_base + 0x1000),
-    ]
-    regions.sort()
-    for (a0, a1), (b0, b1) in zip(regions, regions[1:]):
+    spans = sorted((base, base + size)
+                   for base, size, _, _ in layout_regions(layout))
+    for (a0, a1), (b0, b1) in zip(spans, spans[1:]):
         if a1 > b0:
             raise LayoutOverlap(f"{a0:#x}-{a1:#x} overlaps {b0:#x}-{b1:#x}")
 
@@ -697,23 +707,10 @@ def _check_layout(layout: Layout) -> None:
 SECRET_WORD_SEED = 0x5EC2E7_0000
 
 
-def build_machine(image: EnclaveImage, sgx_version: int = SGX2,
-                  hw: Optional[HwExt] = None) -> Machine:
+def build_machine(image: EnclaveImage, sgx_version: int = SGX2) -> Machine:
     """Fresh platform state for one scenario run of this image."""
     lay = image.layout
-    pages = [
-        Page(lay.code_base, 0x1000, PRIVATE, PERM_R | PERM_X),
-        Page(lay.stack_limit, lay.stack_base - lay.stack_limit, PRIVATE,
-             PERM_R | PERM_W),
-        Page(lay.td_base, 0x1000, PRIVATE, PERM_R | PERM_W),
-        Page(lay.ssa_base, 0x1000, PRIVATE, PERM_R | PERM_W),
-        Page(lay.secret_base, 0x1000, PRIVATE, PERM_R),
-        Page(lay.scratch_base, 0x1000, PRIVATE, PERM_R | PERM_W),
-        Page(lay.dedicated_page, 0x1000, PRIVATE, PERM_R | PERM_W),
-        Page(lay.host_base, 0x1000, PUBLIC, PERM_R | PERM_W),
-        Page(lay.pubbuf_base, 0x1000, PUBLIC, PERM_R | PERM_W),
-    ]
-    mem = Memory(pages)
+    mem = Memory([Page(*region) for region in layout_regions(lay)])
     td = lay.td_base
     # no ocall pending: last_sp parks at the stack base, so the first saved
     # context records a pre_last_sp the return checks accept
@@ -726,11 +723,11 @@ def build_machine(image: EnclaveImage, sgx_version: int = SGX2,
         mem.write(lay.secret_base + 8 * i,
                   (SECRET_WORD_SEED + i * 0x0101_0101_0101) & MASK64, True)
     tcs = TCS(entry_point=image.entry, nssa=image.nssa, ssa_base=lay.ssa_base)
-    if hw is None:
-        if image.variant == "hw_irq_quota":
-            hw = HwExt(kind=HW_IRQ_QUOTA)
-        elif image.variant == "hw_reentry_mask":
-            hw = HwExt(kind=HW_REENTRY_MASK)
+    hw = None
+    if image.variant == "hw_irq_quota":
+        hw = HwExt(kind=HW_IRQ_QUOTA)
+    elif image.variant == "hw_reentry_mask":
+        hw = HwExt(kind=HW_REENTRY_MASK)
     m = Machine(mem, tcs, sgx_version=sgx_version, hw=hw,
                 auto_mask=image.auto_mask, auto_atomic=image.auto_atomic,
                 entry_atomic_cycles=image.entry_atomic_cycles)

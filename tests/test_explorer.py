@@ -12,7 +12,7 @@ from aexlab.explorer import (
 )
 from aexlab.harness import Eenter, Eresume, InjectAex
 from aexlab.machine import SGX2
-from aexlab.runtimes import build_runtime
+from aexlab.runtimes import VARIANTS, build_runtime
 
 
 def scenario(**kv):
@@ -159,6 +159,46 @@ def test_replay_detects_truncation(tmp_path):
     _, declared, lines = reporting.read_trace(str(path))
     result = explorer.replay(sc, lines[:-3], declared)
     assert not result.ok and result.exit_code == EXIT_DIGEST_MISMATCH
+
+
+TRACED_MODES = {
+    "benign": {}, "benign_nested": {}, "benign_critical": {}, "scripted": {},
+    "exhaustive": {"budgets": {"max_runs": 64, "boundary_cap": 8}},
+    "multi_round_aslr": {"toggles": {"aslr_stack_offset": 300},
+                         "max_rounds": 8},
+}
+
+
+@pytest.mark.parametrize("sgx", (1, 2))
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_report_is_a_function_of_its_own_trace(variant, sgx):
+    """Whatever a mode did to find its outcome, the verdicts, milestones
+    and exit code recomputed from the recorded trace's events are the
+    report's, and replaying that trace reproduces it."""
+    traced = 0
+    for mode, extra in TRACED_MODES.items():
+        sc = scenario(variant=variant, sgx_version=sgx, adversary=mode,
+                      **extra)
+        out = explorer.run(sc)
+        if out.trace_lines is None:
+            continue
+        traced += 1
+        events = [reporting.event_from_line(ln)[0]
+                  for ln in out.trace_lines if ln.startswith("E ")]
+        image = explorer._image_for(sc)
+        verdicts = properties.evaluate(
+            events, image, tuple(sc["properties"]),
+            sp_mode=sc["sp_confinement_mode"],
+            cooperative=mode.startswith("benign"))
+        assert ([v.to_dict() for v in verdicts]
+                == [v.to_dict() for v in out.verdicts]), mode
+        assert properties.milestones(events, image) == out.milestones, mode
+        violated = properties.any_violation(verdicts) is not None
+        assert out.exit_code == (EXIT_VIOLATION if violated else EXIT_OK)
+        result = explorer.replay(sc, out.trace_lines, len(out.trace_lines))
+        assert result.ok, (mode, result.detail)
+        assert result.exit_code == out.exit_code, mode
+    assert traced >= 3      # the benign modes always record a trace
 
 
 # ---------------------------------------------------------------------------

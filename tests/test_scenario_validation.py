@@ -24,6 +24,9 @@ from aexlab.runtimes import VARIANTS, Layout, build_machine
     ("hw_ext", "allowed", "a", "hw_ext allowed"),
     ("hw_ext", "window", True, "hw_ext window"),
     ("layout", "pubbuf_base", 4096, "overlap"),
+    # inside the 0x1000-byte thread-data page, the secret would be writable
+    ("layout", None, {"secret_base": 0x29100, "ssa_base": 0x2A100},
+     "overlap"),
     ("budgets", "max_runs", True, "budget max_runs"),
     # only the 6-action candidate template is enumerated
     ("budgets", "depth", 7, "budget depth must be 6"),
@@ -36,7 +39,7 @@ def test_malformed_field_exits_one_with_message(tmp_path, capsys, section,
     if section is None:
         doc[key] = value
     else:
-        doc[section] = {key: value}
+        doc[section] = value if key is None else {key: value}
     path = tmp_path / "s.json"
     path.write_text(json.dumps(doc))
     rc = cli.main(["run", "--scenario", str(path),
@@ -88,4 +91,7 @@ def test_any_json_sections_normalize_or_raise(variant, toggles, hw_ext,
     text = reporting.dumps_scenario(scenario)
     assert reporting.loads_scenario(text) == scenario
     image = explorer._image_for(scenario)
-    build_machine(image, scenario["sgx_version"])
+    pages = sorted(build_machine(image, scenario["sgx_version"]).mem.pages,
+                   key=lambda p: p.base)
+    for lo, hi in zip(pages, pages[1:]):
+        assert lo.base + lo.size <= hi.base, (lo, hi)
