@@ -137,6 +137,12 @@ def normalize_scenario(doc: dict) -> dict:
                    SAFETY_PROPERTIES + ("functionality",)
                    if adversary.startswith("benign") else SAFETY_PROPERTIES,
                    ALL_PROPERTIES, "property")
+    if adversary == "exhaustive" and not set(SAFETY_PROPERTIES) <= set(props):
+        # the search stops at the first plan violating any safety property,
+        # so it cannot certify a subset of them
+        raise ScenarioError(f"exhaustive mode checks every safety property: "
+                            f"properties must include "
+                            f"{', '.join(SAFETY_PROPERTIES)}")
     budgets = dict(_DEFAULT_BUDGETS)
     for k, v in _section(doc, "budgets").items():
         if k not in budgets:
