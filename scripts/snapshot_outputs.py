@@ -4,8 +4,12 @@ trees can be compared with a single `diff -r`.
 
 For workers 1 and 2 it runs `aexlab matrix --sgx 2` and `--sgx 1` and
 `aexlab run` of every canonical scenario, each into its own subdirectory
-of OUT, and records the exit codes in OUT/exit_codes.txt.  Wall times go to
-stderr only, as in the CLI.
+of OUT.  It also runs `graphene_emulated` `benign_critical` at sgx 1 and 2
+with boundaries 1-23 (each of these completes an interrupted critical
+span), from scenario files it writes to OUT/scenarios.  Every trace written
+is then replayed with `aexlab replay`, whose stdout lands next to the
+trace.  Exit codes go to OUT/exit_codes.txt; wall times go to stderr only,
+as in the CLI.
 
 Usage: python scripts/snapshot_outputs.py OUT
 """
@@ -13,12 +17,40 @@ Usage: python scripts/snapshot_outputs.py OUT
 import argparse
 import contextlib
 import io
+import json
 import os
 import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from aexlab import cli, runtimes  # noqa: E402
+
+CRITICAL_BOUNDARIES = range(1, 24)
+
+
+def _critical_scenarios(out: str) -> list[tuple[str, str]]:
+    scenario_dir = os.path.join(out, "scenarios")
+    os.makedirs(scenario_dir, exist_ok=True)
+    named = []
+    for sgx in (2, 1):
+        for boundary in CRITICAL_BOUNDARIES:
+            tag = f"benign_critical_graphene_sgx{sgx}_b{boundary}"
+            path = os.path.join(scenario_dir, tag + ".json")
+            with open(path, "w") as fh:
+                json.dump({"variant": "graphene_emulated", "sgx_version": sgx,
+                           "adversary": "benign_critical",
+                           "boundary": boundary}, fh, sort_keys=True)
+            named.append((tag, path))
+    return named
+
+
+def _cli(argv: list[str], stdout_path: str) -> int:
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = cli.main(argv)
+    with open(stdout_path, "w") as fh:
+        fh.write(stdout.getvalue())
+    return code
 
 
 def main() -> int:
@@ -27,27 +59,31 @@ def main() -> int:
     args = ap.parse_args()
 
     scenario_dir = runtimes.fixture_path("scenarios")
-    scenarios = sorted(n for n in os.listdir(scenario_dir)
-                       if n.endswith(".json"))
+    scenarios = [(n[:-len(".json")], os.path.join(scenario_dir, n))
+                 for n in sorted(os.listdir(scenario_dir))
+                 if n.endswith(".json")]
     jobs = []
     for workers in (1, 2):
         for sgx in (2, 1):
             jobs.append((f"matrix_sgx{sgx}_w{workers}",
                          ["matrix", "--sgx", str(sgx)], workers))
-        for name in scenarios:
-            jobs.append((f"{name[:-len('.json')]}_w{workers}",
-                         ["run", "--scenario",
-                          os.path.join(scenario_dir, name)], workers))
+        for tag, path in scenarios:
+            jobs.append((f"{tag}_w{workers}", ["run", "--scenario", path],
+                         workers))
+    for tag, path in _critical_scenarios(args.out):
+        jobs.append((tag, ["run", "--scenario", path], 1))
 
     codes = []
     for tag, argv, workers in jobs:
         out = os.path.join(args.out, tag)
-        stdout = io.StringIO()
-        with contextlib.redirect_stdout(stdout):
-            code = cli.main(argv + ["--out", out, "--workers", str(workers)])
-        with open(os.path.join(out, "stdout.txt"), "w") as fh:
-            fh.write(stdout.getvalue())
+        code = _cli(argv + ["--out", out, "--workers", str(workers)],
+                    os.path.join(out, "stdout.txt"))
         codes.append(f"{tag} {code}\n")
+        trace = os.path.join(out, "run.trace")
+        if os.path.exists(trace):
+            code = _cli(["replay", "--trace", trace],
+                        os.path.join(out, "replay_stdout.txt"))
+            codes.append(f"{tag} replay {code}\n")
     with open(os.path.join(args.out, "exit_codes.txt"), "w") as fh:
         fh.writelines(codes)
     return 0
