@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Randomized-stack experiments: the exact and Monte-Carlo single-shot
 rates, the multi-round sweep over every offset, and a few concrete
-end-to-end round simulations.
+end-to-end round simulations.  Exits 1 when a concrete simulation leaves
+the anchor intact.
 
 Usage: python scripts/aslr_experiment.py [--trials N] [--seed S]
 """
@@ -43,13 +44,16 @@ def main() -> int:
           f"mean {sum(k * v for k, v in by_rounds.items()) / 2048:.2f} "
           f"({time.monotonic() - t0:.1f}s)")
 
+    failed = 0
     for off in (0, 500, 2048):
         img = build_runtime("sdk_style",
                             toggles=Toggles(aslr_stack_offset=off))
         res = adversary.multi_round_aslr(img, SGX2, simulate=True)
-        print(f"concrete offset {off:4d}: anchor corrupted "
+        outcome = "corrupted" if res.success else "NOT corrupted"
+        print(f"concrete offset {off:4d}: anchor {outcome} "
               f"after sweeping (hit round {res.rounds_needed})")
-    return 0
+        failed += not res.success
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -34,8 +34,6 @@ from .runtimes import (
     EnclaveImage, INFO_FIELDS, INFO_FREE_WINDOW, INFO_SIZE, build_machine,
 )
 
-MEMCPY_CHAIN_LEN = 8      # pop/ret feeding words plus copy and terminator
-
 
 class PlanInfeasible(Exception):
     def __init__(self, reason: str):

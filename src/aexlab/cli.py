@@ -135,7 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     rp = sub.add_parser("replay", help="re-execute and re-check a trace")
     rp.add_argument("--trace", required=True)
-    rp.add_argument("--workers", type=int, default=1)
     rp.set_defaults(func=_cmd_replay)
     return p
 

@@ -105,7 +105,9 @@ def _verdicts(scenario: dict, image: EnclaveImage, trace: list,
               props: Optional[tuple[str, ...]] = None) -> list[Verdict]:
     """The scenario's verdicts over a trace.  Only the benign modes run
     under a cooperative host."""
-    return evaluate(trace, image, props or tuple(scenario["properties"]),
+    if props is None:
+        props = tuple(scenario["properties"])
+    return evaluate(trace, image, props,
                     sp_mode=scenario["sp_confinement_mode"],
                     cooperative=scenario["adversary"].startswith("benign"))
 
@@ -136,14 +138,15 @@ def run(scenario: dict, workers: int = 1) -> Outcome:
         if res.plan is not None:
             actions = prefix_plan() + res.plan.actions
     elif mode.startswith("benign"):
+        boundary = scenario["boundary"]
         if mode == "benign":
             actions = benign_plan(image)
         elif mode == "benign_nested":
-            actions = benign_nested_plan(image,
-                                         scenario["boundary"] or 15)
+            actions = benign_nested_plan(
+                image, 15 if boundary is None else boundary)
         else:
             actions = benign_critical_exception_plan(
-                image, scenario["boundary"] or 5)
+                image, 5 if boundary is None else boundary)
         stats = {}
     elif mode == "scripted":
         try:

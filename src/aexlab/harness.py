@@ -88,9 +88,6 @@ class Stop:
     pass
 
 
-Action = object
-
-
 @dataclass
 class AttackPlan:
     """Ordered host actions plus the value bindings that shaped them."""

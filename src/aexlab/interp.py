@@ -7,8 +7,11 @@ the only legal next hardware transition is then an asynchronous exit of
 that class.  Each program is decoded once, on its first step, into
 per-address handlers (see ``decode``).
 
-``complete_critical`` is the register-level twin used to finish an
-interrupted critical span against a saved frame instead of live registers.
+``complete_critical`` finishes an interrupted critical span against a
+saved frame instead of live registers.  It has no semantics of its own: it
+runs the span through ``step`` on a scratch context built from the frame,
+and refuses any instruction outside the completable set or any step that
+does not retire.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .isa import (
 from .machine import (
     CTRL_CALL, CTRL_JMPI, CTRL_RET, E_CTRL, E_FAULT, E_HALT, E_LEAK,
     E_MEMCPY, E_MEMR, E_RETIRE, E_SP_ASSIGN, E_STORE, MASK64, MODE_ENCLAVE,
-    NREGS, RAX, RIP, RSP, SCRUB_VALUES, SSAFrame, VEC_AC, VEC_PAGE_FAULT,
+    NREGS, RAX, RIP, RSP, SCRUB_VALUES, SSAFrame, TCS, VEC_AC, VEC_PAGE_FAULT,
     Machine,
 )
 
@@ -38,21 +41,6 @@ ST_ABORT = 0xAB07
 
 class InterpError(Exception):
     """Interpreter misuse or an unemulable situation: a harness/model bug."""
-
-
-def _rel_holds(rel: int, lhs: int, rhs: int) -> bool:
-    # unsigned 64-bit relations
-    if rel == 0:
-        return lhs == rhs
-    if rel == 1:
-        return lhs != rhs
-    if rel == 2:
-        return lhs < rhs
-    if rel == 3:
-        return lhs <= rhs
-    if rel == 4:
-        return lhs > rhs
-    return lhs >= rhs
 
 
 def _fault(m: Machine, pc: int, vector: int, addr: int) -> str:
@@ -454,7 +442,8 @@ def _undefined(m, pc, a, b, c):
 
 
 # unsigned 64-bit relations by code; values are already in [0, 2**64)
-_RELATIONS = (operator.eq, operator.ne, operator.lt, operator.le, operator.gt)
+_RELATIONS = (operator.eq, operator.ne, operator.lt, operator.le,
+              operator.gt, operator.ge)
 
 _HANDLERS = {
     OP_MOV_RR: _mov_rr, OP_MOV_RI: _mov_ri,
@@ -473,9 +462,8 @@ def _decode_one(program: Program, ins: tuple) -> tuple:
     op, a, b, c = ins
     if op == OP_CMPJ_I or op == OP_CMPJ_R:
         rel, target = c
-        holds = _RELATIONS[rel] if 0 <= rel < 5 else operator.ge
         return (_cmpj_i if op == OP_CMPJ_I else _cmpj_r, a, b,
-                (holds, target))
+                (_RELATIONS[rel], target))
     if op == OP_SET_FLAG or op == OP_CLEAR_FLAG:
         return (_set_flag, a, 1 if op == OP_SET_FLAG else 0, c)
     if op == OP_EMULATE_CRITICAL:
@@ -526,108 +514,59 @@ class UnknownCriticalRange(Exception):
     is incomplete, which is a modeling bug that must surface loudly."""
 
 
-def complete_critical(m: Machine, program: Program, frame: SSAFrame,
-                      max_steps: int = 10000) -> SSAFrame:
+# opcodes a critical span may execute during completion; anything else
+# (a call, an exit, atomicity, a frame write, a block copy) is a modeling bug
+_COMPLETABLE = frozenset({
+    OP_MOV_RR, OP_MOV_RI, OP_ADD_I, OP_SUB_I, OP_AND_I, OP_LOAD, OP_STORE,
+    OP_PUSH, OP_POP, OP_SCRUB, OP_CMPJ_I, OP_CMPJ_R, OP_JMP, OP_RET,
+    OP_SET_FLAG, OP_CLEAR_FLAG, OP_READ_SSA,
+})
+MAX_COMPLETION_STEPS = 10000
+
+
+def complete_critical(m: Machine, program: Program,
+                      frame: SSAFrame) -> SSAFrame:
     """Return the frame that native execution would have produced had the
     thread run from the interrupted address to the end of its critical span
     before the asynchronous exit happened.
 
-    Operates on a copy of the frame; register effects land in the copy,
-    memory effects land in machine memory (critical spans only write
-    private cells the interrupted thread owns).  An interrupted address at
-    a span boundary means there is nothing to finish: identity.
+    The span runs through ``step`` on a scratch context: the frame's
+    registers over machine memory, one SSA level down, so ``read_ssa`` sees
+    the frame beneath.  Register effects land in the returned copy, memory
+    effects in machine memory (critical spans only write private cells the
+    interrupted thread owns); the scratch trace and cycles are dropped.  An
+    interrupted address at a span boundary means there is nothing to
+    finish: identity.  Anything native execution would not retire with
+    "ok" (a fault, a halt) raises InterpError.
     """
     pc = frame.regs[RIP]
     boundary = any(pc == hi for _, hi in program.crit_ranges.values())
     if not in_crit_ranges(program, pc) and not boundary:
         raise UnknownCriticalRange(hex(pc))
 
-    regs = list(frame.regs)
-    taint = frame.taint
-
-    def taint_of(r):
-        return bool(taint & (1 << r))
-
-    def set_taint(r, t):
-        nonlocal taint
-        if t:
-            taint |= (1 << r)
-        else:
-            taint &= ~(1 << r)
-
-    mem = m.mem
+    tcs = m.tcs
+    ctx = Machine(m.mem, TCS(tcs.entry_point, tcs.nssa, tcs.ssa_base,
+                             tcs.cssa - 1), m.sgx_version)
+    ctx.ssa = m.ssa
+    ctx.mode = MODE_ENCLAVE
+    ctx.regs = list(frame.regs)
+    ctx.taint = frame.taint
     steps = 0
     while in_crit_ranges(program, pc):
-        if steps >= max_steps:
+        if steps >= MAX_COMPLETION_STEPS:
             raise InterpError("critical completion did not terminate")
         steps += 1
         ins = program.code.get(pc)
         if ins is None:
             raise UnknownCriticalRange(hex(pc))
-        op, a, b, c = ins
-        if op in (OP_EEXIT_R, OP_EEXIT_I):
+        if ins[0] in (OP_EEXIT_R, OP_EEXIT_I):
             break  # the span ends by leaving the enclave; stop short of it
-        if op == OP_MOV_RR:
-            regs[a] = regs[b]
-            set_taint(a, taint_of(b))
-        elif op == OP_MOV_RI:
-            regs[a] = b
-            set_taint(a, False)
-        elif op == OP_ADD_I:
-            regs[a] = (regs[a] + b) & MASK64
-        elif op == OP_SUB_I:
-            regs[a] = (regs[a] - b) & MASK64
-        elif op == OP_AND_I:
-            regs[a] = regs[a] & b
-        elif op == OP_LOAD:
-            val, sec = mem.read((regs[b] + c) & MASK64)
-            regs[a] = val
-            set_taint(a, sec)
-        elif op == OP_STORE:
-            mem.write((regs[a] + b) & MASK64, regs[c], taint_of(c))
-        elif op == OP_PUSH:
-            regs[RSP] = (regs[RSP] - 8) & MASK64
-            mem.write(regs[RSP], regs[a], taint_of(a))
-        elif op == OP_POP:
-            val, sec = mem.read(regs[RSP])
-            regs[a] = val
-            set_taint(a, sec)
-            regs[RSP] = (regs[RSP] + 8) & MASK64
-        elif op == OP_SCRUB:
-            for r in range(NREGS):
-                if a & (1 << r):
-                    regs[r] = SCRUB_VALUES[r]
-                    set_taint(r, False)
-        elif op == OP_CMPJ_I or op == OP_CMPJ_R:
-            rhs = b if op == OP_CMPJ_I else regs[b]
-            rel, target = c
-            if _rel_holds(rel, regs[a], rhs):
-                pc = target
-                continue
-        elif op == OP_JMP:
-            pc = a
-            continue
-        elif op == OP_RET:
-            val, _sec = mem.read(regs[RSP])
-            regs[RSP] = (regs[RSP] + 8) & MASK64
-            pc = val
-            continue
-        elif op == OP_SET_FLAG:
-            mem.write(a, 1, False)
-        elif op == OP_CLEAR_FLAG:
-            mem.write(a, 0, False)
-        elif op == OP_READ_SSA:
-            if m.tcs.cssa < 2:
-                raise InterpError("no underlying frame to read during completion")
-            under = m.ssa[m.tcs.cssa - 2]
-            val, sec = _frame_field(under, b)
-            regs[a] = val
-            set_taint(a, sec)
-        else:
-            raise InterpError(
-                f"instruction not completable in a critical span: {render(ins)}")
-        pc += 1
-
-    out = SSAFrame(regs, taint, frame.valid, frame.vector)
-    out.regs[RIP] = pc
-    return out
+        if ins[0] not in _COMPLETABLE:
+            raise InterpError("instruction not completable in a critical "
+                              f"span: {render(ins)}")
+        signal = step(ctx, program)
+        if signal != "ok":
+            raise InterpError(f"critical completion: {render(ins)} at "
+                              f"{pc:#x} gave {signal!r}")
+        pc = ctx.regs[RIP]
+    return SSAFrame(ctx.regs, ctx.taint, frame.valid, frame.vector)

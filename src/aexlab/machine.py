@@ -58,7 +58,6 @@ VEC_EXT_INT = 32
 # They are synchronous: only a faulting enclave instruction can raise them.
 SYNC_VECTORS = frozenset({VEC_DIV, VEC_DEBUG, VEC_BREAKPOINT, VEC_BOUND,
                           VEC_UD, VEC_MF, VEC_AC, VEC_XM})
-INJECTABLE_VECTORS = frozenset({VEC_PAGE_FAULT, VEC_EXT_INT})
 
 VECTOR_NAMES = {
     VEC_DIV: "div_zero",

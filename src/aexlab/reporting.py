@@ -67,16 +67,22 @@ def _int(value, what: str, lo: Optional[int] = None,
 
 
 def _section(doc: dict, key: str) -> dict:
-    value = doc.get(key) or {}
+    """The object under `key`; absent or null is the empty object."""
+    value = doc.get(key)
+    if value is None:
+        return {}
     if not isinstance(value, dict):
-        raise ScenarioError(f"{key} must be an object")
+        raise ScenarioError(f"{key} must be an object, got {value!r}")
     return value
 
 
 def _names(doc: dict, key: str, default: tuple, allowed, what: str) -> tuple:
-    names = doc.get(key) or default
-    if not isinstance(names, (list, tuple)):
-        raise ScenarioError(f"{key} must be a list")
+    """The non-empty name list under `key`; absent or null is `default`."""
+    names = doc.get(key)
+    if names is None:
+        return default
+    if not isinstance(names, (list, tuple)) or not names:
+        raise ScenarioError(f"{key} must be a non-empty list, got {names!r}")
     for name in names:
         if not isinstance(name, str) or name not in allowed:
             raise ScenarioError(f"unknown {what}: {name!r}")

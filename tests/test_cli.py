@@ -87,13 +87,6 @@ def test_replay_golden_trace_matches():
     assert "replay ok" in stderr
 
 
-def test_replay_is_worker_count_independent():
-    golden = fixture_path("golden/scripted_sdk_sgx2.trace")
-    a = cli("replay", "--trace", golden, "--workers", "1")
-    b = cli("replay", "--trace", golden, "--workers", "8")
-    assert a == b
-
-
 def test_replay_truncated_trace_exits_three(tmp_path):
     golden = fixture_path("golden/scripted_sdk_sgx2.trace")
     lines = open(golden).read().splitlines()

@@ -161,6 +161,25 @@ def test_replay_detects_truncation(tmp_path):
     assert not result.ok and result.exit_code == EXIT_DIGEST_MISMATCH
 
 
+@pytest.mark.parametrize("mode,default", [("benign_nested", 15),
+                                          ("benign_critical", 5)])
+def test_boundary_zero_is_recorded_not_defaulted(tmp_path, mode, default):
+    """`"boundary": 0` injects at boundary 0; only an absent boundary takes
+    the mode's default."""
+    zero = scenario(variant="sdk_style", adversary=mode, boundary=0)
+    path, out = make_trace(tmp_path, zero)
+    injects = [ln for ln in out.trace_lines if ln.startswith("A inject")]
+    assert injects == ["A inject external_interrupt 0"]
+    absent = explorer.run(scenario(variant="sdk_style", adversary=mode))
+    assert [ln for ln in absent.trace_lines if ln.startswith("A inject")] \
+        == [f"A inject external_interrupt {default}"]
+    got_sc, declared, lines = reporting.read_trace(str(path))
+    assert got_sc["boundary"] == 0
+    result = explorer.replay(got_sc, lines, declared)
+    assert result.ok, result.detail
+    assert result.exit_code == out.exit_code
+
+
 TRACED_MODES = {
     "benign": {}, "benign_nested": {}, "benign_critical": {}, "scripted": {},
     "exhaustive": {"budgets": {"max_runs": 64, "boundary_cap": 8}},

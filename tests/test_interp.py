@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aexlab.interp import ST_ABORT, step
+from aexlab.interp import InterpError, ST_ABORT, complete_critical, step
 from aexlab.machine import (
     CTRL_RET, E_CTRL, E_HALT, E_LEAK, MASK64, NREGS, RAX, RBX,
-    REG_IDS, RIP, RSP, SCRUB_VALUES, VEC_AC, VEC_DIV, VEC_PAGE_FAULT,
+    REG_IDS, RIP, RSP, SCRUB_VALUES, VEC_AC, VEC_DIV, VEC_EXT_INT,
+    VEC_PAGE_FAULT, SSAFrame,
 )
 
 from conftest import CODE, DATA, PUB, make_raw_machine
@@ -226,6 +227,64 @@ def test_saved_frame_access_without_context_aborts():
     assert step(m, prog) == "halt"
     assert m.trace[-1][0] == E_HALT and m.trace[-1][2] == ST_ABORT
     assert m.halted
+
+
+# ---------------------------------------------------------------------------
+# critical-span completion fails closed
+# ---------------------------------------------------------------------------
+
+def interrupted_at_span_start(body: str, nssa: int = 2, beneath=None):
+    """Assemble `body` as one critical span, take an asynchronous exit at
+    its first instruction and return the machine, the program and the
+    saved frame.  `beneath`, when given, is the frame one level down."""
+    src = ".crit start span\n" + body + ".crit end span\n    halt $0\n"
+    m, prog = make_raw_machine(src, nssa=nssa)
+    if beneath is not None:
+        m.ssa[0] = beneath
+        m.tcs.cssa = 1
+    assert m.aex(VEC_EXT_INT)
+    return m, prog, m.ssa[m.tcs.cssa - 1]
+
+
+def test_completion_refuses_a_call_in_the_span():
+    m, prog, frame = interrupted_at_span_start(
+        "    call helper\n"
+        "helper:\n"
+        "    ret\n")
+    with pytest.raises(InterpError, match="not completable.*call"):
+        complete_critical(m, prog, frame)
+
+
+def test_completion_reads_the_frame_beneath_and_refuses_none():
+    body = "    read_ssa rax, rbx\n"
+    m, prog, frame = interrupted_at_span_start(body)
+    with pytest.raises(InterpError):
+        complete_critical(m, prog, frame)
+
+    beneath = SSAFrame()
+    beneath.regs[RBX] = 0x1234
+    m, prog, frame = interrupted_at_span_start(body, nssa=3,
+                                               beneath=beneath)
+    out = complete_critical(m, prog, frame)
+    assert out.regs[RAX] == 0x1234
+    assert out.regs[RIP] == prog.crit_ranges["span"][1]
+
+
+def test_completion_faults_on_an_unmapped_load():
+    # native execution would fault here; completion must not read a 0
+    m, prog, frame = interrupted_at_span_start(
+        "    mov rbx, $0x900000\n"
+        "    load rax, [rbx]\n")
+    with pytest.raises(InterpError, match="load.*fault"):
+        complete_critical(m, prog, frame)
+
+
+def test_completion_of_a_spinning_span_is_bounded():
+    m, prog, frame = interrupted_at_span_start(
+        "spin:\n"
+        "    jmp spin\n")
+    with pytest.raises(InterpError, match="did not terminate"):
+        complete_critical(m, prog, frame)
 
 
 # ---------------------------------------------------------------------------

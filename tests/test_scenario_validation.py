@@ -32,6 +32,14 @@ from aexlab.runtimes import VARIANTS, Layout, build_machine
     ("budgets", "depth", 7, "budget depth must be 6"),
     ("budgets", "depth", 5, "budget depth must be 6"),
     (None, "boundary", "zz", "boundary"),
+    # falsy values are not absent: only a missing key or null is
+    ("toggles", None, [], "toggles must be an object"),
+    ("toggles", None, 0, "toggles must be an object"),
+    ("hw_ext", None, False, "hw_ext must be an object"),
+    ("layout", None, "", "layout must be an object"),
+    ("budgets", None, [], "budgets must be an object"),
+    (None, "properties", [], "properties must be a non-empty list"),
+    (None, "inject_classes", [], "inject_classes must be a non-empty list"),
     # the search stops at any safety violation: a subset is not certified
     (None, "properties", ["confidentiality"], "every safety property"),
 ])
@@ -89,6 +97,9 @@ def test_any_json_sections_normalize_or_raise(variant, toggles, hw_ext,
         scenario = reporting.normalize_scenario(doc)
     except reporting.ScenarioError:
         return
+    # only an object or null is a section; null is the empty one
+    for section in (toggles, hw_ext, layout):
+        assert section is None or isinstance(section, dict), section
     # what normalizes round-trips and builds: nothing fails further in
     text = reporting.dumps_scenario(scenario)
     assert reporting.loads_scenario(text) == scenario
