@@ -32,6 +32,8 @@ from aexlab.runtimes import VARIANTS, Layout, build_machine
     ("budgets", "depth", 7, "budget depth must be 6"),
     ("budgets", "depth", 5, "budget depth must be 6"),
     (None, "boundary", "zz", "boundary"),
+    # the search stops at any safety violation: a subset is not certified
+    (None, "properties", ["confidentiality"], "every safety property"),
     # falsy values are not absent: only a missing key or null is
     ("toggles", None, [], "toggles must be an object"),
     ("toggles", None, 0, "toggles must be an object"),
@@ -40,8 +42,6 @@ from aexlab.runtimes import VARIANTS, Layout, build_machine
     ("budgets", None, [], "budgets must be an object"),
     (None, "properties", [], "properties must be a non-empty list"),
     (None, "inject_classes", [], "inject_classes must be a non-empty list"),
-    # the search stops at any safety violation: a subset is not certified
-    (None, "properties", ["confidentiality"], "every safety property"),
 ])
 def test_malformed_field_exits_one_with_message(tmp_path, capsys, section,
                                                 key, value, words):
