@@ -263,6 +263,18 @@ class ReplayResult:
     exit_code: int = EXIT_OK
 
 
+def _divergence(body_lines: list[str], i: int, got: str) -> str:
+    """Name what diverged at body line `i`: the last action applied before
+    it (0-based, with its line) and the kind of the expected line."""
+    applied = [ln for ln in body_lines[:i] if ln.startswith("A ")]
+    where = (f"after action {len(applied) - 1} ({applied[-1]})" if applied
+             else "before the first action")
+    want = body_lines[i]
+    what = (f"event kind {want.split()[1]}" if want.startswith("E ")
+            else "an action line")
+    return f"{where}, expected {what}: expected {want!r}, got {got!r}"
+
+
 def replay(scenario: dict, body_lines: list[str],
            declared_lines: int) -> ReplayResult:
     """Re-execute the recorded actions and re-check every event digest."""
@@ -276,7 +288,7 @@ def replay(scenario: dict, body_lines: list[str],
     res, lines = _execute(scenario, image, actions, record=True)
     for i, (want, got) in enumerate(zip(body_lines, lines)):
         if want != got:
-            return ReplayResult(False, i, f"expected {want!r}, got {got!r}",
+            return ReplayResult(False, i, _divergence(body_lines, i, got),
                                 exit_code=EXIT_DIGEST_MISMATCH)
     if len(lines) != len(body_lines):
         return ReplayResult(False, min(len(lines), len(body_lines)),

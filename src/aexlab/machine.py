@@ -159,15 +159,22 @@ class Memory:
     cells inside a mapped page return zero, public.
 
     Pages are immutable and the page list and its index are shared between
-    clones; ``set_perms`` gives this memory its own copy (copy-on-write)."""
+    clones; ``set_perms`` gives this memory its own copy (copy-on-write).
 
-    __slots__ = ("pages", "cells", "secret", "shift", "index")
+    ``write`` and ``set_perms`` are the only mutators of cells and pages.
+    Each clears its part of the cached ``repr`` that ``Machine.digest``
+    splices in (``cells_repr``, ``pages_repr``); clones share the strings."""
+
+    __slots__ = ("pages", "cells", "secret", "shift", "index", "_cells_repr",
+                 "_pages_repr")
 
     def __init__(self, pages: list[Page]):
         self.pages = list(pages)
         self.cells: dict[int, int] = {}
         self.secret: set[int] = set()
         self.shift, self.index = _page_index(self.pages)
+        self._cells_repr: Optional[str] = None
+        self._pages_repr: Optional[str] = None
 
     def clone(self) -> "Memory":
         m = Memory.__new__(Memory)
@@ -176,6 +183,8 @@ class Memory:
         m.index = self.index
         m.cells = dict(self.cells)
         m.secret = set(self.secret)
+        m._cells_repr = self._cells_repr
+        m._pages_repr = self._pages_repr
         return m
 
     def page_at(self, addr: int) -> Optional[Page]:
@@ -199,6 +208,7 @@ class Memory:
                 pages[i] = Page(p.base, p.size, p.kind, perms)
                 self.pages = pages
                 self.shift, self.index = _page_index(pages)
+                self._pages_repr = None
                 return True
         return False
 
@@ -241,6 +251,7 @@ class Memory:
             self.secret.add(addr)
         else:
             self.secret.discard(addr)
+        self._cells_repr = None
 
     def canonical(self) -> list[tuple[int, int, int]]:
         items = {a: (v, 0) for a, v in self.cells.items() if v}
@@ -248,6 +259,20 @@ class Memory:
             v, _ = items.get(a, (0, 0))
             items[a] = (v, 1)
         return sorted((a, v, s) for a, (v, s) in items.items())
+
+    def cells_repr(self) -> str:
+        """``repr(tuple(self.canonical()))``, cached until the next write."""
+        if self._cells_repr is None:
+            self._cells_repr = repr(tuple(self.canonical()))
+        return self._cells_repr
+
+    def pages_repr(self) -> str:
+        """``repr`` of the page-permission tuple, cached until the next
+        ``set_perms``."""
+        if self._pages_repr is None:
+            self._pages_repr = repr(tuple((p.base, p.size, p.kind, p.perms)
+                                          for p in self.pages))
+        return self._pages_repr
 
 
 # ---------------------------------------------------------------------------
@@ -612,9 +637,10 @@ class Machine:
     # -- canonical digest ----------------------------------------------------
 
     def canonical(self) -> tuple:
-        """Canonical value of the state.  Field order is fixed: mode,
-        registers, register taint, memory cells (sorted), page permissions,
-        TCS, SSA frames, aep, version, extension state, cycle."""
+        """Canonical value of the state, and the specification of
+        ``digest``.  Field order is fixed: mode, registers, register taint,
+        memory cells (sorted), page permissions, TCS, SSA frames, aep,
+        version, extension state, cycle, pending fault vector, halted."""
         return (
             self.mode,
             tuple(self.regs),
@@ -633,5 +659,17 @@ class Machine:
         )
 
     def digest(self) -> str:
-        h = hashlib.sha256(repr(self.canonical()).encode()).hexdigest()
-        return h[:16]
+        """The first 16 hex digits of the SHA-256 of ``repr(canonical())``.
+        The text is built field by field so that the memory parts come from
+        the cache that only ``Memory.write`` and ``Memory.set_perms`` clear;
+        it is byte-for-byte the ``repr`` of the canonical tuple."""
+        mem, tcs = self.mem, self.tcs
+        tcs_t = (tcs.entry_point, tcs.cssa, tcs.nssa, tcs.ssa_base,
+                 int(tcs.busy))
+        frames = tuple(f.canonical() for f in self.ssa)
+        text = (f"({self.mode!r}, {tuple(self.regs)!r}, {self.taint!r}, "
+                f"{mem.cells_repr()}, {mem.pages_repr()}, {tcs_t!r}, "
+                f"{frames!r}, {self.aep!r}, {self.sgx_version!r}, "
+                f"{self.hw.canonical()!r}, {self.cycle!r}, "
+                f"{self.pending_fault!r}, {int(self.halted)!r})")
+        return hashlib.sha256(text.encode()).hexdigest()[:16]

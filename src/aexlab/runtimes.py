@@ -828,15 +828,3 @@ def fixtures_dir() -> str:
 def fixture_path(name: str) -> str:
     return os.path.join(fixtures_dir(), name)
 
-
-def write_default_fixtures(dest: Optional[str] = None) -> list[str]:
-    """Render every variant's default program to its fixture file."""
-    dest = dest or fixtures_dir()
-    os.makedirs(dest, exist_ok=True)
-    written = []
-    for variant in VARIANTS:
-        path = os.path.join(dest, f"{variant}.easm")
-        with open(path, "w") as fh:
-            fh.write(generate_source(variant))
-        written.append(path)
-    return written

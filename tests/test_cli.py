@@ -97,6 +97,20 @@ def test_replay_truncated_trace_exits_three(tmp_path):
     assert "mismatch" in stderr
 
 
+def test_replay_mismatch_names_action_and_event_kind(tmp_path):
+    golden = fixture_path("golden/scripted_sdk_sgx2.trace")
+    lines = open(golden).read().splitlines()
+    first = next(i for i, ln in enumerate(lines) if ln.startswith("A "))
+    assert lines[first + 1].startswith("E eenter ")
+    lines[first + 1] = lines[first + 1][:-16] + "0" * 16
+    tampered = tmp_path / "t.trace"
+    tampered.write_text("\n".join(lines) + "\n")
+    rc, _, stderr = cli("replay", "--trace", str(tampered))
+    assert rc == 3
+    assert f"after action 0 ({lines[first]})" in stderr
+    assert "expected event kind eenter:" in stderr
+
+
 def test_matrix_empty_mapping_header_only(tmp_path):
     path = tmp_path / "empty.json"
     path.write_text(json.dumps({"runtimes": []}))

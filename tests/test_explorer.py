@@ -142,15 +142,26 @@ def test_replay_reproduces_digests_and_verdicts(tmp_path):
 def test_replay_detects_tampered_event(tmp_path):
     sc = scenario(variant="sdk_style", adversary="scripted")
     path, _ = make_trace(tmp_path, sc)
-    _, declared, lines = reporting.read_trace(str(path))
-    idx = next(i for i, ln in enumerate(lines) if ln.startswith("E "))
-    parts = lines[idx].split()
-    parts[-1] = "0" * 16
-    lines[idx] = " ".join(parts)
-    result = explorer.replay(sc, lines, declared)
-    assert not result.ok
-    assert result.divergence_line == idx
-    assert result.exit_code == EXIT_DIGEST_MISMATCH
+    _, declared, recorded = reporting.read_trace(str(path))
+    actions = [i for i, ln in enumerate(recorded) if ln.startswith("A ")]
+    # tamper with the event right after the first and the last action that
+    # is directly followed by one
+    followed = [k for k, a in enumerate(actions)
+                if a + 1 < len(recorded)
+                and recorded[a + 1].startswith("E ")]
+    assert followed[-1] > followed[0]
+    for k in (followed[0], followed[-1]):
+        idx = actions[k] + 1
+        lines = list(recorded)
+        parts = lines[idx].split()
+        parts[-1] = "0" * 16
+        lines[idx] = " ".join(parts)
+        result = explorer.replay(sc, lines, declared)
+        assert not result.ok
+        assert result.divergence_line == idx
+        assert result.exit_code == EXIT_DIGEST_MISMATCH
+        assert f"after action {k} ({recorded[actions[k]]})" in result.detail
+        assert f"expected event kind {parts[1]}:" in result.detail
 
 
 def test_replay_detects_truncation(tmp_path):

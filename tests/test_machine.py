@@ -1,6 +1,8 @@
 """Hardware-model unit and property tests: entry/exit/async-exit
 semantics, save/restore fidelity, scrubbing, and determinism."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,16 +12,16 @@ from aexlab.harness import Eenter, FlipPerms, run_plan
 from aexlab.interp import step
 from aexlab.machine import (
     E_FAULT, E_HW_AEX, E_HW_EENTER, E_HW_FLIP, E_RETIRE, EntryDenied,
-    HW_REENTRY_MASK, HwExt, MASK64, MODE_ENCLAVE, MODE_OS, NREGS, PERM_R,
-    PERM_W, PERM_X, PRIVATE, PUBLIC, RDI, RIP, RSP, ResumeDenied,
-    SCRUB_VALUES, SGX1, SGX2, SYNC_VECTORS, UnknownPage, VEC_DIV,
-    VEC_EXT_INT, VEC_PAGE_FAULT, Memory, Page, reports_to_enclave,
+    HW_REENTRY_MASK, HwExt, MachineError, MASK64, MODE_ENCLAVE, MODE_OS,
+    NREGS, PERM_R, PERM_W, PERM_X, PRIVATE, PUBLIC, RDI, RIP, RSP,
+    ResumeDenied, SCRUB_VALUES, SGX1, SGX2, SYNC_VECTORS, UnknownPage,
+    VEC_DIV, VEC_EXT_INT, VEC_PAGE_FAULT, Memory, Page, reports_to_enclave,
 )
 from aexlab.runtimes import (
     ASLR_RANGE, CMD_ORET, Layout, aslr_shift, build_runtime, layout_regions,
 )
 
-from conftest import CODE, DATA, make_raw_machine
+from conftest import CODE, DATA, PUB, make_raw_machine
 
 
 def enclave_machine(nssa=2):
@@ -66,7 +68,6 @@ def test_eenter_then_eexit_identity():
 
 def test_eenter_requires_os_mode_and_free_tcs():
     m, _ = enclave_machine()
-    from aexlab.machine import MachineError
     with pytest.raises(MachineError):
         m.eenter([0] * NREGS, aep=0)
 
@@ -321,6 +322,68 @@ def test_identical_event_sequences_identical_digests():
         return m.digest()
 
     assert drive() == drive()
+
+
+def _spec_digest(m):
+    return hashlib.sha256(repr(m.canonical()).encode()).hexdigest()[:16]
+
+
+def test_digest_of_empty_and_one_cell_memory():
+    # the cell part is `repr` of a tuple: "()" when empty, and a trailing
+    # comma for exactly one cell
+    m, _ = enclave_machine()
+    assert m.mem.canonical() == []
+    assert m.digest() == _spec_digest(m)
+    for value, secret in ((5, False), (0, True), (MASK64, True)):
+        one, _ = enclave_machine()
+        one.mem.write(DATA, value, secret)
+        assert len(one.mem.canonical()) == 1
+        assert one.digest() == _spec_digest(one)
+
+
+_WORDS = [DATA, DATA + 8, DATA + 0x800, PUB, PUB + 8]
+_digest_ops = st.one_of(
+    st.tuples(st.just("write"), st.sampled_from(_WORDS),
+              st.sampled_from([0, 1, MASK64]) | st.integers(0, MASK64),
+              st.booleans()),
+    st.tuples(st.just("perms"), st.sampled_from([CODE, DATA, PUB]),
+              st.integers(0, PERM_R | PERM_W | PERM_X)),
+    st.tuples(st.just("eenter")),
+    st.tuples(st.just("aex"),
+              st.sampled_from([VEC_EXT_INT, VEC_PAGE_FAULT, VEC_DIV])),
+    st.tuples(st.just("eresume")),
+    st.tuples(st.just("clone")),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_digest_ops, max_size=40))
+def test_digest_equals_the_canonical_repr(ops):
+    # digest after every step, so a cached part that a mutation failed to
+    # clear would show; a clone's writes must not move its parent's digest
+    m, _ = enclave_machine()
+    ancestors = []
+    assert m.digest() == _spec_digest(m)
+    for op in ops:
+        try:
+            if op[0] == "write":
+                m.mem.write(*op[1:])
+            elif op[0] == "perms":
+                m.os_set_page_perms(*op[1:])
+            elif op[0] == "eenter":
+                m.eenter([0] * NREGS, aep=PUB)
+            elif op[0] == "aex":
+                m.aex(op[1])
+            elif op[0] == "eresume":
+                m.eresume()
+            else:
+                ancestors.append((m, m.digest()))
+                m = m.clone()
+        except (MachineError, EntryDenied, ResumeDenied):
+            pass
+        assert m.digest() == _spec_digest(m)
+        for parent, digest in ancestors:
+            assert parent.digest() == digest == _spec_digest(parent)
 
 
 def test_clone_is_independent():
