@@ -214,14 +214,21 @@ REENTRY_CMDS = (CMD_ORET, CMD_INVALID, CMD_EXCEPTION)
 
 @dataclass
 class SearchStats:
+    """Plans covered (`runs`), with their steps and injected boundaries.
+    A plan covered by its clean representative counts the representative's
+    steps.  `executed` counts the plans actually run; it depends on the
+    pruning, not on the space, so reports leave it out."""
+
     runs: int = 0
     steps: int = 0
     boundaries: int = 0
+    executed: int = 0
 
     def merge(self, other: "SearchStats") -> None:
         self.runs += other.runs
         self.steps += other.steps
         self.boundaries += other.boundaries
+        self.executed += other.executed
 
     def to_dict(self) -> dict:
         return {"runs": self.runs, "steps": self.steps,
@@ -317,42 +324,84 @@ def _monitored(checkpoint: SafetyMonitor, trace: list) -> SafetyMonitor:
     return monitor
 
 
+def _covered(image: EnclaveImage, snapshot: Machine, actions: list,
+             rep: tuple[list, int, int],
+             budget: SearchBudget) -> tuple[int, int]:
+    """The steps and boundaries of the plan `actions` without running it.
+    Its representative `rep` (actions, steps, boundaries) is the same plan
+    under the first payload binding, and no payload value reached a sink in
+    it, so this plan's run equals the representative's.
+    scripts/prune_soundness.py wraps this function to run both and compare."""
+    return rep[1], rep[2]
+
+
+def _attempt(image: EnclaveImage, snapshot: Machine, entry: tuple,
+             inject: Optional[tuple[int, int]], budget: SearchBudget,
+             track: bool, clean: dict,
+             stats: SearchStats) -> tuple[list, Optional[list], int]:
+    """Run one candidate plan, or count it as covered when `clean` holds a
+    representative of its shape (`inject`).  With `track`, the plan is a
+    representative: it runs with labelled payload registers and is kept in
+    `clean` when the run ends uninfluenced.  Returns the actions, the trace
+    (None when covered) and the boundaries."""
+    actions = _candidate_actions(entry, inject)
+    stats.runs += 1
+    rep = clean.get(inject)
+    if rep is not None:
+        steps, boundaries = _covered(image, snapshot, actions, rep, budget)
+        stats.steps += steps
+        return actions, None, boundaries
+    res = run_plan(snapshot.clone(), image, actions,
+                   max_steps=budget.max_steps_per_run,
+                   payload=PAYLOAD_REGS if track else ())
+    stats.executed += 1
+    stats.steps += res.steps
+    if track and not res.machine.influenced:
+        clean[inject] = (actions, res.steps, res.boundaries)
+    return actions, res.trace, res.boundaries
+
+
 def _search_branch(image: EnclaveImage, snapshot: Machine,
                    checkpoint: SafetyMonitor, cmd_i: int,
                    rsp_i: int, domain: ValueDomain,
                    classes: tuple[int, ...], budget: SearchBudget,
                    stats: SearchStats) -> Optional[Counterexample]:
+    """Enumerate the plans of one (command, rsp) branch, payload binding by
+    payload binding.  The first binding's plans are the representatives; a
+    later binding's plan whose representative ran clean is counted without
+    being run, since it would repeat that run exactly.  A covered plan can
+    only violate where its representative, searched first, already did."""
     cmd = REENTRY_CMDS[cmd_i]
     rsp_bind = domain.words[rsp_i]
+    clean: dict = {}    # plan shape -> clean representative
     for pay_i, payload in enumerate(domain.words):
         entry = _binding_entry(cmd, rsp_bind, payload)
-        actions = _candidate_actions(entry, None)
-        dry = run_plan(snapshot.clone(), image, actions,
-                       max_steps=budget.max_steps_per_run)
-        stats.runs += 1
-        stats.steps += dry.steps
-        monitor = _monitored(checkpoint, dry.trace)
-        if monitor.violated:
-            return Counterexample((cmd_i, rsp_i, pay_i, -1, -1),
-                                  AttackPlan("exhaustive", actions),
-                                  dry.trace, monitor.verdicts(), stats)
-        n_boundaries = min(dry.boundaries, budget.boundary_cap)
+        track = pay_i == 0
+        actions, trace, dry_boundaries = _attempt(
+            image, snapshot, entry, None, budget, track, clean, stats)
+        if trace is not None:
+            monitor = _monitored(checkpoint, trace)
+            if monitor.violated:
+                return Counterexample((cmd_i, rsp_i, pay_i, -1, -1),
+                                      AttackPlan("exhaustive", actions),
+                                      trace, monitor.verdicts(), stats)
+        n_boundaries = min(dry_boundaries, budget.boundary_cap)
         for k in range(n_boundaries + 1):
             for vec in classes:
                 if vec == VEC_PAGE_FAULT and k != 0:
                     continue  # permission faults realize at the entry fetch
-                actions = _candidate_actions(entry, (vec, k))
-                res = run_plan(snapshot.clone(), image, actions,
-                               max_steps=budget.max_steps_per_run)
-                stats.runs += 1
-                stats.steps += res.steps
+                actions, trace, _ = _attempt(
+                    image, snapshot, entry, (vec, k), budget, track, clean,
+                    stats)
                 stats.boundaries += 1
-                monitor = _monitored(checkpoint, res.trace)
+                if trace is None:
+                    continue
+                monitor = _monitored(checkpoint, trace)
                 if monitor.violated:
                     return Counterexample(
                         (cmd_i, rsp_i, pay_i, k, vec),
                         AttackPlan("exhaustive", actions),
-                        res.trace, monitor.verdicts(), stats)
+                        trace, monitor.verdicts(), stats)
     return None
 
 

@@ -50,8 +50,17 @@ def _cmd_run(args) -> int:
               + (f" ({v.detail})" if v.detail else ""))
     if outcome.milestones:
         print("milestones:", " -> ".join(outcome.milestones))
-    print(f"status: {outcome.status}; wall time {wall:.2f}s", file=sys.stderr)
+    work = ""
+    if outcome.executed is not None:
+        work = _work(outcome.executed, outcome.stats.get("runs", 0))
+    print(f"status: {outcome.status}; {work}wall time {wall:.2f}s",
+          file=sys.stderr)
     return outcome.exit_code
+
+
+def _work(executed: int, plans: int) -> str:
+    """The search-work part of a status line: plans run of plans covered."""
+    return f"executed {executed} of {plans} plans; "
 
 
 def _cmd_matrix(args) -> int:
@@ -84,7 +93,10 @@ def _cmd_matrix(args) -> int:
         fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
     sys.stdout.write(text)
-    print(f"wall time {wall:.2f}s", file=sys.stderr)
+    searched = [c for c in cells if c.executed is not None]
+    print(_work(sum(c.executed for c in searched),
+                sum(c.stats.get("runs", 0) for c in searched))
+          + f"wall time {wall:.2f}s", file=sys.stderr)
     if any(c.verdict == "BUDGET" for c in cells):
         return EXIT_BUDGET
     return EXIT_OK

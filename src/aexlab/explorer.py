@@ -4,6 +4,7 @@ runtime-survey matrix."""
 
 from __future__ import annotations
 
+import functools
 import json
 import multiprocessing as mp
 import os
@@ -22,7 +23,8 @@ from .properties import (
     Verdict, any_violation, evaluate, milestones,
 )
 from .runtimes import (
-    EnclaveImage, Toggles, build_machine, build_runtime, fixture_path,
+    EnclaveImage, Layout, Toggles, build_machine, build_runtime,
+    fixture_path,
 )
 
 EXIT_OK = 0
@@ -45,6 +47,7 @@ class Outcome:
     stats: dict
     trace_lines: Optional[list[str]]
     exit_code: int
+    executed: Optional[int] = None   # plans the search ran; None: no search
 
     def report(self, trace_file: Optional[str]) -> dict:
         return reporting.render_report(
@@ -65,11 +68,17 @@ def _image_for(scenario: dict) -> EnclaveImage:
         critical_pad=tg["critical_pad"],
         flag_strategy=tg["flag_strategy"],
     )
-    layout = None
-    if scenario["layout"]:
-        from .runtimes import Layout
-        layout = Layout(**scenario["layout"])
-    return build_runtime(scenario["variant"], layout=layout, toggles=toggles)
+    layout = Layout(**scenario["layout"]) if scenario["layout"] else None
+    return _image(scenario["variant"], layout, toggles)
+
+
+@functools.lru_cache(maxsize=2)
+def _image(variant: str, layout: Optional[Layout],
+           toggles: Toggles) -> EnclaveImage:
+    """The assembled image of a (variant, layout, toggles) key.  A run and
+    the replay or minimization of its trace share one assembly; images are
+    never mutated (the decoded dispatch tables they cache are immutable)."""
+    return build_runtime(variant, layout=layout, toggles=toggles)
 
 
 def _grant_for(scenario: dict, image: EnclaveImage):
@@ -122,6 +131,7 @@ def run(scenario: dict, workers: int = 1) -> Outcome:
     sgx = scenario["sgx_version"]
     budgets = scenario["budgets"]
     actions = None
+    executed = None
 
     if mode == "monte_carlo":
         rate = adversary.estimate_single_shot_rate(scenario["trials"],
@@ -170,14 +180,15 @@ def run(scenario: dict, workers: int = 1) -> Outcome:
             grant=_grant_for(scenario, image), workers=workers,
             sp_mode=scenario["sp_confinement_mode"])
         stats = out.stats.to_dict()
+        executed = out.stats.executed
         if isinstance(out, adversary.BudgetExceeded):
             return Outcome(scenario, "budget_exceeded", [], (), stats,
-                           None, EXIT_BUDGET)
+                           None, EXIT_BUDGET, executed)
         if isinstance(out, adversary.NoneFound):
             verdicts = [Verdict(p, "no_violation_found", stats=stats)
                         for p in scenario["properties"]]
             return Outcome(scenario, "ok", verdicts, (), stats, None,
-                           EXIT_OK)
+                           EXIT_OK, executed)
         actions = prefix_plan() + out.plan.actions
         stats["branch"] = list(out.branch)
 
@@ -189,7 +200,7 @@ def run(scenario: dict, workers: int = 1) -> Outcome:
     verdicts = _verdicts(scenario, image, res.trace)
     code = EXIT_VIOLATION if any_violation(verdicts) else EXIT_OK
     return Outcome(scenario, "ok", verdicts, milestones(res.trace, image),
-                   stats, lines, code)
+                   stats, lines, code, executed)
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +398,9 @@ class MatrixCell:
     exception_handling: bool
     verdict: str                    # VULN | SAFE | BUDGET
     stats: dict
+    # plans the certification ran; None on a row that reuses the
+    # certification of an earlier row
+    executed: Optional[int] = None
 
 
 def load_mapping(path: Optional[str] = None) -> list[dict]:
@@ -405,9 +419,9 @@ def _matrix_cell(args):
         "adversary": "exhaustive", "toggles": toggles})
     out = run(scenario, workers=1)
     if out.status == "budget_exceeded":
-        return ("BUDGET", out.stats)
+        return ("BUDGET", out.stats, out.executed)
     verdict = "VULN" if any_violation(out.verdicts) else "SAFE"
-    return (verdict, out.stats)
+    return (verdict, out.stats, out.executed)
 
 
 def run_matrix(mapping: list[dict], sgx_version: int,
@@ -431,13 +445,16 @@ def run_matrix(mapping: list[dict], sgx_version: int,
     by_key = dict(zip(keys, results))
 
     cells = []
+    seen = set()
     for row in mapping:
         toggles = row.get("toggles") or {}
         key = (row["variant"], sgx_version, tuple(sorted(toggles.items())))
-        verdict, stats = by_key[key]
+        verdict, stats, executed = by_key[key]
         cells.append(MatrixCell(row["runtime"], row["variant"],
                                 bool(row.get("exception_handling", True)),
-                                verdict, stats))
+                                verdict, stats,
+                                None if key in seen else executed))
+        seen.add(key)
     return cells
 
 

@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .interp import step
+from .interp import step, tracking
 from .machine import (
-    E_ADV_SEED, EntryDenied, MASK64, MODE_ENCLAVE, REG_IDS,
+    E_ADV_SEED, EntryDenied, MASK64, MODE_ENCLAVE, REG_IDS, RSI, RSP,
     ResumeDenied, Machine,
 )
 from .runtimes import EnclaveImage
@@ -115,13 +115,23 @@ def run_plan(machine: Machine, image: EnclaveImage, actions: list,
              max_steps: int = DEFAULT_MAX_STEPS,
              on_action: Optional[Callable[[int, object], None]] = None,
              after_events: Optional[Callable[[], None]] = None,
-             before_step: Optional[Callable[[Machine], None]] = None
-             ) -> RunResult:
+             before_step: Optional[Callable[[Machine], None]] = None,
+             payload: tuple[str, ...] = ()) -> RunResult:
     """Execute `actions` to completion.  `on_action` is called before each
     action is applied (for trace serialization); `after_events` after every
     atomic machine transition (for digest recording); `before_step` with
-    the machine right before each instruction (for state collection)."""
+    the machine right before each instruction (for state collection).
+
+    `payload` names staged registers that carry the attacker's payload: an
+    entry that uses the staged registers labels them, the run steps the
+    program's tracking twin, and ``machine.influenced`` ends up False only
+    if the run's trace cannot depend on their values."""
     program = image.program
+    labels = 0
+    if payload:
+        program = tracking(program)
+        for name in payload:
+            labels |= 1 << REG_IDS[name]
     staged: dict[str, int] = {}
     armed: Optional[InjectAex] = None     # pending for the next window
     live: Optional[InjectAex] = None      # counting in the current window
@@ -206,6 +216,11 @@ def run_plan(machine: Machine, image: EnclaveImage, actions: list,
             aep = action.aep if action.aep is not None else image.layout.aep
             try:
                 machine.eenter(os_regs, aep)
+                if labels and action.regs is None:
+                    machine.payload = labels
+                    # rsp is a sink, rsi a field of the eenter event
+                    if labels & (1 << RSP | 1 << RSI):
+                        machine.influenced = True
                 notify()
             except EntryDenied:
                 notify()

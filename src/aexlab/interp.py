@@ -7,6 +7,10 @@ the only legal next hardware transition is then an asynchronous exit of
 that class.  Each program is decoded once, on its first step, into
 per-address handlers (see ``decode``).
 
+``tracking`` gives a program's twin whose steps also move the
+attacker-payload label, for runs that must prove they do not depend on the
+payload's value.
+
 ``complete_critical`` finishes an interrupted critical span against a
 saved frame instead of live registers.  It has no semantics of its own: it
 runs the span through ``step`` on a scratch context built from the frame,
@@ -16,6 +20,7 @@ does not retire.
 
 from __future__ import annotations
 
+import dataclasses
 import operator
 
 from .isa import (
@@ -502,6 +507,230 @@ def _set_frame_field(frame: SSAFrame, field: int, value: int, sec: bool) -> None
 
 
 # ---------------------------------------------------------------------------
+# Attacker-payload labels
+# ---------------------------------------------------------------------------
+# A second label, next to the secret taint, marks values that came from the
+# attacker's payload registers: ``Machine.payload`` and ``SSAFrame.payload``
+# (register masks) and ``Memory.payload`` (labelled cells).  Data moves copy
+# it (mov, the value of load/store/push/pop, memcpy contents, read_ssa and
+# write_ssa, and in machine.py the SSA save and restore); arithmetic keeps
+# it; immediate writes and scrub clear it.  A labelled value that reaches a
+# sink sets ``Machine.influenced``:
+#   - a memory address, memcpy's dst/src/len included;
+#   - a compare-and-jump operand;
+#   - rsp;
+#   - a control target: ret of a labelled cell, jmp_reg, eexit's register,
+#     a labelled saved rip on emulate_critical or on eresume (machine.py);
+#   - an event field: the exit's rax (machine.py).
+# Every other effect of an instruction is a function of unlabelled values,
+# so a run that ends without ``influenced`` emits the same trace, status and
+# step count under any payload value.
+#
+# Each tracked handler computes its sinks and the operands' labels before
+# running the plain handler, and moves the labels after it retires: the
+# instruction semantics stay the plain handlers', and runs of the plain
+# table pay nothing for labels.
+
+def _label(m: Machine, r: int, lab) -> None:
+    """Set or clear register r's label.  rip never keeps one (every
+    instruction rewrites it); a labelled rsp is a sink."""
+    if lab and r != RIP:
+        m.payload |= 1 << r
+        if r == RSP:
+            m.influenced = True
+    else:
+        m.payload &= ~(1 << r)
+
+
+def _label_cell(labelled: set, addr: int, lab) -> None:
+    if lab:
+        labelled.add(addr)
+    else:
+        labelled.discard(addr)
+
+
+def _t_mov_rr(m, pc, a, b, c):
+    lab = m.payload >> b & 1
+    sig = _mov_rr(m, pc, a, b, c)
+    _label(m, a, lab)
+    return sig
+
+
+def _t_mov_ri(m, pc, a, b, c):
+    m.payload &= ~(1 << a)
+    return _mov_ri(m, pc, a, b, c)
+
+
+def _t_load(m, pc, a, b, c):
+    if m.payload >> b & 1:
+        m.influenced = True
+    addr = (m.regs[b] + c) & MASK64
+    sig = _load(m, pc, a, b, c)
+    if sig == "ok":
+        _label(m, a, addr in m.mem.payload)
+    return sig
+
+
+def _t_store(m, pc, a, b, c):
+    if m.payload >> a & 1:
+        m.influenced = True
+    addr = (m.regs[a] + b) & MASK64
+    lab = m.payload >> c & 1
+    sig = _store(m, pc, a, b, c)
+    if sig == "ok":
+        _label_cell(m.mem.payload, addr, lab)
+    return sig
+
+
+def _t_push(m, pc, a, b, c):
+    lab = m.payload >> a & 1
+    sig = _push(m, pc, a, b, c)
+    if sig == "ok":
+        _label_cell(m.mem.payload, m.regs[RSP], lab)
+    return sig
+
+
+def _t_pop(m, pc, a, b, c):
+    addr = m.regs[RSP]
+    sig = _pop(m, pc, a, b, c)
+    if sig == "ok":
+        # pop rsp leaves rsp at addr + 8, whatever the popped word was
+        _label(m, a, a != RSP and addr in m.mem.payload)
+    return sig
+
+
+def _t_cmpj_i(m, pc, a, b, c):
+    if m.payload >> a & 1:
+        m.influenced = True
+    return _cmpj_i(m, pc, a, b, c)
+
+
+def _t_cmpj_r(m, pc, a, b, c):
+    if m.payload & (1 << a | 1 << b):
+        m.influenced = True
+    return _cmpj_r(m, pc, a, b, c)
+
+
+def _t_jmp_reg(m, pc, a, b, c):
+    if m.payload >> a & 1:
+        m.influenced = True
+    return _jmp_reg(m, pc, a, b, c)
+
+
+def _t_call(m, pc, a, b, c):
+    sig = _call(m, pc, a, b, c)
+    if sig == "ok":
+        m.mem.payload.discard(m.regs[RSP])
+    return sig
+
+
+def _t_ret(m, pc, a, b, c):
+    if m.regs[RSP] in m.mem.payload:
+        m.influenced = True
+    return _ret(m, pc, a, b, c)
+
+
+def _t_memcpy(m, pc, a, b, c):
+    if m.payload & (1 << a | 1 << b | 1 << c):
+        m.influenced = True
+    regs, mem = m.regs, m.mem
+    dst, src, nbytes = regs[a], regs[b], regs[c]
+    sig = _memcpy(m, pc, a, b, c)
+    labelled = mem.payload
+    if labelled and not (dst % 8 or src % 8 or nbytes % 8):
+        # the words the copy moved: ascending, up to a faulting word
+        for i in range(nbytes // 8):
+            s = (src + 8 * i) & MASK64
+            d = (dst + 8 * i) & MASK64
+            if not (mem.readable(s) and mem.writable(d)):
+                break
+            _label_cell(labelled, d, s in labelled)
+    return sig
+
+
+def _t_scrub(m, pc, a, b, c):
+    m.payload &= ~a
+    return _scrub(m, pc, a, b, c)
+
+
+def _t_read_ssa(m, pc, a, b, c):
+    cssa = m.tcs.cssa
+    lab = cssa >= 1 and b < NREGS and m.ssa[cssa - 1].payload >> b & 1
+    sig = _read_ssa(m, pc, a, b, c)
+    if sig == "ok":
+        _label(m, a, lab)
+    return sig
+
+
+def _t_write_ssa(m, pc, a, b, c):
+    sig = _write_ssa(m, pc, a, b, c)
+    if sig == "ok":
+        frame = m.ssa[m.tcs.cssa - 1]
+        if m.payload >> b & 1:
+            frame.payload |= 1 << a
+        else:
+            frame.payload &= ~(1 << a)
+    return sig
+
+
+def _t_eexit_r(m, pc, a, b, c):
+    if m.payload >> a & 1:
+        m.influenced = True
+    return _eexit_r(m, pc, a, b, c)
+
+
+def _t_begin_atomic(m, pc, a, b, c):
+    m.payload &= ~(1 << RAX)
+    return _begin_atomic(m, pc, a, b, c)
+
+
+def _t_set_flag(m, pc, a, b, c):
+    sig = _set_flag(m, pc, a, b, c)
+    if sig == "ok":
+        m.mem.payload.discard(a)
+    return sig
+
+
+def _t_emulate_critical(m, pc, a, b, c):
+    """`a` is the program; the completion steps its tracking twin."""
+    cssa = m.tcs.cssa
+    if cssa >= 1 and m.ssa[cssa - 1].payload >> RIP & 1:
+        m.influenced = True
+    return _emulate_critical(m, pc, tracking(a), b, c)
+
+
+# plain handler -> tracked handler; the others move no label and read no
+# labelled operand
+_TRACKED = {
+    _mov_rr: _t_mov_rr, _mov_ri: _t_mov_ri, _load: _t_load,
+    _store: _t_store, _push: _t_push, _pop: _t_pop,
+    _cmpj_i: _t_cmpj_i, _cmpj_r: _t_cmpj_r, _jmp_reg: _t_jmp_reg,
+    _call: _t_call, _ret: _t_ret, _memcpy: _t_memcpy, _scrub: _t_scrub,
+    _read_ssa: _t_read_ssa, _write_ssa: _t_write_ssa,
+    _eexit_r: _t_eexit_r, _begin_atomic: _t_begin_atomic,
+    _set_flag: _t_set_flag, _emulate_critical: _t_emulate_critical,
+}
+
+
+def tracking(program: Program) -> Program:
+    """The twin of `program` whose steps also move payload labels: the same
+    code under the table of tracked handlers, which is built once and kept
+    on the program.  The twin itself is not kept, so no reference cycle
+    outlives a run."""
+    table = program.tracked
+    if table is None:
+        table = {}
+        for pc, ins in decode(program).items():
+            if ins[0] in _TRACKED:  # the others keep the plain entry
+                ins = (_TRACKED[ins[0]],) + ins[1:]
+            table[pc] = ins
+        program.tracked = table
+    twin = dataclasses.replace(program)
+    twin.decoded = table
+    return twin
+
+
+# ---------------------------------------------------------------------------
 # Critical-span completion against a saved frame
 # ---------------------------------------------------------------------------
 
@@ -551,6 +780,7 @@ def complete_critical(m: Machine, program: Program,
     ctx.mode = MODE_ENCLAVE
     ctx.regs = list(frame.regs)
     ctx.taint = frame.taint
+    ctx.payload = frame.payload
     steps = 0
     while in_crit_ranges(program, pc):
         if steps >= MAX_COMPLETION_STEPS:
@@ -569,4 +799,7 @@ def complete_critical(m: Machine, program: Program,
             raise InterpError(f"critical completion: {render(ins)} at "
                               f"{pc:#x} gave {signal!r}")
         pc = ctx.regs[RIP]
-    return SSAFrame(ctx.regs, ctx.taint, frame.valid, frame.vector)
+    if ctx.influenced:
+        m.influenced = True
+    return SSAFrame(ctx.regs, ctx.taint, frame.valid, frame.vector,
+                    ctx.payload)

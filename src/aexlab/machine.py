@@ -156,7 +156,9 @@ def _page_index(pages: list[Page]) -> tuple[int, dict[int, tuple[Page, ...]]]:
 class Memory:
     """Word-addressed memory: 8-byte little-endian cells at 8-aligned
     addresses, each carrying a secret/public taint bit.  Reads of unwritten
-    cells inside a mapped page return zero, public.
+    cells inside a mapped page return zero, public.  ``payload`` holds the
+    cells labelled as attacker payload (see ``interp.tracking``); it is not
+    part of the canonical state.
 
     Pages are immutable and the page list and its index are shared between
     clones; ``set_perms`` gives this memory its own copy (copy-on-write).
@@ -165,13 +167,14 @@ class Memory:
     Each clears its part of the cached ``repr`` that ``Machine.digest``
     splices in (``cells_repr``, ``pages_repr``); clones share the strings."""
 
-    __slots__ = ("pages", "cells", "secret", "shift", "index", "_cells_repr",
-                 "_pages_repr")
+    __slots__ = ("pages", "cells", "secret", "payload", "shift", "index",
+                 "_cells_repr", "_pages_repr")
 
     def __init__(self, pages: list[Page]):
         self.pages = list(pages)
         self.cells: dict[int, int] = {}
         self.secret: set[int] = set()
+        self.payload: set[int] = set()
         self.shift, self.index = _page_index(self.pages)
         self._cells_repr: Optional[str] = None
         self._pages_repr: Optional[str] = None
@@ -183,6 +186,7 @@ class Memory:
         m.index = self.index
         m.cells = dict(self.cells)
         m.secret = set(self.secret)
+        m.payload = set(self.payload)
         m._cells_repr = self._cells_repr
         m._pages_repr = self._pages_repr
         return m
@@ -283,16 +287,18 @@ class SSAFrame:
     """One saved execution context: a full register snapshot plus the
     exit-information fields written by the hardware on async exit."""
 
-    __slots__ = ("regs", "taint", "valid", "vector")
+    __slots__ = ("regs", "taint", "valid", "vector", "payload")
 
-    def __init__(self, regs=None, taint=0, valid=0, vector=0):
+    def __init__(self, regs=None, taint=0, valid=0, vector=0, payload=0):
         self.regs = list(regs) if regs is not None else [0] * NREGS
         self.taint = taint          # bitmask over register ids
         self.valid = valid
         self.vector = vector
+        self.payload = payload      # payload-label bitmask, not canonical
 
     def clone(self) -> "SSAFrame":
-        return SSAFrame(self.regs, self.taint, self.valid, self.vector)
+        return SSAFrame(self.regs, self.taint, self.valid, self.vector,
+                        self.payload)
 
     def canonical(self) -> tuple:
         return (tuple(self.regs), self.taint, self.valid, self.vector)
@@ -420,12 +426,17 @@ class Machine:
     driven by the harness; ``clone`` gives an independent copy for search
     branches.  ``auto_mask`` / ``auto_atomic`` arm the respective extension
     at every synchronous entry (the hardware-managed entry window).
+
+    ``payload`` is the register mask of the attacker-payload label and
+    ``influenced`` records that a labelled value reached an address, a
+    branch, rsp, a control target or an event field (see
+    ``interp.tracking``).  Neither is part of the canonical state.
     """
 
     __slots__ = ("mode", "regs", "taint", "mem", "tcs", "ssa", "aep",
                  "sgx_version", "hw", "cycle", "trace", "auto_mask",
                  "auto_atomic", "entry_atomic_cycles", "pending_fault",
-                 "halted")
+                 "halted", "payload", "influenced")
 
     def __init__(self, mem: Memory, tcs: TCS, sgx_version: int = SGX2,
                  hw: Optional[HwExt] = None, auto_mask: bool = False,
@@ -446,6 +457,8 @@ class Machine:
         self.entry_atomic_cycles = entry_atomic_cycles
         self.pending_fault = -1     # vector awaiting the mandatory aex
         self.halted = False
+        self.payload = 0
+        self.influenced = False
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -468,6 +481,8 @@ class Machine:
         m.entry_atomic_cycles = self.entry_atomic_cycles
         m.pending_fault = self.pending_fault
         m.halted = self.halted
+        m.payload = self.payload
+        m.influenced = self.influenced
         return m
 
     def emit(self, kind: int, pc: int, a: int = 0, b: int = 0, c: int = 0):
@@ -494,6 +509,7 @@ class Machine:
             raise EntryDenied("reentry_masked")
         self.regs = list(os_regs)
         self.taint = 0
+        self.payload = 0
         self.regs[RIP] = self.tcs.entry_point
         self.aep = aep
         self.mode = MODE_ENCLAVE
@@ -520,6 +536,8 @@ class Machine:
             self.hw.masked = False
         self.hw.atomic = False
         self.hw.deferred_vector = -1   # became an OS-side interrupt
+        if self.payload >> RAX & 1:
+            self.influenced = True
         self.emit(E_EXIT, pc, target & MASK64, self.taint & ~(1 << RIP),
                   self.regs[RAX])
 
@@ -542,11 +560,13 @@ class Machine:
         frame = self.ssa[self.tcs.cssa]
         frame.regs = list(self.regs)
         frame.taint = self.taint
+        frame.payload = self.payload
         frame.valid = 1 if reports_to_enclave(vector, self.sgx_version) else 0
         frame.vector = vector
         self.tcs.cssa += 1
         self.regs = list(SCRUB_VALUES)
         self.taint = 0
+        self.payload = 0
         self.regs[RIP] = self.aep
         self.mode = MODE_OS
         self.tcs.busy = False
@@ -566,6 +586,9 @@ class Machine:
         self.tcs.cssa -= 1
         self.regs = list(frame.regs)
         self.taint = frame.taint
+        self.payload = frame.payload
+        if self.payload & (1 << RIP | 1 << RSP):
+            self.influenced = True
         self.mode = MODE_ENCLAVE
         self.tcs.busy = True
         self.emit(E_HW_ERESUME, self.regs[RIP])

@@ -213,7 +213,9 @@ def test_checkpointed_monitor_agrees_with_full_evaluation(
     monkeypatch.setattr(adversary, "_monitored", checked)
     out = exhaustive_attacker(build_runtime(variant), SGX2, sp_mode=sp_mode)
     assert isinstance(out, expect)
-    assert len(compared) == out.stats.runs
+    # every executed run is monitored; a plan covered by its clean
+    # representative is not run (tests/test_pruning.py checks those)
+    assert len(compared) == out.stats.executed
     assert compared.count(True) == (expect is Counterexample)
 
 

@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from aexlab import adversary, explorer, harness, properties, reporting
+from aexlab import adversary, explorer, harness, isa, properties, reporting
 from aexlab.explorer import (
     EXIT_BUDGET, EXIT_DIGEST_MISMATCH, EXIT_OK, EXIT_VIOLATION,
 )
@@ -170,6 +170,26 @@ def test_replay_detects_truncation(tmp_path):
     _, declared, lines = reporting.read_trace(str(path))
     result = explorer.replay(sc, lines[:-3], declared)
     assert not result.ok and result.exit_code == EXIT_DIGEST_MISMATCH
+
+
+def test_run_and_replay_share_one_assembly(tmp_path, monkeypatch):
+    assemble = isa.assemble
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return assemble(*args, **kwargs)
+    monkeypatch.setattr(isa, "assemble", counted)
+    sc = scenario(variant="sdk_style", adversary="scripted")
+    explorer._image.cache_clear()
+    path, out = make_trace(tmp_path, sc)
+    got_sc, declared, lines = reporting.read_trace(str(path))
+    assert explorer.replay(got_sc, lines, declared).ok
+    assert len(calls) == 1
+    # a cold image records the same bytes as the memoized one
+    explorer._image.cache_clear()
+    assert explorer.run(sc).trace_lines == out.trace_lines
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("mode,default", [("benign_nested", 15),
