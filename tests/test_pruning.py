@@ -185,6 +185,14 @@ def test_a_faulting_memcpy_moves_the_labels_of_the_copied_prefix():
     assert step(m, prog) == "fault"
     assert m.mem.payload == {DATA, DATA + 8, DATA + 0xFF8}
     assert not m.influenced
+    # no label moves past the fault, even where a later word pair would be
+    # mapped again: word 0x3E01 copies DATA + 8 to PUB
+    m, prog = labelled("    memcpy rsi, rbp, rdx\n    halt $0\n",
+                       {"rbp": CODE, "rsi": DATA + 0xFF8, "rdx": 0x1F010},
+                       labels=())
+    m.mem.payload.add(DATA + 8)
+    assert step(m, prog) == "fault"
+    assert m.mem.payload == {DATA + 8}
 
 
 def test_ssa_save_and_restore_move_labels():
