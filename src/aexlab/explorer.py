@@ -18,6 +18,7 @@ from .harness import (
     benign_critical_exception_plan, benign_nested_plan, benign_plan,
     prefix_plan, run_plan,
 )
+from .isa import Program, render
 from .machine import VECTOR_IDS, Machine
 from .properties import (
     Verdict, any_violation, evaluate, milestones,
@@ -274,16 +275,32 @@ class ReplayResult:
     exit_code: int = EXIT_OK
 
 
-def _divergence(body_lines: list[str], i: int, got: str) -> str:
+# event kinds whose first field is the pc of the instruction that emitted it
+_PC_EVENTS = frozenset({"retire", "store", "sp_assign", "ctrl", "fault",
+                        "leak", "exit", "halt", "memr", "memcpy"})
+
+
+def _divergence(body_lines: list[str], i: int, got: str,
+                program: Program) -> str:
     """Name what diverged at body line `i`: the last action applied before
-    it (0-based, with its line) and the kind of the expected line."""
+    it (0-based, with its line), the kind of the expected line and, for an
+    event emitted by an instruction, that instruction disassembled."""
     applied = [ln for ln in body_lines[:i] if ln.startswith("A ")]
     where = (f"after action {len(applied) - 1} ({applied[-1]})" if applied
              else "before the first action")
     want = body_lines[i]
-    what = (f"event kind {want.split()[1]}" if want.startswith("E ")
-            else "an action line")
-    return f"{where}, expected {what}: expected {want!r}, got {got!r}"
+    if not want.startswith("E "):
+        return (f"{where}, expected an action line: expected {want!r}, "
+                f"got {got!r}")
+    parts = want.split()
+    detail = (f"{where}, expected event kind {parts[1]}: expected {want!r}, "
+              f"got {got!r}")
+    if parts[1] in _PC_EVENTS:
+        pc = int(parts[2], 16)
+        ins = program.code.get(pc)
+        text = render(ins) if ins is not None else "not in the program"
+        detail += f"; instruction {pc:#x}: {text}"
+    return detail
 
 
 def replay(scenario: dict, body_lines: list[str],
@@ -299,7 +316,8 @@ def replay(scenario: dict, body_lines: list[str],
     res, lines = _execute(scenario, image, actions, record=True)
     for i, (want, got) in enumerate(zip(body_lines, lines)):
         if want != got:
-            return ReplayResult(False, i, _divergence(body_lines, i, got),
+            return ReplayResult(False, i, _divergence(body_lines, i, got,
+                                                      image.program),
                                 exit_code=EXIT_DIGEST_MISMATCH)
     if len(lines) != len(body_lines):
         return ReplayResult(False, min(len(lines), len(body_lines)),

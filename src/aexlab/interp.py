@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import operator
+import weakref
 
 from .isa import (
     OP_MOV_RR, OP_MOV_RI, OP_LOAD, OP_STORE, OP_PUSH, OP_POP,
@@ -81,7 +82,8 @@ def step(m: Machine, program: Program) -> str:
 # calls the handler with the machine, the pc and the decoded operands.
 # Decoding resolves what does not depend on machine state: the handler of
 # the opcode, the relation of a compare-and-jump, the value set_flag and
-# clear_flag write, and the program emulate_critical completes against.
+# clear_flag write, and (by weak reference) the program emulate_critical
+# completes against.
 # A handler that retires sets rip, counts the cycle and returns "ok".
 
 _ALL_REGS = (1 << NREGS) - 1
@@ -354,6 +356,7 @@ def _write_ssa(m, pc, a, b, c):
         return _abort(m, pc)
     regs = m.regs
     _set_frame_field(m.ssa[m.tcs.cssa - 1], a, regs[b], m.taint >> b & 1)
+    m.platform_changed()
     m.trace.append((E_RETIRE, pc, regs[RSP], 0, 0))
     regs[RIP] = pc + 1
     m.cycle += 1
@@ -426,14 +429,28 @@ def _declassify(m, pc, a, b, c):
 
 
 def _emulate_critical(m, pc, a, b, c):
-    """`a` is the program, resolved at decode time."""
+    """`a` is a weak reference to the program, resolved at decode time."""
+    return _complete_top_frame(m, pc, _deref(a))
+
+
+def _deref(ref: weakref.ref) -> Program:
+    """The program behind a decoded table's weak reference.  The table is
+    stored on that program, so a strong reference would be a cycle."""
+    program = ref()
+    if program is None:
+        raise InterpError("the decoded program was freed while running")
+    return program
+
+
+def _complete_top_frame(m, pc, program):
     if m.tcs.cssa < 1:
         return _abort(m, pc)
     frame = m.ssa[m.tcs.cssa - 1]
     # classify first: contexts interrupted outside the registered spans
     # are already safe and pass through unchanged
-    if in_crit_ranges(a, frame.regs[RIP]):
-        m.ssa[m.tcs.cssa - 1] = complete_critical(m, a, frame)
+    if in_crit_ranges(program, frame.regs[RIP]):
+        m.ssa[m.tcs.cssa - 1] = complete_critical(m, program, frame)
+        m.platform_changed()
     regs = m.regs
     m.trace.append((E_RETIRE, pc, regs[RSP], 0, 0))
     regs[RIP] = pc + 1
@@ -472,7 +489,7 @@ def _decode_one(program: Program, ins: tuple) -> tuple:
     if op == OP_SET_FLAG or op == OP_CLEAR_FLAG:
         return (_set_flag, a, 1 if op == OP_SET_FLAG else 0, c)
     if op == OP_EMULATE_CRITICAL:
-        return (_emulate_critical, program, b, c)
+        return (_emulate_critical, weakref.ref(program), b, c)
     handler = _HANDLERS.get(op)
     if handler is None:
         return (_undefined, ins, 0, 0)
@@ -504,6 +521,7 @@ def _set_frame_field(frame: SSAFrame, field: int, value: int, sec: bool) -> None
         frame.taint |= (1 << field)
     else:
         frame.taint &= ~(1 << field)
+    frame._repr = None
 
 
 # ---------------------------------------------------------------------------
@@ -692,11 +710,12 @@ def _t_set_flag(m, pc, a, b, c):
 
 
 def _t_emulate_critical(m, pc, a, b, c):
-    """`a` is the program; the completion steps its tracking twin."""
+    """`a` is a weak reference to the program; the completion steps its
+    tracking twin."""
     cssa = m.tcs.cssa
     if cssa >= 1 and m.ssa[cssa - 1].payload >> RIP & 1:
         m.influenced = True
-    return _emulate_critical(m, pc, tracking(a), b, c)
+    return _complete_top_frame(m, pc, tracking(_deref(a)))
 
 
 # plain handler -> tracked handler; the others move no label and read no

@@ -10,6 +10,7 @@ runs and worker processes.
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
 
@@ -153,6 +154,14 @@ def _page_index(pages: list[Page]) -> tuple[int, dict[int, tuple[Page, ...]]]:
     return shift, index
 
 
+def _tuple_repr(parts: list[str]) -> str:
+    """``repr`` of a tuple whose items have the ``repr`` strings `parts`:
+    a one-tuple keeps its trailing comma."""
+    if len(parts) == 1:
+        return f"({parts[0]},)"
+    return f"({', '.join(parts)})"
+
+
 class Memory:
     """Word-addressed memory: 8-byte little-endian cells at 8-aligned
     addresses, each carrying a secret/public taint bit.  Reads of unwritten
@@ -163,12 +172,18 @@ class Memory:
     Pages are immutable and the page list and its index are shared between
     clones; ``set_perms`` gives this memory its own copy (copy-on-write).
 
-    ``write`` and ``set_perms`` are the only mutators of cells and pages.
-    Each clears its part of the cached ``repr`` that ``Machine.digest``
-    splices in (``cells_repr``, ``pages_repr``); clones share the strings."""
+    ``write`` and ``set_perms`` are the only mutators of cells and pages,
+    and each keeps its part of the text that ``Machine.digest`` splices in
+    up to date.  ``set_perms`` clears the cached ``pages_repr``.  The cell
+    part is one ``repr`` string per canonical cell, in address order
+    (``_keys``, ``_parts``), built at the first ``cells_repr``; from then on
+    ``write`` records the written address in ``_dirty`` and ``cells_repr``
+    re-formats only those cells.  A memory never digested has no parts
+    (``_dirty`` is None) and pays only the None check per write; clones
+    copy the parts only when they exist."""
 
     __slots__ = ("pages", "cells", "secret", "payload", "shift", "index",
-                 "_cells_repr", "_pages_repr")
+                 "_keys", "_parts", "_dirty", "_cells_repr", "_pages_repr")
 
     def __init__(self, pages: list[Page]):
         self.pages = list(pages)
@@ -176,7 +191,10 @@ class Memory:
         self.secret: set[int] = set()
         self.payload: set[int] = set()
         self.shift, self.index = _page_index(self.pages)
-        self._cells_repr: Optional[str] = None
+        self._keys: Optional[list[int]] = None
+        self._parts: Optional[list[str]] = None
+        self._dirty: Optional[set[int]] = None
+        self._cells_repr = ""
         self._pages_repr: Optional[str] = None
 
     def clone(self) -> "Memory":
@@ -187,6 +205,12 @@ class Memory:
         m.cells = dict(self.cells)
         m.secret = set(self.secret)
         m.payload = set(self.payload)
+        if self._dirty is None:
+            m._keys = m._parts = m._dirty = None
+        else:
+            m._keys = list(self._keys)
+            m._parts = list(self._parts)
+            m._dirty = set(self._dirty)
         m._cells_repr = self._cells_repr
         m._pages_repr = self._pages_repr
         return m
@@ -255,7 +279,9 @@ class Memory:
             self.secret.add(addr)
         else:
             self.secret.discard(addr)
-        self._cells_repr = None
+        dirty = self._dirty
+        if dirty is not None:
+            dirty.add(addr)
 
     def canonical(self) -> list[tuple[int, int, int]]:
         items = {a: (v, 0) for a, v in self.cells.items() if v}
@@ -265,9 +291,37 @@ class Memory:
         return sorted((a, v, s) for a, (v, s) in items.items())
 
     def cells_repr(self) -> str:
-        """``repr(tuple(self.canonical()))``, cached until the next write."""
-        if self._cells_repr is None:
-            self._cells_repr = repr(tuple(self.canonical()))
+        """``repr(tuple(self.canonical()))``.  Only the cells written since
+        the previous call are formatted again; a cell that became zero and
+        public leaves the tuple."""
+        dirty = self._dirty
+        if dirty is None:
+            cells = self.canonical()
+            self._keys = [a for a, _, _ in cells]
+            self._parts = [repr(c) for c in cells]
+            self._dirty = set()
+        elif dirty:
+            keys, parts = self._keys, self._parts
+            values, secret = self.cells, self.secret
+            for a in dirty:
+                v = values.get(a, 0)
+                s = a in secret
+                i = bisect_left(keys, a)
+                held = i < len(keys) and keys[i] == a
+                if v or s:
+                    text = f"({a}, {v}, {1 if s else 0})"
+                    if held:
+                        parts[i] = text
+                    else:
+                        keys.insert(i, a)
+                        parts.insert(i, text)
+                elif held:
+                    del keys[i]
+                    del parts[i]
+            dirty.clear()
+        else:
+            return self._cells_repr
+        self._cells_repr = _tuple_repr(self._parts)
         return self._cells_repr
 
     def pages_repr(self) -> str:
@@ -285,9 +339,12 @@ class Memory:
 
 class SSAFrame:
     """One saved execution context: a full register snapshot plus the
-    exit-information fields written by the hardware on async exit."""
+    exit-information fields written by the hardware on async exit.
 
-    __slots__ = ("regs", "taint", "valid", "vector", "payload")
+    ``canonical_repr`` is cached; whoever changes a canonical field clears
+    ``_repr`` (``Machine.aex``, ``interp._set_frame_field``)."""
+
+    __slots__ = ("regs", "taint", "valid", "vector", "payload", "_repr")
 
     def __init__(self, regs=None, taint=0, valid=0, vector=0, payload=0):
         self.regs = list(regs) if regs is not None else [0] * NREGS
@@ -295,13 +352,21 @@ class SSAFrame:
         self.valid = valid
         self.vector = vector
         self.payload = payload      # payload-label bitmask, not canonical
+        self._repr: Optional[str] = None
 
     def clone(self) -> "SSAFrame":
-        return SSAFrame(self.regs, self.taint, self.valid, self.vector,
-                        self.payload)
+        f = SSAFrame(self.regs, self.taint, self.valid, self.vector,
+                     self.payload)
+        f._repr = self._repr
+        return f
 
     def canonical(self) -> tuple:
         return (tuple(self.regs), self.taint, self.valid, self.vector)
+
+    def canonical_repr(self) -> str:
+        if self._repr is None:
+            self._repr = repr(self.canonical())
+        return self._repr
 
 
 @dataclass
@@ -431,12 +496,16 @@ class Machine:
     ``influenced`` records that a labelled value reached an address, a
     branch, rsp, a control target or an event field (see
     ``interp.tracking``).  Neither is part of the canonical state.
+
+    ``_platform`` caches the digest text of the TCS, the SSA frames, aep,
+    version and extension state.  Every transition that changes one of them
+    calls ``platform_changed``.
     """
 
     __slots__ = ("mode", "regs", "taint", "mem", "tcs", "ssa", "aep",
                  "sgx_version", "hw", "cycle", "trace", "auto_mask",
                  "auto_atomic", "entry_atomic_cycles", "pending_fault",
-                 "halted", "payload", "influenced")
+                 "halted", "payload", "influenced", "_platform")
 
     def __init__(self, mem: Memory, tcs: TCS, sgx_version: int = SGX2,
                  hw: Optional[HwExt] = None, auto_mask: bool = False,
@@ -459,6 +528,7 @@ class Machine:
         self.halted = False
         self.payload = 0
         self.influenced = False
+        self._platform: Optional[str] = None
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -483,7 +553,13 @@ class Machine:
         m.halted = self.halted
         m.payload = self.payload
         m.influenced = self.influenced
+        m._platform = self._platform
         return m
+
+    def platform_changed(self) -> None:
+        """Drop the cached digest text of the TCS, the SSA frames, aep,
+        version and extension state after one of them changed."""
+        self._platform = None
 
     def emit(self, kind: int, pc: int, a: int = 0, b: int = 0, c: int = 0):
         self.trace.append((kind, pc, a, b, c))
@@ -507,6 +583,7 @@ class Machine:
                 and self.tcs.cssa >= 1):
             self.emit(E_HW_DENIED, 0, DENY_REENTRY_MASKED)
             raise EntryDenied("reentry_masked")
+        self.platform_changed()
         self.regs = list(os_regs)
         self.taint = 0
         self.payload = 0
@@ -529,6 +606,7 @@ class Machine:
         if self.mode != MODE_ENCLAVE:
             raise MachineError("eexit requires enclave mode")
         pc = self.regs[RIP]
+        self.platform_changed()
         self.mode = MODE_OS
         self.tcs.busy = False
         self.regs[RIP] = target & MASK64
@@ -553,6 +631,7 @@ class Machine:
             raise MachineError("aex requires enclave mode")
         if self.tcs.cssa >= self.tcs.nssa:
             raise MachineError("no reserved ssa slot")  # unreachable by construction
+        self.platform_changed()
         if self.hw.kind == HW_IRQ_QUOTA and self.hw.atomic:
             self.hw.deferred_vector = vector
             self.emit(E_HW_DEFER, self.regs[RIP], vector)
@@ -563,6 +642,7 @@ class Machine:
         frame.payload = self.payload
         frame.valid = 1 if reports_to_enclave(vector, self.sgx_version) else 0
         frame.vector = vector
+        frame._repr = None
         self.tcs.cssa += 1
         self.regs = list(SCRUB_VALUES)
         self.taint = 0
@@ -583,6 +663,7 @@ class Machine:
             self.emit(E_HW_DENIED, 0, DENY_NOTHING_TO_RESUME)
             raise ResumeDenied()
         frame = self.ssa[self.tcs.cssa - 1]
+        self.platform_changed()
         self.tcs.cssa -= 1
         self.regs = list(frame.regs)
         self.taint = frame.taint
@@ -607,6 +688,7 @@ class Machine:
             raise MachineError("the OS approves the quota contract")
         if self.hw.kind != HW_IRQ_QUOTA:
             raise MachineError("irq quota extension not present")
+        self.platform_changed()
         self.hw.allowed = allowed
         self.hw.window = window
         self.hw.used = 0
@@ -628,6 +710,7 @@ class Machine:
         """Software request for an interrupt-free window of the declared
         length.  Charged against the per-window quota; the hardware-armed
         entry window is not charged."""
+        self.platform_changed()
         if self.hw.kind == HW_REENTRY_MASK:
             self.hw.masked = True
             return True
@@ -649,6 +732,7 @@ class Machine:
     def end_atomic(self) -> Optional[int]:
         """Close the current atomic window.  Returns a deferred vector to be
         delivered now, if one accrued."""
+        self.platform_changed()
         if self.hw.kind == HW_REENTRY_MASK:
             self.hw.masked = False
             return None
@@ -683,16 +767,24 @@ class Machine:
 
     def digest(self) -> str:
         """The first 16 hex digits of the SHA-256 of ``repr(canonical())``.
-        The text is built field by field so that the memory parts come from
-        the cache that only ``Memory.write`` and ``Memory.set_perms`` clear;
-        it is byte-for-byte the ``repr`` of the canonical tuple."""
-        mem, tcs = self.mem, self.tcs
-        tcs_t = (tcs.entry_point, tcs.cssa, tcs.nssa, tcs.ssa_base,
-                 int(tcs.busy))
-        frames = tuple(f.canonical() for f in self.ssa)
+        The text is spliced from cached segments: the memory cells
+        (re-formatted per written cell), the page permissions, and the
+        platform segment (TCS, SSA frames from each frame's own cache, aep,
+        version, extension state).  Only mode, registers, taint, cycle,
+        pending fault and halted are formatted on every call.  The text is
+        byte-for-byte the ``repr`` of the canonical tuple."""
+        mem = self.mem
+        platform = self._platform
+        if platform is None:
+            tcs = self.tcs
+            tcs_t = (tcs.entry_point, tcs.cssa, tcs.nssa, tcs.ssa_base,
+                     int(tcs.busy))
+            frames = _tuple_repr([f.canonical_repr() for f in self.ssa])
+            platform = self._platform = (
+                f"{tcs_t!r}, {frames}, {self.aep!r}, {self.sgx_version!r}, "
+                f"{self.hw.canonical()!r}")
         text = (f"({self.mode!r}, {tuple(self.regs)!r}, {self.taint!r}, "
-                f"{mem.cells_repr()}, {mem.pages_repr()}, {tcs_t!r}, "
-                f"{frames!r}, {self.aep!r}, {self.sgx_version!r}, "
-                f"{self.hw.canonical()!r}, {self.cycle!r}, "
-                f"{self.pending_fault!r}, {int(self.halted)!r})")
+                f"{mem.cells_repr()}, {mem.pages_repr()}, {platform}, "
+                f"{self.cycle!r}, {self.pending_fault!r}, "
+                f"{int(self.halted)!r})")
         return hashlib.sha256(text.encode()).hexdigest()[:16]

@@ -295,18 +295,18 @@ def action_from_line(line: str):
 
 
 def event_to_line(ev: tuple, digest: str) -> str:
-    kind = EVENT_NAMES[ev[0]]
-    rest = " ".join(f"{x:#x}" for x in ev[1:])
-    return f"E {kind} {rest} {digest}"
+    """Every event is a 5-tuple (kind, pc, a, b, c); see machine.py."""
+    kind, pc, a, b, c = ev
+    return f"E {EVENT_NAMES[kind]} {pc:#x} {a:#x} {b:#x} {c:#x} {digest}"
 
 
 def event_from_line(line: str):
     parts = line.split()
-    if parts[0] != "E":
+    if len(parts) != 7 or parts[0] != "E":
         raise ValueError(f"not an event line: {line!r}")
     kind = EVENT_IDS[parts[1]]
-    fields = tuple(int(x, 16) for x in parts[2:-1])
-    return (kind, *fields), parts[-1]
+    fields = tuple(int(x, 16) for x in parts[2:6])
+    return (kind, *fields), parts[6]
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ import sys
 
 import pytest
 
-from aexlab.runtimes import fixture_path
+from aexlab.isa import render
+from aexlab.runtimes import build_runtime, fixture_path
 
 ENV = dict(os.environ)
 
@@ -109,6 +110,19 @@ def test_replay_mismatch_names_action_and_event_kind(tmp_path):
     assert rc == 3
     assert f"after action 0 ({lines[first]})" in stderr
     assert "expected event kind eenter:" in stderr
+    assert "instruction" not in stderr
+    # the first instruction event names its instruction, disassembled
+    lines = open(golden).read().splitlines()
+    retire = next(i for i, ln in enumerate(lines)
+                  if ln.startswith("E retire "))
+    pc = int(lines[retire].split()[2], 16)
+    lines[retire] = lines[retire][:-16] + "0" * 16
+    tampered.write_text("\n".join(lines) + "\n")
+    rc, _, stderr = cli("replay", "--trace", str(tampered))
+    assert rc == 3
+    assert "expected event kind retire:" in stderr
+    program = build_runtime("sdk_style").program
+    assert f"; instruction {pc:#x}: {render(program.code[pc])}" in stderr
 
 
 def test_matrix_empty_mapping_header_only(tmp_path):

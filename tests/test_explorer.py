@@ -1,6 +1,7 @@
 """Scenario orchestration: run modes, counterexample minimization, trace
 replay, matrix assembly, and cross-worker determinism."""
 
+import importlib.util
 import json
 import os
 
@@ -11,8 +12,8 @@ from aexlab.explorer import (
     EXIT_BUDGET, EXIT_DIGEST_MISMATCH, EXIT_OK, EXIT_VIOLATION,
 )
 from aexlab.harness import Eenter, Eresume, InjectAex
-from aexlab.machine import SGX2
-from aexlab.runtimes import VARIANTS, build_runtime
+from aexlab.machine import EVENT_NAMES, MASK64, SGX2
+from aexlab.runtimes import VARIANTS, build_runtime, fixture_path
 
 
 def scenario(**kv):
@@ -162,6 +163,67 @@ def test_replay_detects_tampered_event(tmp_path):
         assert result.exit_code == EXIT_DIGEST_MISMATCH
         assert f"after action {k} ({recorded[actions[k]]})" in result.detail
         assert f"expected event kind {parts[1]}:" in result.detail
+    # an event emitted by an instruction also names that instruction
+    program = build_runtime("sdk_style").program
+    for kind in ("retire", "store", "sp_assign", "ctrl", "leak", "exit",
+                 "halt", "memr", "memcpy"):
+        idx = next(i for i, ln in enumerate(recorded)
+                   if ln.startswith(f"E {kind} "))
+        lines = list(recorded)
+        parts = lines[idx].split()
+        parts[-1] = "0" * 16
+        lines[idx] = " ".join(parts)
+        result = explorer.replay(sc, lines, declared)
+        assert not result.ok and result.divergence_line == idx
+        pc = int(parts[2], 16)
+        assert result.detail.endswith(
+            f"; instruction {pc:#x}: {isa.render(program.code[pc])}")
+    # an eenter carries the entry point, not an emitting instruction
+    first = recorded[actions[0] + 1]
+    assert first.startswith("E eenter ")
+    lines = list(recorded)
+    lines[actions[0] + 1] = first[:-16] + "0" * 16
+    assert "instruction" not in explorer.replay(sc, lines, declared).detail
+
+
+def test_event_lines_round_trip_every_kind():
+    fields = (0, 1, 0x41ff8, MASK64)
+    for kind in range(len(EVENT_NAMES)):
+        ev = (kind, *fields)
+        line = reporting.event_to_line(ev, "0123456789abcdef")
+        assert line == (f"E {EVENT_NAMES[kind]} 0x0 0x1 0x41ff8 "
+                        "0xffffffffffffffff 0123456789abcdef")
+        assert reporting.event_from_line(line) == (ev, "0123456789abcdef")
+    golden = open(fixture_path("golden/scripted_sdk_sgx2.trace")).read()
+    events = [ln for ln in golden.splitlines() if ln.startswith("E ")]
+    assert {ln.split()[1] for ln in events} >= {"eenter", "aex", "retire"}
+    for ln in events:
+        assert reporting.event_to_line(*reporting.event_from_line(ln)) == ln
+    for bad in ("E retire 0x1 0x2 0x3 0123456789abcdef",
+                "A retire 0x1 0x2 0x3 0x4 0123456789abcdef"):
+        with pytest.raises(ValueError):
+            reporting.event_from_line(bad)
+
+
+def _script(name):
+    path = os.path.join(os.path.dirname(__file__), "..", "scripts",
+                        name + ".py")
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_digest_is_the_canonical_digest():
+    # scripts/digest_agreement.py on the golden scenario and one ASLR sweep:
+    # every digest of the recording and of the replay is the SHA-256 of
+    # repr(canonical())
+    script = _script("digest_agreement")
+    counter = [0]
+    named = [("scripted_sdk_sgx2", script.canonical("scripted_sdk_sgx2")),
+             script.aslr_sweep(300)]
+    assert script.check(named, counter) == ""
+    assert counter[0] > 2 * 1000
 
 
 def test_replay_detects_truncation(tmp_path):

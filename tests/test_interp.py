@@ -1,16 +1,23 @@
 """Interpreter semantics: control transfers, taint propagation, the block
 copy, fault behavior, and step locality."""
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aexlab.interp import InterpError, ST_ABORT, complete_critical, step
+from aexlab.interp import (
+    InterpError, ST_ABORT, complete_critical, decode, step, tracking,
+)
 from aexlab.machine import (
     CTRL_RET, E_CTRL, E_HALT, E_LEAK, MASK64, NREGS, RAX, RBX,
     REG_IDS, RIP, RSP, SCRUB_VALUES, VEC_AC, VEC_DIV, VEC_EXT_INT,
     VEC_PAGE_FAULT, SSAFrame,
 )
+
+from aexlab.runtimes import build_runtime
 
 from conftest import CODE, DATA, PUB, make_raw_machine
 
@@ -344,3 +351,22 @@ def test_step_locality(instructions):
         changed = {a for a in set(mem_before) | set(m.mem.cells)
                    if mem_before.get(a, 0) != m.mem.cells.get(a, 0)}
         assert changed <= ({DATA + arg * 8} if kind == "store" else set())
+
+
+def test_decoded_program_dies_without_the_cycle_collector():
+    # the emulate_critical entry of a decoded table holds its program only
+    # weakly, so reference counting alone frees a decoded, tracked program
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for variant in ("graphene_emulated", "sdk_style"):
+            img = build_runtime(variant)
+            decode(img.program)
+            tracking(img.program)
+            assert img.program.decoded and img.program.tracked
+            program = weakref.ref(img.program)
+            del img
+            assert program() is None, variant
+    finally:
+        if enabled:
+            gc.enable()

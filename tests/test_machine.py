@@ -4,21 +4,25 @@ semantics, save/restore fidelity, scrubbing, and determinism."""
 import hashlib
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aexlab import adversary
-from aexlab.harness import Eenter, FlipPerms, run_plan
-from aexlab.interp import step
+from aexlab.harness import (
+    BENIGN_OCALL_RESULT, BENIGN_REGS, Eenter, FlipPerms, InjectAex, run_plan,
+)
+from aexlab.interp import InterpError, in_crit_ranges, step
+from aexlab.isa import OP_EMULATE_CRITICAL, OP_WRITE_SSA
 from aexlab.machine import (
     E_FAULT, E_HW_AEX, E_HW_EENTER, E_HW_FLIP, E_RETIRE, EntryDenied,
-    HW_REENTRY_MASK, HwExt, MachineError, MASK64, MODE_ENCLAVE, MODE_OS,
-    NREGS, PERM_R, PERM_W, PERM_X, PRIVATE, PUBLIC, RDI, RIP, RSP,
+    HW_IRQ_QUOTA, HW_NONE, HW_REENTRY_MASK, HwExt, MachineError, MASK64,
+    MODE_ENCLAVE, MODE_OS, NREGS, PERM_R, PERM_W, PERM_X, PRIVATE, PUBLIC, RDI, RIP, RSP,
     ResumeDenied, SCRUB_VALUES, SGX1, SGX2, SYNC_VECTORS, UnknownPage,
     VEC_DIV, VEC_EXT_INT, VEC_PAGE_FAULT, Memory, Page, reports_to_enclave,
 )
 from aexlab.runtimes import (
-    ASLR_RANGE, CMD_ORET, Layout, aslr_shift, build_runtime, layout_regions,
+    ASLR_RANGE, CMD_ORET, Layout, aslr_shift, build_machine, build_runtime,
+    layout_regions,
 )
 
 from conftest import CODE, DATA, PUB, make_raw_machine
@@ -346,22 +350,92 @@ _digest_ops = st.one_of(
     st.tuples(st.just("write"), st.sampled_from(_WORDS),
               st.sampled_from([0, 1, MASK64]) | st.integers(0, MASK64),
               st.booleans()),
-    st.tuples(st.just("perms"), st.sampled_from([CODE, DATA, PUB]),
+    st.tuples(st.just("perms"), st.integers(0, 2),
               st.integers(0, PERM_R | PERM_W | PERM_X)),
     st.tuples(st.just("eenter")),
+    st.tuples(st.just("eexit"), st.sampled_from([CODE, PUB])),
     st.tuples(st.just("aex"),
               st.sampled_from([VEC_EXT_INT, VEC_PAGE_FAULT, VEC_DIV])),
     st.tuples(st.just("eresume")),
+    st.tuples(st.just("step"), st.sampled_from([OP_WRITE_SSA,
+                                                OP_EMULATE_CRITICAL])),
+    st.tuples(st.just("grant"), st.integers(0, 64), st.integers(0, 64)),
+    st.tuples(st.just("begin_atomic"), st.integers(0, 16)),
+    st.tuples(st.just("end_atomic")),
     st.tuples(st.just("clone")),
 )
 
+# The start runs a critical span, so every frame an aex saves before a step
+# is interrupted inside it; `emulate_critical` then completes the span
+# (one frame rewrite plus a memory write).
+_SPAN_PROGRAM = """
+    .crit start span
+start:
+    add rbx, $1
+    store [r15+0x20010], rbx
+    .crit end span
+    jmp start
+    write_ssa rbx, rax
+    emulate_critical
+"""
+
+
+@pytest.fixture(scope="module")
+def graphene_interrupted():
+    """A graphene_emulated machine whose ocall return took an async exit
+    inside a critical span: in OS mode, one frame saved."""
+    img = build_runtime("graphene_emulated")
+    m = build_machine(img, SGX2)
+    plan = [Eenter.of(0, regs=dict(BENIGN_REGS)),
+            InjectAex(VEC_EXT_INT, 5),
+            Eenter.of(CMD_ORET, regs={"rsp": 0, "rsi": BENIGN_OCALL_RESULT})]
+    run_plan(m, img, plan)
+    assert m.mode == MODE_OS and m.tcs.cssa == 1
+    assert in_crit_ranges(img.program, m.ssa[0].regs[RIP])
+    return m, img.program
+
+
+def _digest_start(start, graphene_interrupted):
+    if start == "graphene":
+        m, prog = graphene_interrupted
+        return m.clone(), prog
+    m, prog = make_raw_machine(_SPAN_PROGRAM)
+    m.hw = HwExt(kind=start)
+    return m, prog
+
+
+def _step_at(m, prog, op):
+    """Step the program's first instruction of opcode `op` once."""
+    if m.mode == MODE_ENCLAVE and m.pending_fault < 0:
+        m.regs[RIP] = min(pc for pc, ins in prog.code.items()
+                          if ins[0] == op)
+        step(m, prog)
+
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(_digest_ops, max_size=40))
-def test_digest_equals_the_canonical_repr(ops):
-    # digest after every step, so a cached part that a mutation failed to
-    # clear would show; a clone's writes must not move its parent's digest
-    m, _ = enclave_machine()
+@given(st.sampled_from([HW_NONE, HW_IRQ_QUOTA, HW_REENTRY_MASK, "graphene"]),
+       st.lists(_digest_ops, max_size=40))
+@example(HW_NONE, [("aex", VEC_EXT_INT), ("eenter",), ("clone",),
+                   ("step", OP_WRITE_SSA), ("clone",),
+                   ("step", OP_EMULATE_CRITICAL), ("eexit", PUB),
+                   ("write", DATA + 0x10, 0, True),
+                   ("write", DATA + 0x10, 0, False), ("perms", 1, PERM_R),
+                   ("eresume",)])
+@example(HW_IRQ_QUOTA, [("aex", VEC_EXT_INT), ("grant", 8, 64),
+                        ("eenter",), ("begin_atomic", 4),
+                        ("aex", VEC_PAGE_FAULT), ("end_atomic",),
+                        ("aex", VEC_PAGE_FAULT), ("eresume",)])
+@example(HW_REENTRY_MASK, [("begin_atomic", 1), ("aex", VEC_EXT_INT),
+                           ("eenter",), ("end_atomic",), ("eenter",),
+                           ("eexit", PUB)])
+@example("graphene", [("eenter",), ("clone",),
+                      ("step", OP_EMULATE_CRITICAL), ("clone",),
+                      ("step", OP_WRITE_SSA), ("eexit", PUB)])
+def test_digest_equals_the_canonical_repr(graphene_interrupted, start, ops):
+    # digest after every operation, so a cached segment that a mutator
+    # failed to clear would show; a clone's writes, frame writes included,
+    # must not move its parent's digest
+    m, prog = _digest_start(start, graphene_interrupted)
     ancestors = []
     assert m.digest() == _spec_digest(m)
     for op in ops:
@@ -369,17 +443,27 @@ def test_digest_equals_the_canonical_repr(ops):
             if op[0] == "write":
                 m.mem.write(*op[1:])
             elif op[0] == "perms":
-                m.os_set_page_perms(*op[1:])
+                m.os_set_page_perms(m.mem.pages[op[1]].base, op[2])
             elif op[0] == "eenter":
                 m.eenter([0] * NREGS, aep=PUB)
+            elif op[0] == "eexit":
+                m.eexit(op[1])
             elif op[0] == "aex":
                 m.aex(op[1])
             elif op[0] == "eresume":
                 m.eresume()
+            elif op[0] == "step":
+                _step_at(m, prog, op[1])
+            elif op[0] == "grant":
+                m.grant_irq_quota(op[1], op[2])
+            elif op[0] == "begin_atomic":
+                m.begin_atomic(op[1])
+            elif op[0] == "end_atomic":
+                m.end_atomic()
             else:
                 ancestors.append((m, m.digest()))
                 m = m.clone()
-        except (MachineError, EntryDenied, ResumeDenied):
+        except (MachineError, EntryDenied, ResumeDenied, InterpError):
             pass
         assert m.digest() == _spec_digest(m)
         for parent, digest in ancestors:
