@@ -377,3 +377,36 @@ def test_toggle_removes_validity_check():
     # exactly the one-line check (read + branch) disappears
     delta = len(with_check.splitlines()) - len(without.splitlines())
     assert delta == 2
+
+
+def _program_pin(variant: str, toggles: Toggles) -> str:
+    img = build_runtime(variant, toggles=toggles)
+    m = build_machine(img, SGX2)
+    meta = (
+        sorted(img.gadgets.items()), sorted(img.legit_ret_targets),
+        sorted(img.restore_ret_pcs), sorted(img.ocall_call_sites),
+        img.oret_ret_pc, img.stack_base, img.trusted_stack_ranges,
+        img.sp_windows, img.crit_ranges, img.entry_atomic_cycles,
+        m.tcs.nssa, m.hw.kind, m.entry_atomic_cycles,
+    )
+    return generate_source(variant, toggles) + repr(meta)
+
+
+PROGRAM_GRID = [
+    Toggles(sgx1_valid_check_removed=removed, alignment_required=align,
+            critical_pad=pad, flag_strategy=flag)
+    for removed in (False, True) for align in (8, 16, 4096)
+    for pad in (0, 3) for flag in (None, "postpone", "ignore")]
+
+
+def test_every_generated_program_is_pinned():
+    # 8 variants x 36 toggle combinations: the program text and the image
+    # and machine metadata the detectors and the adversary read
+    import hashlib
+    h = hashlib.sha256()
+    for variant in runtimes.VARIANTS:
+        for toggles in PROGRAM_GRID:
+            h.update(_program_pin(variant, toggles).encode())
+    assert len(PROGRAM_GRID) * len(runtimes.VARIANTS) == 288
+    assert h.hexdigest() == ("6d7eec4892da8fd147e2e124f9906ec0"
+                            "d018c8afdf1788dfe2fbf5abbe46a56d")
