@@ -37,9 +37,9 @@ def checked(covered, counter: list):
     def wrapper(image, snapshot, actions, rep, budget):
         steps, boundaries = covered(image, snapshot, actions, rep, budget)
         got = run_plan(snapshot.clone(), image, actions,
-                       max_steps=budget.max_steps_per_run)
+                       max_steps=budget.max_steps)
         want = run_plan(snapshot.clone(), image, rep[0],
-                        max_steps=budget.max_steps_per_run)
+                        max_steps=budget.max_steps)
         if got.trace != want.trace:
             diverge = next((i for i, (a, b) in enumerate(zip(got.trace,
                                                              want.trace))

@@ -24,11 +24,10 @@ from .harness import (
     run_plan,
 )
 from .machine import (
-    DEFAULT_IRQ_GRANT, MASK64, RSP, SCRUB_VALUES, SGX2, VEC_EXT_INT,
-    VEC_PAGE_FAULT, Machine, reports_to_enclave,
+    DEFAULT_IRQ_GRANT, HW_IRQ_QUOTA, MASK64, RSP, SCRUB_VALUES, SGX2,
+    VEC_EXT_INT, VEC_PAGE_FAULT, Machine, reports_to_enclave,
 )
-# perfbench/tracer.py wraps the module name `evaluate`
-from .properties import SafetyMonitor, evaluate  # noqa: F401
+from .properties import SafetyMonitor
 from .runtimes import (
     ASLR_RANGE, CMD_EXCEPTION, CMD_INVALID, CMD_ORET, ECALL0_FRAME,
     EnclaveImage, INFO_FIELDS, INFO_FREE_WINDOW, INFO_SIZE, build_machine,
@@ -63,7 +62,7 @@ def craft_sp(image: EnclaveImage) -> Craft:
     anchor = image.anchor_addr
     base16 = anchor & ~0xF
     lander = (anchor - base16) // 8          # 0 or 1
-    if image.variant == "enarx_style":
+    if "red_zone_skip" in image.design.exc_flow:
         # red-zone skip then align-down then struct allocation
         want = base16 + INFO_SIZE            # (crafted-128) & ~15 must equal
         crafted = want + 128
@@ -93,19 +92,11 @@ def _feasibility(image: EnclaveImage, sgx_version: int,
                  classes: tuple[int, ...]) -> int:
     """Return the exception class the scripted attack should use, or raise
     PlanInfeasible with the blocking reason."""
-    v = image.variant
-    if v == "graphene_emulated":
-        raise PlanInfeasible("critical-window injections are emulated away")
-    if v == "nssa_disabled":
-        raise PlanInfeasible("no free context slot for handler re-entry")
-    if v == "hw_reentry_mask":
-        raise PlanInfeasible("re-entry masked through the critical section")
-    if v == "hw_irq_quota":
-        raise PlanInfeasible("injections deferred past the critical section")
-    if v == "dedicated_stack":
-        raise PlanInfeasible("handler ignores the saved stack pointer")
-    checks_validity = v in ("sdk_style",) and not image.toggles.sgx1_valid_check_removed
-    if checks_validity:
+    design = image.design
+    if design.blocked is not None:
+        raise PlanInfeasible(design.blocked)
+    if (design.validity_before_copy
+            and not image.toggles.sgx1_valid_check_removed):
         usable = [c for c in classes if reports_to_enclave(c, sgx_version)]
         if not usable:
             raise PlanInfeasible(
@@ -127,8 +118,7 @@ def scripted_attack(image: EnclaveImage, sgx_version: int = SGX2,
     if vector is None:
         vector = _feasibility(image, sgx_version, classes)
     if route is None:
-        route = "public" if image.variant in ("open_enclave_style",
-                                              "enarx_style") else "private"
+        route = image.design.route
     craft = craft_sp(image)
     lay = image.layout
     anchor = image.anchor_addr
@@ -178,19 +168,13 @@ def scripted_attack(image: EnclaveImage, sgx_version: int = SGX2,
 # Value domain and the exhaustive attacker
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ValueDomain:
+def default_domain(image: EnclaveImage) -> tuple[int, ...]:
     """Finite candidate words for attacker-controlled registers;
     enumeration order is the declaration order."""
-
-    words: tuple[int, ...]
-
-
-def default_domain(image: EnclaveImage) -> ValueDomain:
     craft = craft_sp(image)
     lay = image.layout
     anchor = image.anchor_addr
-    words = (
+    return (
         craft.crafted_rsp,
         (craft.crafted_rsp + 8) & MASK64,
         (craft.crafted_rsp - 8) & MASK64,
@@ -204,7 +188,6 @@ def default_domain(image: EnclaveImage) -> ValueDomain:
         SCRUB_VALUES[RSP],
         0,
     )
-    return ValueDomain(words)
 
 
 PAYLOAD_REGS = ("r8", "r9", "r10", "r11", "r12", "r13", "r14", "r15",
@@ -263,7 +246,7 @@ CANDIDATE_DEPTH = 6
 @dataclass(frozen=True)
 class SearchBudget:
     max_runs: int = 200000
-    max_steps_per_run: int = DEFAULT_MAX_STEPS
+    max_steps: int = DEFAULT_MAX_STEPS    # per run
     boundary_cap: int = 160
     depth: int = CANDIDATE_DEPTH    # actions per candidate plan
 
@@ -299,7 +282,7 @@ def _prefix_snapshot(image: EnclaveImage, sgx_version: int,
     """The machine after the prefix every plan shares, under `grant` (for
     the irq-quota variant, the default grant when None)."""
     m = build_machine(image, sgx_version)
-    if grant is None and image.variant == "hw_irq_quota":
+    if grant is None and image.design.hw == HW_IRQ_QUOTA:
         grant = DEFAULT_IRQ_GRANT
     if grant is not None:
         m.grant_irq_quota(*grant)
@@ -352,7 +335,7 @@ def _attempt(image: EnclaveImage, snapshot: Machine, entry: tuple,
         stats.steps += steps
         return actions, None, boundaries
     res = run_plan(snapshot.clone(), image, actions,
-                   max_steps=budget.max_steps_per_run,
+                   max_steps=budget.max_steps,
                    payload=PAYLOAD_REGS if track else ())
     stats.executed += 1
     stats.steps += res.steps
@@ -363,7 +346,7 @@ def _attempt(image: EnclaveImage, snapshot: Machine, entry: tuple,
 
 def _search_branch(image: EnclaveImage, snapshot: Machine,
                    checkpoint: SafetyMonitor, cmd_i: int,
-                   rsp_i: int, domain: ValueDomain,
+                   rsp_i: int, domain: tuple[int, ...],
                    classes: tuple[int, ...], budget: SearchBudget,
                    stats: SearchStats) -> Optional[Counterexample]:
     """Enumerate the plans of one (command, rsp) branch, payload binding by
@@ -372,9 +355,9 @@ def _search_branch(image: EnclaveImage, snapshot: Machine,
     being run, since it would repeat that run exactly.  A covered plan can
     only violate where its representative, searched first, already did."""
     cmd = REENTRY_CMDS[cmd_i]
-    rsp_bind = domain.words[rsp_i]
+    rsp_bind = domain[rsp_i]
     clean: dict = {}    # plan shape -> clean representative
-    for pay_i, payload in enumerate(domain.words):
+    for pay_i, payload in enumerate(domain):
         entry = _binding_entry(cmd, rsp_bind, payload)
         track = pay_i == 0
         actions, trace, dry_boundaries = _attempt(
@@ -432,7 +415,6 @@ def _worker_branch(args) -> tuple[SearchStats, Optional[Counterexample]]:
 def exhaustive_attacker(image: EnclaveImage, sgx_version: int = SGX2,
                         classes: tuple[int, ...] = (VEC_PAGE_FAULT,
                                                     VEC_EXT_INT),
-                        domain: Optional[ValueDomain] = None,
                         budget: Optional[SearchBudget] = None,
                         grant: Optional[tuple[int, int]] = None,
                         workers: int = 1, sp_mode: str = "range"):
@@ -440,7 +422,7 @@ def exhaustive_attacker(image: EnclaveImage, sgx_version: int = SGX2,
     classes, re-entry commands and register bindings.  Returns the first
     (lowest-lexicographic-branch) Counterexample, or NoneFound with visited
     statistics only when the full bounded space was enumerated."""
-    domain = domain or default_domain(image)
+    domain = default_domain(image)
     budget = budget or SearchBudget()
     if budget.depth != CANDIDATE_DEPTH:
         # a SAFE verdict must not claim a depth the template does not reach
@@ -448,7 +430,7 @@ def exhaustive_attacker(image: EnclaveImage, sgx_version: int = SGX2,
                          f"actions; budget depth {budget.depth} is not "
                          "enumerated")
     branches = [(c, r) for c in range(len(REENTRY_CMDS))
-                for r in range(len(domain.words))]
+                for r in range(len(domain))]
     initargs = (image, sgx_version, grant, domain, classes, budget, sp_mode)
 
     # The run budget is enforced between branches (each branch is small and
@@ -507,12 +489,10 @@ def estimate_single_shot_rate(trials: int, seed: int,
 
 @dataclass
 class MultiRoundResult:
-    success: bool
+    success: bool                   # the simulated rounds corrupted the anchor
     rounds_needed: int
     exhausted: bool
     plan: Optional[AttackPlan]
-    anchor_corrupted: bool = False
-    trace: Optional[list] = None
 
 
 def multi_round_aslr(image: EnclaveImage, sgx_version: int = SGX2,
@@ -565,7 +545,6 @@ def multi_round_aslr(image: EnclaveImage, sgx_version: int = SGX2,
     machine = _prefix_snapshot(image, sgx_version, grant)
     anchor = image.anchor_addr
     recorded = machine.mem.read(anchor)[0]
-    res = run_plan(machine, image, plan.actions)
+    run_plan(machine, image, plan.actions)
     corrupted = machine.mem.read(anchor)[0] != recorded
-    return MultiRoundResult(corrupted, needed, False, plan,
-                            anchor_corrupted=corrupted, trace=res.trace)
+    return MultiRoundResult(corrupted, needed, False, plan)

@@ -105,6 +105,7 @@ def _cmd_matrix(args) -> int:
 def _cmd_replay(args) -> int:
     try:
         scenario, declared, lines = reporting.read_trace(args.trace)
+        result = explorer.replay(scenario, lines, declared)
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
@@ -112,7 +113,6 @@ def _cmd_replay(args) -> int:
             json.JSONDecodeError) as e:
         print(f"error: trace: {e}", file=sys.stderr)
         return EXIT_DIGEST_MISMATCH
-    result = explorer.replay(scenario, lines, declared)
     if not result.ok:
         print(f"digest mismatch at trace line {result.divergence_line}: "
               f"{result.detail}", file=sys.stderr)

@@ -9,7 +9,7 @@ import json
 import multiprocessing as mp
 import os
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from . import adversary, reporting
@@ -19,7 +19,7 @@ from .harness import (
     prefix_plan, run_plan,
 )
 from .isa import Program, render
-from .machine import VECTOR_IDS, Machine
+from .machine import HW_IRQ_QUOTA, VECTOR_IDS, Machine
 from .properties import (
     Verdict, any_violation, evaluate, milestones,
 )
@@ -57,18 +57,11 @@ class Outcome:
 
 
 def _image_for(scenario: dict) -> EnclaveImage:
-    tg = scenario["toggles"]
-    offset = tg["aslr_stack_offset"]
-    if scenario["adversary"] == "multi_round_aslr" and offset == 0 \
-            and scenario["seed"]:
-        offset = random.Random(scenario["seed"]).randint(1, 2048)
-    toggles = Toggles(
-        sgx1_valid_check_removed=tg["sgx1_valid_check_removed"],
-        aslr_stack_offset=offset,
-        alignment_required=tg["alignment_required"],
-        critical_pad=tg["critical_pad"],
-        flag_strategy=tg["flag_strategy"],
-    )
+    toggles = Toggles(**scenario["toggles"])
+    if scenario["adversary"] == "multi_round_aslr" \
+            and toggles.aslr_stack_offset == 0 and scenario["seed"]:
+        toggles = replace(toggles, aslr_stack_offset=random.Random(
+            scenario["seed"]).randint(1, 2048))
     layout = Layout(**scenario["layout"]) if scenario["layout"] else None
     return _image(scenario["variant"], layout, toggles)
 
@@ -83,7 +76,7 @@ def _image(variant: str, layout: Optional[Layout],
 
 
 def _grant_for(scenario: dict, image: EnclaveImage):
-    if image.variant == "hw_irq_quota":
+    if image.design.hw == HW_IRQ_QUOTA:
         return (scenario["hw_ext"]["allowed"], scenario["hw_ext"]["window"])
     return None
 
@@ -130,7 +123,6 @@ def run(scenario: dict, workers: int = 1) -> Outcome:
     image = _image_for(scenario)
     mode = scenario["adversary"]
     sgx = scenario["sgx_version"]
-    budgets = scenario["budgets"]
     actions = None
     executed = None
 
@@ -171,13 +163,9 @@ def run(scenario: dict, workers: int = 1) -> Outcome:
             actions = prefix_plan() + plan.actions
             stats = {"expected_milestones": list(plan.expected_milestones)}
     else:   # exhaustive
-        budget = adversary.SearchBudget(
-            max_runs=budgets["max_runs"],
-            max_steps_per_run=budgets["max_steps"],
-            boundary_cap=budgets["boundary_cap"],
-            depth=budgets["depth"])
         out = adversary.exhaustive_attacker(
-            image, sgx, classes=_classes_for(scenario), budget=budget,
+            image, sgx, classes=_classes_for(scenario),
+            budget=adversary.SearchBudget(**scenario["budgets"]),
             grant=_grant_for(scenario, image), workers=workers,
             sp_mode=scenario["sp_confinement_mode"])
         stats = out.stats.to_dict()
@@ -292,6 +280,11 @@ def _divergence(body_lines: list[str], i: int, got: str,
     if not want.startswith("E "):
         return (f"{where}, expected an action line: expected {want!r}, "
                 f"got {got!r}")
+    try:
+        reporting.event_from_line(want)
+    except (ValueError, KeyError):
+        return (f"{where}, expected a well-formed event line: expected "
+                f"{want!r}, got {got!r}")
     parts = want.split()
     detail = (f"{where}, expected event kind {parts[1]}: expected {want!r}, "
               f"got {got!r}")

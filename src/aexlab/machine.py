@@ -489,8 +489,8 @@ class Machine:
 
     A machine is built once per scenario run from an EnclaveImage and then
     driven by the harness; ``clone`` gives an independent copy for search
-    branches.  ``auto_mask`` / ``auto_atomic`` arm the respective extension
-    at every synchronous entry (the hardware-managed entry window).
+    branches.  The extension kind arms its protection at every synchronous
+    entry (the hardware-managed entry window).
 
     ``payload`` is the register mask of the attacker-payload label and
     ``influenced`` records that a labelled value reached an address, a
@@ -503,13 +503,12 @@ class Machine:
     """
 
     __slots__ = ("mode", "regs", "taint", "mem", "tcs", "ssa", "aep",
-                 "sgx_version", "hw", "cycle", "trace", "auto_mask",
-                 "auto_atomic", "entry_atomic_cycles", "pending_fault",
-                 "halted", "payload", "influenced", "_platform")
+                 "sgx_version", "hw", "cycle", "trace", "entry_atomic_cycles",
+                 "pending_fault", "halted", "payload", "influenced",
+                 "_platform")
 
     def __init__(self, mem: Memory, tcs: TCS, sgx_version: int = SGX2,
-                 hw: Optional[HwExt] = None, auto_mask: bool = False,
-                 auto_atomic: bool = False, entry_atomic_cycles: int = 32):
+                 hw: Optional[HwExt] = None, entry_atomic_cycles: int = 32):
         self.mode = MODE_OS
         self.regs = [0] * NREGS
         self.taint = 0
@@ -521,8 +520,6 @@ class Machine:
         self.hw = hw if hw is not None else HwExt()
         self.cycle = 0
         self.trace: list[tuple] = []
-        self.auto_mask = auto_mask
-        self.auto_atomic = auto_atomic
         self.entry_atomic_cycles = entry_atomic_cycles
         self.pending_fault = -1     # vector awaiting the mandatory aex
         self.halted = False
@@ -546,8 +543,6 @@ class Machine:
         m.hw = self.hw.clone()
         m.cycle = self.cycle
         m.trace = list(self.trace)
-        m.auto_mask = self.auto_mask
-        m.auto_atomic = self.auto_atomic
         m.entry_atomic_cycles = self.entry_atomic_cycles
         m.pending_fault = self.pending_fault
         m.halted = self.halted
@@ -591,9 +586,9 @@ class Machine:
         self.aep = aep
         self.mode = MODE_ENCLAVE
         self.tcs.busy = True
-        if self.hw.kind == HW_REENTRY_MASK and self.auto_mask:
+        if self.hw.kind == HW_REENTRY_MASK:
             self.hw.masked = True
-        if self.hw.kind == HW_IRQ_QUOTA and self.auto_atomic:
+        if self.hw.kind == HW_IRQ_QUOTA:
             # hardware-armed entry window: charged against the quota; when
             # denied, the entry proceeds without atomicity protection
             self.begin_atomic(self.entry_atomic_cycles)

@@ -10,11 +10,12 @@ the first divergent line.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from typing import Optional
 
-from .adversary import CANDIDATE_DEPTH
+from .adversary import CANDIDATE_DEPTH, SearchBudget
 from .harness import (
     Eenter, Eresume, FlipPerms, InjectAex, PrepareRegs, SeedPublic, Stop,
 )
@@ -23,7 +24,7 @@ from .machine import (
 )
 from .properties import ALL_PROPERTIES, SAFETY_PROPERTIES
 from .runtimes import (
-    ASLR_RANGE, MAX_CRITICAL_PAD, VARIANTS, Layout, LayoutOverlap,
+    ASLR_RANGE, MAX_CRITICAL_PAD, VARIANTS, Layout, LayoutOverlap, Toggles,
     _check_layout,
 )
 
@@ -38,11 +39,12 @@ class ScenarioError(Exception):
     """Malformed scenario document; the message carries the offending key."""
 
 
-_DEFAULT_BUDGETS = {"max_runs": 200000, "max_steps": 20000,
-                    "boundary_cap": 160, "depth": CANDIDATE_DEPTH}
-_DEFAULT_TOGGLES = {"sgx1_valid_check_removed": False, "aslr_stack_offset": 0,
-                    "alignment_required": 16, "critical_pad": 0,
-                    "flag_strategy": None}
+class TraceFileError(Exception):
+    """Malformed trace file."""
+
+
+_DEFAULT_BUDGETS = dataclasses.asdict(SearchBudget())
+_DEFAULT_TOGGLES = dataclasses.asdict(Toggles())
 _DEFAULT_HW_EXT = {"allowed": DEFAULT_IRQ_GRANT[0],
                    "window": DEFAULT_IRQ_GRANT[1]}
 FLAG_STRATEGIES = (None, "postpone", "ignore")
@@ -268,9 +270,15 @@ def action_to_line(action) -> str:
 
 
 def action_from_line(line: str):
-    parts = line.split()
+    try:
+        return _action(line.split())
+    except (ValueError, KeyError, IndexError):
+        raise TraceFileError(f"malformed action line: {line!r}") from None
+
+
+def _action(parts: list[str]):
     if parts[0] != "A":
-        raise ValueError(f"not an action line: {line!r}")
+        raise ValueError("not an action line")
     kind = parts[1]
     if kind == "prep":
         return PrepareRegs(_parse_kv(parts[2] if len(parts) > 2 else ""))
@@ -291,7 +299,7 @@ def action_from_line(line: str):
         return SeedPublic(int(parts[2], 16), words)
     if kind == "stop":
         return Stop()
-    raise ValueError(f"unknown action line: {line!r}")
+    raise ValueError("unknown action")
 
 
 def event_to_line(ev: tuple, digest: str) -> str:
@@ -349,10 +357,6 @@ def write_trace(path: str, scenario: dict, lines: list[str]) -> None:
             fh.write(line + "\n")
 
 
-class TraceFileError(Exception):
-    pass
-
-
 def read_trace(path: str) -> tuple[dict, int, list[str]]:
     """Returns (scenario, declared_line_count, lines)."""
     with open(path) as fh:
@@ -367,7 +371,12 @@ def read_trace(path: str) -> tuple[dict, int, list[str]]:
         if line.startswith("# scenario: "):
             scenario = normalize_scenario(json.loads(line[len("# scenario: "):]))
         elif line.startswith("# lines: "):
-            declared = int(line[len("# lines: "):])
+            count = line[len("# lines: "):]
+            try:
+                declared = int(count)
+            except ValueError:
+                raise TraceFileError(f"line count is not an integer: "
+                                     f"{count!r}") from None
         elif line.startswith("# scenario-digest: "):
             header_digest = line[len("# scenario-digest: "):].strip()
         if not line.startswith("#"):

@@ -4,8 +4,9 @@ Each variant is an assembly program (entry dispatcher, ocall save/return
 flow, exception flow, gadget inventory) whose instruction *ordering*
 differences are the point: where the stack pointer is derived from the
 saved frame, which checks run before the context copy, and how critical
-sections are protected.  Programs are rendered to reviewable fixture text
-and assembled against a concrete memory layout.
+sections are protected.  Those choices are one row per variant of the
+design table, `DESIGNS`; programs are generated from the row, rendered to
+reviewable text and assembled against a concrete memory layout.
 """
 
 from __future__ import annotations
@@ -16,14 +17,9 @@ from typing import Optional
 
 from . import isa
 from .machine import (
-    HW_IRQ_QUOTA, HW_REENTRY_MASK, MASK64, PERM_R, PERM_W, PERM_X,
+    HW_IRQ_QUOTA, HW_NONE, HW_REENTRY_MASK, MASK64, PERM_R, PERM_W, PERM_X,
     PRIVATE, PUBLIC, RFLAGS_AC, RFLAGS_DF, SGX2, HwExt, Machine, Memory,
     Page, TCS, VEC_EXT_INT, VEC_PAGE_FAULT,
-)
-
-VARIANTS = (
-    "sdk_style", "open_enclave_style", "enarx_style", "dedicated_stack",
-    "nssa_disabled", "graphene_emulated", "hw_reentry_mask", "hw_irq_quota",
 )
 
 # Ecall command encoding (a designated register, rdi, carries the command).
@@ -143,13 +139,86 @@ class Layout:
 
 @dataclass(frozen=True)
 class Toggles:
-    """Variant parameterization; never changes the variant's kind."""
+    """Variant parameterization; never changes the variant's kind.
+    `sgx1_valid_check_removed` drops a validity check that runs before the
+    context copy; a check after the copy stays."""
 
     sgx1_valid_check_removed: bool = False
     aslr_stack_offset: int = 0          # bytes in [0, 2048]; quantized to words
     alignment_required: int = 16
     critical_pad: int = 0               # extra cycles inside the oret window
     flag_strategy: Optional[str] = None  # None | "postpone" | "ignore"
+
+
+# ---------------------------------------------------------------------------
+# Design table
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Design:
+    """Where one runtime variant departs from the others.  The program
+    text, the image, the machine and the scripted attacker all read it.
+
+    `exc_flow` names the exception flow's fragments in program order (see
+    `_exc_fragments`).  `crit_spans` are the critical spans the exception
+    flow completes by emulation.  `hw` is the hardware extension armed at
+    every synchronous entry, `nssa` the TCS's SSA slot count, `route` where
+    the scripted chain lives by default, and `blocked` why the scripted
+    hijack cannot work, or None."""
+
+    exc_flow: tuple[str, ...]
+    crit_spans: tuple[str, ...] = ()
+    hw: str = HW_NONE
+    nssa: int = 2
+    route: str = "private"
+    blocked: Optional[str] = None
+
+    @property
+    def validity_before_copy(self) -> bool:
+        """The validity check runs before the context copy, so an event
+        reported as invalid never reaches the copy."""
+        flow = self.exc_flow
+        return ("valid_check" in flow
+                and flow.index("valid_check") < flow.index("copy"))
+
+
+# derive the sp from the saved frame, check its bounds and alignment, then
+# check validity, THEN copy
+CHECKED_FLOW = ("sp_from_frame", "load_td", "bound_check", "align_check",
+                "alloc_struct", "align_down", "valid_check", "copy",
+                "handler", "arrange")
+# copy first, validity check only afterwards; no sp sanity checks
+COPY_FIRST_FLOW = ("sp_from_frame", "load_td", "alloc_struct", "align_down",
+                   "copy", "valid_check", "handler", "arrange")
+# as COPY_FIRST_FLOW, but skip a 128-byte red zone and align before the
+# struct allocation
+RED_ZONE_FLOW = ("sp_from_frame", "red_zone_skip", "align_down", "load_td",
+                 "alloc_struct", "copy", "valid_check", "handler", "arrange")
+# the handler context lives on a dedicated stack; the saved sp is unused
+DEDICATED_FLOW = ("dedicated_handler",)
+
+DESIGNS = {
+    "sdk_style": Design(CHECKED_FLOW),
+    "open_enclave_style": Design(COPY_FIRST_FLOW, route="public"),
+    "enarx_style": Design(RED_ZONE_FLOW, route="public"),
+    "dedicated_stack": Design(
+        DEDICATED_FLOW, nssa=3,
+        blocked="handler ignores the saved stack pointer"),
+    "nssa_disabled": Design(
+        CHECKED_FLOW, nssa=1,
+        blocked="no free context slot for handler re-entry"),
+    "graphene_emulated": Design(
+        CHECKED_FLOW,
+        crit_spans=("entry_sanitize", "oret_restore", "handler_setup"),
+        blocked="critical-window injections are emulated away"),
+    "hw_reentry_mask": Design(
+        CHECKED_FLOW, hw=HW_REENTRY_MASK,
+        blocked="re-entry masked through the critical section"),
+    "hw_irq_quota": Design(
+        CHECKED_FLOW, hw=HW_IRQ_QUOTA,
+        blocked="injections deferred past the critical section"),
+}
+VARIANTS = tuple(DESIGNS)
 
 
 @dataclass
@@ -162,9 +231,6 @@ class EnclaveImage:
     layout: Layout
     toggles: Toggles
     program: isa.Program
-    nssa: int
-    auto_mask: bool
-    auto_atomic: bool
     stack_base: int                    # effective (ASLR-shifted) base
     gadgets: dict[str, int] = field(default_factory=dict)
     legit_ret_targets: frozenset[int] = frozenset()
@@ -181,6 +247,10 @@ class EnclaveImage:
     def __post_init__(self) -> None:
         self.sp_window_pcs = frozenset(
             pc for lo, hi in self.sp_windows for pc in range(lo, hi))
+
+    @property
+    def design(self) -> Design:
+        return DESIGNS[self.variant]
 
     @property
     def entry(self) -> int:
@@ -204,23 +274,35 @@ SCRUB_BUT_RAX = "scrub rbx, rcx, rdx, rdi, rsi, rbp, rsp, r8, r9, r10, r11, r12,
 SCRUB_BUT_RDI = "scrub rax, rbx, rcx, rdx, rsi, rbp, rsp, r8, r9, r10, r11, r12, r13, r14, r15, rflags"
 
 
-def _dispatcher(lines: list[str], variant: str, toggles: Toggles) -> None:
+def _eexit(target: str, status: Optional[str] = None) -> list[str]:
+    """Leave the enclave at `target` with only rax live, after setting it to
+    `status` when given."""
+    lines = [] if status is None else [f"    mov rax, ${status}"]
+    return lines + ["    " + SCRUB_BUT_RAX, f"    eexit ${target}"]
+
+
+def _crit(design: Design, edge: str, span: str) -> list[str]:
+    """The `.crit` marker of an emulated span; nothing for other designs."""
+    return [f"    .crit {edge} {span}"] if span in design.crit_spans else []
+
+
+def _dispatcher(lines: list[str], design: Design, toggles: Toggles) -> None:
     flagged = toggles.flag_strategy is not None
+    lines += ["entry:", "    .window start entry_sanitize"]
+    lines += _crit(design, "start", "entry_sanitize")
+    if flagged:
+        lines.append("    set_flag $td_crit_flag")
     lines += [
-        "entry:",
-        "    .window start entry_sanitize",
-        "    .crit start entry_sanitize" if variant == "graphene_emulated" else ";",
-        "    set_flag $td_crit_flag" if flagged else ";",
         "    cmpj rdi, $cmd_oret, eq, oret_flow",
         "    cmpj rdi, $cmd_exception, eq, exc_flow",
         "    cmpj rdi, $0, eq, ecall0_pro",
         "    cmpj rdi, $1, eq, ecall1_pro",
         "invalid_cmd:",
         "    mov rax, $err_invalid_cmd",
-        "    clear_flag $td_crit_flag" if flagged else ";",
-        "    " + SCRUB_BUT_RAX,
-        "    eexit $host_err",
     ]
+    if flagged:
+        lines.append("    clear_flag $td_crit_flag")
+    lines += _eexit("host_err")
     for n in (0, 1):
         lines += [
             f"ecall{n}_pro:",
@@ -229,14 +311,10 @@ def _dispatcher(lines: list[str], variant: str, toggles: Toggles) -> None:
             "    mov rsp, r11",
             "    and rflags, $flags_sanitize_mask",
         ]
-        if variant in ("hw_reentry_mask", "hw_irq_quota"):
-            lines.append("    end_atomic")
-        if flagged:
-            lines += ["    clear_flag $td_crit_flag", "    call drain_pending"]
+        _section_end(lines, design, toggles)
         lines.append(f"    jmp ecall{n}_body")
     lines.append("    .window end entry_sanitize")
-    if variant == "graphene_emulated":
-        lines.append("    .crit end entry_sanitize")
+    lines += _crit(design, "end", "entry_sanitize")
     if flagged:
         lines += [
             "drain_pending:",
@@ -253,12 +331,19 @@ def _dispatcher(lines: list[str], variant: str, toggles: Toggles) -> None:
         ]
 
 
-def _oret_flow(lines: list[str], variant: str, toggles: Toggles) -> None:
-    graphene = variant == "graphene_emulated"
+def _section_end(lines: list[str], design: Design, toggles: Toggles) -> None:
+    """Close the critical section an entry opened: end the hardware
+    extension's protection, clear the flag and run postponed handlers."""
+    if design.hw != HW_NONE:
+        lines.append("    end_atomic")
+    if toggles.flag_strategy is not None:
+        lines += ["    clear_flag $td_crit_flag", "    call drain_pending"]
+
+
+def _oret_flow(lines: list[str], design: Design, toggles: Toggles) -> None:
+    lines += ["oret_flow:", "    .window start oret_sanitize"]
+    lines += _crit(design, "start", "oret_restore")
     lines += [
-        "oret_flow:",
-        "    .window start oret_sanitize",
-        "    .crit start oret_restore" if graphene else ";",
         "    mov r10, $td_base",
         f"    load r11, [r10+{TD_LAST_SP}]",
         "    cmpj r11, $0, eq, oret_fail",
@@ -288,55 +373,114 @@ def _oret_flow(lines: list[str], variant: str, toggles: Toggles) -> None:
         "oret_ret:",
         "    ret",
         "oret_fail:",
-        "    mov rax, $err_unexpected",
-        "    " + SCRUB_BUT_RAX,
-        "    eexit $host_err",
-        "    .crit end oret_restore" if graphene else ";",
     ]
+    lines += _eexit("host_err", "err_unexpected")
+    lines += _crit(design, "end", "oret_restore")
 
 
-def _exc_copy(lines: list[str]) -> None:
+def _exc_copy() -> list[str]:
     # info base is in r10; field order defines the 152-byte corruption span
+    lines = []
     for i, fld in enumerate(INFO_FIELDS):
         ssa_field = "exitinfo_vector" if fld == "vector" else fld
         lines.append(f"    read_ssa r12, {ssa_field}")
         lines.append(f"    store [r10+{i * 8}], r12")
+    return lines
 
 
-def _handler_body(lines: list[str]) -> None:
-    # the registered user handler: count the invocation, then step the saved
-    # rip past a faulting instruction for the synchronous class family
-    lines += [
+def _dedicated_flow() -> list[str]:
+    # handler context lives on the dedicated stack; the saved rsp is never
+    # consulted, and resumption restores the hardware-saved frame directly
+    # (no in-enclave restore trampoline to corrupt)
+    return [
+        "    mov r11, $td_base",
+        f"    load r12, [r11+{TD_CRIT_FLAG}]",
+        "    cmpj r12, $1, eq, exc_unhandled",
+        "    set_flag $td_crit_flag",
+        "    read_ssa r12, exitinfo_valid",
+        "    cmpj r12, $1, ne, exc_default_clear",
+        f"    load r10, [r11+{TD_DED_BASE}]",
+        f"    sub r10, ${INFO_SIZE}",
+        *_exc_copy(),
         f"    load r12, [r11+{TD_EXC_FLAG}]",
         "    add r12, $1",
         f"    store [r11+{TD_EXC_FLAG}], r12",
-        f"    load r12, [r10+{I_VECTOR}]",
+        "    read_ssa r12, exitinfo_vector",
         f"    cmpj r12, ${VEC_EXT_INT}, eq, exc_arrange",
         f"    cmpj r12, ${VEC_PAGE_FAULT}, eq, exc_arrange",
-        f"    load r12, [r10+{I_RIP}]",
+        "    read_ssa r12, rip",
         "    add r12, $1",
-        f"    store [r10+{I_RIP}], r12",
-    ]
-
-
-def _exc_arrange(lines: list[str]) -> None:
-    lines += [
-        "exc_arrange:",
-        "    mov r12, $continue_execution",
         "    write_ssa rip, r12",
-        "    write_ssa rsp, r10",
-        "    write_ssa rdi, r10",
-        "    mov rax, $st_exc_handled",
-        "    " + SCRUB_BUT_RAX,
-        "    eexit $host_exc",
+        "exc_arrange:",
+        "    clear_flag $td_crit_flag",
+        *_eexit("host_exc", "st_exc_handled"),
+        "exc_unhandled:",
+        *_eexit("host_err", "st_unhandled"),
+        "exc_default_clear:",
+        "    clear_flag $td_crit_flag",
+        *_eexit("host_err", "err_not_valid"),
     ]
 
 
-def _exc_flow(lines: list[str], variant: str, toggles: Toggles) -> None:
-    flagged = toggles.flag_strategy is not None
-    lines.append("exc_flow:")
+def _exc_fragments(toggles: Toggles) -> dict[str, list[str]]:
+    """The exception-flow fragments a design orders.  Between fragments, r10
+    holds the handler's stack pointer (then the info-struct base) and r11
+    the thread-data base."""
+    return {
+        "sp_from_frame": ["    read_ssa r10, rsp"],
+        "red_zone_skip": ["    sub r10, $128"],
+        "load_td": ["    mov r11, $td_base"],
+        "bound_check": [
+            f"    load r12, [r11+{TD_STACK_BASE}]",
+            "    cmpj r10, r12, gt, exc_reject",
+            f"    load r12, [r11+{TD_STACK_LIMIT}]",
+            "    cmpj r10, r12, lt, exc_reject",
+        ],
+        "align_check": [
+            "    mov r12, r10",
+            f"    and r12, ${toggles.alignment_required - 1}",
+            "    cmpj r12, $0, ne, exc_reject",
+        ],
+        "alloc_struct": [f"    sub r10, ${INFO_SIZE}"],
+        "align_down": ["    and r10, $align16_mask"],
+        "valid_check": [
+            "    read_ssa r12, exitinfo_valid",
+            "    cmpj r12, $1, ne, exc_default",
+        ],
+        "copy": _exc_copy(),
+        # the registered user handler: count the invocation, then step the
+        # saved rip past a faulting instruction for the synchronous family
+        "handler": [
+            f"    load r12, [r11+{TD_EXC_FLAG}]",
+            "    add r12, $1",
+            f"    store [r11+{TD_EXC_FLAG}], r12",
+            f"    load r12, [r10+{I_VECTOR}]",
+            f"    cmpj r12, ${VEC_EXT_INT}, eq, exc_arrange",
+            f"    cmpj r12, ${VEC_PAGE_FAULT}, eq, exc_arrange",
+            f"    load r12, [r10+{I_RIP}]",
+            "    add r12, $1",
+            f"    store [r10+{I_RIP}], r12",
+        ],
+        # resume through the restore trampoline; the rejections follow
+        "arrange": [
+            "exc_arrange:",
+            "    mov r12, $continue_execution",
+            "    write_ssa rip, r12",
+            "    write_ssa rsp, r10",
+            "    write_ssa rdi, r10",
+            *_eexit("host_exc", "st_exc_handled"),
+            "exc_default:",
+            *_eexit("host_err", "err_not_valid"),
+            "exc_reject:",
+            *_eexit("host_err", "err_bad_sp"),
+        ],
+        "dedicated_handler": _dedicated_flow(),
+    }
 
-    if flagged:
+
+def _exc_flow(lines: list[str], design: Design, toggles: Toggles) -> None:
+    lines.append("exc_flow:")
+    if toggles.flag_strategy is not None:
         lines += [
             "    mov r11, $td_base",
             f"    load r12, [r11+{TD_CRIT_FLAG}]",
@@ -347,121 +491,27 @@ def _exc_flow(lines: list[str], variant: str, toggles: Toggles) -> None:
                 "    read_ssa r12, exitinfo_vector",
                 "    add r12, $1",
                 f"    store [r11+{TD_PENDING}], r12",
-                "    mov rax, $st_exc_postponed",
-                "    " + SCRUB_BUT_RAX,
-                "    eexit $host_exc",
+                *_eexit("host_exc", "st_exc_postponed"),
             ]
         else:
-            lines += [
-                "    mov rax, $st_exc_ignored",
-                "    " + SCRUB_BUT_RAX,
-                "    eexit $host_exc",
-            ]
+            lines += _eexit("host_exc", "st_exc_ignored")
         lines.append("exc_proceed:")
 
-    if variant == "dedicated_stack":
-        # handler context lives on the dedicated stack; the saved rsp is
-        # never consulted, and resumption restores the hardware-saved frame
-        # directly (no in-enclave restore trampoline to corrupt)
-        lines += [
-            "    mov r11, $td_base",
-            f"    load r12, [r11+{TD_CRIT_FLAG}]",
-            "    cmpj r12, $1, eq, exc_unhandled",
-            "    set_flag $td_crit_flag",
-            "    read_ssa r12, exitinfo_valid",
-            "    cmpj r12, $1, ne, exc_default_clear",
-            f"    load r10, [r11+{TD_DED_BASE}]",
-            f"    sub r10, ${INFO_SIZE}",
-        ]
-        _exc_copy(lines)
-        lines += [
-            f"    load r12, [r11+{TD_EXC_FLAG}]",
-            "    add r12, $1",
-            f"    store [r11+{TD_EXC_FLAG}], r12",
-            "    read_ssa r12, exitinfo_vector",
-            f"    cmpj r12, ${VEC_EXT_INT}, eq, exc_arrange",
-            f"    cmpj r12, ${VEC_PAGE_FAULT}, eq, exc_arrange",
-            "    read_ssa r12, rip",
-            "    add r12, $1",
-            "    write_ssa rip, r12",
-            "exc_arrange:",
-            "    clear_flag $td_crit_flag",
-            "    mov rax, $st_exc_handled",
-            "    " + SCRUB_BUT_RAX,
-            "    eexit $host_exc",
-            "exc_unhandled:",
-            "    mov rax, $st_unhandled",
-            "    " + SCRUB_BUT_RAX,
-            "    eexit $host_err",
-            "exc_default_clear:",
-            "    clear_flag $td_crit_flag",
-            "    mov rax, $err_not_valid",
-            "    " + SCRUB_BUT_RAX,
-            "    eexit $host_err",
-        ]
-        return
-
-    if variant == "graphene_emulated":
+    if design.crit_spans:
         lines.append("    emulate_critical")
-        lines.append("    .crit start handler_setup")
-
-    sdk_order = variant in ("sdk_style", "nssa_disabled", "graphene_emulated",
-                            "hw_reentry_mask", "hw_irq_quota")
-    red_zone = variant == "enarx_style"
-
-    lines.append("    read_ssa r10, rsp")
-    if sdk_order:
-        # derive sp, bound and alignment checks, validity check, THEN copy
-        lines += [
-            "    mov r11, $td_base",
-            f"    load r12, [r11+{TD_STACK_BASE}]",
-            "    cmpj r10, r12, gt, exc_reject",
-            f"    load r12, [r11+{TD_STACK_LIMIT}]",
-            "    cmpj r10, r12, lt, exc_reject",
-            "    mov r12, r10",
-            f"    and r12, ${toggles.alignment_required - 1}",
-            "    cmpj r12, $0, ne, exc_reject",
-            f"    sub r10, ${INFO_SIZE}",
-            "    and r10, $align16_mask",
-        ]
-        if variant == "graphene_emulated":
+    lines += _crit(design, "start", "handler_setup")
+    # the handler-setup span covers the stack derivation and its checks, up
+    # to the first fragment that reads the saved frame's contents
+    setup_open = "handler_setup" in design.crit_spans
+    fragments = _exc_fragments(toggles)
+    for name in design.exc_flow:
+        if setup_open and name in ("valid_check", "copy"):
             lines.append("    .crit end handler_setup")
-        if not toggles.sgx1_valid_check_removed:
-            lines += [
-                "    read_ssa r12, exitinfo_valid",
-                "    cmpj r12, $1, ne, exc_default",
-            ]
-        _exc_copy(lines)
-        _handler_body(lines)
-        _exc_arrange(lines)
-    else:
-        # copy first, validity check only afterwards; no sp sanity checks
-        if red_zone:
-            lines += ["    sub r10, $128", "    and r10, $align16_mask"]
-        lines += [
-            "    mov r11, $td_base",
-            f"    sub r10, ${INFO_SIZE}",
-        ]
-        if not red_zone:
-            lines.append("    and r10, $align16_mask")
-        _exc_copy(lines)
-        lines += [
-            "    read_ssa r12, exitinfo_valid",
-            "    cmpj r12, $1, ne, exc_default",
-        ]
-        _handler_body(lines)
-        _exc_arrange(lines)
-
-    lines += [
-        "exc_default:",
-        "    mov rax, $err_not_valid",
-        "    " + SCRUB_BUT_RAX,
-        "    eexit $host_err",
-        "exc_reject:",
-        "    mov rax, $err_bad_sp",
-        "    " + SCRUB_BUT_RAX,
-        "    eexit $host_err",
-    ]
+            setup_open = False
+        if name == "valid_check" and toggles.sgx1_valid_check_removed \
+                and design.validity_before_copy:
+            continue
+        lines += fragments[name]
 
 
 def _continue_execution(lines: list[str]) -> None:
@@ -507,8 +557,7 @@ def _ocall_stub(lines: list[str]) -> None:
     ]
 
 
-def _bodies(lines: list[str], variant: str, toggles: Toggles) -> None:
-    flagged = toggles.flag_strategy is not None
+def _bodies(lines: list[str], design: Design, toggles: Toggles) -> None:
     lines += [
         "ecall0_body:",
         f"    sub rsp, ${ECALL0_FRAME}",
@@ -525,15 +574,11 @@ def _bodies(lines: list[str], variant: str, toggles: Toggles) -> None:
         "    call ocall_stub",
         "after_ocall:",
     ]
-    if variant in ("hw_reentry_mask", "hw_irq_quota"):
-        lines.append("    end_atomic")
-    if flagged:
-        lines += ["    clear_flag $td_crit_flag", "    call drain_pending"]
+    _section_end(lines, design, toggles)
     lines += [
         f"    add rax, ${ECALL0_RESULT_DELTA}",
         f"    add rsp, ${ECALL0_FRAME}",
-        "    " + SCRUB_BUT_RAX,
-        "    eexit $host_done",
+        *_eexit("host_done"),
         "ecall1_body:",
         "    sub rsp, $64",
         "    mov r9, $secret_base",
@@ -545,8 +590,7 @@ def _bodies(lines: list[str], variant: str, toggles: Toggles) -> None:
         "    mov r9, $0",
         f"    mov rax, ${ECALL1_RESULT}",
         "    add rsp, $64",
-        "    " + SCRUB_BUT_RAX,
-        "    eexit $host_done",
+        *_eexit("host_done"),
     ]
 
 
@@ -574,23 +618,29 @@ def _gadgets(lines: list[str]) -> None:
     ]
 
 
+def _design(variant: str) -> Design:
+    try:
+        return DESIGNS[variant]
+    except KeyError:
+        raise UnknownVariant(variant) from None
+
+
 def generate_source(variant: str, toggles: Optional[Toggles] = None) -> str:
     """Render the variant program as reviewable assembly text."""
-    if variant not in VARIANTS:
-        raise UnknownVariant(variant)
+    design = _design(variant)
     toggles = toggles or Toggles()
     lines: list[str] = [
         f"; runtime variant: {variant}",
         "; one instruction per address unit; symbols resolved at assembly",
     ]
-    _dispatcher(lines, variant, toggles)
-    _oret_flow(lines, variant, toggles)
-    _exc_flow(lines, variant, toggles)
+    _dispatcher(lines, design, toggles)
+    _oret_flow(lines, design, toggles)
+    _exc_flow(lines, design, toggles)
     _continue_execution(lines)
     _ocall_stub(lines)
-    _bodies(lines, variant, toggles)
+    _bodies(lines, design, toggles)
     _gadgets(lines)
-    return "\n".join(ln for ln in lines if ln.strip() != ";") + "\n"
+    return "\n".join(lines) + "\n"
 
 
 def _symbols(layout: Layout, stack_base: int) -> dict[str, int]:
@@ -623,8 +673,7 @@ def _symbols(layout: Layout, stack_base: int) -> dict[str, int]:
 def build_runtime(variant: str, layout: Optional[Layout] = None,
                   toggles: Optional[Toggles] = None) -> EnclaveImage:
     """Assemble the variant against the layout and derive image metadata."""
-    if variant not in VARIANTS:
-        raise UnknownVariant(variant)
+    design = _design(variant)
     layout = layout or Layout()
     toggles = toggles or Toggles()
     if not 0 <= toggles.aslr_stack_offset <= ASLR_RANGE:
@@ -649,10 +698,9 @@ def build_runtime(variant: str, layout: Optional[Layout] = None,
     legit_rets = frozenset(a + 1 for a in call_sites) | frozenset(
         {labels["continue_execution"]})
 
-    nssa = {"nssa_disabled": 1, "dedicated_stack": 3}.get(variant, 2)
-
     trusted = [(layout.stack_limit, stack_base)]
-    if variant == "dedicated_stack":
+    if "dedicated_handler" in design.exc_flow:
+        # the handler runs on the dedicated page
         trusted.append((layout.dedicated_page, layout.dedicated_page + 0x1000))
 
     return EnclaveImage(
@@ -660,9 +708,6 @@ def build_runtime(variant: str, layout: Optional[Layout] = None,
         layout=layout,
         toggles=toggles,
         program=program,
-        nssa=nssa,
-        auto_mask=(variant == "hw_reentry_mask"),
-        auto_atomic=(variant == "hw_irq_quota"),
         stack_base=stack_base,
         gadgets=gadgets,
         legit_ret_targets=legit_rets,
@@ -722,96 +767,11 @@ def build_machine(image: EnclaveImage, sgx_version: int = SGX2) -> Machine:
     for i in range(lay.secret_len // 8):
         mem.write(lay.secret_base + 8 * i,
                   (SECRET_WORD_SEED + i * 0x0101_0101_0101) & MASK64, True)
-    tcs = TCS(entry_point=image.entry, nssa=image.nssa, ssa_base=lay.ssa_base)
-    hw = None
-    if image.variant == "hw_irq_quota":
-        hw = HwExt(kind=HW_IRQ_QUOTA)
-    elif image.variant == "hw_reentry_mask":
-        hw = HwExt(kind=HW_REENTRY_MASK)
-    m = Machine(mem, tcs, sgx_version=sgx_version, hw=hw,
-                auto_mask=image.auto_mask, auto_atomic=image.auto_atomic,
-                entry_atomic_cycles=image.entry_atomic_cycles)
-    return m
-
-
-# ---------------------------------------------------------------------------
-# Standalone check predicates (mirrored by the assembled flows)
-# ---------------------------------------------------------------------------
-
-@dataclass
-class ThreadDataView:
-    """Thread-data fields as plain values, read out of machine memory."""
-
-    last_sp: int
-    stack_base_addr: int
-    stack_limit_addr: int
-    first_ssa_gpr: int
-    exception_flag: int
-    critical_flag: int
-    pending_exceptions: int
-    dedicated_stack_base: int
-
-    @classmethod
-    def read(cls, mem: Memory, td_base: int) -> "ThreadDataView":
-        g = lambda off: mem.read(td_base + off)[0]
-        return cls(g(TD_LAST_SP), g(TD_STACK_BASE), g(TD_STACK_LIMIT),
-                   g(TD_FIRST_SSA), g(TD_EXC_FLAG), g(TD_CRIT_FLAG),
-                   g(TD_PENDING), g(TD_DED_BASE))
-
-
-ORET_OK = "ok"
-ORET_ZERO_SP = "zero_sp"
-ORET_SP_TOO_HIGH = "sp_too_high"
-ORET_BAD_FLAG = "bad_flag"
-ORET_BAD_PRE_SP = "bad_pre_sp"
-
-
-def validate_oret(td: ThreadDataView, ctx_addr: int, mem: Memory) -> str:
-    """Ocall-return sanity checks, evaluated in flow order; the first
-    failure wins.  `ctx_addr` is the candidate saved-context base (equal to
-    last_sp in the assembled flow)."""
-    if td.last_sp == 0:
-        return ORET_ZERO_SP
-    if td.last_sp > td.stack_base_addr - CTX_GUARD_WORDS * 8:
-        return ORET_SP_TOO_HIGH
-    if mem.read(ctx_addr + 0)[0] != OCALL_MAGIC:
-        return ORET_BAD_FLAG
-    pre = mem.read(ctx_addr + 8)[0]
-    if pre <= ctx_addr or pre > td.stack_base_addr:
-        return ORET_BAD_PRE_SP
-    return ORET_OK
-
-
-SP_OK = "ok"
-SP_OUT_OF_RANGE = "out_of_range"
-SP_MISALIGNED = "misaligned"
-
-
-def handler_sp_check(sp: int, td: ThreadDataView, alignment: int = 16) -> str:
-    """Handler stack-pointer sanity: inside the thread stack and aligned."""
-    if not td.stack_limit_addr <= sp <= td.stack_base_addr:
-        return SP_OUT_OF_RANGE
-    if sp % alignment:
-        return SP_MISALIGNED
-    return SP_OK
-
-
-POSTPONED = "postponed"
-IGNORED = "ignored"
-
-
-def postpone_or_ignore(td: ThreadDataView, vector: int, policy: str,
-                       mem: Memory, td_base: int) -> str:
-    """Critical-section delivery policy: record the class for the
-    end-of-section drain, or drop the event entirely."""
-    if td.critical_flag != 1:
-        raise ValueError("only defined inside a critical section")
-    if policy == "postpone":
-        mem.write(td_base + TD_PENDING, vector + 1, False)
-        return POSTPONED
-    if policy == "ignore":
-        return IGNORED
-    raise ValueError(f"unknown policy {policy!r}")
+    design = image.design
+    tcs = TCS(entry_point=image.entry, nssa=design.nssa,
+              ssa_base=lay.ssa_base)
+    return Machine(mem, tcs, sgx_version=sgx_version, hw=HwExt(kind=design.hw),
+                   entry_atomic_cycles=image.entry_atomic_cycles)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from aexlab.isa import assemble
@@ -6,6 +8,12 @@ from aexlab.machine import (
     Memory, Page, TCS,
 )
 from aexlab.runtimes import EnclaveImage, Layout, Toggles
+
+# the CLI runs in a subprocess, which finds the package in this checkout
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                   "src")
+CLI_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
 
 CODE = 0x1000
 DATA = 0x20000
@@ -40,8 +48,7 @@ def make_raw_image(program, stack_base=DATA + 0xF00) -> EnclaveImage:
     detectors."""
     return EnclaveImage(
         variant="custom", layout=Layout(), toggles=Toggles(),
-        program=program, nssa=2, auto_mask=False, auto_atomic=False,
-        stack_base=stack_base,
+        program=program, stack_base=stack_base,
         trusted_stack_ranges=((DATA, DATA + 0x1000),),
         sp_windows=(), crit_ranges=(),
     )

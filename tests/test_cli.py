@@ -1,7 +1,6 @@
 """Command-line contract: flags, exit codes, output files."""
 
 import json
-import os
 import subprocess
 import sys
 
@@ -10,7 +9,7 @@ import pytest
 from aexlab.isa import render
 from aexlab.runtimes import build_runtime, fixture_path
 
-ENV = dict(os.environ)
+from conftest import CLI_ENV as ENV
 
 
 def cli(*argv, cwd=None):
@@ -123,6 +122,34 @@ def test_replay_mismatch_names_action_and_event_kind(tmp_path):
     assert "expected event kind retire:" in stderr
     program = build_runtime("sdk_style").program
     assert f"; instruction {pc:#x}: {render(program.code[pc])}" in stderr
+
+
+def _first(lines, prefix):
+    return next(i for i, ln in enumerate(lines) if ln.startswith(prefix))
+
+
+@pytest.mark.parametrize("prefix,bad,message", [
+    ("# lines: ", "# lines: many",
+     "error: trace: line count is not an integer: 'many'"),
+    ("A eenter ", "A eenter 0xzz - -",
+     "error: trace: malformed action line: 'A eenter 0xzz - -'"),
+    ("A inject ", "A inject nosuch 0",
+     "error: trace: malformed action line: 'A inject nosuch 0'"),
+    ("A eenter ", "A eenter", "error: trace: malformed action line"),
+    ("E retire ", "E retire 0xzz 0x0 0x0 0x0 0123456789abcdef",
+     "expected a well-formed event line"),
+], ids=["line_count", "action_hex", "vector_name", "short_action",
+        "event_hex"])
+def test_replay_malformed_trace_exits_three(tmp_path, prefix, bad, message):
+    golden = fixture_path("golden/scripted_sdk_sgx2.trace")
+    lines = open(golden).read().splitlines()
+    lines[_first(lines, prefix)] = bad
+    tampered = tmp_path / "t.trace"
+    tampered.write_text("\n".join(lines) + "\n")
+    rc, _, stderr = cli("replay", "--trace", str(tampered))
+    assert rc == 3
+    assert message in stderr
+    assert "Traceback" not in stderr
 
 
 def test_matrix_empty_mapping_header_only(tmp_path):

@@ -299,7 +299,6 @@ def test_quota_accounting_per_window():
 def test_mask_cleared_by_end_atomic_and_eexit():
     m, _ = enclave_machine()
     m.hw = HwExt(kind=HW_REENTRY_MASK)
-    m.auto_mask = True
     m.eexit(0x4000)
     m.eenter([0] * NREGS, aep=0x4000)
     assert m.hw.masked

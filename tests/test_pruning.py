@@ -341,9 +341,9 @@ def _checked_covered(monkeypatch) -> list:
         steps, boundaries = covered(image, snapshot, actions, rep, budget)
         assert actions != rep[0]
         got = run_plan(snapshot.clone(), image, actions,
-                       max_steps=budget.max_steps_per_run)
+                       max_steps=budget.max_steps)
         want = run_plan(snapshot.clone(), image, rep[0],
-                        max_steps=budget.max_steps_per_run)
+                        max_steps=budget.max_steps)
         assert got.trace == want.trace
         assert (got.status, got.steps, got.boundaries) == (
             want.status, steps, boundaries)
@@ -376,7 +376,7 @@ def test_pruning_stays_sound_where_the_payload_matters(monkeypatch):
     out = exhaustive_attacker(build_runtime("open_enclave_style"), SGX2)
     assert isinstance(out, NoneFound)
     groups = out.stats.runs // len(adversary.default_domain(
-        build_runtime("open_enclave_style")).words)
+        build_runtime("open_enclave_style")))
     assert out.stats.executed > groups
     assert len(compared) == out.stats.runs - out.stats.executed
 

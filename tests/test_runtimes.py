@@ -3,6 +3,7 @@ sanity, critical-span emulation, delivery policies, and benign completeness
 across every variant."""
 
 import os
+from dataclasses import dataclass
 
 import pytest
 
@@ -15,10 +16,9 @@ from aexlab.harness import (
 from aexlab.interp import UnknownCriticalRange, complete_critical
 from aexlab.machine import E_EXIT, RSP, SGX2, VEC_EXT_INT
 from aexlab.runtimes import (
-    CMD_EXCEPTION, CMD_ORET, ST_UNHANDLED,
-    ThreadDataView, Toggles, build_machine, build_runtime, fixtures_dir,
-    generate_source, handler_sp_check, postpone_or_ignore,
-    validate_oret,
+    CMD_EXCEPTION, CMD_ORET, CTX_GUARD_WORDS, OCALL_MAGIC, ST_UNHANDLED,
+    TD_LAST_SP, TD_STACK_BASE, TD_STACK_LIMIT, Toggles, build_machine,
+    build_runtime, fixtures_dir, generate_source,
 )
 
 
@@ -34,8 +34,35 @@ def fresh(variant, sgx=SGX2, toggles=None):
 # ocall-return checks
 # ---------------------------------------------------------------------------
 
+@dataclass
+class ThreadData:
+    """The thread-data words the check specifications read."""
+
+    last_sp: int
+    stack_base_addr: int
+    stack_limit_addr: int
+
+
 def td_view(img, m):
-    return ThreadDataView.read(m.mem, img.layout.td_base)
+    word = lambda off: m.mem.read(img.layout.td_base + off)[0]
+    return ThreadData(word(TD_LAST_SP), word(TD_STACK_BASE),
+                      word(TD_STACK_LIMIT))
+
+
+def validate_oret(td, ctx_addr, mem):
+    """Specification of the ocall-return checks, in flow order; the first
+    failure wins.  `ctx_addr` is the candidate saved-context base (equal to
+    last_sp in the assembled flow)."""
+    if td.last_sp == 0:
+        return "zero_sp"
+    if td.last_sp > td.stack_base_addr - CTX_GUARD_WORDS * 8:
+        return "sp_too_high"
+    if mem.read(ctx_addr + 0)[0] != OCALL_MAGIC:
+        return "bad_flag"
+    pre = mem.read(ctx_addr + 8)[0]
+    if pre <= ctx_addr or pre > td.stack_base_addr:
+        return "bad_pre_sp"
+    return "ok"
 
 
 def test_validate_oret_zero_sp():
@@ -90,6 +117,16 @@ def test_crafted_write_bypasses_oret_checks():
 # ---------------------------------------------------------------------------
 # handler stack-pointer sanity
 # ---------------------------------------------------------------------------
+
+def handler_sp_check(sp, td, alignment=16):
+    """Specification of the handler's stack-pointer checks: inside the
+    thread stack and aligned."""
+    if not td.stack_limit_addr <= sp <= td.stack_base_addr:
+        return "out_of_range"
+    if sp % alignment:
+        return "misaligned"
+    return "ok"
+
 
 def test_handler_sp_check_examples():
     img, m = fresh("sdk_style")
@@ -269,21 +306,6 @@ def test_quota_defers_mid_window_injection_to_section_end():
     assert func.stats["handler_runs"] == 1
     assert not properties.any_violation(properties.evaluate(
         res.trace, img, properties.SAFETY_PROPERTIES))
-
-
-def test_postpone_unit_records_pending():
-    img, m = fresh("sdk_style")
-    td_base = img.layout.td_base
-    m.mem.write(td_base + runtimes.TD_CRIT_FLAG, 1, False)
-    td = td_view(img, m)
-    out = postpone_or_ignore(td, VEC_EXT_INT, "postpone", m.mem, td_base)
-    assert out == "postponed"
-    assert m.mem.read(td_base + runtimes.TD_PENDING)[0] == VEC_EXT_INT + 1
-    assert postpone_or_ignore(td, VEC_EXT_INT, "ignore", m.mem,
-                              td_base) == "ignored"
-    td.critical_flag = 0
-    with pytest.raises(ValueError):
-        postpone_or_ignore(td, VEC_EXT_INT, "postpone", m.mem, td_base)
 
 
 # ---------------------------------------------------------------------------
