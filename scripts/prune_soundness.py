@@ -34,8 +34,10 @@ class Mismatch(Exception):
 def checked(covered, counter: list):
     """Wrap `adversary._covered` so every covered plan is run and compared
     with a run of its representative."""
-    def wrapper(image, snapshot, actions, rep, budget):
-        steps, boundaries = covered(image, snapshot, actions, rep, budget)
+    def wrapper(image, snapshot, entry, inject, rep, budget):
+        steps, boundaries = covered(image, snapshot, entry, inject, rep,
+                                    budget)
+        actions = adversary._candidate_actions(entry(), inject)
         got = run_plan(snapshot.clone(), image, actions,
                        max_steps=budget.max_steps)
         want = run_plan(snapshot.clone(), image, rep[0],
@@ -79,8 +81,8 @@ def main() -> int:
                     return 1
                 print(f"{variant} sgx{sgx} {mode}: {counter[0] - before} "
                       f"covered plans equal their representatives "
-                      f"(executed {out.executed} of "
-                      f"{out.stats.get('runs', 0)}; "
+                      f"(executed {out.search.executed} of "
+                      f"{out.search.runs}; "
                       f"{time.monotonic() - t0:.1f}s)", file=sys.stderr)
     print(f"{counter[0]} covered plans compared, all equal")
     return 0

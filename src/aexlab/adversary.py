@@ -14,14 +14,15 @@ classes, re-entry commands, and register bindings from a finite domain.
 from __future__ import annotations
 
 import contextlib
+import functools
 import multiprocessing as mp
 from dataclasses import dataclass
 from typing import Optional
 
 from .harness import (
     AttackPlan, BENIGN_OCALL_RESULT, BENIGN_REGS, DEFAULT_MAX_STEPS, Eenter,
-    Eresume, InjectAex, PrepareRegs, SeedPublic, Stop, prefix_plan,
-    run_plan,
+    Eresume, InjectAex, PrepareRegs, RunResult, SeedPublic, Stop,
+    prefix_plan, run_plan,
 )
 from .machine import (
     DEFAULT_IRQ_GRANT, HW_IRQ_QUOTA, MASK64, RSP, SCRUB_VALUES, SGX2,
@@ -199,19 +200,23 @@ REENTRY_CMDS = (CMD_ORET, CMD_INVALID, CMD_EXCEPTION)
 class SearchStats:
     """Plans covered (`runs`), with their steps and injected boundaries.
     A plan covered by its clean representative counts the representative's
-    steps.  `executed` counts the plans actually run; it depends on the
-    pruning, not on the space, so reports leave it out."""
+    steps, and a resumed plan all of its steps.  `executed` counts the
+    plans actually run and `stepped` the instructions they stepped, a
+    resumed plan only those after its point; both depend on how the space
+    was searched, not on the space, so reports leave them out."""
 
     runs: int = 0
     steps: int = 0
     boundaries: int = 0
     executed: int = 0
+    stepped: int = 0
 
     def merge(self, other: "SearchStats") -> None:
         self.runs += other.runs
         self.steps += other.steps
         self.boundaries += other.boundaries
         self.executed += other.executed
+        self.stepped += other.stepped
 
     def to_dict(self) -> dict:
         return {"runs": self.runs, "steps": self.steps,
@@ -307,41 +312,62 @@ def _monitored(checkpoint: SafetyMonitor, trace: list) -> SafetyMonitor:
     return monitor
 
 
-def _covered(image: EnclaveImage, snapshot: Machine, actions: list,
-             rep: tuple[list, int, int],
+def _covered(image: EnclaveImage, snapshot: Machine, entry,
+             inject: Optional[tuple[int, int]], rep: tuple[list, int, int],
              budget: SearchBudget) -> tuple[int, int]:
-    """The steps and boundaries of the plan `actions` without running it.
-    Its representative `rep` (actions, steps, boundaries) is the same plan
-    under the first payload binding, and no payload value reached a sink in
-    it, so this plan's run equals the representative's.
-    scripts/prune_soundness.py wraps this function to run both and compare."""
+    """The steps and boundaries of a plan without building or running it:
+    the plan of shape `inject` under the binding whose actions `entry()`
+    builds.  Its representative `rep` (actions, steps, boundaries) is the
+    same shape under the first payload binding, and no payload value
+    reached a sink in it, so this plan's run equals the representative's.
+    scripts/prune_soundness.py wraps this function to build and run both
+    and compare."""
     return rep[1], rep[2]
 
 
-def _attempt(image: EnclaveImage, snapshot: Machine, entry: tuple,
-             inject: Optional[tuple[int, int]], budget: SearchBudget,
-             track: bool, clean: dict,
-             stats: SearchStats) -> tuple[list, Optional[list], int]:
+def _attempt(image: EnclaveImage, snapshot: Machine, entry,
+             inject: Optional[tuple[int, int]], points: list,
+             budget: SearchBudget, track: bool, clean: dict,
+             stats: SearchStats
+             ) -> tuple[Optional[list], Optional[RunResult], int]:
     """Run one candidate plan, or count it as covered when `clean` holds a
-    representative of its shape (`inject`).  With `track`, the plan is a
-    representative: it runs with labelled payload registers and is kept in
-    `clean` when the run ends uninfluenced.  Returns the actions, the trace
-    (None when covered) and the boundaries."""
-    actions = _candidate_actions(entry, inject)
+    representative of its shape (`inject`).  `entry()` builds the binding's
+    staged registers and re-entry, only for a plan that runs.  A dry run
+    keeps its points up to the boundary cap; a plan injecting at boundary k
+    resumes from `points[k]` when its binding's dry run kept one.  With
+    `track`, the plan is a representative: it runs with labelled payload
+    registers and is kept in `clean` when the run ends uninfluenced.
+    Returns the actions and the RunResult (both None when covered) and the
+    boundaries."""
     stats.runs += 1
     rep = clean.get(inject)
     if rep is not None:
-        steps, boundaries = _covered(image, snapshot, actions, rep, budget)
+        steps, boundaries = _covered(image, snapshot, entry, inject, rep,
+                                     budget)
         stats.steps += steps
-        return actions, None, boundaries
-    res = run_plan(snapshot.clone(), image, actions,
-                   max_steps=budget.max_steps,
-                   payload=PAYLOAD_REGS if track else ())
+        return None, None, boundaries
+    actions = _candidate_actions(entry(), inject)
+    payload = PAYLOAD_REGS if track else ()
+    if inject is None:
+        res = run_plan(snapshot.clone(), image, actions,
+                       max_steps=budget.max_steps, payload=payload,
+                       keep=budget.boundary_cap)
+        resumed_at = 0
+    elif inject[1] < len(points):
+        point = points[inject[1]]
+        res = run_plan(point, image, actions, max_steps=budget.max_steps,
+                       payload=payload, inject=actions[1])  # the InjectAex
+        resumed_at = point.steps
+    else:
+        res = run_plan(snapshot.clone(), image, actions,
+                       max_steps=budget.max_steps, payload=payload)
+        resumed_at = 0
     stats.executed += 1
     stats.steps += res.steps
+    stats.stepped += res.steps - resumed_at
     if track and not res.machine.influenced:
         clean[inject] = (actions, res.steps, res.boundaries)
-    return actions, res.trace, res.boundaries
+    return actions, res, res.boundaries
 
 
 def _search_branch(image: EnclaveImage, snapshot: Machine,
@@ -353,38 +379,43 @@ def _search_branch(image: EnclaveImage, snapshot: Machine,
     payload binding.  The first binding's plans are the representatives; a
     later binding's plan whose representative ran clean is counted without
     being run, since it would repeat that run exactly.  A covered plan can
-    only violate where its representative, searched first, already did."""
+    only violate where its representative, searched first, already did.
+    An executed injected plan resumes from its binding's dry run, at the
+    boundary where it injects, instead of re-running the steps before it."""
     cmd = REENTRY_CMDS[cmd_i]
     rsp_bind = domain[rsp_i]
     clean: dict = {}    # plan shape -> clean representative
     for pay_i, payload in enumerate(domain):
-        entry = _binding_entry(cmd, rsp_bind, payload)
+        entry = functools.cache(
+            functools.partial(_binding_entry, cmd, rsp_bind, payload))
         track = pay_i == 0
-        actions, trace, dry_boundaries = _attempt(
-            image, snapshot, entry, None, budget, track, clean, stats)
-        if trace is not None:
-            monitor = _monitored(checkpoint, trace)
+        actions, res, dry_boundaries = _attempt(
+            image, snapshot, entry, None, (), budget, track, clean, stats)
+        points = ()
+        if res is not None:
+            points = res.points
+            monitor = _monitored(checkpoint, res.trace)
             if monitor.violated:
                 return Counterexample((cmd_i, rsp_i, pay_i, -1, -1),
                                       AttackPlan("exhaustive", actions),
-                                      trace, monitor.verdicts(), stats)
+                                      res.trace, monitor.verdicts(), stats)
         n_boundaries = min(dry_boundaries, budget.boundary_cap)
         for k in range(n_boundaries + 1):
             for vec in classes:
                 if vec == VEC_PAGE_FAULT and k != 0:
                     continue  # permission faults realize at the entry fetch
-                actions, trace, _ = _attempt(
-                    image, snapshot, entry, (vec, k), budget, track, clean,
-                    stats)
+                actions, res, _ = _attempt(
+                    image, snapshot, entry, (vec, k), points, budget, track,
+                    clean, stats)
                 stats.boundaries += 1
-                if trace is None:
+                if res is None:
                     continue
-                monitor = _monitored(checkpoint, trace)
+                monitor = _monitored(checkpoint, res.trace)
                 if monitor.violated:
                     return Counterexample(
                         (cmd_i, rsp_i, pay_i, k, vec),
                         AttackPlan("exhaustive", actions),
-                        trace, monitor.verdicts(), stats)
+                        res.trace, monitor.verdicts(), stats)
     return None
 
 

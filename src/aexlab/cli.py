@@ -13,7 +13,7 @@ import os
 import sys
 import time
 
-from . import explorer, reporting
+from . import adversary, explorer, reporting
 from .explorer import (
     EXIT_BUDGET, EXIT_DIGEST_MISMATCH, EXIT_OK, EXIT_USAGE,
 )
@@ -51,16 +51,21 @@ def _cmd_run(args) -> int:
     if outcome.milestones:
         print("milestones:", " -> ".join(outcome.milestones))
     work = ""
-    if outcome.executed is not None:
-        work = _work(outcome.executed, outcome.stats.get("runs", 0))
+    if outcome.search is not None:
+        work = _work([outcome.search])
     print(f"status: {outcome.status}; {work}wall time {wall:.2f}s",
           file=sys.stderr)
     return outcome.exit_code
 
 
-def _work(executed: int, plans: int) -> str:
-    """The search-work part of a status line: plans run of plans covered."""
-    return f"executed {executed} of {plans} plans; "
+def _work(searches: list) -> str:
+    """The search-work part of a status line: plans run of plans covered,
+    and the instructions the run plans stepped."""
+    total = adversary.SearchStats()
+    for stats in searches:
+        total.merge(stats)
+    return (f"executed {total.executed} of {total.runs} plans; "
+            f"stepped {total.stepped} instructions; ")
 
 
 def _cmd_matrix(args) -> int:
@@ -93,9 +98,7 @@ def _cmd_matrix(args) -> int:
         fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
     sys.stdout.write(text)
-    searched = [c for c in cells if c.executed is not None]
-    print(_work(sum(c.executed for c in searched),
-                sum(c.stats.get("runs", 0) for c in searched))
+    print(_work([c.search for c in cells if c.search is not None])
           + f"wall time {wall:.2f}s", file=sys.stderr)
     if any(c.verdict == "BUDGET" for c in cells):
         return EXIT_BUDGET

@@ -48,7 +48,8 @@ class Outcome:
     stats: dict
     trace_lines: Optional[list[str]]
     exit_code: int
-    executed: Optional[int] = None   # plans the search ran; None: no search
+    # the search's work (plans run, instructions stepped); None: no search
+    search: Optional[adversary.SearchStats] = None
 
     def report(self, trace_file: Optional[str]) -> dict:
         return reporting.render_report(
@@ -124,7 +125,7 @@ def run(scenario: dict, workers: int = 1) -> Outcome:
     mode = scenario["adversary"]
     sgx = scenario["sgx_version"]
     actions = None
-    executed = None
+    search = None
 
     if mode == "monte_carlo":
         rate = adversary.estimate_single_shot_rate(scenario["trials"],
@@ -169,15 +170,15 @@ def run(scenario: dict, workers: int = 1) -> Outcome:
             grant=_grant_for(scenario, image), workers=workers,
             sp_mode=scenario["sp_confinement_mode"])
         stats = out.stats.to_dict()
-        executed = out.stats.executed
+        search = out.stats
         if isinstance(out, adversary.BudgetExceeded):
             return Outcome(scenario, "budget_exceeded", [], (), stats,
-                           None, EXIT_BUDGET, executed)
+                           None, EXIT_BUDGET, search)
         if isinstance(out, adversary.NoneFound):
             verdicts = [Verdict(p, "no_violation_found", stats=stats)
                         for p in scenario["properties"]]
             return Outcome(scenario, "ok", verdicts, (), stats, None,
-                           EXIT_OK, executed)
+                           EXIT_OK, search)
         actions = prefix_plan() + out.plan.actions
         stats["branch"] = list(out.branch)
 
@@ -189,7 +190,7 @@ def run(scenario: dict, workers: int = 1) -> Outcome:
     verdicts = _verdicts(scenario, image, res.trace)
     code = EXIT_VIOLATION if any_violation(verdicts) else EXIT_OK
     return Outcome(scenario, "ok", verdicts, milestones(res.trace, image),
-                   stats, lines, code, executed)
+                   stats, lines, code, search)
 
 
 # ---------------------------------------------------------------------------
@@ -409,9 +410,9 @@ class MatrixCell:
     exception_handling: bool
     verdict: str                    # VULN | SAFE | BUDGET
     stats: dict
-    # plans the certification ran; None on a row that reuses the
+    # the certification's search work; None on a row that reuses the
     # certification of an earlier row
-    executed: Optional[int] = None
+    search: Optional[adversary.SearchStats] = None
 
 
 def load_mapping(path: Optional[str] = None) -> list[dict]:
@@ -430,9 +431,9 @@ def _matrix_cell(args):
         "adversary": "exhaustive", "toggles": toggles})
     out = run(scenario, workers=1)
     if out.status == "budget_exceeded":
-        return ("BUDGET", out.stats, out.executed)
+        return ("BUDGET", out.stats, out.search)
     verdict = "VULN" if any_violation(out.verdicts) else "SAFE"
-    return (verdict, out.stats, out.executed)
+    return (verdict, out.stats, out.search)
 
 
 def run_matrix(mapping: list[dict], sgx_version: int,
@@ -460,11 +461,11 @@ def run_matrix(mapping: list[dict], sgx_version: int,
     for row in mapping:
         toggles = row.get("toggles") or {}
         key = (row["variant"], sgx_version, tuple(sorted(toggles.items())))
-        verdict, stats, executed = by_key[key]
+        verdict, stats, search = by_key[key]
         cells.append(MatrixCell(row["runtime"], row["variant"],
                                 bool(row.get("exception_handling", True)),
                                 verdict, stats,
-                                None if key in seen else executed))
+                                None if key in seen else search))
         seen.add(key)
     return cells
 

@@ -6,7 +6,9 @@ firing armed asynchronous exits at the requested instruction boundary.
 Because the machine is deterministic, reactive host behavior (answer an
 ocall, deliver an exception, resume) can be written down as a fixed action
 sequence; an action that the hardware refuses (denied entry or resume)
-terminates the run with the refusal on the trace.
+terminates the run with the refusal on the trace.  A run can keep points
+(the machine and the run's own state at instruction boundaries), and a
+later run can resume from one instead of repeating the steps before it.
 """
 
 from __future__ import annotations
@@ -99,24 +101,39 @@ class AttackPlan:
 
 
 @dataclass
+class Point:
+    """A run stopped at one instruction boundary of the window its first
+    entry opened: a clone of the machine there and the loop's own state.
+    `run_plan` keeps points on request and resumes from them."""
+    machine: Machine
+    idx: int                 # next action index
+    staged: dict
+    window_count: int
+    steps: int
+    boundaries: int
+
+
+@dataclass
 class RunResult:
     status: str
     steps: int
     boundaries: int          # instruction boundaries seen in entered windows
     machine: Machine
     actions_applied: int
+    points: list = field(default_factory=list)   # kept points, by boundary
 
     @property
     def trace(self) -> list[tuple]:
         return self.machine.trace
 
 
-def run_plan(machine: Machine, image: EnclaveImage, actions: list,
+def run_plan(machine: "Machine | Point", image: EnclaveImage, actions: list,
              max_steps: int = DEFAULT_MAX_STEPS,
              on_action: Optional[Callable[[int, object], None]] = None,
              after_events: Optional[Callable[[], None]] = None,
              before_step: Optional[Callable[[Machine], None]] = None,
-             payload: tuple[str, ...] = ()) -> RunResult:
+             payload: tuple[str, ...] = (), keep: int = -1,
+             inject: Optional[InjectAex] = None) -> RunResult:
     """Execute `actions` to completion.  `on_action` is called before each
     action is applied (for trace serialization); `after_events` after every
     atomic machine transition (for digest recording); `before_step` with
@@ -125,20 +142,42 @@ def run_plan(machine: Machine, image: EnclaveImage, actions: list,
     `payload` names staged registers that carry the attacker's payload: an
     entry that uses the staged registers labels them, the run steps the
     program's tracking twin, and ``machine.influenced`` ends up False only
-    if the run's trace cannot depend on their values."""
+    if the run's trace cannot depend on their values.
+
+    With `keep` >= 0 the run keeps a Point at the first visit of each
+    boundary 0..keep of the window its first entry opened
+    (``RunResult.points``).  Given a Point instead of a machine, the run
+    resumes from a clone of it with `inject` live: `actions` is the plan
+    the point was kept from with `inject` inserted right before that entry.
+    When that plan had no injection live in the window and `inject` fires
+    at the point's boundary or later, the resumed run equals a fresh run of
+    `actions` exactly: its trace, status, steps, boundaries, actions
+    applied and labels."""
     program = image.program
     labels = 0
     if payload:
         program = tracking(program)
         for name in payload:
             labels |= 1 << REG_IDS[name]
-    staged: dict[str, int] = {}
     armed: Optional[InjectAex] = None     # pending for the next window
-    live: Optional[InjectAex] = None      # counting in the current window
-    window_count = 0
-    steps = 0
-    boundaries = 0
-    idx = 0
+    points: list[Point] = []
+    keep_until = -1     # the last boundary of the current window to keep
+    if isinstance(machine, Point):
+        start = machine
+        machine = start.machine.clone()
+        staged = start.staged
+        live = inject                     # counting in the current window
+        window_count = start.window_count
+        steps = start.steps
+        boundaries = start.boundaries
+        idx = start.idx + 1               # the injection was applied too
+    else:
+        staged = {}
+        live = None
+        window_count = 0
+        steps = 0
+        boundaries = 0
+        idx = 0
     status = DONE
 
     def notify():
@@ -179,6 +218,9 @@ def run_plan(machine: Machine, image: EnclaveImage, actions: list,
             if sig == "ok":
                 window_count += 1
                 boundaries += 1
+                if window_count <= keep_until:
+                    points.append(Point(machine.clone(), idx, staged,
+                                        window_count, steps, boundaries))
                 continue
             if sig == "fault":
                 delivered = machine.aex(machine.pending_fault)
@@ -196,7 +238,8 @@ def run_plan(machine: Machine, image: EnclaveImage, actions: list,
                 break
             raise AssertionError(sig)
 
-        # OS mode: apply the next action
+        # OS mode: apply the next action; the kept window, if any, is over
+        keep_until = -1
         if idx >= len(actions):
             status = DONE
             break
@@ -229,6 +272,10 @@ def run_plan(machine: Machine, image: EnclaveImage, actions: list,
             live = armed
             armed = None
             window_count = 0
+            if keep >= 0 and not points:
+                keep_until = keep
+                points.append(Point(machine.clone(), idx, staged, 0, steps,
+                                    boundaries))
         elif isinstance(action, Eresume):
             try:
                 machine.eresume()
@@ -258,7 +305,7 @@ def run_plan(machine: Machine, image: EnclaveImage, actions: list,
             raise TypeError(f"unknown action {action!r}")
 
     return RunResult(status=status, steps=steps, boundaries=boundaries,
-                     machine=machine, actions_applied=idx)
+                     machine=machine, actions_applied=idx, points=points)
 
 
 # ---------------------------------------------------------------------------

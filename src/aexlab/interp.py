@@ -733,19 +733,20 @@ _TRACKED = {
 
 def tracking(program: Program) -> Program:
     """The twin of `program` whose steps also move payload labels: the same
-    code under the table of tracked handlers, which is built once and kept
-    on the program.  The twin itself is not kept, so no reference cycle
-    outlives a run."""
-    table = program.tracked
-    if table is None:
+    code under the table of tracked handlers.  The twin is built once and
+    kept on the program; it shares the program's tables and reaches the
+    program only through the weak references of the decoded entries, so
+    reference counting alone still frees both."""
+    twin = program.tracked
+    if twin is None:
         table = {}
         for pc, ins in decode(program).items():
             if ins[0] in _TRACKED:  # the others keep the plain entry
                 ins = (_TRACKED[ins[0]],) + ins[1:]
             table[pc] = ins
-        program.tracked = table
-    twin = dataclasses.replace(program)
-    twin.decoded = table
+        twin = dataclasses.replace(program)
+        twin.decoded = table
+        program.tracked = twin
     return twin
 
 

@@ -10,7 +10,10 @@ from aexlab.adversary import (
     exhaustive_attacker, multi_round_aslr, scripted_attack,
 )
 from aexlab.harness import prefix_plan, run_plan
-from aexlab.machine import SGX1, SGX2, VEC_EXT_INT, VEC_PAGE_FAULT
+from aexlab.isa import OP_EMULATE_CRITICAL
+from aexlab.machine import (
+    E_HW_AEX, E_HW_DEFER, E_RETIRE, SGX1, SGX2, VEC_EXT_INT, VEC_PAGE_FAULT,
+)
 from aexlab.runtimes import Layout, Toggles, build_machine, build_runtime
 
 VULNERABLE = [
@@ -255,3 +258,118 @@ def test_multi_round_concrete_corrupts_for_sampled_offsets():
         res = multi_round_aslr(img, SGX2, simulate=True)
         assert res.success, off
         assert res.rounds_needed <= 32
+
+
+# ---------------------------------------------------------------------------
+# injected plans resumed from their dry run's points
+# ---------------------------------------------------------------------------
+
+def _assert_same_run(got, want):
+    assert got.trace == want.trace
+    assert (got.status, got.steps, got.boundaries, got.actions_applied) == (
+        want.status, want.steps, want.boundaries, want.actions_applied)
+    gm, wm = got.machine, want.machine
+    assert gm.payload == wm.payload and gm.mem.payload == wm.mem.payload
+    assert [f.payload for f in gm.ssa] == [f.payload for f in wm.ssa]
+    assert gm.influenced == wm.influenced
+    assert gm.digest() == wm.digest()
+
+
+def _checked_resumes(monkeypatch) -> list:
+    """Run every resumed plan of the search fresh from the prefix snapshot
+    too and require the same run; returns (point, result) per resumed
+    plan."""
+    snapshots = []
+    snapshot_of = adversary._prefix_snapshot
+    real = adversary.run_plan
+    resumed = []
+
+    def snapshot(*args):
+        snapshots.append(snapshot_of(*args))
+        return snapshots[-1]
+
+    def checked(start, image, actions, **kwargs):
+        res = real(start, image, actions, **kwargs)
+        if isinstance(start, harness.Point):
+            # the plan resumes at the boundary where it injects
+            assert start.window_count == kwargs["inject"].boundary
+            kwargs = {k: v for k, v in kwargs.items() if k != "inject"}
+            fresh = real(snapshots[-1].clone(), image, actions, **kwargs)
+            _assert_same_run(res, fresh)
+            resumed.append((start, res))
+        return res
+
+    monkeypatch.setattr(adversary, "_prefix_snapshot", snapshot)
+    monkeypatch.setattr(adversary, "run_plan", checked)
+    return resumed
+
+
+def _after_point(point, res) -> list:
+    return res.trace[len(point.machine.trace):]
+
+
+def test_resumed_plans_equal_fresh_runs(monkeypatch):
+    resumed = _checked_resumes(monkeypatch)
+    out = exhaustive_attacker(build_runtime("dedicated_stack"), SGX2)
+    assert isinstance(out, NoneFound)
+    # every injected plan of the tracked bindings resumes: 15 per branch
+    assert len(resumed) == 36 * 15
+    assert out.stats.stepped == 20808 < sum(r.steps for _, r in resumed)
+
+
+def test_resumed_plans_equal_fresh_runs_under_irq_quota(monkeypatch):
+    # the injection lands in the granted atomic window: it is deferred, and
+    # delivered when the window expires unless the enclave halts first
+    resumed = _checked_resumes(monkeypatch)
+    out = exhaustive_attacker(build_runtime("hw_irq_quota"), SGX2)
+    assert isinstance(out, NoneFound)
+    kinds = [[e[0] for e in _after_point(p, r)] for p, r in resumed]
+    deferred = [k for k in kinds if E_HW_DEFER in k]
+    assert deferred and len(deferred) < len(resumed)
+    assert any(E_HW_AEX in k[k.index(E_HW_DEFER):] for k in deferred)
+
+
+def test_resumed_plans_equal_fresh_runs_with_critical_completion(
+        monkeypatch):
+    # an injection inside an emulated critical span, completed by the
+    # handler's emulate_critical
+    resumed = _checked_resumes(monkeypatch)
+    img = build_runtime("graphene_emulated")
+    out = exhaustive_attacker(img, SGX1)
+    assert isinstance(out, NoneFound)
+    spans = img.program.crit_ranges.values()
+    emulate = {pc for pc, ins in img.program.code.items()
+               if ins[0] == OP_EMULATE_CRITICAL}
+    inside = [_after_point(p, r) for p, r in resumed
+              if any(e[0] == E_HW_AEX and any(lo < e[1] < hi
+                                              for lo, hi in spans)
+                     for e in _after_point(p, r))]
+    assert inside
+    assert all(any(e[0] == E_RETIRE and e[1] in emulate for e in events)
+               for events in inside)
+
+
+def test_resumed_plans_equal_fresh_runs_over_the_step_budget(monkeypatch):
+    resumed = _checked_resumes(monkeypatch)
+    out = exhaustive_attacker(build_runtime("dedicated_stack"), SGX2,
+                              budget=SearchBudget(max_steps=50))
+    assert isinstance(out, NoneFound)
+    ends = {r.status for _, r in resumed}
+    assert "budget_exceeded" in ends and len(ends) > 1
+
+
+def test_no_point_is_kept_past_the_boundary_cap(monkeypatch):
+    real = adversary.run_plan
+    kept = []
+
+    def counted(start, image, actions, **kwargs):
+        res = real(start, image, actions, **kwargs)
+        if res.points:
+            kept.append([p.window_count for p in res.points])
+        return res
+
+    monkeypatch.setattr(adversary, "run_plan", counted)
+    out = exhaustive_attacker(build_runtime("dedicated_stack"), SGX2,
+                              budget=SearchBudget(boundary_cap=3))
+    assert isinstance(out, NoneFound)
+    assert kept and all(k == [0, 1, 2, 3] for k in kept)

@@ -337,8 +337,10 @@ def _checked_covered(monkeypatch) -> list:
     covered = adversary._covered
     compared = []
 
-    def check(image, snapshot, actions, rep, budget):
-        steps, boundaries = covered(image, snapshot, actions, rep, budget)
+    def check(image, snapshot, entry, inject, rep, budget):
+        steps, boundaries = covered(image, snapshot, entry, inject, rep,
+                                    budget)
+        actions = adversary._candidate_actions(entry(), inject)
         assert actions != rep[0]
         got = run_plan(snapshot.clone(), image, actions,
                        max_steps=budget.max_steps)
@@ -413,3 +415,20 @@ def test_matrix_status_line_counts_each_certification_once(tmp_path,
     assert cli.main(["matrix", "--sgx", "2", "--out", str(tmp_path)]) == 0
     err = capsys.readouterr().err
     assert "executed 1638 of 19590 plans;" in err
+
+
+def test_status_line_counts_the_instructions_stepped(tmp_path, capsys):
+    # each of the 540 executed injected plans resumes from its dry run's
+    # point and steps only what follows it; run from the prefix snapshot,
+    # the 576 executed plans would step 25,848 instructions
+    scenario = reporting.normalize_scenario({
+        "variant": "dedicated_stack", "sgx_version": 2,
+        "adversary": "exhaustive"})
+    path = tmp_path / "scenario.json"
+    path.write_text(reporting.dumps_scenario(scenario))
+    assert cli.main(["run", "--scenario", str(path),
+                     "--out", str(tmp_path / "out")]) == 0
+    err = capsys.readouterr().err
+    assert ("executed 576 of 6912 plans; stepped 20808 instructions; "
+            "wall time ") in err
+    assert '"stepped"' not in (tmp_path / "out" / "report.json").read_text()
