@@ -326,7 +326,7 @@ def _covered(image: EnclaveImage, snapshot: Machine, entry,
 
 
 def _attempt(image: EnclaveImage, snapshot: Machine, entry,
-             inject: Optional[tuple[int, int]], points: list,
+             inject: Optional[tuple[int, int]], points: list, later: tuple,
              budget: SearchBudget, track: bool, clean: dict,
              stats: SearchStats
              ) -> tuple[Optional[list], Optional[RunResult], int]:
@@ -334,11 +334,13 @@ def _attempt(image: EnclaveImage, snapshot: Machine, entry,
     representative of its shape (`inject`).  `entry()` builds the binding's
     staged registers and re-entry, only for a plan that runs.  A dry run
     keeps its points up to the boundary cap; a plan injecting at boundary k
-    resumes from `points[k]` when its binding's dry run kept one.  With
-    `track`, the plan is a representative: it runs with labelled payload
-    registers and is kept in `clean` when the run ends uninfluenced.
-    Returns the actions and the RunResult (both None when covered) and the
-    boundaries."""
+    resumes from `points[k]` when its binding's dry run kept one: from a
+    copy while a plan injecting a class of `later` at boundary k is still
+    to run (it has no clean representative), else taking the point's
+    machine.  With `track`, the plan is a
+    representative: it runs with labelled payload registers and is kept in
+    `clean` when the run ends uninfluenced.  Returns the actions and the
+    RunResult (both None when covered) and the boundaries."""
     stats.runs += 1
     rep = clean.get(inject)
     if rep is not None:
@@ -354,7 +356,10 @@ def _attempt(image: EnclaveImage, snapshot: Machine, entry,
                        keep=budget.boundary_cap)
         resumed_at = 0
     elif inject[1] < len(points):
-        point = points[inject[1]]
+        k = inject[1]
+        point = points[k]
+        if any((vec, k) not in clean for vec in later):
+            point = point.copy()
         res = run_plan(point, image, actions, max_steps=budget.max_steps,
                        payload=payload, inject=actions[1])  # the InjectAex
         resumed_at = point.steps
@@ -368,6 +373,11 @@ def _attempt(image: EnclaveImage, snapshot: Machine, entry,
     if track and not res.machine.influenced:
         clean[inject] = (actions, res.steps, res.boundaries)
     return actions, res, res.boundaries
+
+
+def _in_order(classes: tuple[int, ...]) -> list[tuple[int, tuple]]:
+    """Each class, with the classes injected after it at one boundary."""
+    return [(vec, classes[n + 1:]) for n, vec in enumerate(classes)]
 
 
 def _search_branch(image: EnclaveImage, snapshot: Machine,
@@ -385,12 +395,17 @@ def _search_branch(image: EnclaveImage, snapshot: Machine,
     cmd = REENTRY_CMDS[cmd_i]
     rsp_bind = domain[rsp_i]
     clean: dict = {}    # plan shape -> clean representative
+    # the classes injected at boundary 0 and at a later one: permission
+    # faults realize at the entry fetch
+    at_entry = _in_order(classes)
+    inside = _in_order(tuple(v for v in classes if v != VEC_PAGE_FAULT))
     for pay_i, payload in enumerate(domain):
         entry = functools.cache(
             functools.partial(_binding_entry, cmd, rsp_bind, payload))
         track = pay_i == 0
         actions, res, dry_boundaries = _attempt(
-            image, snapshot, entry, None, (), budget, track, clean, stats)
+            image, snapshot, entry, None, (), (), budget, track, clean,
+            stats)
         points = ()
         if res is not None:
             points = res.points
@@ -401,12 +416,10 @@ def _search_branch(image: EnclaveImage, snapshot: Machine,
                                       res.trace, monitor.verdicts(), stats)
         n_boundaries = min(dry_boundaries, budget.boundary_cap)
         for k in range(n_boundaries + 1):
-            for vec in classes:
-                if vec == VEC_PAGE_FAULT and k != 0:
-                    continue  # permission faults realize at the entry fetch
+            for vec, later in at_entry if k == 0 else inside:
                 actions, res, _ = _attempt(
-                    image, snapshot, entry, (vec, k), points, budget, track,
-                    clean, stats)
+                    image, snapshot, entry, (vec, k), points, later, budget,
+                    track, clean, stats)
                 stats.boundaries += 1
                 if res is None:
                     continue

@@ -14,7 +14,7 @@ from typing import Optional
 
 from . import adversary, reporting
 from .harness import (
-    Eenter, PrepareRegs,
+    Eenter, Point, PrepareRegs, RunResult,
     benign_critical_exception_plan, benign_nested_plan, benign_plan,
     prefix_plan, run_plan,
 )
@@ -87,10 +87,11 @@ def _classes_for(scenario: dict) -> tuple[int, ...]:
 
 
 def _execute(scenario: dict, image: EnclaveImage, actions: list,
-             record: bool = False):
+             record: bool = False, keep_from: Optional[int] = None):
     """The one build -> grant -> run path: a fresh machine for the
     scenario's platform and grant runs the actions under its step budget.
-    With `record`, the trace lines with per-event digests come back too."""
+    With `record`, the trace lines with per-event digests come back too;
+    with `keep_from`, the run keeps action points from that index on."""
     m = build_machine(image, scenario["sgx_version"])
     grant = _grant_for(scenario, image)
     if grant is not None:
@@ -99,7 +100,8 @@ def _execute(scenario: dict, image: EnclaveImage, actions: list,
     res = run_plan(m, image, actions,
                    max_steps=scenario["budgets"]["max_steps"],
                    on_action=rec.on_action if rec else None,
-                   after_events=rec.after_events if rec else None)
+                   after_events=rec.after_events if rec else None,
+                   keep_from=keep_from)
     if rec is not None:
         rec.flush()
     return res, rec.lines if rec else None
@@ -197,33 +199,57 @@ def run(scenario: dict, workers: int = 1) -> Outcome:
 # Counterexample minimization
 # ---------------------------------------------------------------------------
 
-def _fires(image: EnclaveImage, scenario: dict, actions: list,
-           prop: str) -> bool:
-    res, _ = _execute(scenario, image, actions)
-    return any_violation(_verdicts(scenario, image, res.trace,
-                                   (prop,))) is not None
+def _fires(image: EnclaveImage, scenario: dict, actions: list, prop: str,
+           start: Point) -> Optional[RunResult]:
+    """One minimization trial: run `actions` from a copy of `start`, an
+    action point of a plan that shares the actions before it, keeping the
+    trial's own action points after it.  Returns the run when `prop` still
+    fires on its full trace, else None."""
+    res = run_plan(start.copy(), image, actions,
+                   max_steps=scenario["budgets"]["max_steps"],
+                   keep_from=start.idx + 1)
+    if any_violation(_verdicts(scenario, image, res.trace, (prop,))) is None:
+        return None
+    return res
 
 
 def minimize(scenario: dict, actions: list) -> list:
     """Greedy removal of host actions and zeroing of staged payload words
     while the same property still fires on replay.  Deterministic and
-    idempotent; raises ValueError when the input does not violate."""
+    idempotent; raises ValueError when the input does not violate.
+
+    The accepted plan keeps an action point before each action its run
+    reached.  A trial that changes action i shares the accepted plan's
+    first i actions, so it resumes from the point before action i, or from
+    the last point when the accepted run ended earlier; it equals a fresh
+    run of the trial's plan exactly.  An accepted trial's own points
+    replace the accepted plan's points after its start."""
     image = _image_for(scenario)
-    base = evaluate_with_scenario(scenario, image, actions)
-    hit = any_violation(base)
+    base, _ = _execute(scenario, image, actions, keep_from=0)
+    hit = any_violation(_verdicts(scenario, image, base.trace))
     if hit is None:
         raise ValueError("not a violation")
     prop = hit.property_id
 
     current = list(actions)
+    points = base.points        # points[j]: `current` before action j
+
+    def accepted(candidate: list, i: int) -> bool:
+        nonlocal current, points
+        start = points[min(i, len(points) - 1)]
+        res = _fires(image, scenario, candidate, prop, start)
+        if res is None:
+            return False
+        current = candidate
+        points = points[:start.idx + 1] + res.points
+        return True
+
     changed = True
     while changed:
         changed = False
         i = 0
         while i < len(current):
-            candidate = current[:i] + current[i + 1:]
-            if _fires(image, scenario, candidate, prop):
-                current = candidate
+            if accepted(current[:i] + current[i + 1:], i):
                 changed = True
             else:
                 i += 1
@@ -238,9 +264,8 @@ def minimize(scenario: dict, actions: list) -> list:
                 trial[j] = (name, 0)
                 candidate = list(current)
                 candidate[i] = PrepareRegs(tuple(trial))
-                if _fires(image, scenario, candidate, prop):
+                if accepted(candidate, i):
                     regs = trial
-                    current = candidate
                     changed = True
     return current
 

@@ -7,13 +7,14 @@ Because the machine is deterministic, reactive host behavior (answer an
 ocall, deliver an exception, resume) can be written down as a fixed action
 sequence; an action that the hardware refuses (denied entry or resume)
 terminates the run with the refusal on the trace.  A run can keep points
-(the machine and the run's own state at instruction boundaries), and a
-later run can resume from one instead of repeating the steps before it.
+(the machine and the run's own state at instruction boundaries of an
+entered window, or in OS mode before an action), and a later run can
+resume from one instead of repeating the steps before it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 from .interp import step, tracking
@@ -102,15 +103,25 @@ class AttackPlan:
 
 @dataclass
 class Point:
-    """A run stopped at one instruction boundary of the window its first
-    entry opened: a clone of the machine there and the loop's own state.
-    `run_plan` keeps points on request and resumes from them."""
+    """Where a run can resume: a clone of the machine and all of the run
+    loop's own state at one place of a run.  A window point is kept at one
+    instruction boundary of the window the run's first entry opened; an
+    action point in OS mode, right before action `idx` is applied.
+    `run_plan` keeps points on request and resumes from them.  A resume
+    takes the point's machine, so a point resumed more than once is
+    resumed through `copy()`."""
     machine: Machine
     idx: int                 # next action index
     staged: dict
+    armed: Optional[InjectAex]   # pending for the next window
+    live: Optional[InjectAex]    # counting in the current window
     window_count: int
     steps: int
     boundaries: int
+
+    def copy(self) -> "Point":
+        """The same point with its own clone of the machine."""
+        return replace(self, machine=self.machine.clone())
 
 
 @dataclass
@@ -120,7 +131,7 @@ class RunResult:
     boundaries: int          # instruction boundaries seen in entered windows
     machine: Machine
     actions_applied: int
-    points: list = field(default_factory=list)   # kept points, by boundary
+    points: list = field(default_factory=list)   # kept points, in order
 
     @property
     def trace(self) -> list[tuple]:
@@ -133,7 +144,8 @@ def run_plan(machine: "Machine | Point", image: EnclaveImage, actions: list,
              after_events: Optional[Callable[[], None]] = None,
              before_step: Optional[Callable[[Machine], None]] = None,
              payload: tuple[str, ...] = (), keep: int = -1,
-             inject: Optional[InjectAex] = None) -> RunResult:
+             inject: Optional[InjectAex] = None,
+             keep_from: Optional[int] = None) -> RunResult:
     """Execute `actions` to completion.  `on_action` is called before each
     action is applied (for trace serialization); `after_events` after every
     atomic machine transition (for digest recording); `before_step` with
@@ -144,35 +156,49 @@ def run_plan(machine: "Machine | Point", image: EnclaveImage, actions: list,
     program's tracking twin, and ``machine.influenced`` ends up False only
     if the run's trace cannot depend on their values.
 
-    With `keep` >= 0 the run keeps a Point at the first visit of each
-    boundary 0..keep of the window its first entry opened
-    (``RunResult.points``).  Given a Point instead of a machine, the run
-    resumes from a clone of it with `inject` live: `actions` is the plan
-    the point was kept from with `inject` inserted right before that entry.
-    When that plan had no injection live in the window and `inject` fires
-    at the point's boundary or later, the resumed run equals a fresh run of
-    `actions` exactly: its trace, status, steps, boundaries, actions
-    applied and labels."""
+    The run keeps points in ``RunResult.points``, in the order it reaches
+    them.  With `keep` >= 0 it keeps a window point at the first visit of
+    each boundary 0..keep of the window its first entry opened.  With
+    `keep_from` it keeps an action point each time it is about to apply an
+    action with index `keep_from` or later.  A run that keeps no points
+    pays nothing for them per step.
+
+    Given a Point instead of a machine, the run resumes from it, taking the
+    point's machine.  From an action point, `actions` is any plan whose
+    first `point.idx` actions are those of the plan the point was kept
+    from; the resumed run equals a fresh run of `actions` exactly: its
+    trace, status, steps, boundaries, actions applied, labels and digest.
+    From a window point, `inject` goes live at the point: `actions` is the
+    plan the point was kept from with `inject` inserted right before the
+    entry that opened the window.  When that plan had no injection live in
+    the window and `inject` fires at the point's boundary or later, the
+    resumed run equals a fresh run of `actions` in the same way."""
     program = image.program
     labels = 0
     if payload:
         program = tracking(program)
         for name in payload:
             labels |= 1 << REG_IDS[name]
-    armed: Optional[InjectAex] = None     # pending for the next window
     points: list[Point] = []
     keep_until = -1     # the last boundary of the current window to keep
+    keep_window = keep  # keep points in the next entered window: -1 none
+    act_from = len(actions) if keep_from is None else keep_from
     if isinstance(machine, Point):
         start = machine
-        machine = start.machine.clone()
+        machine = start.machine
         staged = start.staged
-        live = inject                     # counting in the current window
+        armed = start.armed
+        live = start.live
         window_count = start.window_count
         steps = start.steps
         boundaries = start.boundaries
-        idx = start.idx + 1               # the injection was applied too
+        idx = start.idx
+        if inject is not None:
+            live = inject
+            idx += 1                      # the injection was applied too
     else:
         staged = {}
+        armed = None
         live = None
         window_count = 0
         steps = 0
@@ -219,8 +245,9 @@ def run_plan(machine: "Machine | Point", image: EnclaveImage, actions: list,
                 window_count += 1
                 boundaries += 1
                 if window_count <= keep_until:
-                    points.append(Point(machine.clone(), idx, staged,
-                                        window_count, steps, boundaries))
+                    points.append(Point(machine.clone(), idx, staged, armed,
+                                        live, window_count, steps,
+                                        boundaries))
                 continue
             if sig == "fault":
                 delivered = machine.aex(machine.pending_fault)
@@ -243,6 +270,9 @@ def run_plan(machine: "Machine | Point", image: EnclaveImage, actions: list,
         if idx >= len(actions):
             status = DONE
             break
+        if idx >= act_from:
+            points.append(Point(machine.clone(), idx, staged, armed, live,
+                                window_count, steps, boundaries))
         action = actions[idx]
         if on_action is not None:
             on_action(idx, action)
@@ -272,10 +302,11 @@ def run_plan(machine: "Machine | Point", image: EnclaveImage, actions: list,
             live = armed
             armed = None
             window_count = 0
-            if keep >= 0 and not points:
-                keep_until = keep
-                points.append(Point(machine.clone(), idx, staged, 0, steps,
-                                    boundaries))
+            if keep_window >= 0:
+                keep_until = keep_window
+                keep_window = -1
+                points.append(Point(machine.clone(), idx, staged, armed,
+                                    live, 0, steps, boundaries))
         elif isinstance(action, Eresume):
             try:
                 machine.eresume()

@@ -277,8 +277,9 @@ def _assert_same_run(got, want):
 
 def _checked_resumes(monkeypatch) -> list:
     """Run every resumed plan of the search fresh from the prefix snapshot
-    too and require the same run; returns (point, result) per resumed
-    plan."""
+    too and require the same run; returns, per resumed plan, the length of
+    its point's trace and the result (the resume takes the point's
+    machine)."""
     snapshots = []
     snapshot_of = adversary._prefix_snapshot
     real = adversary.run_plan
@@ -289,6 +290,8 @@ def _checked_resumes(monkeypatch) -> list:
         return snapshots[-1]
 
     def checked(start, image, actions, **kwargs):
+        if isinstance(start, harness.Point):
+            at = len(start.machine.trace)
         res = real(start, image, actions, **kwargs)
         if isinstance(start, harness.Point):
             # the plan resumes at the boundary where it injects
@@ -296,7 +299,7 @@ def _checked_resumes(monkeypatch) -> list:
             kwargs = {k: v for k, v in kwargs.items() if k != "inject"}
             fresh = real(snapshots[-1].clone(), image, actions, **kwargs)
             _assert_same_run(res, fresh)
-            resumed.append((start, res))
+            resumed.append((at, res))
         return res
 
     monkeypatch.setattr(adversary, "_prefix_snapshot", snapshot)
@@ -304,8 +307,8 @@ def _checked_resumes(monkeypatch) -> list:
     return resumed
 
 
-def _after_point(point, res) -> list:
-    return res.trace[len(point.machine.trace):]
+def _after_point(at, res) -> list:
+    return res.trace[at:]
 
 
 def test_resumed_plans_equal_fresh_runs(monkeypatch):

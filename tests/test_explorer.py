@@ -4,6 +4,7 @@ replay, matrix assembly, and cross-worker determinism."""
 import importlib.util
 import json
 import os
+import random
 
 import pytest
 
@@ -11,9 +12,16 @@ from aexlab import adversary, explorer, harness, isa, properties, reporting
 from aexlab.explorer import (
     EXIT_BUDGET, EXIT_DIGEST_MISMATCH, EXIT_OK, EXIT_VIOLATION,
 )
-from aexlab.harness import Eenter, Eresume, InjectAex
-from aexlab.machine import EVENT_NAMES, MASK64, SGX2
-from aexlab.runtimes import VARIANTS, build_runtime, fixture_path
+from aexlab.harness import (
+    DEFAULT_MAX_STEPS, Eenter, Eresume, InjectAex, PrepareRegs,
+)
+from aexlab.machine import (
+    DEFAULT_IRQ_GRANT, E_FAULT, E_HW_AEX, E_HW_DEFER, EVENT_NAMES, MASK64,
+    SGX2,
+)
+from aexlab.runtimes import (
+    VARIANTS, build_machine, build_runtime, fixture_path,
+)
 
 
 def scenario(**kv):
@@ -116,6 +124,185 @@ def test_minimize_rejects_non_violation():
     sc = scenario(variant="sdk_style", adversary="benign")
     with pytest.raises(ValueError):
         explorer.minimize(sc, harness.benign_plan(build_runtime("sdk_style")))
+
+
+def _points_case(name: str):
+    """(image, grant, plan, max_steps, status) of one action-point case."""
+    sdk = build_runtime("sdk_style")
+    scripted = (harness.prefix_plan()
+                + adversary.scripted_attack(sdk, SGX2).actions)
+    if name == "scripted":
+        return sdk, None, scripted, DEFAULT_MAX_STEPS, "halted"
+    if name == "scripted_over_the_step_budget":
+        return sdk, None, scripted, 120, "budget_exceeded"
+    if name == "benign":
+        return (sdk, None, harness.benign_plan(sdk), DEFAULT_MAX_STEPS,
+                "stopped")
+    if name == "benign_nested":
+        return (sdk, None, harness.benign_nested_plan(sdk),
+                DEFAULT_MAX_STEPS, "entry_denied")
+    if name == "benign_nested_dedicated_stack":
+        ded = build_runtime("dedicated_stack")
+        return (ded, None, harness.benign_nested_plan(ded),
+                DEFAULT_MAX_STEPS, "stopped")
+    quota = build_runtime("hw_irq_quota")
+    return (quota, DEFAULT_IRQ_GRANT,
+            harness.benign_critical_exception_plan(quota, 5),
+            DEFAULT_MAX_STEPS, "stopped")
+
+
+def _assert_same_run(got, want):
+    assert got.trace == want.trace
+    assert (got.status, got.steps, got.boundaries, got.actions_applied) == (
+        want.status, want.steps, want.boundaries, want.actions_applied)
+    assert got.machine.digest() == want.machine.digest()
+
+
+@pytest.mark.parametrize("case", [
+    "scripted", "scripted_over_the_step_budget", "benign", "benign_nested",
+    "benign_nested_dedicated_stack", "benign_critical_irq_quota"])
+def test_action_points_resume_like_fresh_runs(case):
+    image, grant, plan, max_steps, status = _points_case(case)
+
+    def fresh(actions, **kwargs):
+        m = build_machine(image, SGX2)
+        if grant is not None:
+            m.grant_irq_quota(*grant)
+        return harness.run_plan(m, image, actions, max_steps=max_steps,
+                                **kwargs)
+
+    base = fresh(plan, keep_from=0)
+    assert base.status == status
+    # one point before every action the run applied; the scripted plan
+    # halts, and the nested one is denied entry, before their last action
+    assert [p.idx for p in base.points] == list(range(base.actions_applied))
+    kinds = {e[0] for e in base.trace}
+    if case == "benign":
+        assert E_FAULT in kinds
+    if case.startswith("benign_nested"):
+        # the point between the injection and the entry it arms
+        assert base.points[2].armed == plan[1]
+    if case == "benign_critical_irq_quota":
+        assert E_HW_DEFER in kinds and E_HW_AEX in kinds
+    if case == "scripted_over_the_step_budget":
+        assert 0 < base.points[-1].steps < max_steps
+    for p in base.points:
+        # a plan sharing the first p.idx actions: the one without action
+        # p.idx, from a copy of the point
+        dropped = plan[:p.idx] + plan[p.idx + 1:]
+        _assert_same_run(harness.run_plan(p.copy(), image, dropped,
+                                          max_steps=max_steps),
+                         fresh(dropped))
+        # the plan itself, taking the point's machine
+        _assert_same_run(harness.run_plan(p, image, plan,
+                                          max_steps=max_steps), base)
+
+
+# The VULN pairs of the survey with hunt-style toggles.  enarx_style's
+# crafting crashes at every non-zero ASLR offset that is a multiple of 16
+# bytes (a known defect), so its offsets are odd words.
+_HUNT_PAIRS = (("sdk_style", 2), ("open_enclave_style", 1),
+               ("open_enclave_style", 2), ("enarx_style", 1),
+               ("enarx_style", 2))
+_HUNT_CLASSES = (("page_fault", "external_interrupt"),
+                 ("external_interrupt", "page_fault"),
+                 ("page_fault",), ("external_interrupt",))
+_PUBLIC_PAGES = ([0x30000 + 0x1000 * i for i in range(16)]
+                 + [0x41000 + 0x1000 * i for i in range(15)])
+
+
+def _hunt_scenarios(seed: int, n: int) -> list[dict]:
+    rng = random.Random(seed)
+    out = []
+    for i in range(n):
+        variant, sgx = _HUNT_PAIRS[i % len(_HUNT_PAIRS)]
+        words = rng.randrange(1, 257)
+        if variant == "enarx_style" and words % 2 == 0:
+            words -= 1
+        out.append(scenario(
+            variant=variant, sgx_version=sgx, adversary="exhaustive",
+            seed=seed, budgets={"max_runs": 64, "boundary_cap": 8},
+            toggles={"aslr_stack_offset": 8 * words,
+                     "critical_pad": rng.choice((0, 2, 4, 8)),
+                     "sgx1_valid_check_removed": rng.random() < 0.5,
+                     "alignment_required": rng.choice((8, 16, 32))},
+            layout={"pubbuf_base": rng.choice(_PUBLIC_PAGES)},
+            sp_confinement_mode=rng.choice(("range", "strict")),
+            inject_classes=list(rng.choice(_HUNT_CLASSES))))
+    return out
+
+
+def _fresh_minimize(sc, actions) -> tuple[list, list]:
+    """The reference: the same greedy reduction with every trial a fresh
+    run through `evaluate_with_scenario`.  Returns the plan and the
+    candidates it tried, in order."""
+    image = explorer._image_for(sc)
+    prop = properties.any_violation(
+        explorer.evaluate_with_scenario(sc, image, actions)).property_id
+    tried = []
+
+    def fires(candidate):
+        tried.append(candidate)
+        return any(v.violated and v.property_id == prop for v in
+                   explorer.evaluate_with_scenario(sc, image, candidate))
+
+    current = list(actions)
+    changed = True
+    while changed:
+        changed = False
+        i = 0
+        while i < len(current):
+            candidate = current[:i] + current[i + 1:]
+            if fires(candidate):
+                current = candidate
+                changed = True
+            else:
+                i += 1
+        for i, action in enumerate(current):
+            if not isinstance(action, PrepareRegs):
+                continue
+            regs = list(action.regs)
+            for j, (name, val) in enumerate(regs):
+                if val == 0:
+                    continue
+                trial = list(regs)
+                trial[j] = (name, 0)
+                candidate = list(current)
+                candidate[i] = PrepareRegs(tuple(trial))
+                if fires(candidate):
+                    regs = trial
+                    current = candidate
+                    changed = True
+    return current, tried
+
+
+def test_minimize_matches_fresh_trials(monkeypatch):
+    cases = [attack_setup()]
+    for sc in _hunt_scenarios(11, 12):
+        out = explorer.run(sc)
+        if out.trace_lines is not None:
+            cases.append((sc, [reporting.action_from_line(ln)
+                               for ln in out.trace_lines
+                               if ln.startswith("A ")]))
+    assert len(cases) > 10
+    real = explorer._fires
+    tried = []
+
+    def recorded(image, sc, actions, prop, start):
+        tried.append(list(actions))
+        # the trial's run from its point is the fresh run of its plan
+        resumed = harness.run_plan(start.copy(), image, actions,
+                                   max_steps=sc["budgets"]["max_steps"])
+        _assert_same_run(resumed, explorer._execute(sc, image, actions)[0])
+        return real(image, sc, actions, prop, start)
+
+    monkeypatch.setattr(explorer, "_fires", recorded)
+    for sc, actions in cases:
+        tried.clear()
+        got = explorer.minimize(sc, actions)
+        want, want_tried = _fresh_minimize(sc, actions)
+        assert got == want
+        assert tried == want_tried
 
 
 # ---------------------------------------------------------------------------
