@@ -6,10 +6,13 @@ For workers 1 and 2 it runs `aexlab matrix --sgx 2` and `--sgx 1` and
 `aexlab run` of every canonical scenario, each into its own subdirectory
 of OUT.  It also runs `graphene_emulated` `benign_critical` at sgx 1 and 2
 with boundaries 1-23 (each of these completes an interrupted critical
-span), from scenario files it writes to OUT/scenarios.  Every trace written
-is then replayed with `aexlab replay`, whose stdout lands next to the
-trace.  Exit codes go to OUT/exit_codes.txt; wall times go to stderr only,
-as in the CLI.
+span), and the scripted attack on `sdk_style` sgx 2, `open_enclave_style`
+sgx 1 and `enarx_style` sgx 1 and 2, each at three public-buffer pages and
+ASLR offsets 8 and 24, so that images sharing one assembled program within
+the process are compared too.  These scenario files are written to
+OUT/scenarios.  Every trace written is then replayed with `aexlab replay`,
+whose stdout lands next to the trace.  Exit codes go to
+OUT/exit_codes.txt; wall times go to stderr only, as in the CLI.
 
 Usage: python scripts/snapshot_outputs.py OUT
 """
@@ -26,21 +29,41 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from aexlab import cli, runtimes  # noqa: E402
 
 CRITICAL_BOUNDARIES = range(1, 24)
+SCRIPTED_PAIRS = (("sdk_style", 2), ("open_enclave_style", 1),
+                  ("enarx_style", 1), ("enarx_style", 2))
+SCRIPTED_PAGES = (0x30000, 0x38000, 0x42000)
+# odd multiples of 8: enarx_style's scripted crafting fails at multiples of 16
+SCRIPTED_OFFSETS = (8, 24)
 
 
-def _critical_scenarios(out: str) -> list[tuple[str, str]]:
+def _critical_docs():
+    for sgx in (2, 1):
+        for boundary in CRITICAL_BOUNDARIES:
+            yield (f"benign_critical_graphene_sgx{sgx}_b{boundary}",
+                   {"variant": "graphene_emulated", "sgx_version": sgx,
+                    "adversary": "benign_critical", "boundary": boundary})
+
+
+def _scripted_docs():
+    for variant, sgx in SCRIPTED_PAIRS:
+        for page in SCRIPTED_PAGES:
+            for offset in SCRIPTED_OFFSETS:
+                yield (f"scripted_{variant}_sgx{sgx}_p{page:x}_o{offset}",
+                       {"variant": variant, "sgx_version": sgx,
+                        "adversary": "scripted",
+                        "layout": {"pubbuf_base": page},
+                        "toggles": {"aslr_stack_offset": offset}})
+
+
+def _scenario_files(out: str, docs) -> list[tuple[str, str]]:
     scenario_dir = os.path.join(out, "scenarios")
     os.makedirs(scenario_dir, exist_ok=True)
     named = []
-    for sgx in (2, 1):
-        for boundary in CRITICAL_BOUNDARIES:
-            tag = f"benign_critical_graphene_sgx{sgx}_b{boundary}"
-            path = os.path.join(scenario_dir, tag + ".json")
-            with open(path, "w") as fh:
-                json.dump({"variant": "graphene_emulated", "sgx_version": sgx,
-                           "adversary": "benign_critical",
-                           "boundary": boundary}, fh, sort_keys=True)
-            named.append((tag, path))
+    for tag, doc in docs:
+        path = os.path.join(scenario_dir, tag + ".json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh, sort_keys=True)
+        named.append((tag, path))
     return named
 
 
@@ -70,7 +93,8 @@ def main() -> int:
         for tag, path in scenarios:
             jobs.append((f"{tag}_w{workers}", ["run", "--scenario", path],
                          workers))
-    for tag, path in _critical_scenarios(args.out):
+    for tag, path in _scenario_files(
+            args.out, [*_critical_docs(), *_scripted_docs()]):
         jobs.append((tag, ["run", "--scenario", path], 1))
 
     codes = []

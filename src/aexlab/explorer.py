@@ -70,8 +70,11 @@ def _image_for(scenario: dict) -> EnclaveImage:
 @functools.lru_cache(maxsize=2)
 def _image(variant: str, layout: Optional[Layout],
            toggles: Toggles) -> EnclaveImage:
-    """The assembled image of a (variant, layout, toggles) key.  A run and
-    the replay or minimization of its trace share one assembly; images are
+    """The image of a (variant, layout, toggles) key.  This cache serves a
+    run and the replay or minimization of its trace, which then share one
+    image; `build_runtime`'s program cache serves scenarios that differ
+    only in layout fields the program never reads (the public buffer, the
+    ASLR shift), whose images share one assembled program.  Images are
     never mutated (the decoded dispatch tables they cache are immutable)."""
     return build_runtime(variant, layout=layout, toggles=toggles)
 

@@ -11,6 +11,7 @@ reviewable text and assembled against a concrete memory layout.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass, field
 from typing import Optional
@@ -643,7 +644,7 @@ def generate_source(variant: str, toggles: Optional[Toggles] = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _symbols(layout: Layout, stack_base: int) -> dict[str, int]:
+def _symbols(layout: Layout) -> dict[str, int]:
     return {
         "td_base": layout.td_base,
         "td_crit_flag": layout.td_base + TD_CRIT_FLAG,
@@ -670,9 +671,31 @@ def _symbols(layout: Layout, stack_base: int) -> dict[str, int]:
     }
 
 
+# Distinct programs kept per process: a hunt batch assembles 26.
+PROGRAM_CACHE_SIZE = 32
+
+
+@functools.lru_cache(maxsize=PROGRAM_CACHE_SIZE)
+def _program(src: str, code_base: int,
+             symbols: tuple[tuple[str, int], ...]) -> isa.Program:
+    """The assembly of `src` at `code_base` against `symbols`, once per
+    distinct input.  A `Program` is never changed after assembly, and what
+    the interpreter caches on it (the decoded table, the tracking twin) is
+    derived from its code alone, so every image built from the same input
+    can share it."""
+    return isa.assemble(src, code_base, dict(symbols))
+
+
 def build_runtime(variant: str, layout: Optional[Layout] = None,
                   toggles: Optional[Toggles] = None) -> EnclaveImage:
-    """Assemble the variant against the layout and derive image metadata."""
+    """Assemble the variant against the layout and derive image metadata.
+
+    The program depends on three inputs only: its source (the variant and
+    the toggles that change the text), `layout.code_base`, and the layout
+    symbols of `_symbols`.  It does not depend on the ASLR shift or on
+    `layout.pubbuf_base`, so images that differ only there share one
+    assembled program; the stack base and the ranges derived from it stay
+    per image."""
     design = _design(variant)
     layout = layout or Layout()
     toggles = toggles or Toggles()
@@ -682,7 +705,7 @@ def build_runtime(variant: str, layout: Optional[Layout] = None,
 
     _check_layout(layout)
     src = generate_source(variant, toggles)
-    program = isa.assemble(src, layout.code_base, _symbols(layout, stack_base))
+    program = _program(src, layout.code_base, tuple(_symbols(layout).items()))
 
     labels = program.labels
     gadgets = {name[2:]: addr for name, addr in labels.items()

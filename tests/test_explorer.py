@@ -8,7 +8,9 @@ import random
 
 import pytest
 
-from aexlab import adversary, explorer, harness, isa, properties, reporting
+from aexlab import (
+    adversary, explorer, harness, isa, properties, reporting, runtimes,
+)
 from aexlab.explorer import (
     EXIT_BUDGET, EXIT_DIGEST_MISMATCH, EXIT_OK, EXIT_VIOLATION,
 )
@@ -431,12 +433,20 @@ def test_run_and_replay_share_one_assembly(tmp_path, monkeypatch):
     monkeypatch.setattr(isa, "assemble", counted)
     sc = scenario(variant="sdk_style", adversary="scripted")
     explorer._image.cache_clear()
+    runtimes._program.cache_clear()
     path, out = make_trace(tmp_path, sc)
     got_sc, declared, lines = reporting.read_trace(str(path))
     assert explorer.replay(got_sc, lines, declared).ok
     assert len(calls) == 1
+    # a scenario that moves only the public buffer builds a new image but
+    # reuses the program: the program never reads pubbuf_base
+    moved = scenario(variant="sdk_style", adversary="scripted",
+                     layout={"pubbuf_base": 0x30000})
+    assert explorer.run(moved).exit_code == out.exit_code
+    assert len(calls) == 1
     # a cold image records the same bytes as the memoized one
     explorer._image.cache_clear()
+    runtimes._program.cache_clear()
     assert explorer.run(sc).trace_lines == out.trace_lines
     assert len(calls) == 2
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aexlab import runtimes
 from aexlab.interp import (
     InterpError, ST_ABORT, complete_critical, decode, step, tracking,
 )
@@ -356,11 +357,13 @@ def test_step_locality(instructions):
 def test_decoded_program_dies_without_the_cycle_collector():
     # the emulate_critical entry of a decoded table holds its program only
     # weakly, so reference counting alone frees a decoded, tracked program
+    # once no image and no cache entry holds it
     enabled = gc.isenabled()
     gc.disable()
     try:
         for variant in ("graphene_emulated", "sdk_style"):
             img = build_runtime(variant)
+            runtimes._program.cache_clear()
             decode(img.program)
             tracking(img.program)
             assert img.program.decoded and img.program.tracked

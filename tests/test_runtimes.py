@@ -7,7 +7,9 @@ from dataclasses import dataclass
 
 import pytest
 
-from aexlab import adversary, explorer, harness, properties, runtimes
+from aexlab import (
+    adversary, explorer, harness, isa, properties, reporting, runtimes,
+)
 from aexlab.harness import (
     BENIGN_OCALL_RESULT, Eenter, InjectAex, PrepareRegs, Stop,
     benign_critical_exception_plan, benign_nested_plan, benign_plan,
@@ -432,3 +434,82 @@ def test_every_generated_program_is_pinned():
     assert len(PROGRAM_GRID) * len(runtimes.VARIANTS) == 288
     assert h.hexdigest() == ("6d7eec4892da8fd147e2e124f9906ec0"
                             "d018c8afdf1788dfe2fbf5abbe46a56d")
+
+
+def _cold_program(variant: str, layout: runtimes.Layout, toggles: Toggles):
+    return isa.assemble(generate_source(variant, toggles), layout.code_base,
+                        runtimes._symbols(layout))
+
+
+def _same_assembly(program, cold) -> bool:
+    return (program.code == cold.code and program.labels == cold.labels
+            and program.windows == cold.windows
+            and program.crit_ranges == cold.crit_ranges
+            and program.source == cold.source)
+
+
+def test_images_share_one_program_per_assembly_input(tmp_path):
+    # the program depends on its source, code_base and the layout symbols
+    # only: images that move the public buffer or the ASLR shift share it,
+    # and it stays what a cold assembly of the same text gives, also after
+    # runs, replays and minimizations of scenarios that use it
+    pages = (0x30000, 0x31000, 0x42000)
+    offsets = (8, 24, runtimes.ASLR_RANGE)
+    for variant in runtimes.VARIANTS:
+        images = [build_runtime(variant,
+                                layout=runtimes.Layout(pubbuf_base=page),
+                                toggles=Toggles(aslr_stack_offset=off))
+                  for page in pages for off in offsets]
+        program = images[0].program
+        assert all(img.program is program for img in images), variant
+        assert _same_assembly(program, _cold_program(
+            variant, images[0].layout, images[0].toggles)), variant
+        for img in images:
+            off = img.toggles.aslr_stack_offset
+            stack_base = img.layout.stack_base - runtimes.aslr_shift(off)
+            assert img.stack_base == stack_base, (variant, off)
+            assert img.anchor_addr == (stack_base - runtimes.ECALL0_FRAME
+                                       - 8), (variant, off)
+            assert img.trusted_stack_ranges[0] == (
+                img.layout.stack_limit, stack_base), (variant, off)
+        assert len({img.stack_base for img in images}) == len(offsets)
+
+        # a toggle gives another program exactly when it changes the text
+        base = build_runtime(variant)
+        for toggles in (Toggles(critical_pad=4), Toggles(alignment_required=32),
+                        Toggles(sgx1_valid_check_removed=True)):
+            img = build_runtime(variant, toggles=toggles)
+            same_text = (generate_source(variant, toggles)
+                         == generate_source(variant))
+            assert (img.program is base.program) == same_text, \
+                (variant, toggles)
+            assert _same_assembly(img.program, _cold_program(
+                variant, img.layout, toggles)), (variant, toggles)
+        assert build_runtime(variant, toggles=Toggles(
+            critical_pad=4)).program is not base.program, variant
+        moved = runtimes.Layout(code_base=0x3000)
+        img = build_runtime(variant, layout=moved)
+        assert img.program is not base.program, variant
+        assert img.program.base == 0x3000, variant
+        assert _same_assembly(img.program, _cold_program(
+            variant, moved, Toggles())), variant
+
+        # a cached program is read-only under run, replay and minimize
+        vulnerable = runtimes.DESIGNS[variant].blocked is None
+        sc = reporting.normalize_scenario(
+            {"variant": variant,
+             "adversary": "scripted" if vulnerable else "benign",
+             "layout": {"pubbuf_base": 0x31000}})
+        img = explorer._image_for(sc)
+        out = explorer.run(sc)
+        path = tmp_path / f"{variant}.trace"
+        reporting.write_trace(str(path), sc, out.trace_lines)
+        got, declared, lines = reporting.read_trace(str(path))
+        assert explorer.replay(got, lines, declared).ok, variant
+        if vulnerable:
+            actions = (harness.prefix_plan()
+                       + adversary.scripted_attack(img, SGX2).actions)
+            assert explorer.minimize(sc, actions), variant
+        assert explorer._image_for(sc).program is img.program, variant
+        assert _same_assembly(img.program, _cold_program(
+            variant, img.layout, img.toggles)), variant
