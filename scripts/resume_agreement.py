@@ -8,8 +8,9 @@ at each instruction boundary of its re-entry window, and each executed
 plan that injects at boundary k resumes from point k instead of re-running
 the k steps before it from the prefix snapshot.  This script runs each
 resumed plan fresh from the prefix snapshot as well and requires the same
-trace, status, steps, boundaries, actions applied, payload labels,
-`influenced` flag and state digest, over the same sweep as
+trace, status, steps, boundaries, actions applied, label words (secret
+taint and payload of registers, cells and saved frames), `influenced`
+flag and state digest, over the same sweep as
 scripts/monitor_agreement.py: every variant on sgx 1 and 2, in range and
 strict sp-confinement mode.
 
@@ -57,8 +58,8 @@ def _fields(res) -> dict:
         "status": res.status, "steps": res.steps,
         "boundaries": res.boundaries,
         "actions_applied": res.actions_applied,
-        "payload": (m.payload, sorted(m.mem.payload),
-                    [f.payload for f in m.ssa]),
+        "labels": (m.taint, sorted(m.mem.labels.items()),
+                   [f.taint for f in m.ssa]),
         "influenced": m.influenced, "digest": m.digest(),
     }
 

@@ -9,7 +9,9 @@ sequence; an action that the hardware refuses (denied entry or resume)
 terminates the run with the refusal on the trace.  A run can keep points
 (the machine and the run's own state at instruction boundaries of an
 entered window, or in OS mode before an action), and a later run can
-resume from one instead of repeating the steps before it.
+resume from one instead of repeating the steps before it.  A run can also
+give the staged registers the payload label (``payload``); the same
+program steps either way.
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
-from .interp import step, tracking
+from .interp import step
 from .machine import (
-    E_ADV_SEED, EntryDenied, MASK64, MODE_ENCLAVE, REG_IDS, RSI, RSP,
+    E_ADV_SEED, EntryDenied, MASK64, MODE_ENCLAVE, PAYLOAD, REG_IDS, RSI, RSP,
     ResumeDenied, Machine,
 )
 from .runtimes import EnclaveImage
@@ -152,9 +154,9 @@ def run_plan(machine: "Machine | Point", image: EnclaveImage, actions: list,
     the machine right before each instruction (for state collection).
 
     `payload` names staged registers that carry the attacker's payload: an
-    entry that uses the staged registers labels them, the run steps the
-    program's tracking twin, and ``machine.influenced`` ends up False only
-    if the run's trace cannot depend on their values.
+    entry that uses the staged registers gives them the payload label, and
+    ``machine.influenced`` ends up False only if the run's trace cannot
+    depend on their values.
 
     The run keeps points in ``RunResult.points``, in the order it reaches
     them.  With `keep` >= 0 it keeps a window point at the first visit of
@@ -175,10 +177,8 @@ def run_plan(machine: "Machine | Point", image: EnclaveImage, actions: list,
     resumed run equals a fresh run of `actions` in the same way."""
     program = image.program
     labels = 0
-    if payload:
-        program = tracking(program)
-        for name in payload:
-            labels |= 1 << REG_IDS[name]
+    for name in payload:
+        labels |= PAYLOAD << REG_IDS[name]
     points: list[Point] = []
     keep_until = -1     # the last boundary of the current window to keep
     keep_window = keep  # keep points in the next entered window: -1 none
@@ -290,9 +290,9 @@ def run_plan(machine: "Machine | Point", image: EnclaveImage, actions: list,
             try:
                 machine.eenter(os_regs, aep)
                 if labels and action.regs is None:
-                    machine.payload = labels
+                    machine.taint |= labels
                     # rsp is a sink, rsi a field of the eenter event
-                    if labels & (1 << RSP | 1 << RSI):
+                    if labels & (PAYLOAD << RSP | PAYLOAD << RSI):
                         machine.influenced = True
                 notify()
             except EntryDenied:

@@ -1,4 +1,4 @@
-"""Instruction interpreter with taint propagation and fault detection.
+"""Instruction interpreter with label propagation and fault detection.
 
 ``step`` applies one instruction to a Machine, emitting one primary trace
 event (plus Leak events when secret data lands in public memory).  A fault
@@ -7,9 +7,10 @@ the only legal next hardware transition is then an asynchronous exit of
 that class.  Each program is decoded once, on its first step, into
 per-address handlers (see ``decode``).
 
-``tracking`` gives a program's twin whose steps also move the
-attacker-payload label, for runs that must prove they do not depend on the
-payload's value.
+Each handler moves the label word of its operands (the secret taint and
+the attacker payload together, see ``machine.SECRET``) and checks the
+payload's sinks, so one step serves both the leak detectors and the runs
+that must prove they do not depend on the payload's value.
 
 ``complete_critical`` finishes an interrupted critical span against a
 saved frame instead of live registers.  It has no semantics of its own: it
@@ -20,7 +21,6 @@ does not retire.
 
 from __future__ import annotations
 
-import dataclasses
 import operator
 import weakref
 
@@ -35,9 +35,9 @@ from .isa import (
 )
 from .machine import (
     CTRL_CALL, CTRL_JMPI, CTRL_RET, E_CTRL, E_FAULT, E_HALT, E_LEAK,
-    E_MEMCPY, E_MEMR, E_RETIRE, E_SP_ASSIGN, E_STORE, MASK64, MODE_ENCLAVE,
-    NREGS, RAX, RIP, RSP, SCRUB_VALUES, SSAFrame, TCS, VEC_AC, VEC_PAGE_FAULT,
-    Machine,
+    E_MEMCPY, E_MEMR, E_RETIRE, E_SP_ASSIGN, E_STORE, LABELS, MASK64,
+    MODE_ENCLAVE, NREGS, PAYLOAD, PAYLOAD_SHIFT, RAX, RIP, RSP, SCRUB_VALUES,
+    SECRET, SSAFrame, TCS, VEC_AC, VEC_PAGE_FAULT, Machine,
 )
 
 # Exit statuses for Halt; ABORT marks an in-enclave consistency trap
@@ -85,21 +85,40 @@ def step(m: Machine, program: Program) -> str:
 # clear_flag write, and (by weak reference) the program emulate_critical
 # completes against.
 # A handler that retires sets rip, counts the cycle and returns "ok".
+#
+# Labels: data moves copy the label word (mov, the value of
+# load/store/push/pop, memcpy contents, read_ssa and write_ssa, and in
+# machine.py the SSA save and restore); arithmetic keeps it; immediate
+# writes, scrub, call's return cell, set_flag and begin_atomic's rax clear
+# it; declassify clears the secret bit only.  A payload-labelled value that
+# reaches a sink sets ``Machine.influenced``:
+#   - a memory address, memcpy's dst/src/len included;
+#   - a compare-and-jump operand;
+#   - rsp;
+#   - a control target: ret of a labelled cell, jmp_reg, eexit's register,
+#     a labelled saved rip on emulate_critical or on eresume (machine.py);
+#   - an event field: the exit's rax (machine.py).
+# A handler checks its sinks before it can fault.  Every other effect of
+# an instruction is a function of unlabelled values, so a run that ends
+# without ``influenced`` emits the same trace, status and step count under
+# any payload value.
 
-_ALL_REGS = (1 << NREGS) - 1
 
-
-def _set_taint(m: Machine, r: int, t) -> None:
-    if t:
-        m.taint |= 1 << r
-    else:
-        m.taint &= ~(1 << r)
+def _put(m: Machine, r: int, w: int) -> None:
+    """Give register r the label word w.  rip keeps no payload label (every
+    instruction rewrites it); a payload-labelled rsp is a sink."""
+    if w & PAYLOAD:
+        if r == RSP:
+            m.influenced = True
+        elif r == RIP:
+            w &= SECRET
+    m.taint = m.taint & ~(LABELS << r) | w << r
 
 
 def _mov_rr(m, pc, a, b, c):
     regs = m.regs
     regs[a] = regs[b]
-    _set_taint(m, a, m.taint >> b & 1)
+    _put(m, a, m.taint >> b & LABELS)
     m.trace.append((E_SP_ASSIGN if a == RSP else E_RETIRE, pc, regs[RSP],
                     0, 0))
     regs[RIP] = pc + 1
@@ -110,7 +129,7 @@ def _mov_rr(m, pc, a, b, c):
 def _mov_ri(m, pc, a, b, c):
     regs = m.regs
     regs[a] = b
-    m.taint &= ~(1 << a)
+    m.taint &= ~(LABELS << a)
     m.trace.append((E_SP_ASSIGN if a == RSP else E_RETIRE, pc, regs[RSP],
                     0, 0))
     regs[RIP] = pc + 1
@@ -146,13 +165,15 @@ def _and_i(m, pc, a, b, c):
 
 
 def _load(m, pc, a, b, c):
+    if m.taint >> b & PAYLOAD:
+        m.influenced = True
     regs = m.regs
     mem = m.mem
     addr = (regs[b] + c) & MASK64
     if not mem.readable(addr):
         return _fault(m, pc, VEC_PAGE_FAULT, addr)
-    regs[a], sec = mem.read(addr)
-    _set_taint(m, a, sec)
+    regs[a], w = mem.read(addr)
+    _put(m, a, w)
     if a == RSP:
         m.trace.append((E_SP_ASSIGN, pc, regs[RSP], 0, 0))
     else:
@@ -163,15 +184,17 @@ def _load(m, pc, a, b, c):
 
 
 def _store(m, pc, a, b, c):
+    if m.taint >> a & PAYLOAD:
+        m.influenced = True
     regs = m.regs
     mem = m.mem
     addr = (regs[a] + b) & MASK64
     if not mem.writable(addr):
         return _fault(m, pc, VEC_PAGE_FAULT, addr)
-    sec = m.taint >> c & 1
-    mem.write(addr, regs[c], sec)
+    w = m.taint >> c & LABELS
+    mem.write(addr, regs[c], w)
     m.trace.append((E_STORE, pc, addr, regs[RSP], 1 if a == RSP else 0))
-    if sec and mem.is_public(addr):
+    if w & SECRET and mem.is_public(addr):
         m.trace.append((E_LEAK, pc, 0, addr, 8))
     regs[RIP] = pc + 1
     m.cycle += 1
@@ -184,11 +207,11 @@ def _push(m, pc, a, b, c):
     addr = (regs[RSP] - 8) & MASK64
     if not mem.writable(addr):
         return _fault(m, pc, VEC_PAGE_FAULT, addr)
-    sec = m.taint >> a & 1
-    mem.write(addr, regs[a], sec)
+    w = m.taint >> a & LABELS
+    mem.write(addr, regs[a], w)
     regs[RSP] = addr
     m.trace.append((E_STORE, pc, addr, addr, 1))
-    if sec and mem.is_public(addr):
+    if w & SECRET and mem.is_public(addr):
         m.trace.append((E_LEAK, pc, 0, addr, 8))
     regs[RIP] = pc + 1
     m.cycle += 1
@@ -201,12 +224,14 @@ def _pop(m, pc, a, b, c):
     addr = regs[RSP]
     if not mem.readable(addr):
         return _fault(m, pc, VEC_PAGE_FAULT, addr)
-    regs[a], sec = mem.read(addr)
-    _set_taint(m, a, sec)
+    regs[a], w = mem.read(addr)
     regs[RSP] = (addr + 8) & MASK64
     if a == RSP:
+        # pop rsp leaves rsp at addr + 8, whatever the popped word was
+        m.taint &= ~(LABELS << RSP)
         m.trace.append((E_SP_ASSIGN, pc, regs[RSP], 0, 0))
     else:
+        _put(m, a, w)
         m.trace.append((E_MEMR, pc, addr, 1, 0))
     regs[RIP] = pc + 1
     m.cycle += 1
@@ -214,6 +239,8 @@ def _pop(m, pc, a, b, c):
 
 
 def _cmpj_i(m, pc, a, b, c):
+    if m.taint >> a & PAYLOAD:
+        m.influenced = True
     regs = m.regs
     holds, target = c
     m.trace.append((E_RETIRE, pc, regs[RSP], 0, 0))
@@ -223,6 +250,8 @@ def _cmpj_i(m, pc, a, b, c):
 
 
 def _cmpj_r(m, pc, a, b, c):
+    if (m.taint >> a | m.taint >> b) & PAYLOAD:
+        m.influenced = True
     regs = m.regs
     holds, target = c
     m.trace.append((E_RETIRE, pc, regs[RSP], 0, 0))
@@ -240,6 +269,8 @@ def _jmp(m, pc, a, b, c):
 
 
 def _jmp_reg(m, pc, a, b, c):
+    if m.taint >> a & PAYLOAD:
+        m.influenced = True
     regs = m.regs
     target = regs[a]
     m.trace.append((E_CTRL, pc, target, CTRL_JMPI, regs[RSP]))
@@ -254,7 +285,7 @@ def _call(m, pc, a, b, c):
     addr = (regs[RSP] - 8) & MASK64
     if not mem.writable(addr):
         return _fault(m, pc, VEC_PAGE_FAULT, addr)
-    mem.write(addr, pc + 1, False)
+    mem.write(addr, pc + 1, 0)
     regs[RSP] = addr
     m.trace.append((E_CTRL, pc, a, CTRL_CALL, addr))
     regs[RIP] = a
@@ -266,9 +297,11 @@ def _ret(m, pc, a, b, c):
     regs = m.regs
     mem = m.mem
     addr = regs[RSP]
+    target, w = mem.read(addr)
+    if w & PAYLOAD:
+        m.influenced = True
     if not mem.readable(addr):
         return _fault(m, pc, VEC_PAGE_FAULT, addr)
-    target, _sec = mem.read(addr)
     regs[RSP] = (addr + 8) & MASK64
     m.trace.append((E_CTRL, pc, target, CTRL_RET, regs[RSP]))
     regs[RIP] = target
@@ -279,7 +312,10 @@ def _ret(m, pc, a, b, c):
 def _memcpy(m, pc, a, b, c):
     """Copy regs[c] bytes from regs[b] to regs[a]: word-granular, ascending,
     not atomic: a permission fault midway leaves the already-copied prefix
-    in place."""
+    in place, labels included."""
+    t = m.taint
+    if (t >> a | t >> b | t >> c) & PAYLOAD:
+        m.influenced = True
     dst, src, nbytes = m.regs[a], m.regs[b], m.regs[c]
     if dst % 8 or src % 8 or nbytes % 8:
         return _fault(m, pc, VEC_AC, dst | src | nbytes)
@@ -302,9 +338,9 @@ def _memcpy(m, pc, a, b, c):
         if not mem.writable(d):
             flush_run()
             return _fault(m, pc, VEC_PAGE_FAULT, d)
-        val, sec = mem.read(s)
-        mem.write(d, val, sec)
-        if sec and mem.is_public(d):
+        val, w = mem.read(s)
+        mem.write(d, val, w)
+        if w & SECRET and mem.is_public(d):
             if run_len == 0:
                 run_src, run_dst = s, d
             run_len += 1
@@ -318,11 +354,12 @@ def _memcpy(m, pc, a, b, c):
 
 
 def _scrub(m, pc, a, b, c):
+    """`a` is the mask of the scrubbed registers."""
     regs = m.regs
     for r in range(NREGS):
         if a & (1 << r):
             regs[r] = SCRUB_VALUES[r]
-    m.taint &= ~(a & _ALL_REGS)
+    m.taint &= ~(a | a << PAYLOAD_SHIFT)
     m.trace.append((E_RETIRE, pc, regs[RSP], 0, 0))
     regs[RIP] = pc + 1
     m.cycle += 1
@@ -339,9 +376,9 @@ def _read_ssa(m, pc, a, b, c):
     if m.tcs.cssa < 1:
         return _abort(m, pc)
     regs = m.regs
-    val, sec = _frame_field(m.ssa[m.tcs.cssa - 1], b)
+    val, w = _frame_field(m.ssa[m.tcs.cssa - 1], b)
     regs[a] = val
-    _set_taint(m, a, sec)
+    _put(m, a, w)
     if a == RSP:
         m.trace.append((E_SP_ASSIGN, pc, regs[RSP], 0, 0))
     else:
@@ -355,7 +392,8 @@ def _write_ssa(m, pc, a, b, c):
     if m.tcs.cssa < 1:
         return _abort(m, pc)
     regs = m.regs
-    _set_frame_field(m.ssa[m.tcs.cssa - 1], a, regs[b], m.taint >> b & 1)
+    _set_frame_field(m.ssa[m.tcs.cssa - 1], a, regs[b],
+                     m.taint >> b & LABELS)
     m.platform_changed()
     m.trace.append((E_RETIRE, pc, regs[RSP], 0, 0))
     regs[RIP] = pc + 1
@@ -364,6 +402,8 @@ def _write_ssa(m, pc, a, b, c):
 
 
 def _eexit_r(m, pc, a, b, c):
+    if m.taint >> a & PAYLOAD:
+        m.influenced = True
     m.cycle += 1
     m.eexit(m.regs[a])
     return "exit"
@@ -378,7 +418,7 @@ def _eexit_i(m, pc, a, b, c):
 def _begin_atomic(m, pc, a, b, c):
     regs = m.regs
     regs[RAX] = 1 if m.begin_atomic(a) else 0
-    m.taint &= ~(1 << RAX)
+    m.taint &= ~(LABELS << RAX)
     m.trace.append((E_RETIRE, pc, regs[RSP], 0, 0))
     regs[RIP] = pc + 1
     m.cycle += 1
@@ -402,7 +442,7 @@ def _set_flag(m, pc, a, b, c):
     mem = m.mem
     if not mem.writable(a):
         return _fault(m, pc, VEC_PAGE_FAULT, a)
-    mem.write(a, b, False)
+    mem.write(a, b, 0)
     m.trace.append((E_STORE, pc, a, m.regs[RSP], 0))
     m.regs[RIP] = pc + 1
     m.cycle += 1
@@ -421,7 +461,7 @@ def _trap(m, pc, a, b, c):
 
 def _declassify(m, pc, a, b, c):
     regs = m.regs
-    m.taint &= ~(1 << a)
+    m.taint &= ~(SECRET << a)
     m.trace.append((E_RETIRE, pc, regs[RSP], 0, 0))
     regs[RIP] = pc + 1
     m.cycle += 1
@@ -430,6 +470,9 @@ def _declassify(m, pc, a, b, c):
 
 def _emulate_critical(m, pc, a, b, c):
     """`a` is a weak reference to the program, resolved at decode time."""
+    cssa = m.tcs.cssa
+    if cssa >= 1 and m.ssa[cssa - 1].taint >> RIP & PAYLOAD:
+        m.influenced = True
     return _complete_top_frame(m, pc, _deref(a))
 
 
@@ -505,249 +548,21 @@ def decode(program: Program) -> dict:
     return program.decoded
 
 
-def _frame_field(frame: SSAFrame, field: int) -> tuple[int, bool]:
+def _frame_field(frame: SSAFrame, field: int) -> tuple[int, int]:
+    """A saved field's value and label word: exit information has none."""
     if field == SSA_FIELD_VALID:
-        return frame.valid, False
+        return frame.valid, 0
     if field == SSA_FIELD_VECTOR:
-        return frame.vector, False
-    return frame.regs[field], bool(frame.taint & (1 << field))
+        return frame.vector, 0
+    return frame.regs[field], frame.taint >> field & LABELS
 
 
-def _set_frame_field(frame: SSAFrame, field: int, value: int, sec: bool) -> None:
+def _set_frame_field(frame: SSAFrame, field: int, value: int, w: int) -> None:
     if field in (SSA_FIELD_VALID, SSA_FIELD_VECTOR):
         raise InterpError("exit information is hardware-owned")
     frame.regs[field] = value & MASK64
-    if sec:
-        frame.taint |= (1 << field)
-    else:
-        frame.taint &= ~(1 << field)
+    frame.taint = frame.taint & ~(LABELS << field) | w << field
     frame._repr = None
-
-
-# ---------------------------------------------------------------------------
-# Attacker-payload labels
-# ---------------------------------------------------------------------------
-# A second label, next to the secret taint, marks values that came from the
-# attacker's payload registers: ``Machine.payload`` and ``SSAFrame.payload``
-# (register masks) and ``Memory.payload`` (labelled cells).  Data moves copy
-# it (mov, the value of load/store/push/pop, memcpy contents, read_ssa and
-# write_ssa, and in machine.py the SSA save and restore); arithmetic keeps
-# it; immediate writes and scrub clear it.  A labelled value that reaches a
-# sink sets ``Machine.influenced``:
-#   - a memory address, memcpy's dst/src/len included;
-#   - a compare-and-jump operand;
-#   - rsp;
-#   - a control target: ret of a labelled cell, jmp_reg, eexit's register,
-#     a labelled saved rip on emulate_critical or on eresume (machine.py);
-#   - an event field: the exit's rax (machine.py).
-# Every other effect of an instruction is a function of unlabelled values,
-# so a run that ends without ``influenced`` emits the same trace, status and
-# step count under any payload value.
-#
-# Each tracked handler computes its sinks and the operands' labels before
-# running the plain handler, and moves the labels after it retires: the
-# instruction semantics stay the plain handlers', and runs of the plain
-# table pay nothing for labels.
-
-def _label(m: Machine, r: int, lab) -> None:
-    """Set or clear register r's label.  rip never keeps one (every
-    instruction rewrites it); a labelled rsp is a sink."""
-    if lab and r != RIP:
-        m.payload |= 1 << r
-        if r == RSP:
-            m.influenced = True
-    else:
-        m.payload &= ~(1 << r)
-
-
-def _label_cell(labelled: set, addr: int, lab) -> None:
-    if lab:
-        labelled.add(addr)
-    else:
-        labelled.discard(addr)
-
-
-def _t_mov_rr(m, pc, a, b, c):
-    lab = m.payload >> b & 1
-    sig = _mov_rr(m, pc, a, b, c)
-    _label(m, a, lab)
-    return sig
-
-
-def _t_mov_ri(m, pc, a, b, c):
-    m.payload &= ~(1 << a)
-    return _mov_ri(m, pc, a, b, c)
-
-
-def _t_load(m, pc, a, b, c):
-    if m.payload >> b & 1:
-        m.influenced = True
-    addr = (m.regs[b] + c) & MASK64
-    sig = _load(m, pc, a, b, c)
-    if sig == "ok":
-        _label(m, a, addr in m.mem.payload)
-    return sig
-
-
-def _t_store(m, pc, a, b, c):
-    if m.payload >> a & 1:
-        m.influenced = True
-    addr = (m.regs[a] + b) & MASK64
-    lab = m.payload >> c & 1
-    sig = _store(m, pc, a, b, c)
-    if sig == "ok":
-        _label_cell(m.mem.payload, addr, lab)
-    return sig
-
-
-def _t_push(m, pc, a, b, c):
-    lab = m.payload >> a & 1
-    sig = _push(m, pc, a, b, c)
-    if sig == "ok":
-        _label_cell(m.mem.payload, m.regs[RSP], lab)
-    return sig
-
-
-def _t_pop(m, pc, a, b, c):
-    addr = m.regs[RSP]
-    sig = _pop(m, pc, a, b, c)
-    if sig == "ok":
-        # pop rsp leaves rsp at addr + 8, whatever the popped word was
-        _label(m, a, a != RSP and addr in m.mem.payload)
-    return sig
-
-
-def _t_cmpj_i(m, pc, a, b, c):
-    if m.payload >> a & 1:
-        m.influenced = True
-    return _cmpj_i(m, pc, a, b, c)
-
-
-def _t_cmpj_r(m, pc, a, b, c):
-    if m.payload & (1 << a | 1 << b):
-        m.influenced = True
-    return _cmpj_r(m, pc, a, b, c)
-
-
-def _t_jmp_reg(m, pc, a, b, c):
-    if m.payload >> a & 1:
-        m.influenced = True
-    return _jmp_reg(m, pc, a, b, c)
-
-
-def _t_call(m, pc, a, b, c):
-    sig = _call(m, pc, a, b, c)
-    if sig == "ok":
-        m.mem.payload.discard(m.regs[RSP])
-    return sig
-
-
-def _t_ret(m, pc, a, b, c):
-    if m.regs[RSP] in m.mem.payload:
-        m.influenced = True
-    return _ret(m, pc, a, b, c)
-
-
-def _t_memcpy(m, pc, a, b, c):
-    if m.payload & (1 << a | 1 << b | 1 << c):
-        m.influenced = True
-    regs, mem = m.regs, m.mem
-    dst, src, nbytes = regs[a], regs[b], regs[c]
-    sig = _memcpy(m, pc, a, b, c)
-    labelled = mem.payload
-    if labelled and not (dst % 8 or src % 8 or nbytes % 8):
-        # the words the copy moved: ascending, up to a faulting word
-        for i in range(nbytes // 8):
-            s = (src + 8 * i) & MASK64
-            d = (dst + 8 * i) & MASK64
-            if not (mem.readable(s) and mem.writable(d)):
-                break
-            _label_cell(labelled, d, s in labelled)
-    return sig
-
-
-def _t_scrub(m, pc, a, b, c):
-    m.payload &= ~a
-    return _scrub(m, pc, a, b, c)
-
-
-def _t_read_ssa(m, pc, a, b, c):
-    cssa = m.tcs.cssa
-    lab = cssa >= 1 and b < NREGS and m.ssa[cssa - 1].payload >> b & 1
-    sig = _read_ssa(m, pc, a, b, c)
-    if sig == "ok":
-        _label(m, a, lab)
-    return sig
-
-
-def _t_write_ssa(m, pc, a, b, c):
-    sig = _write_ssa(m, pc, a, b, c)
-    if sig == "ok":
-        frame = m.ssa[m.tcs.cssa - 1]
-        if m.payload >> b & 1:
-            frame.payload |= 1 << a
-        else:
-            frame.payload &= ~(1 << a)
-    return sig
-
-
-def _t_eexit_r(m, pc, a, b, c):
-    if m.payload >> a & 1:
-        m.influenced = True
-    return _eexit_r(m, pc, a, b, c)
-
-
-def _t_begin_atomic(m, pc, a, b, c):
-    m.payload &= ~(1 << RAX)
-    return _begin_atomic(m, pc, a, b, c)
-
-
-def _t_set_flag(m, pc, a, b, c):
-    sig = _set_flag(m, pc, a, b, c)
-    if sig == "ok":
-        m.mem.payload.discard(a)
-    return sig
-
-
-def _t_emulate_critical(m, pc, a, b, c):
-    """`a` is a weak reference to the program; the completion steps its
-    tracking twin."""
-    cssa = m.tcs.cssa
-    if cssa >= 1 and m.ssa[cssa - 1].payload >> RIP & 1:
-        m.influenced = True
-    return _complete_top_frame(m, pc, tracking(_deref(a)))
-
-
-# plain handler -> tracked handler; the others move no label and read no
-# labelled operand
-_TRACKED = {
-    _mov_rr: _t_mov_rr, _mov_ri: _t_mov_ri, _load: _t_load,
-    _store: _t_store, _push: _t_push, _pop: _t_pop,
-    _cmpj_i: _t_cmpj_i, _cmpj_r: _t_cmpj_r, _jmp_reg: _t_jmp_reg,
-    _call: _t_call, _ret: _t_ret, _memcpy: _t_memcpy, _scrub: _t_scrub,
-    _read_ssa: _t_read_ssa, _write_ssa: _t_write_ssa,
-    _eexit_r: _t_eexit_r, _begin_atomic: _t_begin_atomic,
-    _set_flag: _t_set_flag, _emulate_critical: _t_emulate_critical,
-}
-
-
-def tracking(program: Program) -> Program:
-    """The twin of `program` whose steps also move payload labels: the same
-    code under the table of tracked handlers.  The twin is built once and
-    kept on the program; it shares the program's tables and reaches the
-    program only through the weak references of the decoded entries, so
-    reference counting alone still frees both."""
-    twin = program.tracked
-    if twin is None:
-        table = {}
-        for pc, ins in decode(program).items():
-            if ins[0] in _TRACKED:  # the others keep the plain entry
-                ins = (_TRACKED[ins[0]],) + ins[1:]
-            table[pc] = ins
-        twin = dataclasses.replace(program)
-        twin.decoded = table
-        program.tracked = twin
-    return twin
 
 
 # ---------------------------------------------------------------------------
@@ -800,7 +615,6 @@ def complete_critical(m: Machine, program: Program,
     ctx.mode = MODE_ENCLAVE
     ctx.regs = list(frame.regs)
     ctx.taint = frame.taint
-    ctx.payload = frame.payload
     steps = 0
     while in_crit_ranges(program, pc):
         if steps >= MAX_COMPLETION_STEPS:
@@ -821,5 +635,4 @@ def complete_critical(m: Machine, program: Program,
         pc = ctx.regs[RIP]
     if ctx.influenced:
         m.influenced = True
-    return SSAFrame(ctx.regs, ctx.taint, frame.valid, frame.vector,
-                    ctx.payload)
+    return SSAFrame(ctx.regs, ctx.taint, frame.valid, frame.vector)

@@ -106,9 +106,6 @@ class Program:
     # the interpreter's pre-decoded dispatch table, filled on first step
     decoded: Optional[dict] = field(default=None, init=False, repr=False,
                                     compare=False)
-    # the twin whose dispatch also moves payload labels (interp.tracking)
-    tracked: Optional["Program"] = field(default=None, init=False,
-                                         repr=False, compare=False)
 
     @property
     def end(self) -> int:

@@ -4,7 +4,9 @@ the entry/exit/async-exit instructions of the simulated platform.
 The machine is a deterministic transition system.  All mutation happens
 through the operations defined here or through the instruction interpreter;
 a canonical serialization (see ``digest``) makes state comparable across
-runs and worker processes.
+runs and worker processes.  Registers, saved frames and memory cells each
+carry one label word (secret taint and attacker payload, see ``SECRET``);
+only its secret plane is canonical.
 """
 
 from __future__ import annotations
@@ -32,6 +34,18 @@ REG_NAMES = [
 REG_IDS = {name: i for i, name in enumerate(REG_NAMES)}
 
 MASK64 = (1 << 64) - 1
+
+# Label words.  Every register, saved-frame slot and memory cell carries one
+# word of two labels: the secret taint (bit 0) and the attacker payload
+# (bit 32).  A register mask (``Machine.taint``, ``SSAFrame.taint``) holds
+# register r's word shifted left by r, so its secret plane is bits 0..17 and
+# its payload plane bits 32..49; ``Memory.labels`` holds cell words
+# unshifted.  Only the secret plane is part of the canonical state.
+SECRET = 1
+PAYLOAD_SHIFT = 32
+PAYLOAD = 1 << PAYLOAD_SHIFT
+LABELS = SECRET | PAYLOAD
+SECRET_REGS = (1 << NREGS) - 1
 
 # Post-AEX register contents: a fixed sentinel per register so traces stay
 # reproducible.  The real scrub values are unspecified; these are ours.
@@ -164,10 +178,9 @@ def _tuple_repr(parts: list[str]) -> str:
 
 class Memory:
     """Word-addressed memory: 8-byte little-endian cells at 8-aligned
-    addresses, each carrying a secret/public taint bit.  Reads of unwritten
-    cells inside a mapped page return zero, public.  ``payload`` holds the
-    cells labelled as attacker payload (see ``interp.tracking``); it is not
-    part of the canonical state.
+    addresses, each carrying a label word (``labels``; absent means no
+    label).  Reads of unwritten cells inside a mapped page return zero,
+    unlabelled.  Only a cell's secret bit is part of the canonical state.
 
     Pages are immutable and the page list and its index are shared between
     clones; ``set_perms`` gives this memory its own copy (copy-on-write).
@@ -182,14 +195,13 @@ class Memory:
     (``_dirty`` is None) and pays only the None check per write; clones
     copy the parts only when they exist."""
 
-    __slots__ = ("pages", "cells", "secret", "payload", "shift", "index",
+    __slots__ = ("pages", "cells", "labels", "shift", "index",
                  "_keys", "_parts", "_dirty", "_cells_repr", "_pages_repr")
 
     def __init__(self, pages: list[Page]):
         self.pages = list(pages)
         self.cells: dict[int, int] = {}
-        self.secret: set[int] = set()
-        self.payload: set[int] = set()
+        self.labels: dict[int, int] = {}
         self.shift, self.index = _page_index(self.pages)
         self._keys: Optional[list[int]] = None
         self._parts: Optional[list[str]] = None
@@ -203,8 +215,7 @@ class Memory:
         m.shift = self.shift
         m.index = self.index
         m.cells = dict(self.cells)
-        m.secret = set(self.secret)
-        m.payload = set(self.payload)
+        m.labels = dict(self.labels)
         if self._dirty is None:
             m._keys = m._parts = m._dirty = None
         else:
@@ -266,28 +277,30 @@ class Memory:
                 return p.kind == PUBLIC
         return False
 
-    def read(self, addr: int) -> tuple[int, bool]:
-        return self.cells.get(addr, 0), addr in self.secret
+    def read(self, addr: int) -> tuple[int, int]:
+        """The cell's value and label word."""
+        return self.cells.get(addr, 0), self.labels.get(addr, 0)
 
-    def write(self, addr: int, value: int, secret: bool) -> None:
+    def write(self, addr: int, value: int, word: int) -> None:
+        """Store `value` with label `word` (True marks a secret)."""
         value &= MASK64
         if value:
             self.cells[addr] = value
         else:
             self.cells.pop(addr, None)
-        if secret:
-            self.secret.add(addr)
+        if word:
+            self.labels[addr] = word
         else:
-            self.secret.discard(addr)
+            self.labels.pop(addr, None)
         dirty = self._dirty
         if dirty is not None:
             dirty.add(addr)
 
     def canonical(self) -> list[tuple[int, int, int]]:
         items = {a: (v, 0) for a, v in self.cells.items() if v}
-        for a in self.secret:
-            v, _ = items.get(a, (0, 0))
-            items[a] = (v, 1)
+        for a, w in self.labels.items():
+            if w & SECRET:
+                items[a] = (items.get(a, (0, 0))[0], 1)
         return sorted((a, v, s) for a, (v, s) in items.items())
 
     def cells_repr(self) -> str:
@@ -302,10 +315,10 @@ class Memory:
             self._dirty = set()
         elif dirty:
             keys, parts = self._keys, self._parts
-            values, secret = self.cells, self.secret
+            values, labels = self.cells, self.labels
             for a in dirty:
                 v = values.get(a, 0)
-                s = a in secret
+                s = labels.get(a, 0) & SECRET
                 i = bisect_left(keys, a)
                 held = i < len(keys) and keys[i] == a
                 if v or s:
@@ -344,24 +357,23 @@ class SSAFrame:
     ``canonical_repr`` is cached; whoever changes a canonical field clears
     ``_repr`` (``Machine.aex``, ``interp._set_frame_field``)."""
 
-    __slots__ = ("regs", "taint", "valid", "vector", "payload", "_repr")
+    __slots__ = ("regs", "taint", "valid", "vector", "_repr")
 
-    def __init__(self, regs=None, taint=0, valid=0, vector=0, payload=0):
+    def __init__(self, regs=None, taint=0, valid=0, vector=0):
         self.regs = list(regs) if regs is not None else [0] * NREGS
-        self.taint = taint          # bitmask over register ids
+        self.taint = taint          # register label words, see SECRET
         self.valid = valid
         self.vector = vector
-        self.payload = payload      # payload-label bitmask, not canonical
         self._repr: Optional[str] = None
 
     def clone(self) -> "SSAFrame":
-        f = SSAFrame(self.regs, self.taint, self.valid, self.vector,
-                     self.payload)
+        f = SSAFrame(self.regs, self.taint, self.valid, self.vector)
         f._repr = self._repr
         return f
 
     def canonical(self) -> tuple:
-        return (tuple(self.regs), self.taint, self.valid, self.vector)
+        return (tuple(self.regs), self.taint & SECRET_REGS, self.valid,
+                self.vector)
 
     def canonical_repr(self) -> str:
         if self._repr is None:
@@ -492,10 +504,10 @@ class Machine:
     branches.  The extension kind arms its protection at every synchronous
     entry (the hardware-managed entry window).
 
-    ``payload`` is the register mask of the attacker-payload label and
-    ``influenced`` records that a labelled value reached an address, a
-    branch, rsp, a control target or an event field (see
-    ``interp.tracking``).  Neither is part of the canonical state.
+    ``taint`` holds the registers' label words (see ``SECRET``).
+    ``influenced`` records that a payload-labelled value reached an
+    address, a branch, rsp, a control target or an event field (see
+    ``interp``); it is not part of the canonical state.
 
     ``_platform`` caches the digest text of the TCS, the SSA frames, aep,
     version and extension state.  Every transition that changes one of them
@@ -504,7 +516,7 @@ class Machine:
 
     __slots__ = ("mode", "regs", "taint", "mem", "tcs", "ssa", "aep",
                  "sgx_version", "hw", "cycle", "trace", "entry_atomic_cycles",
-                 "pending_fault", "halted", "payload", "influenced",
+                 "pending_fault", "halted", "influenced",
                  "_platform")
 
     def __init__(self, mem: Memory, tcs: TCS, sgx_version: int = SGX2,
@@ -523,7 +535,6 @@ class Machine:
         self.entry_atomic_cycles = entry_atomic_cycles
         self.pending_fault = -1     # vector awaiting the mandatory aex
         self.halted = False
-        self.payload = 0
         self.influenced = False
         self._platform: Optional[str] = None
 
@@ -546,7 +557,6 @@ class Machine:
         m.entry_atomic_cycles = self.entry_atomic_cycles
         m.pending_fault = self.pending_fault
         m.halted = self.halted
-        m.payload = self.payload
         m.influenced = self.influenced
         m._platform = self._platform
         return m
@@ -581,7 +591,6 @@ class Machine:
         self.platform_changed()
         self.regs = list(os_regs)
         self.taint = 0
-        self.payload = 0
         self.regs[RIP] = self.tcs.entry_point
         self.aep = aep
         self.mode = MODE_ENCLAVE
@@ -609,10 +618,10 @@ class Machine:
             self.hw.masked = False
         self.hw.atomic = False
         self.hw.deferred_vector = -1   # became an OS-side interrupt
-        if self.payload >> RAX & 1:
+        if self.taint >> RAX & PAYLOAD:
             self.influenced = True
-        self.emit(E_EXIT, pc, target & MASK64, self.taint & ~(1 << RIP),
-                  self.regs[RAX])
+        self.emit(E_EXIT, pc, target & MASK64,
+                  self.taint & SECRET_REGS & ~(1 << RIP), self.regs[RAX])
 
     # -- asynchronous exit / resume ------------------------------------------
 
@@ -634,14 +643,12 @@ class Machine:
         frame = self.ssa[self.tcs.cssa]
         frame.regs = list(self.regs)
         frame.taint = self.taint
-        frame.payload = self.payload
         frame.valid = 1 if reports_to_enclave(vector, self.sgx_version) else 0
         frame.vector = vector
         frame._repr = None
         self.tcs.cssa += 1
         self.regs = list(SCRUB_VALUES)
         self.taint = 0
-        self.payload = 0
         self.regs[RIP] = self.aep
         self.mode = MODE_OS
         self.tcs.busy = False
@@ -662,8 +669,7 @@ class Machine:
         self.tcs.cssa -= 1
         self.regs = list(frame.regs)
         self.taint = frame.taint
-        self.payload = frame.payload
-        if self.payload & (1 << RIP | 1 << RSP):
+        if self.taint & (PAYLOAD << RIP | PAYLOAD << RSP):
             self.influenced = True
         self.mode = MODE_ENCLAVE
         self.tcs.busy = True
@@ -742,11 +748,12 @@ class Machine:
         """Canonical value of the state, and the specification of
         ``digest``.  Field order is fixed: mode, registers, register taint,
         memory cells (sorted), page permissions, TCS, SSA frames, aep,
-        version, extension state, cycle, pending fault vector, halted."""
+        version, extension state, cycle, pending fault vector, halted.
+        Register taint is the secret plane of the label words."""
         return (
             self.mode,
             tuple(self.regs),
-            self.taint,
+            self.taint & SECRET_REGS,
             tuple(self.mem.canonical()),
             tuple((p.base, p.size, p.kind, p.perms) for p in self.mem.pages),
             (self.tcs.entry_point, self.tcs.cssa, self.tcs.nssa,
@@ -778,7 +785,8 @@ class Machine:
             platform = self._platform = (
                 f"{tcs_t!r}, {frames}, {self.aep!r}, {self.sgx_version!r}, "
                 f"{self.hw.canonical()!r}")
-        text = (f"({self.mode!r}, {tuple(self.regs)!r}, {self.taint!r}, "
+        text = (f"({self.mode!r}, {tuple(self.regs)!r}, "
+                f"{self.taint & SECRET_REGS!r}, "
                 f"{mem.cells_repr()}, {mem.pages_repr()}, {platform}, "
                 f"{self.cycle!r}, {self.pending_fault!r}, "
                 f"{int(self.halted)!r})")

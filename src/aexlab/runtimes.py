@@ -680,9 +680,8 @@ def _program(src: str, code_base: int,
              symbols: tuple[tuple[str, int], ...]) -> isa.Program:
     """The assembly of `src` at `code_base` against `symbols`, once per
     distinct input.  A `Program` is never changed after assembly, and what
-    the interpreter caches on it (the decoded table, the tracking twin) is
-    derived from its code alone, so every image built from the same input
-    can share it."""
+    the interpreter caches on it (its one decoded table) is derived from its
+    code alone, so every image built from the same input can share it."""
     return isa.assemble(src, code_base, dict(symbols))
 
 

@@ -269,8 +269,9 @@ def _assert_same_run(got, want):
     assert (got.status, got.steps, got.boundaries, got.actions_applied) == (
         want.status, want.steps, want.boundaries, want.actions_applied)
     gm, wm = got.machine, want.machine
-    assert gm.payload == wm.payload and gm.mem.payload == wm.mem.payload
-    assert [f.payload for f in gm.ssa] == [f.payload for f in wm.ssa]
+    # the label words: secret taint and payload of registers, cells, frames
+    assert gm.taint == wm.taint and gm.mem.labels == wm.mem.labels
+    assert [f.taint for f in gm.ssa] == [f.taint for f in wm.ssa]
     assert gm.influenced == wm.influenced
     assert gm.digest() == wm.digest()
 

@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 
 from aexlab import runtimes
 from aexlab.interp import (
-    InterpError, ST_ABORT, complete_critical, decode, step, tracking,
+    InterpError, ST_ABORT, complete_critical, decode, step,
 )
 from aexlab.machine import (
-    CTRL_RET, E_CTRL, E_HALT, E_LEAK, MASK64, NREGS, RAX, RBX,
+    CTRL_RET, E_CTRL, E_EXIT, E_HALT, E_LEAK, LABELS, MASK64, NREGS, RAX, RBX,
     REG_IDS, RIP, RSP, SCRUB_VALUES, VEC_AC, VEC_DIV, VEC_EXT_INT,
     VEC_PAGE_FAULT, SSAFrame,
 )
@@ -223,6 +223,22 @@ def test_declassify_clears_taint():
     assert not any(ev[0] == E_LEAK for ev in m.trace)
 
 
+def test_pop_rsp_leaves_rsp_untainted():
+    # rsp ends at the popped cell + 8 whatever the word was, so a secret
+    # word popped into rsp leaves it clean, as in the shadow oracle
+    src = """
+    mov rsp, $cell
+    pop rsp
+    eexit $pub
+"""
+    m, prog = make_raw_machine(src, {"cell": DATA + 0x100},
+                               data_secret={DATA + 0x100: 0x5EC})
+    assert run_until(m, prog) == "exit"
+    assert m.regs[RSP] == DATA + 0x108
+    assert m.trace[-1][0] == E_EXIT and m.trace[-1][3] == 0
+    assert m.taint & (LABELS << RSP) == 0
+
+
 def test_trap_raises_its_vector():
     m, prog = make_raw_machine("    trap $0\n")
     assert step(m, prog) == "fault"
@@ -356,7 +372,7 @@ def test_step_locality(instructions):
 
 def test_decoded_program_dies_without_the_cycle_collector():
     # the emulate_critical entry of a decoded table holds its program only
-    # weakly, so reference counting alone frees a decoded, tracked program
+    # weakly, so reference counting alone frees a decoded program
     # once no image and no cache entry holds it
     enabled = gc.isenabled()
     gc.disable()
@@ -365,8 +381,7 @@ def test_decoded_program_dies_without_the_cycle_collector():
             img = build_runtime(variant)
             runtimes._program.cache_clear()
             decode(img.program)
-            tracking(img.program)
-            assert img.program.decoded and img.program.tracked
+            assert img.program.decoded
             program = weakref.ref(img.program)
             del img
             assert program() is None, variant

@@ -10,28 +10,37 @@ from hypothesis import strategies as st
 from aexlab import adversary, cli, reporting
 from aexlab.adversary import (
     Counterexample, NoneFound, PAYLOAD_REGS, exhaustive_attacker,
+    scripted_attack,
 )
-from aexlab.harness import run_plan
-from aexlab.interp import step, tracking
+from aexlab.harness import Eenter, PrepareRegs, benign_plan, run_plan
+from aexlab.interp import step
 from aexlab.machine import (
-    E_EXIT, E_HW_ERESUME, MASK64, RAX, RBX, REG_IDS, RIP, RSP, SGX1, SGX2,
-    VEC_EXT_INT,
+    E_EXIT, E_HW_ERESUME, MASK64, PAYLOAD, PAYLOAD_SHIFT, RAX, RBX, REG_IDS,
+    RIP, RSP, SECRET, SGX1, SGX2, VEC_EXT_INT,
 )
-from aexlab.runtimes import build_runtime
+from aexlab.runtimes import VARIANTS, build_machine, build_runtime
 
 from conftest import CODE, DATA, PUB, make_raw_machine
 
 
 def labelled(source: str, regs: dict, labels=("rax",), symbols=None):
     """A raw machine at the first instruction with `regs` set and the
-    registers `labels` carrying the payload label, and the tracking twin of
-    its program."""
+    registers `labels` carrying the payload label, and its program."""
     m, prog = make_raw_machine(source, symbols)
     for name, value in regs.items():
         m.regs[REG_IDS[name]] = value
     for name in labels:
-        m.payload |= 1 << REG_IDS[name]
-    return m, tracking(prog)
+        m.taint |= PAYLOAD << REG_IDS[name]
+    return m, prog
+
+
+def payload_regs(mask: int) -> int:
+    """The payload plane of a register label mask, as a register mask."""
+    return mask >> PAYLOAD_SHIFT
+
+
+def payload_cells(m) -> set:
+    return {a for a, w in m.mem.labels.items() if w & PAYLOAD}
 
 
 def run(m, prog, cap=200) -> str:
@@ -102,6 +111,19 @@ def test_an_indirect_jump_or_exit_target_is_a_sink():
         assert m.influenced, ins
 
 
+def test_declassify_keeps_the_payload_label():
+    # declassify clears the secret bit only: the payload-labelled rax still
+    # flags as a load address
+    m, prog = labelled("    declassify rax\n    load rbx, [rax+8]\n"
+                       "    halt $0\n", {"rax": DATA})
+    m.taint |= SECRET << RAX
+    assert step(m, prog) == "ok"
+    assert m.taint >> RAX & (SECRET | PAYLOAD) == PAYLOAD
+    assert not m.influenced
+    assert step(m, prog) == "ok"
+    assert m.influenced
+
+
 def test_exit_rax_is_a_sink():
     m, prog = labelled("    eexit $pub\n", {"rax": 1})
     assert step(m, prog) == "exit"
@@ -118,7 +140,7 @@ def _handler_writes(field: str):
     regs = [0] * len(m.regs)
     regs[RBX] = DATA + 0x800
     m.eenter(regs, PUB)
-    m.payload = 1 << RBX
+    m.taint = PAYLOAD << RBX
     assert run(m, prog) == "exit"
     assert not m.influenced
     return m
@@ -148,11 +170,11 @@ def test_context_copy_moves_labels_without_flagging():
     halt $0
 """
     m, prog = labelled(src, {"rbp": DATA}, labels=())
-    m.ssa[0].payload = 1 << REG_IDS["r8"]
+    m.ssa[0].taint = PAYLOAD << REG_IDS["r8"]
     m.tcs.cssa = 1
     assert run(m, prog) == "halt"
-    assert m.mem.payload == {DATA}
-    assert m.payload == 1 << REG_IDS["r12"] | 1 << REG_IDS["r14"]
+    assert payload_cells(m) == {DATA}
+    assert payload_regs(m.taint) == 1 << REG_IDS["r12"] | 1 << REG_IDS["r14"]
     assert not m.influenced
 
 
@@ -169,9 +191,9 @@ def test_pop_and_memcpy_move_labels():
 """
     m, prog = labelled(src, {"rbp": DATA, "rsi": DATA + 0x200, "rdx": 16})
     assert run(m, prog) == "halt"
-    assert m.payload == 1 << RAX | 1 << REG_IDS["rcx"]
+    assert payload_regs(m.taint) == 1 << RAX | 1 << REG_IDS["rcx"]
     # the copy moves the labelled word and the unlabelled one alike
-    assert m.mem.payload == {DATA + 0x7F8, DATA, DATA + 0x200}
+    assert payload_cells(m) == {DATA + 0x7F8, DATA, DATA + 0x200}
     assert not m.influenced
 
 
@@ -181,27 +203,27 @@ def test_a_faulting_memcpy_moves_the_labels_of_the_copied_prefix():
     m, prog = labelled("    memcpy rsi, rbp, rdx\n    halt $0\n",
                        {"rbp": DATA, "rsi": DATA + 0xFF8, "rdx": 16},
                        labels=())
-    m.mem.payload.update({DATA, DATA + 8})
+    m.mem.labels.update({DATA: PAYLOAD, DATA + 8: PAYLOAD})
     assert step(m, prog) == "fault"
-    assert m.mem.payload == {DATA, DATA + 8, DATA + 0xFF8}
+    assert payload_cells(m) == {DATA, DATA + 8, DATA + 0xFF8}
     assert not m.influenced
     # no label moves past the fault, even where a later word pair would be
     # mapped again: word 0x3E01 copies DATA + 8 to PUB
     m, prog = labelled("    memcpy rsi, rbp, rdx\n    halt $0\n",
                        {"rbp": CODE, "rsi": DATA + 0xFF8, "rdx": 0x1F010},
                        labels=())
-    m.mem.payload.add(DATA + 8)
+    m.mem.labels[DATA + 8] = PAYLOAD
     assert step(m, prog) == "fault"
-    assert m.mem.payload == {DATA + 8}
+    assert payload_cells(m) == {DATA + 8}
 
 
 def test_ssa_save_and_restore_move_labels():
     m, prog = labelled("    halt $0\n", {}, labels=("r8", "rax"))
-    mask = m.payload
+    mask = m.taint
     assert m.aex(VEC_EXT_INT)
-    assert m.ssa[0].payload == mask and m.payload == 0
+    assert m.ssa[0].taint == mask and m.taint == 0
     m.eresume()
-    assert m.payload == mask and not m.influenced
+    assert m.taint == mask and not m.influenced
 
 
 def test_scrub_and_immediate_writes_clear_labels():
@@ -219,10 +241,10 @@ sub:
     m, prog = labelled(src, {}, labels=("r8", "r9", "rax", "rbx"))
     top = DATA + 0x800
     assert run(m, prog) == "halt"
-    assert m.payload == 1 << RBX
+    assert payload_regs(m.taint) == 1 << RBX
     # the pushed rbx keeps its label; the return address call wrote is
     # an immediate
-    assert m.mem.payload == {top - 8}
+    assert payload_cells(m) == {top - 8}
     assert not m.influenced
 
 
@@ -274,8 +296,7 @@ def _straight_line_run(source: str, payload: int, track: bool):
         m.regs[REG_IDS[name]] = fixed.get(name, payload)
     if track:
         for name in _PAYLOAD:
-            m.payload |= 1 << REG_IDS[name]
-        prog = tracking(prog)
+            m.taint |= PAYLOAD << REG_IDS[name]
     return m, run(m, prog)
 
 
@@ -290,12 +311,43 @@ def test_a_clean_run_gives_the_same_trace_under_any_payload(lines, p1, p2):
     m2, sig2 = _straight_line_run(source, p2, track=True)
     assert m2.trace == m1.trace and sig2 == sig1
     assert not m2.influenced
-    assert m2.mem.payload == m1.mem.payload and m2.payload == m1.payload
+    # the label words, secret taint and payload both
+    assert m2.mem.labels == m1.mem.labels and m2.taint == m1.taint
 
 
 # ---------------------------------------------------------------------------
 # labels and the canonical state
 # ---------------------------------------------------------------------------
+
+def _staged(actions: list) -> list:
+    """The plan with each entry's registers staged first, so that the
+    payload labels apply at every entry."""
+    out = []
+    for action in actions:
+        if isinstance(action, Eenter) and action.regs is not None:
+            out += [PrepareRegs(action.regs),
+                    Eenter(action.cmd, None, action.aep)]
+        else:
+            out.append(action)
+    return out
+
+
+def _recorded(image, sgx: int, actions: list, payload=()):
+    """The trace lines with per-event digests of a recorded run, and the
+    run."""
+    m = build_machine(image, sgx)
+    rec = reporting.TraceRecorder(m)
+    res = run_plan(m, image, actions, on_action=rec.on_action,
+                   after_events=rec.after_events, payload=payload)
+    rec.flush()
+    return rec.lines, res
+
+
+def _carries_payload(m) -> bool:
+    """Whether a register, saved-frame slot or cell has the payload label."""
+    return bool(payload_regs(m.taint) or payload_cells(m)
+                or any(payload_regs(f.taint) for f in m.ssa))
+
 
 def test_labels_stay_out_of_canonical_state_and_travel_with_clones():
     src = """
@@ -310,21 +362,43 @@ done:
     m.regs[REG_IDS["rbp"]] = DATA
     m.regs[RAX] = 3
     plain, marked = m.clone(), m.clone()
-    marked.payload = 1 << RAX
+    marked.taint = PAYLOAD << RAX
     for _ in range(5):
         step(plain, prog)
-        step(marked, tracking(prog))
-    assert marked.mem.payload == {DATA} and marked.influenced
+        step(marked, prog)
+    assert payload_cells(marked) == {DATA} and marked.influenced
     assert plain.canonical() == marked.canonical()
     assert plain.digest() == marked.digest()
 
-    marked.ssa[0].payload = 1 << RSP
+    marked.ssa[0].taint = PAYLOAD << RSP
     copy = marked.clone()
-    assert copy.payload == marked.payload
-    assert copy.mem.payload == marked.mem.payload
-    assert copy.mem.payload is not marked.mem.payload
-    assert copy.ssa[0].payload == 1 << RSP
+    assert copy.taint == marked.taint
+    assert copy.mem.labels == marked.mem.labels
+    assert copy.mem.labels is not marked.mem.labels
+    assert copy.ssa[0].taint == PAYLOAD << RSP
     assert copy.influenced
+
+    # recorded runs: labelling the payload registers changes no trace line
+    # and no per-event digest
+    sdk = build_runtime("sdk_style")
+    runs = [("sdk_style scripted", sdk, SGX2,
+             scripted_attack(sdk, SGX2).actions)]
+    for variant in VARIANTS:
+        image = build_runtime(variant)
+        for sgx in (SGX1, SGX2):
+            runs.append((f"{variant} benign sgx{sgx}", image, sgx,
+                         _staged(benign_plan(image))))
+    assert len(runs) == 17
+    for name, image, sgx, actions in runs:
+        plain, res = _recorded(image, sgx, actions)
+        lines, labelled_res = _recorded(image, sgx, actions, PAYLOAD_REGS)
+        assert lines == plain, name
+        assert res.status == labelled_res.status, name
+        # the labelled run ends with payload labels, the plain one without
+        assert not _carries_payload(res.machine), name
+        assert _carries_payload(labelled_res.machine), name
+
+
 
 
 # ---------------------------------------------------------------------------
