@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Randomized-stack experiments: the exact and Monte-Carlo single-shot
 rates, the multi-round sweep over every offset, and a few concrete
-end-to-end round simulations.  Exits 1 when a concrete simulation leaves
-the anchor intact.
+offsets run end to end as multi-round scenarios.  Exits 1 when a concrete
+run leaves the anchor intact.
 
 Usage: python scripts/aslr_experiment.py [--trials N] [--seed S]
 """
@@ -14,8 +14,7 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from aexlab import adversary  # noqa: E402
-from aexlab.machine import SGX2  # noqa: E402
+from aexlab import adversary, explorer, reporting  # noqa: E402
 from aexlab.runtimes import Toggles, build_runtime  # noqa: E402
 
 
@@ -36,8 +35,8 @@ def main() -> int:
     for off in range(1, 2049):
         img = build_runtime("sdk_style",
                             toggles=Toggles(aslr_stack_offset=off))
-        res = adversary.multi_round_aslr(img, SGX2, simulate=False)
-        assert res.success
+        res = adversary.multi_round_aslr(img)
+        assert not res.exhausted
         by_rounds[res.rounds_needed] = by_rounds.get(res.rounds_needed, 0) + 1
     print(f"multi-round sweep over all 2048 offsets: "
           f"max {max(by_rounds)} rounds, "
@@ -46,13 +45,13 @@ def main() -> int:
 
     failed = 0
     for off in (0, 500, 2048):
-        img = build_runtime("sdk_style",
-                            toggles=Toggles(aslr_stack_offset=off))
-        res = adversary.multi_round_aslr(img, SGX2, simulate=True)
-        outcome = "corrupted" if res.success else "NOT corrupted"
+        stats = explorer.run(reporting.normalize_scenario({
+            "variant": "sdk_style", "adversary": "multi_round_aslr",
+            "toggles": {"aslr_stack_offset": off}})).stats
+        outcome = "corrupted" if stats["success"] else "NOT corrupted"
         print(f"concrete offset {off:4d}: anchor {outcome} "
-              f"after sweeping (hit round {res.rounds_needed})")
-        failed += not res.success
+              f"after sweeping (hit round {stats['rounds_needed']})")
+        failed += not stats["success"]
     return 1 if failed else 0
 
 

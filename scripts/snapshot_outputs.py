@@ -9,9 +9,13 @@ with boundaries 1-23 (each of these completes an interrupted critical
 span), and the scripted attack on `sdk_style` sgx 2, `open_enclave_style`
 sgx 1 and `enarx_style` sgx 1 and 2, each at three public-buffer pages and
 ASLR offsets 8 and 24, so that images sharing one assembled program within
-the process are compared too.  These scenario files are written to
-OUT/scenarios.  Every trace written is then replayed with `aexlab replay`,
-whose stdout lands next to the trace.  Exit codes go to
+the process are compared too.  It runs the multi-round ASLR sweep on
+`sdk_style` at offsets 33, 1000 and 2048, and `hw_irq_quota` `exhaustive`
+and `benign_critical` under two grants other than the default: one that
+still certifies, and one too small for the entry window's atomic section,
+under which the search finds a counterexample.  These scenario files are
+written to OUT/scenarios.  Every trace written is then replayed with
+`aexlab replay`, whose stdout lands next to the trace.  Exit codes go to
 OUT/exit_codes.txt; wall times go to stderr only, as in the CLI.
 
 Usage: python scripts/snapshot_outputs.py OUT
@@ -34,6 +38,8 @@ SCRIPTED_PAIRS = (("sdk_style", 2), ("open_enclave_style", 1),
 SCRIPTED_PAGES = (0x30000, 0x38000, 0x42000)
 # odd multiples of 8: enarx_style's scripted crafting fails at multiples of 16
 SCRIPTED_OFFSETS = (8, 24)
+MULTI_ROUND_OFFSETS = (33, 1000, 2048)
+QUOTA_GRANTS = ((64, 5000), (20, 5000))     # (allowed cycles, window)
 
 
 def _critical_docs():
@@ -53,6 +59,21 @@ def _scripted_docs():
                         "adversary": "scripted",
                         "layout": {"pubbuf_base": page},
                         "toggles": {"aslr_stack_offset": offset}})
+
+
+def _multi_round_docs():
+    for offset in MULTI_ROUND_OFFSETS:
+        yield (f"multi_round_sdk_style_o{offset}",
+               {"variant": "sdk_style", "adversary": "multi_round_aslr",
+                "toggles": {"aslr_stack_offset": offset}})
+
+
+def _quota_grant_docs():
+    for allowed, window in QUOTA_GRANTS:
+        for mode in ("exhaustive", "benign_critical"):
+            yield (f"{mode}_hw_irq_quota_a{allowed}_w{window}",
+                   {"variant": "hw_irq_quota", "adversary": mode,
+                    "hw_ext": {"allowed": allowed, "window": window}})
 
 
 def _scenario_files(out: str, docs) -> list[tuple[str, str]]:
@@ -94,7 +115,8 @@ def main() -> int:
             jobs.append((f"{tag}_w{workers}", ["run", "--scenario", path],
                          workers))
     for tag, path in _scenario_files(
-            args.out, [*_critical_docs(), *_scripted_docs()]):
+            args.out, [*_critical_docs(), *_scripted_docs(),
+                       *_multi_round_docs(), *_quota_grant_docs()]):
         jobs.append((tag, ["run", "--scenario", path], 1))
 
     codes = []

@@ -25,8 +25,8 @@ from .harness import (
     prefix_plan, run_plan,
 )
 from .machine import (
-    DEFAULT_IRQ_GRANT, HW_IRQ_QUOTA, MASK64, RSP, SCRUB_VALUES, SGX2,
-    VEC_EXT_INT, VEC_PAGE_FAULT, Machine, reports_to_enclave,
+    DEFAULT_IRQ_GRANT, MASK64, RSP, SCRUB_VALUES, SGX2, VEC_EXT_INT,
+    VEC_PAGE_FAULT, Machine, reports_to_enclave,
 )
 from .properties import SafetyMonitor
 from .runtimes import (
@@ -284,13 +284,9 @@ def _candidate_actions(entry: tuple[PrepareRegs, Eenter],
 
 def _prefix_snapshot(image: EnclaveImage, sgx_version: int,
                      grant: Optional[tuple[int, int]]) -> Machine:
-    """The machine after the prefix every plan shares, under `grant` (for
-    the irq-quota variant, the default grant when None)."""
-    m = build_machine(image, sgx_version)
-    if grant is None and image.design.hw == HW_IRQ_QUOTA:
-        grant = DEFAULT_IRQ_GRANT
-    if grant is not None:
-        m.grant_irq_quota(*grant)
+    """The machine after the prefix every plan shares, built under
+    `grant`."""
+    m = build_machine(image, sgx_version, grant)
     res = run_plan(m, image, prefix_plan())
     if res.status != "done":
         raise RuntimeError(f"scenario prefix failed: {res.status}")
@@ -460,7 +456,7 @@ def exhaustive_attacker(image: EnclaveImage, sgx_version: int = SGX2,
                         classes: tuple[int, ...] = (VEC_PAGE_FAULT,
                                                     VEC_EXT_INT),
                         budget: Optional[SearchBudget] = None,
-                        grant: Optional[tuple[int, int]] = None,
+                        grant: Optional[tuple[int, int]] = DEFAULT_IRQ_GRANT,
                         workers: int = 1, sp_mode: str = "range"):
     """Depth-first enumeration over injection boundaries, exception
     classes, re-entry commands and register bindings.  Returns the first
@@ -533,31 +529,29 @@ def estimate_single_shot_rate(trials: int, seed: int,
 
 @dataclass
 class MultiRoundResult:
-    success: bool                   # the simulated rounds corrupted the anchor
     rounds_needed: int
     exhausted: bool
     plan: Optional[AttackPlan]
 
 
-def multi_round_aslr(image: EnclaveImage, sgx_version: int = SGX2,
-                     max_rounds: int = 32, simulate: bool = True,
-                     grant: Optional[tuple[int, int]] = None
-                     ) -> MultiRoundResult:
-    """Iterate the corruption steps with invalid ecall commands so the
-    enclave exits before using the planted values, sweeping one 64-byte
-    window per round across the randomization range; the final round
-    enters with the real ocall-return command.
+def multi_round_aslr(image: EnclaveImage,
+                     max_rounds: int = 32) -> MultiRoundResult:
+    """The plan that iterates the corruption steps with invalid ecall
+    commands so the enclave exits before using the planted values,
+    sweeping one 64-byte window per round across the randomization range;
+    the final round enters with the real ocall-return command.
 
     The attacker only knows the nominal layout; the image carries the true
-    randomized base.  Success means the union of corrupted windows covered
-    the true anchor.  The simulation runs under `grant`, as
-    `exhaustive_attacker` does."""
+    randomized base, from which `rounds_needed` is worked out.  The sweep
+    covers the true anchor unless it needs more than `max_rounds` rounds
+    (`exhausted`, and no plan).  Whether the plan corrupts the anchor is
+    for a run of it to show."""
     lay = image.layout
     nominal_anchor = lay.stack_base - ECALL0_FRAME - 8
     shift = lay.stack_base - image.stack_base       # ground truth, quantized
     needed = shift // INFO_FREE_WINDOW + 1
     if needed > max_rounds:
-        return MultiRoundResult(False, needed, True, None)
+        return MultiRoundResult(needed, True, None)
 
     # The attacker cannot observe which round hit, so every round in the
     # budget runs; the sweep moves downward so rounds before the hit write
@@ -582,13 +576,4 @@ def multi_round_aslr(image: EnclaveImage, sgx_version: int = SGX2,
     plan = AttackPlan(name=f"multi_round/{image.variant}", actions=rounds,
                       bindings={"shift": shift, "rounds": needed,
                                 "marker": marker})
-
-    if not simulate:
-        return MultiRoundResult(True, needed, False, plan)
-
-    machine = _prefix_snapshot(image, sgx_version, grant)
-    anchor = image.anchor_addr
-    recorded = machine.mem.read(anchor)[0]
-    run_plan(machine, image, plan.actions)
-    corrupted = machine.mem.read(anchor)[0] != recorded
-    return MultiRoundResult(corrupted, needed, False, plan)
+    return MultiRoundResult(needed, False, plan)

@@ -19,7 +19,7 @@ from .harness import (
     prefix_plan, run_plan,
 )
 from .isa import Program, render
-from .machine import HW_IRQ_QUOTA, VECTOR_IDS, Machine
+from .machine import VECTOR_IDS, Machine
 from .properties import (
     Verdict, any_violation, evaluate, milestones,
 )
@@ -79,12 +79,6 @@ def _image(variant: str, layout: Optional[Layout],
     return build_runtime(variant, layout=layout, toggles=toggles)
 
 
-def _grant_for(scenario: dict, image: EnclaveImage):
-    if image.design.hw == HW_IRQ_QUOTA:
-        return (scenario["hw_ext"]["allowed"], scenario["hw_ext"]["window"])
-    return None
-
-
 def _classes_for(scenario: dict) -> tuple[int, ...]:
     return tuple(VECTOR_IDS[c] for c in scenario["inject_classes"])
 
@@ -95,10 +89,9 @@ def _execute(scenario: dict, image: EnclaveImage, actions: list,
     scenario's platform and grant runs the actions under its step budget.
     With `record`, the trace lines with per-event digests come back too;
     with `keep_from`, the run keeps action points from that index on."""
-    m = build_machine(image, scenario["sgx_version"])
-    grant = _grant_for(scenario, image)
-    if grant is not None:
-        m.grant_irq_quota(*grant)
+    hw_ext = scenario["hw_ext"]
+    m = build_machine(image, scenario["sgx_version"],
+                      (hw_ext["allowed"], hw_ext["window"]))
     rec = reporting.TraceRecorder(m) if record else None
     res = run_plan(m, image, actions,
                    max_steps=scenario["budgets"]["max_steps"],
@@ -138,24 +131,23 @@ def run(scenario: dict, workers: int = 1) -> Outcome:
         stats = {"trials": scenario["trials"], "rate": rate,
                  "exact_rate": adversary.exact_single_shot_rate()}
     elif mode == "multi_round_aslr":
-        res = adversary.multi_round_aslr(image, sgx,
-                                         max_rounds=scenario["max_rounds"],
-                                         grant=_grant_for(scenario, image))
+        res = adversary.multi_round_aslr(image, scenario["max_rounds"])
+        # set from the recorded run of the sweep, if it runs
         stats = {"rounds_needed": res.rounds_needed,
-                 "success": res.success, "exhausted": res.exhausted,
+                 "success": False, "exhausted": res.exhausted,
                  "stack_shift": image.layout.stack_base - image.stack_base}
         if res.plan is not None:
             actions = prefix_plan() + res.plan.actions
     elif mode.startswith("benign"):
         boundary = scenario["boundary"]
         if mode == "benign":
-            actions = benign_plan(image)
+            actions = benign_plan()
         elif mode == "benign_nested":
             actions = benign_nested_plan(
-                image, 15 if boundary is None else boundary)
+                15 if boundary is None else boundary)
         else:
             actions = benign_critical_exception_plan(
-                image, 5 if boundary is None else boundary)
+                5 if boundary is None else boundary)
         stats = {}
     elif mode == "scripted":
         try:
@@ -172,7 +164,8 @@ def run(scenario: dict, workers: int = 1) -> Outcome:
         out = adversary.exhaustive_attacker(
             image, sgx, classes=_classes_for(scenario),
             budget=adversary.SearchBudget(**scenario["budgets"]),
-            grant=_grant_for(scenario, image), workers=workers,
+            grant=(scenario["hw_ext"]["allowed"],
+                   scenario["hw_ext"]["window"]), workers=workers,
             sp_mode=scenario["sp_confinement_mode"])
         stats = out.stats.to_dict()
         search = out.stats
@@ -192,10 +185,13 @@ def run(scenario: dict, workers: int = 1) -> Outcome:
     res, lines = _execute(scenario, image, actions, record=True)
     if mode == "scripted" or mode.startswith("benign"):
         stats.update(steps=res.steps, status=res.status)
+    reached = milestones(res.trace, image)
+    if mode == "multi_round_aslr":
+        stats["success"] = "anchor_written" in reached
     verdicts = _verdicts(scenario, image, res.trace)
     code = EXIT_VIOLATION if any_violation(verdicts) else EXIT_OK
-    return Outcome(scenario, "ok", verdicts, milestones(res.trace, image),
-                   stats, lines, code, search)
+    return Outcome(scenario, "ok", verdicts, reached, stats, lines, code,
+                   search)
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +384,7 @@ def emulation_differential(image: EnclaveImage, sgx_version: int = 2,
             snapshots[pc] = m.clone()
 
     drivers = [
-        benign_plan(image),
+        benign_plan(),
         [Eenter.of(7, regs={"rsp": 0, "rsi": 0})],            # invalid ecall
         [Eenter.of((-2) & ((1 << 64) - 1), regs={"rsp": 0, "rsi": 0})],
     ]

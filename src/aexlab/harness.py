@@ -353,7 +353,7 @@ def prefix_plan() -> list:
     return [Eenter.of(0, regs=dict(BENIGN_REGS))]
 
 
-def benign_plan(image: EnclaveImage) -> list:
+def benign_plan() -> list:
     """Cooperative host: run the faulting ecall (deliver its exception,
     resume), then the compute ecall with a served ocall."""
     return [
@@ -366,7 +366,7 @@ def benign_plan(image: EnclaveImage) -> list:
     ]
 
 
-def benign_nested_plan(image: EnclaveImage, handler_boundary: int = 15) -> list:
+def benign_nested_plan(handler_boundary: int = 15) -> list:
     """Cooperative host that lets a second exception land while the first
     is being handled, then attempts to deliver it."""
     exc = (-3) & MASK64
@@ -381,8 +381,7 @@ def benign_nested_plan(image: EnclaveImage, handler_boundary: int = 15) -> list:
     ]
 
 
-def benign_critical_exception_plan(image: EnclaveImage, boundary: int,
-                                   vector: int = 32) -> list:
+def benign_critical_exception_plan(boundary: int, vector: int = 32) -> list:
     """Cooperative host that delivers an exception landing inside the
     ocall-return window, then serves the ocall to completion."""
     exc = (-3) & MASK64

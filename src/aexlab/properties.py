@@ -19,7 +19,7 @@ from .machine import (
 )
 from .runtimes import (
     CMD_EXCEPTION, CMD_ORET, ECALL0_RESULT_DELTA, ECALL1_RESULT,
-    EnclaveImage, ST_EXC_IGNORED, ST_UNHANDLED,
+    EnclaveImage, ST_EXC_IGNORED, ST_UNHANDLED, TD_EXC_FLAG,
 )
 
 VIOLATED = "violated"
@@ -229,7 +229,7 @@ def check_functionality(trace: list[tuple], image: EnclaveImage,
     limitation, not a break."""
     if not cooperative:
         return Verdict("functionality", NO_VIOLATION, detail="adversarial run")
-    td_flag_addr = image.layout.td_base + 32  # exception counter cell
+    td_flag_addr = image.layout.td_base + TD_EXC_FLAG  # exception counter
     handler_runs = 0
     aex_count = 0
     denied_delivery = False

@@ -18,9 +18,9 @@ from typing import Optional
 
 from . import isa
 from .machine import (
-    HW_IRQ_QUOTA, HW_NONE, HW_REENTRY_MASK, MASK64, PERM_R, PERM_W, PERM_X,
-    PRIVATE, PUBLIC, RFLAGS_AC, RFLAGS_DF, SGX2, HwExt, Machine, Memory,
-    Page, TCS, VEC_EXT_INT, VEC_PAGE_FAULT,
+    DEFAULT_IRQ_GRANT, HW_IRQ_QUOTA, HW_NONE, HW_REENTRY_MASK, MASK64, PERM_R,
+    PERM_W, PERM_X, PRIVATE, PUBLIC, RFLAGS_AC, RFLAGS_DF, SGX2, HwExt,
+    Machine, Memory, Page, TCS, VEC_EXT_INT, VEC_PAGE_FAULT,
 )
 
 # Ecall command encoding (a designated register, rdi, carries the command).
@@ -774,8 +774,12 @@ def _check_layout(layout: Layout) -> None:
 SECRET_WORD_SEED = 0x5EC2E7_0000
 
 
-def build_machine(image: EnclaveImage, sgx_version: int = SGX2) -> Machine:
-    """Fresh platform state for one scenario run of this image."""
+def build_machine(image: EnclaveImage, sgx_version: int = SGX2,
+                  grant: Optional[tuple[int, int]] = DEFAULT_IRQ_GRANT
+                  ) -> Machine:
+    """Fresh platform state for one scenario run of this image.  When the
+    design has the irq-quota extension, the OS grants it `grant` (allowed
+    cycles, window); None leaves it ungranted."""
     lay = image.layout
     mem = Memory([Page(*region) for region in layout_regions(lay)])
     td = lay.td_base
@@ -792,8 +796,11 @@ def build_machine(image: EnclaveImage, sgx_version: int = SGX2) -> Machine:
     design = image.design
     tcs = TCS(entry_point=image.entry, nssa=design.nssa,
               ssa_base=lay.ssa_base)
-    return Machine(mem, tcs, sgx_version=sgx_version, hw=HwExt(kind=design.hw),
-                   entry_atomic_cycles=image.entry_atomic_cycles)
+    m = Machine(mem, tcs, sgx_version=sgx_version, hw=HwExt(kind=design.hw),
+                entry_atomic_cycles=image.entry_atomic_cycles)
+    if grant is not None and design.hw == HW_IRQ_QUOTA:
+        m.grant_irq_quota(*grant)
+    return m
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from aexlab import adversary, explorer, properties, runtimes
+from aexlab import adversary, explorer, properties, reporting, runtimes
 from aexlab.harness import benign_nested_plan, benign_plan, run_plan
 from aexlab.machine import (
     DENY_NO_FREE_SLOT, E_HW_DENIED, NREGS, SGX1, SGX2, VEC_EXT_INT,
@@ -100,16 +100,15 @@ def test_criterion_4_randomized_stack_rates():
     for off in range(1, 2049):
         img = build_runtime("sdk_style",
                             toggles=Toggles(aslr_stack_offset=off))
-        res = adversary.multi_round_aslr(img, SGX2, max_rounds=32,
-                                         simulate=False)
-        assert res.success and not res.exhausted, off
+        res = adversary.multi_round_aslr(img, max_rounds=32)
+        assert not res.exhausted, off
         worst = max(worst, res.rounds_needed)
     assert worst == 32
     for off in (0, 33, 64, 1000, 2048):
-        img = build_runtime("sdk_style",
-                            toggles=Toggles(aslr_stack_offset=off))
-        res = adversary.multi_round_aslr(img, SGX2, simulate=True)
-        assert res.success, off
+        out = explorer.run(reporting.normalize_scenario({
+            "variant": "sdk_style", "adversary": "multi_round_aslr",
+            "toggles": {"aslr_stack_offset": off}}))
+        assert out.stats["success"], off
     print(f"criterion 4: PASS - single-shot rate exactly 64/2048, "
           f"monte-carlo {mc:.5f} within 0.2pp, every offset corrupted "
           f"within 32 rounds")
@@ -141,13 +140,13 @@ def test_criterion_5_mitigation_certification():
 
     ded = build_runtime("dedicated_stack")
     m = build_machine(ded, SGX2)
-    res = run_plan(m, ded, benign_nested_plan(ded))
+    res = run_plan(m, ded, benign_nested_plan())
     func = properties.check_functionality(res.trace, ded)
     assert (func.outcome, func.detail) == ("design_limitation", "no_nesting")
 
     nssa = build_runtime("nssa_disabled")
     m2 = build_machine(nssa, SGX2)
-    res2 = run_plan(m2, nssa, benign_plan(nssa))
+    res2 = run_plan(m2, nssa, benign_plan())
     assert any(ev[0] == E_HW_DENIED and ev[2] == DENY_NO_FREE_SLOT
                for ev in res2.trace)
     func2 = properties.check_functionality(res2.trace, nssa)

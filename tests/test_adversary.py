@@ -3,7 +3,7 @@ certification oracle, plan determinism, and the randomized-stack bypass."""
 
 import pytest
 
-from aexlab import adversary, harness, properties
+from aexlab import adversary, explorer, harness, properties, reporting
 from aexlab.adversary import (
     BudgetExceeded, Counterexample, NoneFound, PlanInfeasible, SearchBudget,
     default_domain, estimate_single_shot_rate, exact_single_shot_rate,
@@ -235,10 +235,16 @@ def test_rates():
         estimate_single_shot_rate(0, seed=1)
 
 
+def multi_round_stats(offset: int) -> dict:
+    """The stats of the multi-round scenario's recorded run at `offset`."""
+    return explorer.run(reporting.normalize_scenario({
+        "variant": "sdk_style", "adversary": "multi_round_aslr",
+        "toggles": {"aslr_stack_offset": offset}})).stats
+
+
 def test_multi_round_degenerate_offset_zero():
-    img = build_runtime("sdk_style")
-    res = multi_round_aslr(img, SGX2, simulate=True)
-    assert res.success and res.rounds_needed == 1
+    stats = multi_round_stats(0)
+    assert stats["success"] and stats["rounds_needed"] == 1
 
 
 def test_single_round_budget_equals_single_shot_rate():
@@ -246,18 +252,16 @@ def test_single_round_budget_equals_single_shot_rate():
     for off in range(1, 2049):
         img = build_runtime("sdk_style",
                             toggles=Toggles(aslr_stack_offset=off))
-        res = multi_round_aslr(img, SGX2, max_rounds=1, simulate=False)
+        res = multi_round_aslr(img, max_rounds=1)
         hits += 0 if res.exhausted else 1
     assert hits / 2048 == exact_single_shot_rate()
 
 
 def test_multi_round_concrete_corrupts_for_sampled_offsets():
     for off in (0, 7, 63, 64, 512, 1024, 2048):
-        img = build_runtime("sdk_style",
-                            toggles=Toggles(aslr_stack_offset=off))
-        res = multi_round_aslr(img, SGX2, simulate=True)
-        assert res.success, off
-        assert res.rounds_needed <= 32
+        stats = multi_round_stats(off)
+        assert stats["success"], off
+        assert stats["rounds_needed"] <= 32
 
 
 # ---------------------------------------------------------------------------

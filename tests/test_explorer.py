@@ -18,8 +18,7 @@ from aexlab.harness import (
     DEFAULT_MAX_STEPS, Eenter, Eresume, InjectAex, PrepareRegs,
 )
 from aexlab.machine import (
-    DEFAULT_IRQ_GRANT, E_FAULT, E_HW_AEX, E_HW_DEFER, EVENT_NAMES, MASK64,
-    SGX2,
+    E_FAULT, E_HW_AEX, E_HW_DEFER, EVENT_NAMES, MASK64, SGX2,
 )
 from aexlab.runtimes import (
     VARIANTS, build_machine, build_runtime, fixture_path,
@@ -81,6 +80,19 @@ def test_multi_round_mode_draws_offset_from_seed():
     assert out.stats["rounds_needed"] <= 32
 
 
+@pytest.mark.parametrize("max_steps", (20, 50))
+def test_multi_round_success_is_the_recorded_run_under_its_budget(max_steps):
+    # the step budget ends the recorded run inside the prefix (20 steps)
+    # or inside the first round (50): the anchor is never written
+    with open(fixture_path("scenarios/aslr_multi_round.json")) as fh:
+        doc = json.load(fh)
+    doc["budgets"]["max_steps"] = max_steps
+    out = explorer.run(reporting.normalize_scenario(doc))
+    assert out.stats["success"] is False
+    assert out.milestones == ()
+    assert out.trace_lines is not None
+
+
 # ---------------------------------------------------------------------------
 # minimization
 # ---------------------------------------------------------------------------
@@ -125,32 +137,29 @@ def test_minimize_preserves_the_fired_property():
 def test_minimize_rejects_non_violation():
     sc = scenario(variant="sdk_style", adversary="benign")
     with pytest.raises(ValueError):
-        explorer.minimize(sc, harness.benign_plan(build_runtime("sdk_style")))
+        explorer.minimize(sc, harness.benign_plan())
 
 
 def _points_case(name: str):
-    """(image, grant, plan, max_steps, status) of one action-point case."""
+    """(image, plan, max_steps, status) of one action-point case."""
     sdk = build_runtime("sdk_style")
     scripted = (harness.prefix_plan()
                 + adversary.scripted_attack(sdk, SGX2).actions)
     if name == "scripted":
-        return sdk, None, scripted, DEFAULT_MAX_STEPS, "halted"
+        return sdk, scripted, DEFAULT_MAX_STEPS, "halted"
     if name == "scripted_over_the_step_budget":
-        return sdk, None, scripted, 120, "budget_exceeded"
+        return sdk, scripted, 120, "budget_exceeded"
     if name == "benign":
-        return (sdk, None, harness.benign_plan(sdk), DEFAULT_MAX_STEPS,
-                "stopped")
+        return sdk, harness.benign_plan(), DEFAULT_MAX_STEPS, "stopped"
     if name == "benign_nested":
-        return (sdk, None, harness.benign_nested_plan(sdk),
-                DEFAULT_MAX_STEPS, "entry_denied")
+        return (sdk, harness.benign_nested_plan(), DEFAULT_MAX_STEPS,
+                "entry_denied")
     if name == "benign_nested_dedicated_stack":
         ded = build_runtime("dedicated_stack")
-        return (ded, None, harness.benign_nested_plan(ded),
-                DEFAULT_MAX_STEPS, "stopped")
-    quota = build_runtime("hw_irq_quota")
-    return (quota, DEFAULT_IRQ_GRANT,
-            harness.benign_critical_exception_plan(quota, 5),
-            DEFAULT_MAX_STEPS, "stopped")
+        return ded, harness.benign_nested_plan(), DEFAULT_MAX_STEPS, "stopped"
+    return (build_runtime("hw_irq_quota"),
+            harness.benign_critical_exception_plan(5), DEFAULT_MAX_STEPS,
+            "stopped")
 
 
 def _assert_same_run(got, want):
@@ -164,12 +173,10 @@ def _assert_same_run(got, want):
     "scripted", "scripted_over_the_step_budget", "benign", "benign_nested",
     "benign_nested_dedicated_stack", "benign_critical_irq_quota"])
 def test_action_points_resume_like_fresh_runs(case):
-    image, grant, plan, max_steps, status = _points_case(case)
+    image, plan, max_steps, status = _points_case(case)
 
     def fresh(actions, **kwargs):
         m = build_machine(image, SGX2)
-        if grant is not None:
-            m.grant_irq_quota(*grant)
         return harness.run_plan(m, image, actions, max_steps=max_steps,
                                 **kwargs)
 

@@ -24,9 +24,7 @@ def attack_trace(variant="sdk_style", sgx=SGX2, **script_kw):
 def benign_trace(variant):
     img = build_runtime(variant)
     m = build_machine(img, SGX2)
-    if variant == "hw_irq_quota":
-        m.grant_irq_quota(100, 10000)
-    res = run_plan(m, img, benign_plan(img))
+    res = run_plan(m, img, benign_plan())
     return img, res.trace
 
 

@@ -387,7 +387,7 @@ done:
         image = build_runtime(variant)
         for sgx in (SGX1, SGX2):
             runs.append((f"{variant} benign sgx{sgx}", image, sgx,
-                         _staged(benign_plan(image))))
+                         _staged(benign_plan())))
     assert len(runs) == 17
     for name, image, sgx, actions in runs:
         plain, res = _recorded(image, sgx, actions)

@@ -27,8 +27,6 @@ from aexlab.runtimes import (
 def fresh(variant, sgx=SGX2, toggles=None):
     img = build_runtime(variant, toggles=toggles or Toggles())
     m = build_machine(img, sgx)
-    if variant == "hw_irq_quota":
-        m.grant_irq_quota(100, 10000)
     return img, m
 
 
@@ -192,7 +190,7 @@ def graphene_frame_at(img, pc_picker, plan=None):
         if pc_picker(pc) and "snap" not in target:
             target["snap"] = mm.clone()
 
-    run_plan(m, img, plan or benign_plan(img), before_step=collect)
+    run_plan(m, img, plan or benign_plan(), before_step=collect)
     snap = target["snap"]
     snap.aex(VEC_EXT_INT)
     return snap, snap.ssa[snap.tcs.cssa - 1]
@@ -262,7 +260,7 @@ def test_postpone_handler_runs_exactly_once_after_drain():
     img = build_runtime("sdk_style",
                         toggles=Toggles(flag_strategy="postpone"))
     m = build_machine(img, SGX2)
-    res = run_plan(m, img, benign_critical_exception_plan(img, boundary=5))
+    res = run_plan(m, img, benign_critical_exception_plan(boundary=5))
     func = properties.check_functionality(res.trace, img)
     assert func.outcome == "no_violation_found"
     assert func.stats["handler_runs"] == 1
@@ -274,7 +272,7 @@ def test_postpone_with_empty_pending_set_no_invocation():
     img = build_runtime("sdk_style",
                         toggles=Toggles(flag_strategy="postpone"))
     m = build_machine(img, SGX2)
-    res = run_plan(m, img, benign_plan(img)[3:])   # the ocall leg only
+    res = run_plan(m, img, benign_plan()[3:])   # the ocall leg only
     func = properties.check_functionality(res.trace, img)
     assert func.outcome == "no_violation_found"
     assert func.stats["handler_runs"] == 0
@@ -283,7 +281,7 @@ def test_postpone_with_empty_pending_set_no_invocation():
 def test_ignore_policy_loses_the_exception():
     img = build_runtime("sdk_style", toggles=Toggles(flag_strategy="ignore"))
     m = build_machine(img, SGX2)
-    res = run_plan(m, img, benign_critical_exception_plan(img, boundary=5))
+    res = run_plan(m, img, benign_critical_exception_plan(boundary=5))
     func = properties.check_functionality(res.trace, img)
     assert func.outcome == "functionality_broken"
     assert func.detail == "lost_exception"
@@ -296,9 +294,8 @@ def test_quota_defers_mid_window_injection_to_section_end():
     from aexlab.machine import VEC_PAGE_FAULT
     img = build_runtime("hw_irq_quota")
     m = build_machine(img, SGX2)
-    m.grant_irq_quota(100, 10000)
     res = run_plan(m, img, benign_critical_exception_plan(
-        img, boundary=5, vector=VEC_PAGE_FAULT))
+        boundary=5, vector=VEC_PAGE_FAULT))
     from aexlab.machine import E_HW_AEX, E_HW_DEFER
     kinds = [ev[0] for ev in res.trace]
     defer_at = kinds.index(E_HW_DEFER)
@@ -310,6 +307,25 @@ def test_quota_defers_mid_window_injection_to_section_end():
         res.trace, img, properties.SAFETY_PROPERTIES))
 
 
+def test_build_machine_grants_the_quota_extension_once():
+    from aexlab.machine import DEFAULT_IRQ_GRANT, E_HW_GRANT, HW_IRQ_QUOTA
+
+    def grants(m):
+        return [ev for ev in m.trace if ev[0] == E_HW_GRANT]
+
+    quota = build_runtime("hw_irq_quota")
+    assert grants(build_machine(quota, SGX2)) == [
+        (E_HW_GRANT, *DEFAULT_IRQ_GRANT, 0, 0)]
+    assert grants(build_machine(quota, SGX2, (64, 5000))) == [
+        (E_HW_GRANT, 64, 5000, 0, 0)]
+    assert grants(build_machine(quota, SGX2, None)) == []
+    # a design without the extension is never granted
+    for variant in runtimes.VARIANTS:
+        img = build_runtime(variant)
+        if img.design.hw != HW_IRQ_QUOTA:
+            assert grants(build_machine(img, SGX2)) == []
+
+
 # ---------------------------------------------------------------------------
 # benign completeness and variant behavior
 # ---------------------------------------------------------------------------
@@ -317,7 +333,7 @@ def test_quota_defers_mid_window_injection_to_section_end():
 @pytest.mark.parametrize("variant", runtimes.VARIANTS)
 def test_benign_completeness(variant):
     img, m = fresh(variant)
-    res = run_plan(m, img, benign_plan(img))
+    res = run_plan(m, img, benign_plan())
     verdicts = properties.evaluate(res.trace, img, properties.ALL_PROPERTIES)
     func = [v for v in verdicts if v.property_id == "functionality"][0]
     assert not properties.any_violation(verdicts)
@@ -337,13 +353,13 @@ def test_benign_anchor_matches_recorded_save():
         if variant == "nssa_disabled":
             continue
         img, m = fresh(variant)
-        res = run_plan(m, img, benign_plan(img))
+        res = run_plan(m, img, benign_plan())
         assert not properties.check_anchor_integrity(res.trace, img).violated
 
 
 def test_dedicated_stack_rejects_nesting_explicitly():
     img, m = fresh("dedicated_stack")
-    res = run_plan(m, img, benign_nested_plan(img))
+    res = run_plan(m, img, benign_nested_plan())
     func = properties.check_functionality(res.trace, img)
     assert func.outcome == "design_limitation"
     assert func.detail == "no_nesting"
@@ -359,7 +375,7 @@ def test_cssa_bounds_hold_through_benign_runs():
     def check():
         assert 0 <= m.tcs.cssa <= m.tcs.nssa
 
-    run_plan(m, img, benign_nested_plan(img), after_events=check)
+    run_plan(m, img, benign_nested_plan(), after_events=check)
 
 
 # ---------------------------------------------------------------------------
