@@ -5,12 +5,15 @@ would have repeated its representative's run exactly.
 The search runs each plan shape of a (command, rsp) branch under the first
 payload binding with labelled payload registers.  When no labelled value
 reached an address, a branch, rsp, a control target or an event field, the
-same shape under every later binding is counted as covered
-(`adversary._covered`) instead of run.  This script runs each covered plan
-anyway, next to its representative, and requires the same trace, status,
-steps and boundaries, over the same sweep as scripts/monitor_agreement.py:
-every variant on sgx 1 and 2, in range and strict sp-confinement mode.  It
-prints the number of plans compared and exits 1 at the first mismatch.
+same shape under every later binding is covered: the search counts a
+later binding's covered shapes as one group (`adversary._covered_group`,
+called once per binding) instead of running them.  This script runs each
+plan of every group anyway, next to its representative, and requires the
+same trace, status, steps and boundaries, and the group's counted runs,
+steps and injected boundaries to equal the sums over its plans.  The
+sweep is that of scripts/monitor_agreement.py: every variant on sgx 1 and
+2, in range and strict sp-confinement mode.  It prints the number of plans
+compared and exits 1 at the first mismatch.
 
 Usage: python scripts/prune_soundness.py [--variant NAME ...]
 """
@@ -31,31 +34,42 @@ class Mismatch(Exception):
     pass
 
 
-def checked(covered, counter: list):
-    """Wrap `adversary._covered` so every covered plan is run and compared
-    with a run of its representative."""
-    def wrapper(image, snapshot, entry, inject, rep, budget):
-        steps, boundaries = covered(image, snapshot, entry, inject, rep,
-                                    budget)
-        actions = adversary._candidate_actions(entry(), inject)
-        got = run_plan(snapshot.clone(), image, actions,
-                       max_steps=budget.max_steps)
-        want = run_plan(snapshot.clone(), image, rep[0],
-                        max_steps=budget.max_steps)
-        if got.trace != want.trace:
-            diverge = next((i for i, (a, b) in enumerate(zip(got.trace,
-                                                             want.trace))
-                            if a != b), min(len(got.trace), len(want.trace)))
-            raise Mismatch(f"plan {actions} differs from its representative "
-                           f"at trace event {diverge}")
-        if (got.status, got.steps, got.boundaries) != (
-                want.status, steps, boundaries) or want.steps != steps:
-            raise Mismatch(f"plan {actions}: status/steps/boundaries "
-                           f"{(got.status, got.steps, got.boundaries)}, "
-                           f"representative {(want.status, want.steps)}, "
-                           f"counted {(steps, boundaries)}")
-        counter[0] += 1
-        return steps, boundaries
+def checked(covered_group, counter: list):
+    """Wrap `adversary._covered_group` so every plan of each counted group
+    is run and compared with a run of its representative, and the group's
+    totals with the sums over its representatives."""
+    def wrapper(image, snapshot, binding, group, clean, budget):
+        runs, steps, boundaries = covered_group(image, snapshot, binding,
+                                                group, clean, budget)
+        entry = adversary._binding_entry(*binding)
+        want_steps = 0
+        for shape in group.shapes:
+            rep = clean[shape]
+            actions = adversary._candidate_actions(entry, shape)
+            got = run_plan(snapshot.clone(), image, actions,
+                           max_steps=budget.max_steps)
+            want = run_plan(snapshot.clone(), image, rep[0],
+                            max_steps=budget.max_steps)
+            if got.trace != want.trace:
+                diverge = next((i for i, (a, b) in enumerate(
+                    zip(got.trace, want.trace)) if a != b),
+                    min(len(got.trace), len(want.trace)))
+                raise Mismatch(f"plan {actions} differs from its "
+                               f"representative at trace event {diverge}")
+            if (got.status, got.steps, got.boundaries) != (
+                    want.status, rep[1], rep[2]) or want.steps != rep[1]:
+                raise Mismatch(f"plan {actions}: status/steps/boundaries "
+                               f"{(got.status, got.steps, got.boundaries)}, "
+                               f"representative {(want.status, want.steps)}"
+                               f", kept {rep[1:]}")
+            want_steps += want.steps
+            counter[0] += 1
+        want = (len(group.shapes), want_steps,
+                sum(shape is not None for shape in group.shapes))
+        if (runs, steps, boundaries) != want:
+            raise Mismatch(f"group of {binding}: counted "
+                           f"{(runs, steps, boundaries)}, its plans {want}")
+        return runs, steps, boundaries
     return wrapper
 
 
@@ -66,7 +80,7 @@ def main() -> int:
     args = ap.parse_args()
 
     counter = [0]
-    adversary._covered = checked(adversary._covered, counter)
+    adversary._covered_group = checked(adversary._covered_group, counter)
     for variant in args.variant or VARIANTS:
         for sgx in (1, 2):
             for mode in ("range", "strict"):

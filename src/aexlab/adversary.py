@@ -14,10 +14,9 @@ classes, re-entry commands, and register bindings from a finite domain.
 from __future__ import annotations
 
 import contextlib
-import functools
 import multiprocessing as mp
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .harness import (
     AttackPlan, BENIGN_OCALL_RESULT, BENIGN_REGS, DEFAULT_MAX_STEPS, Eenter,
@@ -308,43 +307,93 @@ def _monitored(checkpoint: SafetyMonitor, trace: list) -> SafetyMonitor:
     return monitor
 
 
-def _covered(image: EnclaveImage, snapshot: Machine, entry,
-             inject: Optional[tuple[int, int]], rep: tuple[list, int, int],
-             budget: SearchBudget) -> tuple[int, int]:
-    """The steps and boundaries of a plan without building or running it:
-    the plan of shape `inject` under the binding whose actions `entry()`
-    builds.  Its representative `rep` (actions, steps, boundaries) is the
-    same shape under the first payload binding, and no payload value
-    reached a sink in it, so this plan's run equals the representative's.
-    scripts/prune_soundness.py wraps this function to build and run both
-    and compare."""
-    return rep[1], rep[2]
+class CoveredGroup(NamedTuple):
+    """Plan shapes of one later binding that are counted, not run, in plan
+    order: each has a clean representative under the first payload
+    binding.  `steps` is the sum of their representatives' steps and
+    `boundaries` the number of injected ones."""
+
+    shapes: tuple
+    steps: int
+    boundaries: int
 
 
-def _attempt(image: EnclaveImage, snapshot: Machine, entry,
+def _covered_group(image: EnclaveImage, snapshot: Machine, binding: tuple,
+                   group: CoveredGroup, clean: dict,
+                   budget: SearchBudget) -> tuple[int, int, int]:
+    """The runs, steps and injected boundaries of the plans of `group`
+    under `binding` (the arguments of `_binding_entry`), without building
+    or running them.  No payload value reached a sink in any of their
+    representatives (`clean[shape]`: actions, steps, boundaries), so each
+    plan would repeat its representative's run.  The search calls this
+    once per later binding.  scripts/prune_soundness.py wraps it to build
+    and run every plan of the group next to its representative and
+    compare."""
+    return len(group.shapes), group.steps, group.boundaries
+
+
+def _group(shapes: list, steps: int) -> CoveredGroup:
+    """The group of `shapes`, whose representatives step `steps`; only a
+    dry run (None, always first) injects at no boundary."""
+    dry = bool(shapes) and shapes[0] is None
+    return CoveredGroup(tuple(shapes), steps, len(shapes) - dry)
+
+
+class _Schedule(NamedTuple):
+    """What a later binding runs and counts.  `runs` lists, in plan order,
+    each injected shape without a clean representative, with the classes
+    injected after it at its boundary and the group of covered shapes
+    before it in the binding; `covered` is the binding's whole group."""
+
+    runs: tuple
+    covered: CoveredGroup
+
+
+def _schedule(clean: dict, n_boundaries: int, at_entry: list,
+              inside: list) -> _Schedule:
+    """The schedule of a later binding that injects at boundaries
+    0..`n_boundaries`.  A covered dry run leads the covered shapes; an
+    uncovered one runs before the schedule, since its boundaries decide
+    which schedule applies."""
+    shapes: list = [None] if None in clean else []
+    steps = clean[None][1] if shapes else 0
+    runs = []
+    for k in range(n_boundaries + 1):
+        for vec, later in at_entry if k == 0 else inside:
+            rep = clean.get((vec, k))
+            if rep is None:
+                runs.append(((vec, k), later, _group(shapes, steps)))
+            else:
+                shapes.append((vec, k))
+                steps += rep[1]
+    return _Schedule(tuple(runs), _group(shapes, steps))
+
+
+def _count_covered(image: EnclaveImage, snapshot: Machine, binding: tuple,
+                   group: CoveredGroup, clean: dict, budget: SearchBudget,
+                   stats: SearchStats) -> None:
+    runs, steps, boundaries = _covered_group(image, snapshot, binding, group,
+                                             clean, budget)
+    stats.runs += runs
+    stats.steps += steps
+    stats.boundaries += boundaries
+
+
+def _attempt(image: EnclaveImage, snapshot: Machine,
+             entry: tuple[PrepareRegs, Eenter],
              inject: Optional[tuple[int, int]], points: list, later: tuple,
              budget: SearchBudget, track: bool, clean: dict,
-             stats: SearchStats
-             ) -> tuple[Optional[list], Optional[RunResult], int]:
-    """Run one candidate plan, or count it as covered when `clean` holds a
-    representative of its shape (`inject`).  `entry()` builds the binding's
-    staged registers and re-entry, only for a plan that runs.  A dry run
-    keeps its points up to the boundary cap; a plan injecting at boundary k
-    resumes from `points[k]` when its binding's dry run kept one: from a
-    copy while a plan injecting a class of `later` at boundary k is still
-    to run (it has no clean representative), else taking the point's
-    machine.  With `track`, the plan is a
-    representative: it runs with labelled payload registers and is kept in
-    `clean` when the run ends uninfluenced.  Returns the actions and the
-    RunResult (both None when covered) and the boundaries."""
-    stats.runs += 1
-    rep = clean.get(inject)
-    if rep is not None:
-        steps, boundaries = _covered(image, snapshot, entry, inject, rep,
-                                     budget)
-        stats.steps += steps
-        return None, None, boundaries
-    actions = _candidate_actions(entry(), inject)
+             stats: SearchStats) -> tuple[list, RunResult]:
+    """Run one candidate plan: the binding's staged registers and re-entry
+    `entry`, injecting `inject` (None: the dry run).  A dry run keeps its
+    points up to the boundary cap; a plan injecting at boundary k resumes
+    from `points[k]` when its binding's dry run kept one: from a copy while
+    a plan injecting a class of `later` at boundary k is still to run (it
+    has no clean representative), else taking the point's machine.  With
+    `track`, the plan is a representative: it runs with labelled payload
+    registers and is kept in `clean` when the run ends uninfluenced.
+    Returns the actions and the RunResult."""
+    actions = _candidate_actions(entry, inject)
     payload = PAYLOAD_REGS if track else ()
     if inject is None:
         res = run_plan(snapshot.clone(), image, actions,
@@ -363,12 +412,13 @@ def _attempt(image: EnclaveImage, snapshot: Machine, entry,
         res = run_plan(snapshot.clone(), image, actions,
                        max_steps=budget.max_steps, payload=payload)
         resumed_at = 0
+    stats.runs += 1
     stats.executed += 1
     stats.steps += res.steps
     stats.stepped += res.steps - resumed_at
     if track and not res.machine.influenced:
         clean[inject] = (actions, res.steps, res.boundaries)
-    return actions, res, res.boundaries
+    return actions, res
 
 
 def _in_order(classes: tuple[int, ...]) -> list[tuple[int, tuple]]:
@@ -382,10 +432,14 @@ def _search_branch(image: EnclaveImage, snapshot: Machine,
                    classes: tuple[int, ...], budget: SearchBudget,
                    stats: SearchStats) -> Optional[Counterexample]:
     """Enumerate the plans of one (command, rsp) branch, payload binding by
-    payload binding.  The first binding's plans are the representatives; a
-    later binding's plan whose representative ran clean is counted without
-    being run, since it would repeat that run exactly.  A covered plan can
-    only violate where its representative, searched first, already did.
+    payload binding.  The first binding runs every plan shape; its plans
+    are the representatives.  A later binding's plan whose representative
+    ran clean would repeat that run exactly, so it is counted, not run: a
+    later binding runs only the shapes its schedule lists and counts the
+    rest as one group, and a binding with nothing to run costs a lookup.
+    A covered plan can only violate where its representative, searched
+    first, already did; at a counterexample the stats count the covered
+    plans before it and none after it, as a plan-by-plan walk would.
     An executed injected plan resumes from its binding's dry run, at the
     boundary where it injects, instead of re-running the steps before it."""
     cmd = REENTRY_CMDS[cmd_i]
@@ -395,36 +449,67 @@ def _search_branch(image: EnclaveImage, snapshot: Machine,
     # faults realize at the entry fetch
     at_entry = _in_order(classes)
     inside = _in_order(tuple(v for v in classes if v != VEC_PAGE_FAULT))
-    for pay_i, payload in enumerate(domain):
-        entry = functools.cache(
-            functools.partial(_binding_entry, cmd, rsp_bind, payload))
-        track = pay_i == 0
-        actions, res, dry_boundaries = _attempt(
-            image, snapshot, entry, None, (), (), budget, track, clean,
-            stats)
+
+    def found(pay_i: int, inject: Optional[tuple[int, int]], actions: list,
+              res: RunResult) -> Optional[Counterexample]:
+        monitor = _monitored(checkpoint, res.trace)
+        if not monitor.violated:
+            return None
+        vec, k = inject if inject is not None else (-1, -1)
+        return Counterexample((cmd_i, rsp_i, pay_i, k, vec),
+                              AttackPlan("exhaustive", actions), res.trace,
+                              monitor.verdicts(), stats)
+
+    # the first binding: every shape runs, with labelled payload registers
+    entry = _binding_entry(cmd, rsp_bind, domain[0])
+    actions, res = _attempt(image, snapshot, entry, None, (), (), budget,
+                            True, clean, stats)
+    ce = found(0, None, actions, res)
+    if ce is not None:
+        return ce
+    points = res.points
+    first_boundaries = min(res.boundaries, budget.boundary_cap)
+    for k in range(first_boundaries + 1):
+        for vec, later in at_entry if k == 0 else inside:
+            actions, res = _attempt(image, snapshot, entry, (vec, k), points,
+                                    later, budget, True, clean, stats)
+            stats.boundaries += 1
+            ce = found(0, (vec, k), actions, res)
+            if ce is not None:
+                return ce
+
+    schedules: dict = {}    # boundaries injected -> _Schedule
+    for pay_i in range(1, len(domain)):
+        binding = (cmd, rsp_bind, domain[pay_i])
+        entry = None
         points = ()
-        if res is not None:
+        n_boundaries = first_boundaries
+        if None not in clean:
+            entry = _binding_entry(*binding)
+            actions, res = _attempt(image, snapshot, entry, None, (), (),
+                                    budget, False, clean, stats)
+            ce = found(pay_i, None, actions, res)
+            if ce is not None:
+                return ce
             points = res.points
-            monitor = _monitored(checkpoint, res.trace)
-            if monitor.violated:
-                return Counterexample((cmd_i, rsp_i, pay_i, -1, -1),
-                                      AttackPlan("exhaustive", actions),
-                                      res.trace, monitor.verdicts(), stats)
-        n_boundaries = min(dry_boundaries, budget.boundary_cap)
-        for k in range(n_boundaries + 1):
-            for vec, later in at_entry if k == 0 else inside:
-                actions, res, _ = _attempt(
-                    image, snapshot, entry, (vec, k), points, later, budget,
-                    track, clean, stats)
-                stats.boundaries += 1
-                if res is None:
-                    continue
-                monitor = _monitored(checkpoint, res.trace)
-                if monitor.violated:
-                    return Counterexample(
-                        (cmd_i, rsp_i, pay_i, k, vec),
-                        AttackPlan("exhaustive", actions),
-                        res.trace, monitor.verdicts(), stats)
+            n_boundaries = min(res.boundaries, budget.boundary_cap)
+        schedule = schedules.get(n_boundaries)
+        if schedule is None:
+            schedule = schedules[n_boundaries] = _schedule(
+                clean, n_boundaries, at_entry, inside)
+        if schedule.runs and entry is None:
+            entry = _binding_entry(*binding)
+        for inject, later, before in schedule.runs:
+            actions, res = _attempt(image, snapshot, entry, inject, points,
+                                    later, budget, False, clean, stats)
+            stats.boundaries += 1
+            ce = found(pay_i, inject, actions, res)
+            if ce is not None:
+                _count_covered(image, snapshot, binding, before, clean,
+                               budget, stats)
+                return ce
+        _count_covered(image, snapshot, binding, schedule.covered, clean,
+                       budget, stats)
     return None
 
 

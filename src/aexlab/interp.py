@@ -4,8 +4,10 @@
 event (plus Leak events when secret data lands in public memory).  A fault
 leaves rip at the faulting instruction and arms ``machine.pending_fault``;
 the only legal next hardware transition is then an asynchronous exit of
-that class.  Each program is decoded once, on its first step, into
-per-address handlers (see ``decode``).
+that class.  A step fetches from a table of per-address handlers, which
+holds only the addresses the memory's pages make executable, so a fetch
+checks no page; each program decodes into one such table per tuple of
+pages over its code (see ``fetch_table``).
 
 Each handler moves the label word of its operands (the secret taint and
 the attacker payload together, see ``machine.SECRET``) and checks the
@@ -37,7 +39,7 @@ from .machine import (
     CTRL_CALL, CTRL_JMPI, CTRL_RET, E_CTRL, E_FAULT, E_HALT, E_LEAK,
     E_MEMCPY, E_MEMR, E_RETIRE, E_SP_ASSIGN, E_STORE, LABELS, MASK64,
     MODE_ENCLAVE, NREGS, PAYLOAD, PAYLOAD_SHIFT, RAX, RIP, RSP, SCRUB_VALUES,
-    SECRET, SSAFrame, TCS, VEC_AC, VEC_PAGE_FAULT, Machine,
+    SECRET, SSAFrame, TCS, VEC_AC, VEC_PAGE_FAULT, Machine, Memory,
 )
 
 # Exit statuses for Halt; ABORT marks an in-enclave consistency trap
@@ -63,22 +65,47 @@ def step(m: Machine, program: Program) -> str:
     if m.pending_fault >= 0:
         raise InterpError("pending fault must be delivered via aex")
     pc = m.regs[RIP]
-    if not m.mem.executable(pc):
-        return _fault(m, pc, VEC_PAGE_FAULT, pc)
-    table = program.decoded
-    if table is None:
-        table = decode(program)
+    mem = m.mem
+    table = (mem.fetch if mem.fetch_program is program
+             else fetch_table(mem, program))
     ins = table.get(pc)
-    if ins is None:
+    if ins is None:     # not executable, or no instruction there
         return _fault(m, pc, VEC_PAGE_FAULT, pc)
     handler, a, b, c = ins
     return handler(m, pc, a, b, c)
 
 
+# fetch tables kept per program; a runtime image's code page has at most
+# one per permission value
+FETCH_TABLES_PER_PROGRAM = 8
+
+
+def fetch_table(mem: Memory, program: Program) -> dict:
+    """Give `mem` the table `step` fetches from: pc -> (handler, a, b, c)
+    for each instruction of `program` at an address that `mem`'s pages
+    make private and executable.  Only the pages over the code decide it,
+    so the program keeps one table per such page tuple and a fresh machine
+    of the same image reuses it; `mem` and its clones hold it until
+    ``Memory.set_perms``."""
+    lo, hi = program.base, program.end
+    key = tuple(p for p in mem.pages if p.base < hi and lo < p.base + p.size)
+    tables = program.fetch_tables
+    table = tables.get(key)
+    if table is None:
+        if len(tables) >= FETCH_TABLES_PER_PROGRAM:
+            del tables[next(iter(tables))]
+        table = tables[key] = {pc: _decode_one(program, ins)
+                               for pc, ins in program.code.items()
+                               if mem.executable(pc)}
+    mem.fetch = table
+    mem.fetch_program = program
+    return table
+
+
 # ---------------------------------------------------------------------------
 # Pre-decoded dispatch
 # ---------------------------------------------------------------------------
-# Each address of a program decodes once to (handler, a, b, c); `step`
+# Each address of a fetch table decodes once to (handler, a, b, c); `step`
 # calls the handler with the machine, the pc and the decoded operands.
 # Decoding resolves what does not depend on machine state: the handler of
 # the opcode, the relation of a compare-and-jump, the value set_flag and
@@ -477,7 +504,7 @@ def _emulate_critical(m, pc, a, b, c):
 
 
 def _deref(ref: weakref.ref) -> Program:
-    """The program behind a decoded table's weak reference.  The table is
+    """The program behind a fetch table's weak reference.  The table is
     stored on that program, so a strong reference would be a cycle."""
     program = ref()
     if program is None:
@@ -537,15 +564,6 @@ def _decode_one(program: Program, ins: tuple) -> tuple:
     if handler is None:
         return (_undefined, ins, 0, 0)
     return (handler, a, b, c)
-
-
-def decode(program: Program) -> dict:
-    """The program's pc -> (handler, a, b, c) table, built on first use and
-    cached on the (immutable) program."""
-    if program.decoded is None:
-        program.decoded = {pc: _decode_one(program, ins)
-                           for pc, ins in program.code.items()}
-    return program.decoded
 
 
 def _frame_field(frame: SSAFrame, field: int) -> tuple[int, int]:

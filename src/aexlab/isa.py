@@ -103,9 +103,10 @@ class Program:
     windows: dict[str, tuple[int, int]] = field(default_factory=dict)
     crit_ranges: dict[str, tuple[int, int]] = field(default_factory=dict)
     source: tuple[str, ...] = ()
-    # the interpreter's pre-decoded dispatch table, filled on first step
-    decoded: Optional[dict] = field(default=None, init=False, repr=False,
-                                    compare=False)
+    # the interpreter's pre-decoded fetch tables, one per tuple of pages
+    # over the code, filled on first step
+    fetch_tables: dict = field(default_factory=dict, init=False, repr=False,
+                               compare=False)
 
     @property
     def end(self) -> int:

@@ -193,10 +193,15 @@ class Memory:
     ``write`` records the written address in ``_dirty`` and ``cells_repr``
     re-formats only those cells.  A memory never digested has no parts
     (``_dirty`` is None) and pays only the None check per write; clones
-    copy the parts only when they exist."""
+    copy the parts only when they exist.
+
+    ``fetch`` is the table instruction fetch reads for ``fetch_program``
+    (see ``interp.fetch_table``): it depends on the pages, so clones share
+    it and ``set_perms`` drops it."""
 
     __slots__ = ("pages", "cells", "labels", "shift", "index",
-                 "_keys", "_parts", "_dirty", "_cells_repr", "_pages_repr")
+                 "_keys", "_parts", "_dirty", "_cells_repr", "_pages_repr",
+                 "fetch", "fetch_program")
 
     def __init__(self, pages: list[Page]):
         self.pages = list(pages)
@@ -208,6 +213,8 @@ class Memory:
         self._dirty: Optional[set[int]] = None
         self._cells_repr = ""
         self._pages_repr: Optional[str] = None
+        self.fetch: Optional[dict] = None
+        self.fetch_program = None
 
     def clone(self) -> "Memory":
         m = Memory.__new__(Memory)
@@ -224,6 +231,8 @@ class Memory:
             m._dirty = set(self._dirty)
         m._cells_repr = self._cells_repr
         m._pages_repr = self._pages_repr
+        m.fetch = self.fetch
+        m.fetch_program = self.fetch_program
         return m
 
     def page_at(self, addr: int) -> Optional[Page]:
@@ -240,7 +249,8 @@ class Memory:
 
     def set_perms(self, base: int, perms: int) -> bool:
         """Replace the first page based at `base` by one with `perms`, in
-        this memory only.  False when no page starts there."""
+        this memory only, and drop its fetch table.  False when no page
+        starts there."""
         for i, p in enumerate(self.pages):
             if p.base == base:
                 pages = list(self.pages)
@@ -248,11 +258,13 @@ class Memory:
                 self.pages = pages
                 self.shift, self.index = _page_index(pages)
                 self._pages_repr = None
+                self.fetch = self.fetch_program = None
                 return True
         return False
 
     # Access predicates evaluated from enclave mode.  Each inlines the
-    # page_at lookup: they run on every instruction.
+    # page_at lookup: they run on every memory access (a fetch reads the
+    # fetch table instead, built from ``executable``).
     def readable(self, addr: int) -> bool:
         for p in self.index.get(addr >> self.shift, ()):
             if p.base <= addr < p.base + p.size:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import os
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import isa
 from .machine import (
@@ -675,14 +675,50 @@ def _symbols(layout: Layout) -> dict[str, int]:
 PROGRAM_CACHE_SIZE = 32
 
 
+class _Assembly(NamedTuple):
+    """A program and the image metadata derived from the program alone."""
+
+    program: isa.Program
+    gadgets: dict[str, int]
+    legit_ret_targets: frozenset[int]
+    restore_ret_pcs: frozenset[int]
+    ocall_call_sites: frozenset[int]
+    oret_ret_pc: int
+    sp_windows: tuple[tuple[int, int], ...]
+    crit_ranges: tuple[tuple[int, int], ...]
+
+
 @functools.lru_cache(maxsize=PROGRAM_CACHE_SIZE)
 def _program(src: str, code_base: int,
-             symbols: tuple[tuple[str, int], ...]) -> isa.Program:
+             symbols: tuple[tuple[str, int], ...]) -> _Assembly:
     """The assembly of `src` at `code_base` against `symbols`, once per
-    distinct input.  A `Program` is never changed after assembly, and what
-    the interpreter caches on it (its one decoded table) is derived from its
-    code alone, so every image built from the same input can share it."""
-    return isa.assemble(src, code_base, dict(symbols))
+    distinct input, with its gadget map, call sites and control targets.
+    A `Program` is never changed after assembly, and what the interpreter
+    caches on it (its fetch tables) is derived from its code and the pages
+    over it, so every image built from the same input can share it."""
+    program = isa.assemble(src, code_base, dict(symbols))
+    labels = program.labels
+    gadgets = {name[2:]: addr for name, addr in labels.items()
+               if name.startswith("g_")}
+    gadgets["memcpy"] = labels["g_memcpy"]
+    gadgets["continue_execution"] = labels["continue_execution"]
+
+    call_sites = frozenset(a for a, ins in program.code.items()
+                           if ins[0] == isa.OP_CALL)
+    ocall_sites = frozenset(a for a in call_sites
+                            if program.code[a][1] == labels["ocall_stub"])
+    legit_rets = frozenset(a + 1 for a in call_sites) | frozenset(
+        {labels["continue_execution"]})
+    return _Assembly(
+        program=program,
+        gadgets=gadgets,
+        legit_ret_targets=legit_rets,
+        restore_ret_pcs=frozenset({labels["cont_ret"]}),
+        ocall_call_sites=ocall_sites,
+        oret_ret_pc=labels["oret_ret"],
+        sp_windows=tuple(sorted(program.windows.values())),
+        crit_ranges=tuple(sorted(program.crit_ranges.values())),
+    )
 
 
 def build_runtime(variant: str, layout: Optional[Layout] = None,
@@ -693,8 +729,8 @@ def build_runtime(variant: str, layout: Optional[Layout] = None,
     the toggles that change the text), `layout.code_base`, and the layout
     symbols of `_symbols`.  It does not depend on the ASLR shift or on
     `layout.pubbuf_base`, so images that differ only there share one
-    assembled program; the stack base and the ranges derived from it stay
-    per image."""
+    assembled program and the metadata derived from it; the stack base and
+    the ranges derived from it stay per image."""
     design = _design(variant)
     layout = layout or Layout()
     toggles = toggles or Toggles()
@@ -704,21 +740,7 @@ def build_runtime(variant: str, layout: Optional[Layout] = None,
 
     _check_layout(layout)
     src = generate_source(variant, toggles)
-    program = _program(src, layout.code_base, tuple(_symbols(layout).items()))
-
-    labels = program.labels
-    gadgets = {name[2:]: addr for name, addr in labels.items()
-               if name.startswith("g_")}
-    gadgets["memcpy"] = labels["g_memcpy"]
-    gadgets["continue_execution"] = labels["continue_execution"]
-
-    call_sites = frozenset(a for a, ins in program.code.items()
-                           if ins[0] == isa.OP_CALL)
-    ocall_sites = frozenset(a for a, ins in program.code.items()
-                            if ins[0] == isa.OP_CALL
-                            and ins[1] == labels["ocall_stub"])
-    legit_rets = frozenset(a + 1 for a in call_sites) | frozenset(
-        {labels["continue_execution"]})
+    asm = _program(src, layout.code_base, tuple(_symbols(layout).items()))
 
     trusted = [(layout.stack_limit, stack_base)]
     if "dedicated_handler" in design.exc_flow:
@@ -729,16 +751,16 @@ def build_runtime(variant: str, layout: Optional[Layout] = None,
         variant=variant,
         layout=layout,
         toggles=toggles,
-        program=program,
+        program=asm.program,
         stack_base=stack_base,
-        gadgets=gadgets,
-        legit_ret_targets=legit_rets,
-        restore_ret_pcs=frozenset({labels["cont_ret"]}),
-        ocall_call_sites=ocall_sites,
-        oret_ret_pc=labels["oret_ret"],
+        gadgets=dict(asm.gadgets),
+        legit_ret_targets=asm.legit_ret_targets,
+        restore_ret_pcs=asm.restore_ret_pcs,
+        ocall_call_sites=asm.ocall_call_sites,
+        oret_ret_pc=asm.oret_ret_pc,
         trusted_stack_ranges=tuple(trusted),
-        sp_windows=tuple(sorted(program.windows.values())),
-        crit_ranges=tuple(sorted(program.crit_ranges.values())),
+        sp_windows=asm.sp_windows,
+        crit_ranges=asm.crit_ranges,
         entry_atomic_cycles=ENTRY_ATOMIC_CYCLES + toggles.critical_pad,
     )
 

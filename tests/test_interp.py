@@ -8,17 +8,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aexlab import runtimes
+from aexlab import adversary, runtimes
+from aexlab.harness import (
+    BENIGN_OCALL_RESULT, Eenter, Eresume, FlipPerms,
+    benign_critical_exception_plan, run_plan,
+)
 from aexlab.interp import (
-    InterpError, ST_ABORT, complete_critical, decode, step,
+    InterpError, ST_ABORT, complete_critical, fetch_table, in_crit_ranges,
+    step,
 )
 from aexlab.machine import (
-    CTRL_RET, E_CTRL, E_EXIT, E_HALT, E_LEAK, LABELS, MASK64, NREGS, RAX, RBX,
-    REG_IDS, RIP, RSP, SCRUB_VALUES, VEC_AC, VEC_DIV, VEC_EXT_INT,
-    VEC_PAGE_FAULT, SSAFrame,
+    CTRL_RET, E_CTRL, E_EXIT, E_FAULT, E_HALT, E_HW_AEX, E_HW_EENTER,
+    E_HW_ERESUME, E_HW_FLIP, E_LEAK, LABELS, MASK64, NREGS, PERM_R, PERM_X,
+    RAX, RBX, REG_IDS, RIP, RSP, SCRUB_VALUES, SGX2, VEC_AC, VEC_DIV,
+    VEC_EXT_INT, VEC_PAGE_FAULT, SSAFrame,
 )
 
-from aexlab.runtimes import build_runtime
+from aexlab.runtimes import CMD_ORET, build_machine, build_runtime
 
 from conftest import CODE, DATA, PUB, make_raw_machine
 
@@ -371,20 +377,107 @@ def test_step_locality(instructions):
 
 
 def test_decoded_program_dies_without_the_cycle_collector():
-    # the emulate_critical entry of a decoded table holds its program only
+    # the emulate_critical entry of a fetch table holds its program only
     # weakly, so reference counting alone frees a decoded program
-    # once no image and no cache entry holds it
+    # once no image, machine and cache entry holds it
     enabled = gc.isenabled()
     gc.disable()
     try:
         for variant in ("graphene_emulated", "sdk_style"):
             img = build_runtime(variant)
             runtimes._program.cache_clear()
-            decode(img.program)
-            assert img.program.decoded
+            fetch_table(build_machine(img).mem, img.program)
+            assert img.program.fetch_tables
             program = weakref.ref(img.program)
             del img
             assert program() is None, variant
     finally:
         if enabled:
             gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# the fetch table
+# ---------------------------------------------------------------------------
+
+def _oret():
+    return [Eenter.of(CMD_ORET, regs={"rsp": 0, "rsi": BENIGN_OCALL_RESULT})]
+
+
+def test_fetch_follows_page_flips_through_run_plan():
+    img = build_runtime("sdk_style")
+    snapshot = adversary._prefix_snapshot(img, SGX2, None)
+    code, entry = img.layout.code_base, img.entry
+    table = snapshot.mem.fetch
+    assert snapshot.mem.fetch_program is img.program
+    assert table.keys() == img.program.code.keys()
+    before = snapshot.clone()
+    assert before.mem.fetch is table
+    plain = run_plan(snapshot.clone(), img, _oret())
+    assert plain.status == "done" and plain.steps > 0
+    start = len(snapshot.trace)
+
+    # a code page without X: the entry fetch faults at the entry point
+    flipped = run_plan(snapshot.clone(), img,
+                       [FlipPerms(code, PERM_R)] + _oret())
+    new = flipped.trace[start:]
+    assert new[:3] == [(E_HW_FLIP, code, PERM_R, 0, 0),
+                       (E_HW_EENTER, entry, CMD_ORET, BENIGN_OCALL_RESULT,
+                        0),
+                       (E_FAULT, entry, VEC_PAGE_FAULT, entry, 0)]
+    assert new[3][0] == E_HW_AEX and flipped.steps == 1
+    assert flipped.machine.mem.fetch is not table
+    # a clone taken before the flip keeps executing on the shared table
+    assert before.mem.fetch is table
+    kept = run_plan(before, img, _oret())
+    assert kept.trace == plain.trace and kept.steps == plain.steps
+
+    # flipping back restores execution: the resumed entry runs as the plain
+    # entry did
+    back = run_plan(snapshot.clone(), img,
+                    [FlipPerms(code, PERM_R)] + _oret()
+                    + [FlipPerms(code, PERM_R | PERM_X), Eresume()])
+    assert back.status == plain.status
+    assert back.steps == plain.steps + 1
+    events = back.trace[start:]
+    resumed = [e[0] for e in events].index(E_HW_ERESUME)
+    assert events[resumed - 1] == (E_HW_FLIP, code, PERM_R | PERM_X, 0, 0)
+    assert events[resumed + 1:] == plain.trace[start + 1:]
+    # the same pages over the code give the same table
+    assert back.machine.mem.fetch is table
+
+
+def test_an_executable_pc_without_an_instruction_faults_there():
+    img = build_runtime("sdk_style")
+    snapshot = adversary._prefix_snapshot(img, SGX2, None)
+    hole = img.program.end
+    assert snapshot.mem.executable(hole) and hole not in img.program.code
+    m = snapshot.clone()
+    m.tcs.entry_point = hole
+    res = run_plan(m, img, _oret())
+    new = res.trace[len(snapshot.trace):]
+    assert new[1] == (E_FAULT, hole, VEC_PAGE_FAULT, hole, 0)
+    assert new[2][:3] == (E_HW_AEX, hole, VEC_PAGE_FAULT)
+    assert res.steps == 1
+
+
+def test_critical_completion_fetches_through_the_shared_table():
+    # an injection inside graphene's ocall-return window, completed against
+    # the saved frame with the table the machine's memory holds, and with
+    # a memory that holds none: the same frame and cells
+    img = build_runtime("graphene_emulated")
+    m = build_machine(img, SGX2)
+    res = run_plan(m, img, benign_critical_exception_plan(5)[:3])
+    frame = m.ssa[m.tcs.cssa - 1]
+    assert res.status == "done" and in_crit_ranges(img.program,
+                                                    frame.regs[RIP])
+    table = m.mem.fetch
+    assert table is not None
+    cold = m.clone()
+    cold.mem.fetch = cold.mem.fetch_program = None
+    done = complete_critical(m, img.program, frame)
+    again = complete_critical(cold, img.program, frame)
+    assert m.mem.fetch is table and cold.mem.fetch is table
+    assert (done.regs, done.taint) == (again.regs, again.taint)
+    assert done.regs != frame.regs
+    assert m.mem.cells == cold.mem.cells and m.trace == cold.trace

@@ -7,7 +7,7 @@ representative's run."""
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from aexlab import adversary, cli, reporting
+from aexlab import adversary, cli, explorer, reporting
 from aexlab.adversary import (
     Counterexample, NoneFound, PAYLOAD_REGS, exhaustive_attacker,
     scripted_attack,
@@ -15,8 +15,9 @@ from aexlab.adversary import (
 from aexlab.harness import Eenter, PrepareRegs, benign_plan, run_plan
 from aexlab.interp import step
 from aexlab.machine import (
-    E_EXIT, E_HW_ERESUME, MASK64, PAYLOAD, PAYLOAD_SHIFT, RAX, RBX, REG_IDS,
-    RIP, RSP, SECRET, SGX1, SGX2, VEC_EXT_INT,
+    DEFAULT_IRQ_GRANT, E_EXIT, E_HW_ERESUME, MASK64, PAYLOAD, PAYLOAD_SHIFT,
+    RAX, RBX, REG_IDS, RIP, RSP, SECRET, SGX1, SGX2, VEC_EXT_INT,
+    VEC_PAGE_FAULT,
 )
 from aexlab.runtimes import VARIANTS, build_machine, build_runtime
 
@@ -406,27 +407,36 @@ done:
 # ---------------------------------------------------------------------------
 
 def _checked_covered(monkeypatch) -> list:
-    """Run every covered plan next to its representative and require the
-    same trace, status, steps and boundaries."""
-    covered = adversary._covered
+    """Run every covered plan of each counted group next to its
+    representative and require the same trace, status, steps and
+    boundaries, and the group's totals to add up its representatives."""
+    covered = adversary._covered_group
     compared = []
 
-    def check(image, snapshot, entry, inject, rep, budget):
-        steps, boundaries = covered(image, snapshot, entry, inject, rep,
-                                    budget)
-        actions = adversary._candidate_actions(entry(), inject)
-        assert actions != rep[0]
-        got = run_plan(snapshot.clone(), image, actions,
-                       max_steps=budget.max_steps)
-        want = run_plan(snapshot.clone(), image, rep[0],
-                        max_steps=budget.max_steps)
-        assert got.trace == want.trace
-        assert (got.status, got.steps, got.boundaries) == (
-            want.status, steps, boundaries)
-        compared.append(actions)
-        return steps, boundaries
+    def check(image, snapshot, binding, group, clean, budget):
+        runs, steps, boundaries = covered(image, snapshot, binding, group,
+                                          clean, budget)
+        entry = adversary._binding_entry(*binding)
+        want_steps = 0
+        for shape in group.shapes:
+            rep = clean[shape]
+            actions = adversary._candidate_actions(entry, shape)
+            assert actions != rep[0]
+            got = run_plan(snapshot.clone(), image, actions,
+                           max_steps=budget.max_steps)
+            want = run_plan(snapshot.clone(), image, rep[0],
+                            max_steps=budget.max_steps)
+            assert got.trace == want.trace
+            assert (got.status, got.steps, got.boundaries) == (
+                want.status, rep[1], rep[2])
+            want_steps += want.steps
+            compared.append(actions)
+        assert (runs, steps, boundaries) == (
+            len(group.shapes), want_steps,
+            sum(shape is not None for shape in group.shapes))
+        return runs, steps, boundaries
 
-    monkeypatch.setattr(adversary, "_covered", check)
+    monkeypatch.setattr(adversary, "_covered_group", check)
     return compared
 
 
@@ -506,3 +516,151 @@ def test_status_line_counts_the_instructions_stepped(tmp_path, capsys):
     assert ("executed 576 of 6912 plans; stepped 20808 instructions; "
             "wall time ") in err
     assert '"stepped"' not in (tmp_path / "out" / "report.json").read_text()
+
+
+# ---------------------------------------------------------------------------
+# group counting against a plan-by-plan walk
+# ---------------------------------------------------------------------------
+
+def _plan_by_plan(image, sgx_version, classes, budget, grant, sp_mode):
+    """The search walked plan by plan: a later binding's plan whose shape
+    has a clean representative adds one run, its representative's steps
+    and, when it injects, one boundary; every other plan runs through
+    `adversary._attempt`, in plan order.  Returns the stats, the
+    counterexample's branch (None without one) and the number of covered
+    plans of the counterexample's binding counted before it."""
+    domain = adversary.default_domain(image)
+    snapshot = adversary._prefix_snapshot(image, sgx_version, grant)
+    checkpoint = adversary._checkpoint(image, snapshot, sp_mode)
+    at_entry = adversary._in_order(classes)
+    inside = adversary._in_order(
+        tuple(v for v in classes if v != VEC_PAGE_FAULT))
+    stats = adversary.SearchStats()
+    for cmd_i, cmd in enumerate(adversary.REENTRY_CMDS):
+        for rsp_i, rsp in enumerate(domain):
+            clean = {}
+            for pay_i, payload in enumerate(domain):
+                entry = adversary._binding_entry(cmd, rsp, payload)
+                points, covered = (), 0
+
+                def walk(inject, later):
+                    """One plan: its boundaries and whether it violates."""
+                    nonlocal points, covered
+                    rep = clean.get(inject)
+                    if rep is not None:
+                        stats.runs += 1
+                        stats.steps += rep[1]
+                        covered += 1
+                        return rep[2], False
+                    _, res = adversary._attempt(
+                        image, snapshot, entry, inject, points, later,
+                        budget, pay_i == 0, clean, stats)
+                    if inject is None:
+                        points = res.points
+                    monitor = adversary._monitored(checkpoint, res.trace)
+                    return res.boundaries, monitor.violated
+
+                dry, violated = walk(None, ())
+                if violated:
+                    return stats, (cmd_i, rsp_i, pay_i, -1, -1), covered
+                for k in range(min(dry, budget.boundary_cap) + 1):
+                    for vec, later in at_entry if k == 0 else inside:
+                        _, violated = walk((vec, k), later)
+                        stats.boundaries += 1
+                        if violated:
+                            return (stats, (cmd_i, rsp_i, pay_i, k, vec),
+                                    covered)
+            if stats.runs >= budget.max_runs:
+                return stats, None, 0
+    return stats, None, 0
+
+
+def _survey_searches(monkeypatch) -> list:
+    """The searches of the survey: every matrix certification on sgx 1 and
+    2 and the two hardware mitigations on sgx 2, each as (args, kwargs,
+    outcome)."""
+    search = adversary.exhaustive_attacker
+    calls = []
+
+    def recorded(*args, **kwargs):
+        out = search(*args, **kwargs)
+        calls.append((args, kwargs, out))
+        return out
+
+    monkeypatch.setattr(adversary, "exhaustive_attacker", recorded)
+    for sgx in (SGX2, SGX1):
+        explorer.run_matrix(explorer.load_mapping(), sgx)
+    for variant in ("hw_reentry_mask", "hw_irq_quota"):
+        explorer.run(reporting.normalize_scenario(
+            {"variant": variant, "sgx_version": 2,
+             "adversary": "exhaustive"}))
+    return calls
+
+
+def test_group_counting_equals_the_plan_by_plan_walk(monkeypatch):
+    calls = _survey_searches(monkeypatch)
+    assert len(calls) == 14
+    outcomes = set()
+    for (image, sgx), kwargs, out in calls:
+        kwargs = {k: v for k, v in kwargs.items() if k != "workers"}
+        stats, branch, _ = _plan_by_plan(image, sgx, **kwargs)
+        assert vars(out.stats) == vars(stats), (image.variant, sgx)
+        assert getattr(out, "branch", None) == branch, (image.variant, sgx)
+        outcomes.add(type(out))
+    assert outcomes == {Counterexample, NoneFound}
+
+
+def test_a_counterexample_mid_binding_counts_the_covered_plans_before_it(
+        monkeypatch):
+    # flag the first executed injected plan of a later binding, with every
+    # other plan silent: its binding's covered shapes before it are
+    # counted, those after it are not
+    image = build_runtime("open_enclave_style")
+    executed, groups = [], {}
+    attempt, covered_group = adversary._attempt, adversary._covered_group
+
+    class Silent:
+        violated = False
+
+    class Flagged:
+        violated = True
+
+        def verdicts(self):
+            return []
+
+    def recorded_attempt(*args):
+        executed.append((args[7], args[3]))     # track, inject
+        return attempt(*args)
+
+    def recorded_group(image, snapshot, binding, group, clean, budget):
+        groups.setdefault(binding, []).append(group)
+        return covered_group(image, snapshot, binding, group, clean, budget)
+
+    monkeypatch.setattr(adversary, "_attempt", recorded_attempt)
+    monkeypatch.setattr(adversary, "_covered_group", recorded_group)
+    monkeypatch.setattr(adversary, "_monitored", lambda cp, trace: Silent())
+    assert isinstance(exhaustive_attacker(image, SGX2), NoneFound)
+    whole = {binding: got[0] for binding, got in groups.items()}
+    target = next(n for n, (track, inject) in enumerate(executed)
+                  if not track and inject is not None)
+
+    monitored = []
+
+    def flag_target(checkpoint, trace):
+        monitored.append(trace)
+        return Flagged() if len(monitored) - 1 == target else Silent()
+
+    monkeypatch.setattr(adversary, "_monitored", flag_target)
+    groups.clear()
+    out = exhaustive_attacker(image, SGX2)
+    assert isinstance(out, Counterexample) and len(monitored) == target + 1
+    binding, [before] = groups.popitem()
+    assert 0 < len(before.shapes) < len(whole[binding].shapes)
+    assert out.branch[2] >= 1 and out.branch[3] >= 0
+
+    monitored.clear()
+    stats, branch, covered = _plan_by_plan(
+        image, SGX2, (VEC_PAGE_FAULT, VEC_EXT_INT), adversary.SearchBudget(),
+        DEFAULT_IRQ_GRANT, "range")
+    assert branch == out.branch and covered == len(before.shapes)
+    assert vars(out.stats) == vars(stats)
