@@ -326,9 +326,9 @@ def _covered_group(image: EnclaveImage, snapshot: Machine, binding: tuple,
     or running them.  No payload value reached a sink in any of their
     representatives (`clean[shape]`: actions, steps, boundaries), so each
     plan would repeat its representative's run.  The search calls this
-    once per later binding.  scripts/prune_soundness.py wraps it to build
-    and run every plan of the group next to its representative and
-    compare."""
+    once per later binding.  The `covered` oracle of scripts/agreement.py
+    wraps it to build and run every plan of the group next to its
+    representative and compare."""
     return len(group.shapes), group.steps, group.boundaries
 
 
@@ -569,8 +569,8 @@ def exhaustive_attacker(image: EnclaveImage, sgx_version: int = SGX2,
             pool = contextlib.nullcontext()
             results = map(_worker_branch, branches)
         else:
-            pool = mp.get_context("fork").Pool(workers, _worker_init,
-                                               initargs)
+            pool = mp.get_context("fork").Pool(
+                min(workers, len(branches)), _worker_init, initargs)
             results = pool.imap(_worker_branch, branches)
         with pool:
             for stats, ce in results:

@@ -127,6 +127,18 @@ def _cmd_replay(args) -> int:
     return result.exit_code
 
 
+def _workers(text: str) -> int:
+    """A worker count: an integer of at least 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer of at least 1, got {text!r}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="aexlab",
@@ -137,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="execute one scenario file")
     run_p.add_argument("--scenario", required=True)
     run_p.add_argument("--out", required=True)
-    run_p.add_argument("--workers", type=int, default=1)
+    run_p.add_argument("--workers", type=_workers, default=1)
     run_p.add_argument("--seed", type=int, default=None)
     run_p.set_defaults(func=_cmd_run)
 
@@ -145,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     mx.add_argument("--mapping", default=None)
     mx.add_argument("--sgx", type=int, choices=(1, 2), required=True)
     mx.add_argument("--out", required=True)
-    mx.add_argument("--workers", type=int, default=1)
+    mx.add_argument("--workers", type=_workers, default=1)
     mx.set_defaults(func=_cmd_matrix)
 
     rp = sub.add_parser("replay", help="re-execute and re-check a trace")

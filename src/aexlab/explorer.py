@@ -4,7 +4,6 @@ runtime-survey matrix."""
 
 from __future__ import annotations
 
-import functools
 import json
 import multiprocessing as mp
 import os
@@ -58,25 +57,17 @@ class Outcome:
 
 
 def _image_for(scenario: dict) -> EnclaveImage:
+    """The scenario's image.  `build_runtime`'s program cache makes a
+    repeat cheap: a run and the replay or minimization of its trace, and
+    scenarios that differ only in layout fields the program never reads
+    (the public buffer, the ASLR shift), share one assembled program."""
     toggles = Toggles(**scenario["toggles"])
     if scenario["adversary"] == "multi_round_aslr" \
             and toggles.aslr_stack_offset == 0 and scenario["seed"]:
         toggles = replace(toggles, aslr_stack_offset=random.Random(
             scenario["seed"]).randint(1, 2048))
     layout = Layout(**scenario["layout"]) if scenario["layout"] else None
-    return _image(scenario["variant"], layout, toggles)
-
-
-@functools.lru_cache(maxsize=2)
-def _image(variant: str, layout: Optional[Layout],
-           toggles: Toggles) -> EnclaveImage:
-    """The image of a (variant, layout, toggles) key.  This cache serves a
-    run and the replay or minimization of its trace, which then share one
-    image; `build_runtime`'s program cache serves scenarios that differ
-    only in layout fields the program never reads (the public buffer, the
-    ASLR shift), whose images share one assembled program.  Images are
-    never mutated (the decoded dispatch tables they cache are immutable)."""
-    return build_runtime(variant, layout=layout, toggles=toggles)
+    return build_runtime(scenario["variant"], layout=layout, toggles=toggles)
 
 
 def _classes_for(scenario: dict) -> tuple[int, ...]:

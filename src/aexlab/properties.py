@@ -197,30 +197,6 @@ class SafetyMonitor:
         return [self.verdict(p) for p in SAFETY_PROPERTIES]
 
 
-def _scan(trace: list[tuple], image: EnclaveImage,
-          sp_mode: str = "range") -> SafetyMonitor:
-    monitor = SafetyMonitor(image, sp_mode)
-    monitor.feed(trace)
-    return monitor
-
-
-def check_sp_confinement(trace: list[tuple], image: EnclaveImage,
-                         mode: str = "range") -> Verdict:
-    return _scan(trace, image, mode).verdict("sp_confinement")
-
-
-def check_anchor_integrity(trace: list[tuple], image: EnclaveImage) -> Verdict:
-    return _scan(trace, image).verdict("anchor_integrity")
-
-
-def check_cfi(trace: list[tuple], image: EnclaveImage) -> Verdict:
-    return _scan(trace, image).verdict("cfi")
-
-
-def check_confidentiality(trace: list[tuple], image: EnclaveImage) -> Verdict:
-    return _scan(trace, image).verdict("confidentiality")
-
-
 def check_functionality(trace: list[tuple], image: EnclaveImage,
                         cooperative: bool = True) -> Verdict:
     """Under a cooperative host: every delivered benign exception is
@@ -299,7 +275,8 @@ def evaluate(trace: list[tuple], image: EnclaveImage,
         if prop not in SAFETY_PROPERTIES:
             raise KeyError(prop)
         if monitor is None:
-            monitor = _scan(trace, image, sp_mode)
+            monitor = SafetyMonitor(image, sp_mode)
+            monitor.feed(trace)
         out.append(monitor.verdict(prop))
     return out
 

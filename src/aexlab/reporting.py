@@ -68,11 +68,15 @@ def _int(value, what: str, lo: Optional[int] = None,
     return value
 
 
+def _get(doc: dict, key: str, default):
+    """The value under `key`; absent or null is `default`."""
+    value = doc.get(key)
+    return default if value is None else value
+
+
 def _section(doc: dict, key: str) -> dict:
     """The object under `key`; absent or null is the empty object."""
-    value = doc.get(key)
-    if value is None:
-        return {}
+    value = _get(doc, key, {})
     if not isinstance(value, dict):
         raise ScenarioError(f"{key} must be an object, got {value!r}")
     return value
@@ -135,10 +139,10 @@ def normalize_scenario(doc: dict) -> dict:
     variant = doc.get("variant")
     if variant not in VARIANTS:
         raise ScenarioError(f"unknown variant: {variant!r}")
-    sgx = doc.get("sgx_version", 2)
+    sgx = _get(doc, "sgx_version", 2)
     if isinstance(sgx, bool) or sgx not in (1, 2):
         raise ScenarioError(f"sgx_version must be 1 or 2, got {sgx!r}")
-    adversary = doc.get("adversary", "exhaustive")
+    adversary = _get(doc, "adversary", "exhaustive")
     if adversary not in ADVERSARY_MODES:
         raise ScenarioError(f"unknown adversary mode: {adversary!r}")
     props = _names(doc, "properties",
@@ -181,7 +185,7 @@ def normalize_scenario(doc: dict) -> dict:
     classes = _names(doc, "inject_classes",
                      ("page_fault", "external_interrupt"), VECTOR_IDS,
                      "exception class")
-    sp_mode = doc.get("sp_confinement_mode", "range")
+    sp_mode = _get(doc, "sp_confinement_mode", "range")
     if sp_mode not in ("range", "strict"):
         raise ScenarioError(f"sp_confinement_mode must be range|strict")
     vector = doc.get("vector")
@@ -198,7 +202,7 @@ def normalize_scenario(doc: dict) -> dict:
         "variant": variant,
         "sgx_version": sgx,
         "adversary": adversary,
-        "seed": _int(doc.get("seed", 0), "seed"),
+        "seed": _int(_get(doc, "seed", 0), "seed"),
         "properties": list(props),
         "budgets": budgets,
         "toggles": toggles,
@@ -208,8 +212,8 @@ def normalize_scenario(doc: dict) -> dict:
         "sp_confinement_mode": sp_mode,
         "vector": vector,
         "route": route,
-        "max_rounds": _int(doc.get("max_rounds", 32), "max_rounds", 1),
-        "trials": _int(doc.get("trials", 100000), "trials", 1),
+        "max_rounds": _int(_get(doc, "max_rounds", 32), "max_rounds", 1),
+        "trials": _int(_get(doc, "trials", 100000), "trials", 1),
         "boundary": boundary,
     }
 

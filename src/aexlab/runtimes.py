@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional
 
 from . import isa
@@ -243,11 +243,7 @@ class EnclaveImage:
     crit_ranges: tuple[tuple[int, int], ...] = ()
     entry_atomic_cycles: int = ENTRY_ATOMIC_CYCLES
     # every pc inside a declared sp window, so a window test is one lookup
-    sp_window_pcs: frozenset[int] = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self.sp_window_pcs = frozenset(
-            pc for lo, hi in self.sp_windows for pc in range(lo, hi))
+    sp_window_pcs: frozenset[int] = field(default=frozenset(), repr=False)
 
     @property
     def design(self) -> Design:
@@ -685,17 +681,36 @@ class _Assembly(NamedTuple):
     ocall_call_sites: frozenset[int]
     oret_ret_pc: int
     sp_windows: tuple[tuple[int, int], ...]
+    sp_window_pcs: frozenset[int]
     crit_ranges: tuple[tuple[int, int], ...]
 
 
+def _text_toggles(design: Design, toggles: Toggles) -> Toggles:
+    """`toggles` with each field the design's program text does not read
+    reset to its default: the ASLR offset (the shift is the image's), the
+    alignment without an alignment check, and the removed validity check
+    where the check follows the copy.  Toggles with equal text toggles
+    render equal text."""
+    return replace(
+        toggles, aslr_stack_offset=0,
+        alignment_required=(toggles.alignment_required
+                            if "align_check" in design.exc_flow
+                            else Toggles.alignment_required),
+        sgx1_valid_check_removed=(toggles.sgx1_valid_check_removed
+                                  and design.validity_before_copy))
+
+
 @functools.lru_cache(maxsize=PROGRAM_CACHE_SIZE)
-def _program(src: str, code_base: int,
+def _program(variant: str, toggles: Toggles, code_base: int,
              symbols: tuple[tuple[str, int], ...]) -> _Assembly:
-    """The assembly of `src` at `code_base` against `symbols`, once per
-    distinct input, with its gadget map, call sites and control targets.
-    A `Program` is never changed after assembly, and what the interpreter
-    caches on it (its fetch tables) is derived from its code and the pages
-    over it, so every image built from the same input can share it."""
+    """The variant's program text under `toggles` (text toggles only),
+    rendered and assembled at `code_base` against `symbols` once per
+    distinct input, with its gadget map, call sites, control targets and
+    window pcs.  A `Program` is never changed after assembly, and what the
+    interpreter caches on it (its fetch tables) is derived from its code
+    and the pages over it, so every image built from the same input can
+    share it."""
+    src = generate_source(variant, toggles)
     program = isa.assemble(src, code_base, dict(symbols))
     labels = program.labels
     gadgets = {name[2:]: addr for name, addr in labels.items()
@@ -709,6 +724,7 @@ def _program(src: str, code_base: int,
                             if program.code[a][1] == labels["ocall_stub"])
     legit_rets = frozenset(a + 1 for a in call_sites) | frozenset(
         {labels["continue_execution"]})
+    sp_windows = tuple(sorted(program.windows.values()))
     return _Assembly(
         program=program,
         gadgets=gadgets,
@@ -716,7 +732,9 @@ def _program(src: str, code_base: int,
         restore_ret_pcs=frozenset({labels["cont_ret"]}),
         ocall_call_sites=ocall_sites,
         oret_ret_pc=labels["oret_ret"],
-        sp_windows=tuple(sorted(program.windows.values())),
+        sp_windows=sp_windows,
+        sp_window_pcs=frozenset(pc for lo, hi in sp_windows
+                                for pc in range(lo, hi)),
         crit_ranges=tuple(sorted(program.crit_ranges.values())),
     )
 
@@ -725,12 +743,13 @@ def build_runtime(variant: str, layout: Optional[Layout] = None,
                   toggles: Optional[Toggles] = None) -> EnclaveImage:
     """Assemble the variant against the layout and derive image metadata.
 
-    The program depends on three inputs only: its source (the variant and
-    the toggles that change the text), `layout.code_base`, and the layout
+    The program depends on three inputs only: the variant and the toggles
+    its text reads (`_text_toggles`), `layout.code_base`, and the layout
     symbols of `_symbols`.  It does not depend on the ASLR shift or on
     `layout.pubbuf_base`, so images that differ only there share one
-    assembled program and the metadata derived from it; the stack base and
-    the ranges derived from it stay per image."""
+    assembled program and the metadata derived from it, and its text is
+    rendered only when that input is new; the stack base and the ranges
+    derived from it stay per image."""
     design = _design(variant)
     layout = layout or Layout()
     toggles = toggles or Toggles()
@@ -739,8 +758,8 @@ def build_runtime(variant: str, layout: Optional[Layout] = None,
     stack_base = layout.stack_base - aslr_shift(toggles.aslr_stack_offset)
 
     _check_layout(layout)
-    src = generate_source(variant, toggles)
-    asm = _program(src, layout.code_base, tuple(_symbols(layout).items()))
+    asm = _program(variant, _text_toggles(design, toggles), layout.code_base,
+                   tuple(_symbols(layout).items()))
 
     trusted = [(layout.stack_limit, stack_base)]
     if "dedicated_handler" in design.exc_flow:
@@ -760,6 +779,7 @@ def build_runtime(variant: str, layout: Optional[Layout] = None,
         oret_ret_pc=asm.oret_ret_pc,
         trusted_stack_ranges=tuple(trusted),
         sp_windows=asm.sp_windows,
+        sp_window_pcs=asm.sp_window_pcs,
         crit_ranges=asm.crit_ranges,
         entry_atomic_cycles=ENTRY_ATOMIC_CYCLES + toggles.critical_pad,
     )

@@ -1,3 +1,4 @@
+import importlib.util
 import os
 
 import pytest
@@ -14,6 +15,17 @@ SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                    "src")
 CLI_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
     p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+
+
+def load_script(name: str):
+    """The module of `scripts/<name>.py`, loaded from this checkout."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts",
+                        name + ".py")
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
 
 CODE = 0x1000
 DATA = 0x20000

@@ -1,9 +1,11 @@
 """Adversary behavior: scripted-plan feasibility, the exhaustive
 certification oracle, plan determinism, and the randomized-stack bypass."""
 
+from types import SimpleNamespace
+
 import pytest
 
-from aexlab import adversary, explorer, harness, properties, reporting
+from aexlab import adversary, explorer, properties, reporting
 from aexlab.adversary import (
     BudgetExceeded, Counterexample, NoneFound, PlanInfeasible, SearchBudget,
     default_domain, estimate_single_shot_rate, exact_single_shot_rate,
@@ -15,6 +17,10 @@ from aexlab.machine import (
     E_HW_AEX, E_HW_DEFER, E_RETIRE, SGX1, SGX2, VEC_EXT_INT, VEC_PAGE_FAULT,
 )
 from aexlab.runtimes import Layout, Toggles, build_machine, build_runtime
+
+from conftest import load_script
+
+agreement = load_script("agreement")
 
 VULNERABLE = [
     ("sdk_style", SGX2, Toggles(), (VEC_PAGE_FAULT, VEC_EXT_INT)),
@@ -76,7 +82,7 @@ def test_scripted_infeasible_on_immune_designs(variant, sgx):
 def test_scripted_leaks_whole_modeled_key():
     img, plan, res = run_scripted("sdk_style", SGX2, Toggles(),
                                   (VEC_PAGE_FAULT,))
-    v = properties.check_confidentiality(res.trace, img)
+    v = properties.evaluate(res.trace, img, ("confidentiality",))[0]
     assert v.violated
     leak = res.trace[v.witness_index]
     assert leak[4] == img.layout.secret_len == 128
@@ -191,30 +197,44 @@ def test_workers_search_the_callers_image():
             == [v.to_dict() for v in par.verdicts])
 
 
+def test_search_pool_is_capped_at_the_branch_count(monkeypatch):
+    # a stub context records the pool size asked for and computes the
+    # branches in-process, so no pool is started
+    sizes = []
+
+    class Pool:
+        def __init__(self, n, initializer, initargs):
+            sizes.append(n)
+            initializer(*initargs)
+
+        def imap(self, fn, items):
+            return map(fn, items)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+    monkeypatch.setattr(adversary, "mp", SimpleNamespace(
+        get_context=lambda method: SimpleNamespace(Pool=Pool)))
+    img = build_runtime("sdk_style")
+    out = exhaustive_attacker(img, SGX2, workers=10**6)
+    assert isinstance(out, Counterexample)
+    assert sizes == [len(adversary.REENTRY_CMDS) * len(default_domain(img))]
+
+
 @pytest.mark.parametrize("variant,sp_mode,expect", [
     ("dedicated_stack", "range", NoneFound),
     ("sdk_style", "strict", Counterexample),
 ])
-def test_checkpointed_monitor_agrees_with_full_evaluation(
-        monkeypatch, variant, sp_mode, expect):
+def test_checkpointed_monitor_agrees_with_full_evaluation(variant, sp_mode,
+                                                        expect):
     # every run resumes the monitor saved after the shared prefix; its
     # verdicts must equal a from-scratch evaluation of the whole trace
-    resume = adversary._monitored
-    compared = []
-
-    def checked(checkpoint, trace):
-        monitor = resume(checkpoint, trace)
-        assert checkpoint.position < len(trace)
-        want = properties.evaluate(trace, checkpoint.image,
-                                   properties.SAFETY_PROPERTIES,
-                                   sp_mode=sp_mode)
-        assert ([v.to_dict() for v in monitor.verdicts()]
-                == [v.to_dict() for v in want])
-        compared.append(monitor.violated)
-        return monitor
-
-    monkeypatch.setattr(adversary, "_monitored", checked)
-    out = exhaustive_attacker(build_runtime(variant), SGX2, sp_mode=sp_mode)
+    with agreement.monitored() as compared:
+        out = exhaustive_attacker(build_runtime(variant), SGX2,
+                                  sp_mode=sp_mode)
     assert isinstance(out, expect)
     # every executed run is monitored; a plan covered by its clean
     # representative is not run (tests/test_pruning.py checks those)
@@ -268,68 +288,24 @@ def test_multi_round_concrete_corrupts_for_sampled_offsets():
 # injected plans resumed from their dry run's points
 # ---------------------------------------------------------------------------
 
-def _assert_same_run(got, want):
-    assert got.trace == want.trace
-    assert (got.status, got.steps, got.boundaries, got.actions_applied) == (
-        want.status, want.steps, want.boundaries, want.actions_applied)
-    gm, wm = got.machine, want.machine
-    # the label words: secret taint and payload of registers, cells, frames
-    assert gm.taint == wm.taint and gm.mem.labels == wm.mem.labels
-    assert [f.taint for f in gm.ssa] == [f.taint for f in wm.ssa]
-    assert gm.influenced == wm.influenced
-    assert gm.digest() == wm.digest()
-
-
-def _checked_resumes(monkeypatch) -> list:
-    """Run every resumed plan of the search fresh from the prefix snapshot
-    too and require the same run; returns, per resumed plan, the length of
-    its point's trace and the result (the resume takes the point's
-    machine)."""
-    snapshots = []
-    snapshot_of = adversary._prefix_snapshot
-    real = adversary.run_plan
-    resumed = []
-
-    def snapshot(*args):
-        snapshots.append(snapshot_of(*args))
-        return snapshots[-1]
-
-    def checked(start, image, actions, **kwargs):
-        if isinstance(start, harness.Point):
-            at = len(start.machine.trace)
-        res = real(start, image, actions, **kwargs)
-        if isinstance(start, harness.Point):
-            # the plan resumes at the boundary where it injects
-            assert start.window_count == kwargs["inject"].boundary
-            kwargs = {k: v for k, v in kwargs.items() if k != "inject"}
-            fresh = real(snapshots[-1].clone(), image, actions, **kwargs)
-            _assert_same_run(res, fresh)
-            resumed.append((at, res))
-        return res
-
-    monkeypatch.setattr(adversary, "_prefix_snapshot", snapshot)
-    monkeypatch.setattr(adversary, "run_plan", checked)
-    return resumed
-
-
 def _after_point(at, res) -> list:
     return res.trace[at:]
 
 
-def test_resumed_plans_equal_fresh_runs(monkeypatch):
-    resumed = _checked_resumes(monkeypatch)
-    out = exhaustive_attacker(build_runtime("dedicated_stack"), SGX2)
+def test_resumed_plans_equal_fresh_runs():
+    with agreement.resumed() as resumed:
+        out = exhaustive_attacker(build_runtime("dedicated_stack"), SGX2)
     assert isinstance(out, NoneFound)
     # every injected plan of the tracked bindings resumes: 15 per branch
     assert len(resumed) == 36 * 15
     assert out.stats.stepped == 20808 < sum(r.steps for _, r in resumed)
 
 
-def test_resumed_plans_equal_fresh_runs_under_irq_quota(monkeypatch):
+def test_resumed_plans_equal_fresh_runs_under_irq_quota():
     # the injection lands in the granted atomic window: it is deferred, and
     # delivered when the window expires unless the enclave halts first
-    resumed = _checked_resumes(monkeypatch)
-    out = exhaustive_attacker(build_runtime("hw_irq_quota"), SGX2)
+    with agreement.resumed() as resumed:
+        out = exhaustive_attacker(build_runtime("hw_irq_quota"), SGX2)
     assert isinstance(out, NoneFound)
     kinds = [[e[0] for e in _after_point(p, r)] for p, r in resumed]
     deferred = [k for k in kinds if E_HW_DEFER in k]
@@ -337,13 +313,12 @@ def test_resumed_plans_equal_fresh_runs_under_irq_quota(monkeypatch):
     assert any(E_HW_AEX in k[k.index(E_HW_DEFER):] for k in deferred)
 
 
-def test_resumed_plans_equal_fresh_runs_with_critical_completion(
-        monkeypatch):
+def test_resumed_plans_equal_fresh_runs_with_critical_completion():
     # an injection inside an emulated critical span, completed by the
     # handler's emulate_critical
-    resumed = _checked_resumes(monkeypatch)
     img = build_runtime("graphene_emulated")
-    out = exhaustive_attacker(img, SGX1)
+    with agreement.resumed() as resumed:
+        out = exhaustive_attacker(img, SGX1)
     assert isinstance(out, NoneFound)
     spans = img.program.crit_ranges.values()
     emulate = {pc for pc, ins in img.program.code.items()
@@ -357,10 +332,10 @@ def test_resumed_plans_equal_fresh_runs_with_critical_completion(
                for events in inside)
 
 
-def test_resumed_plans_equal_fresh_runs_over_the_step_budget(monkeypatch):
-    resumed = _checked_resumes(monkeypatch)
-    out = exhaustive_attacker(build_runtime("dedicated_stack"), SGX2,
-                              budget=SearchBudget(max_steps=50))
+def test_resumed_plans_equal_fresh_runs_over_the_step_budget():
+    with agreement.resumed() as resumed:
+        out = exhaustive_attacker(build_runtime("dedicated_stack"), SGX2,
+                                  budget=SearchBudget(max_steps=50))
     assert isinstance(out, NoneFound)
     ends = {r.status for _, r in resumed}
     assert "budget_exceeded" in ends and len(ends) > 1

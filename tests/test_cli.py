@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from aexlab import cli as aexlab_cli
 from aexlab.isa import render
 from aexlab.runtimes import build_runtime, fixture_path
 
@@ -150,6 +151,22 @@ def test_replay_malformed_trace_exits_three(tmp_path, prefix, bad, message):
     assert rc == 3
     assert message in stderr
     assert "Traceback" not in stderr
+
+
+@pytest.mark.parametrize("command", ["run", "matrix"])
+@pytest.mark.parametrize("workers", ["0", "-3", "two"])
+def test_workers_below_one_exit_one_with_message(tmp_path, capsys, command,
+                                                 workers):
+    sc = write_scenario(tmp_path, variant="sdk_style", adversary="scripted")
+    args = (["run", "--scenario", sc] if command == "run"
+            else ["matrix", "--sgx", "2"])
+    rc = aexlab_cli.main([*args, "--out", str(tmp_path / "o"),
+                          "--workers", workers])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "--workers" in err and "at least 1" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_matrix_empty_mapping_header_only(tmp_path):

@@ -1,9 +1,7 @@
 """Scenario orchestration: run modes, counterexample minimization, trace
 replay, matrix assembly, and cross-worker determinism."""
 
-import importlib.util
 import json
-import os
 import random
 
 import pytest
@@ -23,6 +21,10 @@ from aexlab.machine import (
 from aexlab.runtimes import (
     VARIANTS, build_machine, build_runtime, fixture_path,
 )
+
+from conftest import load_script
+
+agreement = load_script("agreement")
 
 
 def scenario(**kv):
@@ -162,13 +164,6 @@ def _points_case(name: str):
             "stopped")
 
 
-def _assert_same_run(got, want):
-    assert got.trace == want.trace
-    assert (got.status, got.steps, got.boundaries, got.actions_applied) == (
-        want.status, want.steps, want.boundaries, want.actions_applied)
-    assert got.machine.digest() == want.machine.digest()
-
-
 @pytest.mark.parametrize("case", [
     "scripted", "scripted_over_the_step_budget", "benign", "benign_nested",
     "benign_nested_dedicated_stack", "benign_critical_irq_quota"])
@@ -199,12 +194,13 @@ def test_action_points_resume_like_fresh_runs(case):
         # a plan sharing the first p.idx actions: the one without action
         # p.idx, from a copy of the point
         dropped = plan[:p.idx] + plan[p.idx + 1:]
-        _assert_same_run(harness.run_plan(p.copy(), image, dropped,
-                                          max_steps=max_steps),
-                         fresh(dropped))
+        assert agreement.run_fields(harness.run_plan(
+            p.copy(), image, dropped, max_steps=max_steps)) == \
+            agreement.run_fields(fresh(dropped))
         # the plan itself, taking the point's machine
-        _assert_same_run(harness.run_plan(p, image, plan,
-                                          max_steps=max_steps), base)
+        assert agreement.run_fields(harness.run_plan(
+            p, image, plan, max_steps=max_steps)) == \
+            agreement.run_fields(base)
 
 
 # The VULN pairs of the survey with hunt-style toggles.  enarx_style's
@@ -285,7 +281,7 @@ def _fresh_minimize(sc, actions) -> tuple[list, list]:
     return current, tried
 
 
-def test_minimize_matches_fresh_trials(monkeypatch):
+def test_minimize_matches_fresh_trials():
     cases = [attack_setup()]
     for sc in _hunt_scenarios(11, 12):
         out = explorer.run(sc)
@@ -294,24 +290,14 @@ def test_minimize_matches_fresh_trials(monkeypatch):
                                for ln in out.trace_lines
                                if ln.startswith("A ")]))
     assert len(cases) > 10
-    real = explorer._fires
-    tried = []
-
-    def recorded(image, sc, actions, prop, start):
-        tried.append(list(actions))
-        # the trial's run from its point is the fresh run of its plan
-        resumed = harness.run_plan(start.copy(), image, actions,
-                                   max_steps=sc["budgets"]["max_steps"])
-        _assert_same_run(resumed, explorer._execute(sc, image, actions)[0])
-        return real(image, sc, actions, prop, start)
-
-    monkeypatch.setattr(explorer, "_fires", recorded)
-    for sc, actions in cases:
-        tried.clear()
-        got = explorer.minimize(sc, actions)
-        want, want_tried = _fresh_minimize(sc, actions)
-        assert got == want
-        assert tried == want_tried
+    # each trial's run from its point is the fresh run of its plan
+    with agreement.trials() as tried:
+        for sc, actions in cases:
+            tried.clear()
+            got = explorer.minimize(sc, actions)
+            want, want_tried = _fresh_minimize(sc, actions)
+            assert got == want
+            assert tried == want_tried
 
 
 # ---------------------------------------------------------------------------
@@ -401,20 +387,11 @@ def test_event_lines_round_trip_every_kind():
             reporting.event_from_line(bad)
 
 
-def _script(name):
-    path = os.path.join(os.path.dirname(__file__), "..", "scripts",
-                        name + ".py")
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_every_digest_is_the_canonical_digest():
     # scripts/digest_agreement.py on the golden scenario and one ASLR sweep:
     # every digest of the recording and of the replay is the SHA-256 of
     # repr(canonical())
-    script = _script("digest_agreement")
+    script = load_script("digest_agreement")
     counter = [0]
     named = [("scripted_sdk_sgx2", script.canonical("scripted_sdk_sgx2")),
              script.aslr_sweep(300)]
@@ -439,7 +416,6 @@ def test_run_and_replay_share_one_assembly(tmp_path, monkeypatch):
         return assemble(*args, **kwargs)
     monkeypatch.setattr(isa, "assemble", counted)
     sc = scenario(variant="sdk_style", adversary="scripted")
-    explorer._image.cache_clear()
     runtimes._program.cache_clear()
     path, out = make_trace(tmp_path, sc)
     got_sc, declared, lines = reporting.read_trace(str(path))
@@ -452,7 +428,6 @@ def test_run_and_replay_share_one_assembly(tmp_path, monkeypatch):
     assert explorer.run(moved).exit_code == out.exit_code
     assert len(calls) == 1
     # a cold image records the same bytes as the memoized one
-    explorer._image.cache_clear()
     runtimes._program.cache_clear()
     assert explorer.run(sc).trace_lines == out.trace_lines
     assert len(calls) == 2

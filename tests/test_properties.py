@@ -48,7 +48,8 @@ def test_benign_runs_raise_no_detector(variant):
 
 def test_public_buffer_pivot_fires_range_mode():
     img, trace = attack_trace("open_enclave_style", route="public")
-    v = properties.check_sp_confinement(trace, img, "range")
+    v = properties.evaluate(trace, img, ("sp_confinement",),
+                            sp_mode="range")[0]
     assert v.violated
 
 
@@ -56,9 +57,11 @@ def test_private_region_pivot_needs_strict_mode():
     # the pivot target overlaps the legal stack range, so only the strict
     # configuration flags the pivot; the control-flow detector still fires
     img, trace = attack_trace("sdk_style", route="private")
-    loose = properties.check_sp_confinement(trace, img, "range")
-    strict = properties.check_sp_confinement(trace, img, "strict")
-    cfi = properties.check_cfi(trace, img)
+    loose = properties.evaluate(trace, img, ("sp_confinement",),
+                                sp_mode="range")[0]
+    strict = properties.evaluate(trace, img, ("sp_confinement",),
+                                 sp_mode="strict")[0]
+    cfi = properties.evaluate(trace, img, ("cfi",))[0]
     assert not loose.violated
     assert strict.violated
     assert cfi.violated
@@ -70,7 +73,7 @@ def test_private_region_pivot_needs_strict_mode():
 
 def test_attack_violates_anchor_at_the_oret_ret():
     img, trace = attack_trace()
-    v = properties.check_anchor_integrity(trace, img)
+    v = properties.evaluate(trace, img, ("anchor_integrity",))[0]
     assert v.violated
     assert trace[v.witness_index][1] == img.oret_ret_pc
 
@@ -92,13 +95,14 @@ def test_payload_missing_anchor_by_one_word_is_clean():
     res = run_plan(m, img, shifted)
     span_lo = (regs["rsp"] - runtimes.INFO_SIZE) & ~0xF
     assert span_lo == img.anchor_addr + 8
-    assert not properties.check_anchor_integrity(res.trace, img).violated
+    assert not properties.evaluate(res.trace, img,
+                                   ("anchor_integrity",))[0].violated
 
 
 def test_unmatched_oret_is_itself_a_violation():
     img = build_runtime("sdk_style")
     fake = [(E_CTRL, img.oret_ret_pc, 0x1234, CTRL_RET, 0x27000)]
-    v = properties.check_anchor_integrity(fake, img)
+    v = properties.evaluate(fake, img, ("anchor_integrity",))[0]
     assert v.violated
     assert "no recorded save" in v.detail
 
@@ -109,14 +113,14 @@ def test_unmatched_oret_is_itself_a_violation():
 
 def test_cfi_fires_at_first_gadget_entry():
     img, trace = attack_trace()
-    v = properties.check_cfi(trace, img)
+    v = properties.evaluate(trace, img, ("cfi",))[0]
     assert v.violated
     assert trace[v.witness_index][2] == img.gadgets["pivot"]
 
 
 def test_cfi_allows_context_restore_to_any_code():
     img, trace = benign_trace("sdk_style")
-    assert not properties.check_cfi(trace, img).violated
+    assert not properties.evaluate(trace, img, ("cfi",))[0].violated
 
 
 # ---------------------------------------------------------------------------
@@ -125,14 +129,15 @@ def test_cfi_allows_context_restore_to_any_code():
 
 def test_leak_event_counts_full_secret():
     img, trace = attack_trace()
-    v = properties.check_confidentiality(trace, img)
+    v = properties.evaluate(trace, img, ("confidentiality",))[0]
     assert v.violated
     assert "128 bytes" in v.detail
 
 
 def test_scrubbed_exits_and_declared_outputs_are_clean():
     img, trace = benign_trace("sdk_style")
-    assert not properties.check_confidentiality(trace, img).violated
+    assert not properties.evaluate(trace, img,
+                                   ("confidentiality",))[0].violated
 
 
 def test_unscrubbed_exit_with_secret_register_fires():
@@ -147,7 +152,7 @@ def test_unscrubbed_exit_with_secret_register_fires():
     from aexlab.interp import step
     while step(m, prog) == "ok":
         pass
-    v = properties.check_confidentiality(m.trace, img)
+    v = properties.evaluate(m.trace, img, ("confidentiality",))[0]
     assert v.violated and "tainted registers" in v.detail
 
 
@@ -224,9 +229,9 @@ def test_confidentiality_matches_shadow_derivation():
     # the detector fires exactly when the re-derived flow contains a leak
     img, trace = attack_trace()
     leaks, _ = properties.shadow_taint_leaks(trace, img)
-    assert bool(leaks) == properties.check_confidentiality(
-        trace, img).violated
+    assert bool(leaks) == properties.evaluate(
+        trace, img, ("confidentiality",))[0].violated
     img2, trace2 = benign_trace("sdk_style")
     leaks2, _ = properties.shadow_taint_leaks(trace2, img2)
-    assert bool(leaks2) == properties.check_confidentiality(
-        trace2, img2).violated
+    assert bool(leaks2) == properties.evaluate(
+        trace2, img2, ("confidentiality",))[0].violated

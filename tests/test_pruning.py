@@ -4,6 +4,7 @@ flagging, a clean run does not depend on the payload's value, labels stay
 out of the canonical state, and every covered plan repeats its
 representative's run."""
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -21,7 +22,9 @@ from aexlab.machine import (
 )
 from aexlab.runtimes import VARIANTS, build_machine, build_runtime
 
-from conftest import CODE, DATA, PUB, make_raw_machine
+from conftest import CODE, DATA, PUB, load_script, make_raw_machine
+
+agreement = load_script("agreement")
 
 
 def labelled(source: str, regs: dict, labels=("rax",), symbols=None):
@@ -406,65 +409,39 @@ done:
 # the search: covered plans and the executed count
 # ---------------------------------------------------------------------------
 
-def _checked_covered(monkeypatch) -> list:
-    """Run every covered plan of each counted group next to its
-    representative and require the same trace, status, steps and
-    boundaries, and the group's totals to add up its representatives."""
-    covered = adversary._covered_group
-    compared = []
-
-    def check(image, snapshot, binding, group, clean, budget):
-        runs, steps, boundaries = covered(image, snapshot, binding, group,
-                                          clean, budget)
-        entry = adversary._binding_entry(*binding)
-        want_steps = 0
-        for shape in group.shapes:
-            rep = clean[shape]
-            actions = adversary._candidate_actions(entry, shape)
-            assert actions != rep[0]
-            got = run_plan(snapshot.clone(), image, actions,
-                           max_steps=budget.max_steps)
-            want = run_plan(snapshot.clone(), image, rep[0],
-                            max_steps=budget.max_steps)
-            assert got.trace == want.trace
-            assert (got.status, got.steps, got.boundaries) == (
-                want.status, rep[1], rep[2])
-            want_steps += want.steps
-            compared.append(actions)
-        assert (runs, steps, boundaries) == (
-            len(group.shapes), want_steps,
-            sum(shape is not None for shape in group.shapes))
-        return runs, steps, boundaries
-
-    monkeypatch.setattr(adversary, "_covered_group", check)
-    return compared
-
-
-def test_covered_plans_repeat_their_representatives(monkeypatch):
-    compared = _checked_covered(monkeypatch)
-    for variant, sgx in (("dedicated_stack", SGX2), ("sdk_style", SGX1)):
-        before = len(compared)
-        out = exhaustive_attacker(build_runtime(variant), sgx,
-                                  sp_mode="range")
-        assert isinstance(out, NoneFound)
-        assert len(compared) - before == out.stats.runs - out.stats.executed
+def test_covered_plans_repeat_their_representatives():
+    with agreement.covered() as compared:
+        for variant, sgx in (("dedicated_stack", SGX2), ("sdk_style", SGX1)):
+            before = len(compared)
+            out = exhaustive_attacker(build_runtime(variant), sgx,
+                                      sp_mode="range")
+            assert isinstance(out, NoneFound)
+            assert (len(compared) - before
+                    == out.stats.runs - out.stats.executed)
 
 
 def test_pruning_stays_sound_where_the_payload_matters(monkeypatch):
     # with the monitor silenced, a VULN variant's search enumerates plans
     # whose payload lands on the anchor; their representatives are
     # influenced, so every binding of those shapes runs
-    compared = _checked_covered(monkeypatch)
-
     class Silent:
         violated = False
     monkeypatch.setattr(adversary, "_monitored", lambda cp, trace: Silent())
-    out = exhaustive_attacker(build_runtime("open_enclave_style"), SGX2)
+    with agreement.covered() as compared:
+        out = exhaustive_attacker(build_runtime("open_enclave_style"), SGX2)
     assert isinstance(out, NoneFound)
     groups = out.stats.runs // len(adversary.default_domain(
         build_runtime("open_enclave_style")))
     assert out.stats.executed > groups
     assert len(compared) == out.stats.runs - out.stats.executed
+
+
+def test_an_oracle_whose_name_is_gone_raises(monkeypatch):
+    # a renamed private name must not turn the oracle into a no-op
+    monkeypatch.delattr(adversary, "_covered_group")
+    with pytest.raises(AttributeError, match="adversary._covered_group"):
+        with agreement.covered():
+            pass
 
 
 def test_counterexample_is_found_by_an_executed_run():

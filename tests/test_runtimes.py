@@ -111,7 +111,8 @@ def test_crafted_write_bypasses_oret_checks():
     td = td_view(img, m)
     # checks still pass over the corrupted state: that is the bypass
     assert validate_oret(td, td.last_sp, m.mem) in ("ok", "sp_too_high")
-    assert properties.check_anchor_integrity(res.trace, img).violated
+    assert properties.evaluate(res.trace, img,
+                               ("anchor_integrity",))[0].violated
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +355,8 @@ def test_benign_anchor_matches_recorded_save():
             continue
         img, m = fresh(variant)
         res = run_plan(m, img, benign_plan())
-        assert not properties.check_anchor_integrity(res.trace, img).violated
+        assert not properties.evaluate(res.trace, img,
+                                       ("anchor_integrity",))[0].violated
 
 
 def test_dedicated_stack_rejects_nesting_explicitly():

@@ -60,6 +60,15 @@ def test_malformed_field_exits_one_with_message(tmp_path, capsys, section,
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("key", ["seed", "sgx_version", "adversary",
+                                 "sp_confinement_mode", "max_rounds",
+                                 "trials"])
+def test_null_top_level_key_takes_the_default(key):
+    absent = {"variant": "sdk_style"}
+    assert (reporting.normalize_scenario(dict(absent, **{key: None}))
+            == reporting.normalize_scenario(absent))
+
+
 _json = st.recursive(
     st.none() | st.booleans() | st.floats(allow_nan=False)
     | st.integers() | st.text(max_size=4),
