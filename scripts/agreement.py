@@ -1,20 +1,21 @@
 #!/usr/bin/env python3
-"""Check that every shortcut of the exhaustive search and of counterexample
-minimization gives what the run it stands for gives.
+"""Check that every shortcut of the exhaustive search, of counterexample
+minimization and of the state digest gives what the computation it stands
+for gives.
 
-Four agreement oracles, one per shortcut.  Each is a context manager that
-wraps one name of the program, restores it on exit, and yields the list of
+Five agreement oracles, one per shortcut.  Each is a context manager that
+wraps names of the program, restores them on exit, and yields the list of
 what it compared.  It raises `Mismatch`, naming itself, at the first
 disagreement, and raises at entry when a name it wraps is gone, rather
 than silently checking nothing.
 
-- `covered()` wraps `adversary._covered_group`, which counts a later
-  binding's covered plans without running them.  It builds and runs every
-  plan of each group next to its representative.  The plan must differ
-  from its representative, and give the same trace and status and the
-  kept steps and boundaries.  The group's counted runs, steps and
-  injected boundaries must equal the sums over its plans.  Yields each
-  plan's actions.
+- `covered()` wraps `adversary._count_covered`, which adds a later
+  binding's covered plans to the search's counts without running them.
+  It builds and runs every plan of each group next to its representative.
+  The plan must differ from its representative, and give the same trace
+  and status and the kept steps and boundaries.  The runs, steps and
+  injected boundaries added must equal the sums over the group's plans.
+  Yields each plan's actions.
 - `resumed()` wraps `adversary.run_plan` and `adversary._prefix_snapshot`.
   Every plan that resumes from a point of its binding's dry run must
   resume at the boundary where it injects.  It is also run fresh from the
@@ -33,13 +34,30 @@ than silently checking nothing.
   of its plan through `explorer._execute`.  Both must agree on whether the
   property fires, and give the same trace, status, steps, boundaries,
   actions applied and digest.  Yields each trial's actions.
+- `digests()` wraps `Machine.digest`, which splices its text from cached
+  segments, and `explorer.replay`, to tell the replay phase from the
+  record phase.  Every digest must equal `canonical_digest`, its
+  specification: the SHA-256 of the `repr` of `Machine.canonical()`.  A
+  mismatch names the phase and the index of the last event the digest
+  covers.  Yields each digest.
 
 The script installs the three search oracles together and runs the
 exhaustive search of every variant on sgx 1 and 2, in range and strict
 sp-confinement mode.  Then, with only `trials()` installed, it minimizes
 every counterexample of the benchmark's hunt batches at seeds 53, 3 and
-21 (perfbench/workloads.py).  It prints the counts compared and exits 1 at
-the first mismatch.
+21 (perfbench/workloads.py).  Last, with only `digests()` installed, it
+records and replays the trace-producing scenarios:
+
+- every canonical scenario fixture (golden, benign, exhaustive, ASLR);
+- the benign, benign_nested and benign_critical runs of every variant on
+  sgx 1 and 2 (entries, exits, atomic sections, the re-entry mask), and
+  graphene_emulated's benign_critical at boundaries 1-23, each of which
+  completes an interrupted critical span;
+- every scripted variant x route x vector (sdk on sgx 2, oe on sgx 1 with
+  its timer, enarx on both);
+- the multi-round ASLR sweep at stack offsets 300, 812, 1749 and 1237.
+
+It prints the counts compared and exits 1 at the first mismatch.
 
 Usage: python scripts/agreement.py [--variant NAME ...]
 (`--variant` restricts the search sweep only.)
@@ -47,6 +65,7 @@ Usage: python scripts/agreement.py [--variant NAME ...]
 
 import argparse
 import contextlib
+import hashlib
 import os
 import sys
 import tempfile
@@ -57,11 +76,18 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, os.path.join(HERE, "..", "src"))
 
 from aexlab import (  # noqa: E402
-    adversary, explorer, harness, properties, reporting,
+    adversary, explorer, harness, machine, properties, reporting, runtimes,
 )
 from aexlab.runtimes import VARIANTS  # noqa: E402
 
 HUNT_SEEDS = (53, 3, 21)
+BENIGN = ("benign", "benign_nested", "benign_critical")
+CRITICAL_BOUNDARIES = range(1, 24)
+SCRIPTED = (("sdk_style", 2, "scripted_sdk_sgx2"),
+            ("open_enclave_style", 1, "scripted_oe_sgx1_timer"),
+            ("enarx_style", 1, "scripted_sdk_sgx2"),
+            ("enarx_style", 2, "scripted_sdk_sgx2"))
+ASLR_OFFSETS = (300, 812, 1749, 1237)
 
 
 class Mismatch(Exception):
@@ -130,12 +156,13 @@ def _labelled(res) -> dict:
 
 @contextlib.contextmanager
 def covered():
-    real = _original(adversary, "_covered_group")
+    real = _original(adversary, "_count_covered")
     compared = []
 
-    def wrapper(image, snapshot, binding, group, clean, budget):
-        runs, steps, boundaries = real(image, snapshot, binding, group,
-                                       clean, budget)
+    def wrapper(image, snapshot, binding, group, clean, budget, stats):
+        before = {k: getattr(stats, k) for k in ("runs", "steps",
+                                                 "boundaries")}
+        real(image, snapshot, binding, group, clean, budget, stats)
         entry = adversary._binding_entry(*binding)
         want_steps = 0
         for shape in group.shapes:
@@ -154,13 +181,12 @@ def covered():
             _require_same("covered", f"plan {actions}", _counts(got), kept)
             want_steps += want.steps
             compared.append(actions)
-        got = {"runs": runs, "steps": steps, "boundaries": boundaries}
+        got = {k: getattr(stats, k) - n for k, n in before.items()}
         want = {"runs": len(group.shapes), "steps": want_steps,
                 "boundaries": sum(s is not None for s in group.shapes)}
         _require_same("covered", f"group of {binding}", got, want)
-        return runs, steps, boundaries
 
-    with _installed(adversary, _covered_group=wrapper):
+    with _installed(adversary, _count_covered=wrapper):
         yield compared
 
 
@@ -247,6 +273,40 @@ def trials():
         yield compared
 
 
+def canonical_digest(m) -> str:
+    """The specification of `Machine.digest`: the first 16 hex digits of
+    the SHA-256 of the `repr` of the canonical state."""
+    return hashlib.sha256(repr(m.canonical()).encode()).hexdigest()[:16]
+
+
+@contextlib.contextmanager
+def digests():
+    real = _original(machine.Machine, "digest")
+    replay = _original(explorer, "replay")
+    phase = ["record"]
+    compared = []
+
+    def wrapper(m):
+        got = real(m)
+        want = canonical_digest(m)
+        if got != want:
+            raise Mismatch(f"digests: {phase[0]}, event {len(m.trace) - 1}: "
+                           f"digest {got}, canonical {want}")
+        compared.append(got)
+        return got
+
+    def replaying(*args, **kwargs):
+        phase[0] = "replay"
+        try:
+            return replay(*args, **kwargs)
+        finally:
+            phase[0] = "record"
+
+    with _installed(machine.Machine, digest=wrapper), \
+            _installed(explorer, replay=replaying):
+        yield compared
+
+
 def search_sweep(variants) -> int:
     names = ("covered plans", "resumed plans", "monitored runs")
     totals = [0] * len(names)
@@ -316,13 +376,79 @@ def minimization_sweep() -> int:
     return 0
 
 
+def canonical(name: str) -> dict:
+    """The canonical scenario fixture `name`."""
+    path = runtimes.fixture_path(os.path.join("scenarios", name + ".json"))
+    with open(path) as fh:
+        return reporting.loads_scenario(fh.read())
+
+
+def aslr_sweep(offset: int) -> tuple[str, dict]:
+    doc = canonical("aslr_multi_round")
+    doc["toggles"] = dict(doc["toggles"], aslr_stack_offset=offset)
+    return f"aslr_multi_round@{offset}", reporting.normalize_scenario(doc)
+
+
+def traced_scenarios() -> list[tuple[str, dict]]:
+    """(name, scenario) of every scenario the digest sweep records."""
+    names = sorted(f[:-len(".json")] for f in os.listdir(
+        runtimes.fixture_path("scenarios")) if f.endswith(".json"))
+    named = [(name, canonical(name)) for name in names]
+    for variant in VARIANTS:
+        for sgx in (2, 1):
+            for mode in BENIGN:
+                named.append((f"{mode}_{variant}_sgx{sgx}",
+                              reporting.normalize_scenario(
+                                  {"variant": variant, "sgx_version": sgx,
+                                   "adversary": mode})))
+    for sgx in (2, 1):
+        for boundary in CRITICAL_BOUNDARIES:
+            named.append((f"benign_critical_graphene_sgx{sgx}_b{boundary}",
+                          reporting.normalize_scenario(
+                              {"variant": "graphene_emulated",
+                               "sgx_version": sgx,
+                               "adversary": "benign_critical",
+                               "boundary": boundary})))
+    for variant, sgx, base in SCRIPTED:
+        for route in (None, "private", "public"):
+            for vector in (None, "page_fault", "external_interrupt"):
+                doc = dict(canonical(base), variant=variant, sgx_version=sgx,
+                           route=route, vector=vector)
+                named.append((f"scripted_{variant}_sgx{sgx}_{route}_{vector}",
+                              reporting.normalize_scenario(doc)))
+    return named + [aslr_sweep(offset) for offset in ASLR_OFFSETS]
+
+
+def digest_sweep() -> int:
+    with digests() as compared:
+        for name, scenario in traced_scenarios():
+            t0 = time.monotonic()
+            try:
+                lines = explorer.run(scenario).trace_lines
+                if lines is None:
+                    print(f"{name}: no plan, no trace", file=sys.stderr)
+                    continue
+                replayed = explorer.replay(scenario, lines, len(lines))
+            except Mismatch as e:
+                print(f"MISMATCH {name}: {e}")
+                return 1
+            if not replayed.ok:
+                print(f"REPLAY DIVERGED {name}: {replayed.detail}")
+                return 1
+            print(f"{name}: {len(lines)} lines agree "
+                  f"({time.monotonic() - t0:.1f}s)", file=sys.stderr)
+    print(f"{len(compared)} digests compared, all agree")
+    return 0
+
+
 def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--variant", action="append", choices=VARIANTS,
                     help="restrict the search sweep (repeatable); default: "
                          "all")
     args = ap.parse_args()
-    return search_sweep(args.variant or VARIANTS) or minimization_sweep()
+    return (search_sweep(args.variant or VARIANTS) or minimization_sweep()
+            or digest_sweep())
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Annotated walkthrough of the scripted anchor-hijack on the sdk-style
 runtime: prints the plan bindings, the interesting trace events, the
-milestones, and the detector verdicts.
+milestones, and the detector verdicts of the recorded scripted scenario.
 
 Usage: python scripts/attack_walkthrough.py [--variant V] [--sgx {1,2}]
 """
@@ -12,13 +12,13 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from aexlab import adversary, harness, properties  # noqa: E402
+from aexlab import adversary, explorer, reporting  # noqa: E402
 from aexlab.isa import render  # noqa: E402
 from aexlab.machine import (  # noqa: E402
     E_CTRL, E_HW_AEX, E_HW_EENTER, E_HW_ERESUME, E_LEAK, E_SP_ASSIGN,
     EVENT_NAMES,
 )
-from aexlab.runtimes import build_machine, build_runtime  # noqa: E402
+from aexlab.runtimes import build_runtime  # noqa: E402
 
 INTERESTING = {E_HW_EENTER, E_HW_AEX, E_HW_ERESUME, E_SP_ASSIGN, E_CTRL,
                E_LEAK}
@@ -45,12 +45,15 @@ def main() -> int:
             val = hex(val)
         print(f"  {key:12s} {val}")
 
-    m = build_machine(img, args.sgx)
-    harness.run_plan(m, img, harness.prefix_plan())
-    res = harness.run_plan(m, img, plan.actions)
+    outcome = explorer.run(reporting.normalize_scenario(
+        {"variant": args.variant, "sgx_version": args.sgx,
+         "adversary": "scripted"}))
 
     print("\nkey events:")
-    for ev in res.trace:
+    for line in outcome.trace_lines:
+        if not line.startswith("E "):
+            continue
+        ev, _ = reporting.event_from_line(line)
         if ev[0] not in INTERESTING:
             continue
         name = EVENT_NAMES[ev[0]]
@@ -59,9 +62,8 @@ def main() -> int:
         desc = render(ins) if ins else ""
         print(f"  {name:8s} at {where:20s} {desc}")
 
-    print("\nmilestones:", " -> ".join(properties.milestones(res.trace, img)))
-    for v in properties.evaluate(res.trace, img,
-                                 properties.SAFETY_PROPERTIES):
+    print("\nmilestones:", " -> ".join(outcome.milestones))
+    for v in outcome.verdicts:
         mark = "!" if v.violated else " "
         print(f" {mark} {v.property_id}: {v.outcome} {v.detail}")
     return 0

@@ -318,20 +318,6 @@ class CoveredGroup(NamedTuple):
     boundaries: int
 
 
-def _covered_group(image: EnclaveImage, snapshot: Machine, binding: tuple,
-                   group: CoveredGroup, clean: dict,
-                   budget: SearchBudget) -> tuple[int, int, int]:
-    """The runs, steps and injected boundaries of the plans of `group`
-    under `binding` (the arguments of `_binding_entry`), without building
-    or running them.  No payload value reached a sink in any of their
-    representatives (`clean[shape]`: actions, steps, boundaries), so each
-    plan would repeat its representative's run.  The search calls this
-    once per later binding.  The `covered` oracle of scripts/agreement.py
-    wraps it to build and run every plan of the group next to its
-    representative and compare."""
-    return len(group.shapes), group.steps, group.boundaries
-
-
 def _group(shapes: list, steps: int) -> CoveredGroup:
     """The group of `shapes`, whose representatives step `steps`; only a
     dry run (None, always first) injects at no boundary."""
@@ -372,11 +358,17 @@ def _schedule(clean: dict, n_boundaries: int, at_entry: list,
 def _count_covered(image: EnclaveImage, snapshot: Machine, binding: tuple,
                    group: CoveredGroup, clean: dict, budget: SearchBudget,
                    stats: SearchStats) -> None:
-    runs, steps, boundaries = _covered_group(image, snapshot, binding, group,
-                                             clean, budget)
-    stats.runs += runs
-    stats.steps += steps
-    stats.boundaries += boundaries
+    """Add the runs, steps and injected boundaries of the plans of `group`
+    under `binding` (the arguments of `_binding_entry`) to `stats`, without
+    building or running them.  No payload value reached a sink in any of
+    their representatives (`clean[shape]`: actions, steps, boundaries), so
+    each plan would repeat its representative's run.  The search calls
+    this once per later binding.  The `covered` oracle of
+    scripts/agreement.py wraps it to build and run every plan of the group
+    next to its representative and compare."""
+    stats.runs += len(group.shapes)
+    stats.steps += group.steps
+    stats.boundaries += group.boundaries
 
 
 def _attempt(image: EnclaveImage, snapshot: Machine,

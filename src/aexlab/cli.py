@@ -74,7 +74,7 @@ def _cmd_matrix(args) -> int:
     except explorer.FixtureMissing as e:
         print(f"error: mapping fixture missing: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (OSError, json.JSONDecodeError, KeyError) as e:
+    except (OSError, json.JSONDecodeError, reporting.ScenarioError) as e:
         print(f"error: mapping: {e}", file=sys.stderr)
         return EXIT_USAGE
     os.makedirs(args.out, exist_ok=True)

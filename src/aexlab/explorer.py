@@ -18,12 +18,12 @@ from .harness import (
     prefix_plan, run_plan,
 )
 from .isa import Program, render
-from .machine import VECTOR_IDS, Machine
+from .machine import MODE_ENCLAVE, VECTOR_IDS, Machine
 from .properties import (
     Verdict, any_violation, evaluate, milestones,
 )
 from .runtimes import (
-    EnclaveImage, Layout, Toggles, build_machine, build_runtime,
+    VARIANTS, EnclaveImage, Layout, Toggles, build_machine, build_runtime,
     fixture_path,
 )
 
@@ -368,12 +368,6 @@ def emulation_differential(image: EnclaveImage, sgx_version: int = 2,
     wanted = {pc for lo, hi in ranges for pc in range(lo, hi)
               if pc in program.code}
     snapshots: dict[int, Machine] = {}
-
-    def collect(m: Machine) -> None:
-        pc = m.regs[16]
-        if pc in wanted and pc not in snapshots:
-            snapshots[pc] = m.clone()
-
     drivers = [
         benign_plan(),
         [Eenter.of(7, regs={"rsp": 0, "rsi": 0})],            # invalid ecall
@@ -381,7 +375,16 @@ def emulation_differential(image: EnclaveImage, sgx_version: int = 2,
     ]
     for actions in drivers:
         m = build_machine(image, sgx_version)
-        run_plan(m, image, actions, before_step=collect)
+
+        def collect() -> None:
+            # the state the next instruction starts from: in the enclave,
+            # with no fault awaiting its async exit
+            pc = m.regs[16]
+            if (m.mode == MODE_ENCLAVE and m.pending_fault < 0
+                    and pc in wanted and pc not in snapshots):
+                snapshots[pc] = m.clone()
+
+        run_plan(m, image, actions, after_events=collect)
 
     mismatches = []
     for pc, snap in sorted(snapshots.items()):
@@ -430,13 +433,53 @@ class MatrixCell:
     search: Optional[adversary.SearchStats] = None
 
 
+_MAPPING_ROW_KEYS = {"runtime", "variant", "exception_handling", "toggles",
+                     "alt_variant"}
+
+
 def load_mapping(path: Optional[str] = None) -> list[dict]:
+    """The survey rows of the mapping file at `path` (default: the
+    fixture), all checked before anything is certified: a malformed
+    mapping raises ScenarioError naming the row and the field."""
     path = path or fixture_path("runtime_matrix.json")
     if not os.path.exists(path):
         raise FixtureMissing(path)
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict) or not isinstance(doc.get("runtimes"), list):
+        raise reporting.ScenarioError("the document must be an object whose "
+                                      "runtimes is a list")
+    unknown = set(doc) - {"comment", "runtimes"}
+    if unknown:
+        raise reporting.ScenarioError(f"unknown keys: {sorted(unknown)}")
+    for i, row in enumerate(doc["runtimes"]):
+        try:
+            _check_row(row)
+        except reporting.ScenarioError as e:
+            raise reporting.ScenarioError(f"runtimes[{i}]: {e}") from None
     return doc["runtimes"]
+
+
+def _check_row(row) -> None:
+    if not isinstance(row, dict):
+        raise reporting.ScenarioError(f"row must be an object, got {row!r}")
+    unknown = set(row) - _MAPPING_ROW_KEYS
+    if unknown:
+        raise reporting.ScenarioError(f"unknown keys: {sorted(unknown)}")
+    runtime = row.get("runtime")
+    if not isinstance(runtime, str) or not runtime:
+        raise reporting.ScenarioError(f"runtime must be a non-empty string, "
+                                      f"got {runtime!r}")
+    if not isinstance(row.get("exception_handling", True), bool):
+        raise reporting.ScenarioError(
+            f"exception_handling must be true or false, got "
+            f"{row['exception_handling']!r}")
+    if "alt_variant" in row and row["alt_variant"] not in VARIANTS:
+        raise reporting.ScenarioError(
+            f"unknown alt_variant: {row['alt_variant']!r}")
+    # the variant and toggles the row's certification runs under
+    reporting.normalize_scenario({"variant": row.get("variant"),
+                                  "toggles": row.get("toggles")})
 
 
 def _matrix_cell(args):
@@ -478,7 +521,7 @@ def run_matrix(mapping: list[dict], sgx_version: int,
         key = (row["variant"], sgx_version, tuple(sorted(toggles.items())))
         verdict, stats, search = by_key[key]
         cells.append(MatrixCell(row["runtime"], row["variant"],
-                                bool(row.get("exception_handling", True)),
+                                row.get("exception_handling", True),
                                 verdict, stats,
                                 None if key in seen else search))
         seen.add(key)

@@ -144,14 +144,12 @@ def run_plan(machine: "Machine | Point", image: EnclaveImage, actions: list,
              max_steps: int = DEFAULT_MAX_STEPS,
              on_action: Optional[Callable[[int, object], None]] = None,
              after_events: Optional[Callable[[], None]] = None,
-             before_step: Optional[Callable[[Machine], None]] = None,
              payload: tuple[str, ...] = (), keep: int = -1,
              inject: Optional[InjectAex] = None,
              keep_from: Optional[int] = None) -> RunResult:
     """Execute `actions` to completion.  `on_action` is called before each
     action is applied (for trace serialization); `after_events` after every
-    atomic machine transition (for digest recording); `before_step` with
-    the machine right before each instruction (for state collection).
+    atomic machine transition (for digest recording and state collection).
 
     `payload` names staged registers that carry the attacker's payload: an
     entry that uses the staged registers gives them the payload label, and
@@ -235,8 +233,6 @@ def run_plan(machine: "Machine | Point", image: EnclaveImage, actions: list,
                         raise AssertionError("deferred delivery re-deferred")
                     notify()
                     continue
-            if before_step is not None:
-                before_step(machine)
             sig = step(machine, program)
             steps += 1
             if after_events is not None:    # notify(), inlined: every step

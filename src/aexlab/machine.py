@@ -462,6 +462,8 @@ class HwExt:
 #   HW_GRANT    allowed, window, 0, 0
 #   HW_DEFER    rip, vector, 0, 0         async exit deferred by atomic section
 #   ADV_*       adversary bookkeeping, appended by the harness
+#   HW_UNARMED  entry, cycles, used, allowed  entry window not armed: the
+#                                         irq quota refused its charge
 
 E_RETIRE = 0
 E_STORE = 1
@@ -484,11 +486,13 @@ E_ADV_STOP = 17
 E_ADV_SEED = 18
 E_MEMR = 19      # pc, addr, stack_flag, 0   memory read by the instruction
 E_MEMCPY = 20    # pc, dst, src, nbytes      block copy completed
+E_HW_UNARMED = 21
 
 EVENT_NAMES = [
     "retire", "store", "sp_assign", "ctrl", "fault", "leak", "exit", "halt",
     "eenter", "aex", "eresume", "denied", "flip", "grant", "defer",
     "adv_prep", "adv_inject", "adv_stop", "adv_seed", "memr", "memcpy",
+    "unarmed",
 ]
 EVENT_IDS = {n: i for i, n in enumerate(EVENT_NAMES)}
 
@@ -609,12 +613,14 @@ class Machine:
         self.tcs.busy = True
         if self.hw.kind == HW_REENTRY_MASK:
             self.hw.masked = True
-        if self.hw.kind == HW_IRQ_QUOTA:
-            # hardware-armed entry window: charged against the quota; when
-            # denied, the entry proceeds without atomicity protection
-            self.begin_atomic(self.entry_atomic_cycles)
         self.emit(E_HW_EENTER, self.tcs.entry_point, self.regs[RDI] & MASK64,
                   self.regs[RSI] & MASK64)
+        # hardware-armed entry window: charged against the quota; when
+        # refused, the entry proceeds without atomicity protection
+        if (self.hw.kind == HW_IRQ_QUOTA
+                and not self.begin_atomic(self.entry_atomic_cycles)):
+            self.emit(E_HW_UNARMED, self.tcs.entry_point,
+                      self.entry_atomic_cycles, self.hw.used, self.hw.allowed)
 
     def eexit(self, target: int) -> None:
         """Leave the enclave at `target`.  The hardware does not scrub:

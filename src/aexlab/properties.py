@@ -1,8 +1,9 @@
 """Safety and functionality detectors evaluated over traces.
 
 The four safety properties are checked by one fused online monitor,
-`SafetyMonitor`; `evaluate` and the `check_*` functions feed a fresh one a
-whole stored trace, so every verdict is a pure function of (trace, image).
+`SafetyMonitor`; `evaluate` feeds a fresh one a whole stored trace, and
+adds `check_functionality` when asked for it, so every verdict is a pure
+function of (trace, image).
 A Violated verdict carries the global index of the witnessing event so the
 trace prefix up to it replays the issue.
 """

@@ -15,6 +15,9 @@ SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                    "src")
 CLI_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
     p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+# seconds a CLI subprocess may take: a stalled worker pool fails its test
+# with TimeoutExpired instead of hanging the suite
+CLI_TIMEOUT = 600
 
 
 def load_script(name: str):

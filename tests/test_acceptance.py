@@ -17,11 +17,13 @@ from aexlab.machine import (
 from aexlab.runtimes import Toggles, build_machine, build_runtime
 
 from conftest import CLI_ENV as ENV
+from conftest import CLI_TIMEOUT
 
 
 def cli(*argv):
     r = subprocess.run([sys.executable, "-m", "aexlab.cli", *argv],
-                       capture_output=True, text=True, env=ENV)
+                       capture_output=True, text=True, env=ENV,
+                       timeout=CLI_TIMEOUT)
     return r.returncode, r.stdout, r.stderr
 
 

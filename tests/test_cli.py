@@ -11,11 +11,13 @@ from aexlab.isa import render
 from aexlab.runtimes import build_runtime, fixture_path
 
 from conftest import CLI_ENV as ENV
+from conftest import CLI_TIMEOUT
 
 
 def cli(*argv, cwd=None):
     r = subprocess.run([sys.executable, "-m", "aexlab.cli", *argv],
-                       capture_output=True, text=True, env=ENV, cwd=cwd)
+                       capture_output=True, text=True, env=ENV, cwd=cwd,
+                       timeout=CLI_TIMEOUT)
     return r.returncode, r.stdout, r.stderr
 
 
@@ -178,10 +180,47 @@ def test_matrix_empty_mapping_header_only(tmp_path):
     assert "totals: 0 vulnerable, 0 safe (of 0)" in stdout
 
 
+MAPPING_ROW = {"runtime": "A", "variant": "nssa_disabled",
+               "exception_handling": False}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"runtimes": [MAPPING_ROW, {"runtime": "B", "variant": "sgx_sdk"}]},
+     "runtimes[1]: unknown variant: 'sgx_sdk'"),
+    ({"runtimes": [MAPPING_ROW, {"variant": "sdk_style"}]},
+     "runtimes[1]: runtime must be a non-empty string, got None"),
+    ({"runtimes": [MAPPING_ROW, {"runtime": "B",
+                                 "variant": "graphene_emulated",
+                                 "toggles": {"critical_pad": -1}}]},
+     "runtimes[1]: toggle critical_pad must be in"),
+    ({"runtimes": 5}, "runtimes is a list"),
+    ({"runtimes": [MAPPING_ROW, {"runtime": "B", "variant": "sdk_style",
+                                 "toggles": []}]},
+     "runtimes[1]: toggles must be an object, got []"),
+    ({"runtimes": [MAPPING_ROW, {"runtime": "B", "variant": "sdk_style",
+                                 "exception_handling": "no"}]},
+     "runtimes[1]: exception_handling must be true or false, got 'no'"),
+], ids=["unknown_variant", "no_runtime", "negative_critical_pad",
+        "runtimes_not_a_list", "toggles_not_an_object",
+        "exception_handling_not_a_bool"])
+def test_malformed_mapping_exits_one_before_certifying(tmp_path, doc,
+                                                       message):
+    path = tmp_path / "mapping.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    rc, stdout, stderr = cli("matrix", "--mapping", str(path), "--sgx", "2",
+                             "--out", str(out))
+    assert rc == 1
+    assert stderr.startswith("error: mapping: ") and message in stderr
+    assert "Traceback" not in stderr
+    assert stdout == "" and not out.exists()
+
+
 def test_fixture_dir_override(tmp_path):
     env = dict(ENV, ENCLAVE_AEX_LAB_FIXTURES=str(tmp_path))
     r = subprocess.run([sys.executable, "-m", "aexlab.cli", "matrix",
                         "--sgx", "2", "--out", str(tmp_path / "o")],
-                       capture_output=True, text=True, env=env)
+                       capture_output=True, text=True, env=env,
+                       timeout=CLI_TIMEOUT)
     assert r.returncode == 1
     assert "mapping fixture missing" in r.stderr

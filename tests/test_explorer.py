@@ -388,15 +388,32 @@ def test_event_lines_round_trip_every_kind():
 
 
 def test_every_digest_is_the_canonical_digest():
-    # scripts/digest_agreement.py on the golden scenario and one ASLR sweep:
-    # every digest of the recording and of the replay is the SHA-256 of
-    # repr(canonical())
-    script = load_script("digest_agreement")
-    counter = [0]
-    named = [("scripted_sdk_sgx2", script.canonical("scripted_sdk_sgx2")),
-             script.aslr_sweep(300)]
-    assert script.check(named, counter) == ""
-    assert counter[0] > 2 * 1000
+    # the digest sweep of scripts/agreement.py on the golden scenario and
+    # one ASLR sweep: every digest of the recording and of the replay is the
+    # SHA-256 of repr(canonical())
+    named = [agreement.canonical("scripted_sdk_sgx2"),
+             agreement.aslr_sweep(300)[1]]
+    with agreement.digests() as compared:
+        for sc in named:
+            lines = explorer.run(sc).trace_lines
+            assert explorer.replay(sc, lines, len(lines)).ok
+    assert len(compared) > 2 * 1000
+
+
+def test_a_refused_entry_window_leaves_an_event():
+    # a grant smaller than the 32-cycle entry window: every entry's charge
+    # is refused and the entry runs unprotected, which the trace says right
+    # after the entry (entry, cycles, used, allowed); replay agrees
+    sc = scenario(variant="hw_irq_quota", adversary="exhaustive",
+                  hw_ext={"allowed": 20, "window": 5000})
+    out = explorer.run(sc)
+    lines = out.trace_lines
+    unarmed = [i for i, ln in enumerate(lines) if ln.startswith("E unarmed ")]
+    assert len(unarmed) == 4
+    for i in unarmed:
+        assert lines[i - 1].startswith("E eenter 0x1000 ")
+        assert lines[i].split()[2:6] == ["0x1000", "0x20", "0x0", "0x14"]
+    assert explorer.replay(sc, lines, len(lines)).ok
 
 
 def test_replay_detects_truncation(tmp_path):

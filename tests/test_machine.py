@@ -1,8 +1,6 @@
 """Hardware-model unit and property tests: entry/exit/async-exit
 semantics, save/restore fidelity, scrubbing, and determinism."""
 
-import hashlib
-
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -25,7 +23,9 @@ from aexlab.runtimes import (
     layout_regions,
 )
 
-from conftest import CODE, DATA, PUB, make_raw_machine
+from conftest import CODE, DATA, PUB, load_script, make_raw_machine
+
+canonical_digest = load_script("agreement").canonical_digest
 
 
 def enclave_machine(nssa=2):
@@ -327,21 +327,17 @@ def test_identical_event_sequences_identical_digests():
     assert drive() == drive()
 
 
-def _spec_digest(m):
-    return hashlib.sha256(repr(m.canonical()).encode()).hexdigest()[:16]
-
-
 def test_digest_of_empty_and_one_cell_memory():
     # the cell part is `repr` of a tuple: "()" when empty, and a trailing
     # comma for exactly one cell
     m, _ = enclave_machine()
     assert m.mem.canonical() == []
-    assert m.digest() == _spec_digest(m)
+    assert m.digest() == canonical_digest(m)
     for value, secret in ((5, False), (0, True), (MASK64, True)):
         one, _ = enclave_machine()
         one.mem.write(DATA, value, secret)
         assert len(one.mem.canonical()) == 1
-        assert one.digest() == _spec_digest(one)
+        assert one.digest() == canonical_digest(one)
 
 
 _WORDS = [DATA, DATA + 8, DATA + 0x800, PUB, PUB + 8]
@@ -436,7 +432,7 @@ def test_digest_equals_the_canonical_repr(graphene_interrupted, start, ops):
     # must not move its parent's digest
     m, prog = _digest_start(start, graphene_interrupted)
     ancestors = []
-    assert m.digest() == _spec_digest(m)
+    assert m.digest() == canonical_digest(m)
     for op in ops:
         try:
             if op[0] == "write":
@@ -464,9 +460,9 @@ def test_digest_equals_the_canonical_repr(graphene_interrupted, start, ops):
                 m = m.clone()
         except (MachineError, EntryDenied, ResumeDenied, InterpError):
             pass
-        assert m.digest() == _spec_digest(m)
+        assert m.digest() == canonical_digest(m)
         for parent, digest in ancestors:
-            assert parent.digest() == digest == _spec_digest(parent)
+            assert parent.digest() == digest == canonical_digest(parent)
 
 
 def test_clone_is_independent():

@@ -18,7 +18,7 @@ from aexlab.interp import step
 from aexlab.machine import (
     DEFAULT_IRQ_GRANT, E_EXIT, E_HW_ERESUME, MASK64, PAYLOAD, PAYLOAD_SHIFT,
     RAX, RBX, REG_IDS, RIP, RSP, SECRET, SGX1, SGX2, VEC_EXT_INT,
-    VEC_PAGE_FAULT,
+    VEC_PAGE_FAULT, Machine,
 )
 from aexlab.runtimes import VARIANTS, build_machine, build_runtime
 
@@ -438,10 +438,15 @@ def test_pruning_stays_sound_where_the_payload_matters(monkeypatch):
 
 def test_an_oracle_whose_name_is_gone_raises(monkeypatch):
     # a renamed private name must not turn the oracle into a no-op
-    monkeypatch.delattr(adversary, "_covered_group")
-    with pytest.raises(AttributeError, match="adversary._covered_group"):
-        with agreement.covered():
-            pass
+    for owner, name, oracle in ((adversary, "_count_covered",
+                                 agreement.covered),
+                                (Machine, "digest", agreement.digests)):
+        with monkeypatch.context() as patch:
+            patch.delattr(owner, name)
+            with pytest.raises(AttributeError,
+                               match=f"{owner.__name__}.{name} is gone"):
+                with oracle():
+                    pass
 
 
 def test_counterexample_is_found_by_an_executed_run():
@@ -594,7 +599,7 @@ def test_a_counterexample_mid_binding_counts_the_covered_plans_before_it(
     # counted, those after it are not
     image = build_runtime("open_enclave_style")
     executed, groups = [], {}
-    attempt, covered_group = adversary._attempt, adversary._covered_group
+    attempt, count_covered = adversary._attempt, adversary._count_covered
 
     class Silent:
         violated = False
@@ -609,12 +614,13 @@ def test_a_counterexample_mid_binding_counts_the_covered_plans_before_it(
         executed.append((args[7], args[3]))     # track, inject
         return attempt(*args)
 
-    def recorded_group(image, snapshot, binding, group, clean, budget):
+    def recorded_group(image, snapshot, binding, group, clean, budget,
+                       stats):
         groups.setdefault(binding, []).append(group)
-        return covered_group(image, snapshot, binding, group, clean, budget)
+        count_covered(image, snapshot, binding, group, clean, budget, stats)
 
     monkeypatch.setattr(adversary, "_attempt", recorded_attempt)
-    monkeypatch.setattr(adversary, "_covered_group", recorded_group)
+    monkeypatch.setattr(adversary, "_count_covered", recorded_group)
     monkeypatch.setattr(adversary, "_monitored", lambda cp, trace: Silent())
     assert isinstance(exhaustive_attacker(image, SGX2), NoneFound)
     whole = {binding: got[0] for binding, got in groups.items()}

@@ -16,7 +16,7 @@ from aexlab.harness import (
     prefix_plan, run_plan,
 )
 from aexlab.interp import UnknownCriticalRange, complete_critical
-from aexlab.machine import E_EXIT, RSP, SGX2, VEC_EXT_INT
+from aexlab.machine import E_EXIT, MODE_ENCLAVE, RSP, SGX2, VEC_EXT_INT
 from aexlab.runtimes import (
     CMD_EXCEPTION, CMD_ORET, CTX_GUARD_WORDS, OCALL_MAGIC, ST_UNHANDLED,
     TD_LAST_SP, TD_STACK_BASE, TD_STACK_LIMIT, Toggles, build_machine,
@@ -186,12 +186,13 @@ def graphene_frame_at(img, pc_picker, plan=None):
     m = build_machine(img, SGX2)
     target = {}
 
-    def collect(mm):
-        pc = mm.regs[16]
-        if pc_picker(pc) and "snap" not in target:
-            target["snap"] = mm.clone()
+    def collect():
+        pc = m.regs[16]
+        if (m.mode == MODE_ENCLAVE and m.pending_fault < 0 and pc_picker(pc)
+                and "snap" not in target):
+            target["snap"] = m.clone()
 
-    run_plan(m, img, plan or benign_plan(), before_step=collect)
+    run_plan(m, img, plan or benign_plan(), after_events=collect)
     snap = target["snap"]
     snap.aex(VEC_EXT_INT)
     return snap, snap.ssa[snap.tcs.cssa - 1]
