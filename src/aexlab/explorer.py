@@ -23,8 +23,8 @@ from .properties import (
     Verdict, any_violation, evaluate, milestones,
 )
 from .runtimes import (
-    VARIANTS, EnclaveImage, Layout, Toggles, build_machine, build_runtime,
-    fixture_path,
+    CMD_INVALID, CMD_ORET, VARIANTS, EnclaveImage, Layout, Toggles,
+    build_machine, build_runtime, fixture_path,
 )
 
 EXIT_OK = 0
@@ -370,8 +370,8 @@ def emulation_differential(image: EnclaveImage, sgx_version: int = 2,
     snapshots: dict[int, Machine] = {}
     drivers = [
         benign_plan(),
-        [Eenter.of(7, regs={"rsp": 0, "rsi": 0})],            # invalid ecall
-        [Eenter.of((-2) & ((1 << 64) - 1), regs={"rsp": 0, "rsi": 0})],
+        [Eenter.of(CMD_INVALID, regs={"rsp": 0, "rsi": 0})],
+        [Eenter.of(CMD_ORET, regs={"rsp": 0, "rsi": 0})],
     ]
     for actions in drivers:
         m = build_machine(image, sgx_version)
@@ -452,6 +452,8 @@ def load_mapping(path: Optional[str] = None) -> list[dict]:
     unknown = set(doc) - {"comment", "runtimes"}
     if unknown:
         raise reporting.ScenarioError(f"unknown keys: {sorted(unknown)}")
+    if not doc["runtimes"]:
+        raise reporting.ScenarioError("runtimes must list at least one row")
     for i, row in enumerate(doc["runtimes"]):
         try:
             _check_row(row)

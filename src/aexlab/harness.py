@@ -21,10 +21,13 @@ from typing import Callable, Optional
 
 from .interp import step
 from .machine import (
-    E_ADV_SEED, EntryDenied, MASK64, MODE_ENCLAVE, PAYLOAD, REG_IDS, RSI, RSP,
-    ResumeDenied, Machine,
+    E_ADV_SEED, HW_IRQ_QUOTA, EntryDenied, MASK64, MODE_ENCLAVE, PAYLOAD,
+    REG_IDS, RSI, RSP, ResumeDenied, Machine,
 )
-from .runtimes import EnclaveImage
+from .runtimes import (
+    CMD_ECALL_COMPUTE, CMD_ECALL_FAULTING, CMD_EXCEPTION, CMD_ORET,
+    EnclaveImage,
+)
 
 # Run end statuses.
 DONE = "done"               # plan exhausted with the platform quiescent
@@ -225,7 +228,7 @@ def run_plan(machine: "Machine | Point", image: EnclaveImage, actions: list,
                 notify()
                 continue
             # expire a cycle-bounded atomic window
-            if (machine.hw.atomic and machine.hw.kind == "irq_quota"
+            if (machine.hw.atomic and machine.hw.kind == HW_IRQ_QUOTA
                     and machine.cycle >= machine.hw.atomic_until):
                 vec = machine.end_atomic()
                 if vec is not None:
@@ -346,18 +349,18 @@ BENIGN_REGS = {"rsp": 0, "rsi": 0}
 def prefix_plan() -> list:
     """Drive the compute ecall up to its pending ocall: the state every
     ocall-return scenario starts from."""
-    return [Eenter.of(0, regs=dict(BENIGN_REGS))]
+    return [Eenter.of(CMD_ECALL_COMPUTE, regs=dict(BENIGN_REGS))]
 
 
 def benign_plan() -> list:
     """Cooperative host: run the faulting ecall (deliver its exception,
     resume), then the compute ecall with a served ocall."""
     return [
-        Eenter.of(1, regs=dict(BENIGN_REGS)),
-        Eenter.of((-3) & MASK64, regs=dict(BENIGN_REGS)),
+        Eenter.of(CMD_ECALL_FAULTING, regs=dict(BENIGN_REGS)),
+        Eenter.of(CMD_EXCEPTION, regs=dict(BENIGN_REGS)),
         Eresume(),
-        Eenter.of(0, regs=dict(BENIGN_REGS)),
-        Eenter.of((-2) & MASK64, regs={"rsp": 0, "rsi": BENIGN_OCALL_RESULT}),
+        Eenter.of(CMD_ECALL_COMPUTE, regs=dict(BENIGN_REGS)),
+        Eenter.of(CMD_ORET, regs={"rsp": 0, "rsi": BENIGN_OCALL_RESULT}),
         Stop(),
     ]
 
@@ -365,12 +368,11 @@ def benign_plan() -> list:
 def benign_nested_plan(handler_boundary: int = 15) -> list:
     """Cooperative host that lets a second exception land while the first
     is being handled, then attempts to deliver it."""
-    exc = (-3) & MASK64
     return [
-        Eenter.of(1, regs=dict(BENIGN_REGS)),
+        Eenter.of(CMD_ECALL_FAULTING, regs=dict(BENIGN_REGS)),
         InjectAex(32, handler_boundary),
-        Eenter.of(exc, regs=dict(BENIGN_REGS)),
-        Eenter.of(exc, regs=dict(BENIGN_REGS)),
+        Eenter.of(CMD_EXCEPTION, regs=dict(BENIGN_REGS)),
+        Eenter.of(CMD_EXCEPTION, regs=dict(BENIGN_REGS)),
         Eresume(),
         Eresume(),
         Stop(),
@@ -380,13 +382,11 @@ def benign_nested_plan(handler_boundary: int = 15) -> list:
 def benign_critical_exception_plan(boundary: int, vector: int = 32) -> list:
     """Cooperative host that delivers an exception landing inside the
     ocall-return window, then serves the ocall to completion."""
-    exc = (-3) & MASK64
-    oret = (-2) & MASK64
     return [
-        Eenter.of(0, regs=dict(BENIGN_REGS)),
+        Eenter.of(CMD_ECALL_COMPUTE, regs=dict(BENIGN_REGS)),
         InjectAex(vector, boundary),
-        Eenter.of(oret, regs={"rsp": 0, "rsi": BENIGN_OCALL_RESULT}),
-        Eenter.of(exc, regs=dict(BENIGN_REGS)),
+        Eenter.of(CMD_ORET, regs={"rsp": 0, "rsi": BENIGN_OCALL_RESULT}),
+        Eenter.of(CMD_EXCEPTION, regs=dict(BENIGN_REGS)),
         Eresume(),
         Stop(),
     ]

@@ -4,7 +4,9 @@ Programs are written one instruction per line with `label:` prefixes and
 `;` comments, assembled to an immutable address->instruction map.  Each
 instruction occupies one address unit, so `rip + 1` is the next
 instruction.  Immediates are `$`-prefixed literals or symbols; registers
-are bare names.  Two pseudo-directives attach metadata used elsewhere:
+are bare names.  `SYNTAX` gives each opcode's mnemonic and operands; the
+assembler and `render` both read it.  Two pseudo-directives attach
+metadata used elsewhere:
 
     .window start NAME / .window end NAME   untrusted-stack-pointer spans
     .crit start NAME   / .crit end NAME     emulation-covered critical spans
@@ -28,15 +30,6 @@ from .machine import MASK64, REG_IDS, REG_NAMES
     OP_HALT, OP_TRAP, OP_DECLASSIFY, OP_EMULATE_CRITICAL,
 ) = range(29)
 
-OP_NAMES = [
-    "mov_rr", "mov_ri", "load", "store", "push", "pop",
-    "add", "sub", "and", "cmpj_i", "cmpj_r",
-    "jmp", "jmpreg", "call", "ret",
-    "memcpy", "scrub", "read_ssa", "write_ssa", "eexit_r", "eexit_i",
-    "begin_atomic", "end_atomic", "set_flag", "clear_flag",
-    "halt", "trap", "declassify", "emulate_critical",
-]
-
 # SSA fields addressable by read_ssa/write_ssa: any register name plus the
 # exit-information fields.
 SSA_FIELD_VALID = 18
@@ -49,31 +42,52 @@ SSA_FIELD_NAMES = REG_NAMES + ["exitinfo_valid", "exitinfo_vector"]
 RELATIONS = {"eq": 0, "ne": 1, "lt": 2, "le": 3, "gt": 4, "ge": 5}
 REL_NAMES = {v: k for k, v in RELATIONS.items()}
 
-# An Instruction is a plain tuple (op, a, b, c) with operand meaning per op:
-#   mov_rr   dst, src
-#   mov_ri   dst, imm
-#   load     dst, base, off        dst := mem[base+off]
-#   store    base, off, src        mem[base+off] := src
-#   push src / pop dst
-#   add/sub/and  reg, imm
-#   cmpj_i   reg, imm, (rel, target)
-#   cmpj_r   reg, reg2, (rel, target)
-#   jmp      target
-#   jmpreg   reg
-#   call     target
-#   ret
-#   memcpy   dst_reg, src_reg, len_reg
-#   scrub    regmask
-#   read_ssa dst, field            frame index is cssa-1
-#   write_ssa field, src
-#   eexit_r  reg / eexit_i imm
-#   begin_atomic declared_cycles   (grants into rax: 1 ok, 0 denied)
-#   end_atomic
-#   set_flag / clear_flag  td_offset
-#   halt     status
-#   trap     vector                a deliberately faulting instruction
-#   declassify reg                 marshaling: declared-public output
-#   emulate_critical               complete an interrupted critical span
+# Operand kinds of SYNTAX, each spelled as it reads in an expected form
+REG = "reg"            # a register name
+IMM = "$imm"           # a `$` literal or symbol, rendered in hex
+DEC = "$n"             # a `$` literal or symbol, rendered in decimal
+MEM = "[reg+off]"      # base register and offset: fills two slots
+LABEL = "label"        # a code label, rendered as its address
+FIELD = "field"        # a save-frame field: a register or exitinfo_*
+BRANCH = "rel, label"  # cmpj's relation and target: two operands, one slot
+REGS = "reg, ..."      # scrub's registers, filled as one bit mask
+
+# The text form of every opcode, indexed by opcode: its mnemonic and its
+# operands in text order.  An Instruction is a plain tuple (op, a, b, c)
+# whose slots a, b, c the operands fill in that order; unused slots are 0.
+# The assembler tells a mnemonic's rows apart by operand count and by
+# which operands are `$` immediates.
+SYNTAX = (
+    ("mov", (REG, REG)),
+    ("mov", (REG, IMM)),
+    ("load", (REG, MEM)),
+    ("store", (MEM, REG)),
+    ("push", (REG,)),
+    ("pop", (REG,)),
+    ("add", (REG, IMM)),
+    ("sub", (REG, IMM)),
+    ("and", (REG, IMM)),
+    ("cmpj", (REG, IMM, BRANCH)),
+    ("cmpj", (REG, REG, BRANCH)),
+    ("jmp", (LABEL,)),
+    ("jmpreg", (REG,)),
+    ("call", (LABEL,)),
+    ("ret", ()),
+    ("memcpy", (REG, REG, REG)),    # dst, src, len
+    ("scrub", (REGS,)),
+    ("read_ssa", (REG, FIELD)),     # from the frame at cssa-1
+    ("write_ssa", (FIELD, REG)),
+    ("eexit", (REG,)),
+    ("eexit", (IMM,)),
+    ("begin_atomic", (DEC,)),       # declared cycles; rax := 1 granted, 0 not
+    ("end_atomic", ()),
+    ("set_flag", (IMM,)),           # thread-data offset
+    ("clear_flag", (IMM,)),
+    ("halt", (IMM,)),               # status
+    ("trap", (DEC,)),               # vector; always faults
+    ("declassify", (REG,)),         # marshaling: declared-public output
+    ("emulate_critical", ()),       # complete an interrupted critical span
+)
 Instruction = tuple
 
 
@@ -121,6 +135,8 @@ class Program:
 
 def _parse_imm(tok: str, symbols: dict[str, int], labels: dict[str, int],
                lineno: int) -> int:
+    if not tok.startswith("$"):
+        raise AsmError(f"line {lineno}: expected immediate, got {tok!r}")
     body = tok[1:]
     neg = body.startswith("-")
     if neg:
@@ -221,170 +237,105 @@ def assemble(text: str, base: int, symbols: Optional[dict[str, int]] = None,
 
     # pass 2: encode
     code: dict[int, Instruction] = {}
-    addr = base
-    for lineno, line in stripped:
+    for addr, (lineno, line) in enumerate(stripped, base):
         mnem, _, rest = line.partition(" ")
-        ops = _split_ops(rest)
-        ins = _encode(mnem, ops, symbols, labels, lineno)
-        code[addr] = ins
-        addr += 1
+        code[addr] = _encode(mnem, _split_ops(rest), symbols, labels, lineno)
 
     return Program(base=base, code=code, labels=labels,
                    windows=spans[".window"], crit_ranges=spans[".crit"],
                    source=tuple(lines))
 
 
-def _encode(mnem: str, ops: list[str], symbols, labels, lineno) -> Instruction:
-    def imm(tok):
-        if not tok.startswith("$"):
-            raise AsmError(f"line {lineno}: expected immediate, got {tok!r}")
-        return _parse_imm(tok, symbols, labels, lineno)
+def _lookup(table, tok, lineno, what="target", error=UnresolvedLabel) -> int:
+    if tok not in table:
+        raise error(f"line {lineno}: unknown {what} {tok!r}")
+    return table[tok]
 
-    if mnem == "mov":
-        if len(ops) != 2:
-            raise AsmError(f"line {lineno}: mov takes 2 operands")
-        if ops[1].startswith("$"):
-            return (OP_MOV_RI, _reg(ops[0], lineno), imm(ops[1]), 0)
-        return (OP_MOV_RR, _reg(ops[0], lineno), _reg(ops[1], lineno), 0)
-    if mnem == "load":
-        b, off = _parse_mem(ops[1], symbols, labels, lineno)
-        return (OP_LOAD, _reg(ops[0], lineno), b, off)
-    if mnem == "store":
-        b, off = _parse_mem(ops[0], symbols, labels, lineno)
-        return (OP_STORE, b, off, _reg(ops[1], lineno))
-    if mnem == "push":
-        return (OP_PUSH, _reg(ops[0], lineno), 0, 0)
-    if mnem == "pop":
-        return (OP_POP, _reg(ops[0], lineno), 0, 0)
-    if mnem in ("add", "sub", "and"):
-        op = {"add": OP_ADD_I, "sub": OP_SUB_I, "and": OP_AND_I}[mnem]
-        return (op, _reg(ops[0], lineno), imm(ops[1]), 0)
-    if mnem == "cmpj":
-        if len(ops) != 4:
-            raise AsmError(f"line {lineno}: cmpj reg, rhs, rel, target")
-        rel = RELATIONS.get(ops[2])
-        if rel is None:
-            raise AsmError(f"line {lineno}: bad relation {ops[2]!r}")
-        if ops[3] not in labels:
-            raise UnresolvedLabel(f"line {lineno}: unknown target {ops[3]!r}")
-        target = labels[ops[3]]
-        if ops[1].startswith("$"):
-            return (OP_CMPJ_I, _reg(ops[0], lineno), imm(ops[1]), (rel, target))
-        return (OP_CMPJ_R, _reg(ops[0], lineno), _reg(ops[1], lineno), (rel, target))
-    if mnem == "jmp":
-        if ops[0] not in labels:
-            raise UnresolvedLabel(f"line {lineno}: unknown target {ops[0]!r}")
-        return (OP_JMP, labels[ops[0]], 0, 0)
-    if mnem == "jmpreg":
-        return (OP_JMP_REG, _reg(ops[0], lineno), 0, 0)
-    if mnem == "call":
-        if ops[0] not in labels:
-            raise UnresolvedLabel(f"line {lineno}: unknown target {ops[0]!r}")
-        return (OP_CALL, labels[ops[0]], 0, 0)
-    if mnem == "ret":
-        return (OP_RET, 0, 0, 0)
-    if mnem == "memcpy":
-        return (OP_MEMCPY, _reg(ops[0], lineno), _reg(ops[1], lineno),
-                _reg(ops[2], lineno))
-    if mnem == "scrub":
-        mask = 0
-        for tok in ops:
-            mask |= 1 << _reg(tok, lineno)
-        return (OP_SCRUB, mask, 0, 0)
-    if mnem == "read_ssa":
-        f = SSA_FIELD_IDS.get(ops[1])
-        if f is None:
-            raise AsmError(f"line {lineno}: unknown ssa field {ops[1]!r}")
-        return (OP_READ_SSA, _reg(ops[0], lineno), f, 0)
-    if mnem == "write_ssa":
-        f = SSA_FIELD_IDS.get(ops[0])
-        if f is None:
-            raise AsmError(f"line {lineno}: unknown ssa field {ops[0]!r}")
-        return (OP_WRITE_SSA, f, _reg(ops[1], lineno), 0)
-    if mnem == "eexit":
-        if ops[0].startswith("$"):
-            return (OP_EEXIT_I, imm(ops[0]), 0, 0)
-        return (OP_EEXIT_R, _reg(ops[0], lineno), 0, 0)
-    if mnem == "begin_atomic":
-        return (OP_BEGIN_ATOMIC, imm(ops[0]), 0, 0)
-    if mnem == "end_atomic":
-        return (OP_END_ATOMIC, 0, 0, 0)
-    if mnem == "set_flag":
-        return (OP_SET_FLAG, imm(ops[0]), 0, 0)
-    if mnem == "clear_flag":
-        return (OP_CLEAR_FLAG, imm(ops[0]), 0, 0)
-    if mnem == "halt":
-        return (OP_HALT, imm(ops[0]), 0, 0)
-    if mnem == "trap":
-        return (OP_TRAP, imm(ops[0]), 0, 0)
-    if mnem == "declassify":
-        return (OP_DECLASSIFY, _reg(ops[0], lineno), 0, 0)
-    if mnem == "emulate_critical":
-        return (OP_EMULATE_CRITICAL, 0, 0, 0)
-    raise AsmError(f"line {lineno}: unknown mnemonic {mnem!r}")
+
+# per kind: its slot values, taken from an iterator over the line's
+# operands given the symbols, the labels and the line number
+_PARSE = {
+    REG: lambda it, sym, lab, n: (_reg(next(it), n),),
+    IMM: lambda it, sym, lab, n: (_parse_imm(next(it), sym, lab, n),),
+    DEC: lambda it, sym, lab, n: (_parse_imm(next(it), sym, lab, n),),
+    MEM: lambda it, sym, lab, n: _parse_mem(next(it), sym, lab, n),
+    LABEL: lambda it, sym, lab, n: (_lookup(lab, next(it), n),),
+    FIELD: lambda it, sym, lab, n: (
+        _lookup(SSA_FIELD_IDS, next(it), n, "ssa field", AsmError),),
+    BRANCH: lambda it, sym, lab, n: (
+        (_lookup(RELATIONS, next(it), n, "relation", AsmError),
+         _lookup(lab, next(it), n)),),
+    REGS: lambda it, sym, lab, n: (sum({1 << _reg(tok, n) for tok in it}),),
+}
+
+
+def _show_branch(slots) -> str:
+    rel, target = next(slots)
+    return f"{REL_NAMES[rel]}, 0x{target:x}"
+
+
+def _show_mask(slots) -> str:
+    mask = next(slots)
+    return ", ".join(r for i, r in enumerate(REG_NAMES) if mask >> i & 1)
+
+
+# per kind: its text from an iterator over the instruction's slots
+_SHOW = {
+    REG: lambda v: REG_NAMES[next(v)],
+    IMM: lambda v: f"$0x{next(v):x}",
+    DEC: lambda v: f"${next(v)}",
+    MEM: lambda v: f"[{REG_NAMES[next(v)]}+0x{next(v):x}]",
+    LABEL: lambda v: f"0x{next(v):x}",
+    FIELD: lambda v: SSA_FIELD_NAMES[next(v)],
+    BRANCH: _show_branch,
+    REGS: _show_mask,
+}
+
+
+def _matchers() -> dict[str, list[tuple]]:
+    """Per mnemonic, its rows as (op, parsers, whether each operand is a
+    `$` immediate, whether the last operand takes the rest, the zeros that
+    pad the instruction to four slots)."""
+    matchers: dict[str, list[tuple]] = {}
+    for op, (mnem, kinds) in enumerate(SYNTAX):
+        shape = tuple(k in (IMM, DEC) for k in kinds
+                      for _ in range(2 if k == BRANCH else 1))
+        matchers.setdefault(mnem, []).append(
+            (op, tuple(_PARSE[k] for k in kinds), shape, REGS in kinds,
+             (0,) * (3 - len(kinds) - (MEM in kinds))))
+    return matchers
+
+
+_MATCHERS = _matchers()
+
+
+def _encode(mnem: str, ops: list[str], symbols, labels, lineno) -> Instruction:
+    rows = _MATCHERS.get(mnem)
+    if rows is None:
+        raise AsmError(f"line {lineno}: unknown mnemonic {mnem!r}")
+    n = len(ops)
+    # several rows: the operands' `$` shape picks one (and fixes their
+    # count); one row: only the count is checked, then its parsers check
+    # each operand
+    shape = tuple([t[:1] == "$" for t in ops]) if len(rows) > 1 else None
+    for op, parsers, want, rest, pad in rows:
+        if (shape == want if shape is not None
+                else n == len(want) or rest and n > len(want)):
+            toks = iter(ops)
+            ins = [op]
+            for parse in parsers:
+                ins += parse(toks, symbols, labels, lineno)
+            return tuple(ins) + pad
+    forms = (f"{mnem} {', '.join(SYNTAX[row[0]][1])}".strip() for row in rows)
+    raise AsmError(f"line {lineno}: expected {' or '.join(map(repr, forms))}")
 
 
 def render(ins: Instruction) -> str:
     """Readable one-line form, used in diagnostics and trace dumps."""
-    op, a, b, c = ins
-    r = REG_NAMES
-    if op == OP_MOV_RR:
-        return f"mov {r[a]}, {r[b]}"
-    if op == OP_MOV_RI:
-        return f"mov {r[a]}, $0x{b:x}"
-    if op == OP_LOAD:
-        return f"load {r[a]}, [{r[b]}+0x{c:x}]"
-    if op == OP_STORE:
-        return f"store [{r[a]}+0x{b:x}], {r[c]}"
-    if op == OP_PUSH:
-        return f"push {r[a]}"
-    if op == OP_POP:
-        return f"pop {r[a]}"
-    if op == OP_ADD_I:
-        return f"add {r[a]}, $0x{b:x}"
-    if op == OP_SUB_I:
-        return f"sub {r[a]}, $0x{b:x}"
-    if op == OP_AND_I:
-        return f"and {r[a]}, $0x{b:x}"
-    if op == OP_CMPJ_I:
-        return f"cmpj {r[a]}, $0x{b:x}, {REL_NAMES[c[0]]}, 0x{c[1]:x}"
-    if op == OP_CMPJ_R:
-        return f"cmpj {r[a]}, {r[b]}, {REL_NAMES[c[0]]}, 0x{c[1]:x}"
-    if op == OP_JMP:
-        return f"jmp 0x{a:x}"
-    if op == OP_JMP_REG:
-        return f"jmpreg {r[a]}"
-    if op == OP_CALL:
-        return f"call 0x{a:x}"
-    if op == OP_RET:
-        return "ret"
-    if op == OP_MEMCPY:
-        return f"memcpy {r[a]}, {r[b]}, {r[c]}"
-    if op == OP_SCRUB:
-        names = [r[i] for i in range(len(r)) if a & (1 << i)]
-        return "scrub " + ", ".join(names)
-    if op == OP_READ_SSA:
-        return f"read_ssa {r[a]}, {SSA_FIELD_NAMES[b]}"
-    if op == OP_WRITE_SSA:
-        return f"write_ssa {SSA_FIELD_NAMES[a]}, {r[b]}"
-    if op == OP_EEXIT_R:
-        return f"eexit {r[a]}"
-    if op == OP_EEXIT_I:
-        return f"eexit $0x{a:x}"
-    if op == OP_BEGIN_ATOMIC:
-        return f"begin_atomic ${a}"
-    if op == OP_END_ATOMIC:
-        return "end_atomic"
-    if op == OP_SET_FLAG:
-        return f"set_flag $0x{a:x}"
-    if op == OP_CLEAR_FLAG:
-        return f"clear_flag $0x{a:x}"
-    if op == OP_HALT:
-        return f"halt $0x{a:x}"
-    if op == OP_TRAP:
-        return f"trap ${a}"
-    if op == OP_DECLASSIFY:
-        return f"declassify {r[a]}"
-    if op == OP_EMULATE_CRITICAL:
-        return "emulate_critical"
-    return f"?op{op}"
+    op = ins[0]
+    if not 0 <= op < len(SYNTAX):
+        return f"?op{op}"
+    mnem, kinds = SYNTAX[op]
+    slots = iter(ins[1:])
+    text = ", ".join(_SHOW[k](slots) for k in kinds)
+    return f"{mnem} {text}" if kinds else mnem

@@ -461,7 +461,7 @@ class HwExt:
 #   HW_FLIP     page_base, perms, 0, 0
 #   HW_GRANT    allowed, window, 0, 0
 #   HW_DEFER    rip, vector, 0, 0         async exit deferred by atomic section
-#   ADV_*       adversary bookkeeping, appended by the harness
+#   ADV_SEED    0, addr, nwords, 0        public words seeded by the harness
 #   HW_UNARMED  entry, cycles, used, allowed  entry window not armed: the
 #                                         irq quota refused its charge
 
@@ -480,19 +480,15 @@ E_HW_DENIED = 11
 E_HW_FLIP = 12
 E_HW_GRANT = 13
 E_HW_DEFER = 14
-E_ADV_PREP = 15
-E_ADV_INJECT = 16
-E_ADV_STOP = 17
-E_ADV_SEED = 18
-E_MEMR = 19      # pc, addr, stack_flag, 0   memory read by the instruction
-E_MEMCPY = 20    # pc, dst, src, nbytes      block copy completed
-E_HW_UNARMED = 21
+E_ADV_SEED = 15
+E_MEMR = 16      # pc, addr, stack_flag, 0   memory read by the instruction
+E_MEMCPY = 17    # pc, dst, src, nbytes      block copy completed
+E_HW_UNARMED = 18
 
 EVENT_NAMES = [
     "retire", "store", "sp_assign", "ctrl", "fault", "leak", "exit", "halt",
     "eenter", "aex", "eresume", "denied", "flip", "grant", "defer",
-    "adv_prep", "adv_inject", "adv_stop", "adv_seed", "memr", "memcpy",
-    "unarmed",
+    "adv_seed", "memr", "memcpy", "unarmed",
 ]
 EVENT_IDS = {n: i for i, n in enumerate(EVENT_NAMES)}
 

@@ -19,8 +19,8 @@ from .machine import (
     E_RETIRE, E_SP_ASSIGN, E_STORE, DENY_NO_FREE_SLOT, MASK64,
 )
 from .runtimes import (
-    CMD_EXCEPTION, CMD_ORET, ECALL0_RESULT_DELTA, ECALL1_RESULT,
-    EnclaveImage, ST_EXC_IGNORED, ST_UNHANDLED, TD_EXC_FLAG,
+    CMD_ECALL_FAULTING, CMD_EXCEPTION, CMD_ORET, ECALL0_RESULT_DELTA,
+    ECALL1_RESULT, EnclaveImage, ST_EXC_IGNORED, ST_UNHANDLED, TD_EXC_FLAG,
 )
 
 VIOLATED = "violated"
@@ -228,7 +228,7 @@ def check_functionality(trace: list[tuple], image: EnclaveImage,
                 pending_exception_entry = True
             elif cmd == CMD_ORET:
                 oret_expected = (ev[3] + ECALL0_RESULT_DELTA) & MASK64
-            elif cmd == 1:
+            elif cmd == CMD_ECALL_FAULTING:
                 ecall1_seen = True
         elif kind == E_HW_DENIED and ev[2] == DENY_NO_FREE_SLOT:
             denied_delivery = True

@@ -47,7 +47,6 @@ OCALL_MAGIC = 0x0CA11F1A6
 # ocall stub (ascending from the context base):
 #   +0 flag  +8 pre_last_sp  +16 rbx  +24 rbp  +32 r12  +40 r13  +48 r14
 #   +56 r15  +64 return-address anchor
-CTX_ANCHOR_OFF = 64
 CTX_GUARD_WORDS = 30          # oret upper-bound window: base - 30 words
 
 # Exception-information struct written by the handler (word index -> field).
@@ -60,7 +59,6 @@ INFO_FREE_WINDOW = 64                  # r8..r15: freely attacker-valued bytes
 I_VECTOR = INFO_FIELDS.index("vector") * 8
 I_RIP = INFO_FIELDS.index("rip") * 8
 I_RSP = INFO_FIELDS.index("rsp") * 8
-I_RFLAGS = INFO_FIELDS.index("rflags") * 8
 I_RDI = INFO_FIELDS.index("rdi") * 8
 
 ECALL0_FRAME = 384            # body frame depth; keeps the crafted sp in range
@@ -257,10 +255,6 @@ class EnclaveImage:
     def anchor_addr(self) -> int:
         """Anchor slot for the single benign ocall of the compute ecall."""
         return self.stack_base - ECALL0_FRAME - 8
-
-    @property
-    def ocall_ctx_addr(self) -> int:
-        return self.anchor_addr - CTX_ANCHOR_OFF
 
 
 # ---------------------------------------------------------------------------

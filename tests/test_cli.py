@@ -171,15 +171,6 @@ def test_workers_below_one_exit_one_with_message(tmp_path, capsys, command,
     assert not (tmp_path / "o").exists()
 
 
-def test_matrix_empty_mapping_header_only(tmp_path):
-    path = tmp_path / "empty.json"
-    path.write_text(json.dumps({"runtimes": []}))
-    rc, stdout, _ = cli("matrix", "--mapping", str(path), "--sgx", "2",
-                        "--out", str(tmp_path / "o"))
-    assert rc == 0
-    assert "totals: 0 vulnerable, 0 safe (of 0)" in stdout
-
-
 MAPPING_ROW = {"runtime": "A", "variant": "nssa_disabled",
                "exception_handling": False}
 
@@ -200,9 +191,10 @@ MAPPING_ROW = {"runtime": "A", "variant": "nssa_disabled",
     ({"runtimes": [MAPPING_ROW, {"runtime": "B", "variant": "sdk_style",
                                  "exception_handling": "no"}]},
      "runtimes[1]: exception_handling must be true or false, got 'no'"),
+    ({"runtimes": []}, "runtimes must list at least one row"),
 ], ids=["unknown_variant", "no_runtime", "negative_critical_pad",
         "runtimes_not_a_list", "toggles_not_an_object",
-        "exception_handling_not_a_bool"])
+        "exception_handling_not_a_bool", "empty_runtimes"])
 def test_malformed_mapping_exits_one_before_certifying(tmp_path, doc,
                                                        message):
     path = tmp_path / "mapping.json"

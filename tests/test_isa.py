@@ -3,7 +3,7 @@
 import pytest
 
 from aexlab.isa import (
-    AsmError, CodeOverflow, DuplicateLabel, OP_CALL, OP_POP, OP_RET,
+    AsmError, CodeOverflow, DuplicateLabel, OP_CALL, OP_POP, OP_RET, SYNTAX,
     UnresolvedLabel, assemble, render,
 )
 
@@ -110,15 +110,65 @@ def test_symbols_resolve():
     assert prog.code[0][2] == 0x1234
 
 
+# one line per SYNTAX row, in opcode order, with its rendered text
+RENDERED = [
+    ("mov rax, rbx", "mov rax, rbx"),
+    ("mov rax, $-1", "mov rax, $0xffffffffffffffff"),
+    ("load rcx, [rdx+16]", "load rcx, [rdx+0x10]"),
+    ("store [rsp-8], r8", "store [rsp+0xfffffffffffffff8], r8"),
+    ("push r8", "push r8"),
+    ("pop r15", "pop r15"),
+    ("add rsp, $0x20", "add rsp, $0x20"),
+    ("sub rsp, $magic", "sub rsp, $0x1234"),
+    ("and rdi, $-16", "and rdi, $0xfffffffffffffff0"),
+    ("cmpj rax, $1, eq, out", "cmpj rax, $0x1, eq, 0x2d"),
+    ("cmpj rax, rbx, ge, top", "cmpj rax, rbx, ge, 0x10"),
+    ("jmp out", "jmp 0x2d"),
+    ("jmpreg rsi", "jmpreg rsi"),
+    ("call top", "call 0x10"),
+    ("ret", "ret"),
+    ("memcpy rdi, rsi, rdx", "memcpy rdi, rsi, rdx"),
+    ("scrub rflags, rbx, rax, rbx", "scrub rax, rbx, rflags"),
+    ("read_ssa rdx, exitinfo_vector", "read_ssa rdx, exitinfo_vector"),
+    ("write_ssa rip, rcx", "write_ssa rip, rcx"),
+    ("eexit rdi", "eexit rdi"),
+    ("eexit $7", "eexit $0x7"),
+    ("begin_atomic $40", "begin_atomic $40"),
+    ("end_atomic", "end_atomic"),
+    ("set_flag $0x18", "set_flag $0x18"),
+    ("clear_flag $24", "clear_flag $0x18"),
+    ("halt $255", "halt $0xff"),
+    ("trap $0xe", "trap $14"),
+    ("declassify rax", "declassify rax"),
+    ("emulate_critical", "emulate_critical"),
+]
+
+
 def test_render_round_trips_mnemonics():
-    src = ("    mov rax, rbx\n    load rcx, [rdx+16]\n    push r8\n"
-           "    cmpj rax, $1, eq, out\nout:\n    halt $0\n")
-    prog = assemble(src, 0)
-    text = [render(prog.code[a]) for a in sorted(prog.code)]
-    assert text[0] == "mov rax, rbx"
-    assert "load rcx" in text[1]
-    assert text[2] == "push r8"
-    assert "eq" in text[3]
+    src = "top:\n" + "".join(f"    {line}\n" for line, _ in RENDERED)
+    prog = assemble(src + "out:\n", 0x10, {"magic": 0x1234})
+    code = [prog.code[a] for a in sorted(prog.code)]
+    assert [ins[0] for ins in code] == list(range(len(SYNTAX)))
+    text = [render(ins) for ins in code]
+    assert text == [want for _, want in RENDERED]
+
+
+@pytest.mark.parametrize("line, form", [
+    ("push", "'push reg'"),
+    ("push rax, rbx", "'push reg'"),
+    ("load rax", "'load reg, [reg+off]'"),
+    ("jmp", "'jmp label'"),
+    ("ret rax", "'ret'"),
+    ("scrub", "'scrub reg, ...'"),
+    ("mov rax", "'mov reg, reg' or 'mov reg, $imm'"),
+    ("cmpj rax, $1, eq", "'cmpj reg, $imm, rel, label' or "
+                         "'cmpj reg, reg, rel, label'"),
+    ("eexit", "'eexit reg' or 'eexit $imm'"),
+])
+def test_wrong_operand_count_names_line_and_form(line, form):
+    with pytest.raises(AsmError) as err:
+        assemble(f"top:\n    ret\n    {line}\n", 0)
+    assert str(err.value) == f"line 3: expected {form}"
 
 
 def test_call_encodes_target_address():

@@ -432,7 +432,9 @@ def _program_pin(variant: str, toggles: Toggles) -> str:
         img.sp_windows, img.crit_ranges, img.entry_atomic_cycles,
         m.tcs.nssa, m.hw.kind, m.entry_atomic_cycles,
     )
-    return generate_source(variant, toggles) + repr(meta)
+    code = sorted(img.program.code.items())
+    text = [isa.render(ins) for _, ins in code]
+    return generate_source(variant, toggles) + repr(meta) + repr((code, text))
 
 
 PROGRAM_GRID = [
@@ -443,16 +445,17 @@ PROGRAM_GRID = [
 
 
 def test_every_generated_program_is_pinned():
-    # 8 variants x 36 toggle combinations: the program text and the image
-    # and machine metadata the detectors and the adversary read
+    # 8 variants x 36 toggle combinations: the program text, the image
+    # and machine metadata the detectors and the adversary read, and the
+    # assembled instructions with their rendered text
     import hashlib
     h = hashlib.sha256()
     for variant in runtimes.VARIANTS:
         for toggles in PROGRAM_GRID:
             h.update(_program_pin(variant, toggles).encode())
     assert len(PROGRAM_GRID) * len(runtimes.VARIANTS) == 288
-    assert h.hexdigest() == ("6d7eec4892da8fd147e2e124f9906ec0"
-                            "d018c8afdf1788dfe2fbf5abbe46a56d")
+    assert h.hexdigest() == ("87c5c3aadae73e17c366702508c09531"
+                            "b8039199997b5105d5ba8a17154bcec2")
 
 
 def _cold_program(variant: str, layout: runtimes.Layout, toggles: Toggles):
