@@ -13,7 +13,6 @@ classes, re-entry commands, and register bindings from a finite domain.
 
 from __future__ import annotations
 
-import contextlib
 import multiprocessing as mp
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -505,12 +504,13 @@ def _search_branch(image: EnclaveImage, snapshot: Machine,
     return None
 
 
-# the search's shared state: set per pool worker, or in-process for one
+# the search's shared state: set in the parent, which forked pool workers
+# inherit
 _W: dict = {}
 
 
-def _worker_init(image, sgx_version, grant, domain, classes, budget,
-                 sp_mode):
+def _set_search_state(image, sgx_version, grant, domain, classes, budget,
+                      sp_mode):
     snapshot = _prefix_snapshot(image, sgx_version, grant)
     _W["image"] = image
     _W["snapshot"] = snapshot
@@ -548,33 +548,45 @@ def exhaustive_attacker(image: EnclaveImage, sgx_version: int = SGX2,
                          "enumerated")
     branches = [(c, r) for c in range(len(REENTRY_CMDS))
                 for r in range(len(domain))]
-    initargs = (image, sgx_version, grant, domain, classes, budget, sp_mode)
 
     # The run budget is enforced between branches (each branch is small and
     # always completes) and branches are consumed in order, so stats and
     # outcomes are identical regardless of worker count: workers only
     # compute branches.
     total = SearchStats()
+    outcome = NoneFound(total)
+    pool = None
     try:
+        _set_search_state(image, sgx_version, grant, domain, classes, budget,
+                          sp_mode)
         if workers <= 1:
-            _worker_init(*initargs)
-            pool = contextlib.nullcontext()
             results = map(_worker_branch, branches)
         else:
-            pool = mp.get_context("fork").Pool(
-                min(workers, len(branches)), _worker_init, initargs)
-            results = pool.imap(_worker_branch, branches)
-        with pool:
-            for stats, ce in results:
-                total.merge(stats)
-                if ce is not None:
-                    ce.stats = total
-                    return ce
-                if total.runs >= budget.max_runs:
-                    return BudgetExceeded(total, "run budget exhausted")
+            n = min(workers, len(branches))
+            pool = mp.get_context("fork").Pool(n)
+            # One batch of n branches at a time, so that no worker is busy
+            # when the search stops early and the pool can be closed: a
+            # worker killed by `terminate` while it sends a result leaves
+            # the result queue's lock held, and the pool's shutdown hangs.
+            results = (r for i in range(0, len(branches), n)
+                       for r in pool.map(_worker_branch, branches[i:i + n]))
+        for stats, ce in results:
+            total.merge(stats)
+            if ce is not None:
+                ce.stats = total
+                outcome = ce
+                break
+            if total.runs >= budget.max_runs:
+                outcome = BudgetExceeded(total, "run budget exhausted")
+                break
+        if pool is not None:
+            pool.close()
+            pool.join()
     finally:
+        if pool is not None:
+            pool.terminate()        # does work only when the search raised
         _W.clear()
-    return NoneFound(total)
+    return outcome
 
 
 # ---------------------------------------------------------------------------

@@ -21,12 +21,12 @@ from .explorer import (
 
 def _cmd_run(args) -> int:
     try:
-        with open(args.scenario) as fh:
+        with open(args.scenario, encoding="utf-8") as fh:
             scenario = reporting.loads_scenario(fh.read())
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except reporting.ScenarioError as e:
+    except (reporting.ScenarioError, UnicodeDecodeError) as e:
         print(f"error: scenario: {e}", file=sys.stderr)
         return EXIT_USAGE
     if args.seed is not None:
@@ -74,7 +74,8 @@ def _cmd_matrix(args) -> int:
     except explorer.FixtureMissing as e:
         print(f"error: mapping fixture missing: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (OSError, json.JSONDecodeError, reporting.ScenarioError) as e:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError,
+            reporting.ScenarioError) as e:
         print(f"error: mapping: {e}", file=sys.stderr)
         return EXIT_USAGE
     os.makedirs(args.out, exist_ok=True)
@@ -113,7 +114,7 @@ def _cmd_replay(args) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except (reporting.TraceFileError, reporting.ScenarioError,
-            json.JSONDecodeError) as e:
+            UnicodeDecodeError, json.JSONDecodeError) as e:
         print(f"error: trace: {e}", file=sys.stderr)
         return EXIT_DIGEST_MISMATCH
     if not result.ok:

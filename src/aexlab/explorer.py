@@ -5,7 +5,6 @@ runtime-survey matrix."""
 from __future__ import annotations
 
 import json
-import multiprocessing as mp
 import os
 import random
 from dataclasses import dataclass, field, replace
@@ -13,12 +12,12 @@ from typing import Optional
 
 from . import adversary, reporting
 from .harness import (
-    Eenter, Point, PrepareRegs, RunResult,
+    Eenter, FlipPerms, Point, PrepareRegs, RunResult,
     benign_critical_exception_plan, benign_nested_plan, benign_plan,
     prefix_plan, run_plan,
 )
 from .isa import Program, render
-from .machine import MODE_ENCLAVE, VECTOR_IDS, Machine
+from .machine import MODE_ENCLAVE, VECTOR_IDS, Machine, UnknownPage
 from .properties import (
     Verdict, any_violation, evaluate, milestones,
 )
@@ -314,15 +313,25 @@ def _divergence(body_lines: list[str], i: int, got: str,
 
 def replay(scenario: dict, body_lines: list[str],
            declared_lines: int) -> ReplayResult:
-    """Re-execute the recorded actions and re-check every event digest."""
+    """Re-execute the recorded actions and re-check every event digest.
+    A flip of a page the layout does not map raises TraceFileError naming
+    its line."""
     if len(body_lines) != declared_lines:
         return ReplayResult(False, len(body_lines),
                             "trace truncated or padded",
                             exit_code=EXIT_DIGEST_MISMATCH)
-    actions = [reporting.action_from_line(ln) for ln in body_lines
-               if ln.startswith("A ")]
+    action_lines = [ln for ln in body_lines if ln.startswith("A ")]
+    actions = [reporting.action_from_line(ln) for ln in action_lines]
     image = _image_for(scenario)
-    res, lines = _execute(scenario, image, actions, record=True)
+    try:
+        res, lines = _execute(scenario, image, actions, record=True)
+    except UnknownPage as e:
+        # the first flip of that base is the one that failed
+        line = next(ln for ln, a in zip(action_lines, actions)
+                    if isinstance(a, FlipPerms) and hex(a.page_base) == str(e))
+        raise reporting.TraceFileError(
+            f"{line!r} flips page {e}, which the layout does not map"
+        ) from None
     for i, (want, got) in enumerate(zip(body_lines, lines)):
         if want != got:
             return ReplayResult(False, i, _divergence(body_lines, i, got,
@@ -444,7 +453,7 @@ def load_mapping(path: Optional[str] = None) -> list[dict]:
     path = path or fixture_path("runtime_matrix.json")
     if not os.path.exists(path):
         raise FixtureMissing(path)
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict) or not isinstance(doc.get("runtimes"), list):
         raise reporting.ScenarioError("the document must be an object whose "
@@ -484,49 +493,32 @@ def _check_row(row) -> None:
                                   "toggles": row.get("toggles")})
 
 
-def _matrix_cell(args):
-    variant, sgx_version, toggles = args
-    scenario = reporting.normalize_scenario({
-        "variant": variant, "sgx_version": sgx_version,
-        "adversary": "exhaustive", "toggles": toggles})
-    out = run(scenario, workers=1)
-    if out.status == "budget_exceeded":
-        return ("BUDGET", out.stats, out.search)
-    verdict = "VULN" if any_violation(out.verdicts) else "SAFE"
-    return (verdict, out.stats, out.search)
-
-
 def run_matrix(mapping: list[dict], sgx_version: int,
                workers: int = 1) -> list[MatrixCell]:
     """Per-runtime vulnerable/safe verdicts via the exhaustive oracle.
-    Rows mapping to the same modeled variant share one certification run."""
-    keys = []
-    for row in mapping:
-        toggles = row.get("toggles") or {}
-        key = (row["variant"], sgx_version,
-               tuple(sorted(toggles.items())))
-        if key not in keys:
-            keys.append(key)
-    args = [(v, s, dict(t)) for (v, s, t) in keys]
-    if workers > 1:
-        ctx = mp.get_context("fork")
-        with ctx.Pool(min(workers, len(args))) as pool:
-            results = pool.map(_matrix_cell, args)
-    else:
-        results = [_matrix_cell(a) for a in args]
-    by_key = dict(zip(keys, results))
-
+    Each distinct (variant, toggles) is certified once, in mapping order,
+    when a row first names it, with `workers` processes searching that
+    certification's branches; later rows reuse its verdict and stats."""
+    certified = {}
     cells = []
-    seen = set()
     for row in mapping:
         toggles = row.get("toggles") or {}
-        key = (row["variant"], sgx_version, tuple(sorted(toggles.items())))
-        verdict, stats, search = by_key[key]
+        key = (row["variant"], tuple(sorted(toggles.items())))
+        search = None
+        if key not in certified:
+            out = run(reporting.normalize_scenario({
+                "variant": row["variant"], "sgx_version": sgx_version,
+                "adversary": "exhaustive", "toggles": toggles}), workers)
+            if out.status == "budget_exceeded":
+                verdict = "BUDGET"
+            else:
+                verdict = "VULN" if any_violation(out.verdicts) else "SAFE"
+            certified[key] = (verdict, out.stats)
+            search = out.search
+        verdict, stats = certified[key]
         cells.append(MatrixCell(row["runtime"], row["variant"],
                                 row.get("exception_handling", True),
-                                verdict, stats,
-                                None if key in seen else search))
-        seen.add(key)
+                                verdict, stats, search))
     return cells
 
 

@@ -199,14 +199,17 @@ def assemble(text: str, base: int, symbols: Optional[dict[str, int]] = None,
     stripped: list[tuple[int, str]] = []
     for lineno, raw in enumerate(lines, 1):
         line = raw.split(";", 1)[0].strip()
-        while line and line.split()[0].endswith(":"):
-            head = line.split()[0][:-1]
+        while line:
+            parts = line.split(None, 1)
+            if not parts[0].endswith(":"):
+                break
+            head = parts[0][:-1]
             if not head.isidentifier():
                 raise AsmError(f"line {lineno}: bad label {head!r}")
             if head in labels:
                 raise DuplicateLabel(f"line {lineno}: duplicate label {head!r}")
             labels[head] = addr
-            line = line.split(None, 1)[1] if len(line.split(None, 1)) > 1 else ""
+            line = parts[1] if len(parts) > 1 else ""
         if not line:
             continue
         if line.startswith("."):

@@ -23,7 +23,6 @@ from typing import Optional
 RAX, RBX, RCX, RDX, RDI, RSI, RBP, RSP = range(8)
 R8, R9, R10, R11, R12, R13, R14, R15 = range(8, 16)
 RIP = 16
-RFLAGS = 17
 NREGS = 18
 
 REG_NAMES = [
@@ -144,9 +143,6 @@ class Page:
     kind: int            # PRIVATE or PUBLIC
     perms: int           # PERM_* bits; a flip replaces the page
 
-    def contains(self, addr: int) -> bool:
-        return self.base <= addr < self.base + self.size
-
 
 PAGE_SHIFT = 12
 MAX_INDEX_SLOTS = 4096
@@ -238,12 +234,6 @@ class Memory:
     def page_at(self, addr: int) -> Optional[Page]:
         for p in self.index.get(addr >> self.shift, ()):
             if p.base <= addr < p.base + p.size:
-                return p
-        return None
-
-    def page_by_base(self, base: int) -> Optional[Page]:
-        for p in self.pages:
-            if p.base == base:
                 return p
         return None
 
@@ -710,14 +700,6 @@ class Machine:
         self.hw.window_index = 0
         self.hw.granted = True
         self.emit(E_HW_GRANT, allowed, window)
-
-    def os_read(self, addr: int) -> Optional[int]:
-        """OS-mode read: private cells are unreadable and return None (the
-        distinguished abort), public cells return their value."""
-        page = self.mem.page_at(addr)
-        if page is None or page.kind == PRIVATE:
-            return None
-        return self.mem.read(addr)[0]
 
     # -- atomic-section accounting (driven by the interpreter) ---------------
 

@@ -20,7 +20,8 @@ from .harness import (
     Eenter, Eresume, FlipPerms, InjectAex, PrepareRegs, SeedPublic, Stop,
 )
 from .machine import (
-    DEFAULT_IRQ_GRANT, EVENT_IDS, EVENT_NAMES, VECTOR_IDS, VECTOR_NAMES,
+    DEFAULT_IRQ_GRANT, EVENT_IDS, EVENT_NAMES, REG_IDS, VECTOR_IDS,
+    VECTOR_NAMES,
 )
 from .properties import ALL_PROPERTIES, SAFETY_PROPERTIES
 from .runtimes import (
@@ -248,6 +249,8 @@ def _parse_kv(text: str):
     out = []
     for part in text.split(","):
         k, _, v = part.partition("=")
+        if k not in REG_IDS:
+            raise ValueError(f"unknown register {k!r}")
         out.append((k, int(v, 16)))
     return tuple(out)
 
@@ -295,7 +298,10 @@ def _action(parts: list[str]):
     if kind == "eresume":
         return Eresume()
     if kind == "inject":
-        return InjectAex(VECTOR_IDS[parts[2]], int(parts[3]))
+        boundary = int(parts[3])
+        if boundary < 0:
+            raise ValueError("negative boundary")
+        return InjectAex(VECTOR_IDS[parts[2]], boundary)
     if kind == "flip":
         return FlipPerms(int(parts[2], 16), int(parts[3]))
     if kind == "seed":
@@ -363,7 +369,7 @@ def write_trace(path: str, scenario: dict, lines: list[str]) -> None:
 
 def read_trace(path: str) -> tuple[dict, int, list[str]]:
     """Returns (scenario, declared_line_count, lines)."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         raw = fh.read().splitlines()
     if not raw or raw[0] != TRACE_MAGIC:
         raise TraceFileError("missing trace magic")

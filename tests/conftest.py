@@ -1,8 +1,11 @@
 import importlib.util
 import os
+import signal
+from types import SimpleNamespace
 
 import pytest
 
+from aexlab import adversary
 from aexlab.isa import assemble
 from aexlab.machine import (
     MODE_ENCLAVE, PERM_R, PERM_W, PERM_X, PRIVATE, PUBLIC, RIP, Machine,
@@ -15,9 +18,55 @@ SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                    "src")
 CLI_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
     p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
-# seconds a CLI subprocess may take: a stalled worker pool fails its test
-# with TimeoutExpired instead of hanging the suite
+# seconds a CLI subprocess, or a test that starts a worker pool in-process,
+# may take: a stalled pool fails its test instead of hanging the suite
 CLI_TIMEOUT = 600
+
+
+@pytest.fixture
+def deadline():
+    """Raise TimeoutError in the test once it has run CLI_TIMEOUT seconds
+    (SIGALRM; forked pool workers do not inherit the alarm)."""
+    def expire(signum, frame):
+        raise TimeoutError(f"test still running after {CLI_TIMEOUT} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(CLI_TIMEOUT)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def stub_pool_context(sizes: list, calls: list = None):
+    """A stand-in for `adversary.mp`: each pool records its size in `sizes`
+    and computes its tasks in-process, from the search state the parent
+    set up before starting it, as a forked worker would see it.  `calls`
+    gets each method call in order: ("map", number of tasks), ("close",),
+    ("join",) and ("terminate",)."""
+    calls = [] if calls is None else calls
+
+    class Pool:
+        def __init__(self, n):
+            assert adversary._W, "the pool starts before the search state"
+            sizes.append(n)
+
+        def map(self, fn, items):
+            calls.append(("map", len(items)))
+            return [fn(item) for item in items]
+
+        def close(self):
+            calls.append(("close",))
+
+        def join(self):
+            calls.append(("join",))
+
+        def terminate(self):
+            calls.append(("terminate",))
+
+    return SimpleNamespace(
+        get_context=lambda method: SimpleNamespace(Pool=Pool))
 
 
 def load_script(name: str):

@@ -1,8 +1,6 @@
 """Adversary behavior: scripted-plan feasibility, the exhaustive
 certification oracle, plan determinism, and the randomized-stack bypass."""
 
-from types import SimpleNamespace
-
 import pytest
 
 from aexlab import adversary, explorer, properties, reporting
@@ -18,7 +16,7 @@ from aexlab.machine import (
 )
 from aexlab.runtimes import Layout, Toggles, build_machine, build_runtime
 
-from conftest import load_script
+from conftest import load_script, stub_pool_context
 
 agreement = load_script("agreement")
 
@@ -168,6 +166,7 @@ def test_quota_oversized_section_reopens_the_attack():
     assert isinstance(out, Counterexample)
 
 
+@pytest.mark.usefixtures("deadline")
 def test_worker_fanout_matches_sequential():
     img = build_runtime("nssa_disabled")
     seq = exhaustive_attacker(img, SGX2, workers=1)
@@ -184,6 +183,7 @@ def test_worker_fanout_matches_sequential():
             == [v.to_dict() for v in par2.verdicts])
 
 
+@pytest.mark.usefixtures("deadline")
 def test_workers_search_the_callers_image():
     # a moved stack changes the crafted words: workers must search this
     # image and value domain, not a rebuild with the default layout
@@ -201,27 +201,27 @@ def test_search_pool_is_capped_at_the_branch_count(monkeypatch):
     # a stub context records the pool size asked for and computes the
     # branches in-process, so no pool is started
     sizes = []
-
-    class Pool:
-        def __init__(self, n, initializer, initargs):
-            sizes.append(n)
-            initializer(*initargs)
-
-        def imap(self, fn, items):
-            return map(fn, items)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-    monkeypatch.setattr(adversary, "mp", SimpleNamespace(
-        get_context=lambda method: SimpleNamespace(Pool=Pool)))
+    monkeypatch.setattr(adversary, "mp", stub_pool_context(sizes))
     img = build_runtime("sdk_style")
     out = exhaustive_attacker(img, SGX2, workers=10**6)
     assert isinstance(out, Counterexample)
     assert sizes == [len(adversary.REENTRY_CMDS) * len(default_domain(img))]
+
+
+def test_search_pool_is_closed_not_killed_after_a_counterexample(
+        monkeypatch):
+    # a worker killed while it sends a result can leave the result queue's
+    # lock held and hang the pool's shutdown: the search hands the pool at
+    # most `workers` branches at a time, so none is busy when it stops, and
+    # closes and joins the pool before the terminate every search ends with
+    calls = []
+    monkeypatch.setattr(adversary, "mp", stub_pool_context([], calls))
+    out = exhaustive_attacker(build_runtime("sdk_style"), SGX2, workers=2)
+    assert isinstance(out, Counterexample)
+    batches = [c[1] for c in calls if c[0] == "map"]
+    assert batches and max(batches) <= 2
+    assert [c for c in calls if c[0] != "map"] == [
+        ("close",), ("join",), ("terminate",)]
 
 
 @pytest.mark.parametrize("variant,sp_mode,expect", [

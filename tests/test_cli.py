@@ -141,8 +141,18 @@ def _first(lines, prefix):
     ("A eenter ", "A eenter", "error: trace: malformed action line"),
     ("E retire ", "E retire 0xzz 0x0 0x0 0x0 0123456789abcdef",
      "expected a well-formed event line"),
+    ("A eenter ", "A eenter 0x0 zz=0x1 -",
+     "error: trace: malformed action line: 'A eenter 0x0 zz=0x1 -'"),
+    ("A prep ", "A prep zz=0x1",
+     "error: trace: malformed action line: 'A prep zz=0x1'"),
+    ("A eenter ", "A flip 0x999000 1",
+     "error: trace: 'A flip 0x999000 1' flips page 0x999000, which the "
+     "layout does not map"),
+    ("A inject ", "A inject page_fault -3",
+     "error: trace: malformed action line: 'A inject page_fault -3'"),
 ], ids=["line_count", "action_hex", "vector_name", "short_action",
-        "event_hex"])
+        "event_hex", "eenter_unknown_register", "prep_unknown_register",
+        "unmapped_flip", "negative_boundary"])
 def test_replay_malformed_trace_exits_three(tmp_path, prefix, bad, message):
     golden = fixture_path("golden/scripted_sdk_sgx2.trace")
     lines = open(golden).read().splitlines()
@@ -153,6 +163,23 @@ def test_replay_malformed_trace_exits_three(tmp_path, prefix, bad, message):
     assert rc == 3
     assert message in stderr
     assert "Traceback" not in stderr
+
+
+@pytest.mark.parametrize("argv,code,message", [
+    (["run", "--scenario"], 1, "error: scenario: "),
+    (["matrix", "--sgx", "2", "--mapping"], 1, "error: mapping: "),
+    (["replay", "--trace"], 3, "error: trace: "),
+], ids=["run", "matrix", "replay"])
+def test_input_not_utf8_fails_closed(tmp_path, argv, code, message):
+    path = tmp_path / "input"
+    path.write_bytes(b"\xff\xfe{}")
+    out = tmp_path / "o"
+    outputs = [] if argv[0] == "replay" else ["--out", str(out)]
+    rc, stdout, stderr = cli(*argv, str(path), *outputs)
+    assert rc == code
+    assert stderr.startswith(message + "'utf-8' codec can't decode")
+    assert "Traceback" not in stderr
+    assert stdout == "" and not out.exists()
 
 
 @pytest.mark.parametrize("command", ["run", "matrix"])

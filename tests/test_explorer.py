@@ -22,7 +22,7 @@ from aexlab.runtimes import (
     VARIANTS, build_machine, build_runtime, fixture_path,
 )
 
-from conftest import load_script
+from conftest import load_script, stub_pool_context
 
 agreement = load_script("agreement")
 
@@ -113,7 +113,7 @@ def test_minimize_keeps_one_inject_one_delivery_one_resume():
     injects = [a for a in small if isinstance(a, InjectAex)]
     resumes = [a for a in small if isinstance(a, Eresume)]
     exc_enters = [a for a in small if isinstance(a, Eenter)
-                  and a.cmd == ((-3) & ((1 << 64) - 1))]
+                  and a.cmd == runtimes.CMD_EXCEPTION]
     assert len(injects) == 1
     assert len(exc_enters) == 1
     assert len(resumes) == 1
@@ -519,6 +519,7 @@ def report_bytes(sc, workers):
                       sort_keys=True), out.trace_lines
 
 
+@pytest.mark.usefixtures("deadline")
 @pytest.mark.parametrize("kv", [
     dict(variant="sdk_style", adversary="scripted"),
     dict(variant="nssa_disabled", adversary="exhaustive"),
@@ -535,16 +536,38 @@ def test_worker_counts_do_not_change_outputs(kv):
 # matrix
 # ---------------------------------------------------------------------------
 
+# one VULN row, a row repeating its certification, one SAFE row
+MAPPING = [
+    {"runtime": "A", "variant": "sdk_style", "exception_handling": True},
+    {"runtime": "B", "variant": "sdk_style", "exception_handling": True},
+    {"runtime": "C", "variant": "nssa_disabled",
+     "exception_handling": False},
+]
+
+
 def test_matrix_shares_certifications_across_rows():
-    mapping = [
-        {"runtime": "A", "variant": "sdk_style", "exception_handling": True},
-        {"runtime": "B", "variant": "sdk_style", "exception_handling": True},
-        {"runtime": "C", "variant": "nssa_disabled",
-         "exception_handling": False},
-    ]
-    cells = explorer.run_matrix(mapping, SGX2)
+    cells = explorer.run_matrix(MAPPING, SGX2)
     assert [c.verdict for c in cells] == ["VULN", "VULN", "SAFE"]
     assert cells[0].stats == cells[1].stats
+    # the repeated row reuses the certification: no search work of its own
+    assert [c.search is not None for c in cells] == [True, False, True]
+
+
+@pytest.mark.usefixtures("deadline")
+def test_matrix_cells_do_not_depend_on_workers():
+    assert (explorer.run_matrix(MAPPING, SGX2, workers=2)
+            == explorer.run_matrix(MAPPING, SGX2, workers=1))
+
+
+def test_matrix_fans_out_only_through_the_search_pool(monkeypatch):
+    # one pool of the asked-for size per distinct certification, started
+    # by the search; the matrix itself starts none
+    assert not hasattr(explorer, "mp")
+    sizes = []
+    monkeypatch.setattr(adversary, "mp", stub_pool_context(sizes))
+    cells = explorer.run_matrix(MAPPING, SGX2, workers=2)
+    assert [c.verdict for c in cells] == ["VULN", "VULN", "SAFE"]
+    assert sizes == [2, 2]
 
 
 def test_matrix_rendering_header_only_for_empty_mapping():

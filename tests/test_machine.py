@@ -19,8 +19,8 @@ from aexlab.machine import (
     VEC_DIV, VEC_EXT_INT, VEC_PAGE_FAULT, Memory, Page, reports_to_enclave,
 )
 from aexlab.runtimes import (
-    ASLR_RANGE, CMD_ORET, Layout, aslr_shift, build_machine, build_runtime,
-    layout_regions,
+    ASLR_RANGE, CMD_ECALL_COMPUTE, CMD_ORET, Layout, aslr_shift,
+    build_machine, build_runtime, layout_regions,
 )
 
 from conftest import CODE, DATA, PUB, load_script, make_raw_machine
@@ -232,7 +232,7 @@ def test_flip_entry_page_faults_before_first_retire():
 def test_perm_flip_idempotent_digest():
     m, _ = enclave_machine()
     m.eexit(0x4000)
-    page = m.mem.page_by_base(CODE)
+    page = m.mem.page_at(CODE)
     before = m.digest()
     events = len(m.trace)
     m.os_set_page_perms(CODE, page.perms)
@@ -245,15 +245,6 @@ def test_unknown_page():
     m.eexit(0x4000)
     with pytest.raises(UnknownPage):
         m.os_set_page_perms(0x999000, PERM_R)
-
-
-def test_private_memory_unreadable_from_os():
-    m, _ = enclave_machine()
-    m.mem.write(DATA, 0x5EC, True)
-    m.eexit(0x4000)
-    assert m.os_read(DATA) is None         # distinguished abort
-    m.mem.write(0x40010, 42, False)
-    assert m.os_read(0x40010) == 42
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +372,7 @@ def graphene_interrupted():
     inside a critical span: in OS mode, one frame saved."""
     img = build_runtime("graphene_emulated")
     m = build_machine(img, SGX2)
-    plan = [Eenter.of(0, regs=dict(BENIGN_REGS)),
+    plan = [Eenter.of(CMD_ECALL_COMPUTE, regs=dict(BENIGN_REGS)),
             InjectAex(VEC_EXT_INT, 5),
             Eenter.of(CMD_ORET, regs={"rsp": 0, "rsi": BENIGN_OCALL_RESULT})]
     run_plan(m, img, plan)
@@ -479,10 +470,10 @@ def test_clone_is_independent():
     parent, sibling = m.digest(), m.clone()
     flipped = m.clone()
     flipped.os_set_page_perms(CODE, PERM_R)
-    assert flipped.mem.page_by_base(CODE).perms == PERM_R
+    assert flipped.mem.page_at(CODE).perms == PERM_R
     assert not flipped.mem.executable(CODE)
     for other in (m, sibling):
-        assert other.mem.page_by_base(CODE).perms == PERM_R | PERM_X
+        assert other.mem.page_at(CODE).perms == PERM_R | PERM_X
         assert other.mem.executable(CODE)
     assert m.digest() == sibling.digest() == parent
     assert flipped.digest() != parent
@@ -505,14 +496,14 @@ def test_flip_perms_runs_end_to_end_on_a_snapshot_clone():
                        (E_FAULT, img.entry, VEC_PAGE_FAULT, img.entry, 0)]
     assert new[3][0] == E_HW_AEX and flipped.steps == 1
     assert not any(ev[0] == E_FAULT for ev in plain.trace)
-    assert plain.machine.mem.page_by_base(code).perms == PERM_R | PERM_X
-    assert snapshot.mem.page_by_base(code).perms == PERM_R | PERM_X
+    assert plain.machine.mem.page_at(code).perms == PERM_R | PERM_X
+    assert snapshot.mem.page_at(code).perms == PERM_R | PERM_X
     assert snapshot.digest() == before
 
 
 def _linear_page_at(mem, addr):
     for p in mem.pages:
-        if p.contains(addr):
+        if p.base <= addr < p.base + p.size:
             return p
     return None
 

@@ -18,9 +18,9 @@ from aexlab.harness import (
 from aexlab.interp import UnknownCriticalRange, complete_critical
 from aexlab.machine import E_EXIT, MODE_ENCLAVE, RSP, SGX2, VEC_EXT_INT
 from aexlab.runtimes import (
-    CMD_EXCEPTION, CMD_ORET, CTX_GUARD_WORDS, OCALL_MAGIC, ST_UNHANDLED,
-    TD_LAST_SP, TD_STACK_BASE, TD_STACK_LIMIT, Toggles, build_machine,
-    build_runtime, fixtures_dir, generate_source,
+    CMD_ECALL_COMPUTE, CMD_EXCEPTION, CMD_ORET, CTX_GUARD_WORDS, OCALL_MAGIC,
+    ST_UNHANDLED, TD_LAST_SP, TD_STACK_BASE, TD_STACK_LIMIT, Toggles,
+    build_machine, build_runtime, fixtures_dir, generate_source,
 )
 
 
@@ -235,7 +235,7 @@ def test_emulation_completes_context_restore():
             break
     assert mov_rsp_pc is not None
     oret_plan = [
-        Eenter.of(0, regs={"rsp": 0, "rsi": 0}),
+        Eenter.of(CMD_ECALL_COMPUTE, regs={"rsp": 0, "rsi": 0}),
         Eenter.of(CMD_ORET, regs={"rsp": 0, "rsi": BENIGN_OCALL_RESULT}),
         Stop(),
     ]
