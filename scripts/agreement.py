@@ -7,7 +7,8 @@ Five agreement oracles, one per shortcut.  Each is a context manager that
 wraps names of the program, restores them on exit, and yields the list of
 what it compared.  It raises `Mismatch`, naming itself, at the first
 disagreement, and raises at entry when a name it wraps is gone, rather
-than silently checking nothing.
+than silently checking nothing.  A sixth, `emulation_differential()`,
+checks critical-span completion against native execution.
 
 - `covered()` wraps `adversary._count_covered`, which adds a later
   binding's covered plans to the search's counts without running them.
@@ -40,13 +41,22 @@ than silently checking nothing.
   specification: the SHA-256 of the `repr` of `Machine.canonical()`.  A
   mismatch names the phase and the index of the last event the digest
   covers.  Yields each digest.
+- `emulation_differential(image)` checks `interp.complete_critical`, which
+  completes an interrupted critical span by emulation, against native
+  execution.  At every reachable interruption offset inside every critical
+  span of the image, it runs the machine natively to the span end, takes
+  the same asynchronous exit, and compares the saved frame and memory with
+  the emulated completion's.  It returns the offsets in the spans, those
+  reached, those never reached and those that mismatch.
 
 The script installs the three search oracles together and runs the
 exhaustive search of every variant on sgx 1 and 2, in range and strict
 sp-confinement mode.  Then, with only `trials()` installed, it minimizes
 every counterexample of the benchmark's hunt batches at seeds 53, 3 and
-21 (perfbench/workloads.py).  Last, with only `digests()` installed, it
-records and replays the trace-producing scenarios:
+21 (perfbench/workloads.py).  Then, with only `digests()` installed, it
+records and replays the trace-producing scenarios below.  Last, it runs
+the emulation differential of every variant with critical spans, on sgx 1
+and 2, for both injected classes.  The scenarios the digest sweep records:
 
 - every canonical scenario fixture (golden, benign, exhaustive, ASLR);
 - the benign, benign_nested and benign_critical runs of every variant on
@@ -71,12 +81,14 @@ import sys
 import tempfile
 import time
 from types import SimpleNamespace
+from typing import NamedTuple
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, os.path.join(HERE, "..", "src"))
 
 from aexlab import (  # noqa: E402
-    adversary, explorer, harness, machine, properties, reporting, runtimes,
+    adversary, explorer, harness, interp, isa, machine, properties,
+    reporting, runtimes,
 )
 from aexlab.runtimes import VARIANTS  # noqa: E402
 
@@ -307,6 +319,78 @@ def digests():
         yield compared
 
 
+class EmulationDifferential(NamedTuple):
+    range_pcs: int          # instruction offsets inside the spans
+    covered: int            # offsets some driver plan reached
+    missing: list
+    mismatches: list
+
+    @property
+    def clean(self) -> bool:
+        return not self.missing and not self.mismatches
+
+
+def emulation_differential(image, sgx_version: int = 2,
+                           vector: int = machine.VEC_EXT_INT
+                           ) -> EmulationDifferential:
+    """Interrupt the image at every offset of its critical spans that the
+    benign plan, an invalid command or an ocall return reaches, and compare
+    the emulated completion of the span with a native run to its end
+    followed by the same asynchronous exit: the saved frame and memory must
+    be identical."""
+    program = image.program
+    wanted = {pc for lo, hi in image.crit_ranges for pc in range(lo, hi)
+              if pc in program.code}
+    snapshots = {}
+    drivers = [
+        harness.benign_plan(),
+        [harness.Eenter.of(runtimes.CMD_INVALID, regs={"rsp": 0, "rsi": 0})],
+        [harness.Eenter.of(runtimes.CMD_ORET, regs={"rsp": 0, "rsi": 0})],
+    ]
+    for actions in drivers:
+        m = runtimes.build_machine(image, sgx_version)
+
+        def collect() -> None:
+            # the state the next instruction starts from: in the enclave,
+            # with no fault awaiting its async exit
+            pc = m.regs[machine.RIP]
+            if (m.mode == machine.MODE_ENCLAVE and m.pending_fault < 0
+                    and pc in wanted and pc not in snapshots):
+                snapshots[pc] = m.clone()
+
+        harness.run_plan(m, image, actions, after_events=collect)
+
+    mismatches = []
+    for pc, snap in sorted(snapshots.items()):
+        interrupted = snap.clone()
+        if not interrupted.aex(vector):
+            continue
+        frame = interrupted.ssa[interrupted.tcs.cssa - 1]
+        emu_machine = interrupted.clone()
+        emulated = interp.complete_critical(emu_machine, program,
+                                            frame.clone())
+
+        native = snap.clone()
+        while True:
+            npc = native.regs[machine.RIP]
+            ins = program.code.get(npc)
+            if ins is None or not interp.in_crit_ranges(program, npc):
+                break
+            if ins[0] in (isa.OP_EEXIT_R, isa.OP_EEXIT_I):
+                break
+            sig = interp.step(native, program)
+            if sig != "ok":
+                raise RuntimeError(f"oracle run faulted at {npc:#x}: {sig}")
+        native.aex(vector)
+        oracle = native.ssa[native.tcs.cssa - 1]
+        if (emulated.canonical() != oracle.canonical()
+                or emu_machine.mem.canonical() != native.mem.canonical()):
+            mismatches.append(pc)
+
+    return EmulationDifferential(len(wanted), len(snapshots),
+                                 sorted(wanted - set(snapshots)), mismatches)
+
+
 def search_sweep(variants) -> int:
     names = ("covered plans", "resumed plans", "monitored runs")
     totals = [0] * len(names)
@@ -441,6 +525,28 @@ def digest_sweep() -> int:
     return 0
 
 
+def emulation_sweep() -> int:
+    total = 0
+    for variant in VARIANTS:
+        image = runtimes.build_runtime(variant)
+        if not image.crit_ranges:
+            continue
+        for sgx in (1, 2):
+            for vector in (machine.VEC_PAGE_FAULT, machine.VEC_EXT_INT):
+                diff = emulation_differential(image, sgx, vector)
+                name = (f"{variant} sgx{sgx} "
+                        f"{machine.VECTOR_NAMES[vector]}")
+                if not diff.clean:
+                    print(f"MISMATCH emulation {name}: offsets not reached "
+                          f"{diff.missing}, mismatched {diff.mismatches}")
+                    return 1
+                print(f"{name}: {diff.covered} critical-span offsets agree",
+                      file=sys.stderr)
+                total += diff.covered
+    print(f"{total} critical-span offsets compared, all agree")
+    return 0
+
+
 def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--variant", action="append", choices=VARIANTS,
@@ -448,7 +554,7 @@ def main() -> int:
                          "all")
     args = ap.parse_args()
     return (search_sweep(args.variant or VARIANTS) or minimization_sweep()
-            or digest_sweep())
+            or digest_sweep() or emulation_sweep())
 
 
 if __name__ == "__main__":

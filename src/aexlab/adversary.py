@@ -13,8 +13,6 @@ classes, re-entry commands, and register bindings from a finite domain.
 
 from __future__ import annotations
 
-import multiprocessing as mp
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .harness import (
@@ -43,8 +41,7 @@ class PlanInfeasible(Exception):
 # Register crafting
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Craft:
+class Craft(NamedTuple):
     """Solution of the variant's stack-pointer arithmetic: entering with
     rsp = crafted makes the handler's context copy start at info_base, so
     the word at `anchor` receives the register at field index lander."""
@@ -194,20 +191,38 @@ PAYLOAD_REGS = ("r8", "r9", "r10", "r11", "r12", "r13", "r14", "r15",
 REENTRY_CMDS = (CMD_ORET, CMD_INVALID, CMD_EXCEPTION)
 
 
-@dataclass
 class SearchStats:
     """Plans covered (`runs`), with their steps and injected boundaries.
     A plan covered by its clean representative counts the representative's
     steps, and a resumed plan all of its steps.  `executed` counts the
     plans actually run and `stepped` the instructions they stepped, a
     resumed plan only those after its point; both depend on how the space
-    was searched, not on the space, so reports leave them out."""
+    was searched, not on the space, so reports leave them out.  Stats are
+    equal when all five counters are."""
 
-    runs: int = 0
-    steps: int = 0
-    boundaries: int = 0
-    executed: int = 0
-    stepped: int = 0
+    __slots__ = ("runs", "steps", "boundaries", "executed", "stepped")
+
+    def __init__(self, runs: int = 0, steps: int = 0, boundaries: int = 0,
+                 executed: int = 0, stepped: int = 0):
+        self.runs = runs
+        self.steps = steps
+        self.boundaries = boundaries
+        self.executed = executed
+        self.stepped = stepped
+
+    def _counters(self) -> tuple:
+        return (self.runs, self.steps, self.boundaries, self.executed,
+                self.stepped)
+
+    def __eq__(self, other):
+        if other.__class__ is not SearchStats:
+            return NotImplemented
+        return self._counters() == other._counters()
+
+    def __repr__(self) -> str:
+        return (f"SearchStats(runs={self.runs}, steps={self.steps}, "
+                f"boundaries={self.boundaries}, executed={self.executed}, "
+                f"stepped={self.stepped})")
 
     def merge(self, other: "SearchStats") -> None:
         self.runs += other.runs
@@ -221,8 +236,7 @@ class SearchStats:
                 "boundaries": self.boundaries}
 
 
-@dataclass
-class Counterexample:
+class Counterexample(NamedTuple):
     branch: tuple
     plan: AttackPlan
     trace: list
@@ -230,13 +244,11 @@ class Counterexample:
     stats: SearchStats
 
 
-@dataclass
-class NoneFound:
+class NoneFound(NamedTuple):
     stats: SearchStats
 
 
-@dataclass
-class BudgetExceeded:
+class BudgetExceeded(NamedTuple):
     stats: SearchStats
     reason: str = ""
 
@@ -246,8 +258,7 @@ class BudgetExceeded:
 CANDIDATE_DEPTH = 6
 
 
-@dataclass(frozen=True)
-class SearchBudget:
+class SearchBudget(NamedTuple):
     max_runs: int = 200000
     max_steps: int = DEFAULT_MAX_STEPS    # per run
     boundary_cap: int = 160
@@ -562,8 +573,9 @@ def exhaustive_attacker(image: EnclaveImage, sgx_version: int = SGX2,
         if workers <= 1:
             results = map(_worker_branch, branches)
         else:
+            import multiprocessing      # only a parallel search pays for it
             n = min(workers, len(branches))
-            pool = mp.get_context("fork").Pool(n)
+            pool = multiprocessing.get_context("fork").Pool(n)
             # One batch of n branches at a time, so that no worker is busy
             # when the search stops early and the pool can be closed: a
             # worker killed by `terminate` while it sends a result leaves
@@ -573,8 +585,7 @@ def exhaustive_attacker(image: EnclaveImage, sgx_version: int = SGX2,
         for stats, ce in results:
             total.merge(stats)
             if ce is not None:
-                ce.stats = total
-                outcome = ce
+                outcome = ce._replace(stats=total)
                 break
             if total.runs >= budget.max_runs:
                 outcome = BudgetExceeded(total, "run budget exhausted")
@@ -616,8 +627,7 @@ def estimate_single_shot_rate(trials: int, seed: int,
     return hits / trials
 
 
-@dataclass
-class MultiRoundResult:
+class MultiRoundResult(NamedTuple):
     rounds_needed: int
     exhausted: bool
     plan: Optional[AttackPlan]

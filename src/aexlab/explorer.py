@@ -7,23 +7,21 @@ from __future__ import annotations
 import json
 import os
 import random
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import NamedTuple, Optional, Sequence
 
 from . import adversary, reporting
 from .harness import (
-    Eenter, FlipPerms, Point, PrepareRegs, RunResult,
-    benign_critical_exception_plan, benign_nested_plan, benign_plan,
-    prefix_plan, run_plan,
+    FlipPerms, Point, PrepareRegs, RunResult, benign_critical_exception_plan,
+    benign_nested_plan, benign_plan, prefix_plan, run_plan,
 )
 from .isa import Program, render
-from .machine import MODE_ENCLAVE, VECTOR_IDS, Machine, UnknownPage
+from .machine import VECTOR_IDS, UnknownPage
 from .properties import (
     Verdict, any_violation, evaluate, milestones,
 )
 from .runtimes import (
-    CMD_INVALID, CMD_ORET, VARIANTS, EnclaveImage, Layout, Toggles,
-    build_machine, build_runtime, fixture_path,
+    VARIANTS, EnclaveImage, Layout, Toggles, build_machine, build_runtime,
+    fixture_path,
 )
 
 EXIT_OK = 0
@@ -37,8 +35,7 @@ class FixtureMissing(Exception):
     pass
 
 
-@dataclass
-class Outcome:
+class Outcome(NamedTuple):
     scenario: dict
     status: str                      # ok | budget_exceeded
     verdicts: list[Verdict]
@@ -63,7 +60,7 @@ def _image_for(scenario: dict) -> EnclaveImage:
     toggles = Toggles(**scenario["toggles"])
     if scenario["adversary"] == "multi_round_aslr" \
             and toggles.aslr_stack_offset == 0 and scenario["seed"]:
-        toggles = replace(toggles, aslr_stack_offset=random.Random(
+        toggles = toggles._replace(aslr_stack_offset=random.Random(
             scenario["seed"]).randint(1, 2048))
     layout = Layout(**scenario["layout"]) if scenario["layout"] else None
     return build_runtime(scenario["variant"], layout=layout, toggles=toggles)
@@ -269,12 +266,11 @@ def evaluate_with_scenario(scenario: dict, image: EnclaveImage,
 # Trace replay
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ReplayResult:
+class ReplayResult(NamedTuple):
     ok: bool
     divergence_line: int = -1
     detail: str = ""
-    verdicts: list = field(default_factory=list)
+    verdicts: Sequence[Verdict] = ()
     exit_code: int = EXIT_OK
 
 
@@ -347,91 +343,10 @@ def replay(scenario: dict, body_lines: list[str],
 
 
 # ---------------------------------------------------------------------------
-# Critical-span emulation differential
-# ---------------------------------------------------------------------------
-
-@dataclass
-class EmulationDifferential:
-    range_pcs: int
-    covered: int
-    missing: list[int]
-    mismatches: list[int]
-
-    @property
-    def clean(self) -> bool:
-        return not self.missing and not self.mismatches
-
-
-def emulation_differential(image: EnclaveImage, sgx_version: int = 2,
-                           vector: int = 32) -> EmulationDifferential:
-    """For every reachable interruption offset inside every registered
-    critical span, compare span completion against its independent oracle:
-    actually run the machine from that state to the span end natively, then
-    take the same asynchronous exit, and require a bit-identical saved
-    frame and memory."""
-    from .interp import complete_critical, in_crit_ranges, step
-    from .isa import OP_EEXIT_I, OP_EEXIT_R
-
-    program = image.program
-    ranges = image.crit_ranges
-    wanted = {pc for lo, hi in ranges for pc in range(lo, hi)
-              if pc in program.code}
-    snapshots: dict[int, Machine] = {}
-    drivers = [
-        benign_plan(),
-        [Eenter.of(CMD_INVALID, regs={"rsp": 0, "rsi": 0})],
-        [Eenter.of(CMD_ORET, regs={"rsp": 0, "rsi": 0})],
-    ]
-    for actions in drivers:
-        m = build_machine(image, sgx_version)
-
-        def collect() -> None:
-            # the state the next instruction starts from: in the enclave,
-            # with no fault awaiting its async exit
-            pc = m.regs[16]
-            if (m.mode == MODE_ENCLAVE and m.pending_fault < 0
-                    and pc in wanted and pc not in snapshots):
-                snapshots[pc] = m.clone()
-
-        run_plan(m, image, actions, after_events=collect)
-
-    mismatches = []
-    for pc, snap in sorted(snapshots.items()):
-        interrupted = snap.clone()
-        if not interrupted.aex(vector):
-            continue
-        frame = interrupted.ssa[interrupted.tcs.cssa - 1]
-        emu_machine = interrupted.clone()
-        emulated = complete_critical(emu_machine, program, frame.clone())
-
-        native = snap.clone()
-        while True:
-            npc = native.regs[16]
-            ins = program.code.get(npc)
-            if ins is None or not in_crit_ranges(program, npc):
-                break
-            if ins[0] in (OP_EEXIT_R, OP_EEXIT_I):
-                break
-            sig = step(native, program)
-            if sig != "ok":
-                raise RuntimeError(f"oracle run faulted at {npc:#x}: {sig}")
-        native.aex(vector)
-        oracle = native.ssa[native.tcs.cssa - 1]
-        if (emulated.canonical() != oracle.canonical()
-                or emu_machine.mem.canonical() != native.mem.canonical()):
-            mismatches.append(pc)
-
-    missing = sorted(wanted - set(snapshots))
-    return EmulationDifferential(len(wanted), len(snapshots), missing,
-                                 mismatches)
-
-
-# ---------------------------------------------------------------------------
 # Runtime-survey matrix
 # ---------------------------------------------------------------------------
 
-@dataclass
-class MatrixCell:
+class MatrixCell(NamedTuple):
     runtime: str
     variant: str
     exception_handling: bool

@@ -16,8 +16,7 @@ program steps either way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .interp import step
 from .machine import (
@@ -41,21 +40,34 @@ BUDGET_EXCEEDED = "budget_exceeded"
 DEFAULT_MAX_STEPS = 20000
 
 
-@dataclass(frozen=True)
-class PrepareRegs:
+# Actions are values.  Those with fields are named tuples that compare
+# equal only to an action of the same kind, so InjectAex(32, 5) is not
+# FlipPerms(32, 5); tuple hashing is kept.
+def _same_kind(self, other) -> bool:
+    return other.__class__ is self.__class__ and tuple.__eq__(self, other)
+
+
+def _other_kind(self, other) -> bool:
+    return other.__class__ is not self.__class__ or tuple.__ne__(self, other)
+
+
+class PrepareRegs(NamedTuple):
     """Stage register values for the next synchronous entry."""
     regs: tuple[tuple[str, int], ...]
+
+    __eq__, __ne__ = _same_kind, _other_kind
 
     @staticmethod
     def of(**kv: int) -> "PrepareRegs":
         return PrepareRegs(tuple(sorted((k, v & MASK64) for k, v in kv.items())))
 
 
-@dataclass(frozen=True)
-class Eenter:
+class Eenter(NamedTuple):
     cmd: int
     regs: Optional[tuple[tuple[str, int], ...]] = None  # None: use staged
     aep: Optional[int] = None
+
+    __eq__, __ne__ = _same_kind, _other_kind
 
     @staticmethod
     def of(cmd: int, regs: Optional[dict[str, int]] = None,
@@ -65,48 +77,63 @@ class Eenter:
         return Eenter(cmd & MASK64, packed, aep)
 
 
-@dataclass(frozen=True)
-class Eresume:
-    pass
+class _Bare:
+    """An action without fields: equal to every action of its kind."""
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return True
+
+    def __hash__(self) -> int:
+        return hash(())
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__name__}()"
 
 
-@dataclass(frozen=True)
-class InjectAex:
+class Eresume(_Bare):
+    __slots__ = ()
+
+
+class InjectAex(NamedTuple):
     """Arm an asynchronous exit of class `vector` for the next entered
     window, to fire after `boundary` retired instructions."""
     vector: int
     boundary: int
 
+    __eq__, __ne__ = _same_kind, _other_kind
 
-@dataclass(frozen=True)
-class FlipPerms:
+
+class FlipPerms(NamedTuple):
     page_base: int
     perms: int
 
+    __eq__, __ne__ = _same_kind, _other_kind
 
-@dataclass(frozen=True)
-class SeedPublic:
+
+class SeedPublic(NamedTuple):
     """Host-side preparation of public memory (e.g. a gadget stack)."""
     addr: int
     words: tuple[int, ...]
 
-
-@dataclass(frozen=True)
-class Stop:
-    pass
+    __eq__, __ne__ = _same_kind, _other_kind
 
 
-@dataclass
-class AttackPlan:
+class Stop(_Bare):
+    __slots__ = ()
+
+
+class AttackPlan(NamedTuple):
     """Ordered host actions plus the value bindings that shaped them."""
 
     name: str
     actions: list
-    bindings: dict = field(default_factory=dict)
+    bindings: Optional[dict] = None
     expected_milestones: tuple[str, ...] = ()
 
 
-@dataclass
 class Point:
     """Where a run can resume: a clone of the machine and all of the run
     loop's own state at one place of a run.  A window point is kept at one
@@ -115,28 +142,36 @@ class Point:
     `run_plan` keeps points on request and resumes from them.  A resume
     takes the point's machine, so a point resumed more than once is
     resumed through `copy()`."""
-    machine: Machine
-    idx: int                 # next action index
-    staged: dict
-    armed: Optional[InjectAex]   # pending for the next window
-    live: Optional[InjectAex]    # counting in the current window
-    window_count: int
-    steps: int
-    boundaries: int
+
+    __slots__ = ("machine", "idx", "staged", "armed", "live", "window_count",
+                 "steps", "boundaries")
+
+    def __init__(self, machine: Machine, idx: int, staged: dict,
+                 armed: Optional[InjectAex], live: Optional[InjectAex],
+                 window_count: int, steps: int, boundaries: int):
+        self.machine = machine
+        self.idx = idx                  # next action index
+        self.staged = staged
+        self.armed = armed              # pending for the next window
+        self.live = live                # counting in the current window
+        self.window_count = window_count
+        self.steps = steps
+        self.boundaries = boundaries
 
     def copy(self) -> "Point":
         """The same point with its own clone of the machine."""
-        return replace(self, machine=self.machine.clone())
+        return Point(self.machine.clone(), self.idx, self.staged, self.armed,
+                     self.live, self.window_count, self.steps,
+                     self.boundaries)
 
 
-@dataclass
-class RunResult:
+class RunResult(NamedTuple):
     status: str
     steps: int
     boundaries: int          # instruction boundaries seen in entered windows
     machine: Machine
     actions_applied: int
-    points: list = field(default_factory=list)   # kept points, in order
+    points: list             # kept points, in order
 
     @property
     def trace(self) -> list[tuple]:

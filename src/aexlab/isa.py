@@ -14,7 +14,6 @@ metadata used elsewhere:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .machine import MASK64, REG_IDS, REG_NAMES
@@ -107,20 +106,26 @@ class CodeOverflow(AsmError):
     pass
 
 
-@dataclass
 class Program:
-    """Assembled program: immutable once built."""
+    """Assembled program: immutable once built.  The interpreter's decoded
+    tables refer to it weakly."""
 
-    base: int
-    code: dict[int, Instruction]
-    labels: dict[str, int]
-    windows: dict[str, tuple[int, int]] = field(default_factory=dict)
-    crit_ranges: dict[str, tuple[int, int]] = field(default_factory=dict)
-    source: tuple[str, ...] = ()
-    # the interpreter's pre-decoded fetch tables, one per tuple of pages
-    # over the code, filled on first step
-    fetch_tables: dict = field(default_factory=dict, init=False, repr=False,
-                               compare=False)
+    __slots__ = ("base", "code", "labels", "windows", "crit_ranges", "source",
+                 "fetch_tables", "__weakref__")
+
+    def __init__(self, base: int, code: dict[int, Instruction],
+                 labels: dict[str, int], windows: dict[str, tuple[int, int]],
+                 crit_ranges: dict[str, tuple[int, int]],
+                 source: tuple[str, ...]):
+        self.base = base
+        self.code = code
+        self.labels = labels
+        self.windows = windows
+        self.crit_ranges = crit_ranges
+        self.source = source
+        # the interpreter's pre-decoded fetch tables, one per tuple of pages
+        # over the code, filled on first step
+        self.fetch_tables: dict = {}
 
     @property
     def end(self) -> int:

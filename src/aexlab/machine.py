@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import hashlib
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import Optional
 
 # ---------------------------------------------------------------------------
@@ -136,12 +135,33 @@ PERM_W = 2
 PERM_X = 4
 
 
-@dataclass(frozen=True, slots=True)
 class Page:
-    base: int
-    size: int
-    kind: int            # PRIVATE or PUBLIC
-    perms: int           # PERM_* bits; a flip replaces the page
+    """One mapped region.  A page is a value: pages with equal fields are
+    equal and hash alike (tuples of pages key ``Program.fetch_tables``),
+    and a page is never changed: a flip replaces it."""
+
+    __slots__ = ("base", "size", "kind", "perms")
+
+    def __init__(self, base: int, size: int, kind: int, perms: int):
+        self.base = base
+        self.size = size
+        self.kind = kind        # PRIVATE or PUBLIC
+        self.perms = perms      # PERM_* bits
+
+    def _key(self) -> tuple:
+        return (self.base, self.size, self.kind, self.perms)
+
+    def __eq__(self, other):
+        if other.__class__ is not Page:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (f"Page(base={self.base!r}, size={self.size!r}, "
+                f"kind={self.kind!r}, perms={self.perms!r})")
 
 
 PAGE_SHIFT = 12
@@ -383,13 +403,16 @@ class SSAFrame:
         return self._repr
 
 
-@dataclass
 class TCS:
-    entry_point: int
-    nssa: int
-    ssa_base: int
-    cssa: int = 0
-    busy: bool = False
+    __slots__ = ("entry_point", "nssa", "ssa_base", "cssa", "busy")
+
+    def __init__(self, entry_point: int, nssa: int, ssa_base: int,
+                 cssa: int = 0, busy: bool = False):
+        self.entry_point = entry_point
+        self.nssa = nssa
+        self.ssa_base = ssa_base
+        self.cssa = cssa
+        self.busy = busy
 
 
 # ---------------------------------------------------------------------------
@@ -404,21 +427,28 @@ HW_REENTRY_MASK = "reentry_mask"
 DEFAULT_IRQ_GRANT = (100, 10000)
 
 
-@dataclass
 class HwExt:
-    kind: str = HW_NONE
-    # irq_quota contract (installed by the OS via grant_irq_quota)
-    allowed: int = 0
-    window: int = 0
-    used: int = 0
-    window_index: int = 0
-    granted: bool = False
-    # reentry_mask state
-    masked: bool = False
-    # shared atomic-section state
-    atomic: bool = False
-    atomic_until: int = 0
-    deferred_vector: int = -1
+    __slots__ = ("kind", "allowed", "window", "used", "window_index",
+                 "granted", "masked", "atomic", "atomic_until",
+                 "deferred_vector")
+
+    def __init__(self, kind: str = HW_NONE, allowed: int = 0, window: int = 0,
+                 used: int = 0, window_index: int = 0, granted: bool = False,
+                 masked: bool = False, atomic: bool = False,
+                 atomic_until: int = 0, deferred_vector: int = -1):
+        self.kind = kind
+        # irq_quota contract (installed by the OS via grant_irq_quota)
+        self.allowed = allowed
+        self.window = window
+        self.used = used
+        self.window_index = window_index
+        self.granted = granted
+        # reentry_mask state
+        self.masked = masked
+        # shared atomic-section state
+        self.atomic = atomic
+        self.atomic_until = atomic_until
+        self.deferred_vector = deferred_vector
 
     def clone(self) -> "HwExt":
         return HwExt(self.kind, self.allowed, self.window, self.used,

@@ -10,8 +10,7 @@ trace prefix up to it replays the issue.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .machine import (
     CTRL_CALL, CTRL_JMPI, CTRL_RET, E_ADV_SEED, E_CTRL, E_EXIT, E_HW_AEX,
@@ -33,13 +32,12 @@ SAFETY_PROPERTIES = ("sp_confinement", "anchor_integrity", "cfi",
 ALL_PROPERTIES = SAFETY_PROPERTIES + ("functionality",)
 
 
-@dataclass
-class Verdict:
+class Verdict(NamedTuple):
     property_id: str
     outcome: str
     witness_index: int = -1
     detail: str = ""
-    stats: dict = field(default_factory=dict)
+    stats: Optional[dict] = None
 
     @property
     def violated(self) -> bool:

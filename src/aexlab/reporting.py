@@ -10,7 +10,6 @@ the first divergent line.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 from typing import Optional
@@ -20,8 +19,8 @@ from .harness import (
     Eenter, Eresume, FlipPerms, InjectAex, PrepareRegs, SeedPublic, Stop,
 )
 from .machine import (
-    DEFAULT_IRQ_GRANT, EVENT_IDS, EVENT_NAMES, REG_IDS, VECTOR_IDS,
-    VECTOR_NAMES,
+    DEFAULT_IRQ_GRANT, EVENT_IDS, EVENT_NAMES, PERM_R, PERM_W, PERM_X,
+    REG_IDS, VECTOR_IDS, VECTOR_NAMES,
 )
 from .properties import ALL_PROPERTIES, SAFETY_PROPERTIES
 from .runtimes import (
@@ -44,8 +43,8 @@ class TraceFileError(Exception):
     """Malformed trace file."""
 
 
-_DEFAULT_BUDGETS = dataclasses.asdict(SearchBudget())
-_DEFAULT_TOGGLES = dataclasses.asdict(Toggles())
+_DEFAULT_BUDGETS = SearchBudget()._asdict()
+_DEFAULT_TOGGLES = Toggles()._asdict()
 _DEFAULT_HW_EXT = {"allowed": DEFAULT_IRQ_GRANT[0],
                    "window": DEFAULT_IRQ_GRANT[1]}
 FLAG_STRATEGIES = (None, "postpone", "ignore")
@@ -179,7 +178,7 @@ def normalize_scenario(doc: dict) -> dict:
         hw_ext[k] = _int(v, f"hw_ext {k}", 0)
     layout = {}
     for k, v in _section(doc, "layout").items():
-        if k not in Layout.__dataclass_fields__:
+        if k not in Layout._fields:
             raise ScenarioError(f"unknown layout key: {k!r}")
         layout[k] = _int(v, f"layout {k}", 0, ADDRESS_LIMIT)
     _check_layout_doc(layout)
@@ -303,7 +302,10 @@ def _action(parts: list[str]):
             raise ValueError("negative boundary")
         return InjectAex(VECTOR_IDS[parts[2]], boundary)
     if kind == "flip":
-        return FlipPerms(int(parts[2], 16), int(parts[3]))
+        perms = int(parts[3])
+        if not 0 <= perms <= PERM_R | PERM_W | PERM_X:
+            raise ValueError("permissions out of range")
+        return FlipPerms(int(parts[2], 16), perms)
     if kind == "seed":
         words = tuple(int(w, 16) for w in parts[3].split(","))
         return SeedPublic(int(parts[2], 16), words)

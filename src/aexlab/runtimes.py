@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import functools
 import os
-from dataclasses import dataclass, field, replace
-from typing import NamedTuple, Optional
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Optional
 
 from . import isa
 from .machine import (
@@ -98,8 +98,7 @@ class UnknownVariant(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Layout:
+class Layout(NamedTuple):
     """Concrete address-space plan.  Regions must be pairwise disjoint."""
 
     code_base: int = 0x1000
@@ -136,8 +135,7 @@ class Layout:
         return self.host_base + 0x40
 
 
-@dataclass(frozen=True)
-class Toggles:
+class Toggles(NamedTuple):
     """Variant parameterization; never changes the variant's kind.
     `sgx1_valid_check_removed` drops a validity check that runs before the
     context copy; a check after the copy stays."""
@@ -153,8 +151,7 @@ class Toggles:
 # Design table
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Design:
+class Design(NamedTuple):
     """Where one runtime variant departs from the others.  The program
     text, the image, the machine and the scripted attacker all read it.
 
@@ -220,8 +217,7 @@ DESIGNS = {
 VARIANTS = tuple(DESIGNS)
 
 
-@dataclass
-class EnclaveImage:
+class EnclaveImage(NamedTuple):
     """A runtime variant assembled against a layout, plus the metadata the
     detectors and the adversary need: gadget inventory, legitimate control
     targets, untrusted-sp windows, critical ranges, secret region."""
@@ -231,7 +227,7 @@ class EnclaveImage:
     toggles: Toggles
     program: isa.Program
     stack_base: int                    # effective (ASLR-shifted) base
-    gadgets: dict[str, int] = field(default_factory=dict)
+    gadgets: Mapping[str, int] = MappingProxyType({})
     legit_ret_targets: frozenset[int] = frozenset()
     restore_ret_pcs: frozenset[int] = frozenset()
     ocall_call_sites: frozenset[int] = frozenset()
@@ -241,7 +237,7 @@ class EnclaveImage:
     crit_ranges: tuple[tuple[int, int], ...] = ()
     entry_atomic_cycles: int = ENTRY_ATOMIC_CYCLES
     # every pc inside a declared sp window, so a window test is one lookup
-    sp_window_pcs: frozenset[int] = field(default=frozenset(), repr=False)
+    sp_window_pcs: frozenset[int] = frozenset()
 
     @property
     def design(self) -> Design:
@@ -685,11 +681,11 @@ def _text_toggles(design: Design, toggles: Toggles) -> Toggles:
     alignment without an alignment check, and the removed validity check
     where the check follows the copy.  Toggles with equal text toggles
     render equal text."""
-    return replace(
-        toggles, aslr_stack_offset=0,
+    return toggles._replace(
+        aslr_stack_offset=0,
         alignment_required=(toggles.alignment_required
                             if "align_check" in design.exc_flow
-                            else Toggles.alignment_required),
+                            else Toggles().alignment_required),
         sgx1_valid_check_removed=(toggles.sgx1_valid_check_removed
                                   and design.validity_before_copy))
 

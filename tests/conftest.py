@@ -40,11 +40,12 @@ def deadline():
 
 
 def stub_pool_context(sizes: list, calls: list = None):
-    """A stand-in for `adversary.mp`: each pool records its size in `sizes`
-    and computes its tasks in-process, from the search state the parent
-    set up before starting it, as a forked worker would see it.  `calls`
-    gets each method call in order: ("map", number of tasks), ("close",),
-    ("join",) and ("terminate",)."""
+    """A stand-in for `multiprocessing.get_context`, which the search calls
+    to start its pool: each pool records its size in `sizes` and computes
+    its tasks in-process, from the search state the parent set up before
+    starting it, as a forked worker would see it.  `calls` gets each method
+    call in order: ("map", number of tasks), ("close",), ("join",) and
+    ("terminate",)."""
     calls = [] if calls is None else calls
 
     class Pool:
@@ -65,8 +66,7 @@ def stub_pool_context(sizes: list, calls: list = None):
         def terminate(self):
             calls.append(("terminate",))
 
-    return SimpleNamespace(
-        get_context=lambda method: SimpleNamespace(Pool=Pool))
+    return lambda method: SimpleNamespace(Pool=Pool)
 
 
 def load_script(name: str):

@@ -17,7 +17,9 @@ from aexlab.machine import (
 from aexlab.runtimes import Toggles, build_machine, build_runtime
 
 from conftest import CLI_ENV as ENV
-from conftest import CLI_TIMEOUT
+from conftest import CLI_TIMEOUT, load_script
+
+agreement = load_script("agreement")
 
 
 def cli(*argv):
@@ -162,7 +164,7 @@ def test_criterion_5_mitigation_certification():
 def test_criterion_6_emulation_differential():
     img = build_runtime("graphene_emulated")
     for vector in (VEC_EXT_INT, VEC_PAGE_FAULT):
-        diff = explorer.emulation_differential(img, vector=vector)
+        diff = agreement.emulation_differential(img, vector=vector)
         assert diff.covered == diff.range_pcs
         assert diff.clean, (vector, diff.missing, diff.mismatches)
     print(f"criterion 6: PASS - span completion equals the native oracle "

@@ -1,6 +1,8 @@
 """Adversary behavior: scripted-plan feasibility, the exhaustive
 certification oracle, plan determinism, and the randomized-stack bypass."""
 
+import multiprocessing
+
 import pytest
 
 from aexlab import adversary, explorer, properties, reporting
@@ -201,7 +203,8 @@ def test_search_pool_is_capped_at_the_branch_count(monkeypatch):
     # a stub context records the pool size asked for and computes the
     # branches in-process, so no pool is started
     sizes = []
-    monkeypatch.setattr(adversary, "mp", stub_pool_context(sizes))
+    monkeypatch.setattr(multiprocessing, "get_context",
+                        stub_pool_context(sizes))
     img = build_runtime("sdk_style")
     out = exhaustive_attacker(img, SGX2, workers=10**6)
     assert isinstance(out, Counterexample)
@@ -215,7 +218,8 @@ def test_search_pool_is_closed_not_killed_after_a_counterexample(
     # most `workers` branches at a time, so none is busy when it stops, and
     # closes and joins the pool before the terminate every search ends with
     calls = []
-    monkeypatch.setattr(adversary, "mp", stub_pool_context([], calls))
+    monkeypatch.setattr(multiprocessing, "get_context",
+                        stub_pool_context([], calls))
     out = exhaustive_attacker(build_runtime("sdk_style"), SGX2, workers=2)
     assert isinstance(out, Counterexample)
     batches = [c[1] for c in calls if c[0] == "map"]

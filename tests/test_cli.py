@@ -150,9 +150,14 @@ def _first(lines, prefix):
      "layout does not map"),
     ("A inject ", "A inject page_fault -3",
      "error: trace: malformed action line: 'A inject page_fault -3'"),
+    ("A eenter ", "A flip 0x1000 -1",
+     "error: trace: malformed action line: 'A flip 0x1000 -1'"),
+    ("A eenter ", "A flip 0x1000 99",
+     "error: trace: malformed action line: 'A flip 0x1000 99'"),
 ], ids=["line_count", "action_hex", "vector_name", "short_action",
         "event_hex", "eenter_unknown_register", "prep_unknown_register",
-        "unmapped_flip", "negative_boundary"])
+        "unmapped_flip", "negative_boundary", "negative_perms",
+        "perms_above_rwx"])
 def test_replay_malformed_trace_exits_three(tmp_path, prefix, bad, message):
     golden = fixture_path("golden/scripted_sdk_sgx2.trace")
     lines = open(golden).read().splitlines()

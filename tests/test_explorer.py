@@ -2,6 +2,7 @@
 replay, matrix assembly, and cross-worker determinism."""
 
 import json
+import multiprocessing
 import random
 
 import pytest
@@ -564,7 +565,8 @@ def test_matrix_fans_out_only_through_the_search_pool(monkeypatch):
     # by the search; the matrix itself starts none
     assert not hasattr(explorer, "mp")
     sizes = []
-    monkeypatch.setattr(adversary, "mp", stub_pool_context(sizes))
+    monkeypatch.setattr(multiprocessing, "get_context",
+                        stub_pool_context(sizes))
     cells = explorer.run_matrix(MAPPING, SGX2, workers=2)
     assert [c.verdict for c in cells] == ["VULN", "VULN", "SAFE"]
     assert sizes == [2, 2]

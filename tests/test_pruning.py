@@ -557,6 +557,13 @@ def _plan_by_plan(image, sgx_version, classes, budget, grant, sp_mode):
     return stats, None, 0
 
 
+def _counters(stats) -> dict:
+    """All five counters of a SearchStats, including the two reports
+    leave out."""
+    return {name: getattr(stats, name) for name in
+            ("runs", "steps", "boundaries", "executed", "stepped")}
+
+
 def _survey_searches(monkeypatch) -> list:
     """The searches of the survey: every matrix certification on sgx 1 and
     2 and the two hardware mitigations on sgx 2, each as (args, kwargs,
@@ -586,7 +593,7 @@ def test_group_counting_equals_the_plan_by_plan_walk(monkeypatch):
     for (image, sgx), kwargs, out in calls:
         kwargs = {k: v for k, v in kwargs.items() if k != "workers"}
         stats, branch, _ = _plan_by_plan(image, sgx, **kwargs)
-        assert vars(out.stats) == vars(stats), (image.variant, sgx)
+        assert _counters(out.stats) == _counters(stats), (image.variant, sgx)
         assert getattr(out, "branch", None) == branch, (image.variant, sgx)
         outcomes.add(type(out))
     assert outcomes == {Counterexample, NoneFound}
@@ -646,4 +653,4 @@ def test_a_counterexample_mid_binding_counts_the_covered_plans_before_it(
         image, SGX2, (VEC_PAGE_FAULT, VEC_EXT_INT), adversary.SearchBudget(),
         DEFAULT_IRQ_GRANT, "range")
     assert branch == out.branch and covered == len(before.shapes)
-    assert vars(out.stats) == vars(stats)
+    assert _counters(out.stats) == _counters(stats)

@@ -23,6 +23,10 @@ from aexlab.runtimes import (
     build_machine, build_runtime, fixtures_dir, generate_source,
 )
 
+from conftest import load_script
+
+agreement = load_script("agreement")
+
 
 def fresh(variant, sgx=SGX2, toggles=None):
     img = build_runtime(variant, toggles=toggles or Toggles())
@@ -249,7 +253,7 @@ def test_emulation_completes_context_restore():
 
 def test_emulation_differential_every_offset():
     img = build_runtime("graphene_emulated")
-    diff = explorer.emulation_differential(img)
+    diff = agreement.emulation_differential(img)
     assert diff.clean, (diff.missing, diff.mismatches)
     assert diff.covered == diff.range_pcs
 

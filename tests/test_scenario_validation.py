@@ -82,7 +82,7 @@ _numbers = (st.integers(-2, 5000)
 _SECTION_KEYS = {
     "toggles": list(reporting._DEFAULT_TOGGLES),
     "hw_ext": list(reporting._DEFAULT_HW_EXT),
-    "layout": list(Layout.__dataclass_fields__),
+    "layout": list(Layout._fields),
 }
 
 
