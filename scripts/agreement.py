@@ -171,11 +171,12 @@ def covered():
     real = _original(adversary, "_count_covered")
     compared = []
 
-    def wrapper(image, snapshot, binding, group, clean, budget, stats):
+    def wrapper(space, binding, group, clean, stats):
         before = {k: getattr(stats, k) for k in ("runs", "steps",
                                                  "boundaries")}
-        real(image, snapshot, binding, group, clean, budget, stats)
-        entry = adversary._binding_entry(*binding)
+        real(space, binding, group, clean, stats)
+        entry = space.entry(*binding)
+        max_steps = space.budget.max_steps
         want_steps = 0
         for shape in group.shapes:
             rep = clean[shape]
@@ -183,10 +184,10 @@ def covered():
             if actions == rep[0]:
                 raise Mismatch(f"covered: plan {actions} of {binding} is "
                                f"its own representative")
-            got = harness.run_plan(snapshot.clone(), image, actions,
-                                   max_steps=budget.max_steps)
-            want = harness.run_plan(snapshot.clone(), image, rep[0],
-                                    max_steps=budget.max_steps)
+            got = harness.run_plan(space.root.clone(), space.image, actions,
+                                   max_steps=max_steps)
+            want = harness.run_plan(space.root.clone(), space.image, rep[0],
+                                    max_steps=max_steps)
             kept = dict(_counts(want), steps=rep[1], boundaries=rep[2])
             _require_same("covered", f"representative {rep[0]}",
                           _counts(want), kept)

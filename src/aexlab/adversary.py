@@ -161,34 +161,11 @@ def scripted_attack(image: EnclaveImage, sgx_version: int = SGX2,
 
 
 # ---------------------------------------------------------------------------
-# Value domain and the exhaustive attacker
+# The search space and the exhaustive attacker
 # ---------------------------------------------------------------------------
-
-def default_domain(image: EnclaveImage) -> tuple[int, ...]:
-    """Finite candidate words for attacker-controlled registers;
-    enumeration order is the declaration order."""
-    craft = craft_sp(image)
-    lay = image.layout
-    anchor = image.anchor_addr
-    return (
-        craft.crafted_rsp,
-        (craft.crafted_rsp + 8) & MASK64,
-        (craft.crafted_rsp - 8) & MASK64,
-        anchor,
-        (anchor + 8) & MASK64,
-        image.stack_base,
-        lay.stack_limit,
-        lay.pubbuf_base,
-        image.gadgets["pivot"],
-        image.gadgets["pop_rdi"],
-        SCRUB_VALUES[RSP],
-        0,
-    )
-
 
 PAYLOAD_REGS = ("r8", "r9", "r10", "r11", "r12", "r13", "r14", "r15",
                 "rax", "rbx", "rcx")
-REENTRY_CMDS = (CMD_ORET, CMD_INVALID, CMD_EXCEPTION)
 
 
 class SearchStats:
@@ -273,16 +250,6 @@ _INJECTED_TAIL = (
 )
 
 
-def _binding_entry(cmd: int, rsp_bind: int,
-                   payload_bind: int) -> tuple[PrepareRegs, Eenter]:
-    """The staged registers and the re-entry of one binding; every plan of
-    the binding shares these frozen actions."""
-    regs = {"rsp": rsp_bind, "rsi": 0}
-    for r in PAYLOAD_REGS:
-        regs[r] = payload_bind
-    return PrepareRegs.of(**regs), Eenter.of(cmd)
-
-
 def _candidate_actions(entry: tuple[PrepareRegs, Eenter],
                        inject: Optional[tuple[int, int]]) -> list:
     prepare, enter = entry
@@ -302,12 +269,60 @@ def _prefix_snapshot(image: EnclaveImage, sgx_version: int,
     return m
 
 
-def _checkpoint(image: EnclaveImage, snapshot: Machine,
-                sp_mode: str) -> SafetyMonitor:
-    """The safety monitor state after the prefix every run shares."""
-    monitor = SafetyMonitor(image, sp_mode)
-    monitor.feed(snapshot.trace)
-    return monitor
+class SearchSpace(NamedTuple):
+    """What a SAFE verdict covers.  From `root`, the machine after the
+    shared prefix whose trace `checkpoint` has read, each of `commands`
+    re-enters with rsp = each of `words` and the `payload_regs` = each of
+    `words`, dry and injecting each of `classes` at each boundary up to
+    `budget.boundary_cap`.  A Counterexample's branch indexes it."""
+
+    image: EnclaveImage
+    root: Machine
+    checkpoint: SafetyMonitor
+    commands: tuple[int, ...]
+    words: tuple[int, ...]
+    payload_regs: tuple[str, ...]
+    classes: tuple[int, ...]
+    budget: SearchBudget
+
+    def entry(self, cmd: int, rsp: int,
+              payload: int) -> tuple[PrepareRegs, Eenter]:
+        """The staged registers and re-entry every plan of a binding shares."""
+        regs = {"rsp": rsp, "rsi": 0}
+        for r in self.payload_regs:
+            regs[r] = payload
+        return PrepareRegs.of(**regs), Eenter.of(cmd)
+
+
+def search_space(image: EnclaveImage, sgx_version: int = SGX2,
+                 classes: tuple[int, ...] = (VEC_PAGE_FAULT, VEC_EXT_INT),
+                 budget: Optional[SearchBudget] = None,
+                 grant: Optional[tuple[int, int]] = DEFAULT_IRQ_GRANT,
+                 sp_mode: str = "range") -> SearchSpace:
+    """The space `exhaustive_attacker` enumerates; its words come from the
+    crafted stack pointer, the anchor, the layout and the gadgets."""
+    crafted = craft_sp(image).crafted_rsp
+    budget = budget or SearchBudget()
+    if budget.depth != CANDIDATE_DEPTH:
+        # a SAFE verdict must not claim a depth the template does not reach
+        raise ValueError(f"the candidate template has {CANDIDATE_DEPTH} "
+                         f"actions; budget depth {budget.depth} is not "
+                         "enumerated")
+    lay = image.layout
+    anchor = image.anchor_addr
+    words = (
+        crafted, (crafted + 8) & MASK64, (crafted - 8) & MASK64,
+        anchor, (anchor + 8) & MASK64,
+        image.stack_base, lay.stack_limit, lay.pubbuf_base,
+        image.gadgets["pivot"], image.gadgets["pop_rdi"],
+        SCRUB_VALUES[RSP], 0,
+    )
+    root = _prefix_snapshot(image, sgx_version, grant)
+    checkpoint = SafetyMonitor(image, sp_mode)
+    checkpoint.feed(root.trace)
+    return SearchSpace(image, root, checkpoint,
+                       (CMD_ORET, CMD_INVALID, CMD_EXCEPTION), words,
+                       PAYLOAD_REGS, classes, budget)
 
 
 def _monitored(checkpoint: SafetyMonitor, trace: list) -> SafetyMonitor:
@@ -365,11 +380,10 @@ def _schedule(clean: dict, n_boundaries: int, at_entry: list,
     return _Schedule(tuple(runs), _group(shapes, steps))
 
 
-def _count_covered(image: EnclaveImage, snapshot: Machine, binding: tuple,
-                   group: CoveredGroup, clean: dict, budget: SearchBudget,
-                   stats: SearchStats) -> None:
+def _count_covered(space: SearchSpace, binding: tuple, group: CoveredGroup,
+                   clean: dict, stats: SearchStats) -> None:
     """Add the runs, steps and injected boundaries of the plans of `group`
-    under `binding` (the arguments of `_binding_entry`) to `stats`, without
+    under `binding` (the arguments of `space.entry`) to `stats`, without
     building or running them.  No payload value reached a sink in any of
     their representatives (`clean[shape]`: actions, steps, boundaries), so
     each plan would repeat its representative's run.  The search calls
@@ -381,10 +395,9 @@ def _count_covered(image: EnclaveImage, snapshot: Machine, binding: tuple,
     stats.boundaries += group.boundaries
 
 
-def _attempt(image: EnclaveImage, snapshot: Machine,
-             entry: tuple[PrepareRegs, Eenter],
+def _attempt(space: SearchSpace, entry: tuple[PrepareRegs, Eenter],
              inject: Optional[tuple[int, int]], points: list, later: tuple,
-             budget: SearchBudget, track: bool, clean: dict,
+             track: bool, clean: dict,
              stats: SearchStats) -> tuple[list, RunResult]:
     """Run one candidate plan: the binding's staged registers and re-entry
     `entry`, injecting `inject` (None: the dry run).  A dry run keeps its
@@ -396,23 +409,20 @@ def _attempt(image: EnclaveImage, snapshot: Machine,
     registers and is kept in `clean` when the run ends uninfluenced.
     Returns the actions and the RunResult."""
     actions = _candidate_actions(entry, inject)
-    payload = PAYLOAD_REGS if track else ()
-    if inject is None:
-        res = run_plan(snapshot.clone(), image, actions,
-                       max_steps=budget.max_steps, payload=payload,
-                       keep=budget.boundary_cap)
-        resumed_at = 0
-    elif inject[1] < len(points):
+    payload = space.payload_regs if track else ()
+    budget = space.budget
+    if inject is not None and inject[1] < len(points):
         k = inject[1]
         point = points[k]
         if any((vec, k) not in clean for vec in later):
             point = point.copy()
-        res = run_plan(point, image, actions, max_steps=budget.max_steps,
+        res = run_plan(point, space.image, actions, max_steps=budget.max_steps,
                        payload=payload, inject=actions[1])  # the InjectAex
         resumed_at = point.steps
     else:
-        res = run_plan(snapshot.clone(), image, actions,
-                       max_steps=budget.max_steps, payload=payload)
+        res = run_plan(space.root.clone(), space.image, actions,
+                       max_steps=budget.max_steps, payload=payload,
+                       keep=budget.boundary_cap if inject is None else -1)
         resumed_at = 0
     stats.runs += 1
     stats.executed += 1
@@ -428,10 +438,7 @@ def _in_order(classes: tuple[int, ...]) -> list[tuple[int, tuple]]:
     return [(vec, classes[n + 1:]) for n, vec in enumerate(classes)]
 
 
-def _search_branch(image: EnclaveImage, snapshot: Machine,
-                   checkpoint: SafetyMonitor, cmd_i: int,
-                   rsp_i: int, domain: tuple[int, ...],
-                   classes: tuple[int, ...], budget: SearchBudget,
+def _search_branch(space: SearchSpace, cmd_i: int, rsp_i: int,
                    stats: SearchStats) -> Optional[Counterexample]:
     """Enumerate the plans of one (command, rsp) branch, payload binding by
     payload binding.  The first binding runs every plan shape; its plans
@@ -444,17 +451,17 @@ def _search_branch(image: EnclaveImage, snapshot: Machine,
     plans before it and none after it, as a plan-by-plan walk would.
     An executed injected plan resumes from its binding's dry run, at the
     boundary where it injects, instead of re-running the steps before it."""
-    cmd = REENTRY_CMDS[cmd_i]
-    rsp_bind = domain[rsp_i]
+    cmd = space.commands[cmd_i]
+    rsp_bind = space.words[rsp_i]
     clean: dict = {}    # plan shape -> clean representative
     # the classes injected at boundary 0 and at a later one: permission
     # faults realize at the entry fetch
-    at_entry = _in_order(classes)
-    inside = _in_order(tuple(v for v in classes if v != VEC_PAGE_FAULT))
+    at_entry = _in_order(space.classes)
+    inside = _in_order(tuple(v for v in space.classes if v != VEC_PAGE_FAULT))
 
     def found(pay_i: int, inject: Optional[tuple[int, int]], actions: list,
               res: RunResult) -> Optional[Counterexample]:
-        monitor = _monitored(checkpoint, res.trace)
+        monitor = _monitored(space.checkpoint, res.trace)
         if not monitor.violated:
             return None
         vec, k = inject if inject is not None else (-1, -1)
@@ -463,81 +470,64 @@ def _search_branch(image: EnclaveImage, snapshot: Machine,
                               monitor.verdicts(), stats)
 
     # the first binding: every shape runs, with labelled payload registers
-    entry = _binding_entry(cmd, rsp_bind, domain[0])
-    actions, res = _attempt(image, snapshot, entry, None, (), (), budget,
-                            True, clean, stats)
+    entry = space.entry(cmd, rsp_bind, space.words[0])
+    actions, res = _attempt(space, entry, None, (), (), True, clean, stats)
     ce = found(0, None, actions, res)
     if ce is not None:
         return ce
     points = res.points
-    first_boundaries = min(res.boundaries, budget.boundary_cap)
+    first_boundaries = min(res.boundaries, space.budget.boundary_cap)
     for k in range(first_boundaries + 1):
         for vec, later in at_entry if k == 0 else inside:
-            actions, res = _attempt(image, snapshot, entry, (vec, k), points,
-                                    later, budget, True, clean, stats)
+            actions, res = _attempt(space, entry, (vec, k), points, later,
+                                    True, clean, stats)
             stats.boundaries += 1
             ce = found(0, (vec, k), actions, res)
             if ce is not None:
                 return ce
 
     schedules: dict = {}    # boundaries injected -> _Schedule
-    for pay_i in range(1, len(domain)):
-        binding = (cmd, rsp_bind, domain[pay_i])
+    for pay_i in range(1, len(space.words)):
+        binding = (cmd, rsp_bind, space.words[pay_i])
         entry = None
         points = ()
         n_boundaries = first_boundaries
         if None not in clean:
-            entry = _binding_entry(*binding)
-            actions, res = _attempt(image, snapshot, entry, None, (), (),
-                                    budget, False, clean, stats)
+            entry = space.entry(*binding)
+            actions, res = _attempt(space, entry, None, (), (), False, clean,
+                                    stats)
             ce = found(pay_i, None, actions, res)
             if ce is not None:
                 return ce
             points = res.points
-            n_boundaries = min(res.boundaries, budget.boundary_cap)
+            n_boundaries = min(res.boundaries, space.budget.boundary_cap)
         schedule = schedules.get(n_boundaries)
         if schedule is None:
             schedule = schedules[n_boundaries] = _schedule(
                 clean, n_boundaries, at_entry, inside)
         if schedule.runs and entry is None:
-            entry = _binding_entry(*binding)
+            entry = space.entry(*binding)
         for inject, later, before in schedule.runs:
-            actions, res = _attempt(image, snapshot, entry, inject, points,
-                                    later, budget, False, clean, stats)
+            actions, res = _attempt(space, entry, inject, points, later,
+                                    False, clean, stats)
             stats.boundaries += 1
             ce = found(pay_i, inject, actions, res)
             if ce is not None:
-                _count_covered(image, snapshot, binding, before, clean,
-                               budget, stats)
+                _count_covered(space, binding, before, clean, stats)
                 return ce
-        _count_covered(image, snapshot, binding, schedule.covered, clean,
-                       budget, stats)
+        _count_covered(space, binding, schedule.covered, clean, stats)
     return None
 
 
-# the search's shared state: set in the parent, which forked pool workers
+# the space being searched: set in the parent, which forked pool workers
 # inherit
-_W: dict = {}
-
-
-def _set_search_state(image, sgx_version, grant, domain, classes, budget,
-                      sp_mode):
-    snapshot = _prefix_snapshot(image, sgx_version, grant)
-    _W["image"] = image
-    _W["snapshot"] = snapshot
-    _W["checkpoint"] = _checkpoint(image, snapshot, sp_mode)
-    _W["domain"] = domain
-    _W["classes"] = classes
-    _W["budget"] = budget
+_space: Optional[SearchSpace] = None
 
 
 def _worker_branch(args) -> tuple[SearchStats, Optional[Counterexample]]:
     cmd_i, rsp_i = args
     stats = SearchStats()
-    ce = _search_branch(_W["image"], _W["snapshot"], _W["checkpoint"],
-                        cmd_i, rsp_i, _W["domain"], _W["classes"],
-                        _W["budget"], stats)
-    return stats, ce
+    return stats, _search_branch(_space, cmd_i, rsp_i, stats)
 
 
 def exhaustive_attacker(image: EnclaveImage, sgx_version: int = SGX2,
@@ -546,19 +536,14 @@ def exhaustive_attacker(image: EnclaveImage, sgx_version: int = SGX2,
                         budget: Optional[SearchBudget] = None,
                         grant: Optional[tuple[int, int]] = DEFAULT_IRQ_GRANT,
                         workers: int = 1, sp_mode: str = "range"):
-    """Depth-first enumeration over injection boundaries, exception
-    classes, re-entry commands and register bindings.  Returns the first
-    (lowest-lexicographic-branch) Counterexample, or NoneFound with visited
-    statistics only when the full bounded space was enumerated."""
-    domain = default_domain(image)
-    budget = budget or SearchBudget()
-    if budget.depth != CANDIDATE_DEPTH:
-        # a SAFE verdict must not claim a depth the template does not reach
-        raise ValueError(f"the candidate template has {CANDIDATE_DEPTH} "
-                         f"actions; budget depth {budget.depth} is not "
-                         "enumerated")
-    branches = [(c, r) for c in range(len(REENTRY_CMDS))
-                for r in range(len(domain))]
+    """Depth-first enumeration of the `search_space` of these arguments.
+    Returns the first (lowest-lexicographic-branch) Counterexample, or
+    NoneFound with visited statistics only when the full bounded space was
+    enumerated."""
+    global _space
+    space = search_space(image, sgx_version, classes, budget, grant, sp_mode)
+    branches = [(c, r) for c in range(len(space.commands))
+                for r in range(len(space.words))]
 
     # The run budget is enforced between branches (each branch is small and
     # always completes) and branches are consumed in order, so stats and
@@ -568,8 +553,7 @@ def exhaustive_attacker(image: EnclaveImage, sgx_version: int = SGX2,
     outcome = NoneFound(total)
     pool = None
     try:
-        _set_search_state(image, sgx_version, grant, domain, classes, budget,
-                          sp_mode)
+        _space = space
         if workers <= 1:
             results = map(_worker_branch, branches)
         else:
@@ -587,7 +571,7 @@ def exhaustive_attacker(image: EnclaveImage, sgx_version: int = SGX2,
             if ce is not None:
                 outcome = ce._replace(stats=total)
                 break
-            if total.runs >= budget.max_runs:
+            if total.runs >= space.budget.max_runs:
                 outcome = BudgetExceeded(total, "run budget exhausted")
                 break
         if pool is not None:
@@ -596,7 +580,7 @@ def exhaustive_attacker(image: EnclaveImage, sgx_version: int = SGX2,
     finally:
         if pool is not None:
             pool.terminate()        # does work only when the search raised
-        _W.clear()
+        _space = None
     return outcome
 
 

@@ -11,8 +11,9 @@ from typing import NamedTuple, Optional, Sequence
 
 from . import adversary, reporting
 from .harness import (
-    FlipPerms, Point, PrepareRegs, RunResult, benign_critical_exception_plan,
-    benign_nested_plan, benign_plan, prefix_plan, run_plan,
+    FlipPerms, Point, PrepareRegs, RunResult, SeedRefused,
+    benign_critical_exception_plan, benign_nested_plan, benign_plan,
+    prefix_plan, run_plan,
 )
 from .isa import Program, render
 from .machine import VECTOR_IDS, UnknownPage
@@ -310,8 +311,8 @@ def _divergence(body_lines: list[str], i: int, got: str,
 def replay(scenario: dict, body_lines: list[str],
            declared_lines: int) -> ReplayResult:
     """Re-execute the recorded actions and re-check every event digest.
-    A flip of a page the layout does not map raises TraceFileError naming
-    its line."""
+    A flip of a page the layout does not map, or a seed of other than
+    aligned public words, raises TraceFileError naming its line."""
     if len(body_lines) != declared_lines:
         return ReplayResult(False, len(body_lines),
                             "trace truncated or padded",
@@ -328,6 +329,10 @@ def replay(scenario: dict, body_lines: list[str],
         raise reporting.TraceFileError(
             f"{line!r} flips page {e}, which the layout does not map"
         ) from None
+    except SeedRefused as e:        # the first equal seed was refused
+        line = action_lines[actions.index(e.args[0])]
+        raise reporting.TraceFileError(
+            f"{line!r} seeds other than aligned public words") from None
     for i, (want, got) in enumerate(zip(body_lines, lines)):
         if want != got:
             return ReplayResult(False, i, _divergence(body_lines, i, got,

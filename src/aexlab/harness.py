@@ -121,6 +121,10 @@ class SeedPublic(NamedTuple):
     __eq__, __ne__ = _same_kind, _other_kind
 
 
+class SeedRefused(Exception):
+    """A SeedPublic (the argument) of other than aligned public words."""
+
+
 class Stop(_Bare):
     __slots__ = ()
 
@@ -359,8 +363,11 @@ def run_plan(machine: "Machine | Point", image: EnclaveImage, actions: list,
             machine.os_set_page_perms(action.page_base, action.perms)
             notify()
         elif isinstance(action, SeedPublic):
-            for i, w in enumerate(action.words):
-                machine.mem.write(action.addr + 8 * i, w & MASK64, False)
+            addrs = range(action.addr, action.addr + 8 * len(action.words), 8)
+            if action.addr % 8 or not all(map(machine.mem.is_public, addrs)):
+                raise SeedRefused(action)
+            for addr, w in zip(addrs, action.words):
+                machine.mem.write(addr, w & MASK64, False)
             machine.emit(E_ADV_SEED, 0, action.addr, len(action.words))
             notify()
         elif isinstance(action, Stop):

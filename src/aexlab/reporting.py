@@ -19,8 +19,8 @@ from .harness import (
     Eenter, Eresume, FlipPerms, InjectAex, PrepareRegs, SeedPublic, Stop,
 )
 from .machine import (
-    DEFAULT_IRQ_GRANT, EVENT_IDS, EVENT_NAMES, PERM_R, PERM_W, PERM_X,
-    REG_IDS, VECTOR_IDS, VECTOR_NAMES,
+    DEFAULT_IRQ_GRANT, EVENT_IDS, EVENT_NAMES, MASK64, PERM_R, PERM_W,
+    PERM_X, REG_IDS, VECTOR_IDS, VECTOR_NAMES,
 )
 from .properties import ALL_PROPERTIES, SAFETY_PROPERTIES
 from .runtimes import (
@@ -242,6 +242,14 @@ def _kv(pairs) -> str:
     return ",".join(f"{k}={v:#x}" for k, v in pairs)
 
 
+def _word(text: str) -> int:
+    """A hex field of an action line: a 64-bit word."""
+    value = int(text, 16)
+    if not 0 <= value <= MASK64:
+        raise ValueError("not a 64-bit word")
+    return value
+
+
 def _parse_kv(text: str):
     if not text:
         return ()
@@ -250,7 +258,7 @@ def _parse_kv(text: str):
         k, _, v = part.partition("=")
         if k not in REG_IDS:
             raise ValueError(f"unknown register {k!r}")
-        out.append((k, int(v, 16)))
+        out.append((k, _word(v)))
     return tuple(out)
 
 
@@ -289,10 +297,10 @@ def _action(parts: list[str]):
     if kind == "prep":
         return PrepareRegs(_parse_kv(parts[2] if len(parts) > 2 else ""))
     if kind == "eenter":
-        cmd = int(parts[2], 16)
+        cmd = _word(parts[2])
         regs = None if parts[3] == "-" else (
             () if parts[3] == "=" else _parse_kv(parts[3]))
-        aep = None if parts[4] == "-" else int(parts[4], 16)
+        aep = None if parts[4] == "-" else _word(parts[4])
         return Eenter(cmd, regs, aep)
     if kind == "eresume":
         return Eresume()
@@ -305,10 +313,10 @@ def _action(parts: list[str]):
         perms = int(parts[3])
         if not 0 <= perms <= PERM_R | PERM_W | PERM_X:
             raise ValueError("permissions out of range")
-        return FlipPerms(int(parts[2], 16), perms)
+        return FlipPerms(_word(parts[2]), perms)
     if kind == "seed":
-        words = tuple(int(w, 16) for w in parts[3].split(","))
-        return SeedPublic(int(parts[2], 16), words)
+        words = tuple(_word(w) for w in parts[3].split(","))
+        return SeedPublic(_word(parts[2]), words)
     if kind == "stop":
         return Stop()
     raise ValueError("unknown action")

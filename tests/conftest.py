@@ -42,7 +42,7 @@ def deadline():
 def stub_pool_context(sizes: list, calls: list = None):
     """A stand-in for `multiprocessing.get_context`, which the search calls
     to start its pool: each pool records its size in `sizes` and computes
-    its tasks in-process, from the search state the parent set up before
+    its tasks in-process, from the search space the parent set before
     starting it, as a forked worker would see it.  `calls` gets each method
     call in order: ("map", number of tasks), ("close",), ("join",) and
     ("terminate",)."""
@@ -50,7 +50,7 @@ def stub_pool_context(sizes: list, calls: list = None):
 
     class Pool:
         def __init__(self, n):
-            assert adversary._W, "the pool starts before the search state"
+            assert adversary._space is not None
             sizes.append(n)
 
         def map(self, fn, items):

@@ -8,15 +8,19 @@ import pytest
 from aexlab import adversary, explorer, properties, reporting
 from aexlab.adversary import (
     BudgetExceeded, Counterexample, NoneFound, PlanInfeasible, SearchBudget,
-    default_domain, estimate_single_shot_rate, exact_single_shot_rate,
-    exhaustive_attacker, multi_round_aslr, scripted_attack,
+    craft_sp, estimate_single_shot_rate, exact_single_shot_rate,
+    exhaustive_attacker, multi_round_aslr, scripted_attack, search_space,
 )
 from aexlab.harness import prefix_plan, run_plan
 from aexlab.isa import OP_EMULATE_CRITICAL
 from aexlab.machine import (
-    E_HW_AEX, E_HW_DEFER, E_RETIRE, SGX1, SGX2, VEC_EXT_INT, VEC_PAGE_FAULT,
+    E_HW_AEX, E_HW_DEFER, E_RETIRE, RSP, SCRUB_VALUES, SGX1, SGX2,
+    VEC_EXT_INT, VEC_PAGE_FAULT,
 )
-from aexlab.runtimes import Layout, Toggles, build_machine, build_runtime
+from aexlab.runtimes import (
+    CMD_EXCEPTION, CMD_INVALID, CMD_ORET, Layout, Toggles, build_machine,
+    build_runtime,
+)
 
 from conftest import load_script, stub_pool_context
 
@@ -109,7 +113,20 @@ def test_plan_replay_is_deterministic():
 
 def test_domain_has_twelve_words():
     img = build_runtime("sdk_style")
-    assert len(default_domain(img)) == 12
+    space = search_space(img)
+    crafted = craft_sp(img).crafted_rsp
+    anchor = img.anchor_addr
+    assert len(space.words) == 12
+    assert space.words == (
+        crafted, crafted + 8, crafted - 8, anchor, anchor + 8,
+        img.stack_base, img.layout.stack_limit, img.layout.pubbuf_base,
+        img.gadgets["pivot"], img.gadgets["pop_rdi"], SCRUB_VALUES[RSP], 0)
+    assert space.commands == (CMD_ORET, CMD_INVALID, CMD_EXCEPTION)
+    assert space.payload_regs == ("r8", "r9", "r10", "r11", "r12", "r13",
+                                  "r14", "r15", "rax", "rbx", "rcx")
+    assert space.classes == (VEC_PAGE_FAULT, VEC_EXT_INT)
+    with pytest.raises(ValueError, match="budget depth 7 is not enumerated"):
+        search_space(img, budget=SearchBudget(depth=7))
 
 
 def test_exhaustive_rediscovers_without_hints():
@@ -156,8 +173,9 @@ def test_unenumerated_depth_is_refused(depth):
         exhaustive_attacker(img, SGX2, budget=SearchBudget(depth=depth))
 
 
-def test_candidate_plans_have_the_budgeted_depth():
-    entry = adversary._binding_entry(adversary.REENTRY_CMDS[0], 0, 0)
+def test_candidate_plans_have_the_budgeted_depth(sdk_image):
+    space = search_space(sdk_image)
+    entry = space.entry(space.commands[0], 0, 0)
     assert len(adversary._candidate_actions(entry, (VEC_EXT_INT, 3))) == \
         SearchBudget().depth == adversary.CANDIDATE_DEPTH
 
@@ -188,7 +206,7 @@ def test_worker_fanout_matches_sequential():
 @pytest.mark.usefixtures("deadline")
 def test_workers_search_the_callers_image():
     # a moved stack changes the crafted words: workers must search this
-    # image and value domain, not a rebuild with the default layout
+    # image and search space, not a rebuild with the default layout
     img = build_runtime("sdk_style", layout=Layout(stack_base=0x27000))
     seq = exhaustive_attacker(img, SGX2, workers=1)
     par = exhaustive_attacker(img, SGX2, workers=2)
@@ -208,7 +226,8 @@ def test_search_pool_is_capped_at_the_branch_count(monkeypatch):
     img = build_runtime("sdk_style")
     out = exhaustive_attacker(img, SGX2, workers=10**6)
     assert isinstance(out, Counterexample)
-    assert sizes == [len(adversary.REENTRY_CMDS) * len(default_domain(img))]
+    space = search_space(img)
+    assert sizes == [len(space.commands) * len(space.words)]
 
 
 def test_search_pool_is_closed_not_killed_after_a_counterexample(

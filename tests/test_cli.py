@@ -154,10 +154,32 @@ def _first(lines, prefix):
      "error: trace: malformed action line: 'A flip 0x1000 -1'"),
     ("A eenter ", "A flip 0x1000 99",
      "error: trace: malformed action line: 'A flip 0x1000 99'"),
+    ("A eenter ", "A eenter -0x3 - -",
+     "error: trace: malformed action line: 'A eenter -0x3 - -'"),
+    ("A eenter ", "A eenter 0x10000000000000003 - -",
+     "error: trace: malformed action line: "
+     "'A eenter 0x10000000000000003 - -'"),
+    ("A prep ", "A prep rax=0x1ffffffffffffffff",
+     "error: trace: malformed action line: "
+     "'A prep rax=0x1ffffffffffffffff'"),
+    ("A eenter ", "A seed 0x41000 0x1ffffffffffffffff",
+     "error: trace: malformed action line: "
+     "'A seed 0x41000 0x1ffffffffffffffff'"),
+    ("A eenter ", "A seed 0x2b000 0x41",
+     "error: trace: 'A seed 0x2b000 0x41' seeds other than aligned "
+     "public words"),
+    ("A eenter ", "A seed 0x41003 0x41",
+     "error: trace: 'A seed 0x41003 0x41' seeds other than aligned "
+     "public words"),
+    ("A eenter ", "A seed 0x999000 0x41",
+     "error: trace: 'A seed 0x999000 0x41' seeds other than aligned "
+     "public words"),
 ], ids=["line_count", "action_hex", "vector_name", "short_action",
         "event_hex", "eenter_unknown_register", "prep_unknown_register",
         "unmapped_flip", "negative_boundary", "negative_perms",
-        "perms_above_rwx"])
+        "perms_above_rwx", "negative_cmd", "cmd_above_64_bits",
+        "prep_above_64_bits", "seed_word_above_64_bits", "seed_secret_word",
+        "seed_unaligned", "seed_unmapped"])
 def test_replay_malformed_trace_exits_three(tmp_path, prefix, bad, message):
     golden = fixture_path("golden/scripted_sdk_sgx2.trace")
     lines = open(golden).read().splitlines()

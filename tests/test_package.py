@@ -1,13 +1,18 @@
-"""Package-level guards: what importing the package loads, and the value
-semantics of the types that stand for values."""
+"""Package-level guards: what importing the package loads, the value
+semantics of the types that stand for values, and the names the
+benchmark's tracer wraps."""
 
+import ast
 import subprocess
 import sys
+from pathlib import Path
 
+from aexlab import adversary, cli, explorer, harness, isa, properties, \
+    reporting
 from aexlab.harness import (
     Eenter, Eresume, FlipPerms, InjectAex, PrepareRegs, SeedPublic, Stop,
 )
-from aexlab.machine import Page
+from aexlab.machine import Machine, Page
 from aexlab.runtimes import Layout, Toggles
 
 from conftest import CLI_ENV, CLI_TIMEOUT
@@ -87,3 +92,33 @@ def test_pages_are_values():
     assert hash(page) == hash(Page(0x1000, 0x1000, 0, 5))
     assert page != Page(0x1000, 0x1000, 0, 7)
     assert repr(page) == "Page(base=4096, size=4096, kind=0, perms=5)"
+
+
+# tracer targets gone before this guard existed; their metrics read 0 until
+# the benchmark stops wrapping them (ROADMAP item 11)
+GONE_TRACER_TARGETS = {
+    "properties.check_sp_confinement", "properties._CHECKS",
+    "adversary.evaluate", "adversary.build_runtime",
+}
+
+
+def test_tracer_targets_exist():
+    # perfbench/tracer.py skips a name that is gone, so a rename would turn
+    # its spans off silently
+    owners = {"adversary": [adversary], "cli": [cli], "explorer": [explorer],
+              "harness": [harness], "isa": [isa], "properties": [properties],
+              "reporting": [reporting], "Machine": [Machine],
+              "reporting.TraceRecorder": [reporting.TraceRecorder],
+              "mod": [explorer, adversary]}
+    tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    targets = set()
+    for node in ast.walk(ast.parse(tracer.read_text())):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "P"
+                and isinstance(node.args[1], ast.Constant)):
+            for owner in owners[ast.unparse(node.args[0])]:
+                targets.add((owner, node.args[1].value))
+    assert (adversary, "_prefix_snapshot") in targets
+    missing = {f"{owner.__name__.rpartition('.')[2]}.{name}"
+               for owner, name in targets if not hasattr(owner, name)}
+    assert missing == GONE_TRACER_TARGETS

@@ -430,8 +430,8 @@ def test_pruning_stays_sound_where_the_payload_matters(monkeypatch):
     with agreement.covered() as compared:
         out = exhaustive_attacker(build_runtime("open_enclave_style"), SGX2)
     assert isinstance(out, NoneFound)
-    groups = out.stats.runs // len(adversary.default_domain(
-        build_runtime("open_enclave_style")))
+    groups = out.stats.runs // len(adversary.search_space(
+        build_runtime("open_enclave_style")).words)
     assert out.stats.executed > groups
     assert len(compared) == out.stats.runs - out.stats.executed
 
@@ -511,18 +511,17 @@ def _plan_by_plan(image, sgx_version, classes, budget, grant, sp_mode):
     `adversary._attempt`, in plan order.  Returns the stats, the
     counterexample's branch (None without one) and the number of covered
     plans of the counterexample's binding counted before it."""
-    domain = adversary.default_domain(image)
-    snapshot = adversary._prefix_snapshot(image, sgx_version, grant)
-    checkpoint = adversary._checkpoint(image, snapshot, sp_mode)
-    at_entry = adversary._in_order(classes)
+    space = adversary.search_space(image, sgx_version, classes, budget,
+                                   grant, sp_mode)
+    at_entry = adversary._in_order(space.classes)
     inside = adversary._in_order(
-        tuple(v for v in classes if v != VEC_PAGE_FAULT))
+        tuple(v for v in space.classes if v != VEC_PAGE_FAULT))
     stats = adversary.SearchStats()
-    for cmd_i, cmd in enumerate(adversary.REENTRY_CMDS):
-        for rsp_i, rsp in enumerate(domain):
+    for cmd_i, cmd in enumerate(space.commands):
+        for rsp_i, rsp in enumerate(space.words):
             clean = {}
-            for pay_i, payload in enumerate(domain):
-                entry = adversary._binding_entry(cmd, rsp, payload)
+            for pay_i, payload in enumerate(space.words):
+                entry = space.entry(cmd, rsp, payload)
                 points, covered = (), 0
 
                 def walk(inject, later):
@@ -535,24 +534,25 @@ def _plan_by_plan(image, sgx_version, classes, budget, grant, sp_mode):
                         covered += 1
                         return rep[2], False
                     _, res = adversary._attempt(
-                        image, snapshot, entry, inject, points, later,
-                        budget, pay_i == 0, clean, stats)
+                        space, entry, inject, points, later, pay_i == 0,
+                        clean, stats)
                     if inject is None:
                         points = res.points
-                    monitor = adversary._monitored(checkpoint, res.trace)
+                    monitor = adversary._monitored(space.checkpoint,
+                                                   res.trace)
                     return res.boundaries, monitor.violated
 
                 dry, violated = walk(None, ())
                 if violated:
                     return stats, (cmd_i, rsp_i, pay_i, -1, -1), covered
-                for k in range(min(dry, budget.boundary_cap) + 1):
+                for k in range(min(dry, space.budget.boundary_cap) + 1):
                     for vec, later in at_entry if k == 0 else inside:
                         _, violated = walk((vec, k), later)
                         stats.boundaries += 1
                         if violated:
                             return (stats, (cmd_i, rsp_i, pay_i, k, vec),
                                     covered)
-            if stats.runs >= budget.max_runs:
+            if stats.runs >= space.budget.max_runs:
                 return stats, None, 0
     return stats, None, 0
 
@@ -618,13 +618,12 @@ def test_a_counterexample_mid_binding_counts_the_covered_plans_before_it(
             return []
 
     def recorded_attempt(*args):
-        executed.append((args[7], args[3]))     # track, inject
+        executed.append((args[5], args[2]))     # track, inject
         return attempt(*args)
 
-    def recorded_group(image, snapshot, binding, group, clean, budget,
-                       stats):
+    def recorded_group(space, binding, group, clean, stats):
         groups.setdefault(binding, []).append(group)
-        count_covered(image, snapshot, binding, group, clean, budget, stats)
+        count_covered(space, binding, group, clean, stats)
 
     monkeypatch.setattr(adversary, "_attempt", recorded_attempt)
     monkeypatch.setattr(adversary, "_count_covered", recorded_group)
