@@ -30,11 +30,16 @@ checks critical-span completion against native execution.
   before the run's end, and its verdicts must equal a from-scratch
   `properties.evaluate` of the whole trace.  Yields whether each run
   violated.
-- `trials()` wraps `explorer._fires` and `explorer.run_plan`.  Every
-  minimization trial resumed from an action point must equal a fresh run
-  of its plan through `explorer._execute`.  Both must agree on whether the
-  property fires, and give the same trace, status, steps, boundaries,
-  actions applied and digest.  Yields each trial's actions.
+- `trials()` wraps `explorer._fires`, `explorer._unread` and
+  `explorer.run_plan`.  Every minimization trial resumed from an action
+  point must equal a fresh run of its plan through `explorer._execute`.
+  Both must agree on whether the property fires, and give the same trace,
+  status, steps, boundaries, actions applied and digest.  Every zeroing
+  trial decided by labels is run fresh: the property must fire, and the
+  run must give the trace, status, steps, boundaries and actions applied
+  of a fresh run of the plan it came from (digests differ: the zeroed
+  word is in the state).  Yields the list of every trial's actions, run
+  or decided, in order, and the list of those decided by labels.
 - `digests()` wraps `Machine.digest`, which splices its text from cached
   segments, and `explorer.replay`, to tell the replay phase from the
   record phase.  Every digest must equal `canonical_digest`, its
@@ -259,18 +264,20 @@ def monitored():
 @contextlib.contextmanager
 def trials():
     real = _original(explorer, "_fires")
+    decide = _original(explorer, "_unread")
     run_plan = _original(explorer, "run_plan")
     last = []
     compared = []
+    decided = []
 
     def resumed_run(start, image, actions, **kwargs):
         res = run_plan(start, image, actions, **kwargs)
         if isinstance(start, harness.Point):
-            last.append(res)
+            last[:] = [res]
         return res
 
-    def wrapper(image, scenario, actions, prop, start):
-        result = real(image, scenario, actions, prop, start)
+    def wrapper(image, scenario, actions, prop, start, origins):
+        result = real(image, scenario, actions, prop, start, origins)
         res = last.pop()
         fresh, _ = explorer._execute(scenario, image, actions)
         fresh_fires = properties.any_violation(explorer._verdicts(
@@ -282,8 +289,27 @@ def trials():
         compared.append(list(actions))
         return result
 
-    with _installed(explorer, _fires=wrapper, run_plan=resumed_run):
-        yield compared
+    def unread(image, scenario, actions, prop, accepted, influenced, name):
+        result = decide(image, scenario, actions, prop, accepted, influenced,
+                        name)
+        if result:
+            got, _ = explorer._execute(scenario, image, actions)
+            want, _ = explorer._execute(scenario, image, accepted)
+            fires = properties.any_violation(explorer._verdicts(
+                scenario, image, got.trace, (prop,))) is not None
+            _require_same("trials", f"trial {actions} decided by labels "
+                                    f"({name} unread)",
+                          dict(_counts(got), fires=fires,
+                               actions_applied=got.actions_applied),
+                          dict(_counts(want), fires=True,
+                               actions_applied=want.actions_applied))
+            compared.append(list(actions))
+            decided.append(list(actions))
+        return result
+
+    with _installed(explorer, _fires=wrapper, _unread=unread,
+                    run_plan=resumed_run):
+        yield compared, decided
 
 
 def canonical_digest(m) -> str:
@@ -427,8 +453,9 @@ def minimization_sweep() -> int:
     sys.path.insert(0, os.path.join(HERE, "..", "perfbench"))
     from workloads import Hunt
 
-    total = minimized = 0
-    with trials() as tried, tempfile.TemporaryDirectory() as workdir:
+    total = by_labels = minimized = 0
+    with trials() as (tried, decided), \
+            tempfile.TemporaryDirectory() as workdir:
         for seed in HUNT_SEEDS:
             t0 = time.monotonic()
             for scenario in Hunt(seed, workdir).batch:
@@ -453,11 +480,14 @@ def minimization_sweep() -> int:
                     return 1
                 minimized += 1
             print(f"hunt seed {seed}: {len(tried)} minimization trials "
-                  f"agree ({time.monotonic() - t0:.1f}s)", file=sys.stderr)
+                  f"({len(decided)} decided by labels) agree "
+                  f"({time.monotonic() - t0:.1f}s)", file=sys.stderr)
             total += len(tried)
+            by_labels += len(decided)
             tried.clear()
-    print(f"{total} minimization trials of {minimized} counterexamples "
-          f"compared, all agree")
+            decided.clear()
+    print(f"{total} minimization trials ({by_labels} decided by labels) of "
+          f"{minimized} counterexamples compared, all agree")
     return 0
 
 

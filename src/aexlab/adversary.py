@@ -13,6 +13,7 @@ classes, re-entry commands, and register bindings from a finite domain.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from .harness import (
@@ -21,7 +22,7 @@ from .harness import (
     prefix_plan, run_plan,
 )
 from .machine import (
-    DEFAULT_IRQ_GRANT, MASK64, RSP, SCRUB_VALUES, SGX2, VEC_EXT_INT,
+    DEFAULT_IRQ_GRANT, MASK64, PAYLOAD, RSP, SCRUB_VALUES, SGX2, VEC_EXT_INT,
     VEC_PAGE_FAULT, Machine, reports_to_enclave,
 )
 from .properties import SafetyMonitor
@@ -409,7 +410,7 @@ def _attempt(space: SearchSpace, entry: tuple[PrepareRegs, Eenter],
     registers and is kept in `clean` when the run ends uninfluenced.
     Returns the actions and the RunResult."""
     actions = _candidate_actions(entry, inject)
-    payload = space.payload_regs if track else ()
+    payload = _one_plane(space.payload_regs) if track else None
     budget = space.budget
     if inject is not None and inject[1] < len(points):
         k = inject[1]
@@ -431,6 +432,14 @@ def _attempt(space: SearchSpace, entry: tuple[PrepareRegs, Eenter],
     if track and not res.machine.influenced:
         clean[inject] = (actions, res.steps, res.boundaries)
     return actions, res
+
+
+@lru_cache(maxsize=None)
+def _one_plane(regs: tuple[str, ...]) -> dict[str, int]:
+    """The search's payload labels: every payload register on the one
+    payload plane, since a representative must be clean for all of them
+    at once."""
+    return dict.fromkeys(regs, PAYLOAD)
 
 
 def _in_order(classes: tuple[int, ...]) -> list[tuple[int, tuple]]:

@@ -16,7 +16,7 @@ from .harness import (
     prefix_plan, run_plan,
 )
 from .isa import Program, render
-from .machine import VECTOR_IDS, UnknownPage
+from .machine import ORIGINS, REG_IDS, VECTOR_IDS, UnknownPage
 from .properties import (
     Verdict, any_violation, evaluate, milestones,
 )
@@ -72,11 +72,13 @@ def _classes_for(scenario: dict) -> tuple[int, ...]:
 
 
 def _execute(scenario: dict, image: EnclaveImage, actions: list,
-             record: bool = False, keep_from: Optional[int] = None):
+             record: bool = False, keep_from: Optional[int] = None,
+             payload: Optional[dict[str, int]] = None):
     """The one build -> grant -> run path: a fresh machine for the
     scenario's platform and grant runs the actions under its step budget.
     With `record`, the trace lines with per-event digests come back too;
-    with `keep_from`, the run keeps action points from that index on."""
+    with `keep_from`, the run keeps action points from that index on;
+    `payload` labels the staged registers (see ``run_plan``)."""
     hw_ext = scenario["hw_ext"]
     m = build_machine(image, scenario["sgx_version"],
                       (hw_ext["allowed"], hw_ext["window"]))
@@ -85,7 +87,7 @@ def _execute(scenario: dict, image: EnclaveImage, actions: list,
                    max_steps=scenario["budgets"]["max_steps"],
                    on_action=rec.on_action if rec else None,
                    after_events=rec.after_events if rec else None,
-                   keep_from=keep_from)
+                   keep_from=keep_from, payload=payload)
     if rec is not None:
         rec.flush()
     return res, rec.lines if rec else None
@@ -187,17 +189,30 @@ def run(scenario: dict, workers: int = 1) -> Outcome:
 # ---------------------------------------------------------------------------
 
 def _fires(image: EnclaveImage, scenario: dict, actions: list, prop: str,
-           start: Point) -> Optional[RunResult]:
+           start: Point, origins: dict[str, int]) -> Optional[RunResult]:
     """One minimization trial: run `actions` from a copy of `start`, an
     action point of a plan that shares the actions before it, keeping the
-    trial's own action points after it.  Returns the run when `prop` still
-    fires on its full trace, else None."""
+    trial's own action points after it, with the staged registers labelled
+    by `origins`.  Returns the run when `prop` still fires on its full
+    trace, else None."""
     res = run_plan(start.copy(), image, actions,
                    max_steps=scenario["budgets"]["max_steps"],
-                   keep_from=start.idx + 1)
+                   payload=origins, keep_from=start.idx + 1)
     if any_violation(_verdicts(scenario, image, res.trace, (prop,))) is None:
         return None
     return res
+
+
+def _unread(image: EnclaveImage, scenario: dict, actions: list, prop: str,
+            accepted: list, influenced: int, name: str) -> bool:
+    """Whether a zeroing trial is decided without a run.  `actions` is the
+    accepted plan `accepted` with one staged word of register `name`
+    zeroed, and `influenced` holds the payload planes that reached a sink
+    in the accepted plan's run.  When `name`'s plane is not among them, no
+    staged value of `name` reached a sink, so the trial's run gives the
+    accepted run's trace, status, steps, boundaries and actions applied
+    (noninterference): `prop` fires on it, and the trial is accepted."""
+    return not influenced & ORIGINS[REG_IDS[name]]
 
 
 def minimize(scenario: dict, actions: list) -> list:
@@ -205,30 +220,53 @@ def minimize(scenario: dict, actions: list) -> list:
     while the same property still fires on replay.  Deterministic and
     idempotent; raises ValueError when the input does not violate.
 
+    Every run labels the value of each register a `PrepareRegs` of the
+    input stages with that register's own payload plane, so the accepted
+    plan's run tells which staged registers reached a sink.  Zeroing a
+    staged word of any other register is decided by labels (`_unread`):
+    accepted without a run.
+
     The accepted plan keeps an action point before each action its run
     reached.  A trial that changes action i shares the accepted plan's
     first i actions, so it resumes from the point before action i, or from
     the last point when the accepted run ended earlier; it equals a fresh
     run of the trial's plan exactly.  An accepted trial's own points
-    replace the accepted plan's points after its start."""
+    replace the accepted plan's points after its start.  A zeroing decided
+    by labels at action i leaves the points after i holding the old word;
+    the first later trial that resumes past i first re-runs the accepted
+    plan from the point before i to keep them again."""
     image = _image_for(scenario)
-    base, _ = _execute(scenario, image, actions, keep_from=0)
+    origins = {name: ORIGINS[REG_IDS[name]] for action in actions
+               if isinstance(action, PrepareRegs) for name, _ in action.regs}
+    base, _ = _execute(scenario, image, actions, keep_from=0, payload=origins)
     hit = any_violation(_verdicts(scenario, image, base.trace))
     if hit is None:
         raise ValueError("not a violation")
     prop = hit.property_id
+    max_steps = scenario["budgets"]["max_steps"]
 
     current = list(actions)
     points = base.points        # points[j]: `current` before action j
+    influenced = base.machine.influenced    # planes of `current`'s run
+    stale = None    # points after this index predate a decided zeroing
 
     def accepted(candidate: list, i: int) -> bool:
-        nonlocal current, points
-        start = points[min(i, len(points) - 1)]
-        res = _fires(image, scenario, candidate, prop, start)
+        nonlocal current, points, influenced, stale
+        at = min(i, len(points) - 1)
+        if stale is not None and at > stale:
+            rebuilt = run_plan(points[stale].copy(), image, current,
+                               max_steps=max_steps, payload=origins,
+                               keep_from=stale + 1)
+            points = points[:stale + 1] + rebuilt.points
+            stale = None
+        start = points[at]
+        res = _fires(image, scenario, candidate, prop, start, origins)
         if res is None:
             return False
         current = candidate
         points = points[:start.idx + 1] + res.points
+        influenced = res.machine.influenced
+        stale = None
         return True
 
     changed = True
@@ -251,9 +289,14 @@ def minimize(scenario: dict, actions: list) -> list:
                 trial[j] = (name, 0)
                 candidate = list(current)
                 candidate[i] = PrepareRegs(tuple(trial))
-                if accepted(candidate, i):
-                    regs = trial
-                    changed = True
+                if _unread(image, scenario, candidate, prop, current,
+                           influenced, name):
+                    current = candidate
+                    stale = i if stale is None else min(stale, i)
+                elif not accepted(candidate, i):
+                    continue
+                regs = trial
+                changed = True
     return current
 
 

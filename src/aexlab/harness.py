@@ -10,8 +10,8 @@ terminates the run with the refusal on the trace.  A run can keep points
 (the machine and the run's own state at instruction boundaries of an
 entered window, or in OS mode before an action), and a later run can
 resume from one instead of repeating the steps before it.  A run can also
-give the staged registers the payload label (``payload``); the same
-program steps either way.
+give the staged registers payload labels (``payload``); the same program
+steps either way.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple, Optional
 
 from .interp import step
 from .machine import (
-    E_ADV_SEED, HW_IRQ_QUOTA, EntryDenied, MASK64, MODE_ENCLAVE, PAYLOAD,
+    E_ADV_SEED, HW_IRQ_QUOTA, EntryDenied, MASK64, MODE_ENCLAVE, PAYLOADS,
     REG_IDS, RSI, RSP, ResumeDenied, Machine,
 )
 from .runtimes import (
@@ -186,17 +186,20 @@ def run_plan(machine: "Machine | Point", image: EnclaveImage, actions: list,
              max_steps: int = DEFAULT_MAX_STEPS,
              on_action: Optional[Callable[[int, object], None]] = None,
              after_events: Optional[Callable[[], None]] = None,
-             payload: tuple[str, ...] = (), keep: int = -1,
+             payload: Optional[dict[str, int]] = None, keep: int = -1,
              inject: Optional[InjectAex] = None,
              keep_from: Optional[int] = None) -> RunResult:
     """Execute `actions` to completion.  `on_action` is called before each
     action is applied (for trace serialization); `after_events` after every
     atomic machine transition (for digest recording and state collection).
 
-    `payload` names staged registers that carry the attacker's payload: an
-    entry that uses the staged registers gives them the payload label, and
-    ``machine.influenced`` ends up False only if the run's trace cannot
-    depend on their values.
+    `payload` maps staged registers that carry the attacker's payload to
+    the label word their staged value gets at an entry that uses the
+    staged registers: one payload plane shared by all (``PAYLOAD``), or a
+    plane of its own per register (``ORIGINS``).  ``machine.influenced``
+    ends up holding the planes that reached a sink; the run's trace, status
+    and steps do not depend on the staged values of registers whose planes
+    it does not hold.
 
     The run keeps points in ``RunResult.points``, in the order it reaches
     them.  With `keep` >= 0 it keeps a window point at the first visit of
@@ -217,8 +220,11 @@ def run_plan(machine: "Machine | Point", image: EnclaveImage, actions: list,
     resumed run equals a fresh run of `actions` in the same way."""
     program = image.program
     labels = 0
-    for name in payload:
-        labels |= PAYLOAD << REG_IDS[name]
+    if payload:
+        for name, word in payload.items():
+            labels |= word << REG_IDS[name]
+    # rsp is a sink, rsi a field of the eenter event
+    entry_sunk = (labels >> RSP | labels >> RSI) & PAYLOADS
     points: list[Point] = []
     keep_until = -1     # the last boundary of the current window to keep
     keep_window = keep  # keep points in the next entered window: -1 none
@@ -329,9 +335,7 @@ def run_plan(machine: "Machine | Point", image: EnclaveImage, actions: list,
                 machine.eenter(os_regs, aep)
                 if labels and action.regs is None:
                     machine.taint |= labels
-                    # rsp is a sink, rsi a field of the eenter event
-                    if labels & (PAYLOAD << RSP | PAYLOAD << RSI):
-                        machine.influenced = True
+                    machine.influenced |= entry_sunk
                 notify()
             except EntryDenied:
                 notify()

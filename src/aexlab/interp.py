@@ -10,7 +10,7 @@ checks no page; each program decodes into one such table per tuple of
 pages over its code (see ``fetch_table``).
 
 Each handler moves the label word of its operands (the secret taint and
-the attacker payload together, see ``machine.SECRET``) and checks the
+every payload plane together, see ``machine.SECRET``) and checks the
 payload's sinks, so one step serves both the leak detectors and the runs
 that must prove they do not depend on the payload's value.
 
@@ -38,8 +38,8 @@ from .isa import (
 from .machine import (
     CTRL_CALL, CTRL_JMPI, CTRL_RET, E_CTRL, E_FAULT, E_HALT, E_LEAK,
     E_MEMCPY, E_MEMR, E_RETIRE, E_SP_ASSIGN, E_STORE, LABELS, MASK64,
-    MODE_ENCLAVE, NREGS, PAYLOAD, PAYLOAD_SHIFT, RAX, RIP, RSP, SCRUB_VALUES,
-    SECRET, SSAFrame, TCS, VEC_AC, VEC_PAGE_FAULT, Machine, Memory,
+    MODE_ENCLAVE, NREGS, PAYLOADS, RAX, RIP, RSP, SCRUB_VALUES, SECRET,
+    SSAFrame, TCS, VEC_AC, VEC_PAGE_FAULT, Machine, Memory,
 )
 
 # Exit statuses for Halt; ABORT marks an in-enclave consistency trap
@@ -118,7 +118,7 @@ def fetch_table(mem: Memory, program: Program) -> dict:
 # machine.py the SSA save and restore); arithmetic keeps it; immediate
 # writes, scrub, call's return cell, set_flag and begin_atomic's rax clear
 # it; declassify clears the secret bit only.  A payload-labelled value that
-# reaches a sink sets ``Machine.influenced``:
+# reaches a sink ORs its payload planes into ``Machine.influenced``:
 #   - a memory address, memcpy's dst/src/len included;
 #   - a compare-and-jump operand;
 #   - rsp;
@@ -128,18 +128,27 @@ def fetch_table(mem: Memory, program: Program) -> dict:
 # A handler checks its sinks before it can fault.  Every other effect of
 # an instruction is a function of unlabelled values, so a run that ends
 # without ``influenced`` emits the same trace, status and step count under
-# any payload value.
+# any payload value.  Labels of different planes never mix (a word is
+# always one source's word), so the same holds per plane: values labelled
+# only with planes outside ``influenced`` can take any value.  The
+# handlers of frequent instructions test the planes a sink saw before they
+# OR them in: most steps see none, and the test is cheaper than a store.
+#
+# ``_KEEP[r]`` keeps every label of a register mask but register r's: a
+# positive mask, so clearing a word costs no more than the mask's labels.
+_KEEP = tuple(((1 << (LABELS << NREGS).bit_length()) - 1) & ~(LABELS << r)
+              for r in range(NREGS))
 
 
 def _put(m: Machine, r: int, w: int) -> None:
     """Give register r the label word w.  rip keeps no payload label (every
     instruction rewrites it); a payload-labelled rsp is a sink."""
-    if w & PAYLOAD:
+    if w & PAYLOADS:
         if r == RSP:
-            m.influenced = True
+            m.influenced |= w & PAYLOADS
         elif r == RIP:
             w &= SECRET
-    m.taint = m.taint & ~(LABELS << r) | w << r
+    m.taint = m.taint & _KEEP[r] | w << r
 
 
 def _mov_rr(m, pc, a, b, c):
@@ -156,7 +165,7 @@ def _mov_rr(m, pc, a, b, c):
 def _mov_ri(m, pc, a, b, c):
     regs = m.regs
     regs[a] = b
-    m.taint &= ~(LABELS << a)
+    m.taint &= _KEEP[a]
     m.trace.append((E_SP_ASSIGN if a == RSP else E_RETIRE, pc, regs[RSP],
                     0, 0))
     regs[RIP] = pc + 1
@@ -192,8 +201,9 @@ def _and_i(m, pc, a, b, c):
 
 
 def _load(m, pc, a, b, c):
-    if m.taint >> b & PAYLOAD:
-        m.influenced = True
+    sunk = m.taint >> b & PAYLOADS
+    if sunk:
+        m.influenced |= sunk
     regs = m.regs
     mem = m.mem
     addr = (regs[b] + c) & MASK64
@@ -211,8 +221,9 @@ def _load(m, pc, a, b, c):
 
 
 def _store(m, pc, a, b, c):
-    if m.taint >> a & PAYLOAD:
-        m.influenced = True
+    sunk = m.taint >> a & PAYLOADS
+    if sunk:
+        m.influenced |= sunk
     regs = m.regs
     mem = m.mem
     addr = (regs[a] + b) & MASK64
@@ -255,7 +266,7 @@ def _pop(m, pc, a, b, c):
     regs[RSP] = (addr + 8) & MASK64
     if a == RSP:
         # pop rsp leaves rsp at addr + 8, whatever the popped word was
-        m.taint &= ~(LABELS << RSP)
+        m.taint &= _KEEP[RSP]
         m.trace.append((E_SP_ASSIGN, pc, regs[RSP], 0, 0))
     else:
         _put(m, a, w)
@@ -266,8 +277,9 @@ def _pop(m, pc, a, b, c):
 
 
 def _cmpj_i(m, pc, a, b, c):
-    if m.taint >> a & PAYLOAD:
-        m.influenced = True
+    sunk = m.taint >> a & PAYLOADS
+    if sunk:
+        m.influenced |= sunk
     regs = m.regs
     holds, target = c
     m.trace.append((E_RETIRE, pc, regs[RSP], 0, 0))
@@ -277,8 +289,9 @@ def _cmpj_i(m, pc, a, b, c):
 
 
 def _cmpj_r(m, pc, a, b, c):
-    if (m.taint >> a | m.taint >> b) & PAYLOAD:
-        m.influenced = True
+    sunk = (m.taint >> a | m.taint >> b) & PAYLOADS
+    if sunk:
+        m.influenced |= sunk
     regs = m.regs
     holds, target = c
     m.trace.append((E_RETIRE, pc, regs[RSP], 0, 0))
@@ -296,8 +309,9 @@ def _jmp(m, pc, a, b, c):
 
 
 def _jmp_reg(m, pc, a, b, c):
-    if m.taint >> a & PAYLOAD:
-        m.influenced = True
+    sunk = m.taint >> a & PAYLOADS
+    if sunk:
+        m.influenced |= sunk
     regs = m.regs
     target = regs[a]
     m.trace.append((E_CTRL, pc, target, CTRL_JMPI, regs[RSP]))
@@ -325,8 +339,9 @@ def _ret(m, pc, a, b, c):
     mem = m.mem
     addr = regs[RSP]
     target, w = mem.read(addr)
-    if w & PAYLOAD:
-        m.influenced = True
+    sunk = w & PAYLOADS
+    if sunk:
+        m.influenced |= sunk
     if not mem.readable(addr):
         return _fault(m, pc, VEC_PAGE_FAULT, addr)
     regs[RSP] = (addr + 8) & MASK64
@@ -341,8 +356,9 @@ def _memcpy(m, pc, a, b, c):
     not atomic: a permission fault midway leaves the already-copied prefix
     in place, labels included."""
     t = m.taint
-    if (t >> a | t >> b | t >> c) & PAYLOAD:
-        m.influenced = True
+    sunk = (t >> a | t >> b | t >> c) & PAYLOADS
+    if sunk:
+        m.influenced |= sunk
     dst, src, nbytes = m.regs[a], m.regs[b], m.regs[c]
     if dst % 8 or src % 8 or nbytes % 8:
         return _fault(m, pc, VEC_AC, dst | src | nbytes)
@@ -386,7 +402,7 @@ def _scrub(m, pc, a, b, c):
     for r in range(NREGS):
         if a & (1 << r):
             regs[r] = SCRUB_VALUES[r]
-    m.taint &= ~(a | a << PAYLOAD_SHIFT)
+    m.taint &= ~(a * LABELS)
     m.trace.append((E_RETIRE, pc, regs[RSP], 0, 0))
     regs[RIP] = pc + 1
     m.cycle += 1
@@ -429,8 +445,7 @@ def _write_ssa(m, pc, a, b, c):
 
 
 def _eexit_r(m, pc, a, b, c):
-    if m.taint >> a & PAYLOAD:
-        m.influenced = True
+    m.influenced |= m.taint >> a & PAYLOADS
     m.cycle += 1
     m.eexit(m.regs[a])
     return "exit"
@@ -445,7 +460,7 @@ def _eexit_i(m, pc, a, b, c):
 def _begin_atomic(m, pc, a, b, c):
     regs = m.regs
     regs[RAX] = 1 if m.begin_atomic(a) else 0
-    m.taint &= ~(LABELS << RAX)
+    m.taint &= _KEEP[RAX]
     m.trace.append((E_RETIRE, pc, regs[RSP], 0, 0))
     regs[RIP] = pc + 1
     m.cycle += 1
@@ -498,8 +513,8 @@ def _declassify(m, pc, a, b, c):
 def _emulate_critical(m, pc, a, b, c):
     """`a` is a weak reference to the program, resolved at decode time."""
     cssa = m.tcs.cssa
-    if cssa >= 1 and m.ssa[cssa - 1].taint >> RIP & PAYLOAD:
-        m.influenced = True
+    if cssa >= 1:
+        m.influenced |= m.ssa[cssa - 1].taint >> RIP & PAYLOADS
     return _complete_top_frame(m, pc, _deref(a))
 
 
@@ -579,7 +594,7 @@ def _set_frame_field(frame: SSAFrame, field: int, value: int, w: int) -> None:
     if field in (SSA_FIELD_VALID, SSA_FIELD_VECTOR):
         raise InterpError("exit information is hardware-owned")
     frame.regs[field] = value & MASK64
-    frame.taint = frame.taint & ~(LABELS << field) | w << field
+    frame.taint = frame.taint & _KEEP[field] | w << field
     frame._repr = None
 
 
@@ -651,6 +666,5 @@ def complete_critical(m: Machine, program: Program,
             raise InterpError(f"critical completion: {render(ins)} at "
                               f"{pc:#x} gave {signal!r}")
         pc = ctx.regs[RIP]
-    if ctx.influenced:
-        m.influenced = True
+    m.influenced |= ctx.influenced
     return SSAFrame(ctx.regs, ctx.taint, frame.valid, frame.vector)

@@ -34,15 +34,20 @@ REG_IDS = {name: i for i, name in enumerate(REG_NAMES)}
 MASK64 = (1 << 64) - 1
 
 # Label words.  Every register, saved-frame slot and memory cell carries one
-# word of two labels: the secret taint (bit 0) and the attacker payload
-# (bit 32).  A register mask (``Machine.taint``, ``SSAFrame.taint``) holds
-# register r's word shifted left by r, so its secret plane is bits 0..17 and
-# its payload plane bits 32..49; ``Memory.labels`` holds cell words
-# unshifted.  Only the secret plane is part of the canonical state.
+# word of labels, one bit per plane: the secret taint (bit 0), the attacker
+# payload (bit 32), and one origin plane per register r (bit 32 * (r + 2),
+# ``ORIGINS[r]``) for a payload whose sink must be traced back to the
+# register it was staged in.  ``PAYLOADS`` masks every payload plane.  A
+# register mask (``Machine.taint``, ``SSAFrame.taint``) holds register r's
+# word shifted left by r, so its secret plane is bits 0..17, its payload
+# plane bits 32..49, and so on every 32 bits; ``Memory.labels`` holds cell
+# words unshifted.  Only the secret plane is part of the canonical state.
 SECRET = 1
 PAYLOAD_SHIFT = 32
 PAYLOAD = 1 << PAYLOAD_SHIFT
-LABELS = SECRET | PAYLOAD
+ORIGINS = tuple(1 << PAYLOAD_SHIFT * (r + 2) for r in range(NREGS))
+PAYLOADS = PAYLOAD | sum(ORIGINS)
+LABELS = SECRET | PAYLOADS
 SECRET_REGS = (1 << NREGS) - 1
 
 # Post-AEX register contents: a fixed sentinel per register so traces stay
@@ -537,9 +542,10 @@ class Machine:
     entry (the hardware-managed entry window).
 
     ``taint`` holds the registers' label words (see ``SECRET``).
-    ``influenced`` records that a payload-labelled value reached an
-    address, a branch, rsp, a control target or an event field (see
-    ``interp``); it is not part of the canonical state.
+    ``influenced`` holds the payload planes (see ``PAYLOADS``) of every
+    labelled value that reached an address, a branch, rsp, a control
+    target or an event field (see ``interp``): 0 while no payload did.  It
+    is not part of the canonical state.
 
     ``_platform`` caches the digest text of the TCS, the SSA frames, aep,
     version and extension state.  Every transition that changes one of them
@@ -567,7 +573,7 @@ class Machine:
         self.entry_atomic_cycles = entry_atomic_cycles
         self.pending_fault = -1     # vector awaiting the mandatory aex
         self.halted = False
-        self.influenced = False
+        self.influenced = 0
         self._platform: Optional[str] = None
 
     # -- lifecycle ---------------------------------------------------------
@@ -652,8 +658,7 @@ class Machine:
             self.hw.masked = False
         self.hw.atomic = False
         self.hw.deferred_vector = -1   # became an OS-side interrupt
-        if self.taint >> RAX & PAYLOAD:
-            self.influenced = True
+        self.influenced |= self.taint >> RAX & PAYLOADS
         self.emit(E_EXIT, pc, target & MASK64,
                   self.taint & SECRET_REGS & ~(1 << RIP), self.regs[RAX])
 
@@ -703,8 +708,7 @@ class Machine:
         self.tcs.cssa -= 1
         self.regs = list(frame.regs)
         self.taint = frame.taint
-        if self.taint & (PAYLOAD << RIP | PAYLOAD << RSP):
-            self.influenced = True
+        self.influenced |= (self.taint >> RIP | self.taint >> RSP) & PAYLOADS
         self.mode = MODE_ENCLAVE
         self.tcs.busy = True
         self.emit(E_HW_ERESUME, self.regs[RIP])

@@ -292,13 +292,18 @@ def test_minimize_matches_fresh_trials():
                                if ln.startswith("A ")]))
     assert len(cases) > 10
     # each trial's run from its point is the fresh run of its plan
-    with agreement.trials() as tried:
+    # and each trial decided by labels fires with its accepted plan's run
+    by_labels = 0
+    with agreement.trials() as (tried, decided):
         for sc, actions in cases:
             tried.clear()
+            decided.clear()
             got = explorer.minimize(sc, actions)
             want, want_tried = _fresh_minimize(sc, actions)
             assert got == want
             assert tried == want_tried
+            by_labels += len(decided)
+    assert by_labels > 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Attacker-payload labels and the payload-equivalence pruning of the
 exhaustive search: each sink flags a run, data moves carry labels without
-flagging, a clean run does not depend on the payload's value, labels stay
-out of the canonical state, and every covered plan repeats its
-representative's run."""
+flagging, a clean run does not depend on the payload's value, per-register
+payload planes stay apart, labels stay out of the canonical state, and
+every covered plan repeats its representative's run."""
+
+import random
 
 import pytest
 from hypothesis import assume, given, settings
@@ -16,11 +18,13 @@ from aexlab.adversary import (
 from aexlab.harness import Eenter, PrepareRegs, benign_plan, run_plan
 from aexlab.interp import step
 from aexlab.machine import (
-    DEFAULT_IRQ_GRANT, E_EXIT, E_HW_ERESUME, MASK64, PAYLOAD, PAYLOAD_SHIFT,
-    RAX, RBX, REG_IDS, RIP, RSP, SECRET, SGX1, SGX2, VEC_EXT_INT,
-    VEC_PAGE_FAULT, Machine,
+    DEFAULT_IRQ_GRANT, E_EXIT, E_HW_ERESUME, LABELS, MASK64, ORIGINS, PAYLOAD,
+    PAYLOAD_SHIFT, PAYLOADS, R8, R9, RAX, RBX, RCX, REG_IDS, RIP, RSI, RSP,
+    SECRET, SGX1, SGX2, VEC_EXT_INT, VEC_PAGE_FAULT, Machine,
 )
-from aexlab.runtimes import VARIANTS, build_machine, build_runtime
+from aexlab.runtimes import (
+    CMD_ECALL_COMPUTE, VARIANTS, build_machine, build_runtime,
+)
 
 from conftest import CODE, DATA, PUB, load_script, make_raw_machine
 
@@ -253,6 +257,78 @@ sub:
 
 
 # ---------------------------------------------------------------------------
+# per-register payload planes
+# ---------------------------------------------------------------------------
+
+def _two_planes(source: str, regs: dict):
+    """A raw machine with `regs` set, r8 on its own plane and r9 on its
+    own, and its program."""
+    m, prog = make_raw_machine(source)
+    for name, value in regs.items():
+        m.regs[REG_IDS[name]] = value
+    m.taint = ORIGINS[R8] << R8 | ORIGINS[R9] << R9
+    return m, prog
+
+
+def test_a_sink_sets_only_the_planes_that_reached_it():
+    m, prog = _two_planes("    mov rbx, r9\n    load rcx, [r8+8]\n"
+                          "    cmpj rbx, $7, eq, done\ndone:\n    halt $0\n",
+                          {"r8": DATA, "r9": 7})
+    assert step(m, prog) == "ok"
+    assert not m.influenced          # a move is no sink
+    assert m.taint >> RBX & LABELS == ORIGINS[R9]
+    assert step(m, prog) == "ok"
+    assert m.influenced == ORIGINS[R8]
+    assert m.taint >> RCX & LABELS == 0     # the loaded cell is unlabelled
+    assert step(m, prog) == "ok"
+    assert m.influenced == ORIGINS[R8] | ORIGINS[R9]
+
+
+def test_a_labelled_entry_sets_the_planes_of_rsp_and_rsi():
+    image = build_runtime("sdk_style")
+    actions = [PrepareRegs.of(rsp=0, rsi=0, r8=1),
+               Eenter.of(CMD_ECALL_COMPUTE)]
+    res = run_plan(build_machine(image, SGX2), image, actions,
+                   payload={name: ORIGINS[REG_IDS[name]]
+                            for name in ("rsp", "rsi", "r8")}, max_steps=1)
+    assert res.machine.influenced & PAYLOADS == ORIGINS[RSP] | ORIGINS[RSI]
+
+
+def test_scrub_clears_every_plane():
+    m, prog = _two_planes("    scrub r8, r9\n    halt $0\n", {})
+    m.taint |= (SECRET | PAYLOAD) << R8 | LABELS << RCX
+    assert step(m, prog) == "ok"
+    assert m.taint == LABELS << RCX
+
+
+def test_planes_survive_the_ssa_save_and_restore():
+    m, prog = _two_planes("    halt $0\n", {})
+    mask = m.taint
+    assert m.aex(VEC_EXT_INT)
+    assert m.ssa[0].taint == mask and m.taint == 0
+    m.eresume()
+    assert m.taint == mask and not m.influenced
+
+
+def test_planes_survive_a_store_load_round_trip_and_memcpy():
+    src = """
+    store [rbp+0], r8
+    store [rbp+8], r9
+    load rax, [rbp+8]
+    memcpy rsi, rbp, rdx
+    halt $0
+"""
+    m, prog = _two_planes(src, {"rbp": DATA, "rsi": DATA + 0x200,
+                                "rdx": 16})
+    assert run(m, prog) == "halt"
+    assert m.taint >> RAX & LABELS == ORIGINS[R9]
+    assert m.mem.labels == {DATA: ORIGINS[R8], DATA + 8: ORIGINS[R9],
+                            DATA + 0x200: ORIGINS[R8],
+                            DATA + 0x208: ORIGINS[R9]}
+    assert not m.influenced
+
+
+# ---------------------------------------------------------------------------
 # generated straight-line programs: a clean run ignores the payload value
 # ---------------------------------------------------------------------------
 
@@ -293,15 +369,20 @@ def _program(lines) -> str:
     return "\n".join(out)
 
 
-def _straight_line_run(source: str, payload: int, track: bool):
+def _straight_line_run(source: str, words: dict, labels: dict):
+    """The straight-line run with each payload register holding its word
+    of `words` and its label word of `labels`."""
     m, prog = make_raw_machine(source, data_secret={DATA + 0x108: 7})
     fixed = {"rdx": 16, "rsi": PUB, "rbp": DATA, "rsp": DATA + 0x800}
     for name in _REGS:
-        m.regs[REG_IDS[name]] = fixed.get(name, payload)
-    if track:
-        for name in _PAYLOAD:
-            m.taint |= PAYLOAD << REG_IDS[name]
+        m.regs[REG_IDS[name]] = fixed.get(name, words.get(name))
+    for name, word in labels.items():
+        m.taint |= word << REG_IDS[name]
     return m, run(m, prog)
+
+
+_ONE_PLANE = dict.fromkeys(_PAYLOAD, PAYLOAD)
+_OWN_PLANES = {name: ORIGINS[REG_IDS[name]] for name in _PAYLOAD}
 
 
 @settings(max_examples=400, deadline=None)
@@ -309,13 +390,33 @@ def _straight_line_run(source: str, payload: int, track: bool):
 def test_a_clean_run_gives_the_same_trace_under_any_payload(lines, p1, p2):
     assume(p1 != p2)
     source = _program(lines)
-    m1, sig1 = _straight_line_run(source, p1, track=True)
+    m1, sig1 = _straight_line_run(source, dict.fromkeys(_PAYLOAD, p1),
+                                  _ONE_PLANE)
     if m1.influenced:
         return
-    m2, sig2 = _straight_line_run(source, p2, track=True)
+    m2, sig2 = _straight_line_run(source, dict.fromkeys(_PAYLOAD, p2),
+                                  _ONE_PLANE)
     assert m2.trace == m1.trace and sig2 == sig1
     assert not m2.influenced
     # the label words, secret taint and payload both
+    assert m2.mem.labels == m1.mem.labels and m2.taint == m1.taint
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_line, min_size=1, max_size=12), _WORDS, st.integers(0))
+def test_registers_off_the_influenced_planes_can_take_any_value(lines, p,
+                                                                seed):
+    # each payload register on its own plane: every register whose plane
+    # no sink saw gets an independent random word, and the run repeats
+    source = _program(lines)
+    m1, sig1 = _straight_line_run(source, dict.fromkeys(_PAYLOAD, p),
+                                  _OWN_PLANES)
+    rng = random.Random(seed)
+    words = {name: p if m1.influenced & ORIGINS[REG_IDS[name]]
+             else rng.getrandbits(64) for name in _PAYLOAD}
+    m2, sig2 = _straight_line_run(source, words, _OWN_PLANES)
+    assert m2.trace == m1.trace and sig2 == sig1 and m2.cycle == m1.cycle
+    assert m2.influenced == m1.influenced
     assert m2.mem.labels == m1.mem.labels and m2.taint == m1.taint
 
 
@@ -336,7 +437,7 @@ def _staged(actions: list) -> list:
     return out
 
 
-def _recorded(image, sgx: int, actions: list, payload=()):
+def _recorded(image, sgx: int, actions: list, payload=None):
     """The trace lines with per-event digests of a recorded run, and the
     run."""
     m = build_machine(image, sgx)
@@ -395,7 +496,8 @@ done:
     assert len(runs) == 17
     for name, image, sgx, actions in runs:
         plain, res = _recorded(image, sgx, actions)
-        lines, labelled_res = _recorded(image, sgx, actions, PAYLOAD_REGS)
+        lines, labelled_res = _recorded(image, sgx, actions,
+                                        dict.fromkeys(PAYLOAD_REGS, PAYLOAD))
         assert lines == plain, name
         assert res.status == labelled_res.status, name
         # the labelled run ends with payload labels, the plain one without
