@@ -3,20 +3,31 @@
 minimization and of the state digest gives what the computation it stands
 for gives.
 
-Five agreement oracles, one per shortcut.  Each is a context manager that
+Six agreement oracles, one per shortcut.  Each is a context manager that
 wraps names of the program, restores them on exit, and yields the list of
 what it compared.  It raises `Mismatch`, naming itself, at the first
 disagreement, and raises at entry when a name it wraps is gone, rather
-than silently checking nothing.  A sixth, `emulation_differential()`,
+than silently checking nothing.  A seventh, `emulation_differential()`,
 checks critical-span completion against native execution.
 
 - `covered()` wraps `adversary._count_covered`, which adds a later
   binding's covered plans to the search's counts without running them.
-  It builds and runs every plan of each group next to its representative.
-  The plan must differ from its representative, and give the same trace
-  and status and the kept steps and boundaries.  The runs, steps and
-  injected boundaries added must equal the sums over the group's plans.
-  Yields each plan's actions.
+  It builds and runs every plan of each group next to its representative,
+  the same shape of the branch's first binding.  The plan must differ from
+  its representative, and give the same trace and status and the kept
+  status, steps and boundaries.  The runs, steps and injected boundaries
+  added must equal the sums over the group's plans.  Yields each plan's
+  actions.
+- `classes()` wraps `adversary._rsp_class`, which decides at a branch's
+  dry run whether an earlier branch's rsp class counts the branch's first
+  binding instead of running it.  For every branch a class counts, it
+  walks that binding plan by plan from `space.root`, next to the same
+  plan of the class's representative.  Each plan must give the status,
+  steps and boundaries the class counts for it and the representative's
+  safety verdicts (outcome and witness index), and a trace whose fields
+  differ from the representative's only by the difference of the two rsp
+  words.  The branch's plan shapes must be those the class counts.
+  Yields the (command, rsp word) branches and the plans compared.
 - `resumed()` wraps `adversary.run_plan` and `adversary._prefix_snapshot`.
   Every plan that resumes from a point of its binding's dry run must
   resume at the boundary where it injects.  It is also run fresh from the
@@ -54,7 +65,7 @@ checks critical-span completion against native execution.
   the emulated completion's.  It returns the offsets in the spans, those
   reached, those never reached and those that mismatch.
 
-The script installs the three search oracles together and runs the
+The script installs the four search oracles together and runs the
 exhaustive search of every variant on sgx 1 and 2, in range and strict
 sp-confinement mode.  Then, with only `trials()` installed, it minimizes
 every counterexample of the benchmark's hunt batches at seeds 53, 3 and
@@ -181,20 +192,23 @@ def covered():
                                                  "boundaries")}
         real(space, binding, group, clean, stats)
         entry = space.entry(*binding)
+        first = space.entry(binding[0], binding[1], space.words[0])
         max_steps = space.budget.max_steps
         want_steps = 0
         for shape in group.shapes:
             rep = clean[shape]
             actions = adversary._candidate_actions(entry, shape)
-            if actions == rep[0]:
+            rep_actions = adversary._candidate_actions(first, shape)
+            if actions == rep_actions:
                 raise Mismatch(f"covered: plan {actions} of {binding} is "
                                f"its own representative")
             got = harness.run_plan(space.root.clone(), space.image, actions,
                                    max_steps=max_steps)
-            want = harness.run_plan(space.root.clone(), space.image, rep[0],
-                                    max_steps=max_steps)
-            kept = dict(_counts(want), steps=rep[1], boundaries=rep[2])
-            _require_same("covered", f"representative {rep[0]}",
+            want = harness.run_plan(space.root.clone(), space.image,
+                                    rep_actions, max_steps=max_steps)
+            kept = dict(_counts(want), status=rep[0], steps=rep[1],
+                        boundaries=rep[2])
+            _require_same("covered", f"representative {rep_actions}",
                           _counts(want), kept)
             _require_same("covered", f"plan {actions}", _counts(got), kept)
             want_steps += want.steps
@@ -206,6 +220,89 @@ def covered():
 
     with _installed(adversary, _count_covered=wrapper):
         yield compared
+
+
+def _row(res) -> dict:
+    return {"status": res.status, "steps": res.steps,
+            "boundaries": res.boundaries}
+
+
+def shifted_from(got: list, want: list, offset: int) -> int:
+    """The index of the first event of `got` that differs from `want`'s
+    other than in fields that differ by exactly `offset` (mod 2**64), or
+    -1 when none does."""
+    for i, (a, b) in enumerate(zip(got, want)):
+        if a != b and (len(a) != len(b) or any(
+                x != y and (x - y) & machine.MASK64 != offset
+                for x, y in zip(a, b))):
+            return i
+    return -1 if len(got) == len(want) else min(len(got), len(want))
+
+
+def _verdicts(trace: list, space) -> list:
+    """The safety verdicts of a whole trace, without their details, which
+    quote addresses."""
+    return [(v.property_id, v.outcome, v.witness_index)
+            for v in properties.evaluate(trace, space.image,
+                                         properties.SAFETY_PROPERTIES,
+                                         sp_mode=space.checkpoint.sp_mode)]
+
+
+@contextlib.contextmanager
+def classes():
+    real = _original(adversary, "_rsp_class")
+    branches = []
+    compared = []
+
+    def walk(space, entry, cls):
+        cmd, word = entry[1].cmd, dict(entry[0].regs)["rsp"]
+        first = space.entry(cmd, cls.word, space.words[0])
+        offset = (word - cls.word) & machine.MASK64
+        max_steps = space.budget.max_steps
+        what = f"rsp {word:#x} of command {cmd} in the class of {cls.word:#x}"
+        shapes = [None]
+        for shape in shapes:
+            actions = adversary._candidate_actions(entry, shape)
+            got = harness.run_plan(space.root.clone(), space.image, actions,
+                                   max_steps=max_steps)
+            want = harness.run_plan(space.root.clone(), space.image,
+                                    adversary._candidate_actions(first, shape),
+                                    max_steps=max_steps)
+            row = cls.shapes.get(shape)
+            if row is None:
+                raise Mismatch(f"classes: {what}: plan {actions} has no row "
+                               "in its class")
+            kept = {"status": row[0], "steps": row[1], "boundaries": row[2]}
+            plan = f"{what}: plan {actions}"
+            _require_same("classes", plan, _row(want), kept)
+            _require_same("classes", plan, _row(got), kept)
+            _require_same("classes", plan,
+                          {"verdicts": _verdicts(got.trace, space)},
+                          {"verdicts": _verdicts(want.trace, space)})
+            at = shifted_from(got.trace, want.trace, offset)
+            if at >= 0:
+                raise Mismatch(f"classes: {plan}: trace from event {at} "
+                               f"differs by other than {offset:#x}")
+            compared.append(actions)
+            if shape is None:
+                cap = min(got.boundaries, space.budget.boundary_cap)
+                inside = tuple(v for v in space.classes
+                               if v != machine.VEC_PAGE_FAULT)
+                shapes += [(vec, k) for k in range(cap + 1)
+                           for vec in (space.classes if k == 0 else inside)]
+        if shapes != list(cls.shapes):
+            raise Mismatch(f"classes: {what}: the branch has the shapes "
+                           f"{shapes}, its class counts {list(cls.shapes)}")
+        branches.append((cmd, word))
+
+    def wrapper(space, entry):
+        cls, counted = real(space, entry)
+        if counted:
+            walk(space, entry, cls)
+        return cls, counted
+
+    with _installed(adversary, _rsp_class=wrapper):
+        yield branches, compared
 
 
 @contextlib.contextmanager
@@ -421,7 +518,9 @@ def emulation_differential(image, sgx_version: int = 2,
 def search_sweep(variants) -> int:
     names = ("covered plans", "resumed plans", "monitored runs")
     totals = [0] * len(names)
-    with covered() as plans, resumed() as resumes, monitored() as runs:
+    classed = walked = 0
+    with covered() as plans, resumed() as resumes, monitored() as runs, \
+            classes() as (branches, counted):
         for variant in variants:
             for sgx in (1, 2):
                 for mode in ("range", "strict"):
@@ -436,16 +535,21 @@ def search_sweep(variants) -> int:
                         print(f"MISMATCH {variant} sgx{sgx} {mode}: {e}")
                         return 1
                     counts = [len(c) for c in (plans, resumes, runs)]
-                    for c in (plans, resumes, runs):
-                        c.clear()
-                    totals = [t + n for t, n in zip(totals, counts)]
                     print(f"{variant} sgx{sgx} {mode}: " + ", ".join(
                         f"{n} {name}" for n, name in zip(counts, names))
-                        + f" agree (executed {out.search.executed} of "
-                        f"{out.search.runs}; {time.monotonic() - t0:.1f}s)",
-                        file=sys.stderr)
+                        + f", {len(branches)} covered rsp branches "
+                        f"({len(counted)} plans) agree (executed "
+                        f"{out.search.executed} of {out.search.runs}; "
+                        f"{time.monotonic() - t0:.1f}s)", file=sys.stderr)
+                    totals = [t + n for t, n in zip(totals, counts)]
+                    classed += len(branches)
+                    walked += len(counted)
+                    for c in (plans, resumes, runs, branches, counted):
+                        c.clear()
     for n, name in zip(totals, names):
         print(f"{n} {name} compared, all agree")
+    print(f"{classed} covered rsp branches ({walked} plans) compared, all "
+          f"agree")
     return 0
 
 

@@ -21,9 +21,10 @@ from .harness import (
     Eresume, InjectAex, PrepareRegs, RunResult, SeedPublic, Stop,
     prefix_plan, run_plan,
 )
+from .interp import RspPath
 from .machine import (
-    DEFAULT_IRQ_GRANT, MASK64, PAYLOAD, RSP, SCRUB_VALUES, SGX2, VEC_EXT_INT,
-    VEC_PAGE_FAULT, Machine, reports_to_enclave,
+    DEFAULT_IRQ_GRANT, MASK64, ORIGINS, PAYLOAD, RSP, SCRUB_VALUES, SGX2,
+    VEC_EXT_INT, VEC_PAGE_FAULT, Machine, reports_to_enclave,
 )
 from .properties import SafetyMonitor
 from .runtimes import (
@@ -171,26 +172,32 @@ PAYLOAD_REGS = ("r8", "r9", "r10", "r11", "r12", "r13", "r14", "r15",
 
 class SearchStats:
     """Plans covered (`runs`), with their steps and injected boundaries.
-    A plan covered by its clean representative counts the representative's
-    steps, and a resumed plan all of its steps.  `executed` counts the
-    plans actually run and `stepped` the instructions they stepped, a
-    resumed plan only those after its point; both depend on how the space
-    was searched, not on the space, so reports leave them out.  Stats are
-    equal when all five counters are."""
+    A plan covered by its clean representative, or counted by its rsp
+    class, counts its representative's steps, and a resumed plan all of
+    its steps.  `executed` counts the plans actually run and `stepped` the
+    instructions they stepped, a resumed plan only those after its point;
+    `branches` counts the (command, rsp) branches searched and `classed`
+    those of them whose first binding its rsp class counted.  These four
+    depend on how the space was searched, not on the space, so reports
+    leave them out.  Stats are equal when all seven counters are."""
 
-    __slots__ = ("runs", "steps", "boundaries", "executed", "stepped")
+    __slots__ = ("runs", "steps", "boundaries", "executed", "stepped",
+                 "branches", "classed")
 
     def __init__(self, runs: int = 0, steps: int = 0, boundaries: int = 0,
-                 executed: int = 0, stepped: int = 0):
+                 executed: int = 0, stepped: int = 0, branches: int = 0,
+                 classed: int = 0):
         self.runs = runs
         self.steps = steps
         self.boundaries = boundaries
         self.executed = executed
         self.stepped = stepped
+        self.branches = branches
+        self.classed = classed
 
     def _counters(self) -> tuple:
         return (self.runs, self.steps, self.boundaries, self.executed,
-                self.stepped)
+                self.stepped, self.branches, self.classed)
 
     def __eq__(self, other):
         if other.__class__ is not SearchStats:
@@ -200,7 +207,8 @@ class SearchStats:
     def __repr__(self) -> str:
         return (f"SearchStats(runs={self.runs}, steps={self.steps}, "
                 f"boundaries={self.boundaries}, executed={self.executed}, "
-                f"stepped={self.stepped})")
+                f"stepped={self.stepped}, branches={self.branches}, "
+                f"classed={self.classed})")
 
     def merge(self, other: "SearchStats") -> None:
         self.runs += other.runs
@@ -208,6 +216,8 @@ class SearchStats:
         self.boundaries += other.boundaries
         self.executed += other.executed
         self.stepped += other.stepped
+        self.branches += other.branches
+        self.classed += other.classed
 
     def to_dict(self) -> dict:
         return {"runs": self.runs, "steps": self.steps,
@@ -270,12 +280,55 @@ def _prefix_snapshot(image: EnclaveImage, sgx_version: int,
     return m
 
 
+class RspClass:
+    """A class of rsp words of one re-entry command, found by its
+    representative: the first binding of the branch (command, `word`) ran
+    every plan shape with the staged rsp on its own plane, recording
+    `path`.  `shapes` maps each shape, in plan order, to what its run
+    gave, (status, steps, boundaries), and `clean` the shapes whose run no
+    payload value influenced.  `schedules` holds the later bindings'
+    schedules (see `_schedule`), which depend on `clean` only."""
+
+    __slots__ = ("word", "path", "shapes", "clean", "schedules", "_sums")
+
+    def __init__(self, word: int):
+        self.word = word
+        self.path = RspPath(word)
+        self.shapes: dict = {}
+        self.clean: dict = {}
+        self.schedules: dict = {}
+        self._sums: Optional[tuple[int, int]] = None
+
+    def injected(self) -> tuple[int, int]:
+        """The number of injected shapes and the sum of their steps."""
+        if self._sums is None:
+            steps = [row[1] for shape, row in self.shapes.items()
+                     if shape is not None]
+            self._sums = (len(steps), sum(steps))
+        return self._sums
+
+
+class RspClasses:
+    """The rsp classes a search has found so far: per command, the classes
+    in the order their representatives ran, and per first-binding entry
+    (the arguments of `space.entry`), its class and whether the class
+    counts it (True) or the entry's branch is the representative."""
+
+    __slots__ = ("of_command", "of_entry")
+
+    def __init__(self):
+        self.of_command: dict[int, list[RspClass]] = {}
+        self.of_entry: dict[tuple, tuple[RspClass, bool]] = {}
+
+
 class SearchSpace(NamedTuple):
     """What a SAFE verdict covers.  From `root`, the machine after the
     shared prefix whose trace `checkpoint` has read, each of `commands`
     re-enters with rsp = each of `words` and the `payload_regs` = each of
     `words`, dry and injecting each of `classes` at each boundary up to
-    `budget.boundary_cap`.  A Counterexample's branch indexes it."""
+    `budget.boundary_cap`.  A Counterexample's branch indexes it.
+    `rsp_classes` is the one part a search writes: the rsp classes it has
+    found."""
 
     image: EnclaveImage
     root: Machine
@@ -285,6 +338,7 @@ class SearchSpace(NamedTuple):
     payload_regs: tuple[str, ...]
     classes: tuple[int, ...]
     budget: SearchBudget
+    rsp_classes: RspClasses
 
     def entry(self, cmd: int, rsp: int,
               payload: int) -> tuple[PrepareRegs, Eenter]:
@@ -323,7 +377,7 @@ def search_space(image: EnclaveImage, sgx_version: int = SGX2,
     checkpoint.feed(root.trace)
     return SearchSpace(image, root, checkpoint,
                        (CMD_ORET, CMD_INVALID, CMD_EXCEPTION), words,
-                       PAYLOAD_REGS, classes, budget)
+                       PAYLOAD_REGS, classes, budget, RspClasses())
 
 
 def _monitored(checkpoint: SafetyMonitor, trace: list) -> SafetyMonitor:
@@ -386,31 +440,88 @@ def _count_covered(space: SearchSpace, binding: tuple, group: CoveredGroup,
     """Add the runs, steps and injected boundaries of the plans of `group`
     under `binding` (the arguments of `space.entry`) to `stats`, without
     building or running them.  No payload value reached a sink in any of
-    their representatives (`clean[shape]`: actions, steps, boundaries), so
-    each plan would repeat its representative's run.  The search calls
-    this once per later binding.  The `covered` oracle of
-    scripts/agreement.py wraps it to build and run every plan of the group
-    next to its representative and compare."""
+    their representatives, the same shapes of the branch's first binding
+    (`clean[shape]`: status, steps, boundaries), so each plan would repeat
+    its representative's run.  The search calls this once per later
+    binding.  The `covered` oracle of scripts/agreement.py wraps it to
+    build and run every plan of the group next to its representative and
+    compare."""
     stats.runs += len(group.shapes)
     stats.steps += group.steps
     stats.boundaries += group.boundaries
 
 
+class Counted(NamedTuple):
+    """A first-binding plan its rsp class counts instead of running: what
+    its run gives.  It has no trace, since its representative's run
+    violated nothing, and keeps no points."""
+
+    status: str
+    steps: int
+    boundaries: int
+    trace: tuple = ()
+    points: tuple = ()
+
+
+def _rsp_class(space: SearchSpace, entry: tuple) -> tuple[RspClass, bool]:
+    """The rsp class of the branch whose first binding stages `entry`,
+    decided at its dry run: the first class of the command, in the order
+    found, that admits the staged rsp word, which then counts the branch's
+    first binding (True).  A word no class admits starts a class of its
+    own (False).  A class admits a word its representative's path admits
+    (``interp.RspPath.admits``).  Search plans never change a page's
+    permissions, so the root's pages are those of every run, and never
+    seed memory, so only instructions write it.  The
+    `classes` oracle of scripts/agreement.py wraps this to run every
+    first-binding plan of a counted branch next to its representative's
+    and compare."""
+    prepare, enter = entry
+    word = dict(prepare.regs)["rsp"]
+    found = space.rsp_classes.of_command.setdefault(enter.cmd, [])
+    for cls in found:
+        if cls.path.admits(word, space.root.mem, space.checkpoint.stack_ok):
+            return cls, True
+    cls = RspClass(word)
+    found.append(cls)
+    return cls, False
+
+
 def _attempt(space: SearchSpace, entry: tuple[PrepareRegs, Eenter],
              inject: Optional[tuple[int, int]], points: list, later: tuple,
              track: bool, clean: dict,
-             stats: SearchStats) -> tuple[list, RunResult]:
+             stats: SearchStats) -> tuple[list, "RunResult | Counted"]:
     """Run one candidate plan: the binding's staged registers and re-entry
     `entry`, injecting `inject` (None: the dry run).  A dry run keeps its
     points up to the boundary cap; a plan injecting at boundary k resumes
     from `points[k]` when its binding's dry run kept one: from a copy while
     a plan injecting a class of `later` at boundary k is still to run (it
     has no clean representative), else taking the point's machine.  With
-    `track`, the plan is a representative: it runs with labelled payload
-    registers and is kept in `clean` when the run ends uninfluenced.
-    Returns the actions and the RunResult."""
+    `track`, the plan is of the branch's first binding: its dry run
+    decides the branch's rsp class (`_rsp_class`).  A class that counts
+    the branch returns its representative's row as a `Counted`, unrun.
+    Otherwise the plan runs with labelled payload registers and rsp,
+    records its path conditions into the class and its row into the
+    class's `shapes`, and is kept in `clean` when no payload value
+    influenced it.  Returns the actions and the RunResult or Counted."""
     actions = _candidate_actions(entry, inject)
-    payload = _one_plane(space.payload_regs) if track else None
+    payload = path = None
+    if track:
+        of_entry = space.rsp_classes.of_entry
+        if inject is None:
+            cls, counted = of_entry[entry] = _rsp_class(space, entry)
+            stats.branches += 1
+            stats.classed += counted
+        else:
+            cls, counted = of_entry[entry]
+        if counted:
+            row = cls.shapes[inject]
+            stats.runs += 1
+            stats.steps += row[1]
+            if inject in cls.clean:
+                clean[inject] = row
+            return actions, Counted(*row)
+        payload = _first_binding_labels(space.payload_regs)
+        path = cls.path
     budget = space.budget
     if inject is not None and inject[1] < len(points):
         k = inject[1]
@@ -421,7 +532,10 @@ def _attempt(space: SearchSpace, entry: tuple[PrepareRegs, Eenter],
                        payload=payload, inject=actions[1])  # the InjectAex
         resumed_at = point.steps
     else:
-        res = run_plan(space.root.clone(), space.image, actions,
+        machine = space.root.clone()
+        if path is not None:
+            machine.path = path.run()
+        res = run_plan(machine, space.image, actions,
                        max_steps=budget.max_steps, payload=payload,
                        keep=budget.boundary_cap if inject is None else -1)
         resumed_at = 0
@@ -429,17 +543,20 @@ def _attempt(space: SearchSpace, entry: tuple[PrepareRegs, Eenter],
     stats.executed += 1
     stats.steps += res.steps
     stats.stepped += res.steps - resumed_at
-    if track and not res.machine.influenced:
-        clean[inject] = (actions, res.steps, res.boundaries)
+    if track:
+        row = cls.shapes[inject] = (res.status, res.steps, res.boundaries)
+        if not res.machine.influenced & PAYLOAD:
+            clean[inject] = cls.clean[inject] = row
     return actions, res
 
 
 @lru_cache(maxsize=None)
-def _one_plane(regs: tuple[str, ...]) -> dict[str, int]:
-    """The search's payload labels: every payload register on the one
-    payload plane, since a representative must be clean for all of them
-    at once."""
-    return dict.fromkeys(regs, PAYLOAD)
+def _first_binding_labels(regs: tuple[str, ...]) -> dict[str, int]:
+    """The first binding's labels: every payload register on the one
+    payload plane, since a representative must be clean for all of them at
+    once, and the staged rsp on its own origin plane, whose path conditions
+    decide the branch's rsp class."""
+    return dict(dict.fromkeys(regs, PAYLOAD), rsp=ORIGINS[RSP])
 
 
 def _in_order(classes: tuple[int, ...]) -> list[tuple[int, tuple]]:
@@ -459,7 +576,14 @@ def _search_branch(space: SearchSpace, cmd_i: int, rsp_i: int,
     first, already did; at a counterexample the stats count the covered
     plans before it and none after it, as a plan-by-plan walk would.
     An executed injected plan resumes from its binding's dry run, at the
-    boundary where it injects, instead of re-running the steps before it."""
+    boundary where it injects, instead of re-running the steps before it.
+
+    The first binding of a branch whose rsp word an earlier branch's rsp
+    class admits is not run either: every plan of it would take its
+    representative's decisions, so it is counted with its
+    representative's rows, and the class's clean shapes cover the later
+    bindings.  The representative violated nothing, so neither does the
+    counted binding."""
     cmd = space.commands[cmd_i]
     rsp_bind = space.words[rsp_i]
     clean: dict = {}    # plan shape -> clean representative
@@ -479,23 +603,32 @@ def _search_branch(space: SearchSpace, cmd_i: int, rsp_i: int,
                               monitor.verdicts(), stats)
 
     # the first binding: every shape runs, with labelled payload registers
+    # and rsp, unless the branch's rsp class counts them
     entry = space.entry(cmd, rsp_bind, space.words[0])
     actions, res = _attempt(space, entry, None, (), (), True, clean, stats)
-    ce = found(0, None, actions, res)
-    if ce is not None:
-        return ce
-    points = res.points
     first_boundaries = min(res.boundaries, space.budget.boundary_cap)
-    for k in range(first_boundaries + 1):
-        for vec, later in at_entry if k == 0 else inside:
-            actions, res = _attempt(space, entry, (vec, k), points, later,
-                                    True, clean, stats)
-            stats.boundaries += 1
-            ce = found(0, (vec, k), actions, res)
-            if ce is not None:
-                return ce
+    cls, counted = space.rsp_classes.of_entry[entry]
+    if counted:
+        n, steps = cls.injected()
+        stats.runs += n
+        stats.steps += steps
+        stats.boundaries += n
+    else:
+        ce = found(0, None, actions, res)
+        if ce is not None:
+            return ce
+        points = res.points
+        for k in range(first_boundaries + 1):
+            for vec, later in at_entry if k == 0 else inside:
+                actions, res = _attempt(space, entry, (vec, k), points,
+                                        later, True, clean, stats)
+                stats.boundaries += 1
+                ce = found(0, (vec, k), actions, res)
+                if ce is not None:
+                    return ce
+    clean = cls.clean
+    schedules = cls.schedules    # boundaries injected -> _Schedule
 
-    schedules: dict = {}    # boundaries injected -> _Schedule
     for pay_i in range(1, len(space.words)):
         binding = (cmd, rsp_bind, space.words[pay_i])
         entry = None
@@ -539,6 +672,19 @@ def _worker_branch(args) -> tuple[SearchStats, Optional[Counterexample]]:
     return stats, _search_branch(_space, cmd_i, rsp_i, stats)
 
 
+def _worker_command(cmd_i: int) -> list:
+    """The results of the branches of one command, in order, up to its
+    first counterexample.  The branches of a command share its rsp
+    classes, so one process searches them all, as the search without
+    workers does."""
+    results = []
+    for rsp_i in range(len(_space.words)):
+        results.append(_worker_branch((cmd_i, rsp_i)))
+        if results[-1][1] is not None:
+            break
+    return results
+
+
 def exhaustive_attacker(image: EnclaveImage, sgx_version: int = SGX2,
                         classes: tuple[int, ...] = (VEC_PAGE_FAULT,
                                                     VEC_EXT_INT),
@@ -557,7 +703,7 @@ def exhaustive_attacker(image: EnclaveImage, sgx_version: int = SGX2,
     # The run budget is enforced between branches (each branch is small and
     # always completes) and branches are consumed in order, so stats and
     # outcomes are identical regardless of worker count: workers only
-    # compute branches.
+    # compute the branches of whole commands.
     total = SearchStats()
     outcome = NoneFound(total)
     pool = None
@@ -567,14 +713,16 @@ def exhaustive_attacker(image: EnclaveImage, sgx_version: int = SGX2,
             results = map(_worker_branch, branches)
         else:
             import multiprocessing      # only a parallel search pays for it
-            n = min(workers, len(branches))
+            commands = range(len(space.commands))
+            n = min(workers, len(commands))
             pool = multiprocessing.get_context("fork").Pool(n)
-            # One batch of n branches at a time, so that no worker is busy
+            # One batch of n commands at a time, so that no worker is busy
             # when the search stops early and the pool can be closed: a
             # worker killed by `terminate` while it sends a result leaves
             # the result queue's lock held, and the pool's shutdown hangs.
-            results = (r for i in range(0, len(branches), n)
-                       for r in pool.map(_worker_branch, branches[i:i + n]))
+            results = (r for i in range(0, len(commands), n)
+                       for rs in pool.map(_worker_command, commands[i:i + n])
+                       for r in rs)
         for stats, ce in results:
             total.merge(stats)
             if ce is not None:

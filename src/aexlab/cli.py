@@ -59,12 +59,14 @@ def _cmd_run(args) -> int:
 
 
 def _work(searches: list) -> str:
-    """The search-work part of a status line: plans run of plans covered,
+    """The search-work part of a status line: the (command, rsp) branches
+    whose first binding an rsp class counted, plans run of plans covered,
     and the instructions the run plans stepped."""
     total = adversary.SearchStats()
     for stats in searches:
         total.merge(stats)
-    return (f"executed {total.executed} of {total.runs} plans; "
+    return (f"counted {total.classed} of {total.branches} rsp branches by "
+            f"class; executed {total.executed} of {total.runs} plans; "
             f"stepped {total.stepped} instructions; ")
 
 

@@ -14,6 +14,10 @@ every payload plane together, see ``machine.SECRET``) and checks the
 payload's sinks, so one step serves both the leak detectors and the runs
 that must prove they do not depend on the payload's value.
 
+A run can also record path conditions over the staged rsp word
+(``RspPath``): where the rsp plane of the label word reaches a decision,
+the handler states the decision as a predicate over the word.
+
 ``complete_critical`` finishes an interrupted critical span against a
 saved frame instead of live registers.  It has no semantics of its own: it
 runs the span through ``step`` on a scratch context built from the frame,
@@ -38,8 +42,8 @@ from .isa import (
 from .machine import (
     CTRL_CALL, CTRL_JMPI, CTRL_RET, E_CTRL, E_FAULT, E_HALT, E_LEAK,
     E_MEMCPY, E_MEMR, E_RETIRE, E_SP_ASSIGN, E_STORE, LABELS, MASK64,
-    MODE_ENCLAVE, NREGS, PAYLOADS, RAX, RIP, RSP, SCRUB_VALUES, SECRET,
-    SSAFrame, TCS, VEC_AC, VEC_PAGE_FAULT, Machine, Memory,
+    MODE_ENCLAVE, NREGS, ORIGINS, PAYLOADS, RAX, RIP, RSP, SCRUB_VALUES,
+    SECRET, SSAFrame, TCS, VEC_AC, VEC_PAGE_FAULT, Machine, Memory,
 )
 
 # Exit statuses for Halt; ABORT marks an in-enclave consistency trap
@@ -139,6 +143,166 @@ def fetch_table(mem: Memory, program: Program) -> dict:
 _KEEP = tuple(((1 << (LABELS << NREGS).bit_length()) - 1) & ~(LABELS << r)
               for r in range(NREGS))
 
+# The rsp plane.  A value on the staged rsp's origin plane (``ORIGINS[RSP]``)
+# is that word w plus a constant d: the moves keep the form, and so do
+# add and sub.  ``and`` with a mask of at most 32 bits leaves a value
+# that is a constant wherever its masked bits are, so it clears the plane;
+# a wider mask keeps the form where the bits it clears are.  pop rsp
+# leaves rsp at the popped address + 8, so it keeps the plane.  Every
+# staged entry sinks rsp, so the plane is always influenced and
+# noninterference never speaks of it.
+_RSP_PLANE = ORIGINS[RSP]
+_KEEP_POPPED_RSP = _KEEP[RSP] | _RSP_PLANE << RSP
+
+
+class RspPath:
+    """The path conditions over the staged rsp word of one search branch's
+    runs, as predicates over a word w.  A run of the branch at another word
+    that satisfies them all takes the same decisions and gives the same
+    status, steps, boundaries and verdicts, and a trace whose fields differ
+    from this one's only by the words' difference.
+
+    Where a value on the rsp plane reaches a decision, the handler adds one
+    predicate to ``preds``: a memory address (the kind and permissions of
+    its page, and, for a stack access, the monitor's test of it), a
+    compare-and-jump operand, an ``and`` mask.  A control target on the
+    plane, a block copy with an operand on it, and a load of a cell this
+    run did not write at the same offset earlier admit no other word: they
+    add ``ALONE``.  So does an address on the plane that hit a cell some
+    access at a fixed address touched (``offsets`` and ``fixed``); only
+    fixed accesses after the run's first store on the plane can meet such
+    a cell, so only those are kept.
+
+    ``preds``, ``offsets`` and ``fixed`` are shared by every run of the
+    branch; ``written``, the offsets stored on the plane so far (None
+    before the first), belongs to one run: ``run`` starts a run's view,
+    and ``fork``, a clone of the machine, copies it."""
+
+    __slots__ = ("word", "preds", "offsets", "fixed", "written")
+
+    ALONE = ("alone",)
+
+    def __init__(self, word: int):
+        self.word = word
+        self.preds: set = set()
+        self.offsets: set = set()
+        self.fixed: set = set()
+        self.written: "set | None" = None
+
+    def run(self) -> "RspPath":
+        path = RspPath.__new__(RspPath)
+        path.word = self.word
+        path.preds = self.preds
+        path.offsets = self.offsets
+        path.fixed = self.fixed
+        path.written = None
+        return path
+
+    def fork(self) -> "RspPath":
+        path = self.run()
+        if self.written is not None:
+            path.written = set(self.written)
+        return path
+
+    def alone(self) -> None:
+        """Admit the recording word alone."""
+        self.preds.add(self.ALONE)
+
+    def admits(self, word: int, mem: Memory, stack_test) -> bool:
+        """Whether a run at `word` takes the recorded path: `word` is the
+        recording word, or no decision admitted it alone, its addresses on
+        the plane stay off every cell a fixed address touched, and it
+        satisfies every predicate.  `mem` has the pages of every run, and
+        `stack_test(pc, sp)` is the monitor's test of a stack access at pc
+        through stack pointer sp."""
+        w = self.word
+        if word == w:
+            return True
+        if self.ALONE in self.preds:
+            return False
+        fixed = self.fixed
+        for d in self.offsets:
+            if (w + d) & MASK64 in fixed or (word + d) & MASK64 in fixed:
+                return False
+        for pred in self.preds:
+            kind = pred[0]
+            if kind == "page":
+                _, d, key = pred
+                page = mem.page_at((word + d) & MASK64)
+                if (page and (page.kind, page.perms)) != key:
+                    return False
+            elif kind == "sp":
+                _, pc, d = pred
+                if (stack_test(pc, (word + d) & MASK64)
+                        != stack_test(pc, (w + d) & MASK64)):
+                    return False
+            elif kind == "cmp":
+                _, holds, x_on, x, y_on, y, taken = pred
+                if holds((word + x) & MASK64 if x_on else x,
+                         (word + y) & MASK64 if y_on else y) != taken:
+                    return False
+            elif (word + pred[1]) & pred[2] != pred[3]:     # "bits"
+                return False
+        return True
+
+    def _address(self, mem: Memory, addr: int, pc: int, sp: int) -> int:
+        """Record an address on the plane; return its offset."""
+        d = (addr - self.word) & MASK64
+        page = mem.page_at(addr)
+        self.offsets.add(d)
+        self.preds.add(("page", d, page and (page.kind, page.perms)))
+        if pc >= 0:
+            self.preds.add(("sp", pc, (sp - self.word) & MASK64))
+        return d
+
+    def load(self, mem: Memory, addr: int, derived: int, pc: int = -1,
+             sp: int = 0) -> None:
+        """A read of the cell at `addr`, an address on the plane when
+        `derived`; `pc` >= 0 makes it a stack access the monitor tests
+        with stack pointer `sp`."""
+        if not derived:
+            if self.written is not None:
+                self.fixed.add(addr)
+            return
+        d = self._address(mem, addr, pc, sp)
+        if mem.readable(addr) and not self.stored(d):
+            self.alone()
+
+    def stored(self, d: int) -> bool:
+        """Whether this run wrote the cell at offset d earlier: a cell it
+        did not write holds what the start state holds there, which
+        another word's run does not read."""
+        return self.written is not None and d in self.written
+
+    def store(self, mem: Memory, addr: int, derived: int, pc: int = -1,
+              sp: int = 0) -> None:
+        """A write of the cell at `addr`, as in ``load``."""
+        if not derived:
+            if self.written is not None:
+                self.fixed.add(addr)
+            return
+        d = self._address(mem, addr, pc, sp)
+        if mem.writable(addr):
+            if self.written is None:
+                self.written = set()
+            self.written.add(d)
+
+    def compare(self, holds, x: int, x_on: int, y: int, y_on: int,
+                taken: bool) -> None:
+        """A compare-and-jump of `x` and `y` (each on the plane when its
+        flag is set) that went `taken`."""
+        w = self.word
+        self.preds.add(("cmp", holds, bool(x_on), (x - w) & MASK64 if x_on
+                        else x, bool(y_on), (y - w) & MASK64 if y_on else y,
+                        taken))
+
+    def mask(self, value: int, mask: int) -> None:
+        """``and`` of `value`, on the plane, with `mask`: the bits that
+        decide the result's form stay as they are."""
+        bits = mask if mask.bit_count() <= 32 else ~mask & MASK64
+        self.preds.add(("bits", (value - self.word) & MASK64, bits,
+                        value & bits))
+
 
 def _put(m: Machine, r: int, w: int) -> None:
     """Give register r the label word w.  rip keeps no payload label (every
@@ -193,6 +357,11 @@ def _sub_i(m, pc, a, b, c):
 
 def _and_i(m, pc, a, b, c):
     regs = m.regs
+    if m.taint >> a & _RSP_PLANE:
+        if m.path is not None:
+            m.path.mask(regs[a], b)
+        if b.bit_count() <= 32:
+            m.taint &= ~(_RSP_PLANE << a)
     regs[a] = regs[a] & b
     m.trace.append((E_RETIRE, pc, regs[RSP], 0, 0))
     regs[RIP] = pc + 1
@@ -207,6 +376,9 @@ def _load(m, pc, a, b, c):
     regs = m.regs
     mem = m.mem
     addr = (regs[b] + c) & MASK64
+    if m.path is not None:
+        m.path.load(mem, addr, sunk & _RSP_PLANE,
+                    pc if b == RSP and a != RSP else -1, addr)
     if not mem.readable(addr):
         return _fault(m, pc, VEC_PAGE_FAULT, addr)
     regs[a], w = mem.read(addr)
@@ -227,6 +399,9 @@ def _store(m, pc, a, b, c):
     regs = m.regs
     mem = m.mem
     addr = (regs[a] + b) & MASK64
+    if m.path is not None:
+        m.path.store(mem, addr, sunk & _RSP_PLANE, pc if a == RSP else -1,
+                     addr)
     if not mem.writable(addr):
         return _fault(m, pc, VEC_PAGE_FAULT, addr)
     w = m.taint >> c & LABELS
@@ -243,6 +418,8 @@ def _push(m, pc, a, b, c):
     regs = m.regs
     mem = m.mem
     addr = (regs[RSP] - 8) & MASK64
+    if m.path is not None:
+        m.path.store(mem, addr, m.taint >> RSP & _RSP_PLANE, pc, addr)
     if not mem.writable(addr):
         return _fault(m, pc, VEC_PAGE_FAULT, addr)
     w = m.taint >> a & LABELS
@@ -260,13 +437,16 @@ def _pop(m, pc, a, b, c):
     regs = m.regs
     mem = m.mem
     addr = regs[RSP]
+    if m.path is not None:
+        m.path.load(mem, addr, m.taint >> RSP & _RSP_PLANE,
+                    pc if a != RSP else -1, addr)
     if not mem.readable(addr):
         return _fault(m, pc, VEC_PAGE_FAULT, addr)
     regs[a], w = mem.read(addr)
     regs[RSP] = (addr + 8) & MASK64
     if a == RSP:
         # pop rsp leaves rsp at addr + 8, whatever the popped word was
-        m.taint &= _KEEP[RSP]
+        m.taint &= _KEEP_POPPED_RSP
         m.trace.append((E_SP_ASSIGN, pc, regs[RSP], 0, 0))
     else:
         _put(m, a, w)
@@ -278,24 +458,31 @@ def _pop(m, pc, a, b, c):
 
 def _cmpj_i(m, pc, a, b, c):
     sunk = m.taint >> a & PAYLOADS
-    if sunk:
-        m.influenced |= sunk
     regs = m.regs
     holds, target = c
+    taken = holds(regs[a], b)
+    if sunk:
+        m.influenced |= sunk
+        if sunk & _RSP_PLANE and m.path is not None:
+            m.path.compare(holds, regs[a], 1, b, 0, taken)
     m.trace.append((E_RETIRE, pc, regs[RSP], 0, 0))
-    regs[RIP] = target if holds(regs[a], b) else pc + 1
+    regs[RIP] = target if taken else pc + 1
     m.cycle += 1
     return "ok"
 
 
 def _cmpj_r(m, pc, a, b, c):
     sunk = (m.taint >> a | m.taint >> b) & PAYLOADS
-    if sunk:
-        m.influenced |= sunk
     regs = m.regs
     holds, target = c
+    taken = holds(regs[a], regs[b])
+    if sunk:
+        m.influenced |= sunk
+        if sunk & _RSP_PLANE and m.path is not None:
+            m.path.compare(holds, regs[a], m.taint >> a & _RSP_PLANE,
+                           regs[b], m.taint >> b & _RSP_PLANE, taken)
     m.trace.append((E_RETIRE, pc, regs[RSP], 0, 0))
-    regs[RIP] = target if holds(regs[a], regs[b]) else pc + 1
+    regs[RIP] = target if taken else pc + 1
     m.cycle += 1
     return "ok"
 
@@ -312,6 +499,8 @@ def _jmp_reg(m, pc, a, b, c):
     sunk = m.taint >> a & PAYLOADS
     if sunk:
         m.influenced |= sunk
+        if sunk & _RSP_PLANE and m.path is not None:
+            m.path.alone()
     regs = m.regs
     target = regs[a]
     m.trace.append((E_CTRL, pc, target, CTRL_JMPI, regs[RSP]))
@@ -324,6 +513,8 @@ def _call(m, pc, a, b, c):
     regs = m.regs
     mem = m.mem
     addr = (regs[RSP] - 8) & MASK64
+    if m.path is not None:
+        m.path.store(mem, addr, m.taint >> RSP & _RSP_PLANE, pc, addr)
     if not mem.writable(addr):
         return _fault(m, pc, VEC_PAGE_FAULT, addr)
     mem.write(addr, pc + 1, 0)
@@ -342,6 +533,11 @@ def _ret(m, pc, a, b, c):
     sunk = w & PAYLOADS
     if sunk:
         m.influenced |= sunk
+    if m.path is not None:
+        m.path.load(mem, addr, m.taint >> RSP & _RSP_PLANE, pc,
+                    (addr + 8) & MASK64)
+        if sunk & _RSP_PLANE:
+            m.path.alone()
     if not mem.readable(addr):
         return _fault(m, pc, VEC_PAGE_FAULT, addr)
     regs[RSP] = (addr + 8) & MASK64
@@ -360,6 +556,13 @@ def _memcpy(m, pc, a, b, c):
     if sunk:
         m.influenced |= sunk
     dst, src, nbytes = m.regs[a], m.regs[b], m.regs[c]
+    path = m.path
+    if path is not None:
+        if sunk & _RSP_PLANE:
+            path.alone()
+        elif path.written is not None:
+            path.fixed.update(x & MASK64 for i in range(0, nbytes, 8)
+                              for x in (src + i, dst + i))
     if dst % 8 or src % 8 or nbytes % 8:
         return _fault(m, pc, VEC_AC, dst | src | nbytes)
     mem = m.mem
@@ -446,6 +649,8 @@ def _write_ssa(m, pc, a, b, c):
 
 def _eexit_r(m, pc, a, b, c):
     m.influenced |= m.taint >> a & PAYLOADS
+    if m.path is not None and m.taint >> a & _RSP_PLANE:
+        m.path.alone()
     m.cycle += 1
     m.eexit(m.regs[a])
     return "exit"
@@ -482,6 +687,8 @@ def _end_atomic(m, pc, a, b, c):
 def _set_flag(m, pc, a, b, c):
     """set_flag / clear_flag: `b` is the value written (1 or 0)."""
     mem = m.mem
+    if m.path is not None:
+        m.path.store(mem, a, 0)
     if not mem.writable(a):
         return _fault(m, pc, VEC_PAGE_FAULT, a)
     mem.write(a, b, 0)
@@ -514,7 +721,10 @@ def _emulate_critical(m, pc, a, b, c):
     """`a` is a weak reference to the program, resolved at decode time."""
     cssa = m.tcs.cssa
     if cssa >= 1:
-        m.influenced |= m.ssa[cssa - 1].taint >> RIP & PAYLOADS
+        saved = m.ssa[cssa - 1].taint >> RIP
+        m.influenced |= saved & PAYLOADS
+        if m.path is not None and saved & _RSP_PLANE:
+            m.path.alone()
     return _complete_top_frame(m, pc, _deref(a))
 
 
@@ -648,6 +858,7 @@ def complete_critical(m: Machine, program: Program,
     ctx.mode = MODE_ENCLAVE
     ctx.regs = list(frame.regs)
     ctx.taint = frame.taint
+    ctx.path = m.path
     steps = 0
     while in_crit_ranges(program, pc):
         if steps >= MAX_COMPLETION_STEPS:

@@ -37,7 +37,9 @@ MASK64 = (1 << 64) - 1
 # word of labels, one bit per plane: the secret taint (bit 0), the attacker
 # payload (bit 32), and one origin plane per register r (bit 32 * (r + 2),
 # ``ORIGINS[r]``) for a payload whose sink must be traced back to the
-# register it was staged in.  ``PAYLOADS`` masks every payload plane.  A
+# register it was staged in; the staged rsp's plane also marks the values
+# the search's rsp classes reason about (``interp.RspPath``).  ``PAYLOADS``
+# masks every payload plane.  A
 # register mask (``Machine.taint``, ``SSAFrame.taint``) holds register r's
 # word shifted left by r, so its secret plane is bits 0..17, its payload
 # plane bits 32..49, and so on every 32 bits; ``Memory.labels`` holds cell
@@ -547,6 +549,10 @@ class Machine:
     target or an event field (see ``interp``): 0 while no payload did.  It
     is not part of the canonical state.
 
+    ``path`` is None, or the ``interp.RspPath`` a search run records its
+    path conditions over the staged rsp word into; a clone gets its own
+    copy of the run's part of it.  It changes nothing the machine does.
+
     ``_platform`` caches the digest text of the TCS, the SSA frames, aep,
     version and extension state.  Every transition that changes one of them
     calls ``platform_changed``.
@@ -554,7 +560,7 @@ class Machine:
 
     __slots__ = ("mode", "regs", "taint", "mem", "tcs", "ssa", "aep",
                  "sgx_version", "hw", "cycle", "trace", "entry_atomic_cycles",
-                 "pending_fault", "halted", "influenced",
+                 "pending_fault", "halted", "influenced", "path",
                  "_platform")
 
     def __init__(self, mem: Memory, tcs: TCS, sgx_version: int = SGX2,
@@ -574,6 +580,7 @@ class Machine:
         self.pending_fault = -1     # vector awaiting the mandatory aex
         self.halted = False
         self.influenced = 0
+        self.path = None
         self._platform: Optional[str] = None
 
     # -- lifecycle ---------------------------------------------------------
@@ -596,6 +603,7 @@ class Machine:
         m.pending_fault = self.pending_fault
         m.halted = self.halted
         m.influenced = self.influenced
+        m.path = self.path if self.path is None else self.path.fork()
         m._platform = self._platform
         return m
 
@@ -709,6 +717,8 @@ class Machine:
         self.regs = list(frame.regs)
         self.taint = frame.taint
         self.influenced |= (self.taint >> RIP | self.taint >> RSP) & PAYLOADS
+        if self.path is not None and self.taint >> RIP & ORIGINS[RSP]:
+            self.path.alone()       # a control target on the rsp plane
         self.mode = MODE_ENCLAVE
         self.tcs.busy = True
         self.emit(E_HW_ERESUME, self.regs[RIP])

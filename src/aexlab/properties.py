@@ -175,7 +175,8 @@ class SafetyMonitor:
                 continue
             else:
                 continue
-            # a stack access: call, ret, or a flagged load or store
+            # a stack access: call, ret, or a flagged load or store, tested
+            # as `stack_ok` tests it, inline since every one is tested
             if pc in windows:
                 continue
             for lo, hi in trusted:
@@ -185,6 +186,17 @@ class SafetyMonitor:
                 found.setdefault("sp_confinement",
                                  (i, f"stack access via {sp:#x} at {pc:#x}"))
         self.position += len(events)
+
+    def stack_ok(self, pc: int, sp: int) -> bool:
+        """Whether a stack access at `pc` through stack pointer `sp`
+        keeps sp confinement, the test `feed` makes of each: it is inside
+        a declared window, or goes through a trusted stack."""
+        if pc in self.image.sp_window_pcs:
+            return True
+        for lo, hi in self.image.trusted_stack_ranges:
+            if lo <= sp <= hi:
+                return True
+        return False
 
     def verdict(self, prop: str) -> Verdict:
         hit = self.witnesses.get(prop)

@@ -217,9 +217,10 @@ def test_workers_search_the_callers_image():
             == [v.to_dict() for v in par.verdicts])
 
 
-def test_search_pool_is_capped_at_the_branch_count(monkeypatch):
+def test_search_pool_is_capped_at_the_command_count(monkeypatch):
     # a stub context records the pool size asked for and computes the
-    # branches in-process, so no pool is started
+    # commands in-process, so no pool is started; a worker searches every
+    # branch of a command, since they share its rsp classes
     sizes = []
     monkeypatch.setattr(multiprocessing, "get_context",
                         stub_pool_context(sizes))
@@ -227,7 +228,7 @@ def test_search_pool_is_capped_at_the_branch_count(monkeypatch):
     out = exhaustive_attacker(img, SGX2, workers=10**6)
     assert isinstance(out, Counterexample)
     space = search_space(img)
-    assert sizes == [len(space.commands) * len(space.words)]
+    assert sizes == [len(space.commands)]
 
 
 def test_search_pool_is_closed_not_killed_after_a_counterexample(
@@ -319,9 +320,10 @@ def test_resumed_plans_equal_fresh_runs():
     with agreement.resumed() as resumed:
         out = exhaustive_attacker(build_runtime("dedicated_stack"), SGX2)
     assert isinstance(out, NoneFound)
-    # every injected plan of the tracked bindings resumes: 15 per branch
-    assert len(resumed) == 36 * 15
-    assert out.stats.stepped == 20808 < sum(r.steps for _, r in resumed)
+    # every injected plan of the tracked bindings resumes: 15 per branch,
+    # in the 3 branches that represent their command's one rsp class
+    assert len(resumed) == 3 * 15
+    assert out.stats.stepped == 1734 < sum(r.steps for _, r in resumed)
 
 
 def test_resumed_plans_equal_fresh_runs_under_irq_quota():

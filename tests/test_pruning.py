@@ -2,7 +2,9 @@
 exhaustive search: each sink flags a run, data moves carry labels without
 flagging, a clean run does not depend on the payload's value, per-register
 payload planes stay apart, labels stay out of the canonical state, and
-every covered plan repeats its representative's run."""
+every covered plan repeats its representative's run.  Then the rsp
+classes: every rsp word a recorded path admits repeats the path's run,
+shifted by the words' difference."""
 
 import random
 
@@ -10,13 +12,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from aexlab import adversary, cli, explorer, reporting
+from aexlab import adversary, cli, explorer, interp, isa, reporting, runtimes
 from aexlab.adversary import (
     Counterexample, NoneFound, PAYLOAD_REGS, exhaustive_attacker,
     scripted_attack,
 )
 from aexlab.harness import Eenter, PrepareRegs, benign_plan, run_plan
-from aexlab.interp import step
+from aexlab.interp import RspPath, step
 from aexlab.machine import (
     DEFAULT_IRQ_GRANT, E_EXIT, E_HW_ERESUME, LABELS, MASK64, ORIGINS, PAYLOAD,
     PAYLOAD_SHIFT, PAYLOADS, R8, R9, RAX, RBX, RCX, REG_IDS, RIP, RSI, RSP,
@@ -338,7 +340,7 @@ _REGS = _PAYLOAD + _FIXED
 _WORDS = st.sampled_from([0, 8, 16, DATA, DATA + 0x100, DATA + 0x7F8, PUB,
                           CODE, MASK64])
 
-_line = st.one_of(
+_plain_line = st.one_of(
     st.tuples(st.just("mov {0}, {1}"), st.sampled_from(_REGS),
               st.sampled_from(_REGS)),
     st.tuples(st.just("mov {0}, ${1}"), st.sampled_from(_REGS), _WORDS),
@@ -357,7 +359,26 @@ _line = st.one_of(
     st.tuples(st.just("memcpy {0}, {1}, rdx"), st.sampled_from(_REGS),
               st.sampled_from(_REGS)),
     st.tuples(st.just("scrub {0}"), st.sampled_from(_REGS), st.just("")),
+    st.tuples(st.just("and {0}, ${1}"), st.sampled_from(_REGS),
+              st.sampled_from([7, MASK64 & ~7])),
+    st.tuples(st.just("cmpj {0}, ${1}, lt, {skip}"), st.sampled_from(_REGS),
+              _WORDS),
 )
+# Two lines in three work on two shared cells, so that a labelled word is
+# often stored, copied, loaded again and used as an address: a payload
+# register is stored at [rbp] (rbp starts at DATA), memcpy moves rdx = 16
+# bytes from there to [rsi] (PUB), and [rsi] loads into rdi, which no other
+# line touches, right before rdi is used as an address.  Both cells start
+# out holding a data address.
+_shared_line = st.one_of(
+    st.tuples(st.just("store [rbp+0], {0}"), st.sampled_from(_PAYLOAD),
+              st.just("")),
+    st.tuples(st.just("memcpy rsi, rbp, rdx"), st.just(""), st.just("")),
+    st.tuples(st.just("load rdi, [rsi+0]\n    load {0}, [rdi+8]"),
+              st.sampled_from(_REGS), st.just("")),
+)
+_line = st.integers(0, 2).flatmap(lambda n: _shared_line if n
+                                  else _plain_line)
 
 
 def _program(lines) -> str:
@@ -369,12 +390,22 @@ def _program(lines) -> str:
     return "\n".join(out)
 
 
+def _raw_machine(source: str):
+    """A raw machine for a straight-line program: a secret word in the
+    data page, and the shared cells holding a data address."""
+    m, prog = make_raw_machine(source, data_secret={DATA + 0x108: 7})
+    for cell in (DATA, PUB):
+        m.mem.write(cell, DATA + 0x100, 0)
+    return m, prog
+
+
 def _straight_line_run(source: str, words: dict, labels: dict):
     """The straight-line run with each payload register holding its word
     of `words` and its label word of `labels`."""
-    m, prog = make_raw_machine(source, data_secret={DATA + 0x108: 7})
-    fixed = {"rdx": 16, "rsi": PUB, "rbp": DATA, "rsp": DATA + 0x800}
-    for name in _REGS:
+    m, prog = _raw_machine(source)
+    fixed = {"rdx": 16, "rsi": PUB, "rbp": DATA, "rsp": DATA + 0x800,
+             "rdi": DATA}
+    for name in _REGS + ("rdi",):
         m.regs[REG_IDS[name]] = fixed.get(name, words.get(name))
     for name, word in labels.items():
         m.taint |= word << REG_IDS[name]
@@ -418,6 +449,104 @@ def test_registers_off_the_influenced_planes_can_take_any_value(lines, p,
     assert m2.trace == m1.trace and sig2 == sig1 and m2.cycle == m1.cycle
     assert m2.influenced == m1.influenced
     assert m2.mem.labels == m1.mem.labels and m2.taint == m1.taint
+
+
+# ---------------------------------------------------------------------------
+# the rsp plane: rsp words a recorded path admits
+# ---------------------------------------------------------------------------
+
+def _unmonitored(pc: int, sp: int) -> bool:
+    """The stack test of a raw program, whose trace no monitor reads."""
+    return True
+
+
+def _rsp_labelled(source: str, rsp: int):
+    """A raw machine with rsp = `rsp` on the rsp plane, recording its path
+    into a fresh RspPath, the path and the program."""
+    m, prog = make_raw_machine(source)
+    m.regs[RSP] = rsp
+    m.taint = ORIGINS[RSP] << RSP
+    path = RspPath(rsp)
+    m.path = path.run()
+    return m, path, prog
+
+
+def test_a_narrow_and_clears_the_rsp_plane_and_a_wide_one_keeps_it():
+    # rsp & 7 is the same across words with the same low bits; rsp & ~7
+    # stays rsp plus a constant across them
+    m, path, prog = _rsp_labelled("    mov rax, rsp\n    mov rbx, rsp\n"
+                                  "    and rax, $7\n    and rbx, $-8\n"
+                                  "    halt $0\n", DATA + 0x804)
+    assert run(m, prog) == "halt"
+    assert m.taint >> RAX & LABELS == 0
+    assert m.taint >> RBX & LABELS == ORIGINS[RSP]
+    assert path.admits(DATA + 0x104, m.mem, _unmonitored)
+    assert not path.admits(DATA + 0x100, m.mem, _unmonitored)
+
+
+def test_pop_rsp_keeps_the_rsp_plane():
+    # pop rsp leaves rsp at the popped address + 8
+    m, path, prog = _rsp_labelled("    push rax\n    pop rsp\n    halt $0\n",
+                                  DATA + 0x800)
+    assert run(m, prog) == "halt"
+    assert m.regs[RSP] == DATA + 0x800
+    assert m.taint >> RSP & LABELS == ORIGINS[RSP]
+
+
+def test_a_word_whose_stores_would_hit_a_cell_read_at_a_fixed_address():
+    # the push at rsp - 8 is the first store on the plane; the load at the
+    # fixed address DATA after it would read the pushed word at rsp = DATA
+    # + 8, so that word is not admitted, while one whose push stays off
+    # DATA is
+    source = ("    push rax\n    load rbx, [rbp+0]\n"
+              "    cmpj rbx, $0, eq, done\n    mov rcx, $1\ndone:\n"
+              "    halt $0\n")
+    m, path, prog = _rsp_labelled(source, DATA + 0x800)
+    m.regs[RAX] = 5
+    m.regs[REG_IDS["rbp"]] = DATA
+    assert run(m, prog) == "halt"
+    assert path.admits(DATA + 0x400, m.mem, _unmonitored)
+    assert not path.admits(DATA + 8, m.mem, _unmonitored)
+
+
+# staged stack pointers: inside the data page, at its edges, in public
+# memory, in code and unmapped
+_RSP_WORDS = (DATA + 0x800, DATA + 0x808, DATA + 0x7F0, DATA + 0x100,
+              DATA + 0x108, DATA + 0xFF8, PUB + 0x800, PUB + 0x808,
+              CODE + 0x10, 0, 8, MASK64 & ~7)
+
+
+def _rsp_run(source: str, payload: int, rsp: int, path=None):
+    """The straight-line run with the payload registers on the payload
+    plane and the staged `rsp` on its own plane, recording into `path`."""
+    m, prog = _raw_machine(source)
+    fixed = {"rdx": 16, "rsi": PUB, "rbp": DATA, "rsp": rsp, "rdi": DATA}
+    for name in _REGS + ("rdi",):
+        m.regs[REG_IDS[name]] = fixed.get(name, payload)
+    for name, word in _ONE_PLANE.items():
+        m.taint |= word << REG_IDS[name]
+    m.taint |= ORIGINS[RSP] << RSP
+    m.path = path
+    return m, run(m, prog)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_line, min_size=1, max_size=12), _WORDS,
+       st.sampled_from(_RSP_WORDS))
+def test_rsp_words_a_recorded_path_admits_give_shifted_traces(lines, p, w1):
+    # every other staged rsp that satisfies the predicates the run at w1
+    # recorded repeats it: the same signal and cycles, and a trace whose
+    # fields differ only by the difference of the words
+    source = _program(lines)
+    path = RspPath(w1)
+    m1, sig1 = _rsp_run(source, p, w1, path.run())
+    for w2 in _RSP_WORDS:
+        if w2 == w1 or not path.admits(w2, m1.mem, _unmonitored):
+            continue
+        m2, sig2 = _rsp_run(source, p, w2)
+        assert sig2 == sig1 and m2.cycle == m1.cycle, hex(w2)
+        assert agreement.shifted_from(m2.trace, m1.trace,
+                                      (w2 - w1) & MASK64) == -1, hex(w2)
 
 
 # ---------------------------------------------------------------------------
@@ -512,30 +641,84 @@ done:
 # ---------------------------------------------------------------------------
 
 def test_covered_plans_repeat_their_representatives():
-    with agreement.covered() as compared:
+    # every plan not executed is covered by its clean representative or
+    # counted by its rsp class, and the two oracles compare each once
+    with agreement.covered() as compared, \
+            agreement.classes() as (_, walked):
         for variant, sgx in (("dedicated_stack", SGX2), ("sdk_style", SGX1)):
-            before = len(compared)
+            before = len(compared) + len(walked)
             out = exhaustive_attacker(build_runtime(variant), sgx,
                                       sp_mode="range")
             assert isinstance(out, NoneFound)
-            assert (len(compared) - before
+            assert (len(compared) + len(walked) - before
                     == out.stats.runs - out.stats.executed)
 
 
 def test_pruning_stays_sound_where_the_payload_matters(monkeypatch):
     # with the monitor silenced, a VULN variant's search enumerates plans
     # whose payload lands on the anchor; their representatives are
-    # influenced, so every binding of those shapes runs
+    # influenced, so every binding of those shapes runs: more plans run
+    # than the first bindings' plans that no rsp class counts
     class Silent:
         violated = False
     monkeypatch.setattr(adversary, "_monitored", lambda cp, trace: Silent())
-    with agreement.covered() as compared:
+    with agreement.covered() as compared, \
+            agreement.classes() as (_, walked):
         out = exhaustive_attacker(build_runtime("open_enclave_style"), SGX2)
     assert isinstance(out, NoneFound)
     groups = out.stats.runs // len(adversary.search_space(
         build_runtime("open_enclave_style")).words)
-    assert out.stats.executed > groups
-    assert len(compared) == out.stats.runs - out.stats.executed
+    assert out.stats.executed > groups - len(walked)
+    assert len(compared) + len(walked) == out.stats.runs - out.stats.executed
+
+
+def test_rsp_classes_count_what_their_branches_give():
+    # every first binding an rsp class counts is walked plan by plan next to
+    # its representative's: same status, steps, boundaries and verdicts,
+    # and traces that differ only by the two words' difference
+    with agreement.classes() as (branches, walked):
+        for variant, sgx in (("dedicated_stack", SGX2), ("sdk_style", SGX1)):
+            for mode in ("range", "strict"):
+                before = len(branches)
+                out = exhaustive_attacker(build_runtime(variant), sgx,
+                                          sp_mode=mode)
+                assert isinstance(out, NoneFound)
+                assert len(branches) - before == out.stats.classed > 0
+    assert walked
+
+
+def _sdk_testing_the_saved_stack_word():
+    """sdk_style whose exception flow tests the low bits of the word at the
+    saved stack pointer rather than of the pointer itself: a load on the
+    rsp plane of a cell the run never wrote."""
+    image = build_runtime("sdk_style")
+    old = "    mov r12, r10\n    and r12, $15\n"
+    source = runtimes.generate_source("sdk_style")
+    assert source.count(old) == 1
+    source = source.replace(old, "    load r12, [r10+0]\n    and r12, $15\n")
+    return image._replace(program=isa.assemble(
+        source, image.program.base, runtimes._symbols(image.layout)))
+
+
+def test_the_classes_oracle_catches_a_recorder_without_compare_predicates(
+        monkeypatch):
+    monkeypatch.setattr(interp.RspPath, "compare", lambda *args: None)
+    with pytest.raises(agreement.Mismatch, match="^classes: "):
+        with agreement.classes():
+            exhaustive_attacker(build_runtime("sdk_style"), SGX1)
+
+
+def test_the_classes_oracle_catches_a_recorder_without_the_load_cell_rule(
+        monkeypatch):
+    # no stock variant loads a cell on the rsp plane that its run did not
+    # write, so the rule is exercised through a variant that does
+    image = _sdk_testing_the_saved_stack_word()
+    with agreement.classes():
+        assert isinstance(exhaustive_attacker(image, SGX1), NoneFound)
+    monkeypatch.setattr(interp.RspPath, "stored", lambda self, d: True)
+    with pytest.raises(agreement.Mismatch, match="^classes: "):
+        with agreement.classes():
+            exhaustive_attacker(image, SGX1)
 
 
 def test_an_oracle_whose_name_is_gone_raises(monkeypatch):
@@ -561,7 +744,9 @@ def test_counterexample_is_found_by_an_executed_run():
 def test_dedicated_stack_executes_one_plan_per_shape(tmp_path, capsys):
     # 3 commands x 12 rsp words x 16 shapes (a dry run plus 15 injections)
     # = 576 groups of 12 payload bindings each; every representative runs
-    # clean, so exactly one plan per group executes
+    # clean, so at most one plan per group executes, and one rsp class per
+    # command counts the first binding of 11 of its 12 branches: only the
+    # 48 shapes of the three representative branches execute
     scenario = reporting.normalize_scenario({
         "variant": "dedicated_stack", "sgx_version": 2,
         "adversary": "exhaustive"})
@@ -570,7 +755,7 @@ def test_dedicated_stack_executes_one_plan_per_shape(tmp_path, capsys):
     assert cli.main(["run", "--scenario", str(path),
                      "--out", str(tmp_path / "out")]) == 0
     err = capsys.readouterr().err
-    assert "executed 576 of 6912 plans;" in err
+    assert "executed 48 of 6912 plans;" in err
     report = (tmp_path / "out" / "report.json").read_text()
     assert '"executed"' not in report
 
@@ -578,17 +763,17 @@ def test_dedicated_stack_executes_one_plan_per_shape(tmp_path, capsys):
 def test_matrix_status_line_counts_each_certification_once(tmp_path,
                                                            capsys):
     # sgx2: sdk, open enclave and enarx stop at their second plan; graphene
-    # and nssa_disabled run 528 of 6336 and dedicated_stack 576 of 6912.
-    # Rows that share a certification are counted once.
+    # runs 64 of 6336, nssa_disabled 44 of 6336 and dedicated_stack 48 of
+    # 6912.  Rows that share a certification are counted once.
     assert cli.main(["matrix", "--sgx", "2", "--out", str(tmp_path)]) == 0
     err = capsys.readouterr().err
-    assert "executed 1638 of 19590 plans;" in err
+    assert "executed 162 of 19590 plans;" in err
 
 
 def test_status_line_counts_the_instructions_stepped(tmp_path, capsys):
-    # each of the 540 executed injected plans resumes from its dry run's
+    # each of the 45 executed injected plans resumes from its dry run's
     # point and steps only what follows it; run from the prefix snapshot,
-    # the 576 executed plans would step 25,848 instructions
+    # the 48 executed plans would step 2,154 instructions
     scenario = reporting.normalize_scenario({
         "variant": "dedicated_stack", "sgx_version": 2,
         "adversary": "exhaustive"})
@@ -597,7 +782,7 @@ def test_status_line_counts_the_instructions_stepped(tmp_path, capsys):
     assert cli.main(["run", "--scenario", str(path),
                      "--out", str(tmp_path / "out")]) == 0
     err = capsys.readouterr().err
-    assert ("executed 576 of 6912 plans; stepped 20808 instructions; "
+    assert ("executed 48 of 6912 plans; stepped 1734 instructions; "
             "wall time ") in err
     assert '"stepped"' not in (tmp_path / "out" / "report.json").read_text()
 
