@@ -18,11 +18,12 @@ checks critical-span completion against native execution.
   status, steps and boundaries.  The runs, steps and injected boundaries
   added must equal the sums over the group's plans.  Yields each plan's
   actions.
-- `classes()` wraps `adversary._rsp_class`, which decides at a branch's
-  dry run whether an earlier branch's rsp class counts the branch's first
-  binding instead of running it.  For every branch a class counts, it
-  walks that binding plan by plan from `space.root`, next to the same
-  plan of the class's representative.  Each plan must give the status,
+- `classes()` wraps `adversary._rsp_class`, which decides from a
+  branch's staged rsp word, before any plan of the branch runs, whether an
+  earlier branch's rsp class counts the branch's first binding instead of
+  running it.  For every branch a class counts, it walks that binding plan
+  by plan from `space.root`, next to the same plan of the class's
+  representative.  Each plan must give the status,
   steps and boundaries the class counts for it and the representative's
   safety verdicts (outcome and witness index), and a trace whose fields
   differ from the representative's only by the difference of the two rsp

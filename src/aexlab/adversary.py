@@ -289,7 +289,7 @@ class RspClass:
     payload value influenced.  `schedules` holds the later bindings'
     schedules (see `_schedule`), which depend on `clean` only."""
 
-    __slots__ = ("word", "path", "shapes", "clean", "schedules", "_sums")
+    __slots__ = ("word", "path", "shapes", "clean", "schedules")
 
     def __init__(self, word: int):
         self.word = word
@@ -297,28 +297,6 @@ class RspClass:
         self.shapes: dict = {}
         self.clean: dict = {}
         self.schedules: dict = {}
-        self._sums: Optional[tuple[int, int]] = None
-
-    def injected(self) -> tuple[int, int]:
-        """The number of injected shapes and the sum of their steps."""
-        if self._sums is None:
-            steps = [row[1] for shape, row in self.shapes.items()
-                     if shape is not None]
-            self._sums = (len(steps), sum(steps))
-        return self._sums
-
-
-class RspClasses:
-    """The rsp classes a search has found so far: per command, the classes
-    in the order their representatives ran, and per first-binding entry
-    (the arguments of `space.entry`), its class and whether the class
-    counts it (True) or the entry's branch is the representative."""
-
-    __slots__ = ("of_command", "of_entry")
-
-    def __init__(self):
-        self.of_command: dict[int, list[RspClass]] = {}
-        self.of_entry: dict[tuple, tuple[RspClass, bool]] = {}
 
 
 class SearchSpace(NamedTuple):
@@ -327,8 +305,8 @@ class SearchSpace(NamedTuple):
     re-enters with rsp = each of `words` and the `payload_regs` = each of
     `words`, dry and injecting each of `classes` at each boundary up to
     `budget.boundary_cap`.  A Counterexample's branch indexes it.
-    `rsp_classes` is the one part a search writes: the rsp classes it has
-    found."""
+    `rsp_classes` is the one part a search writes: per command, the rsp
+    classes found so far, in the order their representatives ran."""
 
     image: EnclaveImage
     root: Machine
@@ -338,7 +316,7 @@ class SearchSpace(NamedTuple):
     payload_regs: tuple[str, ...]
     classes: tuple[int, ...]
     budget: SearchBudget
-    rsp_classes: RspClasses
+    rsp_classes: dict[int, list[RspClass]]
 
     def entry(self, cmd: int, rsp: int,
               payload: int) -> tuple[PrepareRegs, Eenter]:
@@ -377,7 +355,7 @@ def search_space(image: EnclaveImage, sgx_version: int = SGX2,
     checkpoint.feed(root.trace)
     return SearchSpace(image, root, checkpoint,
                        (CMD_ORET, CMD_INVALID, CMD_EXCEPTION), words,
-                       PAYLOAD_REGS, classes, budget, RspClasses())
+                       PAYLOAD_REGS, classes, budget, {})
 
 
 def _monitored(checkpoint: SafetyMonitor, trace: list) -> SafetyMonitor:
@@ -388,10 +366,10 @@ def _monitored(checkpoint: SafetyMonitor, trace: list) -> SafetyMonitor:
 
 
 class CoveredGroup(NamedTuple):
-    """Plan shapes of one later binding that are counted, not run, in plan
-    order: each has a clean representative under the first payload
-    binding.  `steps` is the sum of their representatives' steps and
-    `boundaries` the number of injected ones."""
+    """Plan shapes of one binding that are counted, not run, in plan
+    order: each has a clean representative under the branch's first
+    payload binding.  `steps` is the sum of their representatives' steps
+    and `boundaries` the number of injected ones."""
 
     shapes: tuple
     steps: int
@@ -406,29 +384,34 @@ def _group(shapes: list, steps: int) -> CoveredGroup:
 
 
 class _Schedule(NamedTuple):
-    """What a later binding runs and counts.  `runs` lists, in plan order,
-    each injected shape without a clean representative, with the classes
-    injected after it at its boundary and the group of covered shapes
-    before it in the binding; `covered` is the binding's whole group."""
+    """What a binding runs and counts.  `runs` lists, in plan order, each
+    injected shape without a clean representative, whether its run takes
+    its point's machine, and the group of covered shapes before it in the
+    binding; `covered` is the binding's whole group."""
 
     runs: tuple
     covered: CoveredGroup
 
 
-def _schedule(clean: dict, n_boundaries: int, at_entry: list,
-              inside: list) -> _Schedule:
-    """The schedule of a later binding that injects at boundaries
-    0..`n_boundaries`.  A covered dry run leads the covered shapes; an
-    uncovered one runs before the schedule, since its boundaries decide
-    which schedule applies."""
+def _schedule(clean: dict, n_boundaries: int, at_entry: tuple,
+              inside: tuple) -> _Schedule:
+    """The schedule of a binding that injects the classes `at_entry` at
+    boundary 0 and `inside` at boundaries 1..`n_boundaries`, where `clean`
+    maps shapes to their clean representatives.  A covered dry run leads
+    the covered shapes; an uncovered one runs before the schedule, since
+    its boundaries decide which schedule applies.  The last class run at a
+    boundary takes the point its binding's dry run kept there; earlier
+    ones resume from a copy."""
     shapes: list = [None] if None in clean else []
     steps = clean[None][1] if shapes else 0
     runs = []
     for k in range(n_boundaries + 1):
-        for vec, later in at_entry if k == 0 else inside:
+        vecs = at_entry if k == 0 else inside
+        for n, vec in enumerate(vecs):
             rep = clean.get((vec, k))
             if rep is None:
-                runs.append(((vec, k), later, _group(shapes, steps)))
+                take = all((v, k) in clean for v in vecs[n + 1:])
+                runs.append(((vec, k), take, _group(shapes, steps)))
             else:
                 shapes.append((vec, k))
                 steps += rep[1]
@@ -442,8 +425,9 @@ def _count_covered(space: SearchSpace, binding: tuple, group: CoveredGroup,
     building or running them.  No payload value reached a sink in any of
     their representatives, the same shapes of the branch's first binding
     (`clean[shape]`: status, steps, boundaries), so each plan would repeat
-    its representative's run.  The search calls this once per later
-    binding.  The `covered` oracle of scripts/agreement.py wraps it to
+    its representative's run.  The search calls this once per payload
+    binding it runs or schedules; a representative's first binding has an
+    empty group.  The `covered` oracle of scripts/agreement.py wraps it to
     build and run every plan of the group next to its representative and
     compare."""
     stats.runs += len(group.shapes)
@@ -451,33 +435,22 @@ def _count_covered(space: SearchSpace, binding: tuple, group: CoveredGroup,
     stats.boundaries += group.boundaries
 
 
-class Counted(NamedTuple):
-    """A first-binding plan its rsp class counts instead of running: what
-    its run gives.  It has no trace, since its representative's run
-    violated nothing, and keeps no points."""
-
-    status: str
-    steps: int
-    boundaries: int
-    trace: tuple = ()
-    points: tuple = ()
-
-
 def _rsp_class(space: SearchSpace, entry: tuple) -> tuple[RspClass, bool]:
     """The rsp class of the branch whose first binding stages `entry`,
-    decided at its dry run: the first class of the command, in the order
-    found, that admits the staged rsp word, which then counts the branch's
-    first binding (True).  A word no class admits starts a class of its
-    own (False).  A class admits a word its representative's path admits
-    (``interp.RspPath.admits``).  Search plans never change a page's
-    permissions, so the root's pages are those of every run, and never
-    seed memory, so only instructions write it.  The
-    `classes` oracle of scripts/agreement.py wraps this to run every
+    decided from the staged rsp word alone, before any plan of the branch
+    runs: the first class of the command, in the order found, that admits
+    the word, which then counts the branch's first binding (True).  A word
+    no class admits starts a class of its own, whose representative the
+    branch's first binding is (False).  A class admits a word its
+    representative's path admits (``interp.RspPath.admits``).  Search
+    plans never change a page's permissions, so the root's pages are those
+    of every run, and never seed memory, so only instructions write it.
+    The `classes` oracle of scripts/agreement.py wraps this to run every
     first-binding plan of a counted branch next to its representative's
     and compare."""
     prepare, enter = entry
     word = dict(prepare.regs)["rsp"]
-    found = space.rsp_classes.of_command.setdefault(enter.cmd, [])
+    found = space.rsp_classes.setdefault(enter.cmd, [])
     for cls in found:
         if cls.path.admits(word, space.root.mem, space.checkpoint.stack_ok):
             return cls, True
@@ -487,46 +460,28 @@ def _rsp_class(space: SearchSpace, entry: tuple) -> tuple[RspClass, bool]:
 
 
 def _attempt(space: SearchSpace, entry: tuple[PrepareRegs, Eenter],
-             inject: Optional[tuple[int, int]], points: list, later: tuple,
-             track: bool, clean: dict,
-             stats: SearchStats) -> tuple[list, "RunResult | Counted"]:
+             inject: Optional[tuple[int, int]], points: list, take: bool,
+             cls: Optional[RspClass],
+             stats: SearchStats) -> tuple[list, RunResult]:
     """Run one candidate plan: the binding's staged registers and re-entry
     `entry`, injecting `inject` (None: the dry run).  A dry run keeps its
     points up to the boundary cap; a plan injecting at boundary k resumes
-    from `points[k]` when its binding's dry run kept one: from a copy while
-    a plan injecting a class of `later` at boundary k is still to run (it
-    has no clean representative), else taking the point's machine.  With
-    `track`, the plan is of the branch's first binding: its dry run
-    decides the branch's rsp class (`_rsp_class`).  A class that counts
-    the branch returns its representative's row as a `Counted`, unrun.
-    Otherwise the plan runs with labelled payload registers and rsp,
-    records its path conditions into the class and its row into the
-    class's `shapes`, and is kept in `clean` when no payload value
-    influenced it.  Returns the actions and the RunResult or Counted."""
+    from `points[k]` when its binding's dry run kept one, taking the
+    point's machine with `take`, else from a copy.  Given the rsp class
+    `cls`, the plan is of the first binding of the class's representative:
+    it runs with labelled payload registers and rsp, records its path
+    conditions into the class and its row into the class's `shapes`, and
+    into its `clean` when no payload value influenced it.  Returns the
+    actions and the RunResult."""
     actions = _candidate_actions(entry, inject)
     payload = path = None
-    if track:
-        of_entry = space.rsp_classes.of_entry
-        if inject is None:
-            cls, counted = of_entry[entry] = _rsp_class(space, entry)
-            stats.branches += 1
-            stats.classed += counted
-        else:
-            cls, counted = of_entry[entry]
-        if counted:
-            row = cls.shapes[inject]
-            stats.runs += 1
-            stats.steps += row[1]
-            if inject in cls.clean:
-                clean[inject] = row
-            return actions, Counted(*row)
+    if cls is not None:
         payload = _first_binding_labels(space.payload_regs)
         path = cls.path
     budget = space.budget
     if inject is not None and inject[1] < len(points):
-        k = inject[1]
-        point = points[k]
-        if any((vec, k) not in clean for vec in later):
+        point = points[inject[1]]
+        if not take:
             point = point.copy()
         res = run_plan(point, space.image, actions, max_steps=budget.max_steps,
                        payload=payload, inject=actions[1])  # the InjectAex
@@ -543,10 +498,10 @@ def _attempt(space: SearchSpace, entry: tuple[PrepareRegs, Eenter],
     stats.executed += 1
     stats.steps += res.steps
     stats.stepped += res.steps - resumed_at
-    if track:
+    if cls is not None:
         row = cls.shapes[inject] = (res.status, res.steps, res.boundaries)
         if not res.machine.influenced & PAYLOAD:
-            clean[inject] = cls.clean[inject] = row
+            cls.clean[inject] = row
     return actions, res
 
 
@@ -559,23 +514,20 @@ def _first_binding_labels(regs: tuple[str, ...]) -> dict[str, int]:
     return dict(dict.fromkeys(regs, PAYLOAD), rsp=ORIGINS[RSP])
 
 
-def _in_order(classes: tuple[int, ...]) -> list[tuple[int, tuple]]:
-    """Each class, with the classes injected after it at one boundary."""
-    return [(vec, classes[n + 1:]) for n, vec in enumerate(classes)]
-
-
 def _search_branch(space: SearchSpace, cmd_i: int, rsp_i: int,
                    stats: SearchStats) -> Optional[Counterexample]:
     """Enumerate the plans of one (command, rsp) branch, payload binding by
-    payload binding.  The first binding runs every plan shape; its plans
-    are the representatives.  A later binding's plan whose representative
-    ran clean would repeat that run exactly, so it is counted, not run: a
-    later binding runs only the shapes its schedule lists and counts the
-    rest as one group, and a binding with nothing to run costs a lookup.
-    A covered plan can only violate where its representative, searched
+    payload binding, once its rsp class is decided (`_rsp_class`).  The
+    first binding of a class's representative runs every plan shape; its
+    plans are the representatives.  A later binding's plan whose
+    representative ran clean would repeat that run exactly, so it is
+    counted, not run.  Every binding runs its dry run unless that is
+    covered, then the shapes its schedule lists, and counts the rest as
+    one group; a later binding with nothing to run costs a lookup.  A
+    covered plan can only violate where its representative, searched
     first, already did; at a counterexample the stats count the covered
-    plans before it and none after it, as a plan-by-plan walk would.
-    An executed injected plan resumes from its binding's dry run, at the
+    plans before it and none after it, as a plan-by-plan walk would.  An
+    executed injected plan resumes from its binding's dry run, at the
     boundary where it injects, instead of re-running the steps before it.
 
     The first binding of a branch whose rsp word an earlier branch's rsp
@@ -586,11 +538,11 @@ def _search_branch(space: SearchSpace, cmd_i: int, rsp_i: int,
     counted binding."""
     cmd = space.commands[cmd_i]
     rsp_bind = space.words[rsp_i]
-    clean: dict = {}    # plan shape -> clean representative
+    cap = space.budget.boundary_cap
     # the classes injected at boundary 0 and at a later one: permission
     # faults realize at the entry fetch
-    at_entry = _in_order(space.classes)
-    inside = _in_order(tuple(v for v in space.classes if v != VEC_PAGE_FAULT))
+    at_entry = space.classes
+    inside = tuple(v for v in space.classes if v != VEC_PAGE_FAULT)
 
     def found(pay_i: int, inject: Optional[tuple[int, int]], actions: list,
               res: RunResult) -> Optional[Counterexample]:
@@ -602,56 +554,45 @@ def _search_branch(space: SearchSpace, cmd_i: int, rsp_i: int,
                               AttackPlan("exhaustive", actions), res.trace,
                               monitor.verdicts(), stats)
 
-    # the first binding: every shape runs, with labelled payload registers
-    # and rsp, unless the branch's rsp class counts them
-    entry = space.entry(cmd, rsp_bind, space.words[0])
-    actions, res = _attempt(space, entry, None, (), (), True, clean, stats)
-    first_boundaries = min(res.boundaries, space.budget.boundary_cap)
-    cls, counted = space.rsp_classes.of_entry[entry]
+    cls, counted = _rsp_class(space,
+                              space.entry(cmd, rsp_bind, space.words[0]))
+    stats.branches += 1
+    stats.classed += counted
     if counted:
-        n, steps = cls.injected()
-        stats.runs += n
-        stats.steps += steps
-        stats.boundaries += n
-    else:
-        ce = found(0, None, actions, res)
-        if ce is not None:
-            return ce
-        points = res.points
-        for k in range(first_boundaries + 1):
-            for vec, later in at_entry if k == 0 else inside:
-                actions, res = _attempt(space, entry, (vec, k), points,
-                                        later, True, clean, stats)
-                stats.boundaries += 1
-                ce = found(0, (vec, k), actions, res)
-                if ce is not None:
-                    return ce
-    clean = cls.clean
-    schedules = cls.schedules    # boundaries injected -> _Schedule
+        rows = cls.shapes.values()
+        stats.runs += len(rows)
+        stats.steps += sum(row[1] for row in rows)
+        stats.boundaries += len(rows) - 1   # every shape but the dry run
+    clean = cls.clean       # plan shape -> clean representative
 
-    for pay_i in range(1, len(space.words)):
+    for pay_i in range(counted, len(space.words)):
+        # the representative's first binding runs every shape, labelled
+        rep = cls if pay_i == 0 else None
         binding = (cmd, rsp_bind, space.words[pay_i])
         entry = None
         points = ()
-        n_boundaries = first_boundaries
-        if None not in clean:
+        if None in clean:
+            n_boundaries = min(clean[None][2], cap)
+        else:
             entry = space.entry(*binding)
-            actions, res = _attempt(space, entry, None, (), (), False, clean,
-                                    stats)
+            actions, res = _attempt(space, entry, None, (), True, rep, stats)
             ce = found(pay_i, None, actions, res)
             if ce is not None:
                 return ce
             points = res.points
-            n_boundaries = min(res.boundaries, space.budget.boundary_cap)
-        schedule = schedules.get(n_boundaries)
-        if schedule is None:
-            schedule = schedules[n_boundaries] = _schedule(
-                clean, n_boundaries, at_entry, inside)
+            n_boundaries = min(res.boundaries, cap)
+        if rep is not None:     # its class's clean shapes are not known yet
+            schedule = _schedule({}, n_boundaries, at_entry, inside)
+        else:
+            schedule = cls.schedules.get(n_boundaries)
+            if schedule is None:
+                schedule = cls.schedules[n_boundaries] = _schedule(
+                    clean, n_boundaries, at_entry, inside)
         if schedule.runs and entry is None:
             entry = space.entry(*binding)
-        for inject, later, before in schedule.runs:
-            actions, res = _attempt(space, entry, inject, points, later,
-                                    False, clean, stats)
+        for inject, take, before in schedule.runs:
+            actions, res = _attempt(space, entry, inject, points, take, rep,
+                                    stats)
             stats.boundaries += 1
             ce = found(pay_i, inject, actions, res)
             if ce is not None:
@@ -661,28 +602,25 @@ def _search_branch(space: SearchSpace, cmd_i: int, rsp_i: int,
     return None
 
 
-# the space being searched: set in the parent, which forked pool workers
-# inherit
+def _branches(space: SearchSpace, cmd_i: int):
+    """The (stats, counterexample or None) of each branch of one command,
+    in order, up to its first counterexample.  The branches of a command
+    share its rsp classes, so one process searches them all."""
+    for rsp_i in range(len(space.words)):
+        stats = SearchStats()
+        ce = _search_branch(space, cmd_i, rsp_i, stats)
+        yield stats, ce
+        if ce is not None:
+            return
+
+
+# the space being searched by a pool: set in the parent, which forked pool
+# workers inherit
 _space: Optional[SearchSpace] = None
 
 
-def _worker_branch(args) -> tuple[SearchStats, Optional[Counterexample]]:
-    cmd_i, rsp_i = args
-    stats = SearchStats()
-    return stats, _search_branch(_space, cmd_i, rsp_i, stats)
-
-
 def _worker_command(cmd_i: int) -> list:
-    """The results of the branches of one command, in order, up to its
-    first counterexample.  The branches of a command share its rsp
-    classes, so one process searches them all, as the search without
-    workers does."""
-    results = []
-    for rsp_i in range(len(_space.words)):
-        results.append(_worker_branch((cmd_i, rsp_i)))
-        if results[-1][1] is not None:
-            break
-    return results
+    return list(_branches(_space, cmd_i))
 
 
 def exhaustive_attacker(image: EnclaveImage, sgx_version: int = SGX2,
@@ -697,8 +635,7 @@ def exhaustive_attacker(image: EnclaveImage, sgx_version: int = SGX2,
     enumerated."""
     global _space
     space = search_space(image, sgx_version, classes, budget, grant, sp_mode)
-    branches = [(c, r) for c in range(len(space.commands))
-                for r in range(len(space.words))]
+    commands = range(len(space.commands))
 
     # The run budget is enforced between branches (each branch is small and
     # always completes) and branches are consumed in order, so stats and
@@ -708,12 +645,11 @@ def exhaustive_attacker(image: EnclaveImage, sgx_version: int = SGX2,
     outcome = NoneFound(total)
     pool = None
     try:
-        _space = space
         if workers <= 1:
-            results = map(_worker_branch, branches)
+            results = (r for c in commands for r in _branches(space, c))
         else:
             import multiprocessing      # only a parallel search pays for it
-            commands = range(len(space.commands))
+            _space = space
             n = min(workers, len(commands))
             pool = multiprocessing.get_context("fork").Pool(n)
             # One batch of n commands at a time, so that no worker is busy

@@ -12,6 +12,7 @@ import json
 import os
 import sys
 import time
+from functools import lru_cache
 
 from . import adversary, explorer, reporting
 from .explorer import (
@@ -169,10 +170,12 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+_parser = lru_cache(maxsize=None)(build_parser)     # built once per process
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else 0
     return args.func(args)

@@ -225,6 +225,20 @@ def test_workers_below_one_exit_one_with_message(tmp_path, capsys, command,
     assert not (tmp_path / "o").exists()
 
 
+def test_calls_in_one_process_exit_as_fresh_processes_do(tmp_path, capsys):
+    # `main` builds its parser once per process; a usage error must leave
+    # nothing behind that changes the next call
+    sc = write_scenario(tmp_path, variant="sdk_style", adversary="scripted")
+    calls = [["run", "--scenario", sc],                     # no --out
+             ["run", "--scenario", sc, "--out", str(tmp_path / "a")],
+             ["run", "--scenario", sc, "--out", str(tmp_path / "b"),
+              "--workers", "0"],
+             ["run", "--scenario", sc, "--out", str(tmp_path / "c")]]
+    in_process = [aexlab_cli.main(argv) for argv in calls]
+    capsys.readouterr()
+    assert in_process == [cli(*argv)[0] for argv in calls] == [1, 10, 1, 10]
+
+
 MAPPING_ROW = {"runtime": "A", "variant": "nssa_disabled",
                "exception_handling": False}
 

@@ -12,7 +12,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from aexlab import adversary, cli, explorer, interp, isa, reporting, runtimes
+from aexlab import (
+    adversary, cli, explorer, harness, interp, isa, reporting, runtimes,
+)
 from aexlab.adversary import (
     Counterexample, NoneFound, PAYLOAD_REGS, exhaustive_attacker,
     scripted_attack,
@@ -721,11 +723,35 @@ def test_the_classes_oracle_catches_a_recorder_without_the_load_cell_rule(
             exhaustive_attacker(image, SGX1)
 
 
+def test_the_resumed_oracle_catches_a_resume_that_shares_its_point(
+        monkeypatch):
+    # on dedicated_stack sgx2 both injected classes resume from boundary 0;
+    # if the first took the point's machine instead of a copy, the second
+    # would resume from the machine the first ran on
+    image = build_runtime("dedicated_stack")
+    with agreement.resumed() as compared:
+        assert isinstance(exhaustive_attacker(image, SGX2), NoneFound)
+    assert compared
+    monkeypatch.setattr(harness.Point, "copy", lambda self: self)
+    with pytest.raises(agreement.Mismatch, match="^resumed: "):
+        with agreement.resumed():
+            exhaustive_attacker(image, SGX2)
+
+
 def test_an_oracle_whose_name_is_gone_raises(monkeypatch):
-    # a renamed private name must not turn the oracle into a no-op
-    for owner, name, oracle in ((adversary, "_count_covered",
-                                 agreement.covered),
-                                (Machine, "digest", agreement.digests)):
+    # a renamed name must not turn the oracle into a no-op: every name an
+    # oracle wraps is checked
+    for owner, name, oracle in (
+            (adversary, "_count_covered", agreement.covered),
+            (adversary, "_rsp_class", agreement.classes),
+            (adversary, "run_plan", agreement.resumed),
+            (adversary, "_prefix_snapshot", agreement.resumed),
+            (adversary, "_monitored", agreement.monitored),
+            (explorer, "_fires", agreement.trials),
+            (explorer, "_unread", agreement.trials),
+            (explorer, "run_plan", agreement.trials),
+            (Machine, "digest", agreement.digests),
+            (explorer, "replay", agreement.digests)):
         with monkeypatch.context() as patch:
             patch.delattr(owner, name)
             with pytest.raises(AttributeError,
@@ -792,49 +818,57 @@ def test_status_line_counts_the_instructions_stepped(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 def _plan_by_plan(image, sgx_version, classes, budget, grant, sp_mode):
-    """The search walked plan by plan: a later binding's plan whose shape
-    has a clean representative adds one run, its representative's steps
+    """The search walked plan by plan.  Each branch's rsp class is decided
+    through `adversary._rsp_class`.  A plan counted without a run, one of
+    a first binding its class counts, or of a later binding whose shape
+    has a clean representative, adds one run, its representative's steps
     and, when it injects, one boundary; every other plan runs through
-    `adversary._attempt`, in plan order.  Returns the stats, the
-    counterexample's branch (None without one) and the number of covered
-    plans of the counterexample's binding counted before it."""
+    `adversary._attempt`, in plan order, resuming from a copy of its
+    point.  Returns the stats, the counterexample's branch (None without
+    one) and the number of covered plans of the counterexample's binding
+    counted before it."""
     space = adversary.search_space(image, sgx_version, classes, budget,
                                    grant, sp_mode)
-    at_entry = adversary._in_order(space.classes)
-    inside = adversary._in_order(
-        tuple(v for v in space.classes if v != VEC_PAGE_FAULT))
+    inside = tuple(v for v in space.classes if v != VEC_PAGE_FAULT)
     stats = adversary.SearchStats()
     for cmd_i, cmd in enumerate(space.commands):
         for rsp_i, rsp in enumerate(space.words):
-            clean = {}
+            cls, counted = adversary._rsp_class(
+                space, space.entry(cmd, rsp, space.words[0]))
+            stats.branches += 1
+            stats.classed += counted
             for pay_i, payload in enumerate(space.words):
                 entry = space.entry(cmd, rsp, payload)
                 points, covered = (), 0
+                # the plans counted without a run, by shape
+                rows = (cls.clean if pay_i else cls.shapes if counted
+                        else {})
+                # the plans of a representative's first binding, labelled
+                rep = None if pay_i or counted else cls
 
-                def walk(inject, later):
+                def walk(inject):
                     """One plan: its boundaries and whether it violates."""
                     nonlocal points, covered
-                    rep = clean.get(inject)
-                    if rep is not None:
+                    row = rows.get(inject)
+                    if row is not None:
                         stats.runs += 1
-                        stats.steps += rep[1]
+                        stats.steps += row[1]
                         covered += 1
-                        return rep[2], False
+                        return row[2], False
                     _, res = adversary._attempt(
-                        space, entry, inject, points, later, pay_i == 0,
-                        clean, stats)
+                        space, entry, inject, points, False, rep, stats)
                     if inject is None:
                         points = res.points
                     monitor = adversary._monitored(space.checkpoint,
                                                    res.trace)
                     return res.boundaries, monitor.violated
 
-                dry, violated = walk(None, ())
+                dry, violated = walk(None)
                 if violated:
                     return stats, (cmd_i, rsp_i, pay_i, -1, -1), covered
                 for k in range(min(dry, space.budget.boundary_cap) + 1):
-                    for vec, later in at_entry if k == 0 else inside:
-                        _, violated = walk((vec, k), later)
+                    for vec in space.classes if k == 0 else inside:
+                        _, violated = walk((vec, k))
                         stats.boundaries += 1
                         if violated:
                             return (stats, (cmd_i, rsp_i, pay_i, k, vec),
@@ -845,10 +879,10 @@ def _plan_by_plan(image, sgx_version, classes, budget, grant, sp_mode):
 
 
 def _counters(stats) -> dict:
-    """All five counters of a SearchStats, including the two reports
-    leave out."""
-    return {name: getattr(stats, name) for name in
-            ("runs", "steps", "boundaries", "executed", "stepped")}
+    """All seven counters of a SearchStats, including those reports leave
+    out."""
+    return {name: getattr(stats, name)
+            for name in adversary.SearchStats.__slots__}
 
 
 def _survey_searches(monkeypatch) -> list:
@@ -905,7 +939,8 @@ def test_a_counterexample_mid_binding_counts_the_covered_plans_before_it(
             return []
 
     def recorded_attempt(*args):
-        executed.append((args[5], args[2]))     # track, inject
+        # of a representative's first binding, inject
+        executed.append((args[5] is not None, args[2]))
         return attempt(*args)
 
     def recorded_group(space, binding, group, clean, stats):
@@ -917,8 +952,8 @@ def test_a_counterexample_mid_binding_counts_the_covered_plans_before_it(
     monkeypatch.setattr(adversary, "_monitored", lambda cp, trace: Silent())
     assert isinstance(exhaustive_attacker(image, SGX2), NoneFound)
     whole = {binding: got[0] for binding, got in groups.items()}
-    target = next(n for n, (track, inject) in enumerate(executed)
-                  if not track and inject is not None)
+    target = next(n for n, (first, inject) in enumerate(executed)
+                  if not first and inject is not None)
 
     monitored = []
 
