@@ -531,7 +531,7 @@ def search_sweep(variants) -> int:
                         "sp_confinement_mode": mode})
                     t0 = time.monotonic()
                     try:
-                        out = explorer.run(scenario)
+                        _, out, _ = explorer.certify(scenario)
                     except Mismatch as e:
                         print(f"MISMATCH {variant} sgx{sgx} {mode}: {e}")
                         return 1
@@ -540,7 +540,7 @@ def search_sweep(variants) -> int:
                         f"{n} {name}" for n, name in zip(counts, names))
                         + f", {len(branches)} covered rsp branches "
                         f"({len(counted)} plans) agree (executed "
-                        f"{out.search.executed} of {out.search.runs}; "
+                        f"{out.stats.executed} of {out.stats.runs}; "
                         f"{time.monotonic() - t0:.1f}s)", file=sys.stderr)
                     totals = [t + n for t, n in zip(totals, counts)]
                     classed += len(branches)

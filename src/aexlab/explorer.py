@@ -104,13 +104,46 @@ def _verdicts(scenario: dict, image: EnclaveImage, trace: list,
                     cooperative=scenario["adversary"].startswith("benign"))
 
 
+class Certification(NamedTuple):
+    """The image searched, the search's outcome (Counterexample, NoneFound
+    or BudgetExceeded) and its stats as reports give them, with a
+    counterexample's branch."""
+
+    image: EnclaveImage
+    outcome: object
+    stats: dict
+
+
+def certify(scenario: dict, workers: int = 1) -> Certification:
+    """The exhaustive search of an exhaustive scenario's image, with its
+    classes, budget, grant and sp mode, and `workers` processes searching
+    its branches.  The verdict rests on the search alone: a Counterexample
+    violates a safety property (an exhaustive scenario checks every one),
+    NoneFound covered the whole bounded space, BudgetExceeded did not."""
+    image = _image_for(scenario)
+    out = adversary.exhaustive_attacker(
+        image, scenario["sgx_version"], classes=_classes_for(scenario),
+        budget=adversary.SearchBudget(**scenario["budgets"]),
+        grant=(scenario["hw_ext"]["allowed"], scenario["hw_ext"]["window"]),
+        workers=workers, sp_mode=scenario["sp_confinement_mode"])
+    stats = out.stats.to_dict()
+    if isinstance(out, adversary.Counterexample):
+        stats["branch"] = list(out.branch)
+    return Certification(image, out, stats)
+
+
 def run(scenario: dict, workers: int = 1) -> Outcome:
     """Execute one scenario to a deterministic report.  Each mode computes
     its stats and the actions of its outcome; those actions then run once,
     recorded, and the verdicts, milestones and exit code all describe that
-    recorded run."""
-    image = _image_for(scenario)
+    recorded run.  An exhaustive scenario is certified (`certify`); only a
+    counterexample is then re-run from a fresh machine and recorded, for
+    the report's verdicts and the trace."""
     mode = scenario["adversary"]
+    if mode == "exhaustive":
+        image, out, stats = certify(scenario, workers)
+    else:
+        image = _image_for(scenario)
     sgx = scenario["sgx_version"]
     actions = None
     search = None
@@ -150,14 +183,7 @@ def run(scenario: dict, workers: int = 1) -> Outcome:
         else:
             actions = prefix_plan() + plan.actions
             stats = {"expected_milestones": list(plan.expected_milestones)}
-    else:   # exhaustive
-        out = adversary.exhaustive_attacker(
-            image, sgx, classes=_classes_for(scenario),
-            budget=adversary.SearchBudget(**scenario["budgets"]),
-            grant=(scenario["hw_ext"]["allowed"],
-                   scenario["hw_ext"]["window"]), workers=workers,
-            sp_mode=scenario["sp_confinement_mode"])
-        stats = out.stats.to_dict()
+    else:   # exhaustive, certified above
         search = out.stats
         if isinstance(out, adversary.BudgetExceeded):
             return Outcome(scenario, "budget_exceeded", [], (), stats,
@@ -168,7 +194,6 @@ def run(scenario: dict, workers: int = 1) -> Outcome:
             return Outcome(scenario, "ok", verdicts, (), stats, None,
                            EXIT_OK, search)
         actions = prefix_plan() + out.plan.actions
-        stats["branch"] = list(out.branch)
 
     if actions is None:
         return Outcome(scenario, "ok", [], (), stats, None, EXIT_OK)
@@ -456,12 +481,20 @@ def _check_row(row) -> None:
                                   "toggles": row.get("toggles")})
 
 
+_MATRIX_VERDICTS = {adversary.Counterexample: "VULN",
+                    adversary.NoneFound: "SAFE",
+                    adversary.BudgetExceeded: "BUDGET"}
+
+
 def run_matrix(mapping: list[dict], sgx_version: int,
                workers: int = 1) -> list[MatrixCell]:
     """Per-runtime vulnerable/safe verdicts via the exhaustive oracle.
-    Each distinct (variant, toggles) is certified once, in mapping order,
-    when a row first names it, with `workers` processes searching that
-    certification's branches; later rows reuse its verdict and stats."""
+    Each distinct (variant, toggles) is certified once (`certify`), in
+    mapping order, when a row first names it, with `workers` processes
+    searching that certification's branches; later rows reuse its verdict
+    and stats.  A cell's verdict and stats come from the search itself: a
+    counterexample is not re-run or recorded (`aexlab run` does that for
+    its report and trace)."""
     certified = {}
     cells = []
     for row in mapping:
@@ -469,15 +502,11 @@ def run_matrix(mapping: list[dict], sgx_version: int,
         key = (row["variant"], tuple(sorted(toggles.items())))
         search = None
         if key not in certified:
-            out = run(reporting.normalize_scenario({
+            _, out, stats = certify(reporting.normalize_scenario({
                 "variant": row["variant"], "sgx_version": sgx_version,
                 "adversary": "exhaustive", "toggles": toggles}), workers)
-            if out.status == "budget_exceeded":
-                verdict = "BUDGET"
-            else:
-                verdict = "VULN" if any_violation(out.verdicts) else "SAFE"
-            certified[key] = (verdict, out.stats)
-            search = out.search
+            certified[key] = (_MATRIX_VERDICTS[type(out)], stats)
+            search = out.stats
         verdict, stats = certified[key]
         cells.append(MatrixCell(row["runtime"], row["variant"],
                                 row.get("exception_handling", True),

@@ -659,6 +659,9 @@ def _symbols(layout: Layout) -> dict[str, int]:
 
 # Distinct programs kept per process: a hunt batch assembles 26.
 PROGRAM_CACHE_SIZE = 32
+# Distinct layouts and (variant, toggles) pairs whose program inputs are
+# kept per process: a hunt batch has 120 toggle sets.
+INPUT_CACHE_SIZE = 256
 
 
 class _Assembly(NamedTuple):
@@ -675,12 +678,14 @@ class _Assembly(NamedTuple):
     crit_ranges: tuple[tuple[int, int], ...]
 
 
-def _text_toggles(design: Design, toggles: Toggles) -> Toggles:
-    """`toggles` with each field the design's program text does not read
+@functools.lru_cache(maxsize=INPUT_CACHE_SIZE)
+def _text_toggles(variant: str, toggles: Toggles) -> Toggles:
+    """`toggles` with each field the variant's program text does not read
     reset to its default: the ASLR offset (the shift is the image's), the
     alignment without an alignment check, and the removed validity check
     where the check follows the copy.  Toggles with equal text toggles
     render equal text."""
+    design = DESIGNS[variant]
     return toggles._replace(
         aslr_stack_offset=0,
         alignment_required=(toggles.alignment_required
@@ -739,7 +744,9 @@ def build_runtime(variant: str, layout: Optional[Layout] = None,
     `layout.pubbuf_base`, so images that differ only there share one
     assembled program and the metadata derived from it, and its text is
     rendered only when that input is new; the stack base and the ranges
-    derived from it stay per image."""
+    derived from it stay per image.  A layout is checked and its symbols
+    listed, and a variant's toggles reduced to its text toggles, once per
+    distinct value."""
     design = _design(variant)
     layout = layout or Layout()
     toggles = toggles or Toggles()
@@ -747,9 +754,8 @@ def build_runtime(variant: str, layout: Optional[Layout] = None,
         raise ValueError("aslr offset out of range")
     stack_base = layout.stack_base - aslr_shift(toggles.aslr_stack_offset)
 
-    _check_layout(layout)
-    asm = _program(variant, _text_toggles(design, toggles), layout.code_base,
-                   tuple(_symbols(layout).items()))
+    asm = _program(variant, _text_toggles(variant, toggles),
+                   layout.code_base, _layout_symbols(layout))
 
     trusted = [(layout.stack_limit, stack_base)]
     if "dedicated_handler" in design.exc_flow:
@@ -801,6 +807,15 @@ def _check_layout(layout: Layout) -> None:
     for (a0, a1), (b0, b1) in zip(spans, spans[1:]):
         if a1 > b0:
             raise LayoutOverlap(f"{a0:#x}-{a1:#x} overlaps {b0:#x}-{b1:#x}")
+
+
+@functools.lru_cache(maxsize=INPUT_CACHE_SIZE)
+def _layout_symbols(layout: Layout) -> tuple[tuple[str, int], ...]:
+    """The symbols `_program` assembles against, once `layout` is checked.
+    A layout is checked once per distinct value; an overlapping one raises
+    LayoutOverlap on every call, since the cache keeps no exception."""
+    _check_layout(layout)
+    return tuple(_symbols(layout).items())
 
 
 SECRET_WORD_SEED = 0x5EC2E7_0000

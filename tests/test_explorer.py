@@ -577,6 +577,38 @@ def test_matrix_fans_out_only_through_the_search_pool(monkeypatch):
     assert sizes == [2, 2]
 
 
+@pytest.mark.parametrize("sgx", [1, 2])
+def test_matrix_cells_equal_the_recorded_run_of_each_row(sgx):
+    # `run` re-runs and records a counterexample and evaluates its
+    # verdicts; the matrix reads the search alone and must agree with it
+    mapping = explorer.load_mapping()
+    cells = explorer.run_matrix(mapping, sgx)
+    assert len(cells) == len(mapping)
+    for row, cell in zip(mapping, cells):
+        out = explorer.run(reporting.normalize_scenario({
+            "variant": row["variant"], "sgx_version": sgx,
+            "adversary": "exhaustive", "toggles": row.get("toggles") or {}}))
+        if out.status == "budget_exceeded":
+            want = "BUDGET"
+        else:
+            want = "VULN" if properties.any_violation(out.verdicts) else "SAFE"
+        assert cell.verdict == want, row["runtime"]
+        assert cell.stats == out.stats, row["runtime"]
+
+
+def test_matrix_neither_records_nor_re_runs_a_counterexample(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("the matrix re-ran a plan outside its search")
+
+    monkeypatch.setattr(reporting, "TraceRecorder", refused)
+    monkeypatch.setattr(explorer, "_execute", refused)
+    mapping = explorer.load_mapping()
+    verdicts = {sgx: [c.verdict for c in explorer.run_matrix(mapping, sgx)]
+                for sgx in (1, 2)}
+    assert verdicts[2].count("VULN") == 10
+    assert verdicts[1].count("VULN") == 4
+
+
 def test_matrix_rendering_header_only_for_empty_mapping():
     text = explorer.render_matrix([], SGX2)
     assert "runtime" in text
