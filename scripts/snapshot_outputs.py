@@ -16,7 +16,10 @@ still certifies, and one too small for the entry window's atomic section,
 under which the search finds a counterexample.  These scenario files are
 written to OUT/scenarios.  Every trace written is then replayed with
 `aexlab replay`, whose stdout lands next to the trace.  Exit codes go to
-OUT/exit_codes.txt; wall times go to stderr only, as in the CLI.
+OUT/exit_codes.txt.  Each job's stderr, less its `wall time ...s` part,
+goes to OUT/<tag>/work.txt, so that the deterministic search-work counters
+("counted ... executed ... stepped") are compared too; wall times are not
+written.
 
 Usage: python scripts/snapshot_outputs.py OUT
 """
@@ -26,6 +29,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
@@ -88,12 +92,22 @@ def _scenario_files(out: str, docs) -> list[tuple[str, str]]:
     return named
 
 
-def _cli(argv: list[str], stdout_path: str) -> int:
-    stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout):
+WALL_TIME = re.compile(r"wall time \d+\.\d+s")
+
+
+def _cli(argv: list[str], stdout_path: str,
+         work_path: str | None = None) -> int:
+    """Run the CLI in-process into `stdout_path`, and its stderr without
+    wall times into `work_path`."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(stderr):
         code = cli.main(argv)
     with open(stdout_path, "w") as fh:
         fh.write(stdout.getvalue())
+    if work_path is not None:
+        with open(work_path, "w") as fh:
+            fh.write(WALL_TIME.sub("", stderr.getvalue()))
     return code
 
 
@@ -123,7 +137,8 @@ def main() -> int:
     for tag, argv, workers in jobs:
         out = os.path.join(args.out, tag)
         code = _cli(argv + ["--out", out, "--workers", str(workers)],
-                    os.path.join(out, "stdout.txt"))
+                    os.path.join(out, "stdout.txt"),
+                    os.path.join(out, "work.txt"))
         codes.append(f"{tag} {code}\n")
         trace = os.path.join(out, "run.trace")
         if os.path.exists(trace):

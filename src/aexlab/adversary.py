@@ -13,7 +13,6 @@ classes, re-entry commands, and register bindings from a finite domain.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from .harness import (
@@ -23,7 +22,7 @@ from .harness import (
 )
 from .interp import RspPath
 from .machine import (
-    DEFAULT_IRQ_GRANT, MASK64, ORIGINS, PAYLOAD, RSP, SCRUB_VALUES, SGX2,
+    DEFAULT_IRQ_GRANT, MASK64, ORIGINS, RSP, SCRUB_VALUES, SGX2,
     VEC_EXT_INT, VEC_PAGE_FAULT, Machine, reports_to_enclave,
 )
 from .properties import SafetyMonitor
@@ -474,9 +473,9 @@ def _attempt(space: SearchSpace, entry: tuple[PrepareRegs, Eenter],
     into its `clean` when no payload value influenced it.  Returns the
     actions and the RunResult."""
     actions = _candidate_actions(entry, inject)
-    payload = path = None
+    payload, path = (), None
     if cls is not None:
-        payload = _first_binding_labels(space.payload_regs)
+        payload = space.payload_regs + ("rsp",)
         path = cls.path
     budget = space.budget
     if inject is not None and inject[1] < len(points):
@@ -500,18 +499,10 @@ def _attempt(space: SearchSpace, entry: tuple[PrepareRegs, Eenter],
     stats.stepped += res.steps - resumed_at
     if cls is not None:
         row = cls.shapes[inject] = (res.status, res.steps, res.boundaries)
-        if not res.machine.influenced & PAYLOAD:
+        # clean: no payload register's plane, only rsp's, reached a sink
+        if not res.machine.influenced & ~ORIGINS[RSP]:
             cls.clean[inject] = row
     return actions, res
-
-
-@lru_cache(maxsize=None)
-def _first_binding_labels(regs: tuple[str, ...]) -> dict[str, int]:
-    """The first binding's labels: every payload register on the one
-    payload plane, since a representative must be clean for all of them at
-    once, and the staged rsp on its own origin plane, whose path conditions
-    decide the branch's rsp class."""
-    return dict(dict.fromkeys(regs, PAYLOAD), rsp=ORIGINS[RSP])
 
 
 def _search_branch(space: SearchSpace, cmd_i: int, rsp_i: int,

@@ -73,12 +73,12 @@ def _classes_for(scenario: dict) -> tuple[int, ...]:
 
 def _execute(scenario: dict, image: EnclaveImage, actions: list,
              record: bool = False, keep_from: Optional[int] = None,
-             payload: Optional[dict[str, int]] = None):
+             payload: tuple[str, ...] = ()):
     """The one build -> grant -> run path: a fresh machine for the
     scenario's platform and grant runs the actions under its step budget.
     With `record`, the trace lines with per-event digests come back too;
     with `keep_from`, the run keeps action points from that index on;
-    `payload` labels the staged registers (see ``run_plan``)."""
+    `payload` names the staged registers to label (see ``run_plan``)."""
     hw_ext = scenario["hw_ext"]
     m = build_machine(image, scenario["sgx_version"],
                       (hw_ext["allowed"], hw_ext["window"]))
@@ -138,11 +138,12 @@ def run(scenario: dict, workers: int = 1) -> Outcome:
     recorded, and the verdicts, milestones and exit code all describe that
     recorded run.  An exhaustive scenario is certified (`certify`); only a
     counterexample is then re-run from a fresh machine and recorded, for
-    the report's verdicts and the trace."""
+    the report's verdicts and the trace.  A monte_carlo scenario reads no
+    image, so none is built."""
     mode = scenario["adversary"]
     if mode == "exhaustive":
         image, out, stats = certify(scenario, workers)
-    else:
+    elif mode != "monte_carlo":
         image = _image_for(scenario)
     sgx = scenario["sgx_version"]
     actions = None
@@ -214,15 +215,14 @@ def run(scenario: dict, workers: int = 1) -> Outcome:
 # ---------------------------------------------------------------------------
 
 def _fires(image: EnclaveImage, scenario: dict, actions: list, prop: str,
-           start: Point, origins: dict[str, int]) -> Optional[RunResult]:
+           start: Point, staged: tuple[str, ...]) -> Optional[RunResult]:
     """One minimization trial: run `actions` from a copy of `start`, an
-    action point of a plan that shares the actions before it, keeping the
-    trial's own action points after it, with the staged registers labelled
-    by `origins`.  Returns the run when `prop` still fires on its full
-    trace, else None."""
+    action point of a plan that shares the actions before it, with the
+    registers `staged` labelled, keeping no points.  Returns the run when
+    `prop` still fires on its full trace, else None."""
     res = run_plan(start.copy(), image, actions,
                    max_steps=scenario["budgets"]["max_steps"],
-                   payload=origins, keep_from=start.idx + 1)
+                   payload=staged)
     if any_violation(_verdicts(scenario, image, res.trace, (prop,))) is None:
         return None
     return res
@@ -255,15 +255,16 @@ def minimize(scenario: dict, actions: list) -> list:
     reached.  A trial that changes action i shares the accepted plan's
     first i actions, so it resumes from the point before action i, or from
     the last point when the accepted run ended earlier; it equals a fresh
-    run of the trial's plan exactly.  An accepted trial's own points
-    replace the accepted plan's points after its start.  A zeroing decided
-    by labels at action i leaves the points after i holding the old word;
-    the first later trial that resumes past i first re-runs the accepted
-    plan from the point before i to keep them again."""
+    run of the trial's plan exactly, and keeps no points.  A change
+    accepted from the point before action i, by a trial or by labels,
+    leaves the points after i stale; the first later trial that resumes
+    past i first re-runs the accepted plan from the point before i to keep
+    them again."""
     image = _image_for(scenario)
-    origins = {name: ORIGINS[REG_IDS[name]] for action in actions
-               if isinstance(action, PrepareRegs) for name, _ in action.regs}
-    base, _ = _execute(scenario, image, actions, keep_from=0, payload=origins)
+    staged = tuple(name for action in actions
+                   if isinstance(action, PrepareRegs)
+                   for name, _ in action.regs)
+    base, _ = _execute(scenario, image, actions, keep_from=0, payload=staged)
     hit = any_violation(_verdicts(scenario, image, base.trace))
     if hit is None:
         raise ValueError("not a violation")
@@ -273,25 +274,23 @@ def minimize(scenario: dict, actions: list) -> list:
     current = list(actions)
     points = base.points        # points[j]: `current` before action j
     influenced = base.machine.influenced    # planes of `current`'s run
-    stale = None    # points after this index predate a decided zeroing
+    stale = None    # points after this index predate an accepted change
 
     def accepted(candidate: list, i: int) -> bool:
         nonlocal current, points, influenced, stale
-        at = min(i, len(points) - 1)
-        if stale is not None and at > stale:
+        if stale is not None and min(i, len(points) - 1) > stale:
             rebuilt = run_plan(points[stale].copy(), image, current,
-                               max_steps=max_steps, payload=origins,
+                               max_steps=max_steps, payload=staged,
                                keep_from=stale + 1)
             points = points[:stale + 1] + rebuilt.points
             stale = None
-        start = points[at]
-        res = _fires(image, scenario, candidate, prop, start, origins)
+        at = min(i, len(points) - 1)    # the rebuilt run may end earlier
+        res = _fires(image, scenario, candidate, prop, points[at], staged)
         if res is None:
             return False
         current = candidate
-        points = points[:start.idx + 1] + res.points
         influenced = res.machine.influenced
-        stale = None
+        stale = at
         return True
 
     changed = True

@@ -10,8 +10,8 @@ terminates the run with the refusal on the trace.  A run can keep points
 (the machine and the run's own state at instruction boundaries of an
 entered window, or in OS mode before an action), and a later run can
 resume from one instead of repeating the steps before it.  A run can also
-give the staged registers payload labels (``payload``); the same program
-steps either way.
+give staged registers payload labels (``payload``), each its own origin
+plane; the same program steps either way.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from typing import Callable, NamedTuple, Optional
 
 from .interp import step
 from .machine import (
-    E_ADV_SEED, HW_IRQ_QUOTA, EntryDenied, MASK64, MODE_ENCLAVE, PAYLOADS,
-    REG_IDS, RSI, RSP, ResumeDenied, Machine,
+    E_ADV_SEED, HW_IRQ_QUOTA, EntryDenied, MASK64, MODE_ENCLAVE, ORIGINS,
+    PAYLOADS, REG_IDS, RSI, RSP, ResumeDenied, Machine,
 )
 from .runtimes import (
     CMD_ECALL_COMPUTE, CMD_ECALL_FAULTING, CMD_EXCEPTION, CMD_ORET,
@@ -186,20 +186,19 @@ def run_plan(machine: "Machine | Point", image: EnclaveImage, actions: list,
              max_steps: int = DEFAULT_MAX_STEPS,
              on_action: Optional[Callable[[int, object], None]] = None,
              after_events: Optional[Callable[[], None]] = None,
-             payload: Optional[dict[str, int]] = None, keep: int = -1,
+             payload: tuple[str, ...] = (), keep: int = -1,
              inject: Optional[InjectAex] = None,
              keep_from: Optional[int] = None) -> RunResult:
     """Execute `actions` to completion.  `on_action` is called before each
     action is applied (for trace serialization); `after_events` after every
     atomic machine transition (for digest recording and state collection).
 
-    `payload` maps staged registers that carry the attacker's payload to
-    the label word their staged value gets at an entry that uses the
-    staged registers: one payload plane shared by all (``PAYLOAD``), or a
-    plane of its own per register (``ORIGINS``).  ``machine.influenced``
-    ends up holding the planes that reached a sink; the run's trace, status
-    and steps do not depend on the staged values of registers whose planes
-    it does not hold.
+    `payload` names the staged registers that carry the attacker's
+    payload: at an entry that uses the staged registers, the staged value
+    of each gets that register's own origin plane (``ORIGINS``).
+    ``machine.influenced`` ends up holding the planes that reached a sink;
+    the run's trace, status and steps do not depend on the staged values
+    of registers whose planes it does not hold.
 
     The run keeps points in ``RunResult.points``, in the order it reaches
     them.  With `keep` >= 0 it keeps a window point at the first visit of
@@ -220,9 +219,9 @@ def run_plan(machine: "Machine | Point", image: EnclaveImage, actions: list,
     resumed run equals a fresh run of `actions` in the same way."""
     program = image.program
     labels = 0
-    if payload:
-        for name, word in payload.items():
-            labels |= word << REG_IDS[name]
+    for name in payload:
+        r = REG_IDS[name]
+        labels |= ORIGINS[r] << r
     # rsp is a sink, rsi a field of the eenter event
     entry_sunk = (labels >> RSP | labels >> RSI) & PAYLOADS
     points: list[Point] = []

@@ -121,8 +121,9 @@ def fetch_table(mem: Memory, program: Program) -> dict:
 # load/store/push/pop, memcpy contents, read_ssa and write_ssa, and in
 # machine.py the SSA save and restore); arithmetic keeps it; immediate
 # writes, scrub, call's return cell, set_flag and begin_atomic's rax clear
-# it; declassify clears the secret bit only.  A payload-labelled value that
-# reaches a sink ORs its payload planes into ``Machine.influenced``:
+# it; declassify clears the secret bit only.  A value on a staged
+# register's origin plane (``ORIGINS``, one plane per register) that
+# reaches a sink ORs its origin planes into ``Machine.influenced``:
 #   - a memory address, memcpy's dst/src/len included;
 #   - a compare-and-jump operand;
 #   - rsp;
@@ -132,9 +133,9 @@ def fetch_table(mem: Memory, program: Program) -> dict:
 # A handler checks its sinks before it can fault.  Every other effect of
 # an instruction is a function of unlabelled values, so a run that ends
 # without ``influenced`` emits the same trace, status and step count under
-# any payload value.  Labels of different planes never mix (a word is
-# always one source's word), so the same holds per plane: values labelled
-# only with planes outside ``influenced`` can take any value.  The
+# any staged values.  Labels of different planes never mix (a word is
+# always one source register's word), so the same holds per plane: staged
+# registers whose planes are outside ``influenced`` can take any value.  The
 # handlers of frequent instructions test the planes a sink saw before they
 # OR them in: most steps see none, and the test is cheaper than a store.
 #

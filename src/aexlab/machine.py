@@ -34,21 +34,20 @@ REG_IDS = {name: i for i, name in enumerate(REG_NAMES)}
 MASK64 = (1 << 64) - 1
 
 # Label words.  Every register, saved-frame slot and memory cell carries one
-# word of labels, one bit per plane: the secret taint (bit 0), the attacker
-# payload (bit 32), and one origin plane per register r (bit 32 * (r + 2),
-# ``ORIGINS[r]``) for a payload whose sink must be traced back to the
-# register it was staged in; the staged rsp's plane also marks the values
+# word of labels, one bit per plane: the secret taint (bit 0) and one origin
+# plane per register r (bit 18 * (r + 1), ``ORIGINS[r]``) for the value
+# staged in r, so that a sink can be traced back to the registers whose
+# staged values reached it; the staged rsp's plane also marks the values
 # the search's rsp classes reason about (``interp.RspPath``).  ``PAYLOADS``
-# masks every payload plane.  A
-# register mask (``Machine.taint``, ``SSAFrame.taint``) holds register r's
-# word shifted left by r, so its secret plane is bits 0..17, its payload
-# plane bits 32..49, and so on every 32 bits; ``Memory.labels`` holds cell
-# words unshifted.  Only the secret plane is part of the canonical state.
+# masks every origin plane.  A register mask (``Machine.taint``,
+# ``SSAFrame.taint``) holds register r's word shifted left by r, so its
+# secret plane is bits 0..17 and origin plane s bits 18 * (s + 1) + 0..17:
+# planes ``NREGS`` bits apart are the narrowest whose shifted words cannot
+# overlap.  ``Memory.labels`` holds cell words unshifted.  Only the
+# secret plane is part of the canonical state.
 SECRET = 1
-PAYLOAD_SHIFT = 32
-PAYLOAD = 1 << PAYLOAD_SHIFT
-ORIGINS = tuple(1 << PAYLOAD_SHIFT * (r + 2) for r in range(NREGS))
-PAYLOADS = PAYLOAD | sum(ORIGINS)
+ORIGINS = tuple(1 << NREGS * (r + 1) for r in range(NREGS))
+PAYLOADS = sum(ORIGINS)
 LABELS = SECRET | PAYLOADS
 SECRET_REGS = (1 << NREGS) - 1
 
@@ -544,7 +543,7 @@ class Machine:
     entry (the hardware-managed entry window).
 
     ``taint`` holds the registers' label words (see ``SECRET``).
-    ``influenced`` holds the payload planes (see ``PAYLOADS``) of every
+    ``influenced`` holds the origin planes (see ``ORIGINS``) of every
     labelled value that reached an address, a branch, rsp, a control
     target or an event field (see ``interp``): 0 while no payload did.  It
     is not part of the canonical state.

@@ -3,6 +3,7 @@ replay, matrix assembly, and cross-worker determinism."""
 
 import json
 import multiprocessing
+import os
 import random
 
 import pytest
@@ -96,6 +97,34 @@ def test_multi_round_success_is_the_recorded_run_under_its_budget(max_steps):
     assert out.trace_lines is not None
 
 
+def test_only_modes_that_read_the_image_build_it(monkeypatch):
+    # a monte_carlo scenario never reads an image; every other mode builds
+    # exactly one
+    build = explorer.build_runtime
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+    monkeypatch.setattr(explorer, "build_runtime", counted)
+    docs = []
+    for name in sorted(os.listdir(fixture_path("scenarios"))):
+        with open(fixture_path(f"scenarios/{name}")) as fh:
+            docs.append(json.load(fh))
+    docs += [{"variant": "graphene_emulated", "adversary": mode}
+             for mode in ("benign_nested", "benign_critical")]
+    modes = set()
+    for doc in docs:
+        sc = reporting.normalize_scenario(doc)
+        calls.clear()
+        explorer.run(sc)
+        modes.add(sc["adversary"])
+        assert len(calls) == (sc["adversary"] != "monte_carlo"), doc
+    assert modes == {"monte_carlo", "multi_round_aslr", "benign",
+                     "benign_nested", "benign_critical", "scripted",
+                     "exhaustive"}
+
+
 # ---------------------------------------------------------------------------
 # minimization
 # ---------------------------------------------------------------------------
@@ -135,6 +164,24 @@ def test_minimize_preserves_the_fired_property():
     verdicts = explorer.evaluate_with_scenario(sc, img, small)
     fired = [v.property_id for v in verdicts if v.violated]
     assert "anchor_integrity" in fired
+
+
+def test_minimization_trials_keep_no_points(monkeypatch):
+    # the points a trial would keep are rebuilt, once, only when a later
+    # trial resumes past an accepted change
+    fires = explorer._fires
+    returned = []
+
+    def wrapped(*args):
+        res = fires(*args)
+        if res is not None:
+            returned.append(res)
+        return res
+    monkeypatch.setattr(explorer, "_fires", wrapped)
+    sc, actions = attack_setup()
+    explorer.minimize(sc, actions)
+    assert returned
+    assert all(res.points == [] for res in returned)
 
 
 def test_minimize_rejects_non_violation():

@@ -22,9 +22,9 @@ from aexlab.adversary import (
 from aexlab.harness import Eenter, PrepareRegs, benign_plan, run_plan
 from aexlab.interp import RspPath, step
 from aexlab.machine import (
-    DEFAULT_IRQ_GRANT, E_EXIT, E_HW_ERESUME, LABELS, MASK64, ORIGINS, PAYLOAD,
-    PAYLOAD_SHIFT, PAYLOADS, R8, R9, RAX, RBX, RCX, REG_IDS, RIP, RSI, RSP,
-    SECRET, SGX1, SGX2, VEC_EXT_INT, VEC_PAGE_FAULT, Machine,
+    DEFAULT_IRQ_GRANT, E_EXIT, E_HW_ERESUME, LABELS, MASK64, NREGS, ORIGINS,
+    PAYLOADS, R8, R9, RAX, RBX, RCX, REG_IDS, RIP, RSI, RSP, SECRET,
+    SECRET_REGS, SGX1, SGX2, VEC_EXT_INT, VEC_PAGE_FAULT, Machine,
 )
 from aexlab.runtimes import (
     CMD_ECALL_COMPUTE, VARIANTS, build_machine, build_runtime,
@@ -34,25 +34,31 @@ from conftest import CODE, DATA, PUB, load_script, make_raw_machine
 
 agreement = load_script("agreement")
 
+# Where a test labels a raw machine directly, one origin plane, rax's,
+# stands in for the payload label.
+PLANE = ORIGINS[RAX]
+PLANE_SHIFT = PLANE.bit_length() - 1
+
 
 def labelled(source: str, regs: dict, labels=("rax",), symbols=None):
     """A raw machine at the first instruction with `regs` set and the
-    registers `labels` carrying the payload label, and its program."""
+    registers `labels` carrying the payload label (`PLANE`), and its
+    program."""
     m, prog = make_raw_machine(source, symbols)
     for name, value in regs.items():
         m.regs[REG_IDS[name]] = value
     for name in labels:
-        m.taint |= PAYLOAD << REG_IDS[name]
+        m.taint |= PLANE << REG_IDS[name]
     return m, prog
 
 
 def payload_regs(mask: int) -> int:
-    """The payload plane of a register label mask, as a register mask."""
-    return mask >> PAYLOAD_SHIFT
+    """The `PLANE` of a register label mask, as a register mask."""
+    return mask >> PLANE_SHIFT
 
 
 def payload_cells(m) -> set:
-    return {a for a, w in m.mem.labels.items() if w & PAYLOAD}
+    return {a for a, w in m.mem.labels.items() if w & PLANE}
 
 
 def run(m, prog, cap=200) -> str:
@@ -130,7 +136,7 @@ def test_declassify_keeps_the_payload_label():
                        "    halt $0\n", {"rax": DATA})
     m.taint |= SECRET << RAX
     assert step(m, prog) == "ok"
-    assert m.taint >> RAX & (SECRET | PAYLOAD) == PAYLOAD
+    assert m.taint >> RAX & (SECRET | PLANE) == PLANE
     assert not m.influenced
     assert step(m, prog) == "ok"
     assert m.influenced
@@ -152,7 +158,7 @@ def _handler_writes(field: str):
     regs = [0] * len(m.regs)
     regs[RBX] = DATA + 0x800
     m.eenter(regs, PUB)
-    m.taint = PAYLOAD << RBX
+    m.taint = PLANE << RBX
     assert run(m, prog) == "exit"
     assert not m.influenced
     return m
@@ -182,7 +188,7 @@ def test_context_copy_moves_labels_without_flagging():
     halt $0
 """
     m, prog = labelled(src, {"rbp": DATA}, labels=())
-    m.ssa[0].taint = PAYLOAD << REG_IDS["r8"]
+    m.ssa[0].taint = PLANE << REG_IDS["r8"]
     m.tcs.cssa = 1
     assert run(m, prog) == "halt"
     assert payload_cells(m) == {DATA}
@@ -215,7 +221,7 @@ def test_a_faulting_memcpy_moves_the_labels_of_the_copied_prefix():
     m, prog = labelled("    memcpy rsi, rbp, rdx\n    halt $0\n",
                        {"rbp": DATA, "rsi": DATA + 0xFF8, "rdx": 16},
                        labels=())
-    m.mem.labels.update({DATA: PAYLOAD, DATA + 8: PAYLOAD})
+    m.mem.labels.update({DATA: PLANE, DATA + 8: PLANE})
     assert step(m, prog) == "fault"
     assert payload_cells(m) == {DATA, DATA + 8, DATA + 0xFF8}
     assert not m.influenced
@@ -224,7 +230,7 @@ def test_a_faulting_memcpy_moves_the_labels_of_the_copied_prefix():
     m, prog = labelled("    memcpy rsi, rbp, rdx\n    halt $0\n",
                        {"rbp": CODE, "rsi": DATA + 0xFF8, "rdx": 0x1F010},
                        labels=())
-    m.mem.labels[DATA + 8] = PAYLOAD
+    m.mem.labels[DATA + 8] = PLANE
     assert step(m, prog) == "fault"
     assert payload_cells(m) == {DATA + 8}
 
@@ -264,6 +270,16 @@ sub:
 # per-register payload planes
 # ---------------------------------------------------------------------------
 
+def test_the_words_of_a_register_mask_never_overlap():
+    # planes NREGS bits apart: two registers' shifted words share no bit,
+    # and no origin plane reaches the secret plane, the canonical taint
+    for r in range(NREGS):
+        assert (PAYLOADS << r) & SECRET_REGS == 0, r
+        for s in range(NREGS):
+            if s != r:
+                assert (LABELS << r) & (LABELS << s) == 0, (r, s)
+
+
 def _two_planes(source: str, regs: dict):
     """A raw machine with `regs` set, r8 on its own plane and r9 on its
     own, and its program."""
@@ -293,14 +309,13 @@ def test_a_labelled_entry_sets_the_planes_of_rsp_and_rsi():
     actions = [PrepareRegs.of(rsp=0, rsi=0, r8=1),
                Eenter.of(CMD_ECALL_COMPUTE)]
     res = run_plan(build_machine(image, SGX2), image, actions,
-                   payload={name: ORIGINS[REG_IDS[name]]
-                            for name in ("rsp", "rsi", "r8")}, max_steps=1)
+                   payload=("rsp", "rsi", "r8"), max_steps=1)
     assert res.machine.influenced & PAYLOADS == ORIGINS[RSP] | ORIGINS[RSI]
 
 
 def test_scrub_clears_every_plane():
     m, prog = _two_planes("    scrub r8, r9\n    halt $0\n", {})
-    m.taint |= (SECRET | PAYLOAD) << R8 | LABELS << RCX
+    m.taint |= (SECRET | PLANE) << R8 | LABELS << RCX
     assert step(m, prog) == "ok"
     assert m.taint == LABELS << RCX
 
@@ -401,21 +416,21 @@ def _raw_machine(source: str):
     return m, prog
 
 
-def _straight_line_run(source: str, words: dict, labels: dict):
+def _straight_line_run(source: str, words: dict):
     """The straight-line run with each payload register holding its word
-    of `words` and its label word of `labels`."""
+    of `words`, on its own origin plane."""
     m, prog = _raw_machine(source)
     fixed = {"rdx": 16, "rsi": PUB, "rbp": DATA, "rsp": DATA + 0x800,
              "rdi": DATA}
     for name in _REGS + ("rdi",):
         m.regs[REG_IDS[name]] = fixed.get(name, words.get(name))
-    for name, word in labels.items():
-        m.taint |= word << REG_IDS[name]
+    m.taint |= _OWN_PLANES
     return m, run(m, prog)
 
 
-_ONE_PLANE = dict.fromkeys(_PAYLOAD, PAYLOAD)
-_OWN_PLANES = {name: ORIGINS[REG_IDS[name]] for name in _PAYLOAD}
+# each payload register's own origin plane, as a register label mask
+_OWN_PLANES = sum(ORIGINS[REG_IDS[name]] << REG_IDS[name]
+                  for name in _PAYLOAD)
 
 
 @settings(max_examples=400, deadline=None)
@@ -423,12 +438,12 @@ _OWN_PLANES = {name: ORIGINS[REG_IDS[name]] for name in _PAYLOAD}
 def test_a_clean_run_gives_the_same_trace_under_any_payload(lines, p1, p2):
     assume(p1 != p2)
     source = _program(lines)
-    m1, sig1 = _straight_line_run(source, dict.fromkeys(_PAYLOAD, p1),
-                                  _ONE_PLANE)
+    # one word in every payload register, each on its own plane, as in the
+    # search's first binding
+    m1, sig1 = _straight_line_run(source, dict.fromkeys(_PAYLOAD, p1))
     if m1.influenced:
         return
-    m2, sig2 = _straight_line_run(source, dict.fromkeys(_PAYLOAD, p2),
-                                  _ONE_PLANE)
+    m2, sig2 = _straight_line_run(source, dict.fromkeys(_PAYLOAD, p2))
     assert m2.trace == m1.trace and sig2 == sig1
     assert not m2.influenced
     # the label words, secret taint and payload both
@@ -442,12 +457,11 @@ def test_registers_off_the_influenced_planes_can_take_any_value(lines, p,
     # each payload register on its own plane: every register whose plane
     # no sink saw gets an independent random word, and the run repeats
     source = _program(lines)
-    m1, sig1 = _straight_line_run(source, dict.fromkeys(_PAYLOAD, p),
-                                  _OWN_PLANES)
+    m1, sig1 = _straight_line_run(source, dict.fromkeys(_PAYLOAD, p))
     rng = random.Random(seed)
     words = {name: p if m1.influenced & ORIGINS[REG_IDS[name]]
              else rng.getrandbits(64) for name in _PAYLOAD}
-    m2, sig2 = _straight_line_run(source, words, _OWN_PLANES)
+    m2, sig2 = _straight_line_run(source, words)
     assert m2.trace == m1.trace and sig2 == sig1 and m2.cycle == m1.cycle
     assert m2.influenced == m1.influenced
     assert m2.mem.labels == m1.mem.labels and m2.taint == m1.taint
@@ -519,15 +533,13 @@ _RSP_WORDS = (DATA + 0x800, DATA + 0x808, DATA + 0x7F0, DATA + 0x100,
 
 
 def _rsp_run(source: str, payload: int, rsp: int, path=None):
-    """The straight-line run with the payload registers on the payload
-    plane and the staged `rsp` on its own plane, recording into `path`."""
+    """The straight-line run with the payload registers and the staged
+    `rsp` each on its own origin plane, recording into `path`."""
     m, prog = _raw_machine(source)
     fixed = {"rdx": 16, "rsi": PUB, "rbp": DATA, "rsp": rsp, "rdi": DATA}
     for name in _REGS + ("rdi",):
         m.regs[REG_IDS[name]] = fixed.get(name, payload)
-    for name, word in _ONE_PLANE.items():
-        m.taint |= word << REG_IDS[name]
-    m.taint |= ORIGINS[RSP] << RSP
+    m.taint |= _OWN_PLANES | ORIGINS[RSP] << RSP
     m.path = path
     return m, run(m, prog)
 
@@ -568,7 +580,7 @@ def _staged(actions: list) -> list:
     return out
 
 
-def _recorded(image, sgx: int, actions: list, payload=None):
+def _recorded(image, sgx: int, actions: list, payload=()):
     """The trace lines with per-event digests of a recorded run, and the
     run."""
     m = build_machine(image, sgx)
@@ -580,9 +592,11 @@ def _recorded(image, sgx: int, actions: list, payload=None):
 
 
 def _carries_payload(m) -> bool:
-    """Whether a register, saved-frame slot or cell has the payload label."""
-    return bool(payload_regs(m.taint) or payload_cells(m)
-                or any(payload_regs(f.taint) for f in m.ssa))
+    """Whether a register, saved-frame slot or cell has an origin plane's
+    label: a register mask any bit past its secret plane."""
+    return bool(m.taint & ~SECRET_REGS
+                or any(w & PAYLOADS for w in m.mem.labels.values())
+                or any(f.taint & ~SECRET_REGS for f in m.ssa))
 
 
 def test_labels_stay_out_of_canonical_state_and_travel_with_clones():
@@ -598,7 +612,7 @@ done:
     m.regs[REG_IDS["rbp"]] = DATA
     m.regs[RAX] = 3
     plain, marked = m.clone(), m.clone()
-    marked.taint = PAYLOAD << RAX
+    marked.taint = PLANE << RAX
     for _ in range(5):
         step(plain, prog)
         step(marked, prog)
@@ -606,12 +620,12 @@ done:
     assert plain.canonical() == marked.canonical()
     assert plain.digest() == marked.digest()
 
-    marked.ssa[0].taint = PAYLOAD << RSP
+    marked.ssa[0].taint = PLANE << RSP
     copy = marked.clone()
     assert copy.taint == marked.taint
     assert copy.mem.labels == marked.mem.labels
     assert copy.mem.labels is not marked.mem.labels
-    assert copy.ssa[0].taint == PAYLOAD << RSP
+    assert copy.ssa[0].taint == PLANE << RSP
     assert copy.influenced
 
     # recorded runs: labelling the payload registers changes no trace line
@@ -627,8 +641,7 @@ done:
     assert len(runs) == 17
     for name, image, sgx, actions in runs:
         plain, res = _recorded(image, sgx, actions)
-        lines, labelled_res = _recorded(image, sgx, actions,
-                                        dict.fromkeys(PAYLOAD_REGS, PAYLOAD))
+        lines, labelled_res = _recorded(image, sgx, actions, PAYLOAD_REGS)
         assert lines == plain, name
         assert res.status == labelled_res.status, name
         # the labelled run ends with payload labels, the plain one without
