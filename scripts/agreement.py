@@ -194,7 +194,7 @@ def covered():
         real(space, binding, group, clean, stats)
         entry = space.entry(*binding)
         first = space.entry(binding[0], binding[1], space.words[0])
-        max_steps = space.budget.max_steps
+        max_steps = space.max_steps
         want_steps = 0
         for shape in group.shapes:
             rep = clean[shape]
@@ -259,7 +259,7 @@ def classes():
         cmd, word = entry[1].cmd, dict(entry[0].regs)["rsp"]
         first = space.entry(cmd, cls.word, space.words[0])
         offset = (word - cls.word) & machine.MASK64
-        max_steps = space.budget.max_steps
+        max_steps = space.max_steps
         what = f"rsp {word:#x} of command {cmd} in the class of {cls.word:#x}"
         shapes = [None]
         for shape in shapes:

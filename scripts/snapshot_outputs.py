@@ -13,8 +13,11 @@ the process are compared too.  It runs the multi-round ASLR sweep on
 `sdk_style` at offsets 33, 1000 and 2048, and `hw_irq_quota` `exhaustive`
 and `benign_critical` under two grants other than the default: one that
 still certifies, and one too small for the entry window's atomic section,
-under which the search finds a counterexample.  These scenario files are
-written to OUT/scenarios.  Every trace written is then replayed with
+under which the search finds a counterexample.  It runs `sdk_style`
+`exhaustive` at sgx 2 under step budgets of 100, 145 and 146: a run of
+its counterexample from a fresh machine takes 146 steps, prefix included,
+so the first two certify BUDGET and the last finds it.  These scenario
+files are written to OUT/scenarios.  Every trace written is then replayed with
 `aexlab replay`, whose stdout lands next to the trace.  Exit codes go to
 OUT/exit_codes.txt.  Each job's stderr, less its `wall time ...s` part,
 goes to OUT/<tag>/work.txt, so that the deterministic search-work counters
@@ -44,6 +47,7 @@ SCRIPTED_PAGES = (0x30000, 0x38000, 0x42000)
 SCRIPTED_OFFSETS = (8, 24)
 MULTI_ROUND_OFFSETS = (33, 1000, 2048)
 QUOTA_GRANTS = ((64, 5000), (20, 5000))     # (allowed cycles, window)
+STEP_BUDGETS = (100, 145, 146)
 
 
 def _critical_docs():
@@ -78,6 +82,14 @@ def _quota_grant_docs():
             yield (f"{mode}_hw_irq_quota_a{allowed}_w{window}",
                    {"variant": "hw_irq_quota", "adversary": mode,
                     "hw_ext": {"allowed": allowed, "window": window}})
+
+
+def _step_budget_docs():
+    for max_steps in STEP_BUDGETS:
+        yield (f"exhaustive_sdk_style_sgx2_s{max_steps}",
+               {"variant": "sdk_style", "sgx_version": 2,
+                "adversary": "exhaustive",
+                "budgets": {"max_steps": max_steps}})
 
 
 def _scenario_files(out: str, docs) -> list[tuple[str, str]]:
@@ -130,7 +142,8 @@ def main() -> int:
                          workers))
     for tag, path in _scenario_files(
             args.out, [*_critical_docs(), *_scripted_docs(),
-                       *_multi_round_docs(), *_quota_grant_docs()]):
+                       *_multi_round_docs(), *_quota_grant_docs(),
+                       *_step_budget_docs()]):
         jobs.append((tag, ["run", "--scenario", path], 1))
 
     codes = []

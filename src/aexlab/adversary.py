@@ -16,9 +16,9 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .harness import (
-    AttackPlan, BENIGN_OCALL_RESULT, BENIGN_REGS, DEFAULT_MAX_STEPS, Eenter,
-    Eresume, InjectAex, PrepareRegs, RunResult, SeedPublic, Stop,
-    prefix_plan, run_plan,
+    AttackPlan, BENIGN_OCALL_RESULT, BENIGN_REGS, BUDGET_EXCEEDED,
+    DEFAULT_MAX_STEPS, Eenter, Eresume, InjectAex, PrepareRegs, RunResult,
+    SeedPublic, Stop, prefix_plan, run_plan,
 )
 from .interp import RspPath
 from .machine import (
@@ -176,16 +176,17 @@ class SearchStats:
     its steps.  `executed` counts the plans actually run and `stepped` the
     instructions they stepped, a resumed plan only those after its point;
     `branches` counts the (command, rsp) branches searched and `classed`
-    those of them whose first binding its rsp class counted.  These four
-    depend on how the space was searched, not on the space, so reports
-    leave them out.  Stats are equal when all seven counters are."""
+    those of them whose first binding its rsp class counted; `cut` counts
+    the executed plans the step budget ended.  These five depend on how
+    the space was searched, not on the space, so reports leave them out.
+    Stats are equal when all eight counters are."""
 
     __slots__ = ("runs", "steps", "boundaries", "executed", "stepped",
-                 "branches", "classed")
+                 "branches", "classed", "cut")
 
     def __init__(self, runs: int = 0, steps: int = 0, boundaries: int = 0,
                  executed: int = 0, stepped: int = 0, branches: int = 0,
-                 classed: int = 0):
+                 classed: int = 0, cut: int = 0):
         self.runs = runs
         self.steps = steps
         self.boundaries = boundaries
@@ -193,10 +194,11 @@ class SearchStats:
         self.stepped = stepped
         self.branches = branches
         self.classed = classed
+        self.cut = cut
 
     def _counters(self) -> tuple:
         return (self.runs, self.steps, self.boundaries, self.executed,
-                self.stepped, self.branches, self.classed)
+                self.stepped, self.branches, self.classed, self.cut)
 
     def __eq__(self, other):
         if other.__class__ is not SearchStats:
@@ -207,7 +209,7 @@ class SearchStats:
         return (f"SearchStats(runs={self.runs}, steps={self.steps}, "
                 f"boundaries={self.boundaries}, executed={self.executed}, "
                 f"stepped={self.stepped}, branches={self.branches}, "
-                f"classed={self.classed})")
+                f"classed={self.classed}, cut={self.cut})")
 
     def merge(self, other: "SearchStats") -> None:
         self.runs += other.runs
@@ -217,6 +219,7 @@ class SearchStats:
         self.stepped += other.stepped
         self.branches += other.branches
         self.classed += other.classed
+        self.cut += other.cut
 
     def to_dict(self) -> dict:
         return {"runs": self.runs, "steps": self.steps,
@@ -247,7 +250,7 @@ CANDIDATE_DEPTH = 6
 
 class SearchBudget(NamedTuple):
     max_runs: int = 200000
-    max_steps: int = DEFAULT_MAX_STEPS    # per run
+    max_steps: int = DEFAULT_MAX_STEPS    # per run from a fresh machine
     boundary_cap: int = 160
     depth: int = CANDIDATE_DEPTH    # actions per candidate plan
 
@@ -271,11 +274,13 @@ def _candidate_actions(entry: tuple[PrepareRegs, Eenter],
 def _prefix_snapshot(image: EnclaveImage, sgx_version: int,
                      grant: Optional[tuple[int, int]]) -> Machine:
     """The machine after the prefix every plan shares, built under
-    `grant`."""
+    `grant`.  Every step of the prefix retires, so its steps are the
+    machine's cycles."""
     m = build_machine(image, sgx_version, grant)
     res = run_plan(m, image, prefix_plan())
-    if res.status != "done":
-        raise RuntimeError(f"scenario prefix failed: {res.status}")
+    if res.status != "done" or res.steps != m.cycle:
+        raise RuntimeError(f"scenario prefix failed: {res.status} after "
+                           f"{res.steps} steps, {m.cycle} retired")
     return m
 
 
@@ -303,9 +308,12 @@ class SearchSpace(NamedTuple):
     shared prefix whose trace `checkpoint` has read, each of `commands`
     re-enters with rsp = each of `words` and the `payload_regs` = each of
     `words`, dry and injecting each of `classes` at each boundary up to
-    `budget.boundary_cap`.  A Counterexample's branch indexes it.
-    `rsp_classes` is the one part a search writes: per command, the rsp
-    classes found so far, in the order their representatives ran."""
+    `budget.boundary_cap`.  A Counterexample's branch indexes it.  A plan
+    runs from `root` for at most `max_steps` steps: the budget's, less the
+    prefix's, so that it is cut where a run of the prefix and the plan
+    from a fresh machine is.  `rsp_classes` is the one part a search
+    writes: per command, the rsp classes found so far, in the order their
+    representatives ran."""
 
     image: EnclaveImage
     root: Machine
@@ -315,6 +323,7 @@ class SearchSpace(NamedTuple):
     payload_regs: tuple[str, ...]
     classes: tuple[int, ...]
     budget: SearchBudget
+    max_steps: int
     rsp_classes: dict[int, list[RspClass]]
 
     def entry(self, cmd: int, rsp: int,
@@ -354,7 +363,8 @@ def search_space(image: EnclaveImage, sgx_version: int = SGX2,
     checkpoint.feed(root.trace)
     return SearchSpace(image, root, checkpoint,
                        (CMD_ORET, CMD_INVALID, CMD_EXCEPTION), words,
-                       PAYLOAD_REGS, classes, budget, {})
+                       PAYLOAD_REGS, classes, budget,
+                       budget.max_steps - root.cycle, {})
 
 
 def _monitored(checkpoint: SafetyMonitor, trace: list) -> SafetyMonitor:
@@ -477,12 +487,11 @@ def _attempt(space: SearchSpace, entry: tuple[PrepareRegs, Eenter],
     if cls is not None:
         payload = space.payload_regs + ("rsp",)
         path = cls.path
-    budget = space.budget
     if inject is not None and inject[1] < len(points):
         point = points[inject[1]]
         if not take:
             point = point.copy()
-        res = run_plan(point, space.image, actions, max_steps=budget.max_steps,
+        res = run_plan(point, space.image, actions, max_steps=space.max_steps,
                        payload=payload, inject=actions[1])  # the InjectAex
         resumed_at = point.steps
     else:
@@ -490,13 +499,14 @@ def _attempt(space: SearchSpace, entry: tuple[PrepareRegs, Eenter],
         if path is not None:
             machine.path = path.run()
         res = run_plan(machine, space.image, actions,
-                       max_steps=budget.max_steps, payload=payload,
-                       keep=budget.boundary_cap if inject is None else -1)
+                       max_steps=space.max_steps, payload=payload,
+                       keep=space.budget.boundary_cap if inject is None else -1)
         resumed_at = 0
     stats.runs += 1
     stats.executed += 1
     stats.steps += res.steps
     stats.stepped += res.steps - resumed_at
+    stats.cut += res.status == BUDGET_EXCEEDED
     if cls is not None:
         row = cls.shapes[inject] = (res.status, res.steps, res.boundaries)
         # clean: no payload register's plane, only rsp's, reached a sink
@@ -623,7 +633,9 @@ def exhaustive_attacker(image: EnclaveImage, sgx_version: int = SGX2,
     """Depth-first enumeration of the `search_space` of these arguments.
     Returns the first (lowest-lexicographic-branch) Counterexample, or
     NoneFound with visited statistics only when the full bounded space was
-    enumerated."""
+    enumerated and the step budget cut none of the plans run; else
+    BudgetExceeded.  A plan counted, not run, repeats the run of a
+    representative that was run, so the plans run decide it."""
     global _space
     space = search_space(image, sgx_version, classes, budget, grant, sp_mode)
     commands = range(len(space.commands))
@@ -658,6 +670,10 @@ def exhaustive_attacker(image: EnclaveImage, sgx_version: int = SGX2,
             if total.runs >= space.budget.max_runs:
                 outcome = BudgetExceeded(total, "run budget exhausted")
                 break
+        else:
+            if total.cut:
+                outcome = BudgetExceeded(
+                    total, f"max_steps cut {total.cut} plans")
         if pool is not None:
             pool.close()
             pool.join()

@@ -119,7 +119,8 @@ def certify(scenario: dict, workers: int = 1) -> Certification:
     classes, budget, grant and sp mode, and `workers` processes searching
     its branches.  The verdict rests on the search alone: a Counterexample
     violates a safety property (an exhaustive scenario checks every one),
-    NoneFound covered the whole bounded space, BudgetExceeded did not."""
+    NoneFound covered the whole bounded space, BudgetExceeded did not: the
+    run budget ran out, or the step budget cut a plan the search ran."""
     image = _image_for(scenario)
     out = adversary.exhaustive_attacker(
         image, scenario["sgx_version"], classes=_classes_for(scenario),

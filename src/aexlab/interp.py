@@ -28,7 +28,6 @@ does not retire.
 from __future__ import annotations
 
 import operator
-import weakref
 
 from .isa import (
     OP_MOV_RR, OP_MOV_RI, OP_LOAD, OP_STORE, OP_PUSH, OP_POP,
@@ -98,7 +97,7 @@ def fetch_table(mem: Memory, program: Program) -> dict:
     if table is None:
         if len(tables) >= FETCH_TABLES_PER_PROGRAM:
             del tables[next(iter(tables))]
-        table = tables[key] = {pc: _decode_one(program, ins)
+        table = tables[key] = {pc: _decode_one(ins)
                                for pc, ins in program.code.items()
                                if mem.executable(pc)}
     mem.fetch = table
@@ -113,8 +112,9 @@ def fetch_table(mem: Memory, program: Program) -> dict:
 # calls the handler with the machine, the pc and the decoded operands.
 # Decoding resolves what does not depend on machine state: the handler of
 # the opcode, the relation of a compare-and-jump, the value set_flag and
-# clear_flag write, and (by weak reference) the program emulate_critical
-# completes against.
+# clear_flag write.  emulate_critical completes against the program it was
+# fetched from, ``mem.fetch_program``; a table holds no reference to it,
+# since the program holds the table.
 # A handler that retires sets rip, counts the cycle and returns "ok".
 #
 # Labels: data moves copy the label word (mov, the value of
@@ -719,33 +719,21 @@ def _declassify(m, pc, a, b, c):
 
 
 def _emulate_critical(m, pc, a, b, c):
-    """`a` is a weak reference to the program, resolved at decode time."""
+    """Complete the top saved frame's critical span against the program
+    `step` just fetched this instruction from (``mem.fetch_program``)."""
     cssa = m.tcs.cssa
-    if cssa >= 1:
-        saved = m.ssa[cssa - 1].taint >> RIP
-        m.influenced |= saved & PAYLOADS
-        if m.path is not None and saved & _RSP_PLANE:
-            m.path.alone()
-    return _complete_top_frame(m, pc, _deref(a))
-
-
-def _deref(ref: weakref.ref) -> Program:
-    """The program behind a fetch table's weak reference.  The table is
-    stored on that program, so a strong reference would be a cycle."""
-    program = ref()
-    if program is None:
-        raise InterpError("the decoded program was freed while running")
-    return program
-
-
-def _complete_top_frame(m, pc, program):
-    if m.tcs.cssa < 1:
+    if cssa < 1:
         return _abort(m, pc)
-    frame = m.ssa[m.tcs.cssa - 1]
+    frame = m.ssa[cssa - 1]
+    saved = frame.taint >> RIP
+    m.influenced |= saved & PAYLOADS
+    if m.path is not None and saved & _RSP_PLANE:
+        m.path.alone()
     # classify first: contexts interrupted outside the registered spans
     # are already safe and pass through unchanged
+    program = m.mem.fetch_program
     if in_crit_ranges(program, frame.regs[RIP]):
-        m.ssa[m.tcs.cssa - 1] = complete_critical(m, program, frame)
+        m.ssa[cssa - 1] = complete_critical(m, program, frame)
         m.platform_changed()
     regs = m.regs
     m.trace.append((E_RETIRE, pc, regs[RSP], 0, 0))
@@ -773,10 +761,11 @@ _HANDLERS = {
     OP_EEXIT_R: _eexit_r, OP_EEXIT_I: _eexit_i,
     OP_BEGIN_ATOMIC: _begin_atomic, OP_END_ATOMIC: _end_atomic,
     OP_HALT: _halt, OP_TRAP: _trap, OP_DECLASSIFY: _declassify,
+    OP_EMULATE_CRITICAL: _emulate_critical,
 }
 
 
-def _decode_one(program: Program, ins: tuple) -> tuple:
+def _decode_one(ins: tuple) -> tuple:
     op, a, b, c = ins
     if op == OP_CMPJ_I or op == OP_CMPJ_R:
         rel, target = c
@@ -784,8 +773,6 @@ def _decode_one(program: Program, ins: tuple) -> tuple:
                 (_RELATIONS[rel], target))
     if op == OP_SET_FLAG or op == OP_CLEAR_FLAG:
         return (_set_flag, a, 1 if op == OP_SET_FLAG else 0, c)
-    if op == OP_EMULATE_CRITICAL:
-        return (_emulate_critical, weakref.ref(program), b, c)
     handler = _HANDLERS.get(op)
     if handler is None:
         return (_undefined, ins, 0, 0)

@@ -107,8 +107,10 @@ class CodeOverflow(AsmError):
 
 
 class Program:
-    """Assembled program: immutable once built.  The interpreter's decoded
-    tables refer to it weakly."""
+    """Assembled program: immutable once built.  ``fetch_tables`` keeps the
+    interpreter's decoded tables of it (``interp.fetch_table``), which hold
+    no reference back to it, so a program without other holders is freed
+    by reference counting alone."""
 
     __slots__ = ("base", "code", "labels", "windows", "crit_ranges", "source",
                  "fetch_tables", "__weakref__")

@@ -747,9 +747,11 @@ class Machine:
     # -- atomic-section accounting (driven by the interpreter) ---------------
 
     def begin_atomic(self, declared_cycles: int) -> bool:
-        """Software request for an interrupt-free window of the declared
-        length.  Charged against the per-window quota; the hardware-armed
-        entry window is not charged."""
+        """Request an interrupt-free window of the declared length: the
+        software's `begin_atomic` and, under the irq-quota extension, the
+        hardware-armed entry window, which `eenter` requests for
+        `entry_atomic_cycles`.  Both are charged against the per-window
+        quota; a refused request returns False."""
         self.platform_changed()
         if self.hw.kind == HW_REENTRY_MASK:
             self.hw.masked = True

@@ -55,6 +55,18 @@ _SCENARIO_KEYS = {
     "toggles", "hw_ext", "layout", "inject_classes", "sp_confinement_mode",
     "vector", "route", "max_rounds", "trials", "boundary",
 }
+# Top-level keys that only some modes read: key -> (default, those modes).
+# Any other mode takes the key at its default only (absent and null read
+# as the default), so a scenario never names a value its mode ignores.
+_MODE_KEYS = {
+    "vector": (None, ("scripted",)),
+    "route": (None, ("scripted",)),
+    "boundary": (None, ("benign_nested", "benign_critical")),
+    "max_rounds": (32, ("multi_round_aslr",)),
+    "trials": (100000, ("monte_carlo",)),
+    "inject_classes": (["page_fault", "external_interrupt"],
+                       ("exhaustive", "scripted")),
+}
 
 
 def _int(value, what: str, lo: Optional[int] = None,
@@ -182,9 +194,8 @@ def normalize_scenario(doc: dict) -> dict:
             raise ScenarioError(f"unknown layout key: {k!r}")
         layout[k] = _int(v, f"layout {k}", 0, ADDRESS_LIMIT)
     _check_layout_doc(layout)
-    classes = _names(doc, "inject_classes",
-                     ("page_fault", "external_interrupt"), VECTOR_IDS,
-                     "exception class")
+    classes = _names(doc, "inject_classes", _MODE_KEYS["inject_classes"][0],
+                     VECTOR_IDS, "exception class")
     sp_mode = _get(doc, "sp_confinement_mode", "range")
     if sp_mode not in ("range", "strict"):
         raise ScenarioError(f"sp_confinement_mode must be range|strict")
@@ -198,7 +209,7 @@ def normalize_scenario(doc: dict) -> dict:
     boundary = doc.get("boundary")
     if boundary is not None:
         _int(boundary, "boundary", 0)
-    return {
+    scenario = {
         "variant": variant,
         "sgx_version": sgx,
         "adversary": adversary,
@@ -212,10 +223,17 @@ def normalize_scenario(doc: dict) -> dict:
         "sp_confinement_mode": sp_mode,
         "vector": vector,
         "route": route,
-        "max_rounds": _int(_get(doc, "max_rounds", 32), "max_rounds", 1),
-        "trials": _int(_get(doc, "trials", 100000), "trials", 1),
+        "max_rounds": _int(_get(doc, "max_rounds",
+                                _MODE_KEYS["max_rounds"][0]), "max_rounds", 1),
+        "trials": _int(_get(doc, "trials", _MODE_KEYS["trials"][0]),
+                       "trials", 1),
         "boundary": boundary,
     }
+    for key, (default, modes) in _MODE_KEYS.items():
+        if adversary not in modes and scenario[key] != default:
+            raise ScenarioError(f"{key} is read only in {' and '.join(modes)} "
+                                f"mode, not in {adversary} mode")
+    return scenario
 
 
 def dumps_scenario(scenario: dict) -> str:

@@ -220,24 +220,26 @@ VARIANTS = tuple(DESIGNS)
 class EnclaveImage(NamedTuple):
     """A runtime variant assembled against a layout, plus the metadata the
     detectors and the adversary need: gadget inventory, legitimate control
-    targets, untrusted-sp windows, critical ranges, secret region."""
+    targets, untrusted-sp windows, critical ranges, secret region.  The
+    fields from `program` to `crit_ranges` derive from the program alone:
+    every image of one program holds the same objects (see `_program`)."""
 
     variant: str
     layout: Layout
     toggles: Toggles
-    program: isa.Program
     stack_base: int                    # effective (ASLR-shifted) base
-    gadgets: Mapping[str, int] = MappingProxyType({})
+    program: isa.Program
+    gadgets: Mapping[str, int] = MappingProxyType({})     # read-only
     legit_ret_targets: frozenset[int] = frozenset()
     restore_ret_pcs: frozenset[int] = frozenset()
     ocall_call_sites: frozenset[int] = frozenset()
     oret_ret_pc: int = 0
-    trusted_stack_ranges: tuple[tuple[int, int], ...] = ()
     sp_windows: tuple[tuple[int, int], ...] = ()
-    crit_ranges: tuple[tuple[int, int], ...] = ()
-    entry_atomic_cycles: int = ENTRY_ATOMIC_CYCLES
     # every pc inside a declared sp window, so a window test is one lookup
     sp_window_pcs: frozenset[int] = frozenset()
+    crit_ranges: tuple[tuple[int, int], ...] = ()
+    trusted_stack_ranges: tuple[tuple[int, int], ...] = ()
+    entry_atomic_cycles: int = ENTRY_ATOMIC_CYCLES
 
     @property
     def design(self) -> Design:
@@ -664,20 +666,6 @@ PROGRAM_CACHE_SIZE = 32
 INPUT_CACHE_SIZE = 256
 
 
-class _Assembly(NamedTuple):
-    """A program and the image metadata derived from the program alone."""
-
-    program: isa.Program
-    gadgets: dict[str, int]
-    legit_ret_targets: frozenset[int]
-    restore_ret_pcs: frozenset[int]
-    ocall_call_sites: frozenset[int]
-    oret_ret_pc: int
-    sp_windows: tuple[tuple[int, int], ...]
-    sp_window_pcs: frozenset[int]
-    crit_ranges: tuple[tuple[int, int], ...]
-
-
 @functools.lru_cache(maxsize=INPUT_CACHE_SIZE)
 def _text_toggles(variant: str, toggles: Toggles) -> Toggles:
     """`toggles` with each field the variant's program text does not read
@@ -697,14 +685,15 @@ def _text_toggles(variant: str, toggles: Toggles) -> Toggles:
 
 @functools.lru_cache(maxsize=PROGRAM_CACHE_SIZE)
 def _program(variant: str, toggles: Toggles, code_base: int,
-             symbols: tuple[tuple[str, int], ...]) -> _Assembly:
+             symbols: tuple[tuple[str, int], ...]) -> tuple:
     """The variant's program text under `toggles` (text toggles only),
     rendered and assembled at `code_base` against `symbols` once per
-    distinct input, with its gadget map, call sites, control targets and
-    window pcs.  A `Program` is never changed after assembly, and what the
-    interpreter caches on it (its fetch tables) is derived from its code
-    and the pages over it, so every image built from the same input can
-    share it."""
+    distinct input, followed by the image fields derived from it alone, in
+    `EnclaveImage` order: its read-only gadget map, control targets, call
+    sites, windows and critical ranges.  A `Program` is never changed after
+    assembly, and what the interpreter caches on it (its fetch tables) is
+    derived from its code and the pages over it, so every image built from
+    the same input shares the program and these fields."""
     src = generate_source(variant, toggles)
     program = isa.assemble(src, code_base, dict(symbols))
     labels = program.labels
@@ -720,18 +709,11 @@ def _program(variant: str, toggles: Toggles, code_base: int,
     legit_rets = frozenset(a + 1 for a in call_sites) | frozenset(
         {labels["continue_execution"]})
     sp_windows = tuple(sorted(program.windows.values()))
-    return _Assembly(
-        program=program,
-        gadgets=gadgets,
-        legit_ret_targets=legit_rets,
-        restore_ret_pcs=frozenset({labels["cont_ret"]}),
-        ocall_call_sites=ocall_sites,
-        oret_ret_pc=labels["oret_ret"],
-        sp_windows=sp_windows,
-        sp_window_pcs=frozenset(pc for lo, hi in sp_windows
-                                for pc in range(lo, hi)),
-        crit_ranges=tuple(sorted(program.crit_ranges.values())),
-    )
+    return (program, MappingProxyType(gadgets), legit_rets,
+            frozenset({labels["cont_ret"]}), ocall_sites, labels["oret_ret"],
+            sp_windows,
+            frozenset(pc for lo, hi in sp_windows for pc in range(lo, hi)),
+            tuple(sorted(program.crit_ranges.values())))
 
 
 def build_runtime(variant: str, layout: Optional[Layout] = None,
@@ -753,32 +735,15 @@ def build_runtime(variant: str, layout: Optional[Layout] = None,
     if not 0 <= toggles.aslr_stack_offset <= ASLR_RANGE:
         raise ValueError("aslr offset out of range")
     stack_base = layout.stack_base - aslr_shift(toggles.aslr_stack_offset)
-
-    asm = _program(variant, _text_toggles(variant, toggles),
-                   layout.code_base, _layout_symbols(layout))
-
     trusted = [(layout.stack_limit, stack_base)]
     if "dedicated_handler" in design.exc_flow:
         # the handler runs on the dedicated page
         trusted.append((layout.dedicated_page, layout.dedicated_page + 0x1000))
-
     return EnclaveImage(
-        variant=variant,
-        layout=layout,
-        toggles=toggles,
-        program=asm.program,
-        stack_base=stack_base,
-        gadgets=dict(asm.gadgets),
-        legit_ret_targets=asm.legit_ret_targets,
-        restore_ret_pcs=asm.restore_ret_pcs,
-        ocall_call_sites=asm.ocall_call_sites,
-        oret_ret_pc=asm.oret_ret_pc,
-        trusted_stack_ranges=tuple(trusted),
-        sp_windows=asm.sp_windows,
-        sp_window_pcs=asm.sp_window_pcs,
-        crit_ranges=asm.crit_ranges,
-        entry_atomic_cycles=ENTRY_ATOMIC_CYCLES + toggles.critical_pad,
-    )
+        variant, layout, toggles, stack_base,
+        *_program(variant, _text_toggles(variant, toggles), layout.code_base,
+                  _layout_symbols(layout)),
+        tuple(trusted), ENTRY_ATOMIC_CYCLES + toggles.critical_pad)
 
 
 def layout_regions(layout: Layout) -> tuple[tuple[int, int, int, int], ...]:

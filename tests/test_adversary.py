@@ -5,7 +5,7 @@ import multiprocessing
 
 import pytest
 
-from aexlab import adversary, explorer, properties, reporting
+from aexlab import adversary, explorer, properties, reporting, runtimes
 from aexlab.adversary import (
     BudgetExceeded, Counterexample, NoneFound, PlanInfeasible, SearchBudget,
     craft_sp, estimate_single_shot_rate, exact_single_shot_rate,
@@ -361,9 +361,35 @@ def test_resumed_plans_equal_fresh_runs_over_the_step_budget():
     with agreement.resumed() as resumed:
         out = exhaustive_attacker(build_runtime("dedicated_stack"), SGX2,
                                   budget=SearchBudget(max_steps=50))
-    assert isinstance(out, NoneFound)
+    # the step budget cut plans it ran, so the space was not covered
+    assert isinstance(out, BudgetExceeded)
     ends = {r.status for _, r in resumed}
     assert "budget_exceeded" in ends and len(ends) > 1
+
+
+def test_no_default_certification_is_cut_by_the_step_budget(monkeypatch):
+    # the step budget's verdict rule changes no default verdict: no plan
+    # the 16 default certifications run ends at the budget
+    real = adversary.run_plan
+    ends = []
+
+    def counted(start, image, actions, **kwargs):
+        res = real(start, image, actions, **kwargs)
+        ends.append(res.status)
+        return res
+
+    monkeypatch.setattr(adversary, "run_plan", counted)
+    executed = 0
+    for variant in runtimes.VARIANTS:
+        for sgx in (1, 2):
+            out = explorer.certify(reporting.normalize_scenario(
+                {"variant": variant, "sgx_version": sgx})).outcome
+            assert not isinstance(out, BudgetExceeded), (variant, sgx)
+            assert out.stats.cut == 0, (variant, sgx)
+            executed += out.stats.executed
+    # every executed plan, plus one prefix per certification
+    assert len(ends) == executed + 16
+    assert "budget_exceeded" not in ends
 
 
 def test_no_point_is_kept_past_the_boundary_cap(monkeypatch):

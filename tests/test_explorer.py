@@ -97,6 +97,31 @@ def test_multi_round_success_is_the_recorded_run_under_its_budget(max_steps):
     assert out.trace_lines is not None
 
 
+@pytest.mark.parametrize("max_steps,code", [
+    (60, EXIT_BUDGET), (100, EXIT_BUDGET), (145, EXIT_BUDGET),
+    (146, EXIT_VIOLATION), (160, EXIT_VIOLATION)])
+def test_the_search_and_the_recorded_run_share_one_step_budget(max_steps,
+                                                               code):
+    # max_steps bounds every run from a fresh machine, the 35-step prefix
+    # included: the search's counterexample [0, 0, 0, 0, 14] runs 146
+    # steps from there, so below that the search cuts it and some plans
+    # more, and its certificate is BUDGET, not SAFE
+    sc = scenario(variant="sdk_style", sgx_version=2, adversary="exhaustive",
+                  budgets={"max_steps": max_steps})
+    cert = explorer.certify(sc)
+    out = explorer.run(sc)
+    assert out.exit_code == code
+    assert out.stats == cert.stats
+    if code == EXIT_BUDGET:
+        assert isinstance(cert.outcome, adversary.BudgetExceeded)
+        assert cert.outcome.reason.startswith("max_steps cut ")
+        assert out.status == "budget_exceeded" and "branch" not in out.stats
+    else:
+        assert isinstance(cert.outcome, adversary.Counterexample)
+        assert out.stats["branch"] == [0, 0, 0, 0, 14]
+        assert properties.any_violation(out.verdicts) is not None
+
+
 def test_only_modes_that_read_the_image_build_it(monkeypatch):
     # a monte_carlo scenario never reads an image; every other mode builds
     # exactly one

@@ -377,8 +377,9 @@ def test_step_locality(instructions):
 
 
 def test_decoded_program_dies_without_the_cycle_collector():
-    # the emulate_critical entry of a fetch table holds its program only
-    # weakly, so reference counting alone frees a decoded program
+    # no entry of a fetch table refers back to its program (emulate_critical
+    # completes against the machine's fetch_program), so reference
+    # counting alone frees a decoded program
     # once no image, machine and cache entry holds it
     enabled = gc.isenabled()
     gc.disable()

@@ -542,3 +542,20 @@ def test_images_share_one_program_per_assembly_input(tmp_path):
         assert explorer._image_for(sc).program is img.program, variant
         assert _same_assembly(img.program, _cold_program(
             variant, img.layout, img.toggles)), variant
+
+
+def test_images_of_one_program_hold_its_derived_fields_once():
+    # every field derived from the program alone is one object shared by
+    # the images of that program, and the gadget map cannot be changed
+    # through any of them
+    fields = runtimes.EnclaveImage._fields
+    derived = fields[fields.index("program"):fields.index("crit_ranges") + 1]
+    assert len(derived) == 9
+    for variant in runtimes.VARIANTS:
+        a = build_runtime(variant, toggles=Toggles(aslr_stack_offset=24))
+        b = build_runtime(variant, layout=runtimes.Layout(pubbuf_base=0x30000))
+        assert a.stack_base != b.stack_base
+        for name in derived:
+            assert getattr(a, name) is getattr(b, name), (variant, name)
+        with pytest.raises(TypeError):
+            a.gadgets["pivot"] = 0

@@ -60,6 +60,41 @@ def test_malformed_field_exits_one_with_message(tmp_path, capsys, section,
     assert not (tmp_path / "o").exists()
 
 
+# (key, a value other than its default, the modes that read it)
+_MODE_KEYS = [
+    ("vector", "page_fault", {"scripted"}),
+    ("route", "private", {"scripted"}),
+    ("boundary", 3, {"benign_nested", "benign_critical"}),
+    ("max_rounds", 5, {"multi_round_aslr"}),
+    ("trials", 7, {"monte_carlo"}),
+    ("inject_classes", ["page_fault"], {"exhaustive", "scripted"}),
+]
+
+
+@pytest.mark.parametrize("mode", reporting.ADVERSARY_MODES)
+@pytest.mark.parametrize("key,value,readers", _MODE_KEYS)
+def test_a_key_its_mode_never_reads_exits_one(tmp_path, capsys, mode, key,
+                                              value, readers):
+    # a value the mode would ignore fails closed, naming the key; the
+    # default, spelled out or null, is accepted by every mode, and so is a
+    # seed, which labels the trace header
+    doc = {"variant": "sdk_style", "adversary": mode, "seed": 5, key: value}
+    default = reporting.normalize_scenario({"variant": "sdk_style"})[key]
+    for same in (default, None):
+        reporting.normalize_scenario(dict(doc, **{key: same}))
+    if mode in readers:
+        assert reporting.normalize_scenario(doc)[key] == value
+        return
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    rc = cli.main(["run", "--scenario", str(path),
+                   "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: scenario:") and f"{key} is read only" in err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("key", ["seed", "sgx_version", "adversary",
                                  "sp_confinement_mode", "max_rounds",
                                  "trials"])
