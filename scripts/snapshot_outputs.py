@@ -16,7 +16,10 @@ still certifies, and one too small for the entry window's atomic section,
 under which the search finds a counterexample.  It runs `sdk_style`
 `exhaustive` at sgx 2 under step budgets of 100, 145 and 146: a run of
 its counterexample from a fresh machine takes 146 steps, prefix included,
-so the first two certify BUDGET and the last finds it.  These scenario
+so the first two certify BUDGET and the last finds it.  It runs
+`sdk_style` sgx 2 `scripted`, `benign`, `benign_critical` and
+`multi_round_aslr` under a 60-step budget, which cuts each recorded run
+before any safety violation, so each is BUDGET.  These scenario
 files are written to OUT/scenarios.  Every trace written is then replayed with
 `aexlab replay`, whose stdout lands next to the trace.  Exit codes go to
 OUT/exit_codes.txt.  Each job's stderr, less its `wall time ...s` part,
@@ -48,6 +51,9 @@ SCRIPTED_OFFSETS = (8, 24)
 MULTI_ROUND_OFFSETS = (33, 1000, 2048)
 QUOTA_GRANTS = ((64, 5000), (20, 5000))     # (allowed cycles, window)
 STEP_BUDGETS = (100, 145, 146)
+# the modes whose recorded run a 60-step budget cuts
+CUT_MODES = ("scripted", "benign", "benign_critical", "multi_round_aslr")
+CUT_STEPS = 60
 
 
 def _critical_docs():
@@ -90,6 +96,13 @@ def _step_budget_docs():
                {"variant": "sdk_style", "sgx_version": 2,
                 "adversary": "exhaustive",
                 "budgets": {"max_steps": max_steps}})
+
+
+def _cut_run_docs():
+    for mode in CUT_MODES:
+        yield (f"{mode}_sdk_style_sgx2_s{CUT_STEPS}",
+               {"variant": "sdk_style", "sgx_version": 2, "adversary": mode,
+                "budgets": {"max_steps": CUT_STEPS}})
 
 
 def _scenario_files(out: str, docs) -> list[tuple[str, str]]:
@@ -143,7 +156,7 @@ def main() -> int:
     for tag, path in _scenario_files(
             args.out, [*_critical_docs(), *_scripted_docs(),
                        *_multi_round_docs(), *_quota_grant_docs(),
-                       *_step_budget_docs()]):
+                       *_step_budget_docs(), *_cut_run_docs()]):
         jobs.append((tag, ["run", "--scenario", path], 1))
 
     codes = []

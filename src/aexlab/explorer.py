@@ -11,7 +11,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from . import adversary, reporting
 from .harness import (
-    FlipPerms, Point, PrepareRegs, RunResult, SeedRefused,
+    BUDGET_EXCEEDED, FlipPerms, Point, PrepareRegs, RunResult, SeedRefused,
     benign_critical_exception_plan, benign_nested_plan, benign_plan,
     prefix_plan, run_plan,
 )
@@ -104,6 +104,21 @@ def _verdicts(scenario: dict, image: EnclaveImage, trace: list,
                     cooperative=scenario["adversary"].startswith("benign"))
 
 
+def _judged(scenario: dict, image: EnclaveImage,
+            res: RunResult) -> tuple[list[Verdict], int]:
+    """The verdicts and exit code of a recorded run, for `run` and
+    `replay` alike.  A safety violation the run witnessed is exit 10, even
+    when the step budget then cut the run.  A cut run without one claims
+    nothing: no verdicts and exit 2, as a certification that the budget
+    cut."""
+    verdicts = _verdicts(scenario, image, res.trace)
+    if any_violation(verdicts):
+        return verdicts, EXIT_VIOLATION
+    if res.status == BUDGET_EXCEEDED:
+        return [], EXIT_BUDGET
+    return verdicts, EXIT_OK
+
+
 class Certification(NamedTuple):
     """The image searched, the search's outcome (Counterexample, NoneFound
     or BudgetExceeded) and its stats as reports give them, with a
@@ -137,10 +152,11 @@ def run(scenario: dict, workers: int = 1) -> Outcome:
     """Execute one scenario to a deterministic report.  Each mode computes
     its stats and the actions of its outcome; those actions then run once,
     recorded, and the verdicts, milestones and exit code all describe that
-    recorded run.  An exhaustive scenario is certified (`certify`); only a
-    counterexample is then re-run from a fresh machine and recorded, for
-    the report's verdicts and the trace.  A monte_carlo scenario reads no
-    image, so none is built."""
+    recorded run (`_judged`): a run that `max_steps` cut before any safety
+    violation has status budget_exceeded and exit code 2.  An exhaustive
+    scenario is certified (`certify`); only a counterexample is then re-run
+    from a fresh machine and recorded, for the report's verdicts and the
+    trace.  A monte_carlo scenario reads no image, so none is built."""
     mode = scenario["adversary"]
     if mode == "exhaustive":
         image, out, stats = certify(scenario, workers)
@@ -205,9 +221,9 @@ def run(scenario: dict, workers: int = 1) -> Outcome:
     reached = milestones(res.trace, image)
     if mode == "multi_round_aslr":
         stats["success"] = "anchor_written" in reached
-    verdicts = _verdicts(scenario, image, res.trace)
-    code = EXIT_VIOLATION if any_violation(verdicts) else EXIT_OK
-    return Outcome(scenario, "ok", verdicts, reached, stats, lines, code,
+    verdicts, code = _judged(scenario, image, res)
+    status = "budget_exceeded" if code == EXIT_BUDGET else "ok"
+    return Outcome(scenario, status, verdicts, reached, stats, lines, code,
                    search)
 
 
@@ -378,7 +394,8 @@ def _divergence(body_lines: list[str], i: int, got: str,
 
 def replay(scenario: dict, body_lines: list[str],
            declared_lines: int) -> ReplayResult:
-    """Re-execute the recorded actions and re-check every event digest.
+    """Re-execute the recorded actions and re-check every event digest;
+    the verdicts and exit code are judged as `run` judges them.
     A flip of a page the layout does not map, or a seed of other than
     aligned public words, raises TraceFileError naming its line."""
     if len(body_lines) != declared_lines:
@@ -410,8 +427,7 @@ def replay(scenario: dict, body_lines: list[str],
         return ReplayResult(False, min(len(lines), len(body_lines)),
                             "replay produced a different number of lines",
                             exit_code=EXIT_DIGEST_MISMATCH)
-    verdicts = _verdicts(scenario, image, res.trace)
-    code = EXIT_VIOLATION if any_violation(verdicts) else EXIT_OK
+    verdicts, code = _judged(scenario, image, res)
     return ReplayResult(True, verdicts=verdicts, exit_code=code)
 
 

@@ -190,6 +190,26 @@ def _page_index(pages: list[Page]) -> tuple[int, dict[int, tuple[Page, ...]]]:
     return shift, index
 
 
+WORD_TEXTS_MAX = 4096
+
+
+class _WordTexts(dict):
+    """``repr`` of 64-bit words, memoized for the registers that
+    ``Machine.digest`` formats: a recorded run's registers hold a few
+    hundred distinct words over thousands of digests.  It forgets every
+    word once it holds ``WORD_TEXTS_MAX``.  Registers hold ints, never
+    bools: ``True`` would share ``1``'s entry and text."""
+
+    def __missing__(self, word: int) -> str:
+        if len(self) >= WORD_TEXTS_MAX:
+            self.clear()
+        text = self[word] = repr(word)
+        return text
+
+
+_word_text = _WordTexts().__getitem__
+
+
 def _tuple_repr(parts: list[str]) -> str:
     """``repr`` of a tuple whose items have the ``repr`` strings `parts`:
     a one-tuple keeps its trailing comma."""
@@ -207,22 +227,23 @@ class Memory:
     Pages are immutable and the page list and its index are shared between
     clones; ``set_perms`` gives this memory its own copy (copy-on-write).
 
-    ``write`` and ``set_perms`` are the only mutators of cells and pages,
-    and each keeps its part of the text that ``Machine.digest`` splices in
-    up to date.  ``set_perms`` clears the cached ``pages_repr``.  The cell
-    part is one ``repr`` string per canonical cell, in address order
+    ``write`` and ``set_perms`` are the only mutators of cells and pages.
+    ``write`` keeps the cell text that ``Machine.digest`` hashes up to
+    date: one ``repr`` string per canonical cell, in address order
     (``_keys``, ``_parts``), built at the first ``cells_repr``; from then on
     ``write`` records the written address in ``_dirty`` and ``cells_repr``
     re-formats only those cells.  A memory never digested has no parts
     (``_dirty`` is None) and pays only the None check per write; clones
-    copy the parts only when they exist.
+    copy the parts only when they exist.  The page permissions' text is
+    the machine's (``Machine._pages``), which ``os_set_page_perms``, the
+    one caller of ``set_perms``, clears.
 
     ``fetch`` is the table instruction fetch reads for ``fetch_program``
     (see ``interp.fetch_table``): it depends on the pages, so clones share
     it and ``set_perms`` drops it."""
 
     __slots__ = ("pages", "cells", "labels", "shift", "index",
-                 "_keys", "_parts", "_dirty", "_cells_repr", "_pages_repr",
+                 "_keys", "_parts", "_dirty", "_cells_repr",
                  "fetch", "fetch_program")
 
     def __init__(self, pages: list[Page]):
@@ -233,8 +254,7 @@ class Memory:
         self._keys: Optional[list[int]] = None
         self._parts: Optional[list[str]] = None
         self._dirty: Optional[set[int]] = None
-        self._cells_repr = ""
-        self._pages_repr: Optional[str] = None
+        self._cells_repr = b""
         self.fetch: Optional[dict] = None
         self.fetch_program = None
 
@@ -252,7 +272,6 @@ class Memory:
             m._parts = list(self._parts)
             m._dirty = set(self._dirty)
         m._cells_repr = self._cells_repr
-        m._pages_repr = self._pages_repr
         m.fetch = self.fetch
         m.fetch_program = self.fetch_program
         return m
@@ -266,14 +285,14 @@ class Memory:
     def set_perms(self, base: int, perms: int) -> bool:
         """Replace the first page based at `base` by one with `perms`, in
         this memory only, and drop its fetch table.  False when no page
-        starts there."""
+        starts there.  Only ``Machine.os_set_page_perms`` calls it, and it
+        clears the machine's cached page text (``Machine._pages``)."""
         for i, p in enumerate(self.pages):
             if p.base == base:
                 pages = list(self.pages)
                 pages[i] = Page(p.base, p.size, p.kind, perms)
                 self.pages = pages
                 self.shift, self.index = _page_index(pages)
-                self._pages_repr = None
                 self.fetch = self.fetch_program = None
                 return True
         return False
@@ -331,10 +350,12 @@ class Memory:
                 items[a] = (items.get(a, (0, 0))[0], 1)
         return sorted((a, v, s) for a, (v, s) in items.items())
 
-    def cells_repr(self) -> str:
-        """``repr(tuple(self.canonical()))``.  Only the cells written since
-        the previous call are formatted again; a cell that became zero and
-        public leaves the tuple."""
+    def cells_repr(self) -> bytes:
+        """``repr(tuple(self.canonical()))``, encoded: the bytes
+        ``Machine.digest`` feeds to SHA-256.  Only the cells written since
+        the previous call are formatted again, and the text is joined and
+        encoded again only then; a cell that became zero and public leaves
+        the tuple."""
         dirty = self._dirty
         if dirty is None:
             cells = self.canonical()
@@ -362,16 +383,8 @@ class Memory:
             dirty.clear()
         else:
             return self._cells_repr
-        self._cells_repr = _tuple_repr(self._parts)
+        self._cells_repr = _tuple_repr(self._parts).encode()
         return self._cells_repr
-
-    def pages_repr(self) -> str:
-        """``repr`` of the page-permission tuple, cached until the next
-        ``set_perms``."""
-        if self._pages_repr is None:
-            self._pages_repr = repr(tuple((p.base, p.size, p.kind, p.perms)
-                                          for p in self.pages))
-        return self._pages_repr
 
 
 # ---------------------------------------------------------------------------
@@ -552,15 +565,19 @@ class Machine:
     path conditions over the staged rsp word into; a clone gets its own
     copy of the run's part of it.  It changes nothing the machine does.
 
-    ``_platform`` caches the digest text of the TCS, the SSA frames, aep,
-    version and extension state.  Every transition that changes one of them
-    calls ``platform_changed``.
+    ``_pages`` and ``_platform`` cache encoded parts of the digest text
+    (see ``digest``).  ``_pages``, the page permissions, is cleared by
+    ``os_set_page_perms``.  ``_platform``, the TCS, the SSA frames, aep,
+    version and extension state, is cleared through ``platform_changed`` by
+    every transition that changes one of them.  They are two caches
+    because the platform changes at every entry and exit, the pages
+    almost never.
     """
 
     __slots__ = ("mode", "regs", "taint", "mem", "tcs", "ssa", "aep",
                  "sgx_version", "hw", "cycle", "trace", "entry_atomic_cycles",
                  "pending_fault", "halted", "influenced", "path",
-                 "_platform")
+                 "_pages", "_platform")
 
     def __init__(self, mem: Memory, tcs: TCS, sgx_version: int = SGX2,
                  hw: Optional[HwExt] = None, entry_atomic_cycles: int = 32):
@@ -580,7 +597,8 @@ class Machine:
         self.halted = False
         self.influenced = 0
         self.path = None
-        self._platform: Optional[str] = None
+        self._pages: Optional[bytes] = None
+        self._platform: Optional[bytes] = None
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -603,6 +621,7 @@ class Machine:
         m.halted = self.halted
         m.influenced = self.influenced
         m.path = self.path if self.path is None else self.path.fork()
+        m._pages = self._pages
         m._platform = self._platform
         return m
 
@@ -729,6 +748,7 @@ class Machine:
             raise MachineError("page tables are OS-controlled")
         if not self.mem.set_perms(page_base, perms):
             raise UnknownPage(hex(page_base))
+        self._pages = None
         self.emit(E_HW_FLIP, page_base, perms)
 
     def grant_irq_quota(self, allowed: int, window: int) -> None:
@@ -810,13 +830,20 @@ class Machine:
 
     def digest(self) -> str:
         """The first 16 hex digits of the SHA-256 of ``repr(canonical())``.
-        The text is spliced from cached segments: the memory cells
-        (re-formatted per written cell), the page permissions, and the
-        platform segment (TCS, SSA frames from each frame's own cache, aep,
-        version, extension state).  Only mode, registers, taint, cycle,
-        pending fault and halted are formatted on every call.  The text is
-        byte-for-byte the ``repr`` of the canonical tuple."""
-        mem = self.mem
+        SHA-256 is fed the bytes of that text in five segments, three of
+        them cached: the memory cells (``Memory.cells_repr``, re-formatted
+        per written cell), the page permissions (``_pages``) and the
+        platform (``_platform``: the TCS, the SSA frames from each frame's
+        own cache, aep, version and extension state).  Only mode,
+        registers, taint, cycle, pending fault and halted are formatted on
+        every call, the registers from a memo of word texts and without
+        building a tuple.  The bytes are exactly those of the ``repr`` of
+        the canonical tuple."""
+        pages = self._pages
+        if pages is None:
+            pages = tuple((p.base, p.size, p.kind, p.perms)
+                          for p in self.mem.pages)
+            pages = self._pages = f", {pages!r}, ".encode()
         platform = self._platform
         if platform is None:
             tcs = self.tcs
@@ -825,10 +852,13 @@ class Machine:
             frames = _tuple_repr([f.canonical_repr() for f in self.ssa])
             platform = self._platform = (
                 f"{tcs_t!r}, {frames}, {self.aep!r}, {self.sgx_version!r}, "
-                f"{self.hw.canonical()!r}")
-        text = (f"({self.mode!r}, {tuple(self.regs)!r}, "
-                f"{self.taint & SECRET_REGS!r}, "
-                f"{mem.cells_repr()}, {mem.pages_repr()}, {platform}, "
-                f"{self.cycle!r}, {self.pending_fault!r}, "
-                f"{int(self.halted)!r})")
-        return hashlib.sha256(text.encode()).hexdigest()[:16]
+                f"{self.hw.canonical()!r}, ").encode()
+        h = hashlib.sha256(
+            f"({self.mode!r}, ({', '.join(map(_word_text, self.regs))}), "
+            f"{self.taint & SECRET_REGS!r}, ".encode())
+        h.update(self.mem.cells_repr())
+        h.update(pages)
+        h.update(platform)
+        h.update(f"{self.cycle!r}, {self.pending_fault!r}, "
+                 f"{int(self.halted)!r})".encode())
+        return h.hexdigest()[:16]

@@ -7,9 +7,11 @@ import os
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from aexlab import (
-    adversary, explorer, harness, isa, properties, reporting, runtimes,
+    adversary, cli, explorer, harness, isa, properties, reporting, runtimes,
 )
 from aexlab.explorer import (
     EXIT_BUDGET, EXIT_DIGEST_MISMATCH, EXIT_OK, EXIT_VIOLATION,
@@ -120,6 +122,52 @@ def test_the_search_and_the_recorded_run_share_one_step_budget(max_steps,
         assert isinstance(cert.outcome, adversary.Counterexample)
         assert out.stats["branch"] == [0, 0, 0, 0, 14]
         assert properties.any_violation(out.verdicts) is not None
+
+
+@pytest.mark.parametrize("mode", ("scripted", "benign", "benign_critical",
+                                  "multi_round_aslr"))
+def test_a_run_the_step_budget_cut_is_budget(mode, tmp_path):
+    # 60 steps end each of these recorded runs early, before any safety
+    # violation: the scripted attack after anchor_written, before its
+    # pivot and leak.  A cut run claims no verdict and exits 2, as a
+    # certification the budget cut does, and its replay agrees
+    doc = {"variant": "sdk_style", "sgx_version": 2, "adversary": mode,
+           "budgets": {"max_steps": 60}}
+    out = explorer.run(reporting.normalize_scenario(doc))
+    assert (out.status, out.exit_code, out.verdicts) == \
+        ("budget_exceeded", EXIT_BUDGET, [])
+    assert out.trace_lines is not None
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["run", "--scenario", str(path),
+                     "--out", str(tmp_path)]) == EXIT_BUDGET
+    with open(tmp_path / "report.json") as fh:
+        report = json.load(fh)
+    assert (report["status"], report["exit_code"], report["verdicts"]) == \
+        ("budget_exceeded", EXIT_BUDGET, [])
+    assert cli.main(["replay", "--trace",
+                     str(tmp_path / "run.trace")]) == EXIT_BUDGET
+
+
+@pytest.mark.parametrize("max_steps,code", [
+    (145, EXIT_BUDGET), (146, EXIT_VIOLATION), (156, EXIT_VIOLATION),
+    (DEFAULT_MAX_STEPS, EXIT_VIOLATION)])
+def test_a_violation_stands_on_a_run_the_step_budget_cut(max_steps, code):
+    # the scripted sdk_style sgx2 run violates anchor_integrity and cfi at
+    # its 146th step and halts at its 158th: cut at 145 it witnessed no
+    # violation and is BUDGET; cut at 146 or 156 its violation stands
+    sc = scenario(variant="sdk_style", sgx_version=2, adversary="scripted",
+                  budgets={"max_steps": max_steps})
+    out = explorer.run(sc)
+    assert out.exit_code == code
+    cut = max_steps < 158
+    assert (out.stats["status"] == "budget_exceeded") == cut
+    assert out.status == ("budget_exceeded" if code == EXIT_BUDGET
+                          else "ok")
+    assert (properties.any_violation(out.verdicts) is not None) == \
+        (code == EXIT_VIOLATION)
+    replayed = explorer.replay(sc, out.trace_lines, len(out.trace_lines))
+    assert replayed.ok and replayed.exit_code == code
 
 
 def test_only_modes_that_read_the_image_build_it(monkeypatch):
@@ -463,6 +511,23 @@ def test_event_lines_round_trip_every_kind():
                 "A retire 0x1 0x2 0x3 0x4 0123456789abcdef"):
         with pytest.raises(ValueError):
             reporting.event_from_line(bad)
+
+
+_FIELDS = st.integers(0, MASK64) | st.booleans()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, len(EVENT_NAMES) - 1), _FIELDS, _FIELDS, _FIELDS,
+       _FIELDS)
+@example(0, 0, 0, 0, 0)
+@example(len(EVENT_NAMES) - 1, MASK64, MASK64, MASK64, MASK64)
+@example(1, True, False, True, False)
+def test_event_lines_render_fields_as_the_hex_format_spec(kind, pc, a, b, c):
+    # `event_to_line` renders with hex(); the trace format is the "#x"
+    # format spec, for any 64-bit field and for bools
+    digest = "0123456789abcdef"
+    assert reporting.event_to_line((kind, pc, a, b, c), digest) == (
+        f"E {EVENT_NAMES[kind]} {pc:#x} {a:#x} {b:#x} {c:#x} {digest}")
 
 
 def test_every_digest_is_the_canonical_digest():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from aexlab import adversary
+from aexlab import adversary, machine
 from aexlab.harness import (
     BENIGN_OCALL_RESULT, BENIGN_REGS, Eenter, FlipPerms, InjectAex, run_plan,
 )
@@ -477,6 +477,61 @@ def test_clone_is_independent():
         assert other.mem.executable(CODE)
     assert m.digest() == sibling.digest() == parent
     assert flipped.digest() != parent
+
+
+def test_digest_is_canonical_right_after_a_perms_flip():
+    # the page permissions' digest text is cached on the machine, and
+    # os_set_page_perms clears it
+    m, _ = enclave_machine()
+    m.eexit(0x4000)
+    before = m.digest()
+    m.os_set_page_perms(CODE, PERM_R)
+    assert m.digest() == canonical_digest(m) != before
+    m.os_set_page_perms(CODE, PERM_R | PERM_X)
+    assert m.digest() == canonical_digest(m) == before
+
+
+def test_digest_is_canonical_after_a_flip_on_a_clone():
+    # a clone starts from its parent's cached page text; the flip clears
+    # the clone's only
+    m, _ = enclave_machine()
+    m.eexit(0x4000)
+    before = m.digest()
+    flipped = m.clone()
+    flipped.os_set_page_perms(DATA, PERM_R)
+    assert flipped.digest() == canonical_digest(flipped) != before
+    assert m.digest() == canonical_digest(m) == before
+
+
+def test_digest_is_canonical_after_writes_to_a_clone_of_a_digested_memory():
+    # a clone copies its parent's cell parts and encoded text; a write to
+    # either re-encodes only the writer's, whichever digests first
+    m, _ = enclave_machine()
+    m.mem.write(DATA, 5, False)
+    m.mem.write(DATA + 8, 0, True)
+    before = m.digest()
+    c = m.clone()
+    c.mem.write(DATA + 16, 7, False)
+    assert m.digest() == canonical_digest(m) == before
+    assert c.digest() == canonical_digest(c) != before
+    c.mem.write(DATA, 0, False)
+    c.mem.write(DATA + 8, 0, False)
+    assert c.digest() == canonical_digest(c)
+    m.mem.write(DATA, 6, False)
+    assert c.digest() == canonical_digest(c)
+    assert m.digest() == canonical_digest(m) != before
+
+
+def test_digest_is_canonical_when_the_word_memo_forgets(monkeypatch):
+    # the registers' texts come from a bounded memo of words; a digest
+    # right after the memo forgets them all formats them afresh
+    monkeypatch.setattr(machine, "WORD_TEXTS_MAX", 3)
+    m, _ = enclave_machine()
+    m.eexit(0x4000)
+    for i in range(6):
+        m.regs[RDI] = MASK64 - i
+        m.regs[RSP] = i << 40
+        assert m.digest() == canonical_digest(m)
 
 
 def test_flip_perms_runs_end_to_end_on_a_snapshot_clone():
