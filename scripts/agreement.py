@@ -10,20 +10,22 @@ disagreement, and raises at entry when a name it wraps is gone, rather
 than silently checking nothing.  A seventh, `emulation_differential()`,
 checks critical-span completion against native execution.
 
-- `covered()` wraps `adversary._count_covered`, which adds a later
-  binding's covered plans to the search's counts without running them.
-  It builds and runs every plan of each group next to its representative,
-  the same shape of the branch's first binding.  The plan must differ from
-  its representative, and give the same trace and status and the kept
-  status, steps and boundaries.  The runs, steps and injected boundaries
-  added must equal the sums over the group's plans.  Yields each plan's
-  actions.
+- `covered()` wraps `adversary._count_covered`, which adds later
+  bindings' covered plans to the search's counts without running them:
+  one binding's, or, once a binding whose dry run is covered schedules
+  nothing to run, every remaining binding of the branch in one call.  It
+  builds and runs every plan of the group under every binding the call
+  adds, next to its representative, the same shape of the branch's first
+  binding.  The plan must differ from its representative, and give the
+  same trace and status and the kept status, steps and boundaries.  The
+  runs, steps and injected boundaries added must equal the sums over all
+  those plans.  Yields each plan's actions.
 - `classes()` wraps `adversary._rsp_class`, which decides from a
-  branch's staged rsp word, before any plan of the branch runs, whether an
-  earlier branch's rsp class counts the branch's first binding instead of
-  running it.  For every branch a class counts, it walks that binding plan
-  by plan from `space.root`, next to the same plan of the class's
-  representative.  Each plan must give the status,
+  branch's command and staged rsp word, before any plan of the branch is
+  built, whether an earlier branch's rsp class counts the branch's first
+  binding instead of running it.  For every branch a class counts, it
+  walks that binding plan by plan from `space.root`, next to the same
+  plan of the class's representative.  Each plan must give the status,
   steps and boundaries the class counts for it and the representative's
   safety verdicts (outcome and witness index), and a trace whose fields
   differ from the representative's only by the difference of the two rsp
@@ -188,36 +190,42 @@ def covered():
     real = _original(adversary, "_count_covered")
     compared = []
 
-    def wrapper(space, binding, group, clean, stats):
+    def wrapper(space, cmd, rsp, payloads, group, clean, stats):
         before = {k: getattr(stats, k) for k in ("runs", "steps",
                                                  "boundaries")}
-        real(space, binding, group, clean, stats)
-        entry = space.entry(*binding)
-        first = space.entry(binding[0], binding[1], space.words[0])
+        real(space, cmd, rsp, payloads, group, clean, stats)
+        first = space.entry(cmd, rsp, space.words[0])
         max_steps = space.max_steps
-        want_steps = 0
+        kept = {}       # shape -> what its representative's run gave
         for shape in group.shapes:
             rep = clean[shape]
-            actions = adversary._candidate_actions(entry, shape)
             rep_actions = adversary._candidate_actions(first, shape)
-            if actions == rep_actions:
-                raise Mismatch(f"covered: plan {actions} of {binding} is "
-                               f"its own representative")
-            got = harness.run_plan(space.root.clone(), space.image, actions,
-                                   max_steps=max_steps)
             want = harness.run_plan(space.root.clone(), space.image,
                                     rep_actions, max_steps=max_steps)
-            kept = dict(_counts(want), status=rep[0], steps=rep[1],
-                        boundaries=rep[2])
+            kept[shape] = dict(_counts(want), status=rep[0], steps=rep[1],
+                               boundaries=rep[2])
             _require_same("covered", f"representative {rep_actions}",
-                          _counts(want), kept)
-            _require_same("covered", f"plan {actions}", _counts(got), kept)
-            want_steps += want.steps
-            compared.append(actions)
+                          _counts(want), kept[shape])
+        sums = {"runs": 0, "steps": 0, "boundaries": 0}
+        for payload in payloads:
+            entry = space.entry(cmd, rsp, payload)
+            for shape in group.shapes:
+                actions = adversary._candidate_actions(entry, shape)
+                if actions == adversary._candidate_actions(first, shape):
+                    raise Mismatch(f"covered: plan {actions} of "
+                                   f"{(cmd, rsp, payload)} is its own "
+                                   f"representative")
+                got = harness.run_plan(space.root.clone(), space.image,
+                                       actions, max_steps=max_steps)
+                _require_same("covered", f"plan {actions}", _counts(got),
+                              kept[shape])
+                sums["runs"] += 1
+                sums["steps"] += kept[shape]["steps"]
+                sums["boundaries"] += shape is not None
+                compared.append(actions)
         got = {k: getattr(stats, k) - n for k, n in before.items()}
-        want = {"runs": len(group.shapes), "steps": want_steps,
-                "boundaries": sum(s is not None for s in group.shapes)}
-        _require_same("covered", f"group of {binding}", got, want)
+        _require_same("covered", f"group of {len(payloads)} bindings of "
+                                 f"{(cmd, rsp)}", got, sums)
 
     with _installed(adversary, _count_covered=wrapper):
         yield compared
@@ -255,8 +263,8 @@ def classes():
     branches = []
     compared = []
 
-    def walk(space, entry, cls):
-        cmd, word = entry[1].cmd, dict(entry[0].regs)["rsp"]
+    def walk(space, cmd, word, cls):
+        entry = space.entry(cmd, word, space.words[0])
         first = space.entry(cmd, cls.word, space.words[0])
         offset = (word - cls.word) & machine.MASK64
         max_steps = space.max_steps
@@ -296,10 +304,10 @@ def classes():
                            f"{shapes}, its class counts {list(cls.shapes)}")
         branches.append((cmd, word))
 
-    def wrapper(space, entry):
-        cls, counted = real(space, entry)
+    def wrapper(space, cmd, word):
+        cls, counted = real(space, cmd, word)
         if counted:
-            walk(space, entry, cls)
+            walk(space, cmd, word, cls)
         return cls, counted
 
     with _installed(adversary, _rsp_class=wrapper):

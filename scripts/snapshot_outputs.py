@@ -17,6 +17,9 @@ under which the search finds a counterexample.  It runs `sdk_style`
 `exhaustive` at sgx 2 under step budgets of 100, 145 and 146: a run of
 its counterexample from a fresh machine takes 146 steps, prefix included,
 so the first two certify BUDGET and the last finds it.  It runs
+`sdk_style` `exhaustive` at sgx 1 under run budgets of 1000 and 4000
+(of 6336 plans): each stops the search right after a branch whose last
+11 payload bindings are counted in one step.  It runs
 `sdk_style` sgx 2 `scripted`, `benign`, `benign_critical` and
 `multi_round_aslr` under a 60-step budget, which cuts each recorded run
 before any safety violation, so each is BUDGET.  These scenario
@@ -51,6 +54,8 @@ SCRIPTED_OFFSETS = (8, 24)
 MULTI_ROUND_OFFSETS = (33, 1000, 2048)
 QUOTA_GRANTS = ((64, 5000), (20, 5000))     # (allowed cycles, window)
 STEP_BUDGETS = (100, 145, 146)
+# each cuts sdk_style sgx1 after a branch counted in one step
+RUN_BUDGETS = (1000, 4000)
 # the modes whose recorded run a 60-step budget cuts
 CUT_MODES = ("scripted", "benign", "benign_critical", "multi_round_aslr")
 CUT_STEPS = 60
@@ -96,6 +101,14 @@ def _step_budget_docs():
                {"variant": "sdk_style", "sgx_version": 2,
                 "adversary": "exhaustive",
                 "budgets": {"max_steps": max_steps}})
+
+
+def _run_budget_docs():
+    for max_runs in RUN_BUDGETS:
+        yield (f"exhaustive_sdk_style_sgx1_r{max_runs}",
+               {"variant": "sdk_style", "sgx_version": 1,
+                "adversary": "exhaustive",
+                "budgets": {"max_runs": max_runs}})
 
 
 def _cut_run_docs():
@@ -156,7 +169,8 @@ def main() -> int:
     for tag, path in _scenario_files(
             args.out, [*_critical_docs(), *_scripted_docs(),
                        *_multi_round_docs(), *_quota_grant_docs(),
-                       *_step_budget_docs(), *_cut_run_docs()]):
+                       *_step_budget_docs(), *_run_budget_docs(),
+                       *_cut_run_docs()]):
         jobs.append((tag, ["run", "--scenario", path], 1))
 
     codes = []

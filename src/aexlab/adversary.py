@@ -427,39 +427,42 @@ def _schedule(clean: dict, n_boundaries: int, at_entry: tuple,
     return _Schedule(tuple(runs), _group(shapes, steps))
 
 
-def _count_covered(space: SearchSpace, binding: tuple, group: CoveredGroup,
-                   clean: dict, stats: SearchStats) -> None:
+def _count_covered(space: SearchSpace, cmd: int, rsp: int, payloads: tuple,
+                   group: CoveredGroup, clean: dict,
+                   stats: SearchStats) -> None:
     """Add the runs, steps and injected boundaries of the plans of `group`
-    under `binding` (the arguments of `space.entry`) to `stats`, without
-    building or running them.  No payload value reached a sink in any of
-    their representatives, the same shapes of the branch's first binding
+    under each binding (`cmd`, `rsp`, payload) of `payloads` (the
+    arguments of `space.entry`) to `stats`, without building or running
+    them.  No payload value reached a sink in any of their
+    representatives, the same shapes of the branch's first binding
     (`clean[shape]`: status, steps, boundaries), so each plan would repeat
     its representative's run.  The search calls this once per payload
-    binding it runs or schedules; a representative's first binding has an
-    empty group.  The `covered` oracle of scripts/agreement.py wraps it to
-    build and run every plan of the group next to its representative and
-    compare."""
-    stats.runs += len(group.shapes)
-    stats.steps += group.steps
-    stats.boundaries += group.boundaries
+    binding that runs a plan, and once for all the bindings after the
+    last one that does; a representative's first binding has an empty
+    group.  The `covered` oracle of scripts/agreement.py wraps it to build
+    and run every plan of the group under each binding next to its
+    representative and compare."""
+    n = len(payloads)
+    stats.runs += n * len(group.shapes)
+    stats.steps += n * group.steps
+    stats.boundaries += n * group.boundaries
 
 
-def _rsp_class(space: SearchSpace, entry: tuple) -> tuple[RspClass, bool]:
-    """The rsp class of the branch whose first binding stages `entry`,
-    decided from the staged rsp word alone, before any plan of the branch
-    runs: the first class of the command, in the order found, that admits
-    the word, which then counts the branch's first binding (True).  A word
-    no class admits starts a class of its own, whose representative the
-    branch's first binding is (False).  A class admits a word its
-    representative's path admits (``interp.RspPath.admits``).  Search
-    plans never change a page's permissions, so the root's pages are those
-    of every run, and never seed memory, so only instructions write it.
-    The `classes` oracle of scripts/agreement.py wraps this to run every
-    first-binding plan of a counted branch next to its representative's
-    and compare."""
-    prepare, enter = entry
-    word = dict(prepare.regs)["rsp"]
-    found = space.rsp_classes.setdefault(enter.cmd, [])
+def _rsp_class(space: SearchSpace, cmd: int,
+               word: int) -> tuple[RspClass, bool]:
+    """The rsp class of the branch (`cmd`, `word`), decided from the
+    command and the staged rsp word alone, before any plan or entry of the
+    branch is built: the first class of the command, in the order found,
+    that admits the word, which then counts the branch's first binding
+    (True).  A word no class admits starts a class of its own, whose
+    representative the branch's first binding is (False).  A class admits
+    a word its representative's path admits (``interp.RspPath.admits``).
+    Search plans never change a page's permissions, so the root's pages
+    are those of every run, and never seed memory, so only instructions
+    write it.  The `classes` oracle of scripts/agreement.py wraps this to
+    run every first-binding plan of a counted branch next to its
+    representative's and compare."""
+    found = space.rsp_classes.setdefault(cmd, [])
     for cls in found:
         if cls.path.admits(word, space.root.mem, space.checkpoint.stack_ok):
             return cls, True
@@ -524,7 +527,10 @@ def _search_branch(space: SearchSpace, cmd_i: int, rsp_i: int,
     representative ran clean would repeat that run exactly, so it is
     counted, not run.  Every binding runs its dry run unless that is
     covered, then the shapes its schedule lists, and counts the rest as
-    one group; a later binding with nothing to run costs a lookup.  A
+    one group.  A later binding whose dry run is covered shares its
+    schedule with every binding after it, so once that schedule lists
+    nothing to run, one count adds all the remaining bindings and the
+    branch ends; only a binding that runs a plan builds its `entry`.  A
     covered plan can only violate where its representative, searched
     first, already did; at a counterexample the stats count the covered
     plans before it and none after it, as a plan-by-plan walk would.  An
@@ -555,8 +561,7 @@ def _search_branch(space: SearchSpace, cmd_i: int, rsp_i: int,
                               AttackPlan("exhaustive", actions), res.trace,
                               monitor.verdicts(), stats)
 
-    cls, counted = _rsp_class(space,
-                              space.entry(cmd, rsp_bind, space.words[0]))
+    cls, counted = _rsp_class(space, cmd, rsp_bind)
     stats.branches += 1
     stats.classed += counted
     if counted:
@@ -565,17 +570,17 @@ def _search_branch(space: SearchSpace, cmd_i: int, rsp_i: int,
         stats.steps += sum(row[1] for row in rows)
         stats.boundaries += len(rows) - 1   # every shape but the dry run
     clean = cls.clean       # plan shape -> clean representative
+    words = space.words
 
-    for pay_i in range(counted, len(space.words)):
+    for pay_i in range(counted, len(words)):
         # the representative's first binding runs every shape, labelled
         rep = cls if pay_i == 0 else None
-        binding = (cmd, rsp_bind, space.words[pay_i])
         entry = None
         points = ()
         if None in clean:
             n_boundaries = min(clean[None][2], cap)
         else:
-            entry = space.entry(*binding)
+            entry = space.entry(cmd, rsp_bind, words[pay_i])
             actions, res = _attempt(space, entry, None, (), True, rep, stats)
             ce = found(pay_i, None, actions, res)
             if ce is not None:
@@ -589,17 +594,24 @@ def _search_branch(space: SearchSpace, cmd_i: int, rsp_i: int,
             if schedule is None:
                 schedule = cls.schedules[n_boundaries] = _schedule(
                     clean, n_boundaries, at_entry, inside)
-        if schedule.runs and entry is None:
-            entry = space.entry(*binding)
+            if entry is None and not schedule.runs:
+                # every later binding has this covered dry run and schedule
+                _count_covered(space, cmd, rsp_bind, words[pay_i:],
+                               schedule.covered, clean, stats)
+                return None
+        if entry is None:
+            entry = space.entry(cmd, rsp_bind, words[pay_i])
         for inject, take, before in schedule.runs:
             actions, res = _attempt(space, entry, inject, points, take, rep,
                                     stats)
             stats.boundaries += 1
             ce = found(pay_i, inject, actions, res)
             if ce is not None:
-                _count_covered(space, binding, before, clean, stats)
+                _count_covered(space, cmd, rsp_bind,
+                               words[pay_i:pay_i + 1], before, clean, stats)
                 return ce
-        _count_covered(space, binding, schedule.covered, clean, stats)
+        _count_covered(space, cmd, rsp_bind, words[pay_i:pay_i + 1],
+                       schedule.covered, clean, stats)
     return None
 
 

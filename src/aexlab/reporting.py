@@ -71,12 +71,13 @@ _MODE_KEYS = {
 
 def _int(value, what: str, lo: Optional[int] = None,
          hi: Optional[int] = None) -> int:
-    """`value` as an integer in [lo, hi]; bool is not an integer here."""
+    """`value` as an integer in [lo, hi], or at least lo when hi is None;
+    bool is not an integer here."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ScenarioError(f"{what} must be an integer, got {value!r}")
     if (lo is not None and value < lo) or (hi is not None and value > hi):
-        bounds = f"[{'' if lo is None else lo}, {'' if hi is None else hi}]"
-        raise ScenarioError(f"{what} must be in {bounds}, got {value}")
+        bounds = f"at least {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise ScenarioError(f"{what} must be {bounds}, got {value}")
     return value
 
 

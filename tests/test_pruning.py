@@ -669,6 +669,73 @@ def test_covered_plans_repeat_their_representatives():
                     == out.stats.runs - out.stats.executed)
 
 
+@pytest.mark.parametrize("off", (-1, 1))
+def test_the_covered_oracle_catches_a_one_step_count_off_by_a_binding(
+        monkeypatch, off):
+    # the bindings after a branch's last run are counted in one call of the
+    # wrapped name; a count that adds one binding too few or too many must
+    # disagree with the plans the oracle runs
+    count_covered = adversary._count_covered
+
+    def miscounted(space, cmd, rsp, payloads, group, clean, stats):
+        count_covered(space, cmd, rsp, payloads, group, clean, stats)
+        if len(payloads) > 1:
+            stats.runs += off * len(group.shapes)
+            stats.steps += off * group.steps
+            stats.boundaries += off * group.boundaries
+
+    monkeypatch.setattr(adversary, "_count_covered", miscounted)
+    with pytest.raises(agreement.Mismatch, match="^covered: group of "):
+        with agreement.covered():
+            exhaustive_attacker(build_runtime("dedicated_stack"), SGX2)
+
+
+@pytest.mark.parametrize("variant,sgx", (("sdk_style", SGX1),
+                                         ("dedicated_stack", SGX2)))
+def test_a_counted_branch_builds_no_entry_and_counts_in_one_step(
+        monkeypatch, variant, sgx):
+    # per branch: the payload words whose entry was built, those of the
+    # bindings that ran a plan, and the calls of the count function
+    image = build_runtime(variant)
+    words = adversary.search_space(image, sgx).words
+    assert len(set(words)) == len(words)    # a payload word names a binding
+    branches = []
+    entry, search_branch = (adversary.SearchSpace.entry,
+                            adversary._search_branch)
+    attempt, count_covered = adversary._attempt, adversary._count_covered
+
+    def recorded_branch(space, cmd_i, rsp_i, stats):
+        branches.append((stats, [], set(), []))
+        return search_branch(space, cmd_i, rsp_i, stats)
+
+    def recorded_entry(space, cmd, rsp, payload):
+        branches[-1][1].append(payload)
+        return entry(space, cmd, rsp, payload)
+
+    def recorded_attempt(space, staged, *args):
+        branches[-1][2].add(dict(staged[0].regs)["r8"])
+        return attempt(space, staged, *args)
+
+    def recorded_count(space, *args):
+        branches[-1][3].append(args)
+        count_covered(space, *args)
+
+    monkeypatch.setattr(adversary, "_search_branch", recorded_branch)
+    monkeypatch.setattr(adversary.SearchSpace, "entry", recorded_entry)
+    monkeypatch.setattr(adversary, "_attempt", recorded_attempt)
+    monkeypatch.setattr(adversary, "_count_covered", recorded_count)
+    out = exhaustive_attacker(image, sgx)
+    assert isinstance(out, NoneFound)
+    assert len(branches) == out.stats.branches
+    assert sum(b[0].classed for b in branches) == out.stats.classed > 0
+    for stats, built, ran, counts in branches:
+        # an entry is built once per binding that runs a plan, and only then
+        assert sorted(built) == sorted(ran)
+        if stats.classed:
+            assert built == [] and len(counts) == 1
+            assert counts[0][2] == words[1:]
+
+
 def test_pruning_stays_sound_where_the_payload_matters(monkeypatch):
     # with the monitor silenced, a VULN variant's search enumerates plans
     # whose payload lands on the anchor; their representatives are
@@ -846,8 +913,7 @@ def _plan_by_plan(image, sgx_version, classes, budget, grant, sp_mode):
     stats = adversary.SearchStats()
     for cmd_i, cmd in enumerate(space.commands):
         for rsp_i, rsp in enumerate(space.words):
-            cls, counted = adversary._rsp_class(
-                space, space.entry(cmd, rsp, space.words[0]))
+            cls, counted = adversary._rsp_class(space, cmd, rsp)
             stats.branches += 1
             stats.classed += counted
             for pay_i, payload in enumerate(space.words):
@@ -892,7 +958,7 @@ def _plan_by_plan(image, sgx_version, classes, budget, grant, sp_mode):
 
 
 def _counters(stats) -> dict:
-    """All seven counters of a SearchStats, including those reports leave
+    """All eight counters of a SearchStats, including those reports leave
     out."""
     return {name: getattr(stats, name)
             for name in adversary.SearchStats.__slots__}
@@ -956,9 +1022,9 @@ def test_a_counterexample_mid_binding_counts_the_covered_plans_before_it(
         executed.append((args[5] is not None, args[2]))
         return attempt(*args)
 
-    def recorded_group(space, binding, group, clean, stats):
-        groups.setdefault(binding, []).append(group)
-        count_covered(space, binding, group, clean, stats)
+    def recorded_group(space, cmd, rsp, payloads, group, clean, stats):
+        groups.setdefault((cmd, rsp, payloads), []).append(group)
+        count_covered(space, cmd, rsp, payloads, group, clean, stats)
 
     monkeypatch.setattr(adversary, "_attempt", recorded_attempt)
     monkeypatch.setattr(adversary, "_count_covered", recorded_group)

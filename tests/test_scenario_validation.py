@@ -22,6 +22,13 @@ from aexlab.runtimes import VARIANTS, Layout, build_machine
     ("toggles", "flag_strategy", "sometimes", "flag_strategy"),
     ("toggles", "sgx1_valid_check_removed", 1, "true or false"),
     ("hw_ext", "allowed", "a", "hw_ext allowed"),
+    # a bound with no upper end reads "at least"; a closed range keeps its
+    # interval
+    ("budgets", "max_runs", 0, "budget max_runs must be at least 1, got 0"),
+    ("hw_ext", "window", -1, "hw_ext window must be at least 0, got -1"),
+    (None, "boundary", -1, "boundary must be at least 0, got -1"),
+    ("toggles", "critical_pad", 4096,
+     "toggle critical_pad must be in [0, 2048], got 4096"),
     ("hw_ext", "window", True, "hw_ext window"),
     ("layout", "pubbuf_base", 4096, "overlap"),
     # inside the 0x1000-byte thread-data page, the secret would be writable
