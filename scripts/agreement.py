@@ -3,11 +3,11 @@
 minimization and of the state digest gives what the computation it stands
 for gives.
 
-Six agreement oracles, one per shortcut.  Each is a context manager that
+Seven agreement oracles, one per shortcut.  Each is a context manager that
 wraps names of the program, restores them on exit, and yields the list of
 what it compared.  It raises `Mismatch`, naming itself, at the first
 disagreement, and raises at entry when a name it wraps is gone, rather
-than silently checking nothing.  A seventh, `emulation_differential()`,
+than silently checking nothing.  An eighth, `emulation_differential()`,
 checks critical-span completion against native execution.
 
 - `covered()` wraps `adversary._count_covered`, which adds later
@@ -60,6 +60,15 @@ checks critical-span completion against native execution.
   specification: the SHA-256 of the `repr` of `Machine.canonical()`.  A
   mismatch names the phase and the index of the last event the digest
   covers.  Yields each digest.
+- `roots()` wraps `explorer._execute` and `harness.Root.start`, which
+  starts each scenario run from a copy of a point of its image's root:
+  after the shared prefix, whose trace lines the root keeps, or before
+  any action.  Every run that resumed after the prefix is run again from
+  a fresh `runtimes.build_machine` machine, recorded when it was.  Both
+  runs must give the same trace lines, trace, status, steps, boundaries,
+  actions applied, `influenced` flag and digest, and keep the same points
+  (index, steps, boundaries and digest of each).  Yields each resumed
+  RunResult.
 - `emulation_differential(image)` checks `interp.complete_critical`, which
   completes an interrupted critical span by emulation, against native
   execution.  At every reachable interruption offset inside every critical
@@ -73,9 +82,14 @@ exhaustive search of every variant on sgx 1 and 2, in range and strict
 sp-confinement mode.  Then, with only `trials()` installed, it minimizes
 every counterexample of the benchmark's hunt batches at seeds 53, 3 and
 21 (perfbench/workloads.py).  Then, with only `digests()` installed, it
-records and replays the trace-producing scenarios below.  Last, it runs
-the emulation differential of every variant with critical spans, on sgx 1
-and 2, for both injected classes.  The scenarios the digest sweep records:
+records and replays the trace-producing scenarios below.  Then, with only
+`roots()` installed, it records and replays them again, along with the
+scripted attack on `sdk_style` sgx 2 under step budgets around its
+35-step prefix (34, 35 and 36), `benign_critical` on `hw_irq_quota`
+under three grants, and minimizes every counterexample of the scripted
+scenarios.  Last, it runs the emulation differential of every variant with
+critical spans, on sgx 1 and 2, for both injected classes.  The scenarios
+the digest sweep records:
 
 - every canonical scenario fixture (golden, benign, exhaustive, ASLR);
 - the benign, benign_nested and benign_critical runs of every variant on
@@ -150,16 +164,18 @@ def _installed(owner, **wrappers):
 
 def _require_same(oracle: str, what: str, got: dict, want: dict) -> None:
     """Raise Mismatch naming each field where `got` differs from `want`; a
-    trace names the first event where it diverges."""
+    trace names the first event where it diverges, trace lines the first
+    line."""
     diff = []
     for key, b in want.items():
         a = got[key]
         if a == b:
             continue
-        if key == "trace":
+        if key in ("trace", "lines") and a is not None and b is not None:
             at = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y),
                       min(len(a), len(b)))
-            diff.append(f"trace from event {at}")
+            diff.append(f"{key} from {'event' if key == 'trace' else 'line'} "
+                        f"{at}")
         else:
             diff.append(f"{key} {a!r}, want {b!r}")
     if diff:
@@ -418,6 +434,55 @@ def trials():
         yield compared, decided
 
 
+def _rooted(res, lines) -> dict:
+    """What two runs of one plan from equal states share, with the trace
+    lines of a recorded run and the points the run kept."""
+    return dict(run_fields(res), lines=lines,
+                influenced=res.machine.influenced,
+                points=[(p.idx, p.steps, p.boundaries, p.machine.digest())
+                        for p in res.points])
+
+
+@contextlib.contextmanager
+def roots():
+    real = _original(explorer, "_execute")
+    start_of = _original(harness.Root, "start")
+    starts = []
+    compared = []
+
+    def start(root, program, actions, max_steps):
+        starts.append(start_of(root, program, actions, max_steps))
+        return starts[-1]
+
+    def wrapper(scenario, image, actions, record=False, keep_from=None,
+                payload=()):
+        starts.clear()
+        res, lines = real(scenario, image, actions, record, keep_from,
+                          payload)
+        if not starts[-1].idx:
+            return res, lines
+        hw_ext = scenario["hw_ext"]
+        m = runtimes.build_machine(image, scenario["sgx_version"],
+                                   (hw_ext["allowed"], hw_ext["window"]))
+        rec = reporting.TraceRecorder(m) if record else None
+        fresh = harness.run_plan(
+            m, image, actions, max_steps=scenario["budgets"]["max_steps"],
+            on_action=rec.on_action if rec else None,
+            after_events=rec.after_events if rec else None,
+            keep_from=keep_from, payload=payload)
+        if rec is not None:
+            rec.flush()
+        _require_same("roots", f"plan {actions} resumed from its root",
+                      _rooted(res, lines),
+                      _rooted(fresh, rec.lines if rec else None))
+        compared.append(res)
+        return res, lines
+
+    with _installed(explorer, _execute=wrapper), \
+            _installed(harness.Root, start=start):
+        yield compared
+
+
 def canonical_digest(m) -> str:
     """The specification of `Machine.digest`: the first 16 hex digits of
     the SHA-256 of the `repr` of the canonical state."""
@@ -669,6 +734,56 @@ def digest_sweep() -> int:
     return 0
 
 
+PREFIX_BUDGETS = (34, 35, 36)
+QUOTA_GRANTS = ((100, 10000), (64, 5000), (20, 5000))
+
+
+def rooted_scenarios() -> list[tuple[str, dict]]:
+    """(name, scenario) of every scenario the root sweep records: those of
+    the digest sweep, then budgets and grants that start runs fresh and
+    resumed."""
+    named = traced_scenarios()
+    for max_steps in PREFIX_BUDGETS:
+        named.append((f"scripted_sdk_sgx2_s{max_steps}",
+                      reporting.normalize_scenario(dict(
+                          canonical("scripted_sdk_sgx2"),
+                          budgets={"max_steps": max_steps}))))
+    for allowed, window in QUOTA_GRANTS:
+        named.append((f"benign_critical_hw_irq_quota_a{allowed}_w{window}",
+                      reporting.normalize_scenario({
+                          "variant": "hw_irq_quota",
+                          "adversary": "benign_critical",
+                          "hw_ext": {"allowed": allowed,
+                                     "window": window}})))
+    return named
+
+
+def root_sweep() -> int:
+    recorded = minimized = 0
+    with roots() as compared:
+        for name, scenario in rooted_scenarios():
+            try:
+                outcome = explorer.run(scenario)
+                lines = outcome.trace_lines
+                if lines is None:
+                    continue
+                explorer.replay(scenario, lines, len(lines))
+                recorded += 1
+                if (scenario["adversary"] == "scripted"
+                        and outcome.exit_code == explorer.EXIT_VIOLATION):
+                    explorer.minimize(scenario, [
+                        reporting.action_from_line(ln) for ln in lines
+                        if ln.startswith("A ")])
+                    minimized += 1
+            except Mismatch as e:
+                print(f"MISMATCH {name}: {e}")
+                return 1
+    print(f"{len(compared)} runs resumed from a root ({recorded} scenarios "
+          f"recorded and replayed, {minimized} counterexamples minimized) "
+          f"compared, all agree")
+    return 0
+
+
 def emulation_sweep() -> int:
     total = 0
     for variant in VARIANTS:
@@ -698,7 +813,7 @@ def main() -> int:
                          "all")
     args = ap.parse_args()
     return (search_sweep(args.variant or VARIANTS) or minimization_sweep()
-            or digest_sweep() or emulation_sweep())
+            or digest_sweep() or root_sweep() or emulation_sweep())
 
 
 if __name__ == "__main__":

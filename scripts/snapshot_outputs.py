@@ -17,6 +17,10 @@ under which the search finds a counterexample.  It runs `sdk_style`
 `exhaustive` at sgx 2 under step budgets of 100, 145 and 146: a run of
 its counterexample from a fresh machine takes 146 steps, prefix included,
 so the first two certify BUDGET and the last finds it.  It runs
+`sdk_style` sgx 2 `scripted` and `exhaustive` under step budgets of 34,
+35 and 36, around the 35 steps of the prefix their runs share: a run under
+34 starts from a fresh machine, one under 35 or 36 from the state after
+the prefix.  It runs
 `sdk_style` `exhaustive` at sgx 1 under run budgets of 1000 and 4000
 (of 6336 plans): each stops the search right after a branch whose last
 11 payload bindings are counted in one step.  It runs
@@ -59,6 +63,8 @@ RUN_BUDGETS = (1000, 4000)
 # the modes whose recorded run a 60-step budget cuts
 CUT_MODES = ("scripted", "benign", "benign_critical", "multi_round_aslr")
 CUT_STEPS = 60
+# around the 35 steps of the sdk_style prefix
+PREFIX_BUDGETS = (34, 35, 36)
 
 
 def _critical_docs():
@@ -101,6 +107,14 @@ def _step_budget_docs():
                {"variant": "sdk_style", "sgx_version": 2,
                 "adversary": "exhaustive",
                 "budgets": {"max_steps": max_steps}})
+
+
+def _prefix_budget_docs():
+    for mode in ("scripted", "exhaustive"):
+        for max_steps in PREFIX_BUDGETS:
+            yield (f"{mode}_sdk_style_sgx2_s{max_steps}",
+                   {"variant": "sdk_style", "sgx_version": 2,
+                    "adversary": mode, "budgets": {"max_steps": max_steps}})
 
 
 def _run_budget_docs():
@@ -169,7 +183,8 @@ def main() -> int:
     for tag, path in _scenario_files(
             args.out, [*_critical_docs(), *_scripted_docs(),
                        *_multi_round_docs(), *_quota_grant_docs(),
-                       *_step_budget_docs(), *_run_budget_docs(),
+                       *_step_budget_docs(), *_prefix_budget_docs(),
+                       *_run_budget_docs(),
                        *_cut_run_docs()]):
         jobs.append((tag, ["run", "--scenario", path], 1))
 

@@ -13,12 +13,12 @@ classes, re-entry commands, and register bindings from a finite domain.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .harness import (
     AttackPlan, BENIGN_OCALL_RESULT, BENIGN_REGS, BUDGET_EXCEEDED,
-    DEFAULT_MAX_STEPS, Eenter, Eresume, InjectAex, PrepareRegs, RunResult,
-    SeedPublic, Stop, prefix_plan, run_plan,
+    DEFAULT_MAX_STEPS, Eenter, Eresume, InjectAex, PrepareRegs, Root,
+    RunResult, SeedPublic, Stop, prefix_plan, run_plan,
 )
 from .interp import RspPath
 from .machine import (
@@ -271,17 +271,35 @@ def _candidate_actions(entry: tuple[PrepareRegs, Eenter],
     return [prepare, InjectAex(*inject), enter, *_INJECTED_TAIL]
 
 
+def image_root(image: EnclaveImage, sgx_version: int,
+               grant: Optional[tuple[int, int]],
+               recorder: Optional[Callable] = None) -> Root:
+    """The root of `image` on this platform (see ``harness.Root``), which
+    its program holds from the first run on: the one caller of
+    ``build_machine``.  A root built here for a recorded run, whose
+    `recorder` is given, records its prefix lines as it builds `after`."""
+    roots = image.program.roots
+    key = Root.key(image, sgx_version, grant)
+    root = roots.get(key)
+    if root is None:
+        root = roots[key] = Root(build_machine(image, sgx_version, grant),
+                                 image, recorder)
+    return root
+
+
 def _prefix_snapshot(image: EnclaveImage, sgx_version: int,
                      grant: Optional[tuple[int, int]]) -> Machine:
-    """The machine after the prefix every plan shares, built under
-    `grant`.  Every step of the prefix retires, so its steps are the
-    machine's cycles."""
-    m = build_machine(image, sgx_version, grant)
-    res = run_plan(m, image, prefix_plan())
-    if res.status != "done" or res.steps != m.cycle:
+    """A copy of the machine after the prefix every plan shares, under
+    `grant`: its root's `after` point.  Every step of the prefix retires,
+    so its steps are the machine's cycles."""
+    root = image_root(image, sgx_version, grant)
+    after = root.after
+    if after is None or after.steps != after.machine.cycle:
+        res = run_plan(Root.copy(root.fresh, image.program), image,
+                       prefix_plan())
         raise RuntimeError(f"scenario prefix failed: {res.status} after "
-                           f"{res.steps} steps, {m.cycle} retired")
-    return m
+                           f"{res.steps} steps, {res.machine.cycle} retired")
+    return Root.copy(after, image.program).machine
 
 
 class RspClass:
@@ -305,7 +323,8 @@ class RspClass:
 
 class SearchSpace(NamedTuple):
     """What a SAFE verdict covers.  From `root`, the machine after the
-    shared prefix whose trace `checkpoint` has read, each of `commands`
+    shared prefix (a copy of its image root's `after` point) whose trace
+    `checkpoint` has read, each of `commands`
     re-enters with rsp = each of `words` and the `payload_regs` = each of
     `words`, dry and injecting each of `classes` at each boundary up to
     `budget.boundary_cap`.  A Counterexample's branch indexes it.  A plan

@@ -11,7 +11,8 @@ from typing import NamedTuple, Optional, Sequence
 
 from . import adversary, reporting
 from .harness import (
-    BUDGET_EXCEEDED, FlipPerms, Point, PrepareRegs, RunResult, SeedRefused,
+    BUDGET_EXCEEDED, FlipPerms, Point, PrepareRegs, Root, RunResult,
+    SeedRefused,
     benign_critical_exception_plan, benign_nested_plan, benign_plan,
     prefix_plan, run_plan,
 )
@@ -21,8 +22,7 @@ from .properties import (
     Verdict, any_violation, evaluate, milestones,
 )
 from .runtimes import (
-    VARIANTS, EnclaveImage, Layout, Toggles, build_machine, build_runtime,
-    fixture_path,
+    VARIANTS, EnclaveImage, Layout, Toggles, build_runtime, fixture_path,
 )
 
 EXIT_OK = 0
@@ -74,20 +74,35 @@ def _classes_for(scenario: dict) -> tuple[int, ...]:
 def _execute(scenario: dict, image: EnclaveImage, actions: list,
              record: bool = False, keep_from: Optional[int] = None,
              payload: tuple[str, ...] = ()):
-    """The one build -> grant -> run path: a fresh machine for the
-    scenario's platform and grant runs the actions under its step budget.
-    With `record`, the trace lines with per-event digests come back too;
-    with `keep_from`, the run keeps action points from that index on;
-    `payload` names the staged registers to label (see ``run_plan``)."""
+    """The one grant -> run path: the actions run under the scenario's
+    step budget from a copy of a point of the image's root for the
+    scenario's platform and grant (``Root.start``): after the prefix when
+    the actions begin with it and the budget covers it, else before any
+    action.  Either way the run, its kept points included, equals a run
+    of the actions from a fresh machine.  With `record`, the trace lines
+    with per-event digests come back too, those of the prefix from the
+    root; with `keep_from`, the run keeps action points from that index
+    on; `payload` names the staged registers to label (see
+    ``run_plan``)."""
     hw_ext = scenario["hw_ext"]
-    m = build_machine(image, scenario["sgx_version"],
-                      (hw_ext["allowed"], hw_ext["window"]))
-    rec = reporting.TraceRecorder(m) if record else None
-    res = run_plan(m, image, actions,
-                   max_steps=scenario["budgets"]["max_steps"],
+    recorder = reporting.TraceRecorder if record else None
+    root = adversary.image_root(image, scenario["sgx_version"],
+                                (hw_ext["allowed"], hw_ext["window"]),
+                                recorder)
+    max_steps = scenario["budgets"]["max_steps"]
+    start = root.start(image.program, actions, max_steps)
+    rec = None
+    if record:
+        rec = recorder(start.machine, root.recorded_lines(image, recorder)
+                       if start.idx else None)
+    res = run_plan(start, image, actions, max_steps=max_steps,
                    on_action=rec.on_action if rec else None,
                    after_events=rec.after_events if rec else None,
                    keep_from=keep_from, payload=payload)
+    if keep_from is not None and keep_from < start.idx:
+        # the point before the prefix, which the resumed run did not pass
+        res = res._replace(points=[Root.copy(root.fresh, image.program)]
+                           + res.points)
     if rec is not None:
         rec.flush()
     return res, rec.lines if rec else None

@@ -12,13 +12,18 @@ entered window, or in OS mode before an action), and a later run can
 resume from one instead of repeating the steps before it.  A run can also
 give staged registers payload labels (``payload``), each its own origin
 plane; the same program steps either way.
+
+Every run of a scenario starts from a copy of a point of a ``Root``: the
+one machine built for an image on a platform, kept before any action and
+after ``prefix_plan()``, which the plans of a search and the recorded runs
+of the image share.
 """
 
 from __future__ import annotations
 
 from typing import Callable, NamedTuple, Optional
 
-from .interp import step
+from .interp import fetch_table, step
 from .machine import (
     E_ADV_SEED, HW_IRQ_QUOTA, EntryDenied, MASK64, MODE_ENCLAVE, ORIGINS,
     PAYLOADS, REG_IDS, RSI, RSP, ResumeDenied, Machine,
@@ -381,6 +386,84 @@ def run_plan(machine: "Machine | Point", image: EnclaveImage, actions: list,
 
     return RunResult(status=status, steps=steps, boundaries=boundaries,
                      machine=machine, actions_applied=idx, points=points)
+
+
+class Root:
+    """Where every run of one image on one platform starts: the machine
+    ``runtimes.build_machine`` builds for the image under an sgx version
+    and an irq grant (``key``), kept as two points.  `fresh` is the point
+    before any action; `after` the action point right after
+    ``prefix_plan()``, or None when the prefix does not run to it.
+    `lines` are the trace lines a recorded run has at `after`: recorded
+    with `after` when the root is built for a recorded run, else None
+    until the first recorded run that needs them (``recorded_lines``).
+    Either way the prefix runs once for `after` and at most once more.
+
+    A program holds its roots (``Program.roots``).  The points' machines
+    keep their fetch table, but not ``fetch_program``, so that nothing the
+    program holds refers back to it; `copy` sets it on each copy, so that
+    no run from a root fetches its table again."""
+
+    __slots__ = ("fresh", "after", "lines")
+
+    def __init__(self, machine: Machine, image: EnclaveImage,
+                 recorder: Optional[Callable] = None):
+        fetch_table(machine.mem, image.program)
+        self.fresh = Point(machine, 0, {}, None, None, 0, 0, 0)
+        self.after, self.lines = self._prefix(image, recorder)
+        for point in (self.fresh, self.after):
+            if point is not None:
+                point.machine.mem.fetch_program = None
+
+    def _prefix(self, image: EnclaveImage, recorder: Optional[Callable]):
+        """The action point after ``prefix_plan()`` of a run from a copy
+        of `fresh` (None when the run does not reach it), and the lines
+        that `recorder(machine)`, a ``reporting.TraceRecorder``, recorded up
+        to it (None without a recorder)."""
+        start = self.copy(self.fresh, image.program)
+        rec = None if recorder is None else recorder(start.machine)
+        res = run_plan(start, image, prefix_plan() + [Stop()], keep_from=1,
+                       on_action=None if rec is None else rec.on_action,
+                       after_events=None if rec is None else rec.after_events)
+        if res.status != STOPPED:
+            return None, None
+        # the recorder's last line is the stop's, applied after the point
+        return res.points[0], None if rec is None else tuple(rec.lines[:-1])
+
+    def recorded_lines(self, image: EnclaveImage,
+                       recorder: Callable) -> tuple[str, ...]:
+        """`lines`, recorded by `recorder` from a copy of `fresh` if the
+        root has none yet.  Only a root whose `after` exists has them."""
+        if self.lines is None:
+            self.lines = self._prefix(image, recorder)[1]
+        return self.lines
+
+    @staticmethod
+    def key(image: EnclaveImage, sgx_version: int,
+            grant: Optional[tuple[int, int]]) -> tuple:
+        """What a root of `image`'s program depends on: every field of the
+        image ``build_machine`` reads, the sgx version and the grant."""
+        return (image.variant, image.layout, image.stack_base,
+                image.entry_atomic_cycles, sgx_version, grant)
+
+    @staticmethod
+    def copy(point: Point, program) -> Point:
+        """A copy of `point`, one of a root's, that a run of `program` can
+        take."""
+        start = point.copy()
+        start.machine.mem.fetch_program = program
+        return start
+
+    def start(self, program, actions: list, max_steps: int) -> Point:
+        """A copy of the point a run of `actions` under `max_steps` starts
+        from: `after` when `actions` begin with ``prefix_plan()`` and the
+        budget covers the prefix's steps, else `fresh`.  Either way the
+        run equals a run of `actions` from a fresh machine."""
+        after = self.after
+        if (after is not None and after.steps <= max_steps
+                and actions[:1] == prefix_plan()):
+            return self.copy(after, program)
+        return self.copy(self.fresh, program)
 
 
 # ---------------------------------------------------------------------------

@@ -108,12 +108,13 @@ class CodeOverflow(AsmError):
 
 class Program:
     """Assembled program: immutable once built.  ``fetch_tables`` keeps the
-    interpreter's decoded tables of it (``interp.fetch_table``), which hold
-    no reference back to it, so a program without other holders is freed
-    by reference counting alone."""
+    interpreter's decoded tables of it (``interp.fetch_table``) and
+    ``roots`` the points its runs start from (``harness.Root``); neither
+    holds a reference back to it, so a program without other holders is
+    freed by reference counting alone."""
 
     __slots__ = ("base", "code", "labels", "windows", "crit_ranges", "source",
-                 "fetch_tables", "__weakref__")
+                 "fetch_tables", "roots", "__weakref__")
 
     def __init__(self, base: int, code: dict[int, Instruction],
                  labels: dict[str, int], windows: dict[str, tuple[int, int]],
@@ -128,6 +129,9 @@ class Program:
         # the interpreter's pre-decoded fetch tables, one per tuple of pages
         # over the code, filled on first step
         self.fetch_tables: dict = {}
+        # harness.Root per image and platform (``Root.key``), filled on
+        # first use
+        self.roots: dict = {}
 
     @property
     def end(self) -> int:

@@ -190,32 +190,12 @@ def _page_index(pages: list[Page]) -> tuple[int, dict[int, tuple[Page, ...]]]:
     return shift, index
 
 
-WORD_TEXTS_MAX = 4096
-
-
-class _WordTexts(dict):
-    """``repr`` of 64-bit words, memoized for the registers that
-    ``Machine.digest`` formats: a recorded run's registers hold a few
-    hundred distinct words over thousands of digests.  It forgets every
-    word once it holds ``WORD_TEXTS_MAX``.  Registers hold ints, never
-    bools: ``True`` would share ``1``'s entry and text."""
-
-    def __missing__(self, word: int) -> str:
-        if len(self) >= WORD_TEXTS_MAX:
-            self.clear()
-        text = self[word] = repr(word)
-        return text
-
-
-_word_text = _WordTexts().__getitem__
-
-
-def _tuple_repr(parts: list[str]) -> str:
-    """``repr`` of a tuple whose items have the ``repr`` strings `parts`:
-    a one-tuple keeps its trailing comma."""
+def _tuple_bytes(parts: list[bytes]) -> bytes:
+    """The bytes of the ``repr`` of a tuple whose items' ``repr`` bytes are
+    `parts`: a one-tuple keeps its trailing comma."""
     if len(parts) == 1:
-        return f"({parts[0]},)"
-    return f"({', '.join(parts)})"
+        return b"(%b,)" % parts[0]
+    return b"(%b)" % b", ".join(parts)
 
 
 class Memory:
@@ -229,7 +209,7 @@ class Memory:
 
     ``write`` and ``set_perms`` are the only mutators of cells and pages.
     ``write`` keeps the cell text that ``Machine.digest`` hashes up to
-    date: one ``repr`` string per canonical cell, in address order
+    date: the ``repr`` bytes of each canonical cell, in address order
     (``_keys``, ``_parts``), built at the first ``cells_repr``; from then on
     ``write`` records the written address in ``_dirty`` and ``cells_repr``
     re-formats only those cells.  A memory never digested has no parts
@@ -252,7 +232,7 @@ class Memory:
         self.labels: dict[int, int] = {}
         self.shift, self.index = _page_index(self.pages)
         self._keys: Optional[list[int]] = None
-        self._parts: Optional[list[str]] = None
+        self._parts: Optional[list[bytes]] = None
         self._dirty: Optional[set[int]] = None
         self._cells_repr = b""
         self.fetch: Optional[dict] = None
@@ -360,7 +340,7 @@ class Memory:
         if dirty is None:
             cells = self.canonical()
             self._keys = [a for a, _, _ in cells]
-            self._parts = [repr(c) for c in cells]
+            self._parts = [b"(%d, %d, %d)" % c for c in cells]
             self._dirty = set()
         elif dirty:
             keys, parts = self._keys, self._parts
@@ -371,7 +351,7 @@ class Memory:
                 i = bisect_left(keys, a)
                 held = i < len(keys) and keys[i] == a
                 if v or s:
-                    text = f"({a}, {v}, {1 if s else 0})"
+                    text = b"(%d, %d, %d)" % (a, v, 1 if s else 0)
                     if held:
                         parts[i] = text
                     else:
@@ -383,7 +363,7 @@ class Memory:
             dirty.clear()
         else:
             return self._cells_repr
-        self._cells_repr = _tuple_repr(self._parts).encode()
+        self._cells_repr = _tuple_bytes(self._parts)
         return self._cells_repr
 
 
@@ -391,12 +371,25 @@ class Memory:
 # SSA frames and TCS
 # ---------------------------------------------------------------------------
 
+# Digest text formats: each renders the bytes of a canonical tuple's
+# ``repr``.  %d renders ``True`` as ``1`` where ``repr`` gives ``True``, so
+# every field formatted with %d is an int.
+_REGS_TEXT = b"(" + b", ".join([b"%d"] * NREGS) + b")"
+_FRAME_TEXT = b"(" + _REGS_TEXT + b", %d, %d, %d)"
+# pages, TCS, SSA frames, aep, version, extension state
+_PLATFORM_TEXT = (b"%b, (%d, %d, %d, %d, %d), %b, %d, %d, "
+                  b"(%a, %d, %d, %d, %d, %d, %d, %d, %d, %d)")
+# mode, registers, taint, cells, platform, cycle, pending fault, halted
+_DIGEST_TEXT = b"(%d, " + _REGS_TEXT + b", %d, %b, %b, %d, %d, %d)"
+
+
 class SSAFrame:
     """One saved execution context: a full register snapshot plus the
     exit-information fields written by the hardware on async exit.
 
-    ``canonical_repr`` is cached; whoever changes a canonical field clears
-    ``_repr`` (``Machine.aex``, ``interp._set_frame_field``)."""
+    ``canonical_repr``, the bytes of ``repr(canonical())``, is cached;
+    whoever changes a canonical field clears ``_repr`` (``Machine.aex``,
+    ``interp._set_frame_field``)."""
 
     __slots__ = ("regs", "taint", "valid", "vector", "_repr")
 
@@ -405,7 +398,7 @@ class SSAFrame:
         self.taint = taint          # register label words, see SECRET
         self.valid = valid
         self.vector = vector
-        self._repr: Optional[str] = None
+        self._repr: Optional[bytes] = None
 
     def clone(self) -> "SSAFrame":
         f = SSAFrame(self.regs, self.taint, self.valid, self.vector)
@@ -416,9 +409,10 @@ class SSAFrame:
         return (tuple(self.regs), self.taint & SECRET_REGS, self.valid,
                 self.vector)
 
-    def canonical_repr(self) -> str:
+    def canonical_repr(self) -> bytes:
         if self._repr is None:
-            self._repr = repr(self.canonical())
+            self._repr = _FRAME_TEXT % (*self.regs, self.taint & SECRET_REGS,
+                                        self.valid, self.vector)
         return self._repr
 
 
@@ -565,13 +559,13 @@ class Machine:
     path conditions over the staged rsp word into; a clone gets its own
     copy of the run's part of it.  It changes nothing the machine does.
 
-    ``_pages`` and ``_platform`` cache encoded parts of the digest text
-    (see ``digest``).  ``_pages``, the page permissions, is cleared by
-    ``os_set_page_perms``.  ``_platform``, the TCS, the SSA frames, aep,
-    version and extension state, is cleared through ``platform_changed`` by
-    every transition that changes one of them.  They are two caches
-    because the platform changes at every entry and exit, the pages
-    almost never.
+    ``_pages`` and ``_platform`` cache parts of the digest text as bytes
+    (see ``digest``).  ``_platform``, the page permissions, TCS, SSA
+    frames, aep, version and extension state, is cleared through
+    ``platform_changed`` by every transition that changes one of them.
+    ``_pages``, the page permissions alone, is cleared by
+    ``os_set_page_perms`` only: the platform changes at every entry and
+    exit, the pages almost never.
     """
 
     __slots__ = ("mode", "regs", "taint", "mem", "tcs", "ssa", "aep",
@@ -749,6 +743,7 @@ class Machine:
         if not self.mem.set_perms(page_base, perms):
             raise UnknownPage(hex(page_base))
         self._pages = None
+        self.platform_changed()
         self.emit(E_HW_FLIP, page_base, perms)
 
     def grant_irq_quota(self, allowed: int, window: int) -> None:
@@ -829,36 +824,30 @@ class Machine:
         )
 
     def digest(self) -> str:
-        """The first 16 hex digits of the SHA-256 of ``repr(canonical())``.
-        SHA-256 is fed the bytes of that text in five segments, three of
-        them cached: the memory cells (``Memory.cells_repr``, re-formatted
-        per written cell), the page permissions (``_pages``) and the
-        platform (``_platform``: the TCS, the SSA frames from each frame's
-        own cache, aep, version and extension state).  Only mode,
-        registers, taint, cycle, pending fault and halted are formatted on
-        every call, the registers from a memo of word texts and without
-        building a tuple.  The bytes are exactly those of the ``repr`` of
-        the canonical tuple."""
-        pages = self._pages
-        if pages is None:
-            pages = tuple((p.base, p.size, p.kind, p.perms)
-                          for p in self.mem.pages)
-            pages = self._pages = f", {pages!r}, ".encode()
+        """The first 16 hex digits of the SHA-256 of ``repr(canonical())``,
+        whose bytes one bytes %-format renders (``_DIGEST_TEXT``) and one
+        SHA-256 call hashes.  Two fields come cached as bytes: the memory
+        cells (``Memory.cells_repr``, re-formatted per written cell) and
+        the platform (``_platform``: the page permissions from ``_pages``,
+        the TCS, the SSA frames from each frame's own cache, aep, version
+        and extension state).  Mode, registers, taint, cycle, pending fault
+        and halted are formatted on every call."""
         platform = self._platform
         if platform is None:
-            tcs = self.tcs
-            tcs_t = (tcs.entry_point, tcs.cssa, tcs.nssa, tcs.ssa_base,
-                     int(tcs.busy))
-            frames = _tuple_repr([f.canonical_repr() for f in self.ssa])
-            platform = self._platform = (
-                f"{tcs_t!r}, {frames}, {self.aep!r}, {self.sgx_version!r}, "
-                f"{self.hw.canonical()!r}, ").encode()
-        h = hashlib.sha256(
-            f"({self.mode!r}, ({', '.join(map(_word_text, self.regs))}), "
-            f"{self.taint & SECRET_REGS!r}, ".encode())
-        h.update(self.mem.cells_repr())
-        h.update(pages)
-        h.update(platform)
-        h.update(f"{self.cycle!r}, {self.pending_fault!r}, "
-                 f"{int(self.halted)!r})".encode())
-        return h.hexdigest()[:16]
+            pages = self._pages
+            if pages is None:
+                pages = self._pages = repr(tuple(
+                    (p.base, p.size, p.kind, p.perms)
+                    for p in self.mem.pages)).encode()
+            tcs, hw = self.tcs, self.hw
+            platform = self._platform = _PLATFORM_TEXT % (
+                pages, tcs.entry_point, tcs.cssa, tcs.nssa, tcs.ssa_base,
+                int(tcs.busy),
+                _tuple_bytes([f.canonical_repr() for f in self.ssa]),
+                self.aep, self.sgx_version, hw.kind, hw.allowed, hw.window,
+                hw.used, hw.window_index, int(hw.granted), int(hw.masked),
+                int(hw.atomic), hw.atomic_until, hw.deferred_vector)
+        return hashlib.sha256(_DIGEST_TEXT % (
+            self.mode, *self.regs, self.taint & SECRET_REGS,
+            self.mem.cells_repr(), platform, self.cycle, self.pending_fault,
+            int(self.halted))).hexdigest()[:16]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Optional
+from typing import Optional, Sequence
 
 from .adversary import CANDIDATE_DEPTH, SearchBudget
 from .harness import (
@@ -364,12 +364,14 @@ def event_from_line(line: str):
 
 class TraceRecorder:
     """Interleaves action lines with per-event digest lines as a run
-    unfolds; plug its hooks into run_plan."""
+    unfolds; plug its hooks into run_plan.  Given `lines`, the recorder
+    starts from them: the lines of a run that reached `machine` from a
+    fresh machine, one per event of its trace and per action applied."""
 
-    def __init__(self, machine):
+    def __init__(self, machine, lines: Optional[Sequence[str]] = None):
         self.machine = machine
-        self.lines: list[str] = []
-        self._seen = 0
+        self.lines: list[str] = [] if lines is None else list(lines)
+        self._seen = 0 if lines is None else len(machine.trace)
 
     def on_action(self, idx: int, action) -> None:
         self.flush()

@@ -378,7 +378,16 @@ def test_no_default_certification_is_cut_by_the_step_budget(monkeypatch):
         ends.append(res.status)
         return res
 
+    real_build = adversary.build_machine
+    built = []
+
+    def build(*args):
+        built.append(args)
+        return real_build(*args)
+
     monkeypatch.setattr(adversary, "run_plan", counted)
+    monkeypatch.setattr(adversary, "build_machine", build)
+    runtimes._program.cache_clear()     # programs without roots
     executed = 0
     for variant in runtimes.VARIANTS:
         for sgx in (1, 2):
@@ -387,8 +396,9 @@ def test_no_default_certification_is_cut_by_the_step_budget(monkeypatch):
             assert not isinstance(out, BudgetExceeded), (variant, sgx)
             assert out.stats.cut == 0, (variant, sgx)
             executed += out.stats.executed
-    # every executed plan, plus one prefix per certification
-    assert len(ends) == executed + 16
+    # every executed plan, each from the root its certification built
+    assert len(ends) == executed
+    assert len(built) == 16
     assert "budget_exceeded" not in ends
 
 

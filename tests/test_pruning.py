@@ -818,6 +818,44 @@ def test_the_resumed_oracle_catches_a_resume_that_shares_its_point(
             exhaustive_attacker(image, SGX2)
 
 
+def test_the_roots_oracle_catches_root_lines_one_line_short(monkeypatch):
+    sc = agreement.canonical("scripted_sdk_sgx2")
+    with agreement.roots() as compared:
+        explorer.run(sc)
+    assert len(compared) == 1
+    real = harness.Root.recorded_lines
+    monkeypatch.setattr(harness.Root, "recorded_lines",
+                        lambda *args: real(*args)[:-1])
+    with pytest.raises(agreement.Mismatch, match="^roots: .*lines"):
+        with agreement.roots():
+            explorer.run(sc)
+
+
+def test_the_roots_oracle_catches_an_after_point_one_step_early(
+        monkeypatch):
+    # the window point one step before the prefix's end resumes the plan
+    # exactly, but the recorder, starting from the prefix's lines, records
+    # the last step's events a second time
+    sc = agreement.canonical("scripted_sdk_sgx2")
+    image = explorer._image_for(sc)
+    monkeypatch.setattr(image.program, "roots", {})
+    real = harness.Root.__init__
+
+    def early(self, machine, image, recorder=None):
+        real(self, machine, image, recorder)
+        run = run_plan(harness.Root.copy(self.fresh, image.program), image,
+                       harness.prefix_plan(), keep=self.after.boundaries)
+        point = run.points[-1]
+        assert point.steps == self.after.steps - 1
+        point.machine.mem.fetch_program = None
+        self.after = point
+
+    monkeypatch.setattr(harness.Root, "__init__", early)
+    with pytest.raises(agreement.Mismatch, match="^roots: .*lines"):
+        with agreement.roots():
+            explorer.run(sc)
+
+
 def test_an_oracle_whose_name_is_gone_raises(monkeypatch):
     # a renamed name must not turn the oracle into a no-op: every name an
     # oracle wraps is checked
@@ -831,7 +869,9 @@ def test_an_oracle_whose_name_is_gone_raises(monkeypatch):
             (explorer, "_unread", agreement.trials),
             (explorer, "run_plan", agreement.trials),
             (Machine, "digest", agreement.digests),
-            (explorer, "replay", agreement.digests)):
+            (explorer, "replay", agreement.digests),
+            (explorer, "_execute", agreement.roots),
+            (harness.Root, "start", agreement.roots)):
         with monkeypatch.context() as patch:
             patch.delattr(owner, name)
             with pytest.raises(AttributeError,
