@@ -26,7 +26,9 @@ the prefix.  It runs
 11 payload bindings are counted in one step.  It runs
 `sdk_style` sgx 2 `scripted`, `benign`, `benign_critical` and
 `multi_round_aslr` under a 60-step budget, which cuts each recorded run
-before any safety violation, so each is BUDGET.  These scenario
+before any safety violation, so each is BUDGET.  It runs `sdk_style`
+`exhaustive` with a 256-byte stack, on which the prefix ends before its
+ocall, so the run exits 1 with one `error:` line.  These scenario
 files are written to OUT/scenarios.  Every trace written is then replayed with
 `aexlab replay`, whose stdout lands next to the trace.  Exit codes go to
 OUT/exit_codes.txt.  Each job's stderr, less its `wall time ...s` part,
@@ -65,6 +67,8 @@ CUT_MODES = ("scripted", "benign", "benign_critical", "multi_round_aslr")
 CUT_STEPS = 60
 # around the 35 steps of the sdk_style prefix
 PREFIX_BUDGETS = (34, 35, 36)
+# a 256-byte stack, on which the sdk_style prefix misses its ocall
+SHORT_STACK_LIMIT = 0x27F00
 
 
 def _critical_docs():
@@ -132,6 +136,12 @@ def _cut_run_docs():
                 "budgets": {"max_steps": CUT_STEPS}})
 
 
+def _short_stack_docs():
+    yield ("exhaustive_sdk_style_short_stack",
+           {"variant": "sdk_style", "adversary": "exhaustive",
+            "layout": {"stack_limit": SHORT_STACK_LIMIT}})
+
+
 def _scenario_files(out: str, docs) -> list[tuple[str, str]]:
     scenario_dir = os.path.join(out, "scenarios")
     os.makedirs(scenario_dir, exist_ok=True)
@@ -184,8 +194,8 @@ def main() -> int:
             args.out, [*_critical_docs(), *_scripted_docs(),
                        *_multi_round_docs(), *_quota_grant_docs(),
                        *_step_budget_docs(), *_prefix_budget_docs(),
-                       *_run_budget_docs(),
-                       *_cut_run_docs()]):
+                       *_run_budget_docs(), *_cut_run_docs(),
+                       *_short_stack_docs()]):
         jobs.append((tag, ["run", "--scenario", path], 1))
 
     codes = []

@@ -13,12 +13,12 @@ classes, re-entry commands, and register bindings from a finite domain.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .harness import (
     AttackPlan, BENIGN_OCALL_RESULT, BENIGN_REGS, BUDGET_EXCEEDED,
-    DEFAULT_MAX_STEPS, Eenter, Eresume, InjectAex, PrepareRegs, Root,
-    RunResult, SeedPublic, Stop, prefix_plan, run_plan,
+    CANDIDATE_DEPTH, Eenter, Eresume, InjectAex, PrepareRegs, Root,
+    RunResult, SearchBudget, SeedPublic, Stop, prefix_plan, run_plan,
 )
 from .interp import RspPath
 from .machine import (
@@ -26,6 +26,7 @@ from .machine import (
     VEC_EXT_INT, VEC_PAGE_FAULT, Machine, reports_to_enclave,
 )
 from .properties import SafetyMonitor
+from .reporting import TraceRecorder
 from .runtimes import (
     ASLR_RANGE, CMD_EXCEPTION, CMD_INVALID, CMD_ORET, ECALL0_FRAME,
     EnclaveImage, INFO_FIELDS, INFO_FREE_WINDOW, INFO_SIZE, build_machine,
@@ -243,18 +244,6 @@ class BudgetExceeded(NamedTuple):
     reason: str = ""
 
 
-# Actions in an injected candidate plan: PrepareRegs, InjectAex, Eenter and
-# the shared delivery tail.  A dry run omits the injection and the tail.
-CANDIDATE_DEPTH = 6
-
-
-class SearchBudget(NamedTuple):
-    max_runs: int = 200000
-    max_steps: int = DEFAULT_MAX_STEPS    # per run from a fresh machine
-    boundary_cap: int = 160
-    depth: int = CANDIDATE_DEPTH    # actions per candidate plan
-
-
 # deliver the injected exception, resume, then serve the pending ocall
 _INJECTED_TAIL = (
     Eenter.of(CMD_EXCEPTION, regs=dict(BENIGN_REGS)),
@@ -272,33 +261,38 @@ def _candidate_actions(entry: tuple[PrepareRegs, Eenter],
 
 
 def image_root(image: EnclaveImage, sgx_version: int,
-               grant: Optional[tuple[int, int]],
-               recorder: Optional[Callable] = None) -> Root:
+               grant: Optional[tuple[int, int]]) -> Root:
     """The root of `image` on this platform (see ``harness.Root``), which
     its program holds from the first run on: the one caller of
-    ``build_machine``.  A root built here for a recorded run, whose
-    `recorder` is given, records its prefix lines as it builds `after`."""
+    ``build_machine``.  Every root records its prefix lines as it builds
+    `after`, whoever asks for it first."""
     roots = image.program.roots
     key = Root.key(image, sgx_version, grant)
     root = roots.get(key)
     if root is None:
         root = roots[key] = Root(build_machine(image, sgx_version, grant),
-                                 image, recorder)
+                                 image, TraceRecorder)
     return root
+
+
+class PrefixFailed(Exception):
+    """The prefix every plan shares does not reach its pending ocall."""
 
 
 def _prefix_snapshot(image: EnclaveImage, sgx_version: int,
                      grant: Optional[tuple[int, int]]) -> Machine:
     """A copy of the machine after the prefix every plan shares, under
     `grant`: its root's `after` point.  Every step of the prefix retires,
-    so its steps are the machine's cycles."""
+    so its steps are the machine's cycles; PrefixFailed when the prefix
+    ends otherwise."""
     root = image_root(image, sgx_version, grant)
     after = root.after
     if after is None or after.steps != after.machine.cycle:
         res = run_plan(Root.copy(root.fresh, image.program), image,
                        prefix_plan())
-        raise RuntimeError(f"scenario prefix failed: {res.status} after "
-                           f"{res.steps} steps, {res.machine.cycle} retired")
+        raise PrefixFailed(f"scenario prefix does not reach its ocall: "
+                           f"{res.status} after {res.steps} steps, "
+                           f"{res.machine.cycle} retired")
     return Root.copy(after, image.program).machine
 
 

@@ -35,7 +35,11 @@ def _cmd_run(args) -> int:
     os.makedirs(args.out, exist_ok=True)
 
     t0 = time.monotonic()
-    outcome = explorer.run(scenario, workers=args.workers)
+    try:
+        outcome = explorer.run(scenario, workers=args.workers)
+    except adversary.PrefixFailed as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
     wall = time.monotonic() - t0
 
     trace_file = None

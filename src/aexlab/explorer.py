@@ -80,21 +80,19 @@ def _execute(scenario: dict, image: EnclaveImage, actions: list,
     the actions begin with it and the budget covers it, else before any
     action.  Either way the run, its kept points included, equals a run
     of the actions from a fresh machine.  With `record`, the trace lines
-    with per-event digests come back too, those of the prefix from the
-    root; with `keep_from`, the run keeps action points from that index
-    on; `payload` names the staged registers to label (see
-    ``run_plan``)."""
+    with per-event digests come back too (a run from `after` starts from
+    the lines its root recorded as it ran the prefix); with `keep_from`,
+    the run keeps action points from that index on; `payload` names the
+    staged registers to label (see ``run_plan``)."""
     hw_ext = scenario["hw_ext"]
-    recorder = reporting.TraceRecorder if record else None
     root = adversary.image_root(image, scenario["sgx_version"],
-                                (hw_ext["allowed"], hw_ext["window"]),
-                                recorder)
+                                (hw_ext["allowed"], hw_ext["window"]))
     max_steps = scenario["budgets"]["max_steps"]
     start = root.start(image.program, actions, max_steps)
     rec = None
     if record:
-        rec = recorder(start.machine, root.recorded_lines(image, recorder)
-                       if start.idx else None)
+        rec = reporting.TraceRecorder(start.machine,
+                                      root.lines if start.idx else None)
     res = run_plan(start, image, actions, max_steps=max_steps,
                    on_action=rec.on_action if rec else None,
                    after_events=rec.after_events if rec else None,

@@ -44,6 +44,17 @@ BUDGET_EXCEEDED = "budget_exceeded"
 
 DEFAULT_MAX_STEPS = 20000
 
+# Actions in an injected candidate plan: PrepareRegs, InjectAex, Eenter and
+# the shared delivery tail.  A dry run omits the injection and the tail.
+CANDIDATE_DEPTH = 6
+
+
+class SearchBudget(NamedTuple):
+    max_runs: int = 200000
+    max_steps: int = DEFAULT_MAX_STEPS    # per run from a fresh machine
+    boundary_cap: int = 160
+    depth: int = CANDIDATE_DEPTH    # actions per candidate plan
+
 
 # Actions are values.  Those with fields are named tuples that compare
 # equal only to an action of the same kind, so InjectAex(32, 5) is not
@@ -393,11 +404,11 @@ class Root:
     ``runtimes.build_machine`` builds for the image under an sgx version
     and an irq grant (``key``), kept as two points.  `fresh` is the point
     before any action; `after` the action point right after
-    ``prefix_plan()``, or None when the prefix does not run to it.
-    `lines` are the trace lines a recorded run has at `after`: recorded
-    with `after` when the root is built for a recorded run, else None
-    until the first recorded run that needs them (``recorded_lines``).
-    Either way the prefix runs once for `after` and at most once more.
+    ``prefix_plan()``, or None when the prefix does not run to it.  One
+    run of the prefix from a copy of `fresh` gives `after` and `lines`:
+    the trace lines that `recorder(machine)`, a ``reporting.TraceRecorder``,
+    recorded up to `after` (None with `after`), which a recorded run from
+    `after` starts from.
 
     A program holds its roots (``Program.roots``).  The points' machines
     keep their fetch table, but not ``fetch_program``, so that nothing the
@@ -407,36 +418,20 @@ class Root:
     __slots__ = ("fresh", "after", "lines")
 
     def __init__(self, machine: Machine, image: EnclaveImage,
-                 recorder: Optional[Callable] = None):
+                 recorder: Callable):
         fetch_table(machine.mem, image.program)
         self.fresh = Point(machine, 0, {}, None, None, 0, 0, 0)
-        self.after, self.lines = self._prefix(image, recorder)
-        for point in (self.fresh, self.after):
-            if point is not None:
-                point.machine.mem.fetch_program = None
-
-    def _prefix(self, image: EnclaveImage, recorder: Optional[Callable]):
-        """The action point after ``prefix_plan()`` of a run from a copy
-        of `fresh` (None when the run does not reach it), and the lines
-        that `recorder(machine)`, a ``reporting.TraceRecorder``, recorded up
-        to it (None without a recorder)."""
         start = self.copy(self.fresh, image.program)
-        rec = None if recorder is None else recorder(start.machine)
+        rec = recorder(start.machine)
         res = run_plan(start, image, prefix_plan() + [Stop()], keep_from=1,
-                       on_action=None if rec is None else rec.on_action,
-                       after_events=None if rec is None else rec.after_events)
-        if res.status != STOPPED:
-            return None, None
-        # the recorder's last line is the stop's, applied after the point
-        return res.points[0], None if rec is None else tuple(rec.lines[:-1])
-
-    def recorded_lines(self, image: EnclaveImage,
-                       recorder: Callable) -> tuple[str, ...]:
-        """`lines`, recorded by `recorder` from a copy of `fresh` if the
-        root has none yet.  Only a root whose `after` exists has them."""
-        if self.lines is None:
-            self.lines = self._prefix(image, recorder)[1]
-        return self.lines
+                       on_action=rec.on_action, after_events=rec.after_events)
+        self.after = self.lines = None
+        if res.status == STOPPED:
+            self.after = res.points[0]
+            self.after.machine.mem.fetch_program = None
+            # the recorder's last line is the stop's, applied after the point
+            self.lines = tuple(rec.lines[:-1])
+        machine.mem.fetch_program = None
 
     @staticmethod
     def key(image: EnclaveImage, sgx_version: int,

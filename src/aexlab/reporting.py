@@ -14,9 +14,9 @@ import hashlib
 import json
 from typing import Optional, Sequence
 
-from .adversary import CANDIDATE_DEPTH, SearchBudget
 from .harness import (
-    Eenter, Eresume, FlipPerms, InjectAex, PrepareRegs, SeedPublic, Stop,
+    CANDIDATE_DEPTH, Eenter, Eresume, FlipPerms, InjectAex, PrepareRegs,
+    SearchBudget, SeedPublic, Stop,
 )
 from .machine import (
     DEFAULT_IRQ_GRANT, EVENT_IDS, EVENT_NAMES, MASK64, PERM_R, PERM_W,

@@ -82,6 +82,21 @@ def test_unknown_scenario_key_exits_one(tmp_path):
     assert "surprise" in stderr
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_run_whose_prefix_misses_its_ocall_exits_one(tmp_path, workers):
+    # a 256-byte stack: the compute ecall's prefix ends before its ocall,
+    # so the exhaustive search has no state to start from
+    sc = write_scenario(tmp_path, variant="sdk_style",
+                        layout={"stack_limit": 0x27F00})
+    out = tmp_path / "o"
+    rc, stdout, stderr = cli("run", "--scenario", sc, "--out", str(out),
+                             "--workers", workers)
+    assert rc == 1 and stdout == ""
+    assert stderr == ("error: scenario prefix does not reach its ocall: "
+                      "done after 19 steps, 18 retired\n")
+    assert not (out / "report.json").exists()
+
+
 def test_replay_golden_trace_matches():
     golden = fixture_path("golden/scripted_sdk_sgx2.trace")
     rc, stdout, stderr = cli("replay", "--trace", golden)

@@ -823,9 +823,15 @@ def test_the_roots_oracle_catches_root_lines_one_line_short(monkeypatch):
     with agreement.roots() as compared:
         explorer.run(sc)
     assert len(compared) == 1
-    real = harness.Root.recorded_lines
-    monkeypatch.setattr(harness.Root, "recorded_lines",
-                        lambda *args: real(*args)[:-1])
+    image = explorer._image_for(sc)
+    monkeypatch.setattr(image.program, "roots", {})
+    real = harness.Root.__init__
+
+    def short(self, machine, image, recorder):
+        real(self, machine, image, recorder)
+        self.lines = self.lines[:-1]
+
+    monkeypatch.setattr(harness.Root, "__init__", short)
     with pytest.raises(agreement.Mismatch, match="^roots: .*lines"):
         with agreement.roots():
             explorer.run(sc)

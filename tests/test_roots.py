@@ -1,9 +1,10 @@
 """Roots: every run of a scenario starts from a copy of a point of the
 root its image's program keeps per platform, and equals a run from a fresh
 machine.  A root is keyed by everything `build_machine` reads, the sgx
-version and the grant; a budget at or below the prefix's steps runs fresh;
-replay still checks the prefix's lines; and a program that holds roots is
-freed by reference counting alone."""
+version and the grant, and runs its prefix once, recording the same lines
+whether a search or a recorded run builds it; a budget below the prefix's
+steps runs fresh; replay still checks the prefix's lines; and a program
+that holds roots is freed by reference counting alone."""
 
 import gc
 import weakref
@@ -115,23 +116,67 @@ def test_replay_checks_the_prefix_lines(warm, monkeypatch):
         assert root.lines == tuple(lines[:37])
 
 
-def test_a_root_built_without_lines_records_them_for_a_recorded_run(
+def test_a_root_built_by_a_search_holds_its_lines_for_a_recorded_run(
         monkeypatch):
-    # a search builds the root without lines; the recorded run of its
-    # counterexample records them, from the fresh point, once
+    # a search builds the root with its lines; the recorded run of its
+    # counterexample and a minimization start from them and run no second
+    # prefix
     sc = agreement.canonical("exhaustive_sdk_sgx2")
     image = explorer._image_for(sc)
     monkeypatch.setattr(image.program, "roots", {})
     out = explorer.certify(sc).outcome
     root, = image.program.roots.values()
-    assert root.lines is None
+    assert root.lines is not None and len(root.lines) == 37
+    recorded = root.lines
+    prefix = prefix_plan() + [harness.Stop()]
+    real = harness.run_plan
+    prefix_runs = []
+
+    def counted(start, image, actions, *args, **kwargs):
+        if actions == prefix:
+            prefix_runs.append(start)
+        return real(start, image, actions, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_plan", counted)
     actions = prefix_plan() + out.plan.actions
     with agreement.roots() as compared:
         res, lines = explorer._execute(sc, image, actions, record=True)
     assert len(compared) == 1 and lines[:37] == list(root.lines)
-    recorded = root.lines
     explorer._execute(sc, image, actions, record=True)
-    assert root.lines is recorded
+    explorer.minimize(sc, actions)
+    assert root.lines is recorded and prefix_runs == []
+
+
+# the scripted plan is infeasible on sgx 1 and under the irq quota; the
+# benign_critical run starts from the prefix too
+@pytest.mark.parametrize("variant, sgx, recorded_mode", [
+    ("sdk_style", SGX1, "benign_critical"), ("sdk_style", SGX2, "scripted"),
+    ("hw_irq_quota", SGX2, "benign_critical")])
+def test_a_roots_lines_and_after_point_do_not_depend_on_its_builder(
+        variant, sgx, recorded_mode, monkeypatch):
+    # a root built by a search and one built by a recorded run hold the
+    # same lines and the same state after the prefix; under a grant the
+    # fresh trace's grant event comes before the first action line
+    built = []
+    for mode in ("exhaustive", recorded_mode):
+        sc = reporting.normalize_scenario(
+            {"variant": variant, "sgx_version": sgx, "adversary": mode})
+        image = explorer._image_for(sc)
+        monkeypatch.setattr(image.program, "roots", {})
+        if mode == "exhaustive":
+            explorer.certify(sc)
+        else:
+            lines = explorer.run(sc).trace_lines
+        root, = image.program.roots.values()
+        built.append((root.lines, root.after.machine.digest()))
+    (searched, searched_digest), (recorded, recorded_digest) = built
+    assert searched == recorded and searched_digest == recorded_digest
+    assert lines[:len(recorded)] == list(recorded)
+    granted = variant == "hw_irq_quota"
+    first_action = next(i for i, ln in enumerate(recorded)
+                        if ln.startswith("A "))
+    assert first_action == granted
+    assert recorded[0].startswith("E grant ") == granted
 
 
 def test_a_program_with_roots_dies_without_the_cycle_collector():
