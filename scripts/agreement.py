@@ -565,8 +565,7 @@ def emulation_differential(image, sgx_version: int = 2,
             continue
         frame = interrupted.ssa[interrupted.tcs.cssa - 1]
         emu_machine = interrupted.clone()
-        emulated = interp.complete_critical(emu_machine, program,
-                                            frame.clone())
+        emulated = interp.complete_critical(emu_machine, program, frame)
 
         native = snap.clone()
         while True:

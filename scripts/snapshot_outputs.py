@@ -28,7 +28,8 @@ the prefix.  It runs
 `multi_round_aslr` under a 60-step budget, which cuts each recorded run
 before any safety violation, so each is BUDGET.  It runs `sdk_style`
 `exhaustive` with a 256-byte stack, on which the prefix ends before its
-ocall, so the run exits 1 with one `error:` line.  These scenario
+ocall, so the run exits 1 with one `error:` line and writes no `--out`
+(this script creates each job's directory for its stdout).  These scenario
 files are written to OUT/scenarios.  Every trace written is then replayed with
 `aexlab replay`, whose stdout lands next to the trace.  Exit codes go to
 OUT/exit_codes.txt.  Each job's stderr, less its `wall time ...s` part,
@@ -165,6 +166,7 @@ def _cli(argv: list[str], stdout_path: str,
     with contextlib.redirect_stdout(stdout), \
             contextlib.redirect_stderr(stderr):
         code = cli.main(argv)
+    os.makedirs(os.path.dirname(stdout_path), exist_ok=True)
     with open(stdout_path, "w") as fh:
         fh.write(stdout.getvalue())
     if work_path is not None:

@@ -17,8 +17,8 @@ from typing import NamedTuple, Optional
 
 from .harness import (
     AttackPlan, BENIGN_OCALL_RESULT, BENIGN_REGS, BUDGET_EXCEEDED,
-    CANDIDATE_DEPTH, Eenter, Eresume, InjectAex, PrepareRegs, Root,
-    RunResult, SearchBudget, SeedPublic, Stop, prefix_plan, run_plan,
+    CANDIDATE_DEPTH, DONE, Eenter, Eresume, InjectAex, PrepareRegs, Root,
+    RunResult, SearchBudget, SeedPublic, Stop, run_plan,
 )
 from .interp import RspPath
 from .machine import (
@@ -283,17 +283,14 @@ def _prefix_snapshot(image: EnclaveImage, sgx_version: int,
                      grant: Optional[tuple[int, int]]) -> Machine:
     """A copy of the machine after the prefix every plan shares, under
     `grant`: its root's `after` point.  Every step of the prefix retires,
-    so its steps are the machine's cycles; PrefixFailed when the prefix
-    ends otherwise."""
+    so its steps are the machine's cycles; PrefixFailed, worded from the
+    root's one prefix run (``Root.ended``), when it ends otherwise."""
     root = image_root(image, sgx_version, grant)
-    after = root.after
-    if after is None or after.steps != after.machine.cycle:
-        res = run_plan(Root.copy(root.fresh, image.program), image,
-                       prefix_plan())
+    status, steps, retired = root.ended
+    if status != DONE or steps != retired:
         raise PrefixFailed(f"scenario prefix does not reach its ocall: "
-                           f"{res.status} after {res.steps} steps, "
-                           f"{res.machine.cycle} retired")
-    return Root.copy(after, image.program).machine
+                           f"{status} after {steps} steps, {retired} retired")
+    return Root.copy(root.after, image.program).machine
 
 
 class RspClass:

@@ -32,7 +32,6 @@ def _cmd_run(args) -> int:
         return EXIT_USAGE
     if args.seed is not None:
         scenario["seed"] = args.seed
-    os.makedirs(args.out, exist_ok=True)
 
     t0 = time.monotonic()
     try:
@@ -42,13 +41,17 @@ def _cmd_run(args) -> int:
         return EXIT_USAGE
     wall = time.monotonic() - t0
 
-    trace_file = None
-    if outcome.trace_lines is not None:
-        trace_file = "run.trace"
-        reporting.write_trace(os.path.join(args.out, trace_file), scenario,
-                              outcome.trace_lines)
-    report = outcome.report(trace_file)
-    reporting.write_report(os.path.join(args.out, "report.json"), report)
+    trace_file = None if outcome.trace_lines is None else "run.trace"
+    try:
+        os.makedirs(args.out, exist_ok=True)
+        if trace_file is not None:
+            reporting.write_trace(os.path.join(args.out, trace_file),
+                                  scenario, outcome.trace_lines)
+        reporting.write_report(os.path.join(args.out, "report.json"),
+                               outcome.report(trace_file))
+    except OSError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
 
     for v in outcome.verdicts:
         print(f"{v.property_id}: {v.outcome}"
@@ -85,15 +88,12 @@ def _cmd_matrix(args) -> int:
             reporting.ScenarioError) as e:
         print(f"error: mapping: {e}", file=sys.stderr)
         return EXIT_USAGE
-    os.makedirs(args.out, exist_ok=True)
 
     t0 = time.monotonic()
     cells = explorer.run_matrix(mapping, args.sgx, workers=args.workers)
     wall = time.monotonic() - t0
 
     text = explorer.render_matrix(cells, args.sgx)
-    with open(os.path.join(args.out, "matrix.txt"), "w") as fh:
-        fh.write(text)
     doc = {
         "tool": reporting.TOOL_VERSION,
         "sgx_version": args.sgx,
@@ -102,8 +102,15 @@ def _cmd_matrix(args) -> int:
                    "verdict": c.verdict,
                    "stats": dict(sorted(c.stats.items()))} for c in cells],
     }
-    with open(os.path.join(args.out, "matrix.json"), "w") as fh:
-        fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    try:
+        os.makedirs(args.out, exist_ok=True)
+        with open(os.path.join(args.out, "matrix.txt"), "w") as fh:
+            fh.write(text)
+        with open(os.path.join(args.out, "matrix.json"), "w") as fh:
+            fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    except OSError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
 
     sys.stdout.write(text)
     print(_work([c.search for c in cells if c.search is not None])

@@ -405,17 +405,19 @@ class Root:
     and an irq grant (``key``), kept as two points.  `fresh` is the point
     before any action; `after` the action point right after
     ``prefix_plan()``, or None when the prefix does not run to it.  One
-    run of the prefix from a copy of `fresh` gives `after` and `lines`:
-    the trace lines that `recorder(machine)`, a ``reporting.TraceRecorder``,
-    recorded up to `after` (None with `after`), which a recorded run from
-    `after` starts from.
+    run of the prefix from a copy of `fresh` gives `after`, `ended` and
+    `lines`: how a run of ``prefix_plan()`` ends, (status, steps, retired
+    instructions), and the trace lines that `recorder(machine)`, a
+    ``reporting.TraceRecorder``, recorded up to `after` (None with
+    `after`), which a recorded run from `after` starts from.
 
     A program holds its roots (``Program.roots``).  The points' machines
+    are plain state, without digest text (see ``Machine.clone``).  They
     keep their fetch table, but not ``fetch_program``, so that nothing the
     program holds refers back to it; `copy` sets it on each copy, so that
     no run from a root fetches its table again."""
 
-    __slots__ = ("fresh", "after", "lines")
+    __slots__ = ("fresh", "after", "lines", "ended")
 
     def __init__(self, machine: Machine, image: EnclaveImage,
                  recorder: Callable):
@@ -425,6 +427,8 @@ class Root:
         rec = recorder(start.machine)
         res = run_plan(start, image, prefix_plan() + [Stop()], keep_from=1,
                        on_action=rec.on_action, after_events=rec.after_events)
+        self.ended = (DONE if res.status == STOPPED else res.status,
+                      res.steps, res.machine.cycle)
         self.after = self.lines = None
         if res.status == STOPPED:
             self.after = res.points[0]

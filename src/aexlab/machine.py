@@ -212,11 +212,11 @@ class Memory:
     date: the ``repr`` bytes of each canonical cell, in address order
     (``_keys``, ``_parts``), built at the first ``cells_repr``; from then on
     ``write`` records the written address in ``_dirty`` and ``cells_repr``
-    re-formats only those cells.  A memory never digested has no parts
-    (``_dirty`` is None) and pays only the None check per write; clones
-    copy the parts only when they exist.  The page permissions' text is
-    the machine's (``Machine._pages``), which ``os_set_page_perms``, the
-    one caller of ``set_perms``, clears.
+    re-formats only those cells.  A memory starts without parts, a clone
+    too, and one never digested pays only the None check per write
+    (``_dirty`` is None).  The page permissions' text is the machine's
+    (``Machine._pages``), which ``os_set_page_perms``, the one caller of
+    ``set_perms``, clears.
 
     ``fetch`` is the table instruction fetch reads for ``fetch_program``
     (see ``interp.fetch_table``): it depends on the pages, so clones share
@@ -245,13 +245,8 @@ class Memory:
         m.index = self.index
         m.cells = dict(self.cells)
         m.labels = dict(self.labels)
-        if self._dirty is None:
-            m._keys = m._parts = m._dirty = None
-        else:
-            m._keys = list(self._keys)
-            m._parts = list(self._parts)
-            m._dirty = set(self._dirty)
-        m._cells_repr = self._cells_repr
+        m._keys = m._parts = m._dirty = None
+        m._cells_repr = b""
         m.fetch = self.fetch
         m.fetch_program = self.fetch_program
         return m
@@ -399,11 +394,6 @@ class SSAFrame:
         self.valid = valid
         self.vector = vector
         self._repr: Optional[bytes] = None
-
-    def clone(self) -> "SSAFrame":
-        f = SSAFrame(self.regs, self.taint, self.valid, self.vector)
-        f._repr = self._repr
-        return f
 
     def canonical(self) -> tuple:
         return (tuple(self.regs), self.taint & SECRET_REGS, self.valid,
@@ -565,7 +555,8 @@ class Machine:
     ``platform_changed`` by every transition that changes one of them.
     ``_pages``, the page permissions alone, is cleared by
     ``os_set_page_perms`` only: the platform changes at every entry and
-    exit, the pages almost never.
+    exit, the pages almost never.  A clone, its memory and its SSA frames
+    start without digest text, as a fresh machine's do.
     """
 
     __slots__ = ("mode", "regs", "taint", "mem", "tcs", "ssa", "aep",
@@ -604,7 +595,8 @@ class Machine:
         m.mem = self.mem.clone()
         m.tcs = TCS(self.tcs.entry_point, self.tcs.nssa, self.tcs.ssa_base,
                     self.tcs.cssa, self.tcs.busy)
-        m.ssa = [f.clone() for f in self.ssa]
+        m.ssa = [SSAFrame(f.regs, f.taint, f.valid, f.vector)
+                 for f in self.ssa]
         m.aep = self.aep
         m.sgx_version = self.sgx_version
         m.hw = self.hw.clone()
@@ -615,8 +607,7 @@ class Machine:
         m.halted = self.halted
         m.influenced = self.influenced
         m.path = self.path if self.path is None else self.path.fork()
-        m._pages = self._pages
-        m._platform = self._platform
+        m._pages = m._platform = None
         return m
 
     def platform_changed(self) -> None:

@@ -95,6 +95,7 @@ def test_run_whose_prefix_misses_its_ocall_exits_one(tmp_path, workers):
     assert stderr == ("error: scenario prefix does not reach its ocall: "
                       "done after 19 steps, 18 retired\n")
     assert not (out / "report.json").exists()
+    assert not out.exists()
 
 
 def test_replay_golden_trace_matches():
@@ -289,6 +290,27 @@ def test_malformed_mapping_exits_one_before_certifying(tmp_path, doc,
     assert stderr.startswith("error: mapping: ") and message in stderr
     assert "Traceback" not in stderr
     assert stdout == "" and not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "matrix"])
+def test_out_naming_an_existing_file_exits_one(tmp_path, command):
+    # the command does its work, then cannot create --out: one error line
+    # and the file left as it was
+    out = tmp_path / "taken"
+    out.write_text("keep\n")
+    if command == "run":
+        sc = write_scenario(tmp_path, variant="sdk_style",
+                            adversary="scripted")
+        args = ["run", "--scenario", sc]
+    else:
+        mapping = tmp_path / "mapping.json"
+        mapping.write_text(json.dumps({"runtimes": [MAPPING_ROW]}))
+        args = ["matrix", "--mapping", str(mapping), "--sgx", "2"]
+    rc, stdout, stderr = cli(*args, "--out", str(out))
+    assert rc == 1 and stdout == ""
+    assert stderr.startswith("error: ") and stderr.count("\n") == 1
+    assert str(out) in stderr
+    assert out.read_text() == "keep\n"
 
 
 def test_fixture_dir_override(tmp_path):

@@ -492,8 +492,8 @@ def test_digest_is_canonical_right_after_a_perms_flip():
 
 
 def test_digest_is_canonical_after_a_flip_on_a_clone():
-    # a clone starts from its parent's cached page text; the flip clears
-    # the clone's only
+    # the parent's page text is cached, the clone builds its own; the
+    # flip changes the clone's only
     m, _ = enclave_machine()
     m.eexit(0x4000)
     before = m.digest()
@@ -504,8 +504,9 @@ def test_digest_is_canonical_after_a_flip_on_a_clone():
 
 
 def test_digest_is_canonical_after_writes_to_a_clone_of_a_digested_memory():
-    # a clone copies its parent's cell parts and encoded text; a write to
-    # either re-encodes only the writer's, whichever digests first
+    # the parent's cell parts are built, the clone builds its own at its
+    # first digest; a write to either re-encodes only the writer's,
+    # whichever digests first
     m, _ = enclave_machine()
     m.mem.write(DATA, 5, False)
     m.mem.write(DATA + 8, 0, True)

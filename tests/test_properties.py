@@ -7,7 +7,7 @@ import pytest
 from aexlab import adversary, harness, properties, runtimes
 from aexlab.harness import benign_plan, prefix_plan, run_plan
 from aexlab.machine import (
-    CTRL_RET, E_CTRL, E_EXIT, SGX2,
+    CTRL_JMPI, CTRL_RET, E_CTRL, E_EXIT, SGX2,
 )
 from aexlab.runtimes import build_machine, build_runtime
 
@@ -67,6 +67,19 @@ def test_private_region_pivot_needs_strict_mode():
     assert cfi.violated
 
 
+def test_stack_ok_exempts_window_pcs_only():
+    img = build_runtime("sdk_style")
+    monitor = properties.SafetyMonitor(img)
+    lo, hi = img.trusted_stack_ranges[0]
+    wild = hi + 8
+    assert not any(a <= wild <= b for a, b in img.trusted_stack_ranges)
+    window = min(img.sp_window_pcs)
+    assert img.oret_ret_pc not in img.sp_window_pcs
+    assert monitor.stack_ok(window, wild)
+    assert not monitor.stack_ok(img.oret_ret_pc, wild)
+    assert monitor.stack_ok(img.oret_ret_pc, lo)
+
+
 # ---------------------------------------------------------------------------
 # anchor integrity
 # ---------------------------------------------------------------------------
@@ -121,6 +134,40 @@ def test_cfi_fires_at_first_gadget_entry():
 def test_cfi_allows_context_restore_to_any_code():
     img, trace = benign_trace("sdk_style")
     assert not properties.evaluate(trace, img, ("cfi",))[0].violated
+
+
+def _only_witness(img, events):
+    """The one violated property of a monitor fed `events`."""
+    monitor = properties.SafetyMonitor(img)
+    monitor.feed(events)
+    violated = [v for v in monitor.verdicts() if v.violated]
+    assert len(violated) == 1, violated
+    return violated[0]
+
+
+def test_cfi_flags_a_context_restore_past_the_code():
+    # the restore site may return to any code address, and only there
+    img = build_runtime("sdk_style")
+    pc = min(img.restore_ret_pcs)
+    sp = img.trusted_stack_ranges[0][0]
+    code_lo, code_hi = img.program.base, img.program.end
+    v = _only_witness(img, [(E_CTRL, pc, code_lo, CTRL_RET, sp),
+                            (E_CTRL, pc, code_hi - 1, CTRL_RET, sp),
+                            (E_CTRL, pc, code_hi, CTRL_RET, sp)])
+    assert v == properties.Verdict("cfi", properties.VIOLATED, 2,
+                                   f"context restore to {code_hi:#x}")
+
+
+def test_cfi_flags_an_indirect_jump_past_the_code():
+    img = build_runtime("sdk_style")
+    pc = img.program.base
+    sp = img.trusted_stack_ranges[0][0]
+    code_lo, code_hi = img.program.base, img.program.end
+    v = _only_witness(img, [(E_CTRL, pc, code_lo, CTRL_JMPI, sp),
+                            (E_CTRL, pc, code_hi - 1, CTRL_JMPI, sp),
+                            (E_CTRL, pc, code_hi, CTRL_JMPI, sp)])
+    assert v == properties.Verdict("cfi", properties.VIOLATED, 2,
+                                   f"indirect jump to {code_hi:#x}")
 
 
 # ---------------------------------------------------------------------------

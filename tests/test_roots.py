@@ -179,6 +179,28 @@ def test_a_roots_lines_and_after_point_do_not_depend_on_its_builder(
     assert recorded[0].startswith("E grant ") == granted
 
 
+def test_a_roots_points_and_every_copy_hold_no_digest_text(monkeypatch):
+    # a recorded run digests a copy of the root's `after` point; the points,
+    # the search's copy and every later copy stay plain state, and a copy's
+    # first digest builds the canonical text
+    sc = agreement.canonical("scripted_sdk_sgx2")
+    image = explorer._image_for(sc)
+    monkeypatch.setattr(image.program, "roots", {})
+    explorer.run(sc)
+    (key, root), = image.program.roots.items()
+    after = root.after
+    assert root.ended == (harness.DONE, after.steps, after.machine.cycle)
+    machines = [root.fresh.machine, after.machine,
+                adversary._prefix_snapshot(image, SGX2, key[-1])]
+    machines += [Root.copy(p, image.program).machine
+                 for p in (root.fresh, after)]
+    for m in machines:
+        assert m.mem._dirty is None and m._platform is None
+        assert m._pages is None and all(f._repr is None for f in m.ssa)
+    copy = machines[-1]
+    assert copy.digest() == agreement.canonical_digest(copy)
+
+
 def test_a_program_with_roots_dies_without_the_cycle_collector():
     # a root's machines keep their fetch table but not the program, so
     # reference counting alone frees a program after a recorded run and a
