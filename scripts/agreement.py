@@ -44,16 +44,22 @@ checks critical-span completion against native execution.
   before the run's end, and its verdicts must equal a from-scratch
   `properties.evaluate` of the whole trace.  Yields whether each run
   violated.
-- `trials()` wraps `explorer._fires`, `explorer._unread` and
-  `explorer.run_plan`.  Every minimization trial resumed from an action
-  point must equal a fresh run of its plan through `explorer._execute`.
-  Both must agree on whether the property fires, and give the same trace,
-  status, steps, boundaries, actions applied and digest.  Every zeroing
-  trial decided by labels is run fresh: the property must fire, and the
-  run must give the trace, status, steps, boundaries and actions applied
-  of a fresh run of the plan it came from (digests differ: the zeroed
-  word is in the state).  Yields the list of every trial's actions, run
-  or decided, in order, and the list of those decided by labels.
+- `trials()` wraps `explorer._fires`, `explorer._unread`,
+  `explorer._repeated` and `explorer.run_plan`.  The monitor checkpoint a
+  trial resumes must equal a fresh monitor fed its point's trace.  Every
+  minimization trial resumed from an action point must equal a fresh run
+  of its plan through `explorer._execute`.  Both must agree on whether the property fires
+  (the trial's judged from its point's monitor checkpoint, the fresh
+  run's over its whole trace), and give the same trace, status, steps,
+  boundaries, actions applied and digest.  Every zeroing trial decided by
+  labels is run fresh: the property must fire, and the run must give the
+  trace, status, steps, boundaries and actions applied of a fresh run of
+  the plan it came from (digests differ: the zeroed word is in the
+  state).  Every trial rejected again without a run, as a plan the same
+  minimization rejected before, is run fresh: the property must not
+  fire.  Yields the list of every trial's actions, run or decided, in
+  order, the list of those decided by labels and the list of those
+  rejected again.
 - `digests()` wraps `Machine.digest`, which splices its text from cached
   segments, and `explorer.replay`, to tell the replay phase from the
   record phase.  Every digest must equal `canonical_digest`, its
@@ -383,14 +389,23 @@ def monitored():
         yield compared
 
 
+def _monitor_state(monitor) -> dict:
+    """All a safety monitor carries: the events it read, the anchor
+    save-stack and the witnesses."""
+    return {"position": monitor.position, "saves": monitor.saves,
+            "witnesses": monitor.witnesses}
+
+
 @contextlib.contextmanager
 def trials():
     real = _original(explorer, "_fires")
     decide = _original(explorer, "_unread")
+    known = _original(explorer, "_repeated")
     run_plan = _original(explorer, "run_plan")
     last = []
     compared = []
     decided = []
+    repeated = []
 
     def resumed_run(start, image, actions, **kwargs):
         res = run_plan(start, image, actions, **kwargs)
@@ -398,8 +413,13 @@ def trials():
             last[:] = [res]
         return res
 
-    def wrapper(image, scenario, actions, prop, start, origins):
-        result = real(image, scenario, actions, prop, start, origins)
+    def wrapper(image, scenario, actions, prop, start, checkpoint, origins):
+        want = properties.SafetyMonitor(checkpoint.image, checkpoint.sp_mode)
+        want.feed(start.machine.trace)
+        _require_same("trials", f"checkpoint before action {start.idx}",
+                      _monitor_state(checkpoint), _monitor_state(want))
+        result = real(image, scenario, actions, prop, start, checkpoint,
+                      origins)
         res = last.pop()
         fresh, _ = explorer._execute(scenario, image, actions)
         fresh_fires = properties.any_violation(explorer._verdicts(
@@ -409,6 +429,18 @@ def trials():
                       dict(run_fields(res), fires=result is not None),
                       dict(run_fields(fresh), fires=fresh_fires))
         compared.append(list(actions))
+        return result
+
+    def again(image, scenario, actions, prop, rejected):
+        result = known(image, scenario, actions, prop, rejected)
+        if result:
+            fresh, _ = explorer._execute(scenario, image, actions)
+            fires = properties.any_violation(explorer._verdicts(
+                scenario, image, fresh.trace, (prop,))) is not None
+            _require_same("trials", f"trial {actions} rejected again",
+                          {"fires": fires}, {"fires": False})
+            compared.append(list(actions))
+            repeated.append(list(actions))
         return result
 
     def unread(image, scenario, actions, prop, accepted, influenced, name):
@@ -430,8 +462,8 @@ def trials():
         return result
 
     with _installed(explorer, _fires=wrapper, _unread=unread,
-                    run_plan=resumed_run):
-        yield compared, decided
+                    _repeated=again, run_plan=resumed_run):
+        yield compared, decided, repeated
 
 
 def _rooted(res, lines) -> dict:
@@ -630,8 +662,8 @@ def minimization_sweep() -> int:
     sys.path.insert(0, os.path.join(HERE, "..", "perfbench"))
     from workloads import Hunt
 
-    total = by_labels = minimized = 0
-    with trials() as (tried, decided), \
+    total = by_labels = again = minimized = 0
+    with trials() as (tried, decided, repeated), \
             tempfile.TemporaryDirectory() as workdir:
         for seed in HUNT_SEEDS:
             t0 = time.monotonic()
@@ -657,13 +689,16 @@ def minimization_sweep() -> int:
                     return 1
                 minimized += 1
             print(f"hunt seed {seed}: {len(tried)} minimization trials "
-                  f"({len(decided)} decided by labels) agree "
+                  f"({len(decided)} decided by labels, {len(repeated)} "
+                  f"rejected again) agree "
                   f"({time.monotonic() - t0:.1f}s)", file=sys.stderr)
             total += len(tried)
             by_labels += len(decided)
-            tried.clear()
-            decided.clear()
-    print(f"{total} minimization trials ({by_labels} decided by labels) of "
+            again += len(repeated)
+            for c in (tried, decided, repeated):
+                c.clear()
+    print(f"{total} minimization trials ({by_labels} decided by labels, "
+          f"{again} rejected again without a run) of "
           f"{minimized} counterexamples compared, all agree")
     return 0
 

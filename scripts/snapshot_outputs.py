@@ -23,7 +23,12 @@ so the first two certify BUDGET and the last finds it.  It runs
 the prefix.  It runs
 `sdk_style` `exhaustive` at sgx 1 under run budgets of 1000 and 4000
 (of 6336 plans): each stops the search right after a branch whose last
-11 payload bindings are counted in one step.  It runs
+11 payload bindings are counted in one step.  It runs `sdk_style`
+`exhaustive` at sgx 1 under the benchmark hunt's budget (64 runs, 8
+boundaries) with page faults alone, whose dry runs keep only their
+boundary-0 point and whose third branch a class counts, and with page
+faults and external interrupts, whose first branch ends the search and
+so records no rsp path past its dry run.  It runs
 `sdk_style` sgx 2 `scripted`, `benign`, `benign_critical` and
 `multi_round_aslr` under a 60-step budget, which cuts each recorded run
 before any safety violation, so each is BUDGET.  It runs `sdk_style`
@@ -63,6 +68,9 @@ QUOTA_GRANTS = ((64, 5000), (20, 5000))     # (allowed cycles, window)
 STEP_BUDGETS = (100, 145, 146)
 # each cuts sdk_style sgx1 after a branch counted in one step
 RUN_BUDGETS = (1000, 4000)
+# the benchmark hunt's search budget, and two of its class lists
+HUNT_BUDGETS = {"max_runs": 64, "boundary_cap": 8}
+HUNT_CLASSES = (("page_fault",), ("page_fault", "external_interrupt"))
 # the modes whose recorded run a 60-step budget cuts
 CUT_MODES = ("scripted", "benign", "benign_critical", "multi_round_aslr")
 CUT_STEPS = 60
@@ -128,6 +136,14 @@ def _run_budget_docs():
                {"variant": "sdk_style", "sgx_version": 1,
                 "adversary": "exhaustive",
                 "budgets": {"max_runs": max_runs}})
+
+
+def _hunt_budget_docs():
+    for classes in HUNT_CLASSES:
+        yield (f"exhaustive_sdk_style_sgx1_hunt_{'_'.join(classes)}",
+               {"variant": "sdk_style", "sgx_version": 1,
+                "adversary": "exhaustive", "budgets": HUNT_BUDGETS,
+                "inject_classes": list(classes)})
 
 
 def _cut_run_docs():
@@ -196,7 +212,8 @@ def main() -> int:
             args.out, [*_critical_docs(), *_scripted_docs(),
                        *_multi_round_docs(), *_quota_grant_docs(),
                        *_step_budget_docs(), *_prefix_budget_docs(),
-                       *_run_budget_docs(), *_cut_run_docs(),
+                       *_run_budget_docs(), *_hunt_budget_docs(),
+                       *_cut_run_docs(),
                        *_short_stack_docs()]):
         jobs.append((tag, ["run", "--scenario", path], 1))
 

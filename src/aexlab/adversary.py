@@ -300,7 +300,9 @@ class RspClass:
     `path`.  `shapes` maps each shape, in plan order, to what its run
     gave, (status, steps, boundaries), and `clean` the shapes whose run no
     payload value influenced.  `schedules` holds the later bindings'
-    schedules (see `_schedule`), which depend on `clean` only."""
+    schedules (see `_schedule`), which depend on `clean` only.  `path` is
+    None once no branch can read it (`_path_unread`): the plans of the
+    representative's first binding after that record none."""
 
     __slots__ = ("word", "path", "shapes", "clean", "schedules")
 
@@ -317,8 +319,10 @@ class SearchSpace(NamedTuple):
     shared prefix (a copy of its image root's `after` point) whose trace
     `checkpoint` has read, each of `commands`
     re-enters with rsp = each of `words` and the `payload_regs` = each of
-    `words`, dry and injecting each of `classes` at each boundary up to
-    `budget.boundary_cap`.  A Counterexample's branch indexes it.  A plan
+    `words`, dry and injecting each of `classes` at boundary 0 and each of
+    `inside` at each later boundary up to `budget.boundary_cap`: permission
+    faults realize at the entry fetch, so a page fault only at boundary 0.
+    A Counterexample's branch indexes it.  A plan
     runs from `root` for at most `max_steps` steps: the budget's, less the
     prefix's, so that it is cut where a run of the prefix and the plan
     from a fresh machine is.  `rsp_classes` is the one part a search
@@ -332,6 +336,7 @@ class SearchSpace(NamedTuple):
     words: tuple[int, ...]
     payload_regs: tuple[str, ...]
     classes: tuple[int, ...]
+    inside: tuple[int, ...]
     budget: SearchBudget
     max_steps: int
     rsp_classes: dict[int, list[RspClass]]
@@ -373,12 +378,15 @@ def search_space(image: EnclaveImage, sgx_version: int = SGX2,
     checkpoint.feed(root.trace)
     return SearchSpace(image, root, checkpoint,
                        (CMD_ORET, CMD_INVALID, CMD_EXCEPTION), words,
-                       PAYLOAD_REGS, classes, budget,
-                       budget.max_steps - root.cycle, {})
+                       PAYLOAD_REGS, classes,
+                       tuple(v for v in classes if v != VEC_PAGE_FAULT),
+                       budget, budget.max_steps - root.cycle, {})
 
 
 def _monitored(checkpoint: SafetyMonitor, trace: list) -> SafetyMonitor:
-    """Resume the prefix checkpoint over the events a run appended."""
+    """Resume a checkpoint over the events a run appended to the trace it
+    read: the search's prefix checkpoint, or a minimization's checkpoint
+    at an action point."""
     monitor = checkpoint.clone()
     monitor.feed(trace[checkpoint.position:])
     return monitor
@@ -481,20 +489,44 @@ def _rsp_class(space: SearchSpace, cmd: int,
     return cls, False
 
 
+def _kept_boundaries(space: SearchSpace) -> int:
+    """The last boundary at which a dry run keeps a window point: its
+    binding's plans inject at boundaries up to `boundary_cap`, or, when a
+    page fault is the only class (no ``SearchSpace.inside``), at boundary
+    0 alone."""
+    return space.budget.boundary_cap if space.inside else 0
+
+
+def _path_unread(space: SearchSpace, spent: int, n_boundaries: int) -> bool:
+    """Whether no branch reads the rsp path of the class whose
+    representative's dry run just ran clean over `n_boundaries` injectable
+    boundaries, after the command's earlier branches covered `spent` runs.
+    A clean dry run is covered in every later binding, so every binding of
+    the branch has its shapes: the dry run, each class at boundary 0 and
+    each of `inside` at the boundaries after it, and the branch covers
+    that many runs per payload word unless it finds a counterexample.
+    When those reach the run budget, the search stops after this branch
+    (``exhaustive_attacker``, and ``_branches`` in a worker), so no later
+    ``_rsp_class`` reads the class."""
+    shapes = 1 + len(space.classes) + len(space.inside) * n_boundaries
+    return spent + len(space.words) * shapes >= space.budget.max_runs
+
+
 def _attempt(space: SearchSpace, entry: tuple[PrepareRegs, Eenter],
              inject: Optional[tuple[int, int]], points: list, take: bool,
              cls: Optional[RspClass],
              stats: SearchStats) -> tuple[list, RunResult]:
     """Run one candidate plan: the binding's staged registers and re-entry
     `entry`, injecting `inject` (None: the dry run).  A dry run keeps its
-    points up to the boundary cap; a plan injecting at boundary k resumes
-    from `points[k]` when its binding's dry run kept one, taking the
-    point's machine with `take`, else from a copy.  Given the rsp class
-    `cls`, the plan is of the first binding of the class's representative:
-    it runs with labelled payload registers and rsp, records its path
-    conditions into the class and its row into the class's `shapes`, and
-    into its `clean` when no payload value influenced it.  Returns the
-    actions and the RunResult."""
+    window points up to `_kept_boundaries`; a plan injecting at boundary k
+    resumes from `points[k]` when its binding's dry run kept one, taking
+    the point's machine with `take`, else from a copy.  Given the rsp
+    class `cls`, the plan is of the first binding of the class's
+    representative: it runs with labelled payload registers and rsp,
+    records its path conditions into the class's path while it has one
+    (a resumed plan through its point's machine) and its row into the
+    class's `shapes`, and into its `clean` when no payload value
+    influenced it.  Returns the actions and the RunResult."""
     actions = _candidate_actions(entry, inject)
     payload, path = (), None
     if cls is not None:
@@ -513,7 +545,7 @@ def _attempt(space: SearchSpace, entry: tuple[PrepareRegs, Eenter],
             machine.path = path.run()
         res = run_plan(machine, space.image, actions,
                        max_steps=space.max_steps, payload=payload,
-                       keep=space.budget.boundary_cap if inject is None else -1)
+                       keep=_kept_boundaries(space) if inject is None else -1)
         resumed_at = 0
     stats.runs += 1
     stats.executed += 1
@@ -529,7 +561,7 @@ def _attempt(space: SearchSpace, entry: tuple[PrepareRegs, Eenter],
 
 
 def _search_branch(space: SearchSpace, cmd_i: int, rsp_i: int,
-                   stats: SearchStats) -> Optional[Counterexample]:
+                   stats: SearchStats, spent: int) -> Optional[Counterexample]:
     """Enumerate the plans of one (command, rsp) branch, payload binding by
     payload binding, once its rsp class is decided (`_rsp_class`).  The
     first binding of a class's representative runs every plan shape; its
@@ -552,14 +584,17 @@ def _search_branch(space: SearchSpace, cmd_i: int, rsp_i: int,
     representative's decisions, so it is counted with its
     representative's rows, and the class's clean shapes cover the later
     bindings.  The representative violated nothing, so neither does the
-    counted binding."""
+    counted binding.
+
+    A representative whose dry run is clean stops recording its path
+    there when `_path_unread` finds, from the runs `spent` by the
+    command's earlier branches, that the search ends with this branch."""
     cmd = space.commands[cmd_i]
     rsp_bind = space.words[rsp_i]
     cap = space.budget.boundary_cap
-    # the classes injected at boundary 0 and at a later one: permission
-    # faults realize at the entry fetch
+    # the classes injected at boundary 0 and at a later one
     at_entry = space.classes
-    inside = tuple(v for v in space.classes if v != VEC_PAGE_FAULT)
+    inside = space.inside
 
     def found(pay_i: int, inject: Optional[tuple[int, int]], actions: list,
               res: RunResult) -> Optional[Counterexample]:
@@ -597,6 +632,11 @@ def _search_branch(space: SearchSpace, cmd_i: int, rsp_i: int,
                 return ce
             points = res.points
             n_boundaries = min(res.boundaries, cap)
+            if (rep is not None and None in clean
+                    and _path_unread(space, spent, n_boundaries)):
+                rep.path = None
+                for point in points:
+                    point.machine.path = None
         if rep is not None:     # its class's clean shapes are not known yet
             schedule = _schedule({}, n_boundaries, at_entry, inside)
         else:
@@ -627,13 +667,17 @@ def _search_branch(space: SearchSpace, cmd_i: int, rsp_i: int,
 
 def _branches(space: SearchSpace, cmd_i: int):
     """The (stats, counterexample or None) of each branch of one command,
-    in order, up to its first counterexample.  The branches of a command
-    share its rsp classes, so one process searches them all."""
+    in order, up to its first counterexample, or up to the branch whose
+    runs bring the command's to the run budget, after which the search
+    stops.  The branches of a command share its rsp classes, so one
+    process searches them all."""
+    spent = 0
     for rsp_i in range(len(space.words)):
         stats = SearchStats()
-        ce = _search_branch(space, cmd_i, rsp_i, stats)
+        ce = _search_branch(space, cmd_i, rsp_i, stats, spent)
         yield stats, ce
-        if ce is not None:
+        spent += stats.runs
+        if ce is not None or spent >= space.budget.max_runs:
             return
 
 

@@ -12,14 +12,14 @@ from typing import NamedTuple, Optional, Sequence
 from . import adversary, reporting
 from .harness import (
     BUDGET_EXCEEDED, FlipPerms, Point, PrepareRegs, Root, RunResult,
-    SeedRefused,
+    SeedRefused, Stop,
     benign_critical_exception_plan, benign_nested_plan, benign_plan,
     prefix_plan, run_plan,
 )
 from .isa import Program, render
 from .machine import ORIGINS, REG_IDS, VECTOR_IDS, UnknownPage
 from .properties import (
-    Verdict, any_violation, evaluate, milestones,
+    SafetyMonitor, Verdict, any_violation, evaluate, milestones,
 )
 from .runtimes import (
     VARIANTS, EnclaveImage, Layout, Toggles, build_runtime, fixture_path,
@@ -245,15 +245,19 @@ def run(scenario: dict, workers: int = 1) -> Outcome:
 # ---------------------------------------------------------------------------
 
 def _fires(image: EnclaveImage, scenario: dict, actions: list, prop: str,
-           start: Point, staged: tuple[str, ...]) -> Optional[RunResult]:
+           start: Point, checkpoint: SafetyMonitor,
+           staged: tuple[str, ...]) -> Optional[RunResult]:
     """One minimization trial: run `actions` from a copy of `start`, an
     action point of a plan that shares the actions before it, with the
-    registers `staged` labelled, keeping no points.  Returns the run when
-    `prop` still fires on its full trace, else None."""
+    registers `staged` labelled, keeping no points.  `checkpoint` is a
+    safety monitor that has read the point's trace; a clone of it reads
+    only the events the run added (``adversary._monitored``), and reaches
+    the verdicts a fresh monitor over the whole trace would.  Returns the
+    run when `prop` fires on it, else None."""
     res = run_plan(start.copy(), image, actions,
                    max_steps=scenario["budgets"]["max_steps"],
                    payload=staged)
-    if any_violation(_verdicts(scenario, image, res.trace, (prop,))) is None:
+    if not adversary._monitored(checkpoint, res.trace).verdict(prop).violated:
         return None
     return res
 
@@ -270,6 +274,16 @@ def _unread(image: EnclaveImage, scenario: dict, actions: list, prop: str,
     return not influenced & ORIGINS[REG_IDS[name]]
 
 
+def _repeated(image: EnclaveImage, scenario: dict, actions: list, prop: str,
+              rejected: set) -> bool:
+    """Whether a trial is decided without a run because the same
+    minimization rejected the same plan before: `rejected` holds the
+    plans it rejected, as tuples.  A trial gives what a fresh run of its
+    plan gives, so its outcome depends on the plan alone, and `actions`
+    is rejected again."""
+    return tuple(actions) in rejected
+
+
 def minimize(scenario: dict, actions: list) -> list:
     """Greedy removal of host actions and zeroing of staged payload words
     while the same property still fires on replay.  Deterministic and
@@ -279,17 +293,24 @@ def minimize(scenario: dict, actions: list) -> list:
     input stages with that register's own payload plane, so the accepted
     plan's run tells which staged registers reached a sink.  Zeroing a
     staged word of any other register is decided by labels (`_unread`):
-    accepted without a run.
+    accepted without a run.  A plan this call rejected before is rejected
+    again without a run (`_repeated`); the plans rejected are kept only
+    for the call.
 
     The accepted plan keeps an action point before each action its run
-    reached.  A trial that changes action i shares the accepted plan's
-    first i actions, so it resumes from the point before action i, or from
-    the last point when the accepted run ended earlier; it equals a fresh
-    run of the trial's plan exactly, and keeps no points.  A change
+    reached, and a safety-monitor checkpoint per point, built when a trial
+    first resumes there from the one below it.  A trial that changes
+    action i shares the accepted plan's first i actions, so it resumes
+    from the point before action i, or from the last point when the
+    accepted run ended earlier; it equals a fresh run of the trial's plan
+    exactly, and keeps no points.  Its verdict resumes the point's
+    checkpoint over the events the trial added (`_fires`).  A change
     accepted from the point before action i, by a trial or by labels,
-    leaves the points after i stale; the first later trial that resumes
-    past i first re-runs the accepted plan from the point before i to keep
-    them again."""
+    leaves the points and checkpoints after i stale; the first later
+    trial that resumes past i first re-runs the accepted plan from the
+    point before i to keep the points again, up to the point before its
+    last action, the last any trial resumes from, and drops the stale
+    checkpoints."""
     image = _image_for(scenario)
     staged = tuple(name for action in actions
                    if isinstance(action, PrepareRegs)
@@ -300,23 +321,38 @@ def minimize(scenario: dict, actions: list) -> list:
         raise ValueError("not a violation")
     prop = hit.property_id
     max_steps = scenario["budgets"]["max_steps"]
+    sp_mode = scenario["sp_confinement_mode"]
 
     current = list(actions)
     points = base.points        # points[j]: `current` before action j
+    checks = []     # checks[j]: a monitor that has read points[j]'s trace
     influenced = base.machine.influenced    # planes of `current`'s run
     stale = None    # points after this index predate an accepted change
+    rejected = set()    # the plans a trial rejected
+
+    def checkpoint(at: int) -> SafetyMonitor:
+        while len(checks) <= at:
+            below = checks[-1] if checks else SafetyMonitor(image, sp_mode)
+            checks.append(adversary._monitored(
+                below, points[len(checks)].machine.trace))
+        return checks[at]
 
     def accepted(candidate: list, i: int) -> bool:
         nonlocal current, points, influenced, stale
+        if _repeated(image, scenario, candidate, prop, rejected):
+            return False
         if stale is not None and min(i, len(points) - 1) > stale:
-            rebuilt = run_plan(points[stale].copy(), image, current,
-                               max_steps=max_steps, payload=staged,
-                               keep_from=stale + 1)
+            rebuilt = run_plan(points[stale].copy(), image,
+                               current[:-1] + [Stop()], max_steps=max_steps,
+                               payload=staged, keep_from=stale + 1)
             points = points[:stale + 1] + rebuilt.points
+            del checks[stale + 1:]
             stale = None
         at = min(i, len(points) - 1)    # the rebuilt run may end earlier
-        res = _fires(image, scenario, candidate, prop, points[at], staged)
+        res = _fires(image, scenario, candidate, prop, points[at],
+                     checkpoint(at), staged)
         if res is None:
+            rejected.add(tuple(candidate))
             return False
         current = candidate
         influenced = res.machine.influenced

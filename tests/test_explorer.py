@@ -413,17 +413,72 @@ def test_minimize_matches_fresh_trials():
     assert len(cases) > 10
     # each trial's run from its point is the fresh run of its plan
     # and each trial decided by labels fires with its accepted plan's run
-    by_labels = 0
-    with agreement.trials() as (tried, decided):
+    # and each trial rejected again without a run does not fire
+    by_labels = again = 0
+    with agreement.trials() as (tried, decided, repeated):
         for sc, actions in cases:
-            tried.clear()
-            decided.clear()
+            for c in (tried, decided, repeated):
+                c.clear()
             got = explorer.minimize(sc, actions)
             want, want_tried = _fresh_minimize(sc, actions)
             assert got == want
             assert tried == want_tried
             by_labels += len(decided)
-    assert by_labels > 0
+            again += len(repeated)
+    assert by_labels > 0 and again > 0
+
+
+def _whole_trace_fires(image, sc, actions, prop, start, checkpoint,
+                       staged):
+    """A minimization trial judged without its checkpoint: a fresh
+    evaluation of the trial run's whole trace."""
+    res = harness.run_plan(start.copy(), image, actions,
+                           max_steps=sc["budgets"]["max_steps"],
+                           payload=staged)
+    verdicts = explorer._verdicts(sc, image, res.trace, (prop,))
+    return res if properties.any_violation(verdicts) else None
+
+
+def test_minimization_runs_no_plan_twice_and_keeps_its_result(monkeypatch):
+    # every VULN pair's counterexample under each hunt class list,
+    # minimized with monitor checkpoints and the rejected plans, and again
+    # with every trial judged over its whole trace and nothing remembered
+    cases = []
+    for variant, sgx in _HUNT_PAIRS:
+        for classes in _HUNT_CLASSES:
+            sc = scenario(variant=variant, sgx_version=sgx,
+                          adversary="exhaustive",
+                          budgets={"max_runs": 64, "boundary_cap": 8},
+                          inject_classes=list(classes))
+            out = explorer.run(sc)
+            if out.trace_lines is not None:
+                cases.append((sc, [reporting.action_from_line(ln)
+                                   for ln in out.trace_lines
+                                   if ln.startswith("A ")]))
+    assert len(cases) == 19
+    tried = []
+
+    def recording(fires):
+        def recorded(image, sc, actions, *args):
+            tried.append(tuple(actions))
+            return fires(image, sc, actions, *args)
+        return recorded
+
+    monkeypatch.setattr(explorer, "_fires", recording(explorer._fires))
+    got = []
+    for sc, actions in cases:
+        tried.clear()
+        got.append(explorer.minimize(sc, actions))
+        assert len(set(tried)) == len(tried)
+
+    monkeypatch.setattr(explorer, "_fires", recording(_whole_trace_fires))
+    monkeypatch.setattr(explorer, "_repeated", lambda *args: False)
+    repeats = 0
+    for (sc, actions), plan in zip(cases, got):
+        tried.clear()
+        assert explorer.minimize(sc, actions) == plan
+        repeats += len(tried) - len(set(tried))
+    assert repeats > 0
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ every covered plan repeats its representative's run.  Then the rsp
 classes: every rsp word a recorded path admits repeats the path's run,
 shifted by the words' difference."""
 
+import multiprocessing
 import random
 
 import pytest
@@ -30,7 +31,9 @@ from aexlab.runtimes import (
     CMD_ECALL_COMPUTE, VARIANTS, build_machine, build_runtime,
 )
 
-from conftest import CODE, DATA, PUB, load_script, make_raw_machine
+from conftest import (
+    CODE, DATA, PUB, load_script, make_raw_machine, stub_pool_context,
+)
 
 agreement = load_script("agreement")
 
@@ -704,9 +707,9 @@ def test_a_counted_branch_builds_no_entry_and_counts_in_one_step(
                             adversary._search_branch)
     attempt, count_covered = adversary._attempt, adversary._count_covered
 
-    def recorded_branch(space, cmd_i, rsp_i, stats):
+    def recorded_branch(space, cmd_i, rsp_i, stats, spent):
         branches.append((stats, [], set(), []))
-        return search_branch(space, cmd_i, rsp_i, stats)
+        return search_branch(space, cmd_i, rsp_i, stats, spent)
 
     def recorded_entry(space, cmd, rsp, payload):
         branches[-1][1].append(payload)
@@ -734,6 +737,83 @@ def test_a_counted_branch_builds_no_entry_and_counts_in_one_step(
         if stats.classed:
             assert built == [] and len(counts) == 1
             assert counts[0][2] == words[1:]
+
+
+# the hunt's budget and class lists, the survey's VULN pairs, and the
+# designs the survey certifies SAFE
+_HUNT_BUDGET = harness.SearchBudget(max_runs=64, boundary_cap=8)
+_HUNT_CLASS_LISTS = ((VEC_PAGE_FAULT, VEC_EXT_INT),
+                     (VEC_EXT_INT, VEC_PAGE_FAULT), (VEC_PAGE_FAULT,),
+                     (VEC_EXT_INT,))
+_VULN_PAIRS = (("sdk_style", SGX2), ("open_enclave_style", SGX1),
+               ("open_enclave_style", SGX2), ("enarx_style", SGX1),
+               ("enarx_style", SGX2))
+_SAFE_PAIRS = (("sdk_style", SGX1),) + tuple(
+    (v, sgx) for v in ("dedicated_stack", "nssa_disabled",
+                       "graphene_emulated", "hw_reentry_mask", "hw_irq_quota")
+    for sgx in (SGX1, SGX2))
+
+
+def test_a_search_records_only_what_it_reads(monkeypatch):
+    # at the hunt's budget, a representative's branch after which the
+    # search stops records no rsp path past its dry run, and a dry run
+    # with page faults alone keeps only its boundary-0 point; the outcome
+    # and every counter equal those of the search with both forced on,
+    # with one process and with a worker per command
+    path_unread, kept_boundaries = (adversary._path_unread,
+                                    adversary._kept_boundaries)
+    skipped, kept = [], []
+
+    def recorded_unread(*args):
+        skipped.append(path_unread(*args))
+        return skipped[-1]
+
+    def recorded_kept(space):
+        kept.append(kept_boundaries(space))
+        return kept[-1]
+
+    def searches(workers):
+        return [exhaustive_attacker(build_runtime(variant), sgx,
+                                    classes=classes, budget=_HUNT_BUDGET,
+                                    workers=workers)
+                for variant, sgx in _VULN_PAIRS + _SAFE_PAIRS
+                for classes in _HUNT_CLASS_LISTS]
+
+    monkeypatch.setattr(multiprocessing, "get_context",
+                        stub_pool_context([]))
+    monkeypatch.setattr(adversary, "_path_unread", recorded_unread)
+    monkeypatch.setattr(adversary, "_kept_boundaries", recorded_kept)
+    got = searches(1)
+    assert True in skipped and 0 in kept
+    assert [_counters(out.stats) for out in searches(2)] == [
+        _counters(out.stats) for out in got]
+    monkeypatch.setattr(adversary, "_path_unread", lambda *args: False)
+    monkeypatch.setattr(adversary, "_kept_boundaries",
+                        lambda space: space.budget.boundary_cap)
+    want = searches(1)
+    assert {type(out) for out in want} == {Counterexample,
+                                           adversary.BudgetExceeded}
+    for out, ref in zip(got, want):
+        assert type(out) is type(ref)
+        assert getattr(out, "branch", None) == getattr(ref, "branch", None)
+        assert _counters(out.stats) == _counters(ref.stats)
+
+
+def test_the_default_budget_records_every_path(monkeypatch):
+    # the survey's budget outlasts every branch: no path stops early, and
+    # sdk_style sgx1 still counts 24 of its 36 branches by class
+    path_unread = adversary._path_unread
+    skipped = []
+
+    def recorded(*args):
+        skipped.append(path_unread(*args))
+        return skipped[-1]
+
+    monkeypatch.setattr(adversary, "_path_unread", recorded)
+    out = exhaustive_attacker(build_runtime("sdk_style"), SGX1)
+    assert isinstance(out, NoneFound)
+    assert (out.stats.classed, out.stats.branches) == (24, 36)
+    assert skipped and not any(skipped)
 
 
 def test_pruning_stays_sound_where_the_payload_matters(monkeypatch):
@@ -873,6 +953,7 @@ def test_an_oracle_whose_name_is_gone_raises(monkeypatch):
             (adversary, "_monitored", agreement.monitored),
             (explorer, "_fires", agreement.trials),
             (explorer, "_unread", agreement.trials),
+            (explorer, "_repeated", agreement.trials),
             (explorer, "run_plan", agreement.trials),
             (Machine, "digest", agreement.digests),
             (explorer, "replay", agreement.digests),
