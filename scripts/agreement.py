@@ -3,11 +3,11 @@
 minimization and of the state digest gives what the computation it stands
 for gives.
 
-Seven agreement oracles, one per shortcut.  Each is a context manager that
+Eight agreement oracles, one per shortcut.  Each is a context manager that
 wraps names of the program, restores them on exit, and yields the list of
 what it compared.  It raises `Mismatch`, naming itself, at the first
 disagreement, and raises at entry when a name it wraps is gone, rather
-than silently checking nothing.  An eighth, `emulation_differential()`,
+than silently checking nothing.  A ninth, `emulation_differential()`,
 checks critical-span completion against native execution.
 
 - `covered()` wraps `adversary._count_covered`, which adds later
@@ -75,6 +75,14 @@ checks critical-span completion against native execution.
   actions applied, `influenced` flag and digest, and keep the same points
   (index, steps, boundaries and digest of each).  Yields each resumed
   RunResult.
+- `recalled()` wraps `explorer._recall`, which hands `minimize` the run
+  `explorer.run` recorded of an exhaustive counterexample, in place of a
+  run of its own.  Every run a minimization takes is run again through
+  `explorer._execute`, keeping action points from index 0 and labelling
+  the staged registers, as a minimization without it does.  Both runs
+  must give what `roots()` compares (trace, status, steps, boundaries,
+  actions applied, `influenced` flag, digest and points), and the same
+  verdicts.  Yields each run taken.
 - `emulation_differential(image)` checks `interp.complete_critical`, which
   completes an interrupted critical span by emulation, against native
   execution.  At every reachable interruption offset inside every critical
@@ -85,15 +93,16 @@ checks critical-span completion against native execution.
 
 The script installs the four search oracles together and runs the
 exhaustive search of every variant on sgx 1 and 2, in range and strict
-sp-confinement mode.  Then, with only `trials()` installed, it minimizes
-every counterexample of the benchmark's hunt batches at seeds 53, 3 and
-21 (perfbench/workloads.py).  Then, with only `digests()` installed, it
-records and replays the trace-producing scenarios below.  Then, with only
-`roots()` installed, it records and replays them again, along with the
-scripted attack on `sdk_style` sgx 2 under step budgets around its
-35-step prefix (34, 35 and 36), `benign_critical` on `hw_irq_quota`
-under three grants, and minimizes every counterexample of the scripted
-scenarios.  Last, it runs the emulation differential of every variant with
+sp-confinement mode.  Then, with only `trials()` and `recalled()`
+installed, it minimizes every counterexample of the benchmark's hunt
+batches at seeds 53, 3 and 21 (perfbench/workloads.py), each right after
+`explorer.run` recorded it.  Then, with only `digests()` installed, it
+records and replays the trace-producing scenarios below.  Then, with
+`roots()` and `recalled()` installed, it records and replays them again,
+along with the scripted attack on `sdk_style` sgx 2 under step budgets
+around its 35-step prefix (34, 35 and 36), `benign_critical` on
+`hw_irq_quota` under three grants, and minimizes every counterexample of
+the scripted and exhaustive scenarios.  Last, it runs the emulation differential of every variant with
 critical spans, on sgx 1 and 2, for both injected classes.  The scenarios
 the digest sweep records:
 
@@ -515,6 +524,32 @@ def roots():
         yield compared
 
 
+@contextlib.contextmanager
+def recalled():
+    real = _original(explorer, "_recall")
+    compared = []
+
+    def wrapper(scenario, image, actions):
+        recorded = real(scenario, image, actions)
+        if recorded is None:
+            return None
+        res, verdicts = recorded
+        fresh, _ = explorer._execute(scenario, image, actions, keep_from=0,
+                                     payload=explorer._staged(actions))
+        want, _ = explorer._judged(scenario, image, fresh)
+        _require_same("recalled", f"plan {actions} kept from its recorded "
+                                  f"run",
+                      dict(_rooted(res, None),
+                           verdicts=[v.to_dict() for v in verdicts]),
+                      dict(_rooted(fresh, None),
+                           verdicts=[v.to_dict() for v in want]))
+        compared.append(res)
+        return recorded
+
+    with _installed(explorer, _recall=wrapper):
+        yield compared
+
+
 def canonical_digest(m) -> str:
     """The specification of `Machine.digest`: the first 16 hex digits of
     the SHA-256 of the `repr` of the canonical state."""
@@ -663,7 +698,7 @@ def minimization_sweep() -> int:
     from workloads import Hunt
 
     total = by_labels = again = minimized = 0
-    with trials() as (tried, decided, repeated), \
+    with trials() as (tried, decided, repeated), recalled() as taken, \
             tempfile.TemporaryDirectory() as workdir:
         for seed in HUNT_SEEDS:
             t0 = time.monotonic()
@@ -700,6 +735,8 @@ def minimization_sweep() -> int:
     print(f"{total} minimization trials ({by_labels} decided by labels, "
           f"{again} rejected again without a run) of "
           f"{minimized} counterexamples compared, all agree")
+    print(f"{len(taken)} minimizations from the recorded run compared, all "
+          f"agree")
     return 0
 
 
@@ -794,7 +831,7 @@ def rooted_scenarios() -> list[tuple[str, dict]]:
 
 def root_sweep() -> int:
     recorded = minimized = 0
-    with roots() as compared:
+    with roots() as compared, recalled() as taken:
         for name, scenario in rooted_scenarios():
             try:
                 outcome = explorer.run(scenario)
@@ -803,7 +840,7 @@ def root_sweep() -> int:
                     continue
                 explorer.replay(scenario, lines, len(lines))
                 recorded += 1
-                if (scenario["adversary"] == "scripted"
+                if (scenario["adversary"] in ("scripted", "exhaustive")
                         and outcome.exit_code == explorer.EXIT_VIOLATION):
                     explorer.minimize(scenario, [
                         reporting.action_from_line(ln) for ln in lines
@@ -813,8 +850,8 @@ def root_sweep() -> int:
                 print(f"MISMATCH {name}: {e}")
                 return 1
     print(f"{len(compared)} runs resumed from a root ({recorded} scenarios "
-          f"recorded and replayed, {minimized} counterexamples minimized) "
-          f"compared, all agree")
+          f"recorded and replayed, {minimized} counterexamples minimized, "
+          f"{len(taken)} of them from the recorded run) compared, all agree")
     return 0
 
 

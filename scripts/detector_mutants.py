@@ -1,13 +1,16 @@
 #!/usr/bin/env python3
 """Mutation check of the safety detectors: delete each rule of
-`SafetyMonitor.feed` in turn and see that a detector test fails.
+`SafetyMonitor.feed` in turn and see that a detector or acceptance test
+fails.
 
 A rule is one `found.setdefault(...)` statement of `feed` in
 `src/aexlab/properties.py`, found with `ast`.  The script copies `src/`,
-`tests/` and `pyproject.toml` of this checkout into a temporary directory
-and checks that the unchanged copy passes the detector tests.  Then, one
-rule at a time, it replaces that rule's statement with `pass` in the copy
-and runs `python -m pytest -q -x tests/test_properties.py` there, in one
+`tests/`, `scripts/` (the acceptance tests load `scripts/agreement.py`)
+and `pyproject.toml` of this checkout into a temporary directory
+and checks that the unchanged copy passes the detector tests and the
+acceptance tests.  Then, one rule at a time, it replaces that rule's
+statement with `pass` in the copy and runs `python -m pytest -q -x
+tests/test_properties.py tests/test_acceptance.py` there, in one
 subprocess under a timeout.  It prints `killed` or `SURVIVED` per rule,
 with its line and detail text, and exits 1 when any mutant survives (2
 when the unchanged copy fails).  The checkout itself is only read.
@@ -25,7 +28,8 @@ import time
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 TARGET = os.path.join("src", "aexlab", "properties.py")
-TESTS = [os.path.join("tests", "test_properties.py")]
+TESTS = [os.path.join("tests", "test_properties.py"),
+         os.path.join("tests", "test_acceptance.py")]
 TIMEOUT = 120.0     # seconds one test run may take
 
 
@@ -61,7 +65,7 @@ def mutant(source: str, rule: ast.Expr) -> str:
 
 
 def run_tests(copy: str) -> str:
-    """"passed", "failed" or "timeout" for the detector tests in `copy`."""
+    """"passed", "failed" or "timeout" for the tests in `copy`."""
     env = dict(os.environ, PYTHONPATH=os.path.join(copy, "src"),
                PYTHONDONTWRITEBYTECODE="1")
     try:
@@ -82,7 +86,7 @@ def main() -> int:
     found = rules(source)
     with tempfile.TemporaryDirectory() as copy:
         skip = shutil.ignore_patterns("__pycache__", ".pytest_cache")
-        for name in ("src", "tests"):
+        for name in ("src", "tests", "scripts"):
             shutil.copytree(os.path.join(ROOT, name),
                             os.path.join(copy, name), ignore=skip)
         shutil.copy(os.path.join(ROOT, "pyproject.toml"), copy)

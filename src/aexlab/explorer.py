@@ -83,7 +83,10 @@ def _execute(scenario: dict, image: EnclaveImage, actions: list,
     with per-event digests come back too (a run from `after` starts from
     the lines its root recorded as it ran the prefix); with `keep_from`,
     the run keeps action points from that index on; `payload` names the
-    staged registers to label (see ``run_plan``)."""
+    staged registers to label (see ``run_plan``).  Neither changes the
+    trace lines: digests and events carry only the secret label plane, so
+    `run` records an exhaustive counterexample with both, for `minimize`
+    to start from."""
     hw_ext = scenario["hw_ext"]
     root = adversary.image_root(image, scenario["sgx_version"],
                                 (hw_ext["allowed"], hw_ext["window"]))
@@ -132,6 +135,58 @@ def _judged(scenario: dict, image: EnclaveImage,
     return verdicts, EXIT_OK
 
 
+def _staged(actions: list) -> tuple[str, ...]:
+    """The registers a `PrepareRegs` of `actions` stages: the payload a
+    counterexample's recorded run and its minimization label."""
+    return tuple(name for action in actions
+                 if isinstance(action, PrepareRegs)
+                 for name, _ in action.regs)
+
+
+class _Recorded(NamedTuple):
+    """The recorded run of an exhaustive counterexample, kept for
+    `minimize`: with an action point before every action and the staged
+    registers labelled, and the verdicts `run` judged it by.  `key` is the
+    scenario's repr, which a scenario changed after the run no longer
+    matches, and the plan."""
+
+    key: tuple
+    run: RunResult
+    verdicts: list
+
+
+# the one recorded run kept process-wide, until `minimize` takes it
+_recorded: Optional[_Recorded] = None
+
+
+def _remember(scenario: dict, actions: list, res: RunResult,
+              verdicts: list) -> None:
+    """Keep `res`, the recorded run of `actions`, for a `minimize` of the
+    same scenario and plan, in place of the run kept before.  Its machines
+    drop ``fetch_program``, as a root's points do, so that the kept run
+    holds no program alive."""
+    global _recorded
+    for m in [res.machine] + [p.machine for p in res.points]:
+        m.mem.fetch_program = None
+    _recorded = _Recorded((repr(scenario), tuple(actions)), res, verdicts)
+
+
+def _recall(scenario: dict, image: EnclaveImage,
+            actions: list) -> Optional[tuple[RunResult, list]]:
+    """Take the kept run, leaving none: the run and its verdicts when it
+    is the recorded run of `actions` under `scenario`, else None.  Its
+    points fetch from `image`'s program again, where they hold its fetch
+    table."""
+    global _recorded
+    kept, _recorded = _recorded, None
+    if kept is None or kept.key != (repr(scenario), tuple(actions)):
+        return None
+    for p in kept.run.points:
+        if p.machine.mem.fetch is not None:
+            p.machine.mem.fetch_program = image.program
+    return kept.run, kept.verdicts
+
+
 class Certification(NamedTuple):
     """The image searched, the search's outcome (Counterexample, NoneFound
     or BudgetExceeded) and its stats as reports give them, with a
@@ -169,7 +224,11 @@ def run(scenario: dict, workers: int = 1) -> Outcome:
     violation has status budget_exceeded and exit code 2.  An exhaustive
     scenario is certified (`certify`); only a counterexample is then re-run
     from a fresh machine and recorded, for the report's verdicts and the
-    trace.  A monte_carlo scenario reads no image, so none is built."""
+    trace.  That run also keeps an action point before every action and
+    labels the staged registers, which changes no byte of the outcome, and
+    is kept (`_remember`) until a `minimize` of the same scenario and
+    plan starts from it instead of running the plan again.  A monte_carlo
+    scenario reads no image, so none is built."""
     mode = scenario["adversary"]
     if mode == "exhaustive":
         image, out, stats = certify(scenario, workers)
@@ -228,13 +287,19 @@ def run(scenario: dict, workers: int = 1) -> Outcome:
 
     if actions is None:
         return Outcome(scenario, "ok", [], (), stats, None, EXIT_OK)
-    res, lines = _execute(scenario, image, actions, record=True)
+    if mode == "exhaustive":
+        res, lines = _execute(scenario, image, actions, record=True,
+                              keep_from=0, payload=_staged(actions))
+    else:
+        res, lines = _execute(scenario, image, actions, record=True)
     if mode == "scripted" or mode.startswith("benign"):
         stats.update(steps=res.steps, status=res.status)
     reached = milestones(res.trace, image)
     if mode == "multi_round_aslr":
         stats["success"] = "anchor_written" in reached
     verdicts, code = _judged(scenario, image, res)
+    if mode == "exhaustive":
+        _remember(scenario, actions, res, verdicts)
     status = "budget_exceeded" if code == EXIT_BUDGET else "ok"
     return Outcome(scenario, status, verdicts, reached, stats, lines, code,
                    search)
@@ -289,6 +354,14 @@ def minimize(scenario: dict, actions: list) -> list:
     while the same property still fires on replay.  Deterministic and
     idempotent; raises ValueError when the input does not violate.
 
+    The reduction starts from a run of the input that keeps an action
+    point before every action.  The first call after `run` recorded an
+    exhaustive counterexample takes that recorded run (`_recall`) when
+    its input is the same scenario and plan, with the property its
+    verdicts found violated, and steps no instruction before its first
+    trial; any other call runs the input once more to keep the points.
+    Either way the trials and the result are the same.
+
     Every run labels the value of each register a `PrepareRegs` of the
     input stages with that register's own payload plane, so the accepted
     plan's run tells which staged registers reached a sink.  Zeroing a
@@ -312,11 +385,15 @@ def minimize(scenario: dict, actions: list) -> list:
     last action, the last any trial resumes from, and drops the stale
     checkpoints."""
     image = _image_for(scenario)
-    staged = tuple(name for action in actions
-                   if isinstance(action, PrepareRegs)
-                   for name, _ in action.regs)
-    base, _ = _execute(scenario, image, actions, keep_from=0, payload=staged)
-    hit = any_violation(_verdicts(scenario, image, base.trace))
+    staged = _staged(actions)
+    recorded = _recall(scenario, image, actions)
+    if recorded is None:
+        base, _ = _execute(scenario, image, actions, keep_from=0,
+                           payload=staged)
+        verdicts = _verdicts(scenario, image, base.trace)
+    else:
+        base, verdicts = recorded
+    hit = any_violation(verdicts)
     if hit is None:
         raise ValueError("not a violation")
     prop = hit.property_id

@@ -439,10 +439,15 @@ def _whole_trace_fires(image, sc, actions, prop, start, checkpoint,
     return res if properties.any_violation(verdicts) else None
 
 
-def test_minimization_runs_no_plan_twice_and_keeps_its_result(monkeypatch):
-    # every VULN pair's counterexample under each hunt class list,
-    # minimized with monitor checkpoints and the rejected plans, and again
-    # with every trial judged over its whole trace and nothing remembered
+def _recorded_actions(out) -> list:
+    """The actions of a recorded outcome's trace."""
+    return [reporting.action_from_line(ln) for ln in out.trace_lines
+            if ln.startswith("A ")]
+
+
+def _vuln_counterexamples() -> list:
+    """(scenario, actions) of every VULN pair's counterexample under each
+    hunt class list, where the hunt's run budget finds one."""
     cases = []
     for variant, sgx in _HUNT_PAIRS:
         for classes in _HUNT_CLASSES:
@@ -452,10 +457,98 @@ def test_minimization_runs_no_plan_twice_and_keeps_its_result(monkeypatch):
                           inject_classes=list(classes))
             out = explorer.run(sc)
             if out.trace_lines is not None:
-                cases.append((sc, [reporting.action_from_line(ln)
-                                   for ln in out.trace_lines
-                                   if ln.startswith("A ")]))
+                cases.append((sc, _recorded_actions(out)))
     assert len(cases) == 19
+    return cases
+
+
+def test_recording_a_counterexample_for_minimize_costs_no_bytes():
+    # the recorded run with action points and staged labels gives the
+    # lines, verdicts and milestones of a plain recorded run, and the
+    # points of the run a minimization without it takes
+    for sc, actions in _vuln_counterexamples():
+        image = explorer._image_for(sc)
+        staged = explorer._staged(actions)
+        plain, plain_lines = explorer._execute(sc, image, actions,
+                                               record=True)
+        kept, kept_lines = explorer._execute(sc, image, actions, record=True,
+                                             keep_from=0, payload=staged)
+        assert kept_lines == plain_lines
+        assert ([v.to_dict() for v in explorer._judged(sc, image, kept)[0]]
+                == [v.to_dict()
+                    for v in explorer._judged(sc, image, plain)[0]])
+        assert (properties.milestones(kept.trace, image)
+                == properties.milestones(plain.trace, image))
+        base, _ = explorer._execute(sc, image, actions, keep_from=0,
+                                    payload=staged)
+        assert len(kept.points) == len(actions)
+        assert agreement._rooted(kept, None) == agreement._rooted(base, None)
+
+
+def test_minimize_from_the_recorded_run_equals_a_rerun(monkeypatch):
+    # minimize right after `run` takes the run `run` recorded of an
+    # exhaustive counterexample and steps nothing before its first trial;
+    # once taken, the kept run is gone, and minimize runs the plan again.
+    # Both try the same plans and give the same result.  A scripted run
+    # keeps nothing.
+    stepped = []
+    step = harness.step
+
+    def counted(m, program):
+        stepped.append(None)
+        return step(m, program)
+
+    monkeypatch.setattr(harness, "step", counted)
+    monkeypatch.setattr(explorer, "_recorded", None)
+    cases = [attack_setup()[0]] + _hunt_scenarios(11, 12)
+    hits = 0
+    with agreement.trials() as (tried, decided, repeated), \
+            agreement.recalled() as taken, monkeypatch.context() as patch:
+        fires, recall = explorer._fires, explorer._recall
+        first = []      # steps before the first trial, less `checked`
+        checked = []    # steps of the recalled oracle's own run
+
+        def marked(*args):
+            first.append(len(stepped) - len(checked))
+            return fires(*args)
+
+        def uncounted(*args):
+            before = len(stepped)
+            recorded = recall(*args)
+            checked.extend(stepped[before:])
+            return recorded
+
+        patch.setattr(explorer, "_fires", marked)
+        patch.setattr(explorer, "_recall", uncounted)
+        for sc in cases:
+            out = explorer.run(sc)
+            if out.trace_lines is None:
+                continue
+            kept = explorer._recorded is not None
+            assert kept == (sc["adversary"] == "exhaustive")
+            actions = _recorded_actions(out)
+            got = []
+            for _ in range(2):
+                for c in (tried, decided, repeated, first, checked):
+                    c.clear()
+                before = len(stepped)
+                plan = explorer.minimize(sc, actions)
+                assert explorer._recorded is None
+                got.append((plan, list(tried), list(decided),
+                            list(repeated), first[0] - before))
+            hit, miss = got
+            assert hit[:4] == miss[:4]
+            assert miss[4] > 0
+            assert (hit[4] == 0) == kept
+            hits += kept
+    assert hits > 10 and len(taken) == hits
+
+
+def test_minimization_runs_no_plan_twice_and_keeps_its_result(monkeypatch):
+    # every VULN pair's counterexample under each hunt class list,
+    # minimized with monitor checkpoints and the rejected plans, and again
+    # with every trial judged over its whole trace and nothing remembered
+    cases = _vuln_counterexamples()
     tried = []
 
     def recording(fires):

@@ -942,6 +942,26 @@ def test_the_roots_oracle_catches_an_after_point_one_step_early(
             explorer.run(sc)
 
 
+def test_the_recalled_oracle_catches_a_kept_run_without_its_first_point(
+        monkeypatch):
+    sc = agreement.canonical("exhaustive_sdk_sgx2")
+    actions = [reporting.action_from_line(ln)
+               for ln in explorer.run(sc).trace_lines if ln.startswith("A ")]
+    with agreement.recalled() as compared:
+        explorer.minimize(sc, actions)
+    assert len(compared) == 1
+    real = explorer._remember
+
+    def short(scenario, actions, res, verdicts):
+        real(scenario, actions, res._replace(points=res.points[1:]), verdicts)
+
+    monkeypatch.setattr(explorer, "_remember", short)
+    explorer.run(sc)
+    with pytest.raises(agreement.Mismatch, match="^recalled: .*points"):
+        with agreement.recalled():
+            explorer.minimize(sc, actions)
+
+
 def test_an_oracle_whose_name_is_gone_raises(monkeypatch):
     # a renamed name must not turn the oracle into a no-op: every name an
     # oracle wraps is checked
@@ -958,7 +978,8 @@ def test_an_oracle_whose_name_is_gone_raises(monkeypatch):
             (Machine, "digest", agreement.digests),
             (explorer, "replay", agreement.digests),
             (explorer, "_execute", agreement.roots),
-            (harness.Root, "start", agreement.roots)):
+            (harness.Root, "start", agreement.roots),
+            (explorer, "_recall", agreement.recalled)):
         with monkeypatch.context() as patch:
             patch.delattr(owner, name)
             with pytest.raises(AttributeError,

@@ -4,7 +4,8 @@ machine.  A root is keyed by everything `build_machine` reads, the sgx
 version and the grant, and runs its prefix once, recording the same lines
 whether a search or a recorded run builds it; a budget below the prefix's
 steps runs fresh; replay still checks the prefix's lines; and a program
-that holds roots is freed by reference counting alone."""
+that holds roots, or whose counterexample run is kept for minimization,
+is freed by reference counting alone."""
 
 import gc
 import weakref
@@ -219,6 +220,33 @@ def test_a_program_with_roots_dies_without_the_cycle_collector():
         program = weakref.ref(image.program)
         runtimes._program.cache_clear()
         del image, roots
+        assert program() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize("minimized", [False, True])
+def test_a_kept_counterexample_run_holds_no_program(minimized, monkeypatch):
+    # the run `run` keeps of an exhaustive counterexample for `minimize`
+    # keeps its fetch tables but not the program, kept or taken
+    monkeypatch.setattr(explorer, "_recorded", None)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        sc = agreement.canonical("exhaustive_sdk_sgx2")
+        runtimes._program.cache_clear()
+        image = explorer._image_for(sc)
+        out = explorer.run(sc)
+        assert explorer._recorded is not None
+        if minimized:
+            assert explorer.minimize(sc, [
+                reporting.action_from_line(ln) for ln in out.trace_lines
+                if ln.startswith("A ")])
+            assert explorer._recorded is None
+        program = weakref.ref(image.program)
+        runtimes._program.cache_clear()
+        del image
         assert program() is None
     finally:
         if enabled:
