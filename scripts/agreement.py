@@ -44,22 +44,29 @@ checks critical-span completion against native execution.
   before the run's end, and its verdicts must equal a from-scratch
   `properties.evaluate` of the whole trace.  Yields whether each run
   violated.
-- `trials()` wraps `explorer._fires`, `explorer._unread`,
-  `explorer._repeated` and `explorer.run_plan`.  The monitor checkpoint a
-  trial resumes must equal a fresh monitor fed its point's trace.  Every
-  minimization trial resumed from an action point must equal a fresh run
-  of its plan through `explorer._execute`.  Both must agree on whether the property fires
-  (the trial's judged from its point's monitor checkpoint, the fresh
-  run's over its whole trace), and give the same trace, status, steps,
-  boundaries, actions applied and digest.  Every zeroing trial decided by
-  labels is run fresh: the property must fire, and the run must give the
-  trace, status, steps, boundaries and actions applied of a fresh run of
-  the plan it came from (digests differ: the zeroed word is in the
-  state).  Every trial rejected again without a run, as a plan the same
-  minimization rejected before, is run fresh: the property must not
-  fire.  Yields the list of every trial's actions, run or decided, in
-  order, the list of those decided by labels and the list of those
-  rejected again.
+- `trials()` wraps `explorer._fires`, `explorer._unread` and
+  `explorer._repeated`.  The monitor checkpoint a trial resumes must equal
+  a fresh monitor fed its point's trace.  Every minimization trial
+  resumed from an action point is run fresh through `explorer._execute`,
+  which keeps its point there.  When the two points are equal (the loop
+  state and the digest), both runs must agree on whether the property
+  fires (the trial's judged from its point's monitor checkpoint, the
+  fresh run's over its whole trace), and give the same trace, status,
+  steps, boundaries, actions applied and digest.  A point that differs
+  is a stale one, kept from a plan before an accepted zeroing: both runs
+  must agree on all of that but the digest, which differs on the zeroed
+  words' planes, and give the same `influenced` planes.  A stale trial
+  whose run disagrees must be run again at once, from a rebuilt point;
+  the trial run again counts once in the trial list.  Every zeroing
+  trial decided by labels is run fresh: the property must fire, and the
+  run must give the trace, status, steps, boundaries and actions applied
+  of a fresh run of the plan it came from (digests differ: the zeroed
+  word is in the state).  Every trial rejected again without a run, as a
+  plan the same minimization rejected before, is run fresh: the property
+  must not fire.  Yields the list of every trial's actions, run or
+  decided, in order, the list of those decided by labels, of those
+  rejected again, of those whose run from a stale point stood, and of
+  those run again from a rebuilt point.
 - `digests()` wraps `Machine.digest`, which splices its text from cached
   segments, and `explorer.replay`, to tell the replay phase from the
   record phase.  Every digest must equal `canonical_digest`, its
@@ -405,42 +412,84 @@ def _monitor_state(monitor) -> dict:
             "witnesses": monitor.witnesses}
 
 
+def _point_state(p) -> tuple:
+    """All a run resumed from action point `p` reads of it, labels aside."""
+    return (p.idx, p.staged, p.armed, p.live, p.window_count, p.steps,
+            p.boundaries, p.machine.digest())
+
+
 @contextlib.contextmanager
 def trials():
     real = _original(explorer, "_fires")
     decide = _original(explorer, "_unread")
     known = _original(explorer, "_repeated")
-    run_plan = _original(explorer, "run_plan")
-    last = []
     compared = []
     decided = []
     repeated = []
+    stale = []
+    fell = []
+    last = []   # the trial run last: [plan, Mismatch or None, stood]
 
-    def resumed_run(start, image, actions, **kwargs):
-        res = run_plan(start, image, actions, **kwargs)
-        if isinstance(start, harness.Point):
-            last[:] = [res]
-        return res
+    def follow(actions):
+        """The entry of the trial run last when `actions` is that trial
+        run again, else None; raises that trial's Mismatch when it had to
+        run again and `actions` is another."""
+        prev = last[:]
+        last.clear()
+        if prev and prev[0] == actions:
+            return prev
+        if prev and prev[1] is not None:
+            raise prev[1]
+        return None
 
     def wrapper(image, scenario, actions, prop, start, checkpoint, origins):
+        plan = list(actions)
+        prev = follow(plan)
         want = properties.SafetyMonitor(checkpoint.image, checkpoint.sp_mode)
         want.feed(start.machine.trace)
         _require_same("trials", f"checkpoint before action {start.idx}",
                       _monitor_state(checkpoint), _monitor_state(want))
-        result = real(image, scenario, actions, prop, start, checkpoint,
-                      origins)
-        res = last.pop()
-        fresh, _ = explorer._execute(scenario, image, actions)
+        res, fires = real(image, scenario, actions, prop, start, checkpoint,
+                          origins)
+        fresh, _ = explorer._execute(scenario, image, actions,
+                                     keep_from=start.idx, payload=origins)
         fresh_fires = properties.any_violation(explorer._verdicts(
             scenario, image, fresh.trace, (prop,))) is not None
-        _require_same("trials", f"trial {actions} resumed before action "
-                                f"{start.idx}",
-                      dict(run_fields(res), fires=result is not None),
-                      dict(run_fields(fresh), fires=fresh_fires))
-        compared.append(list(actions))
-        return result
+        kept = next((p for p in fresh.points if p.idx == start.idx), None)
+        pending = None
+        stood = False
+        if kept is not None and _point_state(kept) == _point_state(start):
+            _require_same("trials", f"trial {actions} resumed before action "
+                                    f"{start.idx}",
+                          dict(run_fields(res), fires=fires),
+                          dict(run_fields(fresh), fires=fresh_fires))
+        else:
+            try:
+                _require_same("trials", f"trial {actions} resumed from a "
+                                        f"stale point before action "
+                                        f"{start.idx}, and not run again",
+                              dict(_counts(res), fires=fires,
+                                   actions_applied=res.actions_applied,
+                                   influenced=res.machine.influenced),
+                              dict(_counts(fresh), fires=fresh_fires,
+                                   actions_applied=fresh.actions_applied,
+                                   influenced=fresh.machine.influenced))
+                stood = True
+            except Mismatch as e:
+                pending = e
+        if prev is None:
+            compared.append(plan)
+        else:
+            fell.append(plan)
+            if prev[2]:
+                stale.pop()
+        if stood:
+            stale.append(plan)
+        last[:] = [plan, pending, stood]
+        return res, fires
 
     def again(image, scenario, actions, prop, rejected):
+        follow(None)
         result = known(image, scenario, actions, prop, rejected)
         if result:
             fresh, _ = explorer._execute(scenario, image, actions)
@@ -453,6 +502,7 @@ def trials():
         return result
 
     def unread(image, scenario, actions, prop, accepted, influenced, name):
+        follow(None)
         result = decide(image, scenario, actions, prop, accepted, influenced,
                         name)
         if result:
@@ -471,8 +521,9 @@ def trials():
         return result
 
     with _installed(explorer, _fires=wrapper, _unread=unread,
-                    _repeated=again, run_plan=resumed_run):
-        yield compared, decided, repeated
+                    _repeated=again):
+        yield compared, decided, repeated, stale, fell
+    follow(None)
 
 
 def _rooted(res, lines) -> dict:
@@ -697,8 +748,9 @@ def minimization_sweep() -> int:
     sys.path.insert(0, os.path.join(HERE, "..", "perfbench"))
     from workloads import Hunt
 
-    total = by_labels = again = minimized = 0
-    with trials() as (tried, decided, repeated), recalled() as taken, \
+    total = by_labels = again = from_stale = rebuilt = minimized = 0
+    with trials() as (tried, decided, repeated, stale, fell), \
+            recalled() as taken, \
             tempfile.TemporaryDirectory() as workdir:
         for seed in HUNT_SEEDS:
             t0 = time.monotonic()
@@ -725,15 +777,19 @@ def minimization_sweep() -> int:
                 minimized += 1
             print(f"hunt seed {seed}: {len(tried)} minimization trials "
                   f"({len(decided)} decided by labels, {len(repeated)} "
-                  f"rejected again) agree "
+                  f"rejected again, {len(stale)} from stale points, "
+                  f"{len(fell)} run again) agree "
                   f"({time.monotonic() - t0:.1f}s)", file=sys.stderr)
             total += len(tried)
             by_labels += len(decided)
             again += len(repeated)
-            for c in (tried, decided, repeated):
+            from_stale += len(stale)
+            rebuilt += len(fell)
+            for c in (tried, decided, repeated, stale, fell):
                 c.clear()
     print(f"{total} minimization trials ({by_labels} decided by labels, "
-          f"{again} rejected again without a run) of "
+          f"{again} rejected again without a run, {from_stale} resumed "
+          f"from stale points, {rebuilt} run again from a rebuilt point) of "
           f"{minimized} counterexamples compared, all agree")
     print(f"{len(taken)} minimizations from the recorded run compared, all "
           f"agree")

@@ -311,20 +311,19 @@ def run(scenario: dict, workers: int = 1) -> Outcome:
 
 def _fires(image: EnclaveImage, scenario: dict, actions: list, prop: str,
            start: Point, checkpoint: SafetyMonitor,
-           staged: tuple[str, ...]) -> Optional[RunResult]:
+           staged: tuple[str, ...]) -> tuple[RunResult, bool]:
     """One minimization trial: run `actions` from a copy of `start`, an
     action point of a plan that shares the actions before it, with the
     registers `staged` labelled, keeping no points.  `checkpoint` is a
     safety monitor that has read the point's trace; a clone of it reads
     only the events the run added (``adversary._monitored``), and reaches
     the verdicts a fresh monitor over the whole trace would.  Returns the
-    run when `prop` fires on it, else None."""
+    run and whether `prop` fires on it."""
     res = run_plan(start.copy(), image, actions,
                    max_steps=scenario["budgets"]["max_steps"],
                    payload=staged)
-    if not adversary._monitored(checkpoint, res.trace).verdict(prop).violated:
-        return None
-    return res
+    return res, adversary._monitored(checkpoint,
+                                     res.trace).verdict(prop).violated
 
 
 def _unread(image: EnclaveImage, scenario: dict, actions: list, prop: str,
@@ -375,15 +374,25 @@ def minimize(scenario: dict, actions: list) -> list:
     first resumes there from the one below it.  A trial that changes
     action i shares the accepted plan's first i actions, so it resumes
     from the point before action i, or from the last point when the
-    accepted run ended earlier; it equals a fresh run of the trial's plan
-    exactly, and keeps no points.  Its verdict resumes the point's
-    checkpoint over the events the trial added (`_fires`).  A change
-    accepted from the point before action i, by a trial or by labels,
-    leaves the points and checkpoints after i stale; the first later
-    trial that resumes past i first re-runs the accepted plan from the
-    point before i to keep the points again, up to the point before its
-    last action, the last any trial resumes from, and drops the stale
-    checkpoints."""
+    accepted run ended earlier, and keeps no points.  Its verdict resumes
+    the point's checkpoint over the events the trial added (`_fires`).
+
+    A change accepted from the point before action i, by a trial or by
+    labels, leaves the points after i stale.  After a zeroing they differ
+    from the accepted plan's own points only in staged values on the
+    zeroed registers' payload planes.  A later zeroing from that point
+    or after it adds its planes; one from an earlier point j first drops
+    the points after i, so that those after j differ on its planes alone.
+    After a removal the planes are unknown.  A trial from a stale point
+    whose run lets none of those planes reach a sink gives the trace,
+    status, steps, boundaries, actions applied, `influenced` and verdict
+    of its run from the accepted plan's own point (noninterference, as
+    for `_unread`); only its final state differs, on those planes.
+    Otherwise, or when the planes are unknown, the accepted plan is
+    re-run from the last exact point to keep the points again, up to the
+    point before its last action, the last any trial resumes from; the
+    stale checkpoints are dropped, and the trial runs again from its
+    rebuilt point."""
     image = _image_for(scenario)
     staged = _staged(actions)
     recorded = _recall(scenario, image, actions)
@@ -405,6 +414,7 @@ def minimize(scenario: dict, actions: list) -> list:
     checks = []     # checks[j]: a monitor that has read points[j]'s trace
     influenced = base.machine.influenced    # planes of `current`'s run
     stale = None    # points after this index predate an accepted change
+    dirty = 0       # the planes on which they differ; None: unknown
     rejected = set()    # the plans a trial rejected
 
     def checkpoint(at: int) -> SafetyMonitor:
@@ -414,26 +424,42 @@ def minimize(scenario: dict, actions: list) -> list:
                 below, points[len(checks)].machine.trace))
         return checks[at]
 
-    def accepted(candidate: list, i: int) -> bool:
-        nonlocal current, points, influenced, stale
+    def mark(at: int, planes: Optional[int]) -> None:
+        """Note a change accepted from the point before action `at`: a
+        zeroing of staged words on `planes`, or with None a removal."""
+        nonlocal points, stale, dirty
+        if stale is not None and at < stale:
+            points = points[:stale + 1]
+            stale = None
+        if stale is None:
+            stale, dirty = at, 0
+        dirty = None if planes is None or dirty is None else dirty | planes
+
+    def accepted(candidate: list, i: int, planes: Optional[int]) -> bool:
+        nonlocal current, points, influenced, stale, dirty
         if _repeated(image, scenario, candidate, prop, rejected):
             return False
-        if stale is not None and min(i, len(points) - 1) > stale:
+        at = min(i, len(points) - 1)
+        exact = stale is None or at <= stale
+        if exact or dirty is not None:
+            res, fires = _fires(image, scenario, candidate, prop, points[at],
+                                checkpoint(at), staged)
+        if not exact and (dirty is None or res.machine.influenced & dirty):
             rebuilt = run_plan(points[stale].copy(), image,
                                current[:-1] + [Stop()], max_steps=max_steps,
                                payload=staged, keep_from=stale + 1)
             points = points[:stale + 1] + rebuilt.points
             del checks[stale + 1:]
-            stale = None
-        at = min(i, len(points) - 1)    # the rebuilt run may end earlier
-        res = _fires(image, scenario, candidate, prop, points[at],
-                     checkpoint(at), staged)
-        if res is None:
+            stale, dirty = None, 0
+            at = min(i, len(points) - 1)    # the rebuilt run may end earlier
+            res, fires = _fires(image, scenario, candidate, prop, points[at],
+                                checkpoint(at), staged)
+        if not fires:
             rejected.add(tuple(candidate))
             return False
         current = candidate
         influenced = res.machine.influenced
-        stale = at
+        mark(at, planes)
         return True
 
     changed = True
@@ -441,7 +467,7 @@ def minimize(scenario: dict, actions: list) -> list:
         changed = False
         i = 0
         while i < len(current):
-            if accepted(current[:i] + current[i + 1:], i):
+            if accepted(current[:i] + current[i + 1:], i, None):
                 changed = True
             else:
                 i += 1
@@ -456,11 +482,12 @@ def minimize(scenario: dict, actions: list) -> list:
                 trial[j] = (name, 0)
                 candidate = list(current)
                 candidate[i] = PrepareRegs(tuple(trial))
+                planes = ORIGINS[REG_IDS[name]]
                 if _unread(image, scenario, candidate, prop, current,
                            influenced, name):
                     current = candidate
-                    stale = i if stale is None else min(stale, i)
-                elif not accepted(candidate, i):
+                    mark(i, planes)
+                elif not accepted(candidate, i, planes):
                     continue
                 regs = trial
                 changed = True

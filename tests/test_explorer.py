@@ -1,6 +1,7 @@
 """Scenario orchestration: run modes, counterexample minimization, trace
 replay, matrix assembly, and cross-worker determinism."""
 
+import collections
 import json
 import multiprocessing
 import os
@@ -240,16 +241,16 @@ def test_minimize_preserves_the_fired_property():
 
 
 def test_minimization_trials_keep_no_points(monkeypatch):
-    # the points a trial would keep are rebuilt, once, only when a later
-    # trial resumes past an accepted change
+    # a later trial past an accepted change resumes from a stale point, or
+    # from points rebuilt once when that one cannot stand
     fires = explorer._fires
     returned = []
 
     def wrapped(*args):
-        res = fires(*args)
-        if res is not None:
+        res, fired = fires(*args)
+        if fired:
             returned.append(res)
-        return res
+        return res, fired
     monkeypatch.setattr(explorer, "_fires", wrapped)
     sc, actions = attack_setup()
     explorer.minimize(sc, actions)
@@ -402,30 +403,122 @@ def _fresh_minimize(sc, actions) -> tuple[list, list]:
     return current, tried
 
 
-def test_minimize_matches_fresh_trials():
+def test_minimize_matches_fresh_trials(monkeypatch):
+    # each trial's run from an exact point is the fresh run of its plan,
+    # and from a stale point is that run but for the final digest
+    # and each trial decided by labels fires with its accepted plan's run
+    # and each trial rejected again without a run does not fire.
+    # Counted per caller, minimize steps nothing outside its trials
+    # (`_fires`) and its base run (`_execute`) when no trial runs again
+    stepped = collections.Counter()
+    callers = ["test"]
+    step = harness.step
+
+    def counted(m, program):
+        stepped[callers[-1]] += 1
+        return step(m, program)
+
+    def caller(name, fn):
+        def called(*args, **kwargs):
+            callers.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                callers.pop()
+        return called
+
+    monkeypatch.setattr(harness, "step", counted)
     cases = [attack_setup()]
     for sc in _hunt_scenarios(11, 12):
         out = explorer.run(sc)
         if out.trace_lines is not None:
-            cases.append((sc, [reporting.action_from_line(ln)
-                               for ln in out.trace_lines
-                               if ln.startswith("A ")]))
+            cases.append((sc, _recorded_actions(out)))
     assert len(cases) > 10
-    # each trial's run from its point is the fresh run of its plan
-    # and each trial decided by labels fires with its accepted plan's run
-    # and each trial rejected again without a run does not fire
-    by_labels = again = 0
-    with agreement.trials() as (tried, decided, repeated):
+    by_labels = again = from_stale = 0
+    with agreement.trials() as (tried, decided, repeated, stale, fell), \
+            monkeypatch.context() as patch:
+        patch.setattr(explorer, "_fires", caller("_fires", explorer._fires))
+        patch.setattr(explorer, "_execute",
+                      caller("_execute", explorer._execute))
         for sc, actions in cases:
-            for c in (tried, decided, repeated):
+            for c in (tried, decided, repeated, stale, fell):
                 c.clear()
-            got = explorer.minimize(sc, actions)
+            stepped.clear()
+            got = caller("minimize", explorer.minimize)(sc, actions)
+            assert not fell
+            assert stepped["minimize"] == 0 and stepped["_fires"] > 0
             want, want_tried = _fresh_minimize(sc, actions)
             assert got == want
             assert tried == want_tried
             by_labels += len(decided)
             again += len(repeated)
-    assert by_labels > 0 and again > 0
+            from_stale += len(stale)
+    assert by_labels > 0 and again > 0 and from_stale > 0
+
+
+def _sdk_checking_the_exception_rbx():
+    """sdk_style whose exception handler, once the saved frame is valid,
+    rejects a staged rbx other than 0: a compare-and-jump on rbx's
+    payload plane.  The check runs out of line, so that no address the
+    scripted attack reads moves."""
+    image = build_runtime("sdk_style")
+    old = "    cmpj r12, $1, ne, exc_default\n    read_ssa r12, r8\n"
+    source = runtimes.generate_source("sdk_style")
+    assert source.count(old) == 1
+    source = (source.replace(old, "    cmpj r12, $1, ne, exc_default\n"
+                                  "    jmp exc_check\n"
+                                  "exc_checked:\n")
+              + "exc_check:\n"
+                "    cmpj rbx, $0, ne, exc_reject\n"
+                "    read_ssa r12, r8\n"
+                "    jmp exc_checked\n")
+    return image._replace(program=isa.assemble(
+        source, image.program.base, runtimes._symbols(image.layout)))
+
+
+def test_a_stale_trial_whose_zeroed_plane_reaches_a_sink_runs_again(
+        monkeypatch):
+    # The scripted attack on an sdk_style whose exception handler rejects
+    # a non-zero staged rbx, with rbx and rcx in the attack's payload and
+    # the handler's entry staged by a PrepareRegs of its own, which clears
+    # them.  Zeroing the payload's rbx, then its rcx, is accepted and
+    # leaves the points after the payload stale on both planes.  Deleting the handler's
+    # PrepareRegs then resumes from a stale point whose staged rbx is the
+    # old one: the handler's check reads it, so from there the trial does
+    # not fire.  The trial runs again from a rebuilt point, where it fires,
+    # and the deletion is accepted, as in a minimization of fresh trials
+    image = _sdk_checking_the_exception_rbx()
+    monkeypatch.setattr(explorer, "_image_for", lambda sc: image)
+    sc = scenario(variant="sdk_style", adversary="scripted")
+    attack = harness.prefix_plan() + adversary.scripted_attack(
+        image, SGX2).actions
+    payload, inject, oret, exc = attack[1:5]
+    assert dict(payload.regs)["rbx"] and exc.regs is not None
+    handler = PrepareRegs(exc.regs)
+    kept = [(n, v) for n, v in payload.regs
+            if n in ("rbx", "rcx", "rsi", "rsp")]
+    tail = [inject, oret, handler, Eenter(exc.cmd, None, exc.aep), Eresume()]
+    plan = harness.prefix_plan() + [PrepareRegs(tuple(kept))] + tail
+    verdicts = []
+    with agreement.trials() as (tried, _, _, stale, fell), \
+            monkeypatch.context() as patch:
+        fires = explorer._fires
+
+        def recorded(image, sc, actions, *args):
+            res, fired = fires(image, sc, actions, *args)
+            verdicts.append((list(actions), fired))
+            return res, fired
+
+        patch.setattr(explorer, "_fires", recorded)
+        got = explorer.minimize(sc, plan)
+    want, want_tried = _fresh_minimize(sc, plan)
+    assert got == want and handler not in got
+    assert tried == want_tried
+    zeroed = PrepareRegs(tuple((n, v if n == "rsp" else 0) for n, v in kept))
+    assert fell == [harness.prefix_plan() + [zeroed] + tail[:2] + tail[3:]]
+    assert [fired for actions, fired in verdicts
+            if actions == fell[0]] == [False, True]
+    assert stale
 
 
 def _whole_trace_fires(image, sc, actions, prop, start, checkpoint,
@@ -436,7 +529,7 @@ def _whole_trace_fires(image, sc, actions, prop, start, checkpoint,
                            max_steps=sc["budgets"]["max_steps"],
                            payload=staged)
     verdicts = explorer._verdicts(sc, image, res.trace, (prop,))
-    return res if properties.any_violation(verdicts) else None
+    return res, properties.any_violation(verdicts) is not None
 
 
 def _recorded_actions(out) -> list:
@@ -502,7 +595,7 @@ def test_minimize_from_the_recorded_run_equals_a_rerun(monkeypatch):
     monkeypatch.setattr(explorer, "_recorded", None)
     cases = [attack_setup()[0]] + _hunt_scenarios(11, 12)
     hits = 0
-    with agreement.trials() as (tried, decided, repeated), \
+    with agreement.trials() as (tried, decided, repeated, _, _), \
             agreement.recalled() as taken, monkeypatch.context() as patch:
         fires, recall = explorer._fires, explorer._recall
         first = []      # steps before the first trial, less `checked`

@@ -974,7 +974,6 @@ def test_an_oracle_whose_name_is_gone_raises(monkeypatch):
             (explorer, "_fires", agreement.trials),
             (explorer, "_unread", agreement.trials),
             (explorer, "_repeated", agreement.trials),
-            (explorer, "run_plan", agreement.trials),
             (Machine, "digest", agreement.digests),
             (explorer, "replay", agreement.digests),
             (explorer, "_execute", agreement.roots),
