@@ -122,7 +122,9 @@ the digest sweep records:
   its timer, enarx on both);
 - the multi-round ASLR sweep at stack offsets 300, 812, 1749 and 1237.
 
-It prints the counts compared and exits 1 at the first mismatch.
+It prints the counts compared, per sweep and in total, on stdout, and
+each sweep's wall time on stderr alone, so the stdout of two trees
+compares with diff; it exits 1 at the first mismatch.
 
 Usage: python scripts/agreement.py [--variant NAME ...]
 (`--variant` restricts the search sweep only.)
@@ -706,6 +708,14 @@ def emulation_differential(image, sgx_version: int = 2,
                                  sorted(wanted - set(snapshots)), mismatches)
 
 
+def _agreed(name: str, counts: str, t0: "float | None" = None) -> None:
+    """One sweep's counts on stdout and, from `t0` on, its wall time on
+    stderr."""
+    print(f"{name}: {counts}")
+    if t0 is not None:
+        print(f"{name}: {time.monotonic() - t0:.1f}s", file=sys.stderr)
+
+
 def search_sweep(variants) -> int:
     names = ("covered plans", "resumed plans", "monitored runs")
     totals = [0] * len(names)
@@ -726,12 +736,11 @@ def search_sweep(variants) -> int:
                         print(f"MISMATCH {variant} sgx{sgx} {mode}: {e}")
                         return 1
                     counts = [len(c) for c in (plans, resumes, runs)]
-                    print(f"{variant} sgx{sgx} {mode}: " + ", ".join(
+                    _agreed(f"{variant} sgx{sgx} {mode}", ", ".join(
                         f"{n} {name}" for n, name in zip(counts, names))
                         + f", {len(branches)} covered rsp branches "
                         f"({len(counted)} plans) agree (executed "
-                        f"{out.stats.executed} of {out.stats.runs}; "
-                        f"{time.monotonic() - t0:.1f}s)", file=sys.stderr)
+                        f"{out.stats.executed} of {out.stats.runs})", t0)
                     totals = [t + n for t, n in zip(totals, counts)]
                     classed += len(branches)
                     walked += len(counted)
@@ -775,11 +784,11 @@ def minimization_sweep() -> int:
                           f"{reporting.scenario_digest(scenario)}: {e}")
                     return 1
                 minimized += 1
-            print(f"hunt seed {seed}: {len(tried)} minimization trials "
-                  f"({len(decided)} decided by labels, {len(repeated)} "
-                  f"rejected again, {len(stale)} from stale points, "
-                  f"{len(fell)} run again) agree "
-                  f"({time.monotonic() - t0:.1f}s)", file=sys.stderr)
+            _agreed(f"hunt seed {seed}",
+                    f"{len(tried)} minimization trials ({len(decided)} "
+                    f"decided by labels, {len(repeated)} rejected again, "
+                    f"{len(stale)} from stale points, {len(fell)} run "
+                    f"again) agree", t0)
             total += len(tried)
             by_labels += len(decided)
             again += len(repeated)
@@ -846,7 +855,7 @@ def digest_sweep() -> int:
             try:
                 lines = explorer.run(scenario).trace_lines
                 if lines is None:
-                    print(f"{name}: no plan, no trace", file=sys.stderr)
+                    _agreed(name, "no plan, no trace")
                     continue
                 replayed = explorer.replay(scenario, lines, len(lines))
             except Mismatch as e:
@@ -855,8 +864,7 @@ def digest_sweep() -> int:
             if not replayed.ok:
                 print(f"REPLAY DIVERGED {name}: {replayed.detail}")
                 return 1
-            print(f"{name}: {len(lines)} lines agree "
-                  f"({time.monotonic() - t0:.1f}s)", file=sys.stderr)
+            _agreed(name, f"{len(lines)} lines agree", t0)
     print(f"{len(compared)} digests compared, all agree")
     return 0
 
@@ -926,8 +934,7 @@ def emulation_sweep() -> int:
                     print(f"MISMATCH emulation {name}: offsets not reached "
                           f"{diff.missing}, mismatched {diff.mismatches}")
                     return 1
-                print(f"{name}: {diff.covered} critical-span offsets agree",
-                      file=sys.stderr)
+                _agreed(name, f"{diff.covered} critical-span offsets agree")
                 total += diff.covered
     print(f"{total} critical-span offsets compared, all agree")
     return 0

@@ -23,10 +23,10 @@ from __future__ import annotations
 
 from typing import Callable, NamedTuple, Optional
 
-from .interp import fetch_table, step
+from .interp import fetch_table, run_steps
 from .machine import (
-    E_ADV_SEED, HW_IRQ_QUOTA, EntryDenied, MASK64, MODE_ENCLAVE, ORIGINS,
-    PAYLOADS, REG_IDS, RSI, RSP, ResumeDenied, Machine,
+    E_ADV_SEED, HW_IRQ_QUOTA, EntryDenied, MASK64, MODE_ENCLAVE, NREGS,
+    ORIGINS, PAYLOADS, RDI, REG_IDS, RSI, RSP, ResumeDenied, Machine,
 )
 from .runtimes import (
     CMD_ECALL_COMPUTE, CMD_ECALL_FAULTING, CMD_EXCEPTION, CMD_ORET,
@@ -166,12 +166,12 @@ class Point:
     __slots__ = ("machine", "idx", "staged", "armed", "live", "window_count",
                  "steps", "boundaries")
 
-    def __init__(self, machine: Machine, idx: int, staged: dict,
+    def __init__(self, machine: Machine, idx: int, staged: tuple,
                  armed: Optional[InjectAex], live: Optional[InjectAex],
                  window_count: int, steps: int, boundaries: int):
         self.machine = machine
         self.idx = idx                  # next action index
-        self.staged = staged
+        self.staged = staged            # the last PrepareRegs' regs
         self.armed = armed              # pending for the next window
         self.live = live                # counting in the current window
         self.window_count = window_count
@@ -207,7 +207,10 @@ def run_plan(machine: "Machine | Point", image: EnclaveImage, actions: list,
              keep_from: Optional[int] = None) -> RunResult:
     """Execute `actions` to completion.  `on_action` is called before each
     action is applied (for trace serialization); `after_events` after every
-    atomic machine transition (for digest recording and state collection).
+    atomic machine transition (for digest recording and state collection),
+    each instruction included: the enclave steps through one
+    ``interp.run_steps`` call per stretch of a window up to the next thing
+    the run acts on, which calls it after each instruction.
 
     `payload` names the staged registers that carry the attacker's
     payload: at an entry that uses the staged registers, the staged value
@@ -258,7 +261,7 @@ def run_plan(machine: "Machine | Point", image: EnclaveImage, actions: list,
             live = inject
             idx += 1                      # the injection was applied too
     else:
-        staged = {}
+        staged = ()
         armed = None
         live = None
         window_count = 0
@@ -296,18 +299,28 @@ def run_plan(machine: "Machine | Point", image: EnclaveImage, actions: list,
                         raise AssertionError("deferred delivery re-deferred")
                     notify()
                     continue
-            sig = step(machine, program)
-            steps += 1
-            if after_events is not None:    # notify(), inlined: every step
-                after_events()
+            # step to the next thing this loop acts on: the live
+            # injection's boundary, the step budget, or the next boundary
+            # while the window keeps points
+            if window_count < keep_until:
+                limit = 1
+            else:
+                limit = max_steps - steps
+                if live is not None and live.boundary > window_count:
+                    limit = min(limit, live.boundary - window_count)
+            stepped, sig = run_steps(machine, program, limit, after_events)
+            steps += stepped
             if sig == "ok":
-                window_count += 1
-                boundaries += 1
+                window_count += stepped
+                boundaries += stepped
                 if window_count <= keep_until:
                     points.append(Point(machine.clone(), idx, staged, armed,
                                         live, window_count, steps,
                                         boundaries))
                 continue
+            # the last instruction did not retire
+            window_count += stepped - 1
+            boundaries += stepped - 1
             if sig == "fault":
                 delivered = machine.aex(machine.pending_fault)
                 notify()
@@ -338,13 +351,12 @@ def run_plan(machine: "Machine | Point", image: EnclaveImage, actions: list,
         idx += 1
 
         if isinstance(action, PrepareRegs):
-            staged = dict(action.regs)
+            staged = action.regs
         elif isinstance(action, Eenter):
-            regs = dict(action.regs) if action.regs is not None else dict(staged)
-            regs["rdi"] = action.cmd
-            os_regs = [0] * len(REG_IDS)
-            for name, val in regs.items():
+            os_regs = [0] * NREGS
+            for name, val in (staged if action.regs is None else action.regs):
                 os_regs[REG_IDS[name]] = val & MASK64
+            os_regs[RDI] = action.cmd & MASK64
             aep = action.aep if action.aep is not None else image.layout.aep
             try:
                 machine.eenter(os_regs, aep)
@@ -422,7 +434,7 @@ class Root:
     def __init__(self, machine: Machine, image: EnclaveImage,
                  recorder: Callable):
         fetch_table(machine.mem, image.program)
-        self.fresh = Point(machine, 0, {}, None, None, 0, 0, 0)
+        self.fresh = Point(machine, 0, (), None, None, 0, 0, 0)
         start = self.copy(self.fresh, image.program)
         rec = recorder(start.machine)
         res = run_plan(start, image, prefix_plan() + [Stop()], keep_from=1,

@@ -1,7 +1,10 @@
 """Instruction interpreter with label propagation and fault detection.
 
-``step`` applies one instruction to a Machine, emitting one primary trace
-event (plus Leak events when secret data lands in public memory).  A fault
+``run_steps`` is the one stepping entry: it executes instructions on a
+Machine until one does not retire, a given number have run, or an
+irq-quota atomic window reaches its end, and ``step`` is its
+one-instruction case.  Each instruction emits one primary trace event
+(plus Leak events when secret data lands in public memory).  A fault
 leaves rip at the faulting instruction and arms ``machine.pending_fault``;
 the only legal next hardware transition is then an asynchronous exit of
 that class.  A step fetches from a table of per-address handlers, which
@@ -28,6 +31,7 @@ does not retire.
 from __future__ import annotations
 
 import operator
+from typing import Callable, Optional
 
 from .isa import (
     OP_MOV_RR, OP_MOV_RI, OP_LOAD, OP_STORE, OP_PUSH, OP_POP,
@@ -40,9 +44,10 @@ from .isa import (
 )
 from .machine import (
     CTRL_CALL, CTRL_JMPI, CTRL_RET, E_CTRL, E_FAULT, E_HALT, E_LEAK,
-    E_MEMCPY, E_MEMR, E_RETIRE, E_SP_ASSIGN, E_STORE, LABELS, MASK64,
-    MODE_ENCLAVE, NREGS, ORIGINS, PAYLOADS, RAX, RIP, RSP, SCRUB_VALUES,
-    SECRET, SSAFrame, TCS, VEC_AC, VEC_PAGE_FAULT, Machine, Memory,
+    E_MEMCPY, E_MEMR, E_RETIRE, E_SP_ASSIGN, E_STORE, HW_IRQ_QUOTA, LABELS,
+    MASK64, MODE_ENCLAVE, NREGS, ORIGINS, PAYLOADS, RAX, RIP, RSP,
+    SCRUB_VALUES, SECRET, SSAFrame, TCS, VEC_AC, VEC_PAGE_FAULT, Machine,
+    Memory,
 )
 
 # Exit statuses for Halt; ABORT marks an in-enclave consistency trap
@@ -60,22 +65,39 @@ def _fault(m: Machine, pc: int, vector: int, addr: int) -> str:
     return "fault"
 
 
-def step(m: Machine, program: Program) -> str:
-    """Execute one instruction.  Returns a signal for the harness:
-    "ok", "fault", "exit", "halt"."""
+def run_steps(m: Machine, program: Program, limit: int,
+              after: Optional[Callable[[], None]] = None) -> tuple[int, str]:
+    """Execute instructions of `program` until one does not retire, `limit`
+    have run, or an irq-quota atomic window has reached its
+    ``atomic_until`` cycle, calling `after` (if given) after each.  Returns
+    (stepped, signal): the instructions executed, the one that did not
+    retire included, and the last one's signal: "ok" when every one
+    retired, else "fault", "exit" or "halt".  `limit` is at least 1."""
     if m.mode != MODE_ENCLAVE:
         raise InterpError("step requires enclave mode")
     if m.pending_fault >= 0:
         raise InterpError("pending fault must be delivered via aex")
-    pc = m.regs[RIP]
     mem = m.mem
-    table = (mem.fetch if mem.fetch_program is program
-             else fetch_table(mem, program))
-    ins = table.get(pc)
-    if ins is None:     # not executable, or no instruction there
-        return _fault(m, pc, VEC_PAGE_FAULT, pc)
-    handler, a, b, c = ins
-    return handler(m, pc, a, b, c)
+    fetch = (mem.fetch if mem.fetch_program is program
+             else fetch_table(mem, program)).get
+    regs = m.regs       # a handler that retires keeps the list
+    hw = m.hw
+    quota = hw.kind == HW_IRQ_QUOTA
+    for n in range(1, limit + 1):
+        pc = regs[RIP]
+        handler, a, b, c = fetch(pc, _UNFETCHED)
+        sig = handler(m, pc, a, b, c)
+        if after is not None:
+            after()
+        if sig != "ok" or quota and hw.atomic and m.cycle >= hw.atomic_until:
+            return n, sig
+    return limit, "ok"
+
+
+def step(m: Machine, program: Program) -> str:
+    """Execute one instruction.  Returns its signal for the harness:
+    "ok", "fault", "exit", "halt"."""
+    return run_steps(m, program, 1)[1]
 
 
 # fetch tables kept per program; a runtime image's code page has at most
@@ -108,14 +130,20 @@ def fetch_table(mem: Memory, program: Program) -> dict:
 # ---------------------------------------------------------------------------
 # Pre-decoded dispatch
 # ---------------------------------------------------------------------------
-# Each address of a fetch table decodes once to (handler, a, b, c); `step`
-# calls the handler with the machine, the pc and the decoded operands.
+# Each address of a fetch table decodes once to (handler, a, b, c);
+# `run_steps` calls the handler with the machine, the pc and the decoded
+# operands, and an address the table lacks gets the fetch fault's entry.
 # Decoding resolves what does not depend on machine state: the handler of
 # the opcode, the relation of a compare-and-jump, the value set_flag and
-# clear_flag write.  emulate_critical completes against the program it was
-# fetched from, ``mem.fetch_program``; a table holds no reference to it,
-# since the program holds the table.
-# A handler that retires sets rip, counts the cycle and returns "ok".
+# clear_flag write, and scrub's tuple of registers and the label mask
+# that keeps every other register's word.  emulate_critical
+# completes against the program it was fetched from, ``mem.fetch_program``,
+# and asks its ``crit_pcs`` whether the saved pc is inside a span; a table
+# holds no reference to the program, since the program holds the table.
+# A handler that retires sets rip, counts the cycle, keeps ``m.regs`` (the
+# list, not its values) and returns "ok"; any other signal ends the
+# `run_steps` call, as do its `limit` and the end of an irq-quota atomic
+# window, which the harness checks before it steps again.
 #
 # Labels: data moves copy the label word (mov, the value of
 # load/store/push/pop, memcpy contents, read_ssa and write_ssa, and in
@@ -141,8 +169,8 @@ def fetch_table(mem: Memory, program: Program) -> dict:
 #
 # ``_KEEP[r]`` keeps every label of a register mask but register r's: a
 # positive mask, so clearing a word costs no more than the mask's labels.
-_KEEP = tuple(((1 << (LABELS << NREGS).bit_length()) - 1) & ~(LABELS << r)
-              for r in range(NREGS))
+_ALL_LABELS = (1 << (LABELS << NREGS).bit_length()) - 1
+_KEEP = tuple(_ALL_LABELS & ~(LABELS << r) for r in range(NREGS))
 
 # The rsp plane.  A value on the staged rsp's origin plane (``ORIGINS[RSP]``)
 # is that word w plus a constant d: the moves keep the form, and so do
@@ -601,12 +629,12 @@ def _memcpy(m, pc, a, b, c):
 
 
 def _scrub(m, pc, a, b, c):
-    """`a` is the mask of the scrubbed registers."""
+    """`a` is the tuple of the scrubbed registers, `b` the label mask that
+    keeps every other register's word."""
     regs = m.regs
-    for r in range(NREGS):
-        if a & (1 << r):
-            regs[r] = SCRUB_VALUES[r]
-    m.taint &= ~(a * LABELS)
+    for r in a:
+        regs[r] = SCRUB_VALUES[r]
+    m.taint &= b
     m.trace.append((E_RETIRE, pc, regs[RSP], 0, 0))
     regs[RIP] = pc + 1
     m.cycle += 1
@@ -720,7 +748,8 @@ def _declassify(m, pc, a, b, c):
 
 def _emulate_critical(m, pc, a, b, c):
     """Complete the top saved frame's critical span against the program
-    `step` just fetched this instruction from (``mem.fetch_program``)."""
+    `run_steps` just fetched this instruction from
+    (``mem.fetch_program``)."""
     cssa = m.tcs.cssa
     if cssa < 1:
         return _abort(m, pc)
@@ -732,7 +761,7 @@ def _emulate_critical(m, pc, a, b, c):
     # classify first: contexts interrupted outside the registered spans
     # are already safe and pass through unchanged
     program = m.mem.fetch_program
-    if in_crit_ranges(program, frame.regs[RIP]):
+    if frame.regs[RIP] in program.crit_pcs:
         m.ssa[cssa - 1] = complete_critical(m, program, frame)
         m.platform_changed()
     regs = m.regs
@@ -740,6 +769,14 @@ def _emulate_critical(m, pc, a, b, c):
     regs[RIP] = pc + 1
     m.cycle += 1
     return "ok"
+
+
+def _fetch_fault(m, pc, a, b, c):
+    """No executable instruction at pc."""
+    return _fault(m, pc, VEC_PAGE_FAULT, pc)
+
+
+_UNFETCHED = (_fetch_fault, 0, 0, 0)
 
 
 def _undefined(m, pc, a, b, c):
@@ -756,7 +793,7 @@ _HANDLERS = {
     OP_ADD_I: _add_i, OP_SUB_I: _sub_i, OP_AND_I: _and_i,
     OP_LOAD: _load, OP_STORE: _store, OP_PUSH: _push, OP_POP: _pop,
     OP_JMP: _jmp, OP_JMP_REG: _jmp_reg, OP_CALL: _call, OP_RET: _ret,
-    OP_MEMCPY: _memcpy, OP_SCRUB: _scrub,
+    OP_MEMCPY: _memcpy,
     OP_READ_SSA: _read_ssa, OP_WRITE_SSA: _write_ssa,
     OP_EEXIT_R: _eexit_r, OP_EEXIT_I: _eexit_i,
     OP_BEGIN_ATOMIC: _begin_atomic, OP_END_ATOMIC: _end_atomic,
@@ -773,6 +810,9 @@ def _decode_one(ins: tuple) -> tuple:
                 (_RELATIONS[rel], target))
     if op == OP_SET_FLAG or op == OP_CLEAR_FLAG:
         return (_set_flag, a, 1 if op == OP_SET_FLAG else 0, c)
+    if op == OP_SCRUB:
+        return (_scrub, tuple(r for r in range(NREGS) if a >> r & 1),
+                _ALL_LABELS & ~(a * LABELS), c)
     handler = _HANDLERS.get(op)
     if handler is None:
         return (_undefined, ins, 0, 0)
@@ -801,7 +841,7 @@ def _set_frame_field(frame: SSAFrame, field: int, value: int, w: int) -> None:
 # ---------------------------------------------------------------------------
 
 def in_crit_ranges(program: Program, pc: int) -> bool:
-    return any(lo <= pc < hi for lo, hi in program.crit_ranges.values())
+    return pc in program.crit_pcs
 
 
 class UnknownCriticalRange(Exception):
@@ -836,7 +876,7 @@ def complete_critical(m: Machine, program: Program,
     """
     pc = frame.regs[RIP]
     boundary = any(pc == hi for _, hi in program.crit_ranges.values())
-    if not in_crit_ranges(program, pc) and not boundary:
+    if pc not in program.crit_pcs and not boundary:
         raise UnknownCriticalRange(hex(pc))
 
     tcs = m.tcs
@@ -848,7 +888,7 @@ def complete_critical(m: Machine, program: Program,
     ctx.taint = frame.taint
     ctx.path = m.path
     steps = 0
-    while in_crit_ranges(program, pc):
+    while pc in program.crit_pcs:
         if steps >= MAX_COMPLETION_STEPS:
             raise InterpError("critical completion did not terminate")
         steps += 1

@@ -113,8 +113,8 @@ class Program:
     holds a reference back to it, so a program without other holders is
     freed by reference counting alone."""
 
-    __slots__ = ("base", "code", "labels", "windows", "crit_ranges", "source",
-                 "fetch_tables", "roots", "__weakref__")
+    __slots__ = ("base", "code", "labels", "windows", "crit_ranges",
+                 "crit_pcs", "source", "fetch_tables", "roots", "__weakref__")
 
     def __init__(self, base: int, code: dict[int, Instruction],
                  labels: dict[str, int], windows: dict[str, tuple[int, int]],
@@ -125,6 +125,9 @@ class Program:
         self.labels = labels
         self.windows = windows
         self.crit_ranges = crit_ranges
+        # every pc inside a critical span, for one lookup per test
+        self.crit_pcs = frozenset(pc for lo, hi in crit_ranges.values()
+                                  for pc in range(lo, hi))
         self.source = source
         # the interpreter's pre-decoded fetch tables, one per tuple of pages
         # over the code, filled on first step

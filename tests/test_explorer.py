@@ -412,11 +412,12 @@ def test_minimize_matches_fresh_trials(monkeypatch):
     # (`_fires`) and its base run (`_execute`) when no trial runs again
     stepped = collections.Counter()
     callers = ["test"]
-    step = harness.step
+    run_steps = harness.run_steps
 
-    def counted(m, program):
-        stepped[callers[-1]] += 1
-        return step(m, program)
+    def counted(m, program, limit, after=None):
+        n, sig = run_steps(m, program, limit, after)
+        stepped[callers[-1]] += n
+        return n, sig
 
     def caller(name, fn):
         def called(*args, **kwargs):
@@ -427,7 +428,7 @@ def test_minimize_matches_fresh_trials(monkeypatch):
                 callers.pop()
         return called
 
-    monkeypatch.setattr(harness, "step", counted)
+    monkeypatch.setattr(harness, "run_steps", counted)
     cases = [attack_setup()]
     for sc in _hunt_scenarios(11, 12):
         out = explorer.run(sc)
@@ -585,13 +586,14 @@ def test_minimize_from_the_recorded_run_equals_a_rerun(monkeypatch):
     # Both try the same plans and give the same result.  A scripted run
     # keeps nothing.
     stepped = []
-    step = harness.step
+    run_steps = harness.run_steps
 
-    def counted(m, program):
-        stepped.append(None)
-        return step(m, program)
+    def counted(m, program, limit, after=None):
+        n, sig = run_steps(m, program, limit, after)
+        stepped.extend([None] * n)
+        return n, sig
 
-    monkeypatch.setattr(harness, "step", counted)
+    monkeypatch.setattr(harness, "run_steps", counted)
     monkeypatch.setattr(explorer, "_recorded", None)
     cases = [attack_setup()[0]] + _hunt_scenarios(11, 12)
     hits = 0
@@ -665,6 +667,187 @@ def test_minimization_runs_no_plan_twice_and_keeps_its_result(monkeypatch):
         assert explorer.minimize(sc, actions) == plan
         repeats += len(tried) - len(set(tried))
     assert repeats > 0
+
+
+# ---------------------------------------------------------------------------
+# stretches: one interpreter call per stretch of a window
+# ---------------------------------------------------------------------------
+
+def _stretch_fields(res) -> dict:
+    """What a run must give whatever its stretches: status, steps,
+    boundaries, actions applied, trace, `influenced`, digest and kept
+    points."""
+    return dict(agreement.run_fields(res), influenced=res.machine.influenced,
+                points=[(agreement._point_state(p), p.machine.influenced)
+                        for p in res.points])
+
+
+def _stretched_and_stepped(monkeypatch, fn):
+    """Call fn() twice: as the harness runs it and with every
+    `harness.run_steps` call capped at one instruction, the per-step loop
+    the stretches replace.  Asserts that both give the same result and
+    the same fields for every run_plan call, that each run counts the
+    steps its run_steps calls stepped and the boundaries of those that
+    retired, and that the stretches made fewer interpreter calls.
+    Returns the uncapped side's run_steps calls as (limit, stepped,
+    signal)."""
+    real = harness.run_steps
+    sides = []
+    for cap in (False, True):
+        runs, calls = [], []
+
+        def stepping(m, program, limit, after=None):
+            n, sig = real(m, program, 1 if cap else limit, after)
+            calls.append((limit, n, sig))
+            return n, sig
+
+        def recording(run_plan):
+            def recorded(start, *args, **kwargs):
+                first = len(calls)
+                before = ((start.steps, start.boundaries)
+                          if isinstance(start, harness.Point) else (0, 0))
+                res = run_plan(start, *args, **kwargs)
+                stepped = calls[first:]
+                assert res.steps - before[0] == sum(n for _, n, _ in stepped)
+                assert res.boundaries - before[1] == sum(
+                    n - (sig != "ok") for _, n, sig in stepped)
+                runs.append(_stretch_fields(res))
+                return res
+            return recorded
+
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, "run_steps", stepping)
+            for mod in (harness, explorer, adversary):
+                patch.setattr(mod, "run_plan", recording(mod.run_plan))
+            patch.setattr(explorer, "_recorded", None)
+            runtimes._program.cache_clear()     # roots built on each side
+            result = fn()
+        sides.append((result, runs, calls))
+    (got, runs, calls), (want, want_runs, want_calls) = sides
+    assert got == want
+    assert len(runs) == len(want_runs) > 0
+    for i, (run, want_run) in enumerate(zip(runs, want_runs)):
+        assert run == want_run, f"run {i}"
+    assert sum(n for _, n, _ in calls) == sum(n for _, n, _ in want_calls)
+    assert len(calls) < len(want_calls)
+    return calls
+
+
+def test_stretches_equal_single_steps_over_the_default_certifications(
+        monkeypatch):
+    # every plan the 16 default certifications execute, their roots'
+    # prefix runs included, and the outcomes
+    def certify_all():
+        outs = []
+        for variant in VARIANTS:
+            for sgx in (1, 2):
+                out = explorer.certify(scenario(variant=variant,
+                                                sgx_version=sgx)).outcome
+                outs.append((type(out).__name__, out.stats,
+                             getattr(out, "branch", None),
+                             getattr(out, "trace", None)))
+        return outs
+
+    _stretched_and_stepped(monkeypatch, certify_all)
+
+
+def test_stretches_equal_single_steps_over_hunt_runs_and_minimizations(
+        monkeypatch):
+    def hunt():
+        outs = []
+        for sc in [attack_setup()[0]] + _hunt_scenarios(11, 12):
+            out = explorer.run(sc)
+            tried = []
+            plan = None
+            if out.trace_lines is not None:
+                with monkeypatch.context() as patch:
+                    fires = explorer._fires
+
+                    def recorded(image, sc, actions, *args):
+                        tried.append(list(actions))
+                        return fires(image, sc, actions, *args)
+
+                    patch.setattr(explorer, "_fires", recorded)
+                    plan = explorer.minimize(sc, _recorded_actions(out))
+            outs.append((out.status, out.exit_code, out.trace_lines,
+                         out.stats, out.search,
+                         [v.to_dict() for v in out.verdicts], plan, tried))
+        assert sum(o[6] is not None for o in outs) > 10
+        return outs
+
+    _stretched_and_stepped(monkeypatch, hunt)
+
+
+@pytest.mark.parametrize("name", ["benign", "scripted"])
+def test_stretches_equal_single_steps_under_every_budget_cut(monkeypatch,
+                                                             name):
+    # from the root's points, keeping window and action points, at every
+    # step budget from the prefix's steps up to the whole run's
+    image = build_runtime("sdk_style")
+    actions = (harness.benign_plan() if name == "benign"
+               else attack_setup()[1])
+    root = adversary.image_root(image, SGX2, None)
+
+    def run(max_steps):
+        return harness.run_plan(root.start(image.program, actions, max_steps),
+                                image, actions, max_steps=max_steps, keep=8,
+                                keep_from=0)
+
+    whole = run(DEFAULT_MAX_STEPS)
+    assert whole.status == ("stopped" if name == "benign" else "halted")
+
+    def cuts():
+        return [run(k).status
+                for k in range(root.after.steps, whole.steps + 1)]
+
+    _stretched_and_stepped(monkeypatch, cuts)
+
+
+def test_stretches_equal_single_steps_where_an_entry_window_expires(
+        monkeypatch):
+    # hw_irq_quota arms a 32-cycle window at every entry.  The nested
+    # plans' second exception lands inside the handler's entry window, is
+    # deferred, and is delivered where that window expires: inside a
+    # stretch, which must end there.  The critical-span plans' deferred
+    # exception is delivered by the span's end_atomic instead.
+    image = build_runtime("hw_irq_quota")
+    plans = ([harness.benign_plan()]
+             + [harness.benign_nested_plan(b) for b in (3, 15)]
+             + [harness.benign_critical_exception_plan(b) for b in (1, 5, 20)])
+
+    def runs():
+        traces = []
+        for actions in plans:
+            m = build_machine(image, SGX2)
+            traces.append([e[0] for e in
+                           harness.run_plan(m, image, actions).trace])
+        return traces
+
+    calls = _stretched_and_stepped(monkeypatch, runs)
+    assert any(sig == "ok" and n < limit for limit, n, sig in calls)
+    for kinds in runs()[1:]:
+        assert E_HW_AEX in kinds[kinds.index(E_HW_DEFER):]
+
+
+def test_stretches_equal_single_steps_for_an_injection_at_every_boundary(
+        monkeypatch):
+    # every boundary of the ocall-return window, and the first past it
+    image = build_runtime("sdk_style")
+
+    def run(actions):
+        return harness.run_plan(build_machine(image, SGX2), image, actions)
+
+    compute, _, ocall_return, *_ = harness.benign_critical_exception_plan(0)
+    window = (run([compute, ocall_return, harness.Stop()]).boundaries
+              - run([compute, harness.Stop()]).boundaries)
+
+    def injected():
+        return [run(harness.benign_critical_exception_plan(b)).status
+                for b in range(window + 2)]
+
+    assert window > 10
+    calls = _stretched_and_stepped(monkeypatch, injected)
+    assert any(n > 1 for _, n, _ in calls)
 
 
 # ---------------------------------------------------------------------------
