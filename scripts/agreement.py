@@ -29,8 +29,11 @@ checks critical-span completion against native execution.
   steps and boundaries the class counts for it and the representative's
   safety verdicts (outcome and witness index), and a trace whose fields
   differ from the representative's only by the difference of the two rsp
-  words.  The branch's plan shapes must be those the class counts.
-  Yields the (command, rsp word) branches and the plans compared.
+  words.  The branch's plan shapes must be those the class counts, and
+  the runs, steps and injected boundaries the branch adds (the class's
+  `totals`, summed once when its representative's binding completed)
+  must equal its class's rows, re-summed.  Yields the (command, rsp word)
+  branches and the plans compared.
 - `resumed()` wraps `adversary.run_plan` and `adversary._prefix_snapshot`.
   Every plan that resumes from a point of its binding's dry run must
   resume at the boundary where it injects.  It is also run fresh from the
@@ -342,6 +345,13 @@ def classes():
         if shapes != list(cls.shapes):
             raise Mismatch(f"classes: {what}: the branch has the shapes "
                            f"{shapes}, its class counts {list(cls.shapes)}")
+        rows = cls.shapes
+        summed = (len(rows), sum(row[1] for row in rows.values()),
+                  sum(shape is not None for shape in rows))
+        if cls.totals != summed:
+            raise Mismatch(f"classes: {what}: the branch adds (runs, steps, "
+                           f"boundaries) {cls.totals}, its class's rows sum "
+                           f"to {summed}")
         branches.append((cmd, word))
 
     def wrapper(space, cmd, word):
@@ -750,6 +760,8 @@ def search_sweep(variants) -> int:
         print(f"{n} {name} compared, all agree")
     print(f"{classed} covered rsp branches ({walked} plans) compared, all "
           f"agree")
+    print(f"{classed} counted rsp branches add their class's rows, "
+          f"re-summed")
     return 0
 
 

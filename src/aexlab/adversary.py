@@ -299,18 +299,21 @@ class RspClass:
     every plan shape with the staged rsp on its own plane, recording
     `path`.  `shapes` maps each shape, in plan order, to what its run
     gave, (status, steps, boundaries), and `clean` the shapes whose run no
-    payload value influenced.  `schedules` holds the later bindings'
+    payload value influenced.  `totals`, set once that binding completes,
+    sums its rows: (runs, steps, injected boundaries), which a branch the
+    class counts adds to its stats.  `schedules` holds the later bindings'
     schedules (see `_schedule`), which depend on `clean` only.  `path` is
     None once no branch can read it (`_path_unread`): the plans of the
     representative's first binding after that record none."""
 
-    __slots__ = ("word", "path", "shapes", "clean", "schedules")
+    __slots__ = ("word", "path", "shapes", "clean", "totals", "schedules")
 
     def __init__(self, word: int):
         self.word = word
         self.path = RspPath(word)
         self.shapes: dict = {}
         self.clean: dict = {}
+        self.totals: Optional[tuple[int, int, int]] = None
         self.schedules: dict = {}
 
 
@@ -610,10 +613,10 @@ def _search_branch(space: SearchSpace, cmd_i: int, rsp_i: int,
     stats.branches += 1
     stats.classed += counted
     if counted:
-        rows = cls.shapes.values()
-        stats.runs += len(rows)
-        stats.steps += sum(row[1] for row in rows)
-        stats.boundaries += len(rows) - 1   # every shape but the dry run
+        runs, steps, boundaries = cls.totals
+        stats.runs += runs
+        stats.steps += steps
+        stats.boundaries += boundaries
     clean = cls.clean       # plan shape -> clean representative
     words = space.words
 
@@ -662,6 +665,11 @@ def _search_branch(space: SearchSpace, cmd_i: int, rsp_i: int,
                 return ce
         _count_covered(space, cmd, rsp_bind, words[pay_i:pay_i + 1],
                        schedule.covered, clean, stats)
+        if rep is not None:
+            rows = rep.shapes.values()
+            # every shape but the dry run injects
+            rep.totals = (len(rows), sum(row[1] for row in rows),
+                          len(rows) - 1)
     return None
 
 

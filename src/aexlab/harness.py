@@ -21,6 +21,7 @@ of the image share.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, NamedTuple, Optional
 
 from .interp import fetch_table, run_steps
@@ -47,6 +48,12 @@ DEFAULT_MAX_STEPS = 20000
 # Actions in an injected candidate plan: PrepareRegs, InjectAex, Eenter and
 # the shared delivery tail.  A dry run omits the injection and the tail.
 CANDIDATE_DEPTH = 6
+
+# Distinct payload tuples, and (register tuple, command) pairs of entries,
+# whose run setup is kept resolved per process: at seed 53, a hunt pass of
+# the benchmark enters with 242 distinct pairs, a survey pass with 17.
+PAYLOAD_CACHE_SIZE = 16
+ENTRY_CACHE_SIZE = 512
 
 
 class SearchBudget(NamedTuple):
@@ -157,11 +164,12 @@ class AttackPlan(NamedTuple):
 class Point:
     """Where a run can resume: a clone of the machine and all of the run
     loop's own state at one place of a run.  A window point is kept at one
-    instruction boundary of the window the run's first entry opened; an
-    action point in OS mode, right before action `idx` is applied.
-    `run_plan` keeps points on request and resumes from them.  A resume
-    takes the point's machine, so a point resumed more than once is
-    resumed through `copy()`."""
+    instruction boundary of the window the run's first entry opened, the
+    clone taken right after the instruction that retired there; an action
+    point in OS mode, right before action `idx` is applied.  `run_plan`
+    keeps points on request and resumes from them.  A resume takes the
+    point's machine, so a point resumed more than once is resumed through
+    `copy()`."""
 
     __slots__ = ("machine", "idx", "staged", "armed", "live", "window_count",
                  "steps", "boundaries")
@@ -198,6 +206,28 @@ class RunResult(NamedTuple):
         return self.machine.trace
 
 
+@functools.lru_cache(maxsize=PAYLOAD_CACHE_SIZE)
+def _payload_masks(payload: tuple[str, ...]) -> tuple[int, int]:
+    """The label mask that gives each register of `payload` its own origin
+    plane, and the planes of it that an entry sinks: rsp is a sink, rsi a
+    field of the eenter event."""
+    labels = 0
+    for name in payload:
+        r = REG_IDS[name]
+        labels |= ORIGINS[r] << r
+    return labels, (labels >> RSP | labels >> RSI) & PAYLOADS
+
+
+@functools.lru_cache(maxsize=ENTRY_CACHE_SIZE)
+def _entry_regs(regs: tuple[tuple[str, int], ...], cmd: int) -> tuple:
+    """The registers an entry with `regs` and command `cmd` (rdi) loads."""
+    os_regs = [0] * NREGS
+    for name, val in regs:
+        os_regs[REG_IDS[name]] = val & MASK64
+    os_regs[RDI] = cmd & MASK64
+    return tuple(os_regs)
+
+
 def run_plan(machine: "Machine | Point", image: EnclaveImage, actions: list,
              max_steps: int = DEFAULT_MAX_STEPS,
              on_action: Optional[Callable[[int, object], None]] = None,
@@ -210,7 +240,10 @@ def run_plan(machine: "Machine | Point", image: EnclaveImage, actions: list,
     atomic machine transition (for digest recording and state collection),
     each instruction included: the enclave steps through one
     ``interp.run_steps`` call per stretch of a window up to the next thing
-    the run acts on, which calls it after each instruction.
+    the run acts on, which calls it after each instruction.  What a run
+    sets up from its arguments, the label masks of `payload` and the
+    registers of each entry, is resolved once per distinct value
+    (``_payload_masks``, ``_entry_regs``).
 
     `payload` names the staged registers that carry the attacker's
     payload: at an entry that uses the staged registers, the staged value
@@ -221,10 +254,12 @@ def run_plan(machine: "Machine | Point", image: EnclaveImage, actions: list,
 
     The run keeps points in ``RunResult.points``, in the order it reaches
     them.  With `keep` >= 0 it keeps a window point at the first visit of
-    each boundary 0..keep of the window its first entry opened.  With
-    `keep_from` it keeps an action point each time it is about to apply an
-    action with index `keep_from` or later.  A run that keeps no points
-    pays nothing for them per step.
+    each boundary 0..keep of the window its first entry opened: the
+    boundaries up to `keep` step in one stretch, whose hook (``_keeper``)
+    clones the machine after each instruction that retires and then calls
+    `after_events`.  With `keep_from` it keeps an action point each time
+    it is about to apply an action with index `keep_from` or later.  A run
+    that keeps no points pays nothing for them per step.
 
     Given a Point instead of a machine, the run resumes from it, taking the
     point's machine.  From an action point, `actions` is any plan whose
@@ -237,12 +272,7 @@ def run_plan(machine: "Machine | Point", image: EnclaveImage, actions: list,
     the window and `inject` fires at the point's boundary or later, the
     resumed run equals a fresh run of `actions` in the same way."""
     program = image.program
-    labels = 0
-    for name in payload:
-        r = REG_IDS[name]
-        labels |= ORIGINS[r] << r
-    # rsp is a sink, rsi a field of the eenter event
-    entry_sunk = (labels >> RSP | labels >> RSI) & PAYLOADS
+    labels, entry_sunk = _payload_masks(payload)
     points: list[Point] = []
     keep_until = -1     # the last boundary of the current window to keep
     keep_window = keep  # keep points in the next entered window: -1 none
@@ -300,23 +330,28 @@ def run_plan(machine: "Machine | Point", image: EnclaveImage, actions: list,
                     notify()
                     continue
             # step to the next thing this loop acts on: the live
-            # injection's boundary, the step budget, or the next boundary
-            # while the window keeps points
+            # injection's boundary, the step budget, or the last boundary
+            # the window keeps points at
+            limit = max_steps - steps
+            if live is not None and live.boundary > window_count:
+                limit = min(limit, live.boundary - window_count)
             if window_count < keep_until:
-                limit = 1
+                limit = min(limit, keep_until - window_count)
+                clones: list[Machine] = []
+                stepped, sig = run_steps(machine, program, limit,
+                                         _keeper(machine, clones,
+                                                 after_events))
+                for n, clone in enumerate(clones, 1):
+                    points.append(Point(clone, idx, staged, armed, live,
+                                        window_count + n, steps + n,
+                                        boundaries + n))
             else:
-                limit = max_steps - steps
-                if live is not None and live.boundary > window_count:
-                    limit = min(limit, live.boundary - window_count)
-            stepped, sig = run_steps(machine, program, limit, after_events)
+                stepped, sig = run_steps(machine, program, limit,
+                                         after_events)
             steps += stepped
             if sig == "ok":
                 window_count += stepped
                 boundaries += stepped
-                if window_count <= keep_until:
-                    points.append(Point(machine.clone(), idx, staged, armed,
-                                        live, window_count, steps,
-                                        boundaries))
                 continue
             # the last instruction did not retire
             window_count += stepped - 1
@@ -353,13 +388,10 @@ def run_plan(machine: "Machine | Point", image: EnclaveImage, actions: list,
         if isinstance(action, PrepareRegs):
             staged = action.regs
         elif isinstance(action, Eenter):
-            os_regs = [0] * NREGS
-            for name, val in (staged if action.regs is None else action.regs):
-                os_regs[REG_IDS[name]] = val & MASK64
-            os_regs[RDI] = action.cmd & MASK64
             aep = action.aep if action.aep is not None else image.layout.aep
             try:
-                machine.eenter(os_regs, aep)
+                machine.eenter(_entry_regs(staged if action.regs is None
+                                           else action.regs, action.cmd), aep)
                 if labels and action.regs is None:
                     machine.taint |= labels
                     machine.influenced |= entry_sunk
@@ -409,6 +441,21 @@ def run_plan(machine: "Machine | Point", image: EnclaveImage, actions: list,
 
     return RunResult(status=status, steps=steps, boundaries=boundaries,
                      machine=machine, actions_applied=idx, points=points)
+
+
+def _keeper(machine: Machine, clones: list,
+            after_events: Optional[Callable[[], None]]) -> Callable[[], None]:
+    """The `after` hook of a stretch that keeps window points: it appends a
+    clone of `machine` to `clones` after each instruction that retired,
+    then calls `after_events`.  An instruction that did not retire faulted
+    (a pending fault), left the enclave or halted."""
+    def keep() -> None:
+        if (machine.pending_fault < 0 and machine.mode == MODE_ENCLAVE
+                and not machine.halted):
+            clones.append(machine.clone())
+        if after_events is not None:
+            after_events()
+    return keep
 
 
 class Root:

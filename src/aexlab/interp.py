@@ -228,9 +228,13 @@ class RspPath:
         return path
 
     def fork(self) -> "RspPath":
-        path = self.run()
-        if self.written is not None:
-            path.written = set(self.written)
+        path = RspPath.__new__(RspPath)
+        path.word = self.word
+        path.preds = self.preds
+        path.offsets = self.offsets
+        path.fixed = self.fixed
+        written = self.written
+        path.written = None if written is None else set(written)
         return path
 
     def alone(self) -> None:

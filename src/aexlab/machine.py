@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 from bisect import bisect_left
-from typing import Optional
+from typing import Optional, Sequence
 
 # ---------------------------------------------------------------------------
 # Registers
@@ -395,6 +395,16 @@ class SSAFrame:
         self.vector = vector
         self._repr: Optional[bytes] = None
 
+    def copy(self) -> "SSAFrame":
+        """An independent copy of the frame, without its digest text."""
+        f = SSAFrame.__new__(SSAFrame)
+        f.regs = list(self.regs)
+        f.taint = self.taint
+        f.valid = self.valid
+        f.vector = self.vector
+        f._repr = None
+        return f
+
     def canonical(self) -> tuple:
         return (tuple(self.regs), self.taint & SECRET_REGS, self.valid,
                 self.vector)
@@ -416,6 +426,15 @@ class TCS:
         self.ssa_base = ssa_base
         self.cssa = cssa
         self.busy = busy
+
+    def copy(self) -> "TCS":
+        t = TCS.__new__(TCS)
+        t.entry_point = self.entry_point
+        t.nssa = self.nssa
+        t.ssa_base = self.ssa_base
+        t.cssa = self.cssa
+        t.busy = self.busy
+        return t
 
 
 # ---------------------------------------------------------------------------
@@ -453,10 +472,19 @@ class HwExt:
         self.atomic_until = atomic_until
         self.deferred_vector = deferred_vector
 
-    def clone(self) -> "HwExt":
-        return HwExt(self.kind, self.allowed, self.window, self.used,
-                     self.window_index, self.granted, self.masked,
-                     self.atomic, self.atomic_until, self.deferred_vector)
+    def copy(self) -> "HwExt":
+        h = HwExt.__new__(HwExt)
+        h.kind = self.kind
+        h.allowed = self.allowed
+        h.window = self.window
+        h.used = self.used
+        h.window_index = self.window_index
+        h.granted = self.granted
+        h.masked = self.masked
+        h.atomic = self.atomic
+        h.atomic_until = self.atomic_until
+        h.deferred_vector = self.deferred_vector
+        return h
 
     def canonical(self) -> tuple:
         return (self.kind, self.allowed, self.window, self.used,
@@ -588,18 +616,22 @@ class Machine:
     # -- lifecycle ---------------------------------------------------------
 
     def clone(self) -> "Machine":
+        """An independent copy: its own registers, memory cells, TCS, SSA
+        frames, extension state, trace and view of the rsp path (see
+        ``interp.RspPath.fork``), the TCS, frames and extension state each
+        copied slot by slot through its ``copy``.  The copy shares what no
+        transition changes in place: the pages, the fetch table and the
+        path's predicates.  It starts without digest text."""
         m = Machine.__new__(Machine)
         m.mode = self.mode
         m.regs = list(self.regs)
         m.taint = self.taint
         m.mem = self.mem.clone()
-        m.tcs = TCS(self.tcs.entry_point, self.tcs.nssa, self.tcs.ssa_base,
-                    self.tcs.cssa, self.tcs.busy)
-        m.ssa = [SSAFrame(f.regs, f.taint, f.valid, f.vector)
-                 for f in self.ssa]
+        m.tcs = self.tcs.copy()
+        m.ssa = [f.copy() for f in self.ssa]
         m.aep = self.aep
         m.sgx_version = self.sgx_version
-        m.hw = self.hw.clone()
+        m.hw = self.hw.copy()
         m.cycle = self.cycle
         m.trace = list(self.trace)
         m.entry_atomic_cycles = self.entry_atomic_cycles
@@ -620,7 +652,7 @@ class Machine:
 
     # -- synchronous entry / exit -------------------------------------------
 
-    def eenter(self, os_regs: list[int], aep: int) -> None:
+    def eenter(self, os_regs: Sequence[int], aep: int) -> None:
         """Enter through the fixed entry point.  Register state passes
         through unchanged apart from rip; nothing is scrubbed or replaced.
 

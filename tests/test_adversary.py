@@ -11,18 +11,20 @@ from aexlab.adversary import (
     craft_sp, estimate_single_shot_rate, exact_single_shot_rate,
     exhaustive_attacker, multi_round_aslr, scripted_attack, search_space,
 )
-from aexlab.harness import prefix_plan, run_plan
+from aexlab.harness import BUDGET_EXCEEDED, Eenter, prefix_plan, run_plan
 from aexlab.isa import OP_EMULATE_CRITICAL
 from aexlab.machine import (
-    E_HW_AEX, E_HW_DEFER, E_RETIRE, RSP, SCRUB_VALUES, SGX1, SGX2,
-    VEC_EXT_INT, VEC_PAGE_FAULT,
+    E_EXIT, E_FAULT, E_HW_AEX, E_HW_DEFER, E_RETIRE, MODE_OS, RSP,
+    SCRUB_VALUES, SGX1, SGX2, VEC_EXT_INT, VEC_PAGE_FAULT,
 )
 from aexlab.runtimes import (
     CMD_EXCEPTION, CMD_INVALID, CMD_ORET, Layout, Toggles, build_machine,
     build_runtime,
 )
 
-from conftest import load_script, stub_pool_context
+from conftest import (
+    load_script, make_raw_image, make_raw_machine, stub_pool_context,
+)
 
 agreement = load_script("agreement")
 
@@ -417,3 +419,53 @@ def test_no_point_is_kept_past_the_boundary_cap(monkeypatch):
                               budget=SearchBudget(boundary_cap=3))
     assert isinstance(out, NoneFound)
     assert kept and all(k == [0, 1, 2, 3] for k in kept)
+
+
+# ---------------------------------------------------------------------------
+# window points a dry run keeps
+# ---------------------------------------------------------------------------
+
+def _labelled_state(m) -> tuple:
+    return (m.canonical(), m.trace, m.taint, m.influenced)
+
+
+@pytest.mark.parametrize("variant", runtimes.VARIANTS)
+@pytest.mark.parametrize("sgx", (SGX1, SGX2))
+def test_each_kept_window_point_equals_a_run_cut_there(variant, sgx):
+    # the first dry run of the search, labelled as a representative's is;
+    # from the root it opens one window, so a run cut at a point's steps
+    # has the point's window count as its boundaries
+    space = search_space(build_runtime(variant), sgx)
+    actions = adversary._candidate_actions(
+        space.entry(space.commands[0], space.words[0], space.words[0]), None)
+    payload = space.payload_regs + ("rsp",)
+    res = run_plan(space.root.clone(), space.image, actions,
+                   max_steps=space.max_steps, payload=payload,
+                   keep=adversary._kept_boundaries(space))
+    kept = min(res.boundaries, space.budget.boundary_cap)
+    assert [p.window_count for p in res.points] == list(range(kept + 1))
+    # the point at boundary 0 is kept at the entry, before any step
+    for p in res.points[1:]:
+        cut = run_plan(space.root.clone(), space.image, actions,
+                       max_steps=p.steps, payload=payload)
+        assert cut.status == BUDGET_EXCEEDED
+        assert _labelled_state(p.machine) == _labelled_state(cut.machine)
+        assert (p.steps, p.boundaries, p.window_count, p.idx) == (
+            cut.steps, cut.boundaries, cut.boundaries, cut.actions_applied)
+
+
+@pytest.mark.parametrize("last,ends", (
+    ("    eexit $pub\n", [E_EXIT]),
+    ("    load rbx, [rax+0]\n", [E_FAULT, E_HW_AEX]),
+))
+def test_a_kept_stretch_keeps_no_point_where_it_did_not_retire(last, ends):
+    # two instructions retire, then the third exits or faults at the
+    # unmapped address 3: the window keeps the boundaries 0 to 2 only
+    m, prog = make_raw_machine("    mov rax, $1\n    add rax, $2\n" + last)
+    m.mode = MODE_OS
+    m.tcs.busy = False
+    res = run_plan(m, make_raw_image(prog), [Eenter.of(0)], keep=8)
+    assert [e[0] for e in res.trace[-len(ends):]] == ends
+    assert (res.steps, res.boundaries) == (3, 2)
+    assert [(p.window_count, p.steps) for p in res.points] == [
+        (0, 0), (1, 1), (2, 2)]

@@ -9,13 +9,13 @@ from aexlab import adversary
 from aexlab.harness import (
     BENIGN_OCALL_RESULT, BENIGN_REGS, Eenter, FlipPerms, InjectAex, run_plan,
 )
-from aexlab.interp import InterpError, in_crit_ranges, step
+from aexlab.interp import InterpError, RspPath, in_crit_ranges, step
 from aexlab.isa import OP_EMULATE_CRITICAL, OP_WRITE_SSA
 from aexlab.machine import (
     E_FAULT, E_HW_AEX, E_HW_EENTER, E_HW_FLIP, E_RETIRE, EntryDenied,
     HW_IRQ_QUOTA, HW_NONE, HW_REENTRY_MASK, HwExt, MachineError, MASK64,
     MODE_ENCLAVE, MODE_OS, NREGS, PERM_R, PERM_W, PERM_X, PRIVATE, PUBLIC, RDI, RIP, RSP,
-    ResumeDenied, SCRUB_VALUES, SGX1, SGX2, SYNC_VECTORS, UnknownPage,
+    ResumeDenied, SCRUB_VALUES, SGX1, SGX2, SYNC_VECTORS, TCS, UnknownPage,
     VEC_DIV, VEC_EXT_INT, VEC_PAGE_FAULT, Memory, Page, reports_to_enclave,
 )
 from aexlab.runtimes import (
@@ -477,6 +477,36 @@ def test_clone_is_independent():
         assert other.mem.executable(CODE)
     assert m.digest() == sibling.digest() == parent
     assert flipped.digest() != parent
+
+
+def test_a_clone_shares_no_mutable_state_with_its_source(
+        graphene_interrupted):
+    # a machine with a saved frame, extension state and an rsp path whose
+    # run has written; every part of its clone is mutated in place
+    m = graphene_interrupted[0].clone()
+    m.hw = HwExt(kind=HW_IRQ_QUOTA, allowed=8, window=64, used=2)
+    m.path = RspPath(m.ssa[0].regs[RSP])
+    m.path.written = {8}
+    before = (m.canonical(), m.digest(), canonical_digest(m), list(m.trace))
+    c = m.clone()
+    c.regs[RDI] ^= 1
+    c.taint ^= 1
+    for name in TCS.__slots__:
+        setattr(c.tcs, name, -1)
+    for frame in c.ssa:
+        frame.regs[RIP] ^= 1
+        frame.taint ^= 1
+        frame.valid ^= 1
+        frame.vector ^= 1
+    for name in HwExt.__slots__:
+        setattr(c.hw, name, -1)
+    c.mem.write(c.mem.pages[0].base, 0x5eed, True)
+    c.trace.append((E_RETIRE, 0, 0, 0, 0))
+    c.path.written.add(16)
+    assert (m.canonical(), m.digest(), canonical_digest(m),
+            m.trace) == before
+    assert m.path.written == {8}
+    assert c.path.preds is m.path.preds     # the branch's, shared
 
 
 def test_digest_is_canonical_right_after_a_perms_flip():

@@ -10,7 +10,7 @@ import multiprocessing
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from aexlab import (
@@ -24,8 +24,8 @@ from aexlab.harness import Eenter, PrepareRegs, benign_plan, run_plan
 from aexlab.interp import RspPath, step
 from aexlab.machine import (
     DEFAULT_IRQ_GRANT, E_EXIT, E_HW_ERESUME, LABELS, MASK64, NREGS, ORIGINS,
-    PAYLOADS, R8, R9, RAX, RBX, RCX, REG_IDS, RIP, RSI, RSP, SECRET,
-    SECRET_REGS, SGX1, SGX2, VEC_EXT_INT, VEC_PAGE_FAULT, Machine,
+    PAYLOADS, R8, R9, RAX, RBX, RCX, RDI, REG_IDS, REG_NAMES, RIP, RSI, RSP,
+    SECRET, SECRET_REGS, SGX1, SGX2, VEC_EXT_INT, VEC_PAGE_FAULT, Machine,
 )
 from aexlab.runtimes import (
     CMD_ECALL_COMPUTE, VARIANTS, build_machine, build_runtime,
@@ -272,6 +272,31 @@ sub:
 # ---------------------------------------------------------------------------
 # per-register payload planes
 # ---------------------------------------------------------------------------
+
+@seed(6657)
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(REG_NAMES)).map(tuple))
+def test_the_cached_payload_masks_equal_the_per_name_loop(payload):
+    labels = 0
+    for name in payload:
+        r = REG_IDS[name]
+        labels |= ORIGINS[r] << r
+    assert harness._payload_masks(payload) == (
+        labels, (labels >> RSP | labels >> RSI) & PAYLOADS)
+
+
+@seed(6657)
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(REG_NAMES),
+                          st.integers(0, 1 << 66))).map(tuple),
+       st.integers(0, 1 << 66))
+def test_the_cached_entry_registers_equal_the_per_name_loop(regs, cmd):
+    os_regs = [0] * NREGS
+    for name, val in regs:
+        os_regs[REG_IDS[name]] = val & MASK64
+    os_regs[RDI] = cmd & MASK64
+    assert list(harness._entry_regs(regs, cmd)) == os_regs
+
 
 def test_the_words_of_a_register_mask_never_overlap():
     # planes NREGS bits apart: two registers' shifted words share no bit,
@@ -881,6 +906,22 @@ def test_the_classes_oracle_catches_a_recorder_without_the_load_cell_rule(
     with pytest.raises(agreement.Mismatch, match="^classes: "):
         with agreement.classes():
             exhaustive_attacker(image, SGX1)
+
+
+def test_the_classes_oracle_catches_class_totals_one_step_off(monkeypatch):
+    real = adversary._rsp_class
+
+    def off(space, cmd, word):
+        cls, counted = real(space, cmd, word)
+        if counted:
+            runs, steps, boundaries = cls.totals
+            cls.totals = (runs, steps + 1, boundaries)
+        return cls, counted
+
+    monkeypatch.setattr(adversary, "_rsp_class", off)
+    with pytest.raises(agreement.Mismatch, match="^classes: .* sum to "):
+        with agreement.classes():
+            exhaustive_attacker(build_runtime("dedicated_stack"), SGX2)
 
 
 def test_the_resumed_oracle_catches_a_resume_that_shares_its_point(
