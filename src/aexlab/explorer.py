@@ -81,7 +81,8 @@ def _execute(scenario: dict, image: EnclaveImage, actions: list,
     action.  Either way the run, its kept points included, equals a run
     of the actions from a fresh machine.  With `record`, the trace lines
     with per-event digests come back too (a run from `after` starts from
-    the lines its root recorded as it ran the prefix); with `keep_from`,
+    the lines its root recorded as it ran the prefix, and its machine from
+    its own copy of the root's digest text); with `keep_from`,
     the run keeps action points from that index on; `payload` names the
     staged registers to label (see ``run_plan``).  Neither changes the
     trace lines: digests and events carry only the secret label plane, so
@@ -94,8 +95,11 @@ def _execute(scenario: dict, image: EnclaveImage, actions: list,
     start = root.start(image.program, actions, max_steps)
     rec = None
     if record:
-        rec = reporting.TraceRecorder(start.machine,
-                                      root.lines if start.idx else None)
+        lines = None
+        if start.idx:
+            start.machine.seed_digest_text(root.text)
+            lines = root.lines
+        rec = reporting.TraceRecorder(start.machine, lines)
     res = run_plan(start, image, actions, max_steps=max_steps,
                    on_action=rec.on_action if rec else None,
                    after_events=rec.after_events if rec else None,
@@ -571,12 +575,13 @@ def replay(scenario: dict, body_lines: list[str],
         line = action_lines[actions.index(e.args[0])]
         raise reporting.TraceFileError(
             f"{line!r} seeds other than aligned public words") from None
-    for i, (want, got) in enumerate(zip(body_lines, lines)):
-        if want != got:
-            return ReplayResult(False, i, _divergence(body_lines, i, got,
-                                                      image.program),
-                                exit_code=EXIT_DIGEST_MISMATCH)
-    if len(lines) != len(body_lines):
+    if lines != body_lines:
+        # walk the lines only to name the first mismatch
+        for i, (want, got) in enumerate(zip(body_lines, lines)):
+            if want != got:
+                detail = _divergence(body_lines, i, got, image.program)
+                return ReplayResult(False, i, detail,
+                                    exit_code=EXIT_DIGEST_MISMATCH)
         return ReplayResult(False, min(len(lines), len(body_lines)),
                             "replay produced a different number of lines",
                             exit_code=EXIT_DIGEST_MISMATCH)

@@ -466,17 +466,22 @@ class Root:
     ``prefix_plan()``, or None when the prefix does not run to it.  One
     run of the prefix from a copy of `fresh` gives `after`, `ended` and
     `lines`: how a run of ``prefix_plan()`` ends, (status, steps, retired
-    instructions), and the trace lines that `recorder(machine)`, a
-    ``reporting.TraceRecorder``, recorded up to `after` (None with
-    `after`), which a recorded run from `after` starts from.
+    instructions), the trace lines that `recorder(machine)`, a
+    ``reporting.TraceRecorder``, recorded up to `after`, and `text`, the
+    digest text that recording left on its machine, in `after`'s state
+    (``Machine.digest_text``), taken without a digest of its own (both
+    None with `after`).  A recorded run from `after` starts from the
+    lines and from its own copy of the text (``Machine.seed_digest_text``),
+    so that its first digest re-formats only what the run changed.
 
     A program holds its roots (``Program.roots``).  The points' machines
-    are plain state, without digest text (see ``Machine.clone``).  They
-    keep their fetch table, but not ``fetch_program``, so that nothing the
-    program holds refers back to it; `copy` sets it on each copy, so that
-    no run from a root fetches its table again."""
+    are plain state, without digest text (see ``Machine.clone``), and so
+    is every copy `copy` and `start` give.  They keep their fetch table,
+    but not ``fetch_program``, so that nothing the program holds refers
+    back to it; `copy` sets it on each copy, so that no run from a root
+    fetches its table again."""
 
-    __slots__ = ("fresh", "after", "lines", "ended")
+    __slots__ = ("fresh", "after", "lines", "text", "ended")
 
     def __init__(self, machine: Machine, image: EnclaveImage,
                  recorder: Callable):
@@ -488,12 +493,15 @@ class Root:
                        on_action=rec.on_action, after_events=rec.after_events)
         self.ended = (DONE if res.status == STOPPED else res.status,
                       res.steps, res.machine.cycle)
-        self.after = self.lines = None
+        self.after = self.lines = self.text = None
         if res.status == STOPPED:
             self.after = res.points[0]
             self.after.machine.mem.fetch_program = None
-            # the recorder's last line is the stop's, applied after the point
+            # the recorder's last line is the stop's, applied after the
+            # point; the stop changes no state, so the recorder's machine
+            # is in the point's state
             self.lines = tuple(rec.lines[:-1])
+            self.text = res.machine.digest_text()
         machine.mem.fetch_program = None
 
     @staticmethod

@@ -214,9 +214,11 @@ class Memory:
     ``write`` records the written address in ``_dirty`` and ``cells_repr``
     re-formats only those cells.  A memory starts without parts, a clone
     too, and one never digested pays only the None check per write
-    (``_dirty`` is None).  The page permissions' text is the machine's
-    (``Machine._pages``), which ``os_set_page_perms``, the one caller of
-    ``set_perms``, clears.
+    (``_dirty`` is None); the memory of a recorded run from a root's
+    `after` point starts from the parts its root kept
+    (``Machine.seed_digest_text``).  The page permissions' text is the
+    machine's (``Machine._pages``), which ``os_set_page_perms``, the one
+    caller of ``set_perms``, clears.
 
     ``fetch`` is the table instruction fetch reads for ``fetch_program``
     (see ``interp.fetch_table``): it depends on the pages, so clones share
@@ -584,7 +586,9 @@ class Machine:
     ``_pages``, the page permissions alone, is cleared by
     ``os_set_page_perms`` only: the platform changes at every entry and
     exit, the pages almost never.  A clone, its memory and its SSA frames
-    start without digest text, as a fresh machine's do.
+    start without digest text, as a fresh machine's do; a recorded run
+    from a root's `after` point starts from the text its root kept
+    (``digest_text``, ``seed_digest_text``).
     """
 
     __slots__ = ("mode", "regs", "taint", "mem", "tcs", "ssa", "aep",
@@ -621,7 +625,8 @@ class Machine:
         ``interp.RspPath.fork``), the TCS, frames and extension state each
         copied slot by slot through its ``copy``.  The copy shares what no
         transition changes in place: the pages, the fetch table and the
-        path's predicates.  It starts without digest text."""
+        path's predicates.  It starts without digest text, which
+        ``seed_digest_text`` can give it."""
         m = Machine.__new__(Machine)
         m.mode = self.mode
         m.regs = list(self.regs)
@@ -641,6 +646,28 @@ class Machine:
         m.path = self.path if self.path is None else self.path.fork()
         m._pages = m._platform = None
         return m
+
+    def digest_text(self) -> Optional[tuple]:
+        """The digest text this machine holds: its memory's cell keys and
+        parts, the cells still to re-format, the cells bytes, and the page
+        and platform bytes; None when it was never digested.  A machine in
+        the same state starts from it through ``seed_digest_text``."""
+        mem = self.mem
+        if mem._dirty is None:
+            return None
+        return (tuple(mem._keys), tuple(mem._parts), frozenset(mem._dirty),
+                mem._cells_repr, self._pages, self._platform)
+
+    def seed_digest_text(self, text: tuple) -> None:
+        """Take `text`, the ``digest_text`` of a machine in this machine's
+        state, so that the next digest re-formats only what changed since:
+        the lists and the set are copied, the bytes shared."""
+        keys, parts, dirty, cells, self._pages, self._platform = text
+        mem = self.mem
+        mem._keys = list(keys)
+        mem._parts = list(parts)
+        mem._dirty = set(dirty)
+        mem._cells_repr = cells
 
     def platform_changed(self) -> None:
         """Drop the cached digest text of the TCS, the SSA frames, aep,

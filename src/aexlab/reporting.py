@@ -270,15 +270,19 @@ def _word(text: str) -> int:
 
 
 def _parse_kv(text: str):
+    """The (register, word) pairs of a register list; a register named
+    twice is refused, since an entry would keep only its last value."""
     if not text:
         return ()
-    out = []
+    out = {}
     for part in text.split(","):
         k, _, v = part.partition("=")
         if k not in REG_IDS:
             raise ValueError(f"unknown register {k!r}")
-        out.append((k, _word(v)))
-    return tuple(out)
+        if k in out:
+            raise ValueError(f"register {k!r} named twice")
+        out[k] = _word(v)
+    return tuple(out.items())
 
 
 def action_to_line(action) -> str:
@@ -378,12 +382,21 @@ class TraceRecorder:
         self.lines.append(action_to_line(action))
 
     def flush(self) -> None:
+        """Record the events the trace gained since the last flush, each
+        with the digest of the state after them.  Nearly every call, one
+        per instruction, has one new event, which is taken without
+        slicing the trace."""
         trace = self.machine.trace
-        if len(trace) > self._seen:
+        seen = self._seen
+        n = len(trace)
+        if n > seen:
             digest = self.machine.digest()
-            for ev in trace[self._seen:]:
-                self.lines.append(event_to_line(ev, digest))
-            self._seen = len(trace)
+            if n == seen + 1:
+                self.lines.append(event_to_line(trace[seen], digest))
+            else:
+                for ev in trace[seen:]:
+                    self.lines.append(event_to_line(ev, digest))
+            self._seen = n
 
     after_events = flush
 

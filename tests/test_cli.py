@@ -190,12 +190,18 @@ def _first(lines, prefix):
     ("A eenter ", "A seed 0x999000 0x41",
      "error: trace: 'A seed 0x999000 0x41' seeds other than aligned "
      "public words"),
+    ("A prep ", "A prep rsp=0x1,rsp=0x2",
+     "error: trace: malformed action line: 'A prep rsp=0x1,rsp=0x2'"),
+    ("A eenter ", "A eenter 0x0 rsi=0x0,rsp=0x0,rsp=0x8 -",
+     "error: trace: malformed action line: "
+     "'A eenter 0x0 rsi=0x0,rsp=0x0,rsp=0x8 -'"),
 ], ids=["line_count", "action_hex", "vector_name", "short_action",
         "event_hex", "eenter_unknown_register", "prep_unknown_register",
         "unmapped_flip", "negative_boundary", "negative_perms",
         "perms_above_rwx", "negative_cmd", "cmd_above_64_bits",
         "prep_above_64_bits", "seed_word_above_64_bits", "seed_secret_word",
-        "seed_unaligned", "seed_unmapped"])
+        "seed_unaligned", "seed_unmapped", "prep_register_twice",
+        "eenter_register_twice"])
 def test_replay_malformed_trace_exits_three(tmp_path, prefix, bad, message):
     golden = fixture_path("golden/scripted_sdk_sgx2.trace")
     lines = open(golden).read().splitlines()

@@ -991,6 +991,22 @@ def test_replay_detects_truncation(tmp_path):
     assert not result.ok and result.exit_code == EXIT_DIGEST_MISMATCH
 
 
+@pytest.mark.parametrize("short", [True, False])
+def test_replay_names_a_body_of_another_length(tmp_path, short):
+    # a body whose line count matches its header but which ends three
+    # event lines early, or has one event line more: every line replay
+    # wrote agrees, and the mismatch is the number of lines
+    sc = scenario(variant="sdk_style", adversary="scripted")
+    path, _ = make_trace(tmp_path, sc)
+    _, _, lines = reporting.read_trace(str(path))
+    assert all(ln.startswith("E ") for ln in lines[-3:])
+    body = lines[:-3] if short else lines + [lines[-1]]
+    result = explorer.replay(sc, body, len(body))
+    assert not result.ok and result.exit_code == EXIT_DIGEST_MISMATCH
+    assert result.divergence_line == (len(body) if short else len(lines))
+    assert result.detail == "replay produced a different number of lines"
+
+
 def test_run_and_replay_share_one_assembly(tmp_path, monkeypatch):
     assemble = isa.assemble
     calls = []

@@ -3,7 +3,9 @@ root its image's program keeps per platform, and equals a run from a fresh
 machine.  A root is keyed by everything `build_machine` reads, the sgx
 version and the grant, and runs its prefix once, recording the same lines
 whether a search or a recorded run builds it; a budget below the prefix's
-steps runs fresh; replay still checks the prefix's lines; and a program
+steps runs fresh; replay still checks the prefix's lines; a recorded run
+from `after` starts from its own copy of the root's digest text and
+records what a run from plain state records; and a program
 that holds roots, or whose counterexample run is kept for minimization,
 is freed by reference counting alone."""
 
@@ -200,6 +202,77 @@ def test_a_roots_points_and_every_copy_hold_no_digest_text(monkeypatch):
         assert m._pages is None and all(f._repr is None for f in m.ssa)
     copy = machines[-1]
     assert copy.digest() == agreement.canonical_digest(copy)
+
+
+def _recorded(sc, image, actions, start, lines):
+    """The lines, verdicts and exit code of `actions` recorded from
+    `start`, a machine or a point, whose recording begins with `lines`."""
+    m = start.machine if isinstance(start, harness.Point) else start
+    rec = reporting.TraceRecorder(m, lines)
+    res = run_plan(start, image, actions,
+                   max_steps=sc["budgets"]["max_steps"],
+                   on_action=rec.on_action, after_events=rec.after_events)
+    rec.flush()
+    verdicts, code = explorer._judged(sc, image, res)
+    return rec.lines, [v.to_dict() for v in verdicts], code
+
+
+SEEDED = {
+    "golden": lambda: reporting.read_trace(fixture_path(GOLDEN))[0],
+    "enarx_scripted": lambda: reporting.normalize_scenario(
+        {"variant": "enarx_style", "adversary": "scripted"}),
+    "aslr_round": lambda: agreement.aslr_sweep(300)[1],
+    "exhaustive": lambda: agreement.canonical("exhaustive_sdk_sgx2"),
+}
+
+
+@pytest.mark.parametrize("name", SEEDED)
+def test_a_run_from_the_roots_text_records_what_plain_state_records(
+        name, monkeypatch):
+    # the recorded run starts from its own copy of the root's digest text;
+    # recorded from a plain copy of `after`, whose first digest builds the
+    # text, and from a fresh machine, the plan writes the same lines,
+    # digests and verdicts
+    sc = SEEDED[name]()
+    image = explorer._image_for(sc)
+    grant = (sc["hw_ext"]["allowed"], sc["hw_ext"]["window"])
+    real = explorer.run_plan
+    starts = []
+
+    def watched(start, *args, **kwargs):
+        m = start.machine
+        starts.append((start.idx, m.mem._dirty == set(), m._platform))
+        return real(start, *args, **kwargs)
+
+    monkeypatch.setattr(explorer, "run_plan", watched)
+    out = explorer.run(sc)
+    root = adversary.image_root(image, sc["sgx_version"], grant)
+    assert starts == [(1, True, root.text[-1])]
+    assert root.text[-1] is not None
+    actions = [reporting.action_from_line(ln) for ln in out.trace_lines
+               if ln.startswith("A ")]
+    plain = Root.copy(root.after, image.program)
+    assert plain.machine.mem._dirty is None
+    want = (out.trace_lines, [v.to_dict() for v in out.verdicts],
+            out.exit_code)
+    assert _recorded(sc, image, actions, plain, root.lines) == want
+    fresh = build_machine(image, sc["sgx_version"], grant)
+    assert _recorded(sc, image, actions, fresh, None) == want
+    # a second run starts from the same text: the first changed only its
+    # own copy
+    assert explorer.run(sc).trace_lines == out.trace_lines
+
+
+def test_a_recorded_run_from_fresh_takes_no_text():
+    # under a budget below the prefix's 35 steps the run starts from
+    # `fresh`, whose state is not the text's: its every digest is the
+    # canonical one
+    sc = agreement.canonical("scripted_sdk_sgx2")
+    sc["budgets"] = dict(sc["budgets"], max_steps=34)
+    with agreement.digests() as compared:
+        out = explorer.run(sc)
+    assert out.status == "budget_exceeded"
+    assert len(compared) > 30
 
 
 def test_a_program_with_roots_dies_without_the_cycle_collector():
