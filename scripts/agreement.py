@@ -701,9 +701,9 @@ def emulation_differential(image, sgx_version: int = 2,
         while True:
             npc = native.regs[machine.RIP]
             ins = program.code.get(npc)
-            if ins is None or not interp.in_crit_ranges(program, npc):
+            if ins is None or npc not in program.crit_pcs:
                 break
-            if ins[0] in (isa.OP_EEXIT_R, isa.OP_EEXIT_I):
+            if ins[0] == isa.OP_EEXIT_I:
                 break
             sig = interp.step(native, program)
             if sig != "ok":

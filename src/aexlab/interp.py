@@ -36,18 +36,17 @@ from typing import Callable, Optional
 from .isa import (
     OP_MOV_RR, OP_MOV_RI, OP_LOAD, OP_STORE, OP_PUSH, OP_POP,
     OP_ADD_I, OP_SUB_I, OP_AND_I, OP_CMPJ_I, OP_CMPJ_R,
-    OP_JMP, OP_JMP_REG, OP_CALL, OP_RET,
-    OP_MEMCPY, OP_SCRUB, OP_READ_SSA, OP_WRITE_SSA, OP_EEXIT_R, OP_EEXIT_I,
-    OP_BEGIN_ATOMIC, OP_END_ATOMIC, OP_SET_FLAG, OP_CLEAR_FLAG,
+    OP_JMP, OP_CALL, OP_RET,
+    OP_MEMCPY, OP_SCRUB, OP_READ_SSA, OP_WRITE_SSA, OP_EEXIT_I,
+    OP_END_ATOMIC, OP_SET_FLAG, OP_CLEAR_FLAG,
     OP_HALT, OP_TRAP, OP_DECLASSIFY, OP_EMULATE_CRITICAL,
     SSA_FIELD_VALID, SSA_FIELD_VECTOR, Program, render,
 )
 from .machine import (
-    CTRL_CALL, CTRL_JMPI, CTRL_RET, E_CTRL, E_FAULT, E_HALT, E_LEAK,
-    E_MEMCPY, E_MEMR, E_RETIRE, E_SP_ASSIGN, E_STORE, HW_IRQ_QUOTA, LABELS,
-    MASK64, MODE_ENCLAVE, NREGS, ORIGINS, PAYLOADS, RAX, RIP, RSP,
-    SCRUB_VALUES, SECRET, SSAFrame, TCS, VEC_AC, VEC_PAGE_FAULT, Machine,
-    Memory,
+    CTRL_CALL, CTRL_RET, E_CTRL, E_FAULT, E_HALT, E_LEAK, E_MEMCPY, E_MEMR,
+    E_RETIRE, E_SP_ASSIGN, E_STORE, HW_IRQ_QUOTA, LABELS, MASK64,
+    MODE_ENCLAVE, NREGS, ORIGINS, PAYLOADS, RIP, RSP, SCRUB_VALUES, SECRET,
+    SSAFrame, TCS, VEC_AC, VEC_PAGE_FAULT, Machine, Memory,
 )
 
 # Exit statuses for Halt; ABORT marks an in-enclave consistency trap
@@ -148,15 +147,15 @@ def fetch_table(mem: Memory, program: Program) -> dict:
 # Labels: data moves copy the label word (mov, the value of
 # load/store/push/pop, memcpy contents, read_ssa and write_ssa, and in
 # machine.py the SSA save and restore); arithmetic keeps it; immediate
-# writes, scrub, call's return cell, set_flag and begin_atomic's rax clear
-# it; declassify clears the secret bit only.  A value on a staged
-# register's origin plane (``ORIGINS``, one plane per register) that
-# reaches a sink ORs its origin planes into ``Machine.influenced``:
+# writes, scrub, call's return cell and set_flag clear it; declassify
+# clears the secret bit only.  A value on a staged register's origin plane
+# (``ORIGINS``, one plane per register) that reaches a sink ORs its origin
+# planes into ``Machine.influenced``:
 #   - a memory address, memcpy's dst/src/len included;
 #   - a compare-and-jump operand;
 #   - rsp;
-#   - a control target: ret of a labelled cell, jmp_reg, eexit's register,
-#     a labelled saved rip on emulate_critical or on eresume (machine.py);
+#   - a control target: ret of a labelled cell, a labelled saved rip on
+#     emulate_critical or on eresume (machine.py);
 #   - an event field: the exit's rax (machine.py).
 # A handler checks its sinks before it can fault.  Every other effect of
 # an instruction is a function of unlabelled values, so a run that ends
@@ -528,20 +527,6 @@ def _jmp(m, pc, a, b, c):
     return "ok"
 
 
-def _jmp_reg(m, pc, a, b, c):
-    sunk = m.taint >> a & PAYLOADS
-    if sunk:
-        m.influenced |= sunk
-        if sunk & _RSP_PLANE and m.path is not None:
-            m.path.alone()
-    regs = m.regs
-    target = regs[a]
-    m.trace.append((E_CTRL, pc, target, CTRL_JMPI, regs[RSP]))
-    regs[RIP] = target
-    m.cycle += 1
-    return "ok"
-
-
 def _call(m, pc, a, b, c):
     regs = m.regs
     mem = m.mem
@@ -680,29 +665,10 @@ def _write_ssa(m, pc, a, b, c):
     return "ok"
 
 
-def _eexit_r(m, pc, a, b, c):
-    m.influenced |= m.taint >> a & PAYLOADS
-    if m.path is not None and m.taint >> a & _RSP_PLANE:
-        m.path.alone()
-    m.cycle += 1
-    m.eexit(m.regs[a])
-    return "exit"
-
-
 def _eexit_i(m, pc, a, b, c):
     m.cycle += 1
     m.eexit(a)
     return "exit"
-
-
-def _begin_atomic(m, pc, a, b, c):
-    regs = m.regs
-    regs[RAX] = 1 if m.begin_atomic(a) else 0
-    m.taint &= _KEEP[RAX]
-    m.trace.append((E_RETIRE, pc, regs[RSP], 0, 0))
-    regs[RIP] = pc + 1
-    m.cycle += 1
-    return "ok"
 
 
 def _end_atomic(m, pc, a, b, c):
@@ -796,11 +762,10 @@ _HANDLERS = {
     OP_MOV_RR: _mov_rr, OP_MOV_RI: _mov_ri,
     OP_ADD_I: _add_i, OP_SUB_I: _sub_i, OP_AND_I: _and_i,
     OP_LOAD: _load, OP_STORE: _store, OP_PUSH: _push, OP_POP: _pop,
-    OP_JMP: _jmp, OP_JMP_REG: _jmp_reg, OP_CALL: _call, OP_RET: _ret,
+    OP_JMP: _jmp, OP_CALL: _call, OP_RET: _ret,
     OP_MEMCPY: _memcpy,
     OP_READ_SSA: _read_ssa, OP_WRITE_SSA: _write_ssa,
-    OP_EEXIT_R: _eexit_r, OP_EEXIT_I: _eexit_i,
-    OP_BEGIN_ATOMIC: _begin_atomic, OP_END_ATOMIC: _end_atomic,
+    OP_EEXIT_I: _eexit_i, OP_END_ATOMIC: _end_atomic,
     OP_HALT: _halt, OP_TRAP: _trap, OP_DECLASSIFY: _declassify,
     OP_EMULATE_CRITICAL: _emulate_critical,
 }
@@ -843,10 +808,6 @@ def _set_frame_field(frame: SSAFrame, field: int, value: int, w: int) -> None:
 # ---------------------------------------------------------------------------
 # Critical-span completion against a saved frame
 # ---------------------------------------------------------------------------
-
-def in_crit_ranges(program: Program, pc: int) -> bool:
-    return pc in program.crit_pcs
-
 
 class UnknownCriticalRange(Exception):
     """The interrupted address is not covered by the range table: the table
@@ -899,7 +860,7 @@ def complete_critical(m: Machine, program: Program,
         ins = program.code.get(pc)
         if ins is None:
             raise UnknownCriticalRange(hex(pc))
-        if ins[0] in (OP_EEXIT_R, OP_EEXIT_I):
+        if ins[0] == OP_EEXIT_I:
             break  # the span ends by leaving the enclave; stop short of it
         if ins[0] not in _COMPLETABLE:
             raise InterpError("instruction not completable in a critical "

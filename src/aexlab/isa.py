@@ -23,11 +23,11 @@ from .machine import MASK64, REG_IDS, REG_NAMES
 (
     OP_MOV_RR, OP_MOV_RI, OP_LOAD, OP_STORE, OP_PUSH, OP_POP,
     OP_ADD_I, OP_SUB_I, OP_AND_I, OP_CMPJ_I, OP_CMPJ_R,
-    OP_JMP, OP_JMP_REG, OP_CALL, OP_RET,
-    OP_MEMCPY, OP_SCRUB, OP_READ_SSA, OP_WRITE_SSA, OP_EEXIT_R, OP_EEXIT_I,
-    OP_BEGIN_ATOMIC, OP_END_ATOMIC, OP_SET_FLAG, OP_CLEAR_FLAG,
+    OP_JMP, OP_CALL, OP_RET,
+    OP_MEMCPY, OP_SCRUB, OP_READ_SSA, OP_WRITE_SSA, OP_EEXIT_I,
+    OP_END_ATOMIC, OP_SET_FLAG, OP_CLEAR_FLAG,
     OP_HALT, OP_TRAP, OP_DECLASSIFY, OP_EMULATE_CRITICAL,
-) = range(29)
+) = range(26)
 
 # SSA fields addressable by read_ssa/write_ssa: any register name plus the
 # exit-information fields.
@@ -69,16 +69,13 @@ SYNTAX = (
     ("cmpj", (REG, IMM, BRANCH)),
     ("cmpj", (REG, REG, BRANCH)),
     ("jmp", (LABEL,)),
-    ("jmpreg", (REG,)),
     ("call", (LABEL,)),
     ("ret", ()),
     ("memcpy", (REG, REG, REG)),    # dst, src, len
     ("scrub", (REGS,)),
     ("read_ssa", (REG, FIELD)),     # from the frame at cssa-1
     ("write_ssa", (FIELD, REG)),
-    ("eexit", (REG,)),
     ("eexit", (IMM,)),
-    ("begin_atomic", (DEC,)),       # declared cycles; rax := 1 granted, 0 not
     ("end_atomic", ()),
     ("set_flag", (IMM,)),           # thread-data offset
     ("clear_flag", (IMM,)),

@@ -397,16 +397,6 @@ class SSAFrame:
         self.vector = vector
         self._repr: Optional[bytes] = None
 
-    def copy(self) -> "SSAFrame":
-        """An independent copy of the frame, without its digest text."""
-        f = SSAFrame.__new__(SSAFrame)
-        f.regs = list(self.regs)
-        f.taint = self.taint
-        f.valid = self.valid
-        f.vector = self.vector
-        f._repr = None
-        return f
-
     def canonical(self) -> tuple:
         return (tuple(self.regs), self.taint & SECRET_REGS, self.valid,
                 self.vector)
@@ -428,15 +418,6 @@ class TCS:
         self.ssa_base = ssa_base
         self.cssa = cssa
         self.busy = busy
-
-    def copy(self) -> "TCS":
-        t = TCS.__new__(TCS)
-        t.entry_point = self.entry_point
-        t.nssa = self.nssa
-        t.ssa_base = self.ssa_base
-        t.cssa = self.cssa
-        t.busy = self.busy
-        return t
 
 
 # ---------------------------------------------------------------------------
@@ -474,20 +455,6 @@ class HwExt:
         self.atomic_until = atomic_until
         self.deferred_vector = deferred_vector
 
-    def copy(self) -> "HwExt":
-        h = HwExt.__new__(HwExt)
-        h.kind = self.kind
-        h.allowed = self.allowed
-        h.window = self.window
-        h.used = self.used
-        h.window_index = self.window_index
-        h.granted = self.granted
-        h.masked = self.masked
-        h.atomic = self.atomic
-        h.atomic_until = self.atomic_until
-        h.deferred_vector = self.deferred_vector
-        return h
-
     def canonical(self) -> tuple:
         return (self.kind, self.allowed, self.window, self.used,
                 self.window_index, int(self.granted), int(self.masked),
@@ -502,7 +469,7 @@ class HwExt:
 #   RETIRE      pc, rsp, 0, 0
 #   STORE       pc, addr, rsp, 0          memory write by the instruction at pc
 #   SP_ASSIGN   pc, new_rsp, 0, 0         rsp written by mov/load
-#   CTRL        pc, target, kindcode, rsp kindcode: 0=call 1=ret 2=jmp-indirect
+#   CTRL        pc, target, kindcode, rsp kindcode: 0=call 1=ret
 #   FAULT       pc, vector, addr, 0
 #   LEAK        pc, src, dst, nbytes
 #   EXIT        pc, target, taint_mask, rax   synchronous exit
@@ -547,7 +514,6 @@ EVENT_IDS = {n: i for i, n in enumerate(EVENT_NAMES)}
 
 CTRL_CALL = 0
 CTRL_RET = 1
-CTRL_JMPI = 2
 
 DENY_NO_FREE_SLOT = 0
 DENY_REENTRY_MASKED = 1
@@ -622,21 +588,25 @@ class Machine:
     def clone(self) -> "Machine":
         """An independent copy: its own registers, memory cells, TCS, SSA
         frames, extension state, trace and view of the rsp path (see
-        ``interp.RspPath.fork``), the TCS, frames and extension state each
-        copied slot by slot through its ``copy``.  The copy shares what no
-        transition changes in place: the pages, the fetch table and the
-        path's predicates.  It starts without digest text, which
+        ``interp.RspPath.fork``).  The copy shares what no transition
+        changes in place: the pages, the fetch table and the path's
+        predicates.  It starts without digest text, which
         ``seed_digest_text`` can give it."""
         m = Machine.__new__(Machine)
         m.mode = self.mode
         m.regs = list(self.regs)
         m.taint = self.taint
         m.mem = self.mem.clone()
-        m.tcs = self.tcs.copy()
-        m.ssa = [f.copy() for f in self.ssa]
+        t = self.tcs
+        m.tcs = TCS(t.entry_point, t.nssa, t.ssa_base, t.cssa, t.busy)
+        m.ssa = [SSAFrame(f.regs, f.taint, f.valid, f.vector)
+                 for f in self.ssa]
         m.aep = self.aep
         m.sgx_version = self.sgx_version
-        m.hw = self.hw.copy()
+        h = self.hw
+        m.hw = HwExt(h.kind, h.allowed, h.window, h.used, h.window_index,
+                     h.granted, h.masked, h.atomic, h.atomic_until,
+                     h.deferred_vector)
         m.cycle = self.cycle
         m.trace = list(self.trace)
         m.entry_atomic_cycles = self.entry_atomic_cycles
@@ -809,20 +779,14 @@ class Machine:
         self.hw.granted = True
         self.emit(E_HW_GRANT, allowed, window)
 
-    # -- atomic-section accounting (driven by the interpreter) ---------------
+    # -- atomic-section accounting (eenter's window, the end_atomic step) ----
 
     def begin_atomic(self, declared_cycles: int) -> bool:
-        """Request an interrupt-free window of the declared length: the
-        software's `begin_atomic` and, under the irq-quota extension, the
-        hardware-armed entry window, which `eenter` requests for
-        `entry_atomic_cycles`.  Both are charged against the per-window
-        quota; a refused request returns False."""
+        """Request an interrupt-free window of the declared length under
+        the irq-quota extension: the hardware-armed entry window, which
+        `eenter` requests for `entry_atomic_cycles`.  It is charged against
+        the per-window quota; a refused request returns False."""
         self.platform_changed()
-        if self.hw.kind == HW_REENTRY_MASK:
-            self.hw.masked = True
-            return True
-        if self.hw.kind != HW_IRQ_QUOTA:
-            return True
         if not self.hw.granted:
             return False
         idx = self.cycle // self.hw.window if self.hw.window else 0

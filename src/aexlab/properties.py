@@ -13,9 +13,9 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .machine import (
-    CTRL_CALL, CTRL_JMPI, CTRL_RET, E_ADV_SEED, E_CTRL, E_EXIT, E_HW_AEX,
-    E_HW_DENIED, E_HW_EENTER, E_HW_ERESUME, E_LEAK, E_MEMCPY, E_MEMR,
-    E_RETIRE, E_SP_ASSIGN, E_STORE, DENY_NO_FREE_SLOT, MASK64,
+    CTRL_CALL, CTRL_RET, E_ADV_SEED, E_CTRL, E_EXIT, E_HW_AEX, E_HW_DENIED,
+    E_HW_EENTER, E_HW_ERESUME, E_LEAK, E_MEMCPY, E_MEMR, E_RETIRE,
+    E_SP_ASSIGN, E_STORE, DENY_NO_FREE_SLOT, MASK64,
 )
 from .runtimes import (
     CMD_ECALL_FAULTING, CMD_EXCEPTION, CMD_ORET, ECALL0_RESULT_DELTA,
@@ -76,10 +76,10 @@ class SafetyMonitor:
     anchor_integrity: the word popped by the ocall-return `ret` must equal
     the return address recorded when the matching ocall saved its context.
 
-    cfi: return and indirect-jump targets must stay inside the legitimate
-    target set.  The declared context-restore site transfers to whatever
-    address the interrupted context held, so it is checked only against
-    the code region.
+    cfi: return targets must stay inside the legitimate target set.  The
+    declared context-restore site transfers to whatever address the
+    interrupted context held, so it is checked only against the code
+    region.
 
     confidentiality: any leak event, or any synchronous exit that leaves a
     secret-tainted register visible to the OS, is a violation.
@@ -144,12 +144,6 @@ class SafetyMonitor:
                 elif ctrl == CTRL_CALL:
                     if pc in img.ocall_call_sites:
                         saves.append(pc + 1)
-                else:
-                    if (ctrl == CTRL_JMPI
-                            and not code_lo <= target < code_hi):
-                        found.setdefault(
-                            "cfi", (i, f"indirect jump to {target:#x}"))
-                    continue
                 sp = ev[4]
             elif kind == E_MEMR:
                 if not ev[3]:
@@ -345,7 +339,7 @@ def shadow_taint_leaks(trace: list[tuple], image: EnclaveImage):
     trace *should* contain if the interpreter's taint logic is sound.
     """
     from .isa import (
-        OP_CALL, OP_DECLASSIFY, OP_EEXIT_I, OP_EEXIT_R, OP_EMULATE_CRITICAL,
+        OP_CALL, OP_DECLASSIFY, OP_EEXIT_I, OP_EMULATE_CRITICAL,
         OP_LOAD, OP_MEMCPY, OP_MOV_RI, OP_MOV_RR, OP_POP, OP_PUSH,
         OP_READ_SSA, OP_SCRUB, OP_STORE, OP_WRITE_SSA,
     )
@@ -459,7 +453,7 @@ def shadow_taint_leaks(trace: list[tuple], image: EnclaveImage):
                         run_len = 0
                 if run_len:
                     leaks.append((run_src, run_dst, run_len * 8))
-        elif op in (OP_EEXIT_R, OP_EEXIT_I):
+        elif op == OP_EEXIT_I:
             mask = 0
             for r in reg_secret:
                 if r != RIP:

@@ -14,8 +14,7 @@ from aexlab.harness import (
     benign_critical_exception_plan, run_plan,
 )
 from aexlab.interp import (
-    InterpError, ST_ABORT, complete_critical, fetch_table, in_crit_ranges,
-    step,
+    InterpError, ST_ABORT, complete_critical, fetch_table, step,
 )
 from aexlab.machine import (
     CTRL_RET, E_CTRL, E_EXIT, E_FAULT, E_HALT, E_HW_AEX, E_HW_EENTER,
@@ -470,8 +469,7 @@ def test_critical_completion_fetches_through_the_shared_table():
     m = build_machine(img, SGX2)
     res = run_plan(m, img, benign_critical_exception_plan(5)[:3])
     frame = m.ssa[m.tcs.cssa - 1]
-    assert res.status == "done" and in_crit_ranges(img.program,
-                                                    frame.regs[RIP])
+    assert res.status == "done" and frame.regs[RIP] in img.program.crit_pcs
     table = m.mem.fetch
     assert table is not None
     cold = m.clone()

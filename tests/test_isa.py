@@ -121,19 +121,16 @@ RENDERED = [
     ("add rsp, $0x20", "add rsp, $0x20"),
     ("sub rsp, $magic", "sub rsp, $0x1234"),
     ("and rdi, $-16", "and rdi, $0xfffffffffffffff0"),
-    ("cmpj rax, $1, eq, out", "cmpj rax, $0x1, eq, 0x2d"),
+    ("cmpj rax, $1, eq, out", "cmpj rax, $0x1, eq, 0x2a"),
     ("cmpj rax, rbx, ge, top", "cmpj rax, rbx, ge, 0x10"),
-    ("jmp out", "jmp 0x2d"),
-    ("jmpreg rsi", "jmpreg rsi"),
+    ("jmp out", "jmp 0x2a"),
     ("call top", "call 0x10"),
     ("ret", "ret"),
     ("memcpy rdi, rsi, rdx", "memcpy rdi, rsi, rdx"),
     ("scrub rflags, rbx, rax, rbx", "scrub rax, rbx, rflags"),
     ("read_ssa rdx, exitinfo_vector", "read_ssa rdx, exitinfo_vector"),
     ("write_ssa rip, rcx", "write_ssa rip, rcx"),
-    ("eexit rdi", "eexit rdi"),
     ("eexit $7", "eexit $0x7"),
-    ("begin_atomic $40", "begin_atomic $40"),
     ("end_atomic", "end_atomic"),
     ("set_flag $0x18", "set_flag $0x18"),
     ("clear_flag $24", "clear_flag $0x18"),
@@ -163,12 +160,25 @@ def test_render_round_trips_mnemonics():
     ("mov rax", "'mov reg, reg' or 'mov reg, $imm'"),
     ("cmpj rax, $1, eq", "'cmpj reg, $imm, rel, label' or "
                          "'cmpj reg, reg, rel, label'"),
-    ("eexit", "'eexit reg' or 'eexit $imm'"),
+    ("eexit", "'eexit $imm'"),
 ])
 def test_wrong_operand_count_names_line_and_form(line, form):
     with pytest.raises(AsmError) as err:
         assemble(f"top:\n    ret\n    {line}\n", 0)
     assert str(err.value) == f"line 3: expected {form}"
+
+
+@pytest.mark.parametrize("line, error", [
+    ("jmpreg rsi", "line 3: unknown mnemonic 'jmpreg'"),
+    ("begin_atomic $40", "line 3: unknown mnemonic 'begin_atomic'"),
+    ("eexit rdi", "line 3: expected immediate, got 'rdi'"),
+])
+def test_forms_no_design_uses_are_refused(line, error):
+    # an indirect jump, an exit to a register target and a software atomic
+    # section are not in the instruction set
+    with pytest.raises(AsmError) as err:
+        assemble(f"top:\n    ret\n    {line}\n", 0)
+    assert str(err.value) == error
 
 
 def test_call_encodes_target_address():

@@ -9,7 +9,7 @@ from aexlab import adversary
 from aexlab.harness import (
     BENIGN_OCALL_RESULT, BENIGN_REGS, Eenter, FlipPerms, InjectAex, run_plan,
 )
-from aexlab.interp import InterpError, RspPath, in_crit_ranges, step
+from aexlab.interp import InterpError, RspPath, step
 from aexlab.isa import OP_EMULATE_CRITICAL, OP_WRITE_SSA
 from aexlab.machine import (
     E_FAULT, E_HW_AEX, E_HW_EENTER, E_HW_FLIP, E_RETIRE, EntryDenied,
@@ -295,7 +295,8 @@ def test_mask_cleared_by_end_atomic_and_eexit():
     assert m.hw.masked
     m.end_atomic()
     assert not m.hw.masked
-    m.begin_atomic(0)
+    m.eexit(0x4000)
+    m.eenter([0] * NREGS, aep=0x4000)
     assert m.hw.masked
     m.eexit(0x4000)
     assert not m.hw.masked
@@ -377,7 +378,7 @@ def graphene_interrupted():
             Eenter.of(CMD_ORET, regs={"rsp": 0, "rsi": BENIGN_OCALL_RESULT})]
     run_plan(m, img, plan)
     assert m.mode == MODE_OS and m.tcs.cssa == 1
-    assert in_crit_ranges(img.program, m.ssa[0].regs[RIP])
+    assert m.ssa[0].regs[RIP] in img.program.crit_pcs
     return m, img.program
 
 

@@ -6,9 +6,7 @@ import pytest
 
 from aexlab import adversary, harness, properties, runtimes
 from aexlab.harness import benign_plan, prefix_plan, run_plan
-from aexlab.machine import (
-    CTRL_JMPI, CTRL_RET, E_CTRL, E_EXIT, SGX2,
-)
+from aexlab.machine import CTRL_RET, E_CTRL, E_EXIT, SGX2
 from aexlab.runtimes import build_machine, build_runtime
 
 
@@ -156,18 +154,6 @@ def test_cfi_flags_a_context_restore_past_the_code():
                             (E_CTRL, pc, code_hi, CTRL_RET, sp)])
     assert v == properties.Verdict("cfi", properties.VIOLATED, 2,
                                    f"context restore to {code_hi:#x}")
-
-
-def test_cfi_flags_an_indirect_jump_past_the_code():
-    img = build_runtime("sdk_style")
-    pc = img.program.base
-    sp = img.trusted_stack_ranges[0][0]
-    code_lo, code_hi = img.program.base, img.program.end
-    v = _only_witness(img, [(E_CTRL, pc, code_lo, CTRL_JMPI, sp),
-                            (E_CTRL, pc, code_hi - 1, CTRL_JMPI, sp),
-                            (E_CTRL, pc, code_hi, CTRL_JMPI, sp)])
-    assert v == properties.Verdict("cfi", properties.VIOLATED, 2,
-                                   f"indirect jump to {code_hi:#x}")
 
 
 # ---------------------------------------------------------------------------

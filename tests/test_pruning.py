@@ -124,14 +124,6 @@ target:
     assert m.influenced and m.regs[RIP] == prog.labels["target"]
 
 
-def test_an_indirect_jump_or_exit_target_is_a_sink():
-    for ins in ("jmpreg rax", "eexit rax"):
-        m, prog = labelled(f"    {ins}\ntarget:\n    halt $0\n", {})
-        m.regs[RAX] = prog.labels["target"]
-        step(m, prog)
-        assert m.influenced, ins
-
-
 def test_declassify_keeps_the_payload_label():
     # declassify clears the secret bit only: the payload-labelled rax still
     # flags as a load address
