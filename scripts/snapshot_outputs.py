@@ -13,7 +13,10 @@ the process are compared too.  It runs the multi-round ASLR sweep on
 `sdk_style` at offsets 33, 1000 and 2048, and `hw_irq_quota` `exhaustive`
 and `benign_critical` under two grants other than the default: one that
 still certifies, and one too small for the entry window's atomic section,
-under which the search finds a counterexample.  It runs `sdk_style`
+under which the search finds a counterexample.  It runs `hw_irq_quota`
+`benign_nested` at sgx 1 and 2 with boundaries 3 and 15: the second
+exception lands inside the handler's entry window, is deferred, and is
+delivered where that window expires.  It runs `sdk_style`
 `exhaustive` at sgx 2 under step budgets of 100, 145 and 146: a run of
 its counterexample from a fresh machine takes 146 steps, prefix included,
 so the first two certify BUDGET and the last finds it.  It runs
@@ -65,6 +68,8 @@ SCRIPTED_PAGES = (0x30000, 0x38000, 0x42000)
 SCRIPTED_OFFSETS = (8, 24)
 MULTI_ROUND_OFFSETS = (33, 1000, 2048)
 QUOTA_GRANTS = ((64, 5000), (20, 5000))     # (allowed cycles, window)
+# deferred into the handler's entry window, delivered at its end
+NESTED_BOUNDARIES = (3, 15)
 STEP_BUDGETS = (100, 145, 146)
 # each cuts sdk_style sgx1 after a branch counted in one step
 RUN_BUDGETS = (1000, 4000)
@@ -112,6 +117,14 @@ def _quota_grant_docs():
             yield (f"{mode}_hw_irq_quota_a{allowed}_w{window}",
                    {"variant": "hw_irq_quota", "adversary": mode,
                     "hw_ext": {"allowed": allowed, "window": window}})
+
+
+def _quota_nested_docs():
+    for sgx in (2, 1):
+        for boundary in NESTED_BOUNDARIES:
+            yield (f"benign_nested_hw_irq_quota_sgx{sgx}_b{boundary}",
+                   {"variant": "hw_irq_quota", "sgx_version": sgx,
+                    "adversary": "benign_nested", "boundary": boundary})
 
 
 def _step_budget_docs():
@@ -211,7 +224,7 @@ def main() -> int:
     for tag, path in _scenario_files(
             args.out, [*_critical_docs(), *_scripted_docs(),
                        *_multi_round_docs(), *_quota_grant_docs(),
-                       *_step_budget_docs(), *_prefix_budget_docs(),
+                       *_quota_nested_docs(), *_step_budget_docs(), *_prefix_budget_docs(),
                        *_run_budget_docs(), *_hunt_budget_docs(),
                        *_cut_run_docs(),
                        *_short_stack_docs()]):

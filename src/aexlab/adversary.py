@@ -545,7 +545,7 @@ def _attempt(space: SearchSpace, entry: tuple[PrepareRegs, Eenter],
     else:
         machine = space.root.clone()
         if path is not None:
-            machine.path = path.run()
+            machine.path = path.fork()
         res = run_plan(machine, space.image, actions,
                        max_steps=space.max_steps, payload=payload,
                        keep=_kept_boundaries(space) if inject is None else -1)

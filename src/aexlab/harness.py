@@ -26,8 +26,8 @@ from typing import Callable, NamedTuple, Optional
 
 from .interp import fetch_table, run_steps
 from .machine import (
-    E_ADV_SEED, HW_IRQ_QUOTA, EntryDenied, MASK64, MODE_ENCLAVE, NREGS,
-    ORIGINS, PAYLOADS, RDI, REG_IDS, RSI, RSP, ResumeDenied, Machine,
+    E_ADV_SEED, EntryDenied, MASK64, MODE_ENCLAVE, NREGS, ORIGINS,
+    PAYLOADS, RDI, REG_IDS, RSI, RSP, ResumeDenied, Machine,
 )
 from .runtimes import (
     CMD_ECALL_COMPUTE, CMD_ECALL_FAULTING, CMD_EXCEPTION, CMD_ORET,
@@ -240,10 +240,12 @@ def run_plan(machine: "Machine | Point", image: EnclaveImage, actions: list,
     atomic machine transition (for digest recording and state collection),
     each instruction included: the enclave steps through one
     ``interp.run_steps`` call per stretch of a window up to the next thing
-    the run acts on, which calls it after each instruction.  What a run
-    sets up from its arguments, the label masks of `payload` and the
-    registers of each entry, is resolved once per distinct value
-    (``_payload_masks``, ``_entry_regs``).
+    the run acts on (the live injection's boundary, the step budget, the
+    end of an open irq-quota window, the last boundary it keeps points
+    at), which calls it after each instruction.  What a run sets up from
+    its arguments, the label masks of `payload` and the registers of each
+    entry, is resolved once per distinct value (``_payload_masks``,
+    ``_entry_regs``).
 
     `payload` names the staged registers that carry the attacker's
     payload: at an entry that uses the staged registers, the staged value
@@ -321,8 +323,8 @@ def run_plan(machine: "Machine | Point", image: EnclaveImage, actions: list,
                 notify()
                 continue
             # expire a cycle-bounded atomic window
-            if (machine.hw.atomic and machine.hw.kind == HW_IRQ_QUOTA
-                    and machine.cycle >= machine.hw.atomic_until):
+            hw = machine.hw
+            if hw.atomic and machine.cycle >= hw.atomic_until:
                 vec = machine.end_atomic()
                 if vec is not None:
                     if not machine.aex(vec):
@@ -330,11 +332,14 @@ def run_plan(machine: "Machine | Point", image: EnclaveImage, actions: list,
                     notify()
                     continue
             # step to the next thing this loop acts on: the live
-            # injection's boundary, the step budget, or the last boundary
-            # the window keeps points at
+            # injection's boundary, the step budget, the open atomic
+            # window's end cycle (an instruction that retires counts one),
+            # or the last boundary the window keeps points at
             limit = max_steps - steps
             if live is not None and live.boundary > window_count:
                 limit = min(limit, live.boundary - window_count)
+            if hw.atomic:
+                limit = min(limit, hw.atomic_until - machine.cycle)
             if window_count < keep_until:
                 limit = min(limit, keep_until - window_count)
                 clones: list[Machine] = []

@@ -1,16 +1,15 @@
 """Instruction interpreter with label propagation and fault detection.
 
 ``run_steps`` is the one stepping entry: it executes instructions on a
-Machine until one does not retire, a given number have run, or an
-irq-quota atomic window reaches its end, and ``step`` is its
-one-instruction case.  Each instruction emits one primary trace event
-(plus Leak events when secret data lands in public memory).  A fault
-leaves rip at the faulting instruction and arms ``machine.pending_fault``;
-the only legal next hardware transition is then an asynchronous exit of
-that class.  A step fetches from a table of per-address handlers, which
-holds only the addresses the memory's pages make executable, so a fetch
-checks no page; each program decodes into one such table per tuple of
-pages over its code (see ``fetch_table``).
+Machine until one does not retire or a given number have run, and
+``step`` is its one-instruction case.  Each instruction emits one primary
+trace event (plus Leak events when secret data lands in public memory).  A
+fault leaves rip at the faulting instruction and arms
+``machine.pending_fault``; the only legal next hardware transition is then
+an asynchronous exit of that class.  A step fetches from a table of
+per-address handlers, which holds only the addresses the memory's pages
+make executable, so a fetch checks no page; each program decodes into one
+such table per tuple of pages over its code (see ``fetch_table``).
 
 Each handler moves the label word of its operands (the secret taint and
 every payload plane together, see ``machine.SECRET``) and checks the
@@ -44,9 +43,9 @@ from .isa import (
 )
 from .machine import (
     CTRL_CALL, CTRL_RET, E_CTRL, E_FAULT, E_HALT, E_LEAK, E_MEMCPY, E_MEMR,
-    E_RETIRE, E_SP_ASSIGN, E_STORE, HW_IRQ_QUOTA, LABELS, MASK64,
-    MODE_ENCLAVE, NREGS, ORIGINS, PAYLOADS, RIP, RSP, SCRUB_VALUES, SECRET,
-    SSAFrame, TCS, VEC_AC, VEC_PAGE_FAULT, Machine, Memory,
+    E_RETIRE, E_SP_ASSIGN, E_STORE, LABELS, MASK64, MODE_ENCLAVE, NREGS,
+    ORIGINS, PAYLOADS, RIP, RSP, SCRUB_VALUES, SECRET, SSAFrame, TCS,
+    VEC_AC, VEC_PAGE_FAULT, Machine, Memory,
 )
 
 # Exit statuses for Halt; ABORT marks an in-enclave consistency trap
@@ -66,9 +65,8 @@ def _fault(m: Machine, pc: int, vector: int, addr: int) -> str:
 
 def run_steps(m: Machine, program: Program, limit: int,
               after: Optional[Callable[[], None]] = None) -> tuple[int, str]:
-    """Execute instructions of `program` until one does not retire, `limit`
-    have run, or an irq-quota atomic window has reached its
-    ``atomic_until`` cycle, calling `after` (if given) after each.  Returns
+    """Execute instructions of `program` until one does not retire or
+    `limit` have run, calling `after` (if given) after each.  Returns
     (stepped, signal): the instructions executed, the one that did not
     retire included, and the last one's signal: "ok" when every one
     retired, else "fault", "exit" or "halt".  `limit` is at least 1."""
@@ -80,15 +78,13 @@ def run_steps(m: Machine, program: Program, limit: int,
     fetch = (mem.fetch if mem.fetch_program is program
              else fetch_table(mem, program)).get
     regs = m.regs       # a handler that retires keeps the list
-    hw = m.hw
-    quota = hw.kind == HW_IRQ_QUOTA
     for n in range(1, limit + 1):
         pc = regs[RIP]
         handler, a, b, c = fetch(pc, _UNFETCHED)
         sig = handler(m, pc, a, b, c)
         if after is not None:
             after()
-        if sig != "ok" or quota and hw.atomic and m.cycle >= hw.atomic_until:
+        if sig != "ok":
             return n, sig
     return limit, "ok"
 
@@ -139,10 +135,10 @@ def fetch_table(mem: Memory, program: Program) -> dict:
 # completes against the program it was fetched from, ``mem.fetch_program``,
 # and asks its ``crit_pcs`` whether the saved pc is inside a span; a table
 # holds no reference to the program, since the program holds the table.
-# A handler that retires sets rip, counts the cycle, keeps ``m.regs`` (the
-# list, not its values) and returns "ok"; any other signal ends the
-# `run_steps` call, as do its `limit` and the end of an irq-quota atomic
-# window, which the harness checks before it steps again.
+# A handler that retires sets rip, counts exactly one cycle (so the harness
+# can end a stretch at an atomic window's end), keeps ``m.regs`` (the list,
+# not its values) and returns "ok"; any other signal ends the `run_steps`
+# call, as does its `limit`.
 #
 # Labels: data moves copy the label word (mov, the value of
 # load/store/push/pop, memcpy contents, read_ssa and write_ssa, and in
@@ -203,8 +199,9 @@ class RspPath:
 
     ``preds``, ``offsets`` and ``fixed`` are shared by every run of the
     branch; ``written``, the offsets stored on the plane so far (None
-    before the first), belongs to one run: ``run`` starts a run's view,
-    and ``fork``, a clone of the machine, copies it."""
+    before the first), belongs to one run: ``fork`` gives a run its own
+    view with a copy of them.  The path a branch holds records no run, so
+    a view forked from it starts with none."""
 
     __slots__ = ("word", "preds", "offsets", "fixed", "written")
 
@@ -216,15 +213,6 @@ class RspPath:
         self.offsets: set = set()
         self.fixed: set = set()
         self.written: "set | None" = None
-
-    def run(self) -> "RspPath":
-        path = RspPath.__new__(RspPath)
-        path.word = self.word
-        path.preds = self.preds
-        path.offsets = self.offsets
-        path.fixed = self.fixed
-        path.written = None
-        return path
 
     def fork(self) -> "RspPath":
         path = RspPath.__new__(RspPath)
@@ -655,10 +643,10 @@ def _read_ssa(m, pc, a, b, c):
 def _write_ssa(m, pc, a, b, c):
     if m.tcs.cssa < 1:
         return _abort(m, pc)
+    if a in (SSA_FIELD_VALID, SSA_FIELD_VECTOR):
+        raise InterpError("exit information is hardware-owned")
     regs = m.regs
-    _set_frame_field(m.ssa[m.tcs.cssa - 1], a, regs[b],
-                     m.taint >> b & LABELS)
-    m.platform_changed()
+    m.write_ssa(a, regs[b], m.taint >> b & LABELS)
     m.trace.append((E_RETIRE, pc, regs[RSP], 0, 0))
     regs[RIP] = pc + 1
     m.cycle += 1
@@ -732,8 +720,7 @@ def _emulate_critical(m, pc, a, b, c):
     # are already safe and pass through unchanged
     program = m.mem.fetch_program
     if frame.regs[RIP] in program.crit_pcs:
-        m.ssa[cssa - 1] = complete_critical(m, program, frame)
-        m.platform_changed()
+        m.replace_ssa(complete_critical(m, program, frame))
     regs = m.regs
     m.trace.append((E_RETIRE, pc, regs[RSP], 0, 0))
     regs[RIP] = pc + 1
@@ -795,14 +782,6 @@ def _frame_field(frame: SSAFrame, field: int) -> tuple[int, int]:
     if field == SSA_FIELD_VECTOR:
         return frame.vector, 0
     return frame.regs[field], frame.taint >> field & LABELS
-
-
-def _set_frame_field(frame: SSAFrame, field: int, value: int, w: int) -> None:
-    if field in (SSA_FIELD_VALID, SSA_FIELD_VECTOR):
-        raise InterpError("exit information is hardware-owned")
-    frame.regs[field] = value & MASK64
-    frame.taint = frame.taint & _KEEP[field] | w << field
-    frame._repr = None
 
 
 # ---------------------------------------------------------------------------

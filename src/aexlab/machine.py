@@ -385,8 +385,8 @@ class SSAFrame:
     exit-information fields written by the hardware on async exit.
 
     ``canonical_repr``, the bytes of ``repr(canonical())``, is cached;
-    whoever changes a canonical field clears ``_repr`` (``Machine.aex``,
-    ``interp._set_frame_field``)."""
+    the machine transitions that change a canonical field clear ``_repr``
+    (``Machine.aex``, ``Machine.write_ssa``)."""
 
     __slots__ = ("regs", "taint", "valid", "vector", "_repr")
 
@@ -450,7 +450,7 @@ class HwExt:
         self.granted = granted
         # reentry_mask state
         self.masked = masked
-        # shared atomic-section state
+        # the irq-quota atomic window, which only a granted quota opens
         self.atomic = atomic
         self.atomic_until = atomic_until
         self.deferred_vector = deferred_vector
@@ -548,7 +548,8 @@ class Machine:
     ``_pages`` and ``_platform`` cache parts of the digest text as bytes
     (see ``digest``).  ``_platform``, the page permissions, TCS, SSA
     frames, aep, version and extension state, is cleared through
-    ``platform_changed`` by every transition that changes one of them.
+    ``platform_changed`` by every transition that changes one of them,
+    the interpreter's frame writes (``write_ssa``, ``replace_ssa``) too.
     ``_pages``, the page permissions alone, is cleared by
     ``os_set_page_perms`` only: the platform changes at every entry and
     exit, the pages almost never.  A clone, its memory and its SSA frames
@@ -702,20 +703,20 @@ class Machine:
         self.emit(E_EXIT, pc, target & MASK64,
                   self.taint & SECRET_REGS & ~(1 << RIP), self.regs[RAX])
 
-    # -- asynchronous exit / resume ------------------------------------------
+    # -- asynchronous exit / resume, saved-frame writes ----------------------
 
     def aex(self, vector: int) -> bool:
         """Asynchronous exit: snapshot the context into the next SSA frame,
         scrub the live registers, and fall back to the recorded aep.
 
-        Returns False (and records a deferral) when the irq-quota extension
-        has the enclave inside a granted atomic section."""
+        Returns False (and records a deferral) when the enclave is inside
+        an atomic window, which only a granted irq quota opens."""
         if self.mode != MODE_ENCLAVE:
             raise MachineError("aex requires enclave mode")
         if self.tcs.cssa >= self.tcs.nssa:
             raise MachineError("no reserved ssa slot")  # unreachable by construction
         self.platform_changed()
-        if self.hw.kind == HW_IRQ_QUOTA and self.hw.atomic:
+        if self.hw.atomic:
             self.hw.deferred_vector = vector
             self.emit(E_HW_DEFER, self.regs[RIP], vector)
             return False
@@ -754,6 +755,20 @@ class Machine:
         self.mode = MODE_ENCLAVE
         self.tcs.busy = True
         self.emit(E_HW_ERESUME, self.regs[RIP])
+
+    def write_ssa(self, field: int, value: int, word: int) -> None:
+        """Write `value`, labelled `word`, to the top saved frame's
+        register `field`."""
+        frame = self.ssa[self.tcs.cssa - 1]
+        frame.regs[field] = value & MASK64
+        frame.taint = frame.taint & ~(LABELS << field) | word << field
+        frame._repr = None
+        self.platform_changed()
+
+    def replace_ssa(self, frame: SSAFrame) -> None:
+        """Put `frame` in place of the top saved frame."""
+        self.ssa[self.tcs.cssa - 1] = frame
+        self.platform_changed()
 
     # -- OS-side controls ----------------------------------------------------
 

@@ -688,17 +688,23 @@ def _stretched_and_stepped(monkeypatch, fn):
     the stretches replace.  Asserts that both give the same result and
     the same fields for every run_plan call, that each run counts the
     steps its run_steps calls stepped and the boundaries of those that
-    retired, and that the stretches made fewer interpreter calls.
-    Returns the uncapped side's run_steps calls as (limit, stepped,
-    signal)."""
+    retired, that every call returning "ok" advanced the cycle by exactly
+    the instructions it stepped (which lets run_plan end a stretch at an
+    atomic window's end), and that the stretches made fewer interpreter
+    calls.  Returns the uncapped side's run_steps calls as (limit,
+    stepped, signal, at_window_end): the last is whether the call started
+    inside an open atomic window and returned "ok" at its end cycle."""
     real = harness.run_steps
     sides = []
     for cap in (False, True):
         runs, calls = [], []
 
         def stepping(m, program, limit, after=None):
+            cycle, hw = m.cycle, m.hw
+            until = hw.atomic_until if hw.atomic else None
             n, sig = real(m, program, 1 if cap else limit, after)
-            calls.append((limit, n, sig))
+            assert sig != "ok" or m.cycle - cycle == n
+            calls.append((limit, n, sig, sig == "ok" and m.cycle == until))
             return n, sig
 
         def recording(run_plan):
@@ -708,9 +714,10 @@ def _stretched_and_stepped(monkeypatch, fn):
                           if isinstance(start, harness.Point) else (0, 0))
                 res = run_plan(start, *args, **kwargs)
                 stepped = calls[first:]
-                assert res.steps - before[0] == sum(n for _, n, _ in stepped)
+                assert res.steps - before[0] == sum(
+                    n for _, n, _, _ in stepped)
                 assert res.boundaries - before[1] == sum(
-                    n - (sig != "ok") for _, n, sig in stepped)
+                    n - (sig != "ok") for _, n, sig, _ in stepped)
                 runs.append(_stretch_fields(res))
                 return res
             return recorded
@@ -728,7 +735,8 @@ def _stretched_and_stepped(monkeypatch, fn):
     assert len(runs) == len(want_runs) > 0
     for i, (run, want_run) in enumerate(zip(runs, want_runs)):
         assert run == want_run, f"run {i}"
-    assert sum(n for _, n, _ in calls) == sum(n for _, n, _ in want_calls)
+    assert (sum(n for _, n, _, _ in calls)
+            == sum(n for _, n, _, _ in want_calls))
     assert len(calls) < len(want_calls)
     return calls
 
@@ -807,9 +815,10 @@ def test_stretches_equal_single_steps_where_an_entry_window_expires(
         monkeypatch):
     # hw_irq_quota arms a 32-cycle window at every entry.  The nested
     # plans' second exception lands inside the handler's entry window, is
-    # deferred, and is delivered where that window expires: inside a
-    # stretch, which must end there.  The critical-span plans' deferred
-    # exception is delivered by the span's end_atomic instead.
+    # deferred, and is delivered where that window expires: the stretch
+    # that reaches the window's end cycle must end exactly there.  The
+    # critical-span plans' deferred exception is delivered by the span's
+    # end_atomic instead.
     image = build_runtime("hw_irq_quota")
     plans = ([harness.benign_plan()]
              + [harness.benign_nested_plan(b) for b in (3, 15)]
@@ -824,7 +833,7 @@ def test_stretches_equal_single_steps_where_an_entry_window_expires(
         return traces
 
     calls = _stretched_and_stepped(monkeypatch, runs)
-    assert any(sig == "ok" and n < limit for limit, n, sig in calls)
+    assert any(at_end for _, _, _, at_end in calls)
     for kinds in runs()[1:]:
         assert E_HW_AEX in kinds[kinds.index(E_HW_DEFER):]
 
@@ -847,7 +856,7 @@ def test_stretches_equal_single_steps_for_an_injection_at_every_boundary(
 
     assert window > 10
     calls = _stretched_and_stepped(monkeypatch, injected)
-    assert any(n > 1 for _, n, _ in calls)
+    assert any(n > 1 for _, n, _, _ in calls)
 
 
 # ---------------------------------------------------------------------------

@@ -452,6 +452,8 @@ def test_digest_equals_the_canonical_repr(graphene_interrupted, start, ops):
                 m = m.clone()
         except (MachineError, EntryDenied, ResumeDenied, InterpError):
             pass
+        # only a granted irq quota opens an atomic window
+        assert not m.hw.atomic or m.hw.kind == HW_IRQ_QUOTA
         assert m.digest() == canonical_digest(m)
         for parent, digest in ancestors:
             assert parent.digest() == digest == canonical_digest(parent)

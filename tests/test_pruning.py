@@ -503,7 +503,7 @@ def _rsp_labelled(source: str, rsp: int):
     m.regs[RSP] = rsp
     m.taint = ORIGINS[RSP] << RSP
     path = RspPath(rsp)
-    m.path = path.run()
+    m.path = path.fork()
     return m, path, prog
 
 
@@ -573,7 +573,7 @@ def test_rsp_words_a_recorded_path_admits_give_shifted_traces(lines, p, w1):
     # fields differ only by the difference of the words
     source = _program(lines)
     path = RspPath(w1)
-    m1, sig1 = _rsp_run(source, p, w1, path.run())
+    m1, sig1 = _rsp_run(source, p, w1, path.fork())
     for w2 in _RSP_WORDS:
         if w2 == w1 or not path.admits(w2, m1.mem, _unmonitored):
             continue
